@@ -1,11 +1,12 @@
 package bamboort
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,22 +16,20 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obsv"
-	"repro/internal/types"
 )
 
 // delivery is one message on a core's inbox: an object for a parameter set,
 // or a poke (obj == nil) prompting a rescan after a remote unlock.
 type delivery struct {
-	taskName string
-	param    int
-	obj      *interp.Object
+	ht    int32 // index of the hosted task on the receiving core
+	param int32
+	obj   *interp.Object
 }
 
 // ccore is one core of the concurrent runtime. mu guards the scheduler
-// state — parameter sets, arrival sequencing, and the ready deque — so a
-// thieving core can assemble and claim invocations from a victim's sets;
-// the inbox is drained only by the owning worker (and by the coordinator
-// in degraded drain mode).
+// state — parameter sets and arrival sequencing — so a thieving core can
+// bind and claim invocations from a victim's sets; the inbox is drained
+// only by the owning worker (and by the coordinator in degraded drain).
 type ccore struct {
 	id    int
 	inbox chan delivery
@@ -39,31 +38,18 @@ type ccore struct {
 	// poke guarantees a rescan is still coming. Cleared in receive, under
 	// the consumer's inbox drain.
 	pokePending atomic.Bool
-	// mx and trc are the run's shared metrics collector and tracer; both
-	// nil unless the caller asked for observability.
-	mx  *obsv.Metrics
-	trc *ctracer
 
-	mu     sync.Mutex
-	tasks  []*hostedTask
+	mu sync.Mutex
+	*runq
 	arrSeq int64
-	// deque is the bounded ready deque: candidate invocations assembled
-	// from the parameter sets, oldest ready first. The owner pops from the
-	// front (FIFO fairness), thieves pop from the back. Entries are views
-	// that are re-validated (locks, guards) at pop time, so a stale entry
-	// is discarded, never executed.
-	deque []*invocation
-	// poisoned marks a core that exhausted an invocation's retry budget;
-	// the run degrades to a sequential drain when any core is poisoned.
-	poisoned bool
+	// ran counts the invocations this core executed, by task index; only
+	// its worker (the coordinator, once workers stopped) writes it.
+	ran []int64
 }
 
-// ctracer records wall-clock spans for a concurrent run. Spans are
-// appended in completion order under one mutex, which also guards the
-// object -> producer-span map used to attach dependence edges. The mutex
-// is uncontended relative to task execution (one append per invocation)
-// and the tracer is nil when tracing is off, so the instrumented path
-// costs a single nil check per invocation when disabled.
+// ctracer records wall-clock spans for a concurrent run, appended in
+// completion order under one mutex that also guards the object ->
+// producer-span map (one append per invocation; nil when tracing is off).
 type ctracer struct {
 	mu       sync.Mutex
 	start    time.Time
@@ -80,43 +66,26 @@ func (t *ctracer) now() int64 { return time.Since(t.start).Nanoseconds() }
 // routed onward, so consumers always observe their producer's span.
 func (t *ctracer) record(core int, inv *invocation, exec *interp.Exec, start, end int64) {
 	t.mu.Lock()
-	idx := len(t.tr.Events)
-	sp := obsv.Span{
-		Index: idx, Task: inv.ht.task.Name, Core: core,
-		Start: start, End: end, Exit: exec.ExitID,
-	}
-	for i, o := range inv.objs {
-		sp.Params = append(sp.Params, o.ID)
-		prod, ok := t.producer[o.ID]
-		if !ok {
-			prod = -1
-		}
-		sp.Deps = append(sp.Deps, obsv.Dep{Obj: o.ID, Arrival: inv.objArrs[i], Producer: prod})
-	}
-	t.tr.Events = append(t.tr.Events, sp)
-	for _, o := range inv.objs {
-		t.producer[o.ID] = idx
-	}
-	for _, o := range exec.NewObjects {
-		t.producer[o.ID] = idx
-	}
+	recordSpan(t.tr, t.producer, core, inv, exec, start, end)
 	t.mu.Unlock()
 }
 
 // crun is the shared state of one concurrent execution.
 type crun struct {
 	prog *ir.Program
-	dep  *depend.Result
 	opts Options
 	in   *interp.Interp
+	plan *plan
 
 	cores []*ccore
 	mx    *obsv.Metrics
 	trc   *ctracer
 
 	// inFlight counts undelivered messages plus credits held by workers
-	// that are draining or executing; quiescence is inFlight == 0.
+	// that are draining or executing; quiescence is inFlight == 0. The
+	// worker that takes it to zero wakes the coordinator.
 	inFlight atomic.Int64
+	wake     chan struct{}
 	// progress bumps on every delivery, completion, and contained failure
 	// (the stall watchdog watches it).
 	progress atomic.Int64
@@ -128,26 +97,16 @@ type crun struct {
 	errMu  sync.Mutex
 	runErr error
 
-	tasksMu  sync.Mutex
-	tasksRun map[string]int64
-
-	rrMu sync.Mutex
-	rr   map[string]int
-
-	// session marks a persistent-session run: single-parameter tag-guarded
-	// tasks then route by tag hash (per-key shard affinity) instead of
-	// round-robin. One-shot runs keep the round-robin placement.
-	session bool
-
 	// degraded flips when a core is poisoned: workers stop dispatching and
 	// the coordinator drains the remaining work sequentially.
 	degraded atomic.Bool
 
-	// attempts tracks per-invocation dispatch attempts (keyed by task name
-	// plus parameter object IDs) for bounded retry; entries are cleared on
-	// success.
-	attemptMu sync.Mutex
-	attempts  map[string]int
+	// failures counts, for bounded retry, the failed attempts of
+	// invocations that have not succeeded since; nFailing is its size, so
+	// the success path skips the lock while nothing is failing.
+	failMu   sync.Mutex
+	failures map[string]int
+	nFailing atomic.Int64
 }
 
 // RunConcurrent executes the program with real parallelism: one goroutine
@@ -156,38 +115,31 @@ type crun struct {
 // it validates that the runtime protocol (guarded dispatch, lock-or-skip,
 // tag routing, work stealing) is correct under true concurrency. Programs
 // whose observable output is order-independent produce the same output as
-// the deterministic engine.
+// the deterministic engine; a task's output is written whole, at commit.
 //
-// Scheduling: each core dispatches from a bounded deque of ready
-// invocations assembled from its parameter sets, oldest ready first. When
-// a core's local queue and guard matching both come up empty it probes
-// other cores in random order and steals a ready invocation from the back
-// of a victim's deque (opts.Sched configures the policy). A stolen
-// invocation keeps the paper's transactional semantics: the thief acquires
-// all parameter locks in canonical (ascending object ID) order,
-// re-validates the guards, and only then claims the objects from the
-// victim's parameter sets.
+// Scheduling: each core runs, of its hosted tasks' first bindable
+// invocations, the one that became ready first. When guard matching comes
+// up empty it probes other cores in random order and steals the newest
+// ready invocation of a victim (opts.Sched). A stolen invocation keeps the
+// paper's transactional semantics: the thief acquires all parameter locks
+// in canonical (ascending object ID) order, re-validates the guards, and
+// only then claims the objects from the victim's parameter sets.
 //
 // Failure containment (opts.Fault): every attempt snapshots its parameter
-// objects' flag/tag state before running; a panic — real or injected via
-// the faultinject hook — is recovered, the snapshot is rolled back, and
-// the invocation is retried with exponential backoff. Injected stalls that
-// exceed the per-invocation timeout fail the attempt with ErrTimeout and
-// retry the same way. When retries are exhausted the executing core is
-// poisoned and the run degrades to a sequential drain on the coordinator;
-// a stall watchdog converts a hung run into ErrDeadlock. The context
-// cancels the run between invocations.
+// objects' flag/tag state; a panic — real or injected via the faultinject
+// hook — is recovered, the snapshot rolled back, and the invocation retried
+// with exponential backoff, as are injected stalls beyond the invocation
+// timeout (ErrTimeout). When retries are exhausted the run degrades to a
+// sequential drain on the coordinator; a stall watchdog converts a hung run
+// into ErrDeadlock. The context cancels the run between invocations.
 //
-// Observability: when opts.Trace is non-nil the run records one wall-clock
-// span (nanoseconds since run start) per invocation, with parameter object
-// IDs and dependence edges, in the unified internal/obsv model — the
-// measured counterpart of schedsim's predicted schedule. When opts.Metrics
-// is non-nil the run additionally counts lock acquisitions, lock-or-skip
-// contention, guard rechecks, deliveries, pokes, sampled inbox depths,
-// steal attempts/successes, retries, rollbacks, timeouts, recovered
-// panics, and poisoned cores. Both default to nil and every
-// instrumentation site is gated on a nil check, so observability costs
-// nothing when off.
+// Observability: opts.Trace records one wall-clock span (nanoseconds since
+// run start) per invocation with parameter object IDs and dependence edges
+// — the measured counterpart of schedsim's predicted schedule — and
+// opts.Metrics counts locks, contention, guard rechecks, deliveries, pokes,
+// inbox depths, steals, retries, rollbacks, timeouts, panics and poisoned
+// cores. Both default to nil and every site is gated on a nil check, so
+// observability costs nothing when off.
 func RunConcurrent(ctx context.Context, prog *ir.Program, dep *depend.Result, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -197,7 +149,14 @@ func RunConcurrent(ctx context.Context, prog *ir.Program, dep *depend.Result, op
 		return nil, err
 	}
 	r.injectStartup()
-	return r.monitor(ctx)
+	if err := r.quiesce(ctx); err != nil {
+		return nil, err
+	}
+	r.shutdown()
+	if err := r.err(); err != nil {
+		return nil, err
+	}
+	return r.result(), nil
 }
 
 // newCrun builds the shared run state, validates the layout, and starts
@@ -207,21 +166,10 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 	if opts.Layout == nil {
 		return nil, fmt.Errorf("bamboort: Layout is required")
 	}
-	if opts.MaxInvocations == 0 {
-		opts.MaxInvocations = 50_000_000
-	}
-	in := interp.New(prog)
-	in.Out = opts.Out
-	if opts.MaxTaskCycles > 0 {
-		in.MaxCycles = opts.MaxTaskCycles
-	} else {
-		in.MaxCycles = 10_000_000_000
-	}
-	if opts.NoFastDispatch {
-		in.DisableFastDispatch()
-	}
-	if opts.Heap != nil {
-		in.Heap = opts.Heap
+	opts.setDefaults()
+	pl, err := newPlan(prog, dep, opts.Layout, opts.Machine, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	var trc *ctracer
@@ -234,32 +182,17 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 	}
 	n := opts.Layout.NumCores
 	r := &crun{
-		prog: prog, dep: dep, opts: opts, in: in,
+		prog: prog, opts: opts, in: newInterp(prog, opts), plan: pl,
 		cores:    make([]*ccore, n),
 		mx:       opts.Metrics,
 		trc:      trc,
+		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
-		tasksRun: map[string]int64{},
-		rr:       map[string]int{},
-		attempts: map[string]int{},
+		failures: map[string]int{},
 	}
 	for i := range r.cores {
-		r.cores[i] = &ccore{id: i, inbox: make(chan delivery, 1<<16), mx: opts.Metrics, trc: trc}
-	}
-	taskNames := make([]string, 0, len(prog.Tasks))
-	for _, fn := range prog.Tasks {
-		taskNames = append(taskNames, fn.Task.Name)
-	}
-	sort.Strings(taskNames)
-	for _, name := range taskNames {
-		fn := prog.Funcs[ir.TaskKey(name)]
-		cs := opts.Layout.Cores(name)
-		if len(cs) > 1 && len(fn.Task.Params) > 1 && CommonTagVar(fn.Task) == "" {
-			return nil, fmt.Errorf("bamboort: task %s cannot be replicated without a common tag", name)
-		}
-		for _, c := range cs {
-			r.cores[c].tasks = append(r.cores[c].tasks, newHostedTask(fn))
-		}
+		r.cores[i] = &ccore{id: i, inbox: make(chan delivery, 1<<16),
+			runq: newRunq(pl.hosted[i], newStore()), ran: make([]int64, len(pl.tasks))}
 	}
 
 	r.wg.Add(n)
@@ -271,39 +204,26 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 
 // injectStartup routes the startup object into the live run.
 func (r *crun) injectStartup() {
-	startCl := r.prog.Info.Classes[types.StartupClass]
-	so := r.in.Heap.NewObject(startCl)
-	so.SetFlag(startCl.FlagIndex[types.StartupFlag], true)
-	if f, ok := startCl.FieldByName["args"]; ok {
-		so.Fields[f.Index] = interp.ArrV(r.in.Heap.NewStringArray(r.opts.Args))
-	}
-	r.route(so, 0)
+	r.route(startupObject(r.prog, r.in.Heap, r.opts.Args), -1)
 }
 
-// monitor drives a one-shot run: wait for quiescence, stop the workers,
-// and build the result.
-func (r *crun) monitor(ctx context.Context) (*Result, error) {
-	if err := r.quiesce(ctx); err != nil {
-		return nil, err
-	}
-	r.shutdown()
-	if err := r.err(); err != nil {
-		return nil, err
-	}
-	return r.result(), nil
-}
-
-// quiesce is the coordinator loop: it waits for quiescence (no undelivered
-// messages, no worker holding credits), watches for terminal errors,
-// cancellation, degradation to sequential drain, and — when the fault
-// policy arms it — the stall watchdog. On a nil return all work accepted
-// so far has completed; r.stopped() then reports whether the workers
-// survived (a degraded run drains its remaining work sequentially but
-// cannot accept more).
+// quiesce is the coordinator loop: it sleeps until a worker reports
+// quiescence (no undelivered messages, no worker holding credits), a
+// terminal error or a poisoning, and watches for cancellation and — when
+// the fault policy arms it — a stall. On a nil return all work accepted so
+// far has completed; r.stopped() then reports whether the workers survived
+// (a degraded run drains its remaining work sequentially but cannot accept
+// more).
 func (r *crun) quiesce(ctx context.Context) error {
 	lastProgress := r.progress.Load()
 	lastMove := time.Now()
 	stall := r.opts.Fault.StallTimeout
+	var tick <-chan time.Time
+	if stall > 0 {
+		t := time.NewTicker(max(stall/8, time.Millisecond))
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		if err := r.err(); err != nil {
 			r.shutdown()
@@ -335,26 +255,32 @@ func (r *crun) quiesce(ctx context.Context) error {
 					ErrDeadlock, stall, r.inFlight.Load())
 			}
 		}
-		time.Sleep(50 * time.Microsecond)
+		// A token left over from an earlier wait costs one extra turn.
+		select {
+		case <-r.wake:
+		case <-ctx.Done():
+		case <-tick:
+		}
 	}
 }
 
-// result finalizes a successful run: it folds the interpreter's dispatch
-// statistics into the run's metrics and, when the run owns its heap, hands
-// the arena back to the process-wide pools before building the Result.
+// notify wakes the coordinator.
+func (r *crun) notify() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// result finalizes a successful run (see finishInterp) and sums the
+// per-core invocation counts.
 func (r *crun) result() *Result {
-	if m := r.mx; m != nil {
-		st := r.in.Stats()
-		m.ICHits.Add(st.ICHits)
-		m.ICMisses.Add(st.ICMisses)
-		m.FlatInstrs.Add(st.FlatInstrs)
-		m.FusedInstrs.Add(st.FusedInstrs)
-		m.ArenaReusedBytes.Add(st.ArenaReusedBytes)
+	finishInterp(r.in, r.opts)
+	var ran []int64
+	for _, c := range r.cores {
+		ran = append(ran, c.ran...)
 	}
-	if r.opts.Heap == nil {
-		r.in.Heap.Release()
-	}
-	return &Result{Invocations: r.nInv.Load(), TasksRun: r.tasksRun}
+	return &Result{Invocations: r.nInv.Load(), TasksRun: tasksRun(r.plan, ran)}
 }
 
 // shutdown stops the workers and waits for them to exit.
@@ -389,6 +315,7 @@ func (r *crun) fail(err error) {
 		r.runErr = err
 	}
 	r.errMu.Unlock()
+	r.notify()
 }
 
 func (r *crun) err() error {
@@ -419,40 +346,11 @@ func (r *crun) poke(target *ccore) {
 }
 
 // route delivers obj to every task parameter its current state can
-// satisfy, per the layout (tag-hash for replicated joins, locality-
-// staggered round-robin otherwise).
+// satisfy, where the plan places it.
 func (r *crun) route(obj *interp.Object, fromCore int) {
-	// route runs concurrently on worker goroutines, so the key scratch is
-	// per-call; the fixed arrays cover typical tag fan-out without growth.
-	var tagArr [8]depend.TagEntry
-	var keyArr [96]byte
-	consumers, _, _ := consumersOf(r.dep, obj, tagArr[:0], keyArr[:0])
-	for _, pr := range consumers {
-		cs := r.opts.Layout.Cores(pr.Task.Name)
-		if len(cs) == 0 {
-			continue
-		}
-		var dst int
-		switch {
-		case len(cs) == 1:
-			dst = cs[0]
-		default:
-			dst = -1
-			if tagType := CommonTagType(pr.Task); tagType != "" && (len(pr.Task.Params) > 1 || r.session) {
-				if tag := firstTagOf(obj, tagType); tag != nil {
-					dst = cs[int(tag.ID)%len(cs)]
-				}
-			}
-			if dst < 0 {
-				key := fmt.Sprintf("%d|%s", fromCore, pr.Task.Name)
-				r.rrMu.Lock()
-				dst = cs[(r.rr[key]+fromCore)%len(cs)]
-				r.rr[key]++
-				r.rrMu.Unlock()
-			}
-		}
-		r.send(dst, delivery{taskName: pr.Task.Name, param: pr.Param, obj: obj})
-	}
+	r.plan.route(obj, fromCore, func(tp *taskPlan, dst, param int) {
+		r.send(dst, delivery{ht: tp.slot[dst], param: int32(param), obj: obj})
+	})
 }
 
 // worker is one core's scheduler loop: drain the inbox into the parameter
@@ -462,32 +360,25 @@ func (r *crun) route(obj *interp.Object, fromCore int) {
 func (r *crun) worker(c *ccore) {
 	defer r.wg.Done()
 	rng := rand.New(rand.NewSource(r.opts.Sched.Seed<<16 + int64(c.id) + 1))
+	perm := make([]int, len(r.cores)) // victim order scratch
+	for i := range perm {
+		perm[i] = i
+	}
 	for {
 		select {
 		case <-r.stop:
 			return
 		case d := <-c.inbox:
-			credits := int64(1)
 			if r.mx != nil {
 				// Sample the inbox depth at drain start (+1 for the
 				// delivery already in hand).
 				r.mx.SampleInbox(len(c.inbox) + 1)
 			}
-			c.mu.Lock()
-			c.receive(d)
-		drain:
-			for {
-				select {
-				case d := <-c.inbox:
-					c.receive(d)
-					credits++
-				default:
-					break drain
-				}
+			credits := 1 + r.drainInbox(c, &d)
+			r.dispatchLoop(c, rng, perm)
+			if r.inFlight.Add(-credits) == 0 {
+				r.notify()
 			}
-			c.mu.Unlock()
-			r.dispatchLoop(c, rng)
-			r.inFlight.Add(-credits)
 		}
 	}
 }
@@ -495,11 +386,11 @@ func (r *crun) worker(c *ccore) {
 // dispatchLoop runs local ready invocations until the core's queue and
 // guard matching come up empty, then tries to steal; it returns when there
 // is nothing left to execute (or the run is stopping/degraded).
-func (r *crun) dispatchLoop(c *ccore, rng *rand.Rand) {
+func (r *crun) dispatchLoop(c *ccore, rng *rand.Rand, perm []int) {
 	for !r.stopped() && !r.degraded.Load() {
-		inv, owner := r.acquireLocal(c), c
+		inv, owner := r.takeFrom(c, false), c
 		if inv == nil && !r.opts.Sched.DisableStealing {
-			inv, owner = r.stealFrom(c, rng)
+			inv, owner = r.stealFrom(c, rng, perm)
 		}
 		if inv == nil {
 			return
@@ -510,18 +401,11 @@ func (r *crun) dispatchLoop(c *ccore, rng *rand.Rand) {
 	}
 }
 
-// acquireLocal claims the oldest ready invocation from c's own deque.
-func (r *crun) acquireLocal(c *ccore) *invocation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return r.takeFrom(c, false)
-}
-
 // stealFrom probes other cores in random order and steals the newest
 // ready invocation from the first victim with claimable work. The thief
 // still holds its own drain credits while executing stolen work, so
 // quiescence detection keeps counting it.
-func (r *crun) stealFrom(c *ccore, rng *rand.Rand) (*invocation, *ccore) {
+func (r *crun) stealFrom(c *ccore, rng *rand.Rand, perm []int) (*invocation, *ccore) {
 	n := len(r.cores)
 	if n <= 1 {
 		return nil, nil
@@ -531,7 +415,8 @@ func (r *crun) stealFrom(c *ccore, rng *rand.Rand) (*invocation, *ccore) {
 		tries = n - 1
 	}
 	probed := 0
-	for _, vi := range rng.Perm(n) {
+	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+	for _, vi := range perm {
 		v := r.cores[vi]
 		if v == c {
 			continue
@@ -543,10 +428,7 @@ func (r *crun) stealFrom(c *ccore, rng *rand.Rand) (*invocation, *ccore) {
 		if r.mx != nil {
 			r.mx.StealAttempts.Add(1)
 		}
-		v.mu.Lock()
-		inv := r.takeFrom(v, true)
-		v.mu.Unlock()
-		if inv != nil {
+		if inv := r.takeFrom(v, true); inv != nil {
 			if r.mx != nil {
 				r.mx.StealSuccesses.Add(1)
 			}
@@ -556,85 +438,56 @@ func (r *crun) stealFrom(c *ccore, rng *rand.Rand) (*invocation, *ccore) {
 	return nil, nil
 }
 
-// takeFrom refreshes v's ready deque and claims the first entry that
-// survives validation: all parameter locks acquired in canonical order
+// takeFrom claims from v's parameter sets the first candidate invocation
+// that survives validation: all parameter locks acquired in canonical order
 // (lock-or-skip — never block), guards re-checked after locking, and the
-// objects consumed from the parameter sets under v's scheduler lock.
-// Local dispatch pops the front (oldest ready), stealing pops the back.
-// Callers hold v.mu.
+// objects consumed, all under v's scheduler lock. Local dispatch takes the
+// oldest ready candidate, stealing the newest.
 func (r *crun) takeFrom(v *ccore, stealing bool) *invocation {
-	v.refreshDeque(r.opts.Sched.dequeCap())
-	for len(v.deque) > 0 {
-		var inv *invocation
-		if stealing {
-			inv = v.deque[len(v.deque)-1]
-			v.deque = v.deque[:len(v.deque)-1]
-		} else {
-			inv = v.deque[0]
-			v.deque = v.deque[1:]
-		}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.ready(nil, r.opts.Sched.dequeCap())
+	for ht := v.next(stealing); ht != nil; ht = v.next(stealing) {
+		inv := ht.take()
 		if r.lockAndValidate(inv) {
-			inv.consume()
+			ht.consume()
 			return inv
 		}
+		inv.release()
 	}
 	return nil
-}
-
-// refreshDeque rebuilds the bounded ready deque from the parameter sets:
-// one candidate invocation per hosted task, oldest ready first, truncated
-// at cap (overflow stays in the parameter sets for the next refresh).
-func (c *ccore) refreshDeque(max int) {
-	c.deque = c.deque[:0]
-	for _, ht := range c.tasks {
-		if inv := ht.assemble(func(*interp.Object) bool { return false }); inv != nil {
-			c.deque = append(c.deque, inv)
-			if len(c.deque) >= max {
-				break
-			}
-		}
-	}
-	sort.Slice(c.deque, func(i, j int) bool { return c.deque[i].readySeq < c.deque[j].readySeq })
 }
 
 // lockAndValidate acquires the invocation's parameter locks in canonical
 // (ascending object ID) order with try-locks and re-validates every guard
 // after locking (another core may have transitioned an object between
-// assembly and acquisition). On failure it releases what it acquired in
+// binding and acquisition). On failure it releases what it acquired in
 // reverse-canonical order and reports false.
 func (r *crun) lockAndValidate(inv *invocation) bool {
-	ordered := append([]*interp.Object(nil), inv.objs...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-	var acquired []*interp.Object
-	seen := map[*interp.Object]bool{}
-	for _, o := range ordered {
-		if seen[o] {
-			continue
-		}
-		seen[o] = true
+	inv.locked = append(inv.locked, inv.objs...) // distinct by construction
+	slices.SortFunc(inv.locked, func(a, b *interp.Object) int { return cmp.Compare(a.ID, b.ID) })
+	for i, o := range inv.locked {
 		if !o.TryLock() {
 			// Lock-or-skip: abandon the invocation, never block.
 			if r.mx != nil {
 				r.mx.RecordContention(o.ID)
 			}
-			unlockAll(acquired)
+			unlockAll(inv.locked[:i])
 			return false
 		}
 		if r.mx != nil {
 			r.mx.LockAcquisitions.Add(1)
 		}
-		acquired = append(acquired, o)
 	}
 	for i, o := range inv.objs {
-		if !ObjSatisfies(o, inv.ht.task.Params[i]) {
+		if !inv.ht.tp.params[i].satisfies(o) {
 			if r.mx != nil {
 				r.mx.GuardRechecks.Add(1)
 			}
-			unlockAll(acquired)
+			unlockAll(inv.locked)
 			return false
 		}
 	}
-	inv.locked = acquired
 	return true
 }
 
@@ -647,28 +500,41 @@ func unlockAll(locked []*interp.Object) {
 	}
 }
 
-// attemptKey identifies an invocation across re-dispatches: the task plus
-// its parameter object IDs.
-func attemptKey(inv *invocation) string {
-	var b strings.Builder
-	b.WriteString(inv.ht.task.Name)
+// failKey identifies an invocation across re-dispatches: the task plus its
+// parameter object IDs. Only failing invocations are ever keyed.
+func failKey(inv *invocation) string {
+	b := append(make([]byte, 0, 64), inv.ht.tp.task.Name...)
 	for _, o := range inv.objs {
-		fmt.Fprintf(&b, "|%d", o.ID)
+		b = strconv.AppendInt(append(b, '|'), o.ID, 10)
 	}
-	return b.String()
+	return string(b)
 }
 
-func (r *crun) bumpAttempt(inv *invocation) int {
-	r.attemptMu.Lock()
-	defer r.attemptMu.Unlock()
-	r.attempts[attemptKey(inv)]++
-	return r.attempts[attemptKey(inv)]
+// attempt returns the 1-based number of the attempt about to run: one more
+// than the invocation's failures since it last succeeded.
+func (r *crun) attempt(inv *invocation) int {
+	if r.nFailing.Load() == 0 {
+		return 1
+	}
+	r.failMu.Lock()
+	defer r.failMu.Unlock()
+	return 1 + r.failures[failKey(inv)]
 }
 
-func (r *crun) clearAttempt(inv *invocation) {
-	r.attemptMu.Lock()
-	delete(r.attempts, attemptKey(inv))
-	r.attemptMu.Unlock()
+// settleAttempt records attempt's outcome: a failure counts against the
+// invocation's retry budget, a success after failures clears the count.
+func (r *crun) settleAttempt(inv *invocation, attempt int, failed bool) {
+	if !failed && attempt == 1 {
+		return
+	}
+	r.failMu.Lock()
+	if failed {
+		r.failures[failKey(inv)] = attempt
+	} else {
+		delete(r.failures, failKey(inv))
+	}
+	r.nFailing.Store(int64(len(r.failures)))
+	r.failMu.Unlock()
 }
 
 // injectedPanic marks a panic raised by the fault-injection hook, so the
@@ -685,6 +551,7 @@ func (r *crun) runProtected(coreID int, inv *invocation, attempt int, drain bool
 	if drain {
 		coreID = faultinject.DrainCore
 	}
+	task := inv.ht.tp.task.Name
 	defer func() {
 		if p := recover(); p != nil {
 			if r.mx != nil {
@@ -694,13 +561,13 @@ func (r *crun) runProtected(coreID int, inv *invocation, attempt int, drain bool
 			_, injected := p.(injectedPanic)
 			retryable = injected
 			err = fmt.Errorf("%w: task %s on core %d (attempt %d): %v",
-				ErrTaskPanic, inv.ht.task.Name, coreID, attempt, p)
+				ErrTaskPanic, inv.ht.tp.task.Name, coreID, attempt, p)
 		}
 	}()
 	fp := r.opts.Fault
 	if fp.Injector != nil {
 		start := time.Now()
-		f := fp.Injector.Inject(inv.ht.task.Name, coreID, attempt)
+		f := fp.Injector.Inject(task, coreID, attempt)
 		if f.Delay > 0 {
 			r.sleep(f.Delay)
 		}
@@ -712,13 +579,13 @@ func (r *crun) runProtected(coreID int, inv *invocation, attempt int, drain bool
 				r.mx.Timeouts.Add(1)
 			}
 			return nil, fmt.Errorf("%w: task %s on core %d (attempt %d): stalled %v, budget %v",
-				ErrTimeout, inv.ht.task.Name, coreID, attempt, time.Since(start), fp.InvocationTimeout), true
+				ErrTimeout, task, coreID, attempt, time.Since(start), fp.InvocationTimeout), true
 		}
 		if f.Panic {
-			panic(injectedPanic{task: inv.ht.task.Name})
+			panic(injectedPanic{task: task})
 		}
 	}
-	exec, err = r.in.RunTask(inv.ht.fn, inv.params())
+	exec, err = r.in.RunTask(inv.ht.tp.fn, inv.args)
 	return exec, err, false
 }
 
@@ -727,8 +594,8 @@ func (r *crun) runProtected(coreID int, inv *invocation, attempt int, drain bool
 // work was stolen). It returns false when the caller's dispatch loop
 // should stop (terminal error, invocation budget, or degradation).
 func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
-	attempt := r.bumpAttempt(inv)
-	snap := snapshotParams(inv.objs)
+	attempt := r.attempt(inv)
+	inv.snapshot()
 	var spanStart int64
 	if r.trc != nil {
 		spanStart = r.trc.now()
@@ -738,19 +605,22 @@ func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
 		// Contained failure: roll the parameter objects back to their
 		// pre-invocation flag/tag snapshot, re-file them into the owner's
 		// parameter sets, and release the locks — then decide between
-		// retry and degradation.
-		snap.restore()
+		// retry and degradation. The attempt's output dies with its Exec.
+		inv.restore()
 		if r.mx != nil {
 			r.mx.Rollbacks.Add(1)
 		}
+		r.settleAttempt(inv, attempt, true)
 		owner.mu.Lock()
 		inv.unconsume()
 		owner.mu.Unlock()
 		unlockAll(inv.locked)
+		inv.release()
 		r.progress.Add(1)
-		return r.handleFailure(c, owner, inv, err, attempt, retryable, drain)
+		return r.handleFailure(c, owner, err, attempt, retryable, drain)
 	}
-	r.clearAttempt(inv)
+	r.settleAttempt(inv, attempt, false)
+	r.in.Commit(exec)
 	if r.trc != nil {
 		// Record while the parameter locks are held and before routing,
 		// so dependence edges resolve.
@@ -759,14 +629,13 @@ func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
 	unlockAll(inv.locked)
 	r.nInv.Add(1)
 	r.progress.Add(1)
-	r.tasksMu.Lock()
-	r.tasksRun[inv.ht.task.Name]++
-	r.tasksMu.Unlock()
+	c.ran[inv.ht.tp.task.Index]++
 	for _, o := range inv.objs {
 		r.route(o, c.id)
 	}
+	inv.release()
 	for _, o := range exec.NewObjects {
-		if _, ok := r.dep.Graphs[o.Class.Name]; ok {
+		if r.plan.routes(o.Class) {
 			r.route(o, c.id)
 		}
 	}
@@ -792,13 +661,16 @@ func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
 // policy's budget; exhaustion poisons the executing core and degrades the
 // run to a sequential drain; non-retryable failures (a real task panic)
 // terminate the run with the typed error.
-func (r *crun) handleFailure(c, owner *ccore, inv *invocation, err error, attempt int, retryable, drain bool) bool {
-	if !retryable {
+func (r *crun) handleFailure(c, owner *ccore, err error, attempt int, retryable, drain bool) bool {
+	fp := r.opts.Fault
+	exhausted := attempt > fp.maxRetries()
+	if !retryable || (exhausted && drain) {
+		// A fault that stays through the sequential drain's retries is not
+		// transient after all — surface it.
 		r.fail(err)
 		return false
 	}
-	fp := r.opts.Fault
-	if attempt <= fp.maxRetries() {
+	if !exhausted {
 		if r.mx != nil {
 			r.mx.Retries.Add(1)
 		}
@@ -810,59 +682,40 @@ func (r *crun) handleFailure(c, owner *ccore, inv *invocation, err error, attemp
 		}
 		return true
 	}
-	if drain {
-		// Retries exhausted even in sequential drain: the fault is not
-		// transient after all — surface it.
-		r.fail(err)
-		return false
-	}
-	c.mu.Lock()
-	c.poisoned = true
-	c.mu.Unlock()
 	if r.mx != nil {
 		r.mx.PoisonedCores.Add(1)
 	}
 	r.degraded.Store(true)
+	r.notify()
 	return false
 }
 
 // drainSequential is the degraded mode entered when a core is poisoned:
-// with all workers stopped, the coordinator alone drains every inbox into
-// the parameter sets and executes the remaining invocations one at a time
-// (injectors observe faultinject.DrainCore). Retry budgets reset on entry;
-// an invocation that still exhausts them fails the run with its typed
-// error.
+// with all workers stopped, the coordinator alone drains every inbox and
+// executes the remaining invocations one at a time (injectors observe
+// faultinject.DrainCore). Retry budgets reset on entry; an invocation that
+// still exhausts them fails the run with its typed error.
 func (r *crun) drainSequential() error {
 	if r.mx != nil {
 		r.mx.DegradedDrains.Add(1)
 	}
-	r.attemptMu.Lock()
-	r.attempts = map[string]int{}
-	r.attemptMu.Unlock()
+	r.failMu.Lock()
+	clear(r.failures)
+	r.nFailing.Store(0)
+	r.failMu.Unlock()
 	for {
 		if err := r.err(); err != nil {
 			return err
 		}
 		moved := false
 		for _, c := range r.cores {
-		inbox:
-			for {
-				select {
-				case d := <-c.inbox:
-					c.mu.Lock()
-					c.receive(d)
-					c.mu.Unlock()
-					r.inFlight.Add(-1)
-					moved = true
-				default:
-					break inbox
-				}
+			if n := r.drainInbox(c, nil); n > 0 {
+				r.inFlight.Add(-n)
+				moved = true
 			}
 		}
 		for _, c := range r.cores {
-			c.mu.Lock()
 			inv := r.takeFrom(c, false)
-			c.mu.Unlock()
 			if inv == nil {
 				continue
 			}
@@ -882,34 +735,48 @@ func (r *crun) drainSequential() error {
 	}
 }
 
+// drainInbox files first (if any) and every delivery queued behind it into
+// the parameter sets, and returns how many it took off the inbox.
+func (r *crun) drainInbox(c *ccore, first *delivery) (n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if first != nil {
+		r.receive(c, *first)
+	}
+	for {
+		select {
+		case d := <-c.inbox:
+			r.receive(c, d)
+			n++
+		default:
+			return n
+		}
+	}
+}
+
 // receive files a delivery into the matching parameter set. Callers hold
 // c.mu.
-func (c *ccore) receive(d delivery) {
+func (r *crun) receive(c *ccore, d delivery) {
 	if d.obj == nil {
 		// Clear the dedup flag before the caller's rescan: any state a
 		// suppressed sender published before reading the flag is visible
 		// to the rescan that follows this drain.
 		c.pokePending.Store(false)
-		if c.mx != nil {
-			c.mx.Pokes.Add(1)
+		if r.mx != nil {
+			r.mx.Pokes.Add(1)
 		}
 		return // poke
 	}
-	if c.mx != nil {
-		c.mx.Deliveries.Add(1)
+	if r.mx != nil {
+		r.mx.Deliveries.Add(1)
 	}
-	for _, ht := range c.tasks {
-		if ht.task.Name == d.taskName {
-			p := ht.task.Params[d.param]
-			if ObjSatisfies(d.obj, p) {
-				c.arrSeq++
-				var at int64
-				if c.trc != nil {
-					at = c.trc.now()
-				}
-				ht.add(d.param, d.obj, c.arrSeq, at)
-			}
-			return
+	ht := c.tasks[d.ht]
+	if ht.tp.params[d.param].satisfies(d.obj) {
+		c.arrSeq++
+		var at int64
+		if r.trc != nil {
+			at = r.trc.now()
 		}
+		ht.add(int(d.param), d.obj, c.arrSeq, at)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/depend"
 	"repro/internal/disjoint"
@@ -120,43 +119,31 @@ type core struct {
 	id     int // logical index into the layout
 	phys   int // physical tile ID on the machine
 	freeAt int64
-	tasks  []*hostedTask
+	*runq
 }
 
 // Engine is the deterministic discrete-event execution engine.
 type Engine struct {
-	prog  *ir.Program
-	dep   *depend.Result
-	locks *disjoint.Result
-	opts  Options
+	prog *ir.Program
+	opts Options
 
-	in       *interp.Interp
-	cores    []*core
-	events   eventHeap
-	evFree   []*event // recycled event records (popped and fully handled)
-	seq      int64
-	lockedBy map[*interp.Object]*invocation
-	rr       map[string]int // round-robin counters, keyed fromCore|task
-	lastEnd  int64
-	nInv     int64
-	tasksRun map[string]int64
-	// producerOf maps each routed object to the trace index of the
+	in      *interp.Interp
+	plan    *plan
+	cores   []*core
+	events  eventHeap
+	evFree  []*event // recycled event records (popped and fully handled)
+	seq     int64
+	locked  map[*interp.Object]bool // parameters of executing invocations
+	lastEnd int64
+	nInv    int64
+	ran     []int64 // invocations per task, by task index
+	// producerOf maps each routed object's ID to the trace index of the
 	// invocation that created or last transitioned it (dependence edges).
 	// Maintained only when tracing.
-	producerOf map[*interp.Object]int
-	// destRing caches, per replicated task, the round-robin destination
-	// list with each core repeated in proportion to its speed (nominal
-	// cores appear more often than slowed cores on heterogeneous
-	// machines; on homogeneous machines every core appears once).
-	destRing map[string][]int
-	// routeTagBuf/routeKeyBuf are consumersOf scratch, reused across every
-	// routed object (the engine is single-threaded).
-	routeTagBuf []depend.TagEntry
-	routeKeyBuf []byte
+	producerOf map[int64]int
 
-	// Session state (session.go): a started session keeps the engine
-	// resident between Feed batches; a drain error poisons it.
-	session bool
+	// sessErr poisons a session (session.go; plan.session marks one
+	// started) after a drain error.
 	sessErr error
 }
 
@@ -165,59 +152,65 @@ func NewEngine(prog *ir.Program, dep *depend.Result, locks *disjoint.Result, opt
 	if opts.Machine == nil || opts.Layout == nil {
 		return nil, fmt.Errorf("bamboort: Machine and Layout are required")
 	}
-	if opts.MaxInvocations == 0 {
-		opts.MaxInvocations = 50_000_000
-	}
-	if opts.MaxTaskCycles == 0 {
-		opts.MaxTaskCycles = 10_000_000_000
-	}
+	opts.setDefaults()
 	usable := opts.Machine.UsableCores()
 	if opts.Layout.NumCores > len(usable) {
 		return nil, fmt.Errorf("bamboort: layout needs %d cores, machine has %d usable", opts.Layout.NumCores, len(usable))
 	}
+	pl, err := newPlan(prog, dep, opts.Layout, opts.Machine, locks)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		prog:     prog,
-		dep:      dep,
-		locks:    locks,
-		opts:     opts,
-		in:       interp.New(prog),
-		lockedBy: map[*interp.Object]*invocation{},
-		rr:       map[string]int{},
-		tasksRun: map[string]int64{},
-		destRing: map[string][]int{},
+		prog: prog, opts: opts, plan: pl,
+		in:     newInterp(prog, opts),
+		locked: map[*interp.Object]bool{},
+		ran:    make([]int64, len(pl.tasks)),
 	}
-	e.in.Out = opts.Out
-	e.in.MaxCycles = opts.MaxTaskCycles
-	if opts.NoFastDispatch {
-		e.in.DisableFastDispatch()
-	}
-	if opts.Heap != nil {
-		e.in.Heap = opts.Heap
-	}
+	st := newStore()
 	e.cores = make([]*core, opts.Layout.NumCores)
 	for i := range e.cores {
-		e.cores[i] = &core{id: i, phys: usable[i]}
-	}
-	// Instantiate hosted tasks per the layout, in deterministic task order.
-	taskNames := make([]string, 0, len(prog.Tasks))
-	for _, fn := range prog.Tasks {
-		taskNames = append(taskNames, fn.Task.Name)
-	}
-	sort.Strings(taskNames)
-	for _, name := range taskNames {
-		fn := prog.Funcs[ir.TaskKey(name)]
-		cs := opts.Layout.Cores(name)
-		if len(cs) > 1 && len(fn.Task.Params) > 1 && CommonTagVar(fn.Task) == "" {
-			return nil, fmt.Errorf("bamboort: task %s has multiple parameters without a common tag and cannot be replicated onto %d cores", name, len(cs))
-		}
-		for _, c := range cs {
-			if c < 0 || c >= len(e.cores) {
-				return nil, fmt.Errorf("bamboort: task %s assigned to core %d outside layout", name, c)
-			}
-			e.cores[c].tasks = append(e.cores[c].tasks, newHostedTask(fn))
-		}
+		e.cores[i] = &core{id: i, phys: usable[i], runq: newRunq(pl.hosted[i], st)}
 	}
 	return e, nil
+}
+
+func (o *Options) setDefaults() {
+	if o.MaxInvocations == 0 {
+		o.MaxInvocations = 50_000_000
+	}
+	if o.MaxTaskCycles == 0 {
+		o.MaxTaskCycles = 10_000_000_000
+	}
+}
+
+// newInterp builds the interpreter both engines run task bodies on.
+func newInterp(prog *ir.Program, opts Options) *interp.Interp {
+	in := interp.New(prog)
+	in.Out = opts.Out
+	in.MaxCycles = opts.MaxTaskCycles
+	if opts.NoFastDispatch {
+		in.DisableFastDispatch()
+	}
+	if opts.Heap != nil {
+		in.Heap = opts.Heap
+	}
+	return in
+}
+
+// result summarizes the execution so far.
+func (e *Engine) result() *Result {
+	return &Result{TotalCycles: e.lastEnd, Invocations: e.nInv, TasksRun: tasksRun(e.plan, e.ran)}
+}
+
+func tasksRun(pl *plan, ran []int64) map[string]int64 {
+	out := map[string]int64{}
+	for i, n := range ran {
+		if n > 0 {
+			out[pl.tasks[i%len(pl.tasks)].task.Name] += n
+		}
+	}
+	return out
 }
 
 // push copies ev into a pooled record (popped events are recycled once
@@ -245,38 +238,35 @@ func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background
 // RunContext executes the program to quiescence, checking the context
 // between event batches so long deterministic runs are cancellable.
 func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	if err := e.begin(ctx); err != nil {
-		return nil, err
-	}
+	e.begin()
 	if err := e.drain(ctx); err != nil {
 		return nil, err
 	}
-	e.finishRun()
-	return &Result{TotalCycles: e.lastEnd, Invocations: e.nInv, TasksRun: e.tasksRun}, nil
+	finishInterp(e.in, e.opts)
+	return e.result(), nil
 }
 
 // begin arms tracing and injects the startup object at the core hosting
 // the startup task. Shared by one-shot runs and sessions.
-func (e *Engine) begin(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("bamboort: run canceled: %w", err)
-		}
-	}
+func (e *Engine) begin() {
 	if e.opts.Trace != nil {
 		e.opts.Trace.Source = "engine"
 		e.opts.Trace.TimeUnit = obsv.UnitCycles
 		e.opts.Trace.NumCores = e.opts.Layout.NumCores
-		e.producerOf = map[*interp.Object]int{}
+		e.producerOf = map[int64]int{}
 	}
-	startCl := e.prog.Info.Classes[types.StartupClass]
-	so := e.in.Heap.NewObject(startCl)
-	so.SetFlag(startCl.FlagIndex[types.StartupFlag], true)
-	if f, ok := startCl.FieldByName["args"]; ok {
-		so.Fields[f.Index] = interp.ArrV(e.in.Heap.NewStringArray(e.opts.Args))
+	e.routeObject(startupObject(e.prog, e.in.Heap, e.opts.Args), -1, 0, 0, 0)
+}
+
+// startupObject allocates the object whose arrival starts the program.
+func startupObject(prog *ir.Program, heap *interp.Heap, args []string) *interp.Object {
+	cl := prog.Info.Classes[types.StartupClass]
+	so := heap.NewObject(cl)
+	so.SetFlag(cl.FlagIndex[types.StartupFlag], true)
+	if f, ok := cl.FieldByName["args"]; ok {
+		so.Fields[f.Index] = interp.ArrV(heap.NewStringArray(args))
 	}
-	e.routeObject(so, -1, 0, 0, 0)
-	return nil
+	return so
 }
 
 // drain runs queued events until quiescence (an empty event queue). The
@@ -284,15 +274,9 @@ func (e *Engine) begin(ctx context.Context) error {
 // fresh budget for every request batch instead of exhausting a cumulative
 // one.
 func (e *Engine) drain(ctx context.Context) error {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("bamboort: run canceled: %w", err)
-		}
-	}
 	startInv := e.nInv
-	var handled int64
-	for e.events.Len() > 0 {
-		if handled++; handled&0xfff == 0 && ctx != nil {
+	for handled := 0; e.events.Len() > 0; handled++ {
+		if handled&0xfff == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("bamboort: run canceled: %w", err)
 			}
@@ -305,7 +289,7 @@ func (e *Engine) drain(ctx context.Context) error {
 		case evAttempt:
 			err = e.onAttempt(ev)
 		case evComplete:
-			err = e.onComplete(ev)
+			e.onComplete(ev)
 		}
 		if err != nil {
 			return err
@@ -319,137 +303,92 @@ func (e *Engine) drain(ctx context.Context) error {
 	return nil
 }
 
-// finishRun folds the interpreter's dispatch statistics into the run's
-// metrics and, when the engine owns its heap, hands the arena back to the
+// finishInterp folds the interpreter's dispatch statistics into the run's
+// metrics and, when the run owns its heap, hands the arena back to the
 // process-wide pools for the next execution.
-func (e *Engine) finishRun() {
-	if m := e.opts.Metrics; m != nil {
-		st := e.in.Stats()
+func finishInterp(in *interp.Interp, opts Options) {
+	if m := opts.Metrics; m != nil {
+		st := in.Stats()
 		m.ICHits.Add(st.ICHits)
 		m.ICMisses.Add(st.ICMisses)
 		m.FlatInstrs.Add(st.FlatInstrs)
 		m.FusedInstrs.Add(st.FusedInstrs)
 		m.ArenaReusedBytes.Add(st.ArenaReusedBytes)
 	}
-	if e.opts.Heap == nil {
-		e.in.Heap.Release()
+	if opts.Heap == nil {
+		in.Heap.Release()
 	}
 }
 
 func (e *Engine) onArrive(ev *event) {
 	// Drop stale deliveries whose guard no longer holds.
-	p := ev.ht.task.Params[ev.param]
-	if !ObjSatisfies(ev.obj, p) {
+	if !ev.ht.tp.params[ev.param].satisfies(ev.obj) {
 		return
 	}
 	if ev.ht.add(ev.param, ev.obj, ev.fifo, ev.time) {
-		c := e.cores[ev.core]
-		at := ev.time
-		if c.freeAt > at {
-			at = c.freeAt
-		}
-		e.push(event{time: at, kind: evAttempt, core: ev.core})
+		e.push(event{time: max(ev.time, e.cores[ev.core].freeAt), kind: evAttempt, core: ev.core})
 	}
 }
 
-// onAttempt scans the core's hosted tasks for a runnable invocation and, if
-// found, starts executing it.
+// onAttempt starts the core's oldest ready invocation, if it is free and
+// has one: of each hosted task's first bindable invocation the one that
+// became ready first, so long tasks cannot starve short invocations that
+// were already waiting. Only that one is materialized.
 func (e *Engine) onAttempt(ev *event) error {
 	c := e.cores[ev.core]
 	if c.freeAt > ev.time {
 		return nil // busy; completion will reschedule
 	}
-	inv := e.findInvocation(c)
-	if inv == nil {
+	c.ready(e.locked, len(c.tasks))
+	ht := c.next(false)
+	if ht == nil {
 		return nil
 	}
+	inv := ht.take()
+	ht.consume()
+	inv.snapshot()
 	// Lock all parameter objects (one lock per disjointness lock group).
 	for _, obj := range inv.objs {
-		e.lockedBy[obj] = inv
+		e.locked[obj] = true
 	}
-	nGroups := len(e.locks.LockGroups[inv.ht.task.Name])
 	m := e.opts.Machine
-	overhead := m.DispatchCycles + m.LockCycles*int64(nGroups)
+	overhead := m.DispatchCycles + m.LockCycles*int64(ht.tp.nGroups)
 
-	exec, err := e.in.RunTask(inv.ht.fn, inv.params())
+	exec, err := e.in.RunTask(ht.tp.fn, inv.args)
 	if err != nil {
 		return err
 	}
-	inv.consume()
-	start := ev.time
+	e.in.Commit(exec)
 	// Heterogeneous machines: the hosting tile's slowdown scales the
 	// invocation's execution time (Section 4.6).
-	dur := m.ScaleCycles(c.phys, overhead+exec.Cycles)
-	c.freeAt = start + dur
-	e.push(event{time: c.freeAt, kind: evComplete, core: ev.core, inv: inv, exec: exec, start: start})
+	c.freeAt = ev.time + m.ScaleCycles(c.phys, overhead+exec.Cycles)
+	e.push(event{time: c.freeAt, kind: evComplete, core: ev.core, inv: inv, exec: exec, start: ev.time})
 	return nil
 }
 
-// findInvocation assembles a candidate invocation per hosted task and runs
-// the one that became ready first (oldest arrival), so long tasks cannot
-// starve short invocations that were already waiting.
-func (e *Engine) findInvocation(c *core) *invocation {
-	locked := func(o *interp.Object) bool { return e.lockedBy[o] != nil }
-	var best *invocation
-	for _, ht := range c.tasks {
-		inv := ht.assemble(locked)
-		if inv == nil {
-			continue
-		}
-		if best == nil || inv.readySeq < best.readySeq {
-			best = inv
-		}
-	}
-	return best
-}
-
-func (e *Engine) onComplete(ev *event) error {
+func (e *Engine) onComplete(ev *event) {
 	inv, exec := ev.inv, ev.exec
 	c := e.cores[ev.core]
+	task := inv.ht.tp.task
 	e.nInv++
-	e.tasksRun[inv.ht.task.Name]++
-	if ev.time > e.lastEnd {
-		e.lastEnd = ev.time
-	}
+	e.ran[task.Index]++
+	e.lastEnd = max(e.lastEnd, ev.time)
 	// Unlock parameters.
 	for _, obj := range inv.objs {
-		delete(e.lockedBy, obj)
+		delete(e.locked, obj)
 	}
 	// Record profile and trace.
 	if e.opts.Profile != nil {
 		allocs := map[profile.AllocKey]int64{}
 		for _, o := range exec.NewObjects {
-			if e.isTaskParamClass(o.Class) {
-				key := profile.AllocKey{Class: o.Class.Name, StateKey: StateOf(o).Key()}
-				allocs[key]++
+			if e.plan.routes(o.Class) {
+				allocs[profile.AllocKey{Class: o.Class.Name, StateKey: StateOf(o).Key()}]++
 			}
 		}
-		e.opts.Profile.Record(inv.ht.task.Name, exec.ExitID, exec.Cycles, allocs)
+		e.opts.Profile.Record(task.Name, exec.ExitID, exec.Cycles, allocs)
 	}
 	if e.opts.Trace != nil {
-		idx := len(e.opts.Trace.Events)
-		te := TraceEvent{
-			Index: idx,
-			Task:  inv.ht.task.Name, Core: ev.core, Start: ev.start, End: ev.time, Exit: exec.ExitID,
-		}
-		for i, o := range inv.objs {
-			te.Params = append(te.Params, o.ID)
-			// Producer lookup precedes this event's own updates: a
-			// parameter's producer is whoever last transitioned it
-			// before we dispatched (-1 = the environment).
-			prod, ok := e.producerOf[o]
-			if !ok {
-				prod = -1
-			}
-			te.Deps = append(te.Deps, obsv.Dep{Obj: o.ID, Arrival: inv.objArrs[i], Producer: prod})
-		}
-		e.opts.Trace.Events = append(e.opts.Trace.Events, te)
-		for _, o := range inv.objs {
-			e.producerOf[o] = idx
-		}
-		for _, o := range exec.NewObjects {
-			e.producerOf[o] = idx
-		}
+		recordSpan(e.opts.Trace, e.producerOf, ev.core, inv, exec, ev.start, ev.time)
 	}
 	// Route transitioned parameters and new objects. Sender-side enqueue
 	// costs extend the core's busy time. Parameters whose abstract state
@@ -458,52 +397,51 @@ func (e *Engine) onComplete(ev *event) error {
 	var sendCost int64
 	for i, obj := range inv.objs {
 		fifo := int64(0)
-		if StateMatches(inv.preStates[i], obj) {
+		if inv.unchanged(i) {
 			fifo = inv.objSeqs[i]
 		}
 		sendCost += e.routeObject(obj, ev.core, ev.time, e.opts.Machine.EnqueueCycles, fifo)
 	}
 	for _, obj := range exec.NewObjects {
-		if e.isTaskParamClass(obj.Class) {
+		if e.plan.routes(obj.Class) {
 			sendCost += e.routeObject(obj, ev.core, ev.time, e.opts.Machine.EnqueueCycles, 0)
 		}
 	}
-	if sendCost > 0 {
-		c.freeAt += sendCost
-		if c.freeAt > e.lastEnd {
-			e.lastEnd = c.freeAt
-		}
-	}
+	inv.release()
+	c.freeAt += sendCost
+	e.lastEnd = max(e.lastEnd, c.freeAt)
 	// Wake this core and any core with pending work (locked objects may
 	// have been released, enabling stalled invocations).
 	e.push(event{time: c.freeAt, kind: evAttempt, core: c.id})
 	for _, other := range e.cores {
-		if other == c || !e.hasPending(other) {
-			continue
-		}
-		at := ev.time
-		if other.freeAt > at {
-			at = other.freeAt
-		}
-		e.push(event{time: at, kind: evAttempt, core: other.id})
-	}
-	return nil
-}
-
-func (e *Engine) hasPending(c *core) bool {
-	for _, ht := range c.tasks {
-		if ht.pending() {
-			return true
+		if other != c && other.queued > 0 {
+			e.push(event{time: max(ev.time, other.freeAt), kind: evAttempt, core: other.id})
 		}
 	}
-	return false
 }
 
-// isTaskParamClass reports whether objects of cl can ever serve as task
-// parameters (only those participate in routing).
-func (e *Engine) isTaskParamClass(cl *types.Class) bool {
-	_, ok := e.dep.Graphs[cl.Name]
-	return ok
+// recordSpan appends one completed invocation to tr. producer maps object
+// IDs to the span that created or last transitioned them; the lookups
+// precede this span's own updates, so a parameter's producer is whoever
+// transitioned it before the dispatch (-1 = the environment).
+func recordSpan(tr *obsv.Trace, producer map[int64]int, core int, inv *invocation, exec *interp.Exec, start, end int64) {
+	idx := len(tr.Events)
+	sp := obsv.Span{Index: idx, Task: inv.ht.tp.task.Name, Core: core, Start: start, End: end, Exit: exec.ExitID}
+	for i, o := range inv.objs {
+		sp.Params = append(sp.Params, o.ID)
+		prod, ok := producer[o.ID]
+		if !ok {
+			prod = -1
+		}
+		sp.Deps = append(sp.Deps, obsv.Dep{Obj: o.ID, Arrival: inv.objArrs[i], Producer: prod})
+	}
+	tr.Events = append(tr.Events, sp)
+	for _, o := range inv.objs {
+		producer[o.ID] = idx
+	}
+	for _, o := range exec.NewObjects {
+		producer[o.ID] = idx
+	}
 }
 
 // routeObject delivers obj to every task parameter its current state can
@@ -511,125 +449,14 @@ func (e *Engine) isTaskParamClass(cl *types.Class) bool {
 // schedules arrival events. fromCore == -1 injects at time t with no
 // message latency (startup). fifo != 0 preserves an earlier arrival
 // sequence for oldest-ready dispatch.
-func (e *Engine) routeObject(obj *interp.Object, fromCore int, t int64, enqueueCost int64, fifo int64) int64 {
-	// The engine is single-threaded, so the routing-key scratch buffers
-	// live on it and the per-object state/key allocations disappear.
-	var consumers []depend.ParamRef
-	consumers, e.routeTagBuf, e.routeKeyBuf = consumersOf(e.dep, obj, e.routeTagBuf, e.routeKeyBuf)
-	var cost int64
-	for _, pr := range consumers {
-		cores := e.opts.Layout.Cores(pr.Task.Name)
-		if len(cores) == 0 {
-			continue
-		}
-		var dst int
-		switch {
-		case len(cores) == 1:
-			dst = cores[0]
-		default:
-			if tagType := CommonTagType(pr.Task); tagType != "" && (len(pr.Task.Params) > 1 || e.session) {
-				// Hash the bound tag instance: multi-parameter joins so all
-				// objects of one tag group meet at the same instantiation,
-				// and — in session mode only — single-parameter tag-guarded
-				// stages so one group's stream stays on one core in FIFO
-				// order (per-key ordering for streaming workloads). One-shot
-				// runs keep round-robin for single-parameter tasks: a hot
-				// tag group would otherwise pin to one core, and the change
-				// would invalidate existing deterministic BENCH results.
-				if tag := firstTagOf(obj, tagType); tag != nil {
-					dst = cores[int(tag.ID)%len(cores)]
-					break
-				}
-			}
-			// Round-robin staggered by the sending core's index: cores
-			// that send many objects distribute them evenly, and a core
-			// that sends a single object (one pipeline stage feeding the
-			// next) naturally keeps it local when it also hosts the
-			// consumer, matching the data locality rule. On heterogeneous
-			// machines the ring repeats fast cores in proportion to their
-			// speed.
-			ring := e.ring(pr.Task.Name, cores)
-			key := fmt.Sprintf("%d|%s", fromCore, pr.Task.Name)
-			start := fromCore
-			if start < 0 {
-				start = 0
-			}
-			dst = ring[(e.rr[key]+start)%len(ring)]
-			e.rr[key]++
-		}
+func (e *Engine) routeObject(obj *interp.Object, fromCore int, t int64, enqueueCost int64, fifo int64) (cost int64) {
+	e.plan.route(obj, fromCore, func(tp *taskPlan, dst, param int) {
 		var latency int64
 		if fromCore >= 0 {
 			latency = e.opts.Machine.MsgCycles(e.cores[fromCore].phys, e.cores[dst].phys, ObjWords(obj))
 			cost += enqueueCost
 		}
-		ht := e.hostedOn(dst, pr.Task.Name)
-		if ht == nil {
-			continue
-		}
-		e.push(event{time: t + latency, kind: evArrive, core: dst, ht: ht, param: pr.Param, obj: obj, fifo: fifo})
-	}
+		e.push(event{time: t + latency, kind: evArrive, core: dst, ht: e.cores[dst].tasks[tp.slot[dst]], param: param, obj: obj, fifo: fifo})
+	})
 	return cost
-}
-
-// ring returns the weighted round-robin destination list for a task. Each
-// host core's weight is its speed relative to the slowest host
-// (round(maxSlowdown/slowdown)), so on homogeneous machines the ring is
-// exactly the core list (weights all 1, preserving the locality stagger),
-// while on heterogeneous machines fast cores take proportionally more of
-// the stream. The ring is built in rounds — first one entry per core in
-// order, then the extra entries — so the first len(cores) positions still
-// match the plain core list.
-func (e *Engine) ring(task string, cores []int) []int {
-	if r, ok := e.destRing[task]; ok {
-		return r
-	}
-	m := e.opts.Machine
-	maxSlow := 1.0
-	for _, c := range cores {
-		if s := m.SlowdownOf(e.cores[c].phys); s > maxSlow {
-			maxSlow = s
-		}
-	}
-	weights := make([]int, len(cores))
-	for i, c := range cores {
-		w := int(maxSlow/m.SlowdownOf(e.cores[c].phys) + 0.5)
-		if w < 1 {
-			w = 1
-		}
-		weights[i] = w
-	}
-	var ring []int
-	for {
-		added := false
-		for i, c := range cores {
-			if weights[i] > 0 {
-				weights[i]--
-				ring = append(ring, c)
-				added = true
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	e.destRing[task] = ring
-	return ring
-}
-
-func firstTagOf(obj *interp.Object, tagType string) *interp.Tag {
-	for _, tg := range obj.Tags() {
-		if tg.Type == tagType {
-			return tg
-		}
-	}
-	return nil
-}
-
-func (e *Engine) hostedOn(coreID int, task string) *hostedTask {
-	for _, ht := range e.cores[coreID].tasks {
-		if ht.task.Name == task {
-			return ht
-		}
-	}
-	return nil
 }

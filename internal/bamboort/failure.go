@@ -4,12 +4,11 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/interp"
 )
 
 // SchedPolicy configures the concurrent scheduler. The zero value is the
 // default policy: work stealing enabled, all other cores probed per idle
-// episode, a 64-entry ready deque per core.
+// episode, up to 64 candidate invocations weighed per dispatch.
 type SchedPolicy struct {
 	// DisableStealing turns randomized work stealing off, reverting to
 	// pure owner-dispatch (the pre-work-stealing protocol; useful for
@@ -18,9 +17,10 @@ type SchedPolicy struct {
 	// StealTries bounds how many victims an idle core probes per episode
 	// (0 = all other cores).
 	StealTries int
-	// DequeCap bounds the per-core ready deque (0 = 64). Overflowing
-	// candidates stay in the parameter sets and reappear on a later
-	// refresh, so the cap sheds scheduler work, never program work.
+	// DequeCap bounds how many hosted tasks' candidate invocations a core
+	// weighs per dispatch (0 = 64). The others stay in the parameter sets
+	// for a later dispatch, so the cap sheds scheduler work, never program
+	// work.
 	DequeCap int
 	// Seed perturbs the per-core victim-selection RNGs (0 = 1).
 	Seed int64
@@ -82,59 +82,4 @@ func (p FaultPolicy) backoff(attempt int) time.Duration {
 		}
 	}
 	return d
-}
-
-// objSnapshot is one parameter object's guard-relevant state (flag word
-// plus bound tag instances) at dispatch time.
-type objSnapshot struct {
-	obj   *interp.Object
-	flags uint64
-	tags  []*interp.Tag
-}
-
-// invSnapshot captures the pre-invocation state of an invocation's
-// parameter objects so a contained failure can be rolled back. Field
-// values are not snapshotted: faults inject before the task body runs, so
-// a rolled-back attempt has no field effects (recovered mid-body panics
-// restore the guard state that drives scheduling; their partial field
-// writes are not retried — see DESIGN.md).
-type invSnapshot []objSnapshot
-
-// snapshotParams records each distinct parameter object's flags and tags.
-// Callers hold the objects' parameter locks.
-func snapshotParams(objs []*interp.Object) invSnapshot {
-	snap := make(invSnapshot, 0, len(objs))
-	seen := map[*interp.Object]bool{}
-	for _, o := range objs {
-		if seen[o] {
-			continue
-		}
-		seen[o] = true
-		snap = append(snap, objSnapshot{obj: o, flags: o.Flags(), tags: o.Tags()})
-	}
-	return snap
-}
-
-// restore rolls every snapshotted object back to its recorded flag word
-// and tag-binding set (clearing tags added since the snapshot and
-// re-adding tags removed, so tag back references stay consistent).
-// Callers hold the objects' parameter locks.
-func (snap invSnapshot) restore() {
-	for _, s := range snap {
-		s.obj.SetFlagsWord(s.flags)
-		was := map[*interp.Tag]bool{}
-		for _, t := range s.tags {
-			was[t] = true
-		}
-		for _, t := range s.obj.Tags() {
-			if !was[t] {
-				s.obj.ClearTag(t)
-			}
-		}
-		for _, t := range s.tags {
-			if !s.obj.HasTag(t) {
-				s.obj.AddTag(t)
-			}
-		}
-	}
 }

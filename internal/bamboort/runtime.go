@@ -2,13 +2,14 @@
 // the paper) on the simulated many-core machine.
 //
 // Each core runs a lightweight scheduler with one parameter set per task
-// parameter. The compiler-resolved routing derived from the dependence
-// analysis sends objects directly to the cores hosting the tasks that can
-// consume them (round-robin over replicated instantiations, tag-hash
-// routing when a multi-parameter task's parameters share a tag). Before
-// executing an invocation the runtime locks all parameter objects; if any
-// lock is unavailable it abandons the invocation and tries another — tasks
-// never abort and never roll back.
+// parameter (paramset.go). Routing is compiler-resolved: a dispatch plan
+// (plan.go), built once from the dependence analysis and the layout, sends
+// objects directly to the cores hosting the tasks that can consume them
+// (round-robin over replicated instantiations, tag-hash routing when a
+// multi-parameter task's parameters share a tag). Before executing an
+// invocation the runtime locks all parameter objects; if any lock is
+// unavailable it abandons the invocation and tries another — tasks never
+// abort and never roll back.
 //
 // Three engines share this machinery:
 //
@@ -18,16 +19,13 @@
 //     experiment tables are measured on it.
 //   - the sequential baseline: Engine on a single core with all runtime
 //     overhead costs zeroed — the paper's hand-written C version.
-//   - ConcurrentEngine (concurrent.go): true parallel execution with one
+//   - RunConcurrent (concurrent.go): true parallel execution with one
 //     goroutine per core, used to validate that the runtime protocol is
 //     correct under real concurrency.
 //
 // All engines record execution traces in the unified observability model
 // of internal/obsv (Options.Trace); the concurrent engine additionally
-// collects runtime counters (Options.Metrics). The simulation-fidelity
-// harness in internal/expt compares the scheduling simulator's predicted
-// schedule against the concurrent engine's measured one through these
-// shared types.
+// collects runtime counters (Options.Metrics).
 package bamboort
 
 import (
@@ -50,91 +48,10 @@ func StateOf(o *interp.Object) depend.State {
 	return s
 }
 
-// ObjSatisfies is StateOf(o).SatisfiesParam(p) without materializing the
-// abstract state. It runs on the engines' delivery and pruning paths —
-// once per queued object per drain step — where the map-backed State is
-// pure allocation churn. The quadratic scans are over an object's tag
-// list and a parameter's tag guards, both tiny in practice.
-func ObjSatisfies(o *interp.Object, p *types.TaskParam) bool {
-	if !depend.GuardSatisfied(p.Guard, o.Flags(), p.Class) {
-		return false
-	}
-	tags := o.Tags()
-	for i, tg := range p.Tags {
-		dup := false
-		for j := 0; j < i; j++ {
-			if p.Tags[j].TagType == tg.TagType {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		// A parameter requiring n>1 tags of one type needs the 1-limited
-		// count "many" (>= 2 live instances); n == 1 needs at least one.
-		need := 1
-		for j := i + 1; j < len(p.Tags); j++ {
-			if p.Tags[j].TagType == tg.TagType {
-				need++
-			}
-		}
-		cnt := 0
-		for _, t := range tags {
-			if t.Type == tg.TagType {
-				cnt++
-				if cnt == 2 {
-					break
-				}
-			}
-		}
-		if cnt == 0 || (need > 1 && cnt < 2) {
-			return false
-		}
-	}
-	return true
-}
-
-// StateMatches reports whether o's current abstract state equals s — the
-// allocation-free form of StateOf(o).Key() == s.Key(), used to detect
-// whether a task left a parameter's abstract state unchanged.
-func StateMatches(s depend.State, o *interp.Object) bool {
-	if s.Flags != o.Flags() {
-		return false
-	}
-	tags := o.Tags()
-	distinct := 0
-	for i, t := range tags {
-		dup := false
-		for j := 0; j < i; j++ {
-			if tags[j].Type == t.Type {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		distinct++
-		c := depend.TagOne
-		for j := i + 1; j < len(tags); j++ {
-			if tags[j].Type == t.Type {
-				c = depend.TagMany
-				break
-			}
-		}
-		if s.Tags[t.Type] != c {
-			return false
-		}
-	}
-	return distinct == len(s.Tags)
-}
-
-// appendTagEntries appends o's distinct tag types with 1-limited counts
-// to buf in ascending type order (insertion sort — objects carry a
-// handful of tags at most) and returns it.
-func appendTagEntries(buf []depend.TagEntry, o *interp.Object) []depend.TagEntry {
-	tags := o.Tags()
+// appendTagEntries appends the distinct tag types of an object's tags with
+// 1-limited counts to buf in ascending type order (insertion sort — objects
+// carry a handful of tags at most) and returns it.
+func appendTagEntries(buf []depend.TagEntry, tags []*interp.Tag) []depend.TagEntry {
 	for i, t := range tags {
 		dup := false
 		for j := 0; j < i; j++ {
@@ -162,15 +79,6 @@ func appendTagEntries(buf []depend.TagEntry, o *interp.Object) []depend.TagEntry
 		buf[pos] = depend.TagEntry{Type: t.Type, Count: c}
 	}
 	return buf
-}
-
-// consumersOf is dep.Consumers(obj.Class, StateOf(obj)) with the lookup
-// key built into caller-owned scratch buffers; it returns the consumers
-// plus the (possibly grown) buffers for reuse.
-func consumersOf(dep *depend.Result, obj *interp.Object, tagBuf []depend.TagEntry, keyBuf []byte) ([]depend.ParamRef, []depend.TagEntry, []byte) {
-	tagBuf = appendTagEntries(tagBuf[:0], obj)
-	keyBuf = depend.AppendConsumerKey(keyBuf[:0], obj.Class.Name, obj.Flags(), tagBuf)
-	return dep.ConsumersByKey(keyBuf), tagBuf, keyBuf
 }
 
 // ObjWords estimates the message payload size of an object in words: a
@@ -238,20 +146,4 @@ func SpreadLayout(prog *ir.Program, n int) *layout.Layout {
 		next++
 	}
 	return l
-}
-
-// CommonTagType returns the tag type of the common tag variable, or "".
-func CommonTagType(task *types.Task) string {
-	name := CommonTagVar(task)
-	if name == "" {
-		return ""
-	}
-	for _, p := range task.Params {
-		for _, tg := range p.Tags {
-			if tg.Name == name {
-				return tg.TagType
-			}
-		}
-	}
-	return ""
 }

@@ -56,6 +56,25 @@ type Inject struct {
 	TagKey int64
 }
 
+// buildBatch builds a feed's objects. A context already done (e.g. the
+// caller waited out its budget queuing behind a slow batch) and a malformed
+// injection both reject the feed before anything is routed, so the session
+// stays live.
+func buildBatch(ctx context.Context, prog *ir.Program, heap *interp.Heap, batch []Inject) ([]*interp.Object, error) {
+	if ctx != nil && ctx.Err() != nil {
+		return nil, fmt.Errorf("%w: %v", ErrStale, ctx.Err())
+	}
+	objs := make([]*interp.Object, len(batch))
+	for i, inj := range batch {
+		o, err := buildInject(prog, heap, inj)
+		if err != nil {
+			return nil, err
+		}
+		objs[i] = o
+	}
+	return objs, nil
+}
+
 // buildInject allocates and initializes one injected object on heap.
 func buildInject(prog *ir.Program, heap *interp.Heap, inj Inject) (*interp.Object, error) {
 	cl := prog.Info.Classes[inj.Class]
@@ -108,20 +127,14 @@ func buildInject(prog *ir.Program, heap *interp.Heap, inj Inject) (*interp.Objec
 // flags, tags, and virtual clock intact — for subsequent Feed calls.
 // An engine runs either one RunContext or one session, never both.
 func (e *Engine) StartSession(ctx context.Context) error {
-	if e.session {
+	if e.plan.session {
 		return fmt.Errorf("bamboort: session already started")
 	}
-	e.session = true
+	e.plan.session = true
 	e.in.Heap.TrackTags()
-	if err := e.begin(ctx); err != nil {
-		e.sessErr = err
-		return err
-	}
-	if err := e.drain(ctx); err != nil {
-		e.sessErr = err
-		return err
-	}
-	return nil
+	e.begin()
+	e.sessErr = e.drain(ctx)
+	return e.sessErr
 }
 
 // Feed injects one request batch into the live session and runs the task
@@ -130,29 +143,15 @@ func (e *Engine) StartSession(ctx context.Context) error {
 // blown context deadline, since a half-executed batch cannot be rolled
 // back — poisons the session: every later Feed fails with the same error.
 func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, error) {
-	if !e.session {
+	if !e.plan.session {
 		return nil, fmt.Errorf("bamboort: Feed before StartSession")
 	}
 	if e.sessErr != nil {
 		return nil, fmt.Errorf("bamboort: session failed: %w", e.sessErr)
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			// A deadline blown before routing (e.g. the caller waited out
-			// its budget queuing behind a slow batch) has done no work;
-			// reject without poisoning.
-			return nil, fmt.Errorf("%w: %v", ErrStale, err)
-		}
-	}
-	objs := make([]*interp.Object, len(batch))
-	for i, inj := range batch {
-		o, err := buildInject(e.prog, e.in.Heap, inj)
-		if err != nil {
-			// A malformed injection is rejected before anything was routed;
-			// the session stays live.
-			return nil, err
-		}
-		objs[i] = o
+	objs, err := buildBatch(ctx, e.prog, e.in.Heap, batch)
+	if err != nil {
+		return nil, err
 	}
 	for _, o := range objs {
 		e.routeObject(o, -1, e.lastEnd, 0, 0)
@@ -174,8 +173,8 @@ func (e *Engine) ArenaReused() int64 { return e.in.Heap.ArenaReused() }
 // (virtual cycles across all batches, total invocations). The engine must
 // not be used afterwards.
 func (e *Engine) EndSession() *Result {
-	e.finishRun()
-	return &Result{TotalCycles: e.lastEnd, Invocations: e.nInv, TasksRun: e.tasksRun}
+	finishInterp(e.in, e.opts)
+	return e.result()
 }
 
 // ConcurrentSession is a persistent session on the concurrent runtime:
@@ -203,7 +202,7 @@ func StartConcurrentSession(ctx context.Context, prog *ir.Program, dep *depend.R
 	// Flip to session routing before startup so the boot phase places
 	// objects the same way feeds will (and the same way a replayed boot
 	// does on the deterministic engine).
-	r.session = true
+	r.plan.session = true
 	r.in.Heap.TrackTags()
 	r.injectStartup()
 	s := &ConcurrentSession{r: r}
@@ -236,31 +235,20 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	if s.err != nil {
 		return nil, s.err
 	}
-	if err := ctx.Err(); err != nil {
-		// See Engine.Feed: no work has run, the session stays serviceable.
-		return nil, fmt.Errorf("%w: %v", ErrStale, err)
-	}
-	objs := make([]*interp.Object, len(batch))
-	for i, inj := range batch {
-		o, err := buildInject(s.r.prog, s.r.in.Heap, inj)
-		if err != nil {
-			return nil, err
-		}
-		objs[i] = o
+	objs, err := buildBatch(ctx, s.r.prog, s.r.in.Heap, batch)
+	if err != nil {
+		return nil, err
 	}
 	for _, o := range objs {
-		s.r.route(o, 0)
+		s.r.route(o, -1)
 	}
 	if err := s.settle(ctx); err != nil {
 		return nil, err
 	}
-	if s.err != nil {
-		// Degraded mid-batch: the batch completed (the sequential drain
-		// finishes accepted work) but the session is closed; surface the
-		// results with the terminal error alongside.
-		return objs, s.err
-	}
-	return objs, nil
+	// Degraded mid-batch, the batch completed (the sequential drain finishes
+	// accepted work) but the session is closed: the results come with the
+	// terminal error alongside.
+	return objs, s.err
 }
 
 // ArenaReused reports the live session heap's arena-reuse bytes (see

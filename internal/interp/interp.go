@@ -41,11 +41,15 @@ type Exec struct {
 	// fs is the register stack for nested calls, owned by run() for the
 	// duration of one invocation.
 	fs *frameStack
+	// out buffers the invocation's program output until Commit, so the
+	// lines of concurrently running tasks never interleave.
+	out []byte
 }
 
 // Interp executes Bamboo IR. One Interp may be shared across goroutines
 // (the concurrent engine runs one task per core goroutine); the heap's ID
-// counter is atomic, output writes are serialized, and the flattened code
+// counter is atomic, each invocation's output is written in one piece (see
+// Commit), and the flattened code
 // is built exactly once and read-only afterwards (inline-cache sites
 // update atomically).
 type Interp struct {
@@ -192,7 +196,9 @@ func (in *Interp) Stats() DispatchStats {
 // RunTask executes a task with the given parameter values: first the object
 // parameters in declaration order, then one tag instance per tag-guard
 // variable (Func.TagParams order). Flag and tag actions of the taken
-// taskexit are applied to the parameter objects before returning.
+// taskexit are applied to the parameter objects before returning. Program
+// output is held in the Exec until the caller commits it; a failed task's
+// partial output is written before the error is returned.
 func (in *Interp) RunTask(fn *ir.Func, params []Value) (*Exec, error) {
 	if !fn.IsTask {
 		return nil, fmt.Errorf("interp: %s is not a task", fn.Name)
@@ -203,15 +209,31 @@ func (in *Interp) RunTask(fn *ir.Func, params []Value) (*Exec, error) {
 	ex := &Exec{ExitID: -1}
 	_, err := in.run(fn, params, ex)
 	if err != nil {
+		in.Commit(ex)
 		return nil, err
 	}
 	return ex, nil
+}
+
+// Commit writes the output the invocation printed, as one write under the
+// interpreter's output lock. An engine calls it when the invocation's
+// effects become final; an Exec that is dropped instead (a rolled-back
+// attempt) prints nothing.
+func (in *Interp) Commit(ex *Exec) {
+	if len(ex.out) == 0 {
+		return
+	}
+	in.outMu.Lock()
+	in.Out.Write(ex.out)
+	in.outMu.Unlock()
+	ex.out = ex.out[:0]
 }
 
 // CallMethod executes a plain method for testing and sequential baselines.
 func (in *Interp) CallMethod(fn *ir.Func, args []Value) (Value, *Exec, error) {
 	ex := &Exec{ExitID: -1}
 	v, err := in.run(fn, args, ex)
+	in.Commit(ex)
 	return v, ex, err
 }
 
@@ -678,12 +700,9 @@ func toF(v Value) float64 {
 
 func (in *Interp) print(s string, ex *Exec) {
 	ex.Cycles += in.Cost.PrintPerChar * int64(len(s))
-	if in.Out == nil {
-		return
+	if in.Out != nil {
+		ex.out = append(ex.out, s...)
 	}
-	in.outMu.Lock()
-	defer in.outMu.Unlock()
-	io.WriteString(in.Out, s)
 }
 
 // GuardSatisfied evaluates a task parameter's flag guard against an

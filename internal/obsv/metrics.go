@@ -39,7 +39,7 @@ type Metrics struct {
 	InboxDepthMax atomic.Int64
 
 	// StealAttempts counts work-stealing probes (a core whose local queue
-	// and guard matching came up empty inspecting a victim's deque);
+	// and guard matching came up empty inspecting a victim's sets);
 	// StealSuccesses counts probes that dispatched a stolen invocation.
 	StealAttempts  atomic.Int64
 	StealSuccesses atomic.Int64
