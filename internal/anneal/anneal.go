@@ -45,8 +45,8 @@ import (
 
 // Options configures the search.
 type Options struct {
-	// Ctx, when non-nil, cancels the search between iterations; Optimize
-	// returns the context error wrapped.
+	// Ctx, when non-nil, cancels the search: no evaluation starts once it is
+	// done, and Optimize returns the context error wrapped.
 	Ctx      context.Context
 	Machine  *machine.Machine
 	Prof     *profile.Profile
@@ -135,7 +135,11 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 		seen[lay.CanonicalKey()] = true
 	}
 	var pop []*candidate
-	for _, r := range eval.batch(seedLayouts) {
+	results, err := eval.batch(seedLayouts)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -151,11 +155,6 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 	}
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("anneal: search canceled: %w", err)
-			}
-		}
 		out.Iterations = iter + 1
 		// Prune probabilistically, always retaining the global best.
 		sort.Slice(pop, func(i, j int) bool { return pop[i].cycles < pop[j].cycles })
@@ -193,7 +192,11 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 		// and the population contents match the serial search exactly.
 		improved := false
 		next := append([]*candidate(nil), kept...)
-		for _, r := range eval.batch(batch) {
+		results, err := eval.batch(batch)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range results {
 			if r.err != nil {
 				continue // illegal or failing layouts are discarded
 			}
@@ -256,13 +259,20 @@ func (e *evaluator) one(lay *layout.Layout) evalResult {
 
 // batch evaluates lays concurrently and returns results in submission
 // order (index i holds lays[i]'s outcome regardless of which worker ran
-// it or when it finished).
-func (e *evaluator) batch(lays []*layout.Layout) []evalResult {
+// it or when it finished). Once the search's context is done the workers
+// start no further evaluation and the batch fails with its error.
+func (e *evaluator) batch(lays []*layout.Layout) ([]evalResult, error) {
 	results := make([]evalResult, len(lays))
+	ctx := e.opts.Ctx
 	pool.For(len(lays), e.workers, func(i int) {
-		results[i] = e.one(lays[i])
+		if ctx == nil || ctx.Err() == nil {
+			results[i] = e.one(lays[i])
+		}
 	})
-	return results
+	if ctx != nil && ctx.Err() != nil {
+		return nil, fmt.Errorf("anneal: search canceled: %w", ctx.Err())
+	}
+	return results, nil
 }
 
 // neighbors generates candidate layouts addressing the critical path of

@@ -18,6 +18,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/obsv"
+	"repro/internal/schedsim"
 )
 
 // staleSrc has two tasks consuming one class in one state: every Item in
@@ -92,10 +93,25 @@ func TestStaleThenRevalidatedArrivalOrder(t *testing.T) {
 	}
 }
 
+// fanSrc sends thirteen objects from one core to a stage hosted on all.
+const fanSrc = `
+class W { flag ready; int x; }
+task startup(StartupObject s in initialstate) {
+	int i;
+	for (i = 0; i < 13; i++) { W w = new W(){ ready := true }; }
+	taskexit(s: initialstate := false);
+}
+task work(W w in ready) {
+	w.x++;
+	taskexit(w: ready := false);
+}`
+
 // TestPlacementSameOnBothEngines: the two engines resolve destinations
 // through one plan, so on a machine with slowed tiles they weight the
 // round-robin ring alike (the concurrent runtime used to ignore Slowdown)
-// and hash tags alike, for the same (task, sender, tag) stream.
+// and hash tags alike, for the same (task, sender, tag) stream. The
+// scheduling simulator has its own router over the same machine.Ring: a
+// one-shot fan-out lands on the same cores simulated as executed.
 func TestPlacementSameOnBothEngines(t *testing.T) {
 	sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
 	if err != nil {
@@ -148,6 +164,47 @@ func TestPlacementSameOnBothEngines(t *testing.T) {
 		if !slices.Equal(d, want) || !slices.Equal(c, want) {
 			t.Errorf("%s from %d (tagged %v): deterministic %v, concurrent %v, want %v", tc.task, tc.from, tc.tagged, d, c, want)
 		}
+	}
+
+	fan, err := core.Compile(fanSrc, core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := fan.Profile(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lay := layout.New(4)
+	lay.Place("startup", 1)
+	lay.Place("work", 0, 1, 2, 3)
+	var want []int
+	for i := 0; i < 13; i++ {
+		want = append(want, ring[(i+1)%len(ring)]) // staggered by the sender, core 1
+	}
+	// workCores lists the cores that ran work, in the objects' allocation order.
+	workCores := func(tr *obsv.Trace) []int {
+		var spans []obsv.Span
+		for _, sp := range tr.Events {
+			if sp.Task == "work" {
+				spans = append(spans, sp)
+			}
+		}
+		slices.SortFunc(spans, func(a, b obsv.Span) int { return int(a.Deps[0].Obj - b.Deps[0].Obj) })
+		var cores []int
+		for _, sp := range spans {
+			cores = append(cores, sp.Core)
+		}
+		return cores
+	}
+	executed, simulated := &obsv.Trace{}, &obsv.Trace{}
+	if _, err := fan.Exec(ctx, core.ExecConfig{Machine: opts.Machine, Layout: lay, Trace: executed}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fan.Simulator().Run(schedsim.Options{Machine: opts.Machine, Layout: lay, Prof: prof, Trace: simulated}); err != nil {
+		t.Fatal(err)
+	}
+	if e, s := workCores(executed), workCores(simulated); !slices.Equal(e, want) || !slices.Equal(s, want) {
+		t.Errorf("fan-out from core 1: executed on %v, simulated on %v, want %v", e, s, want)
 	}
 }
 

@@ -276,7 +276,7 @@ func startupObject(prog *ir.Program, heap *interp.Heap, args []string) *interp.O
 func (e *Engine) drain(ctx context.Context) error {
 	startInv := e.nInv
 	for handled := 0; e.events.Len() > 0; handled++ {
-		if handled&0xfff == 0 && ctx != nil {
+		if handled&0x3f == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("bamboort: run canceled: %w", err)
 			}

@@ -90,7 +90,7 @@ func TestMulticoreProfileMatchesSingleCore(t *testing.T) {
 			t.Errorf("%s: invocation counts differ: %d vs %d", task,
 				single.Tasks[task].Total(), multi.Tasks[task].Total())
 		}
-		for exit := 0; exit < single.NumExits(task); exit++ {
+		for exit := range single.Tasks[task].Exits {
 			if p1, p2 := single.ExitProb(task, exit), multi.ExitProb(task, exit); p1 != p2 {
 				t.Errorf("%s exit %d: prob %g vs %g", task, exit, p1, p2)
 			}

@@ -36,17 +36,12 @@ type plan struct {
 type taskPlan struct {
 	fn      *ir.Func
 	task    *types.Task
-	tagType string // type of the tag variable every parameter shares, or ""
-	nGroups int    // disjointness lock groups
-	cores   []int  // hosting cores
-	// ring is the round-robin destination list: each hosting core repeated
-	// in proportion to its speed relative to the slowest host
-	// (round(maxSlowdown/slowdown)), built in rounds — one entry per core
-	// in order, then the extras — so on a homogeneous machine it is exactly
-	// cores and the locality stagger is preserved.
-	ring   []int
-	slot   []int32 // per hosting core: index into plan.hosted[core]
-	params []paramPlan
+	tagType string  // type of the tag variable every parameter shares, or ""
+	nGroups int     // disjointness lock groups
+	cores   []int   // hosting cores
+	ring    []int   // round-robin destination list (machine.Ring)
+	slot    []int32 // per hosting core: index into plan.hosted[core]
+	params  []paramPlan
 }
 
 // flagTerm is one conjunction of a flag guard in disjunctive normal form.
@@ -161,12 +156,6 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 	if m != nil {
 		phys = m.UsableCores()
 	}
-	slowdown := func(c int) float64 {
-		if c < len(phys) {
-			return m.SlowdownOf(phys[c])
-		}
-		return 1
-	}
 	fns := append([]*ir.Func(nil), prog.Tasks...)
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Task.Name < fns[j].Task.Name })
 	pl := &plan{
@@ -194,26 +183,14 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 		if len(tp.cores) > 1 && len(task.Params) > 1 && common == "" {
 			return nil, fmt.Errorf("bamboort: task %s has multiple parameters without a common tag and cannot be replicated onto %d cores", task.Name, len(tp.cores))
 		}
-		maxSlow := 1.0
 		for _, c := range tp.cores {
 			if c < 0 || c >= l.NumCores {
 				return nil, fmt.Errorf("bamboort: task %s assigned to core %d outside layout", task.Name, c)
 			}
 			tp.slot[c] = int32(len(pl.hosted[c]))
 			pl.hosted[c] = append(pl.hosted[c], tp)
-			maxSlow = max(maxSlow, slowdown(c))
 		}
-		for round := 0; ; round++ {
-			n := len(tp.ring)
-			for _, c := range tp.cores {
-				if round < max(int(maxSlow/slowdown(c)+0.5), 1) {
-					tp.ring = append(tp.ring, c)
-				}
-			}
-			if len(tp.ring) == n {
-				break
-			}
-		}
+		tp.ring = m.Ring(nil, tp.cores, phys)
 	}
 	return pl, nil
 }

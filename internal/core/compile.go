@@ -104,13 +104,14 @@ type Prepared struct {
 // for multicore targets it profiles the program and synthesizes a layout
 // (Section 4) on a TilePro64 restricted to cfg.Cores. The result is
 // deterministic in (program, cfg.Cores, cfg.Seed, cfg.Args), which makes
-// Prepared artifacts cacheable by PrepareFingerprint.
+// Prepared artifacts cacheable by PrepareFingerprint. The context cancels
+// both the profiling run and the search.
 func (s *System) Prepare(ctx context.Context, cfg PrepareConfig) (*Prepared, error) {
 	if cfg.Cores <= 1 {
 		return &Prepared{Layout: layout.Single(s.TaskNames()), Machine: machine.SingleCoreBamboo()}, nil
 	}
 	m := machine.TilePro64().WithCores(cfg.Cores)
-	prof, _, err := s.Profile(cfg.Args)
+	prof, _, err := s.profile(ctx, cfg.Args)
 	if err != nil {
 		return nil, fmt.Errorf("core: profile for synthesis: %w", err)
 	}

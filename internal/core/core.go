@@ -132,8 +132,12 @@ func (s *System) RunSingleCoreBamboo(args []string, out io.Writer) (*bamboort.Re
 // Profile runs the single-core Bamboo version while recording the profile
 // used to bootstrap implementation synthesis.
 func (s *System) Profile(args []string) (*profile.Profile, *bamboort.Result, error) {
+	return s.profile(context.Background(), args)
+}
+
+func (s *System) profile(ctx context.Context, args []string) (*profile.Profile, *bamboort.Result, error) {
 	prof := profile.New()
-	res, err := s.Exec(context.Background(), ExecConfig{
+	res, err := s.Exec(ctx, ExecConfig{
 		Engine:  Deterministic,
 		Machine: machine.SingleCoreBamboo(),
 		Layout:  layout.Single(s.TaskNames()),
@@ -205,7 +209,7 @@ func (s *System) Synthesize(cfg SynthesizeConfig) (*SynthesisResult, error) {
 // Section 4: CSTG construction, core grouping with the parallelization
 // rules, random candidate generation, and directed simulated annealing
 // driven by the scheduling simulator and critical path analysis. The
-// context cancels the search between annealing iterations.
+// context cancels the search: no candidate evaluation starts once it is done.
 func (s *System) SynthesizeContext(ctx context.Context, cfg SynthesizeConfig) (*SynthesisResult, error) {
 	numCores := cfg.Machine.NumUsable()
 	graph := cstg.Build(s.Prog, s.Dep, cfg.Prof)

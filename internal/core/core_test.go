@@ -5,7 +5,9 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/benchmarks"
 	"repro/internal/core"
 	"repro/internal/machine"
 )
@@ -56,6 +58,54 @@ task u(C c in a) { taskexit(c: a := false); }`)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled on the chain", err)
+	}
+}
+
+// TestPrepareCanceledMidway: a context canceled 5 ms into a cold Prepare —
+// during the profiling run, or on a faster machine the first evaluation
+// batches — gives the caller's worker back within 50 ms instead of at the
+// end of the profile run and the batch; a context that is never canceled
+// changes nothing.
+func TestPrepareCanceledMidway(t *testing.T) {
+	b, err := benchmarks.Get("KMeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.CompileSource(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.PrepareConfig{Cores: 8, Seed: 1, Args: b.Args}
+	// Retry: a busy host can stretch any one measurement.
+	for try := 1; ; try++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		time.AfterFunc(5*time.Millisecond, cancel)
+		t0 := time.Now()
+		_, err = sys.Prepare(ctx, cfg)
+		took := time.Since(t0)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled Prepare returned %v, want context.Canceled", err)
+		}
+		if took <= 55*time.Millisecond {
+			break
+		}
+		if try == 3 {
+			t.Errorf("canceled Prepare returned after %v, want within 50ms of the cancel", took)
+			break
+		}
+	}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := sys.Prepare(live, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sys.Prepare(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Layout.Key() != want.Layout.Key() {
+		t.Errorf("cancellable context changed the layout:\n got %s\nwant %s", got.Layout.Key(), want.Layout.Key())
 	}
 }
 

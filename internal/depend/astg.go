@@ -19,10 +19,13 @@ type AllocSite struct {
 
 // Node is one abstract state of a class in its ASTG.
 type Node struct {
+	ID    int // index in Result.Nodes
 	Class *types.Class
 	State State
 	Alloc bool // some allocation site creates objects directly in this state
 	Out   []*Edge
+	// Consumers lists, in declaration order, the task parameters it satisfies.
+	Consumers []ParamRef
 }
 
 // Key returns the node's state key.
@@ -42,6 +45,7 @@ type Graph struct {
 	Class *types.Class
 	Nodes map[string]*Node
 	Edges []*Edge
+	Base  int // ID of the first node; the graph's IDs are contiguous
 }
 
 // sortedNodes returns nodes in deterministic key order.
@@ -67,6 +71,9 @@ type Result struct {
 	// Graphs maps class name to its ASTG (only classes that appear as task
 	// parameters or are allocated with flags are present).
 	Graphs map[string]*Graph
+	// Nodes numbers the nodes of every graph: classes in name order, each
+	// class's states in key order.
+	Nodes []*Node
 	// TaskAllocs maps task name to the allocation sites reachable from the
 	// task body (including through method calls).
 	TaskAllocs map[string][]AllocSite
@@ -227,16 +234,20 @@ func Analyze(prog *ir.Program) (*Result, error) {
 			}
 		}
 	}
-	for _, g := range res.Graphs {
+	for _, clName := range sortedKeys(res.Graphs) {
+		g := res.Graphs[clName]
+		g.Base = len(res.Nodes)
 		for _, n := range g.sortedNodes() {
+			n.ID = len(res.Nodes)
+			res.Nodes = append(res.Nodes, n)
 			for _, task := range prog.Info.Tasks {
 				for _, p := range task.Params {
 					if p.Class == g.Class && n.State.SatisfiesParam(p) {
-						k := consumerKey(g.Class.Name, n.Key())
-						res.consumers[k] = append(res.consumers[k], ParamRef{Task: task, Param: p.Index})
+						n.Consumers = append(n.Consumers, ParamRef{Task: task, Param: p.Index})
 					}
 				}
 			}
+			res.consumers[consumerKey(clName, n.Key())] = n.Consumers
 		}
 	}
 	return res, nil

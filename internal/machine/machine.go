@@ -170,6 +170,34 @@ func (m *Machine) ScaleCycles(tile int, cycles int64) int64 {
 	return int64(float64(cycles)*f + 0.5)
 }
 
+// Ring appends to ring the round-robin destination list of a task hosted on
+// cores (indices into usable, the machine's UsableCores; a nil machine and
+// cores beyond usable run at nominal speed): each core repeated in proportion
+// to its speed relative to the slowest host (round(maxSlowdown/slowdown)),
+// built in rounds — every core once, then the extras — so a homogeneous
+// machine gets exactly cores. Both engines and the simulator route over it.
+func (m *Machine) Ring(ring, cores, usable []int) []int {
+	slowdown := func(c int) float64 {
+		if m == nil || c >= len(usable) {
+			return 1
+		}
+		return m.SlowdownOf(usable[c])
+	}
+	maxSlow := 1.0
+	for _, c := range cores {
+		maxSlow = max(maxSlow, slowdown(c))
+	}
+	for round, n := 0, -1; n != len(ring); round++ {
+		n = len(ring)
+		for _, c := range cores {
+			if round < max(int(maxSlow/slowdown(c)+0.5), 1) {
+				ring = append(ring, c)
+			}
+		}
+	}
+	return ring
+}
+
 // Heterogeneous returns a machine whose first fast tiles run at nominal
 // speed and whose remaining tiles take factor times as long (a simple big
 // LITTLE configuration for the Section 4.6 extension).

@@ -13,7 +13,6 @@ package profile
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // AllocKey identifies an allocation target: a class plus the abstract state
@@ -165,9 +164,6 @@ func (p *Profile) MeanCycles(task string, exit int) float64 {
 	return float64(cycles) / float64(count)
 }
 
-// TaskMeanCycles returns the mean execution time across all exits.
-func (p *Profile) TaskMeanCycles(task string) float64 { return p.MeanCycles(task, -1) }
-
 // MeanAllocs returns the average number of objects of each allocation key
 // created by an invocation of task taking exit.
 func (p *Profile) MeanAllocs(task string, exit int) map[AllocKey]float64 {
@@ -181,43 +177,6 @@ func (p *Profile) MeanAllocs(task string, exit int) map[AllocKey]float64 {
 		out[parseAllocKey(ks)] = float64(n) / float64(es.Count)
 	}
 	return out
-}
-
-// AllAllocKeys returns every allocation key observed for a task across all
-// exits, sorted for determinism.
-func (p *Profile) AllAllocKeys(task string) []AllocKey {
-	ts := p.Tasks[task]
-	if ts == nil {
-		return nil
-	}
-	set := map[string]bool{}
-	for _, e := range ts.Exits {
-		if e == nil {
-			continue
-		}
-		for ks := range e.Allocs {
-			set[ks] = true
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]AllocKey, len(keys))
-	for i, k := range keys {
-		out[i] = parseAllocKey(k)
-	}
-	return out
-}
-
-// NumExits returns the number of exit slots recorded for task.
-func (p *Profile) NumExits(task string) int {
-	ts := p.Tasks[task]
-	if ts == nil {
-		return 0
-	}
-	return len(ts.Exits)
 }
 
 func parseAllocKey(s string) AllocKey {

@@ -48,10 +48,6 @@ func TestAllocStats(t *testing.T) {
 	if got := allocs[k2]; got != 1 {
 		t.Errorf("Results mean = %g, want 1", got)
 	}
-	keys := p.AllAllocKeys("startup")
-	if len(keys) != 2 {
-		t.Errorf("alloc keys = %v", keys)
-	}
 	totals := p.TotalAllocsByClass()
 	if totals["Text"] != 14 || totals["Results"] != 2 {
 		t.Errorf("totals = %v", totals)

@@ -14,18 +14,19 @@
 // from the model, not from protocol differences.
 //
 // The directed simulated annealing search (internal/anneal) evaluates
-// thousands of candidate layouts with this simulator, fanned across a
-// worker pool; Run is safe for concurrent use. Each call checks a fully
-// reusable scratch state (event freelist, pooled invocations, cleared
-// maps) out of an internal sync.Pool, so steady-state evaluations allocate
-// almost nothing. The Figure 9 experiment quantifies the simulator's
-// accuracy against the real engine.
+// thousands of candidate layouts with this simulator across a worker pool,
+// so it is compiled: New turns the program's ASTG into integer tables
+// (compile.go), a profile is tabulated once, a run resolves its layout once,
+// and a simulated event is then a few indexed loads (sets.go). Run is safe
+// for concurrent use and works in pooled scratch, so a steady-state
+// evaluation allocates only what it hands back. The Figure 9 experiment
+// quantifies the simulator's accuracy against the real engine.
 package schedsim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/depend"
 	"repro/internal/disjoint"
@@ -34,14 +35,15 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obsv"
 	"repro/internal/profile"
-	"repro/internal/types"
 )
 
 // Options configures a simulation.
 type Options struct {
 	Machine *machine.Machine
 	Layout  *layout.Layout
-	Prof    *profile.Profile
+	// Prof is tabulated the first time a Simulator sees it; do not record
+	// into it between runs that share a Simulator.
+	Prof *profile.Profile
 	// PerObjectCounts lists tasks whose exit-count matching is maintained
 	// per parameter object rather than per task (the developer hints of
 	// Section 4.4). Tasks that walk an object through a state machine with
@@ -78,222 +80,91 @@ type Event = obsv.Span
 // Dep is one parameter object dependence of a simulated invocation.
 type Dep = obsv.Dep
 
-// simObject is an abstract object: class + abstract state, no fields.
+// simObject is an abstract object: an ASTG node. Its id is its index plus one.
 type simObject struct {
-	id       int64
-	class    *types.Class
-	state    depend.State
-	tagGroup int64 // objects allocated together share a group (tag routing)
-	producer int   // event index that created/last transitioned it
+	node     int32
+	group    int32 // tag group (0: untagged): objects one invocation tags share it
+	first    int32 // head of the chain of entries that queue it
+	producer int32 // span that created or last transitioned it (-1: the environment)
 	locked   bool
 }
 
-type arrival struct {
-	obj  *simObject
-	time int64
-	seq  int64
-}
-
-type hostedTask struct {
-	task      *types.Task
-	fn        *ir.Func
-	paramSets [][]arrival
-	inSet     []map[*simObject]bool
-}
-
-// reinit points a (possibly recycled) hostedTask at fn, clearing any state
-// left over from a previous simulation.
-func (ht *hostedTask) reinit(fn *ir.Func) {
-	n := len(fn.Task.Params)
-	ht.task, ht.fn = fn.Task, fn
-	if cap(ht.paramSets) < n {
-		ht.paramSets = make([][]arrival, n)
-		ht.inSet = make([]map[*simObject]bool, n)
-	} else {
-		ht.paramSets = ht.paramSets[:n]
-		ht.inSet = ht.inSet[:n]
-	}
-	for i := 0; i < n; i++ {
-		ht.paramSets[i] = ht.paramSets[i][:0]
-		if ht.inSet[i] == nil {
-			ht.inSet[i] = map[*simObject]bool{}
-		} else {
-			clear(ht.inSet[i])
-		}
-	}
-}
-
+// score is one simulated core.
 type score struct {
-	id     int
-	core   int
-	freeAt int64
-	busy   int64
-	tasks  []*hostedTask
-	phys   int
-}
-
-type event struct {
-	time int64
-	seq  int64
-	kind int // 0 arrive, 1 attempt, 2 complete
-	core int
-
-	ht    *hostedTask
-	param int
-	obj   *simObject
-	fifo  int64 // preserved arrival sequence (0 = assign at push)
-
-	inv   *simInvocation
-	start int64
-}
-
-type simInvocation struct {
-	ht       *hostedTask
-	objs     []*simObject
-	deps     []Dep
-	readySeq int64
-	objSeqs  []int64
-	exit     int
-	dur      int64
-}
-
-// eventHeap is a hand-rolled binary min-heap ordered by (time, seq). Using
-// concrete *event methods instead of container/heap avoids the interface
-// boxing on every push/pop in the simulator's hottest loop.
-type eventHeap []*event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e *event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() *event {
-	old := *h
-	n := len(old) - 1
-	top := old[0]
-	old[0] = old[n]
-	old[n] = nil
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
+	phys         int
+	freeAt, busy int64
+	tasks        []int32 // hosted tasks in task-name order (indices into simState.hosted)
+	queued       int     // entries in the core's sets, stale ones included until swept
+	dirty        bool    // some set of the core is
+	// pokes[head:] are the pending dispatch attempts. Each is due at or after
+	// every earlier one, so only the head needs a place in the event heap.
+	pokes []event
+	head  int
+	// The invocation in flight; a core runs one at a time.
+	task, exit int32
+	start      int64
+	objs       []int32
+	seqs       []int64 // the objects' arrival sequences
+	deps       []Dep
 }
 
 // Simulator estimates layout performance from profile data. One Simulator
-// may be shared by any number of goroutines: per-run state lives in pooled
-// scratch structures, and the program analyses it reads are immutable.
+// may be shared by any number of goroutines: the compiled program and the
+// profile tables are immutable, and per-run state lives in pooled scratch.
 type Simulator struct {
-	prog  *ir.Program
-	dep   *depend.Result
-	locks *disjoint.Result
-	// taskNames is the deterministic hosting order, precomputed once.
-	taskNames []string
-	// maxParams bounds parameter counts across tasks (invocation buffers).
-	maxParams int
-	scratch   sync.Pool // *simState
+	p       *program
+	dep     *depend.Result
+	tabs    atomic.Pointer[profTables] // of the profile last simulated
+	scratch sync.Pool                  // *simState
 }
 
-// New builds a simulator over the compiled program and analyses.
+// New compiles a simulator over the program and its analyses.
 func New(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *Simulator {
-	s := &Simulator{prog: prog, dep: dep, locks: locks}
-	for _, fn := range prog.Tasks {
-		s.taskNames = append(s.taskNames, fn.Task.Name)
-		if n := len(fn.Task.Params); n > s.maxParams {
-			s.maxParams = n
-		}
-	}
-	sort.Strings(s.taskNames)
-	return s
+	return &Simulator{p: compile(prog, dep, locks), dep: dep}
 }
 
-type objTaskKey struct {
-	obj  int64
-	task string
-}
-
-// allocAccKey identifies one fractional-allocation accumulator.
-type allocAccKey struct {
-	task string
-	exit int
-	k    profile.AllocKey
-}
-
-// rrKey identifies one round-robin routing counter.
-type rrKey struct {
-	fromCore int
-	task     string
-}
-
-type taskExitKey struct {
-	task string
-	exit int
-}
-
-// simState is the per-run state. It is pooled: reset clears every logical
-// field while keeping slice capacity, map buckets, and freelists, so a
-// steady-state Run allocates almost nothing.
+// simState is the per-run state, pooled: reset clears every logical field
+// and keeps the capacity.
 type simState struct {
-	sim  *Simulator
+	p    *program
+	t    *profTables
 	opts Options
 
-	cores      []*score
-	events     eventHeap
-	seq        int64
-	nextID     int64
-	nextTag    int64
-	nInv       int64
-	lastEnd    int64
-	nEvents    int
+	cores   []score
+	hosted  []hostedTask
+	sets    []paramSet
+	bound   []int32 // per set: the entry the hosted task's last find chose
+	ents    []entry // ents[0] is unused
+	free    int32   // free entries, chained through same
+	objs    []simObject
+	groups  []list // per tag group: the entries of its objects in indexed sets
+	events  eventHeap
+	seq     int64
+	nInv    int64 // completed invocations: the next span's index
+	lastEnd int64
 
-	// Exit count matching state.
-	taskTotals map[string]int64
-	exitCounts map[string][]int64   // per task
-	objTotals  map[objTaskKey]int64 // per (object, task)
-	objCounts  map[objTaskKey][]int64
-	// Fractional allocation accumulators per (task, exit, alloc key).
-	allocAcc map[allocAccKey]float64
+	// The layout, resolved once per run.
+	taskCores [][]int // by task: hosting cores
+	rings     [][]int // by task on several cores: machine.Ring, cut from ringBuf
+	ringBuf   []int
+	slot      []int32 // [task*cores+core]: 1 + index of the hosted task, 0 if none
+	perObject []bool  // by task: Options.PerObjectCounts
 
-	rr       map[rrKey]int
-	destRing map[string][]int
+	// Exit count matching: invocations so far per task and, per exit slot, when
+	// it was last taken; for hinted tasks per (object, task), at objAt in objCnt.
+	taskTotal []int64
+	lastTaken []int64
+	objAt     map[[2]int32]int32
+	objCnt    []int64
+	allocAcc  []float64 // fractional allocation accumulators, by profTables.allocs position
+	rr        []int     // [(fromCore+1)*tasks+task] round-robin counters
+	unchanged []bool
 
-	// Freelists and arenas reused across runs.
-	freeEvents []*event
-	freeInvs   []*simInvocation
-	freeHosted []*hostedTask
-	objChunks  [][]simObject
-	objUsed    int // objects handed out from objChunks
-	unchanged  []bool
-	allocKeys  map[taskExitKey][]profile.AllocKey // sorted, cached per profile
-	lastProf   *profile.Profile
+	// depSlab is the chunk the trace's Deps are cut from; the hints size a
+	// trace's storage by the last traced run's.
+	depSlab           []Dep
+	nDeps             int
+	spanHint, depHint int
 }
 
 // Run simulates the layout and returns the estimate. It is safe to call
@@ -309,255 +180,216 @@ func (s *Simulator) Run(opts Options) (*Result, error) {
 	if opts.Layout.NumCores > len(usable) {
 		return nil, fmt.Errorf("schedsim: layout needs %d cores, machine has %d usable", opts.Layout.NumCores, len(usable))
 	}
+	t := s.tabs.Load()
+	if t == nil || t.prof != opts.Prof {
+		t = s.p.newTables(s.dep, opts.Prof)
+		s.tabs.Store(t)
+	}
 	st, _ := s.scratch.Get().(*simState)
 	if st == nil {
-		st = &simState{
-			sim:        s,
-			taskTotals: map[string]int64{},
-			exitCounts: map[string][]int64{},
-			objTotals:  map[objTaskKey]int64{},
-			objCounts:  map[objTaskKey][]int64{},
-			allocAcc:   map[allocAccKey]float64{},
-			rr:         map[rrKey]int{},
-			destRing:   map[string][]int{},
-			allocKeys:  map[taskExitKey][]profile.AllocKey{},
-		}
+		st = &simState{p: s.p, objAt: map[[2]int32]int32{}}
 	}
-	res, err := st.run(opts, usable)
-	st.release()
+	st.t, st.opts = t, opts
+	res, err := st.run(usable)
+	// Pooled scratch must not pin the caller's Trace, Layout or Machine.
+	st.t, st.opts, st.depSlab = nil, Options{}, nil
+	clear(st.taskCores)
 	s.scratch.Put(st)
 	return res, err
 }
 
-// release drops the references a finished run no longer needs (so pooled
-// scratch does not pin a caller's Trace, Layout, or Machine) while keeping
-// the reusable capacity.
-func (st *simState) release() {
-	st.opts = Options{}
+// sized returns s with length n and every element zero, reusing its capacity.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-// reset prepares pooled scratch for a new run.
-func (st *simState) reset(opts Options, usable []int) {
-	st.opts = opts
-	st.seq, st.nextID, st.nextTag, st.nInv, st.lastEnd, st.nEvents = 0, 0, 0, 0, 0, 0
-	// Recycle any events left in the heap (a prior run that stopped at
-	// MaxInvocations exits with pending events).
-	for _, ev := range st.events {
-		if ev != nil {
-			st.freeEvents = append(st.freeEvents, ev)
-		}
-	}
-	st.events = st.events[:0]
-	st.objUsed = 0
-	clear(st.taskTotals)
-	clear(st.exitCounts)
-	clear(st.objTotals)
-	clear(st.objCounts)
-	clear(st.allocAcc)
-	clear(st.rr)
-	clear(st.destRing)
-	if st.lastProf != opts.Prof {
-		clear(st.allocKeys)
-		st.lastProf = opts.Prof
-	}
-	// Reclaim hosted tasks from the previous layout and (re)build cores.
-	for _, c := range st.cores {
-		st.freeHosted = append(st.freeHosted, c.tasks...)
-		c.tasks = c.tasks[:0]
-	}
-	n := opts.Layout.NumCores
+// reset clears pooled scratch and resolves the layout: per task its cores
+// and ring, per core its hosted tasks and their sets.
+func (st *simState) reset(usable []int) error {
+	p, lay := st.p, st.opts.Layout
+	n, nt := lay.NumCores, len(p.tasks)
+	st.seq, st.nInv, st.lastEnd, st.free, st.nDeps = 0, 0, 0, 0, 0
+	st.events, st.objs, st.objCnt = st.events[:0], st.objs[:0], st.objCnt[:0]
+	st.hosted, st.sets, st.ringBuf = st.hosted[:0], st.sets[:0], st.ringBuf[:0]
+	st.ents = append(st.ents[:0], entry{})
+	st.groups = append(st.groups[:0], list{})
+	clear(st.objAt)
 	for len(st.cores) < n {
-		st.cores = append(st.cores, &score{})
+		st.cores = append(st.cores, score{})
 	}
 	st.cores = st.cores[:n]
-	for i, c := range st.cores {
-		c.id, c.core, c.freeAt, c.busy, c.phys = i, i, 0, 0, usable[i]
+	for i := range st.cores {
+		c := &st.cores[i]
+		*c = score{phys: usable[i], tasks: c.tasks[:0], pokes: c.pokes[:0], objs: c.objs[:0], seqs: c.seqs[:0], deps: c.deps[:0]}
 	}
-}
-
-// hosted returns a recycled (or fresh) hostedTask for fn.
-func (st *simState) hosted(fn *ir.Func) *hostedTask {
-	var ht *hostedTask
-	if k := len(st.freeHosted); k > 0 {
-		ht = st.freeHosted[k-1]
-		st.freeHosted[k-1] = nil
-		st.freeHosted = st.freeHosted[:k-1]
-	} else {
-		ht = &hostedTask{}
-	}
-	ht.reinit(fn)
-	return ht
-}
-
-// newEvent returns a zeroed event from the freelist.
-func (st *simState) newEvent() *event {
-	if k := len(st.freeEvents); k > 0 {
-		ev := st.freeEvents[k-1]
-		st.freeEvents[k-1] = nil
-		st.freeEvents = st.freeEvents[:k-1]
-		*ev = event{}
-		return ev
-	}
-	return &event{}
-}
-
-// newObject hands out a simObject from the chunked arena. Chunks are never
-// shrunk; objects are valid for the rest of the run and recycled wholesale
-// by reset.
-func (st *simState) newObject() *simObject {
-	const chunkSize = 256
-	ci, off := st.objUsed/chunkSize, st.objUsed%chunkSize
-	if ci == len(st.objChunks) {
-		st.objChunks = append(st.objChunks, make([]simObject, chunkSize))
-	}
-	st.objUsed++
-	o := &st.objChunks[ci][off]
-	*o = simObject{}
-	return o
-}
-
-// newInv returns a pooled invocation with n parameter slots.
-func (st *simState) newInv(ht *hostedTask, n int) *simInvocation {
-	var inv *simInvocation
-	if k := len(st.freeInvs); k > 0 {
-		inv = st.freeInvs[k-1]
-		st.freeInvs[k-1] = nil
-		st.freeInvs = st.freeInvs[:k-1]
-	} else {
-		inv = &simInvocation{}
-	}
-	if cap(inv.objs) < n {
-		inv.objs = make([]*simObject, n)
-		inv.deps = make([]Dep, n)
-		inv.objSeqs = make([]int64, n)
-	}
-	inv.objs = inv.objs[:n]
-	inv.deps = inv.deps[:n]
-	inv.objSeqs = inv.objSeqs[:n]
-	for i := 0; i < n; i++ {
-		inv.objs[i] = nil
-		inv.deps[i] = Dep{}
-		inv.objSeqs[i] = 0
-	}
-	inv.ht, inv.readySeq, inv.exit, inv.dur = ht, 0, 0, 0
-	return inv
-}
-
-func (st *simState) putInv(inv *simInvocation) {
-	inv.ht = nil
-	for i := range inv.objs {
-		inv.objs[i] = nil
-	}
-	st.freeInvs = append(st.freeInvs, inv)
-}
-
-func (st *simState) run(opts Options, usable []int) (*Result, error) {
-	st.reset(opts, usable)
-	if opts.Trace != nil {
-		opts.Trace.Source = "schedsim"
-		opts.Trace.TimeUnit = obsv.UnitCycles
-		opts.Trace.NumCores = opts.Layout.NumCores
-	}
-	for _, name := range st.sim.taskNames {
-		fn := st.sim.prog.Funcs[ir.TaskKey(name)]
-		for _, c := range opts.Layout.Cores(name) {
-			if c < 0 || c >= len(st.cores) {
-				return nil, fmt.Errorf("schedsim: task %s on core %d outside layout", name, c)
+	st.slot, st.rr = sized(st.slot, nt*n), sized(st.rr, (n+1)*nt)
+	st.taskCores, st.rings, st.perObject = sized(st.taskCores, nt), sized(st.rings, nt), sized(st.perObject, nt)
+	st.taskTotal, st.lastTaken = sized(st.taskTotal, nt), sized(st.lastTaken, int(p.exits))
+	st.allocAcc = sized(st.allocAcc, len(st.t.allocs))
+	for _, ti := range p.order {
+		t := &p.tasks[ti]
+		cs := lay.Cores(t.name)
+		st.taskCores[ti], st.perObject[ti] = cs, st.opts.PerObjectCounts[t.name]
+		for _, c := range cs {
+			if c < 0 || c >= n {
+				return fmt.Errorf("schedsim: task %s on core %d outside layout", t.name, c)
 			}
-			st.cores[c].tasks = append(st.cores[c].tasks, st.hosted(fn))
+			if st.slot[int(ti)*n+c] != 0 {
+				continue // listed twice: a second instantiation would never be routed to
+			}
+			st.cores[c].tasks = append(st.cores[c].tasks, int32(len(st.hosted)))
+			st.hosted = append(st.hosted, hostedTask{task: ti, set0: int32(len(st.sets))})
+			st.slot[int(ti)*n+c] = int32(len(st.hosted))
+			for k := int32(0); k < t.nParams; k++ {
+				st.sets = append(st.sets, paramSet{slot: t.param0 + k, core: int32(c)})
+			}
+		}
+		if len(cs) > 1 {
+			k := len(st.ringBuf)
+			st.ringBuf = st.opts.Machine.Ring(st.ringBuf, cs, usable)
+			st.rings[ti] = st.ringBuf[k:]
 		}
 	}
+	st.bound = sized(st.bound, len(st.sets))
+	return nil
+}
 
+func (st *simState) run(usable []int) (*Result, error) {
+	if err := st.reset(usable); err != nil {
+		return nil, err
+	}
+	tr := st.opts.Trace
+	if tr != nil {
+		tr.Source, tr.TimeUnit, tr.NumCores = "schedsim", obsv.UnitCycles, st.opts.Layout.NumCores
+		if tr.Events == nil {
+			tr.Events = make([]Event, 0, st.spanHint)
+		}
+	}
 	// Inject the startup object.
-	startCl := st.sim.prog.Info.Classes[types.StartupClass]
-	startState := depend.NewState(1 << uint(startCl.FlagIndex[types.StartupFlag]))
-	so := st.newObject()
-	so.id, so.class, so.state, so.producer = st.id(), startCl, startState, -1
-	st.route(so, -1, 0, 0)
-
-	for len(st.events) > 0 {
-		ev := st.events.pop()
-		switch ev.kind {
-		case 0:
-			st.onArrive(ev)
-		case 1:
-			st.onAttempt(ev)
-		case 2:
-			st.onComplete(ev)
+	st.objs = append(st.objs, simObject{node: st.p.start, producer: -1})
+	st.route(0, -1, 0, 0)
+	for len(st.events) > 0 && st.nInv <= st.opts.MaxInvocations {
+		switch ev := st.events.pop(); ev.kind {
+		case arrive:
+			st.onArrive(&ev)
+		case attempt:
+			st.onAttempt(&ev)
+			st.nextPoke(ev.core)
+		case complete:
+			st.onComplete(&ev)
 		}
-		st.freeEvents = append(st.freeEvents, ev)
-		if st.nInv > opts.MaxInvocations {
-			// Report utilization instead of completion time.
-			var busy int64
-			for _, c := range st.cores {
-				busy += c.busy
-			}
-			util := float64(busy) / float64(st.lastEnd*int64(len(st.cores))+1)
-			return &Result{Terminated: false, Utilization: util, Invocations: st.nInv}, nil
+	}
+	if tr != nil {
+		st.spanHint, st.depHint = int(st.nInv), st.nDeps
+	}
+	if st.nInv > st.opts.MaxInvocations {
+		// Report utilization instead of completion time.
+		var busy int64
+		for i := range st.cores {
+			busy += st.cores[i].busy
 		}
+		util := float64(busy) / float64(st.lastEnd*int64(len(st.cores))+1)
+		return &Result{Terminated: false, Utilization: util, Invocations: st.nInv}, nil
 	}
 	return &Result{Terminated: true, TotalCycles: st.lastEnd, Invocations: st.nInv}, nil
 }
 
-func (st *simState) id() int64 {
-	st.nextID++
-	return st.nextID
-}
-
-func (st *simState) push(ev *event) {
+// push schedules ev; an arrival that keeps no earlier sequence takes its own.
+func (st *simState) push(ev event) {
 	ev.seq = st.seq
 	st.seq++
-	if ev.kind == 0 && ev.fifo == 0 {
+	if ev.kind == arrive && ev.fifo == 0 {
 		ev.fifo = ev.seq
 	}
 	st.events.push(ev)
 }
 
-func (st *simState) onArrive(ev *event) {
-	p := ev.ht.task.Params[ev.param]
-	if !ev.obj.state.SatisfiesParam(p) {
-		return
+// poke schedules a dispatch attempt on core ci at t, or when the core frees.
+func (st *simState) poke(ci int32, t int64) {
+	c := &st.cores[ci]
+	ev := event{time: max(t, c.freeAt), seq: st.seq, kind: attempt, core: ci}
+	st.seq++
+	if c.pokes = append(c.pokes, ev); len(c.pokes) == c.head+1 {
+		st.events.push(ev)
 	}
-	if ev.ht.inSet[ev.param][ev.obj] {
-		return
-	}
-	ev.ht.inSet[ev.param][ev.obj] = true
-	ev.ht.paramSets[ev.param] = append(ev.ht.paramSets[ev.param], arrival{obj: ev.obj, time: ev.time, seq: ev.fifo})
-	c := st.cores[ev.core]
-	at := ev.time
-	if c.freeAt > at {
-		at = c.freeAt
-	}
-	ne := st.newEvent()
-	ne.time, ne.kind, ne.core = at, 1, ev.core
-	st.push(ne)
 }
 
+// nextPoke retires the attempt that just ran on core ci and puts the next in
+// the event heap. An attempt due before the core frees does nothing (most:
+// every completion pokes every core with work queued), and a core never
+// frees earlier than it said, so those never enter the heap.
+func (st *simState) nextPoke(ci int32) {
+	c := &st.cores[ci]
+	for c.head++; c.head < len(c.pokes) && c.pokes[c.head].time < c.freeAt; c.head++ {
+	}
+	if c.head == len(c.pokes) {
+		c.pokes, c.head = c.pokes[:0], 0
+		return
+	}
+	st.events.push(c.pokes[c.head])
+	if c.head >= 64 {
+		c.pokes, c.head = c.pokes[:copy(c.pokes, c.pokes[c.head:])], 0
+	}
+}
+
+func (st *simState) onArrive(ev *event) {
+	o, s := &st.objs[ev.obj], &st.sets[ev.set]
+	if !st.p.satisfies(o.node, s.slot) {
+		return
+	}
+	for i := o.first; i != 0; i = st.ents[i].same {
+		if st.ents[i].set == ev.set {
+			return // already queued there (possibly stale): it keeps its place
+		}
+	}
+	st.add(ev.set, ev.obj, ev.fifo, ev.time)
+	st.poke(s.core, ev.time)
+}
+
+// onAttempt starts, on a free core, the hosted task whose first invocation
+// became ready first (the earlier task on a tie), mirroring the execution
+// engine's oldest-ready dispatch. Only the winner is materialized.
 func (st *simState) onAttempt(ev *event) {
-	c := st.cores[ev.core]
-	if c.freeAt > ev.time {
+	c := &st.cores[ev.core]
+	if c.freeAt > ev.time || c.queued == 0 {
 		return
 	}
-	inv := st.findInvocation(c)
-	if inv == nil {
+	if c.dirty {
+		st.sweep(c)
+	}
+	best, bestSeq := int32(-1), int64(0)
+	for _, h := range c.tasks {
+		if seq, ok := st.find(st.hosted[h]); ok && (best < 0 || seq < bestSeq) {
+			best, bestSeq = h, seq
+		}
+	}
+	if best < 0 {
 		return
 	}
-	for _, o := range inv.objs {
+	ht := st.hosted[best]
+	t := &st.p.tasks[ht.task]
+	c.task, c.objs, c.seqs, c.deps = ht.task, c.objs[:0], c.seqs[:0], c.deps[:0]
+	for _, i := range st.bound[ht.set0 : ht.set0+t.nParams] {
+		e := st.ents[i]
+		o := &st.objs[e.obj]
+		c.objs, c.seqs = append(c.objs, e.obj), append(c.seqs, e.seq)
+		c.deps = append(c.deps, Dep{Obj: int64(e.obj) + 1, Arrival: e.at, Producer: int(o.producer)})
 		o.locked = true
+		st.remove(i)
 	}
-	// Choose the exit by count matching and charge the profiled time.
-	inv.exit = st.chooseExit(inv)
-	mean := st.opts.Prof.MeanCycles(inv.ht.task.Name, inv.exit)
-	nGroups := len(st.sim.locks.LockGroups[inv.ht.task.Name])
+	// Choose the exit by count matching and charge the profiled time, scaled
+	// by the hosting tile's slowdown as the execution engine does.
+	c.exit = st.chooseExit(c, t)
 	m := st.opts.Machine
-	// Heterogeneous machines: scale by the hosting tile's slowdown, as the
-	// execution engine does (Section 4.6).
-	inv.dur = m.ScaleCycles(c.phys, m.DispatchCycles+m.LockCycles*int64(nGroups)+int64(mean+0.5))
-	c.freeAt = ev.time + inv.dur
-	c.busy += inv.dur
-	ne := st.newEvent()
-	ne.time, ne.kind, ne.core, ne.inv, ne.start = c.freeAt, 2, ev.core, inv, ev.time
-	st.push(ne)
+	dur := m.ScaleCycles(c.phys, m.DispatchCycles+m.LockCycles*t.lockGroups+st.t.cycles[t.exit0+c.exit])
+	c.start, c.freeAt = ev.time, ev.time+dur
+	c.busy += dur
+	st.push(event{time: c.freeAt, kind: complete, core: ev.core})
 }
 
 // chooseExit picks the destination exit by matching the simulated exit
@@ -568,48 +400,29 @@ func (st *simState) onAttempt(ev *event) {
 // exit is due, the most probable exit is taken. Counter-driven exits —
 // "every Nth invocation completes the round" — replay exactly, which bare
 // probability matching cannot do.
-func (st *simState) chooseExit(inv *simInvocation) int {
-	task := inv.ht.task.Name
-	nExits := inv.ht.fn.NumExits
-	perObject := st.opts.PerObjectCounts[task]
-
-	var total int64
-	var lastTaken []int64
-	if perObject {
-		key := objTaskKey{obj: inv.objs[0].id, task: task}
-		total = st.objTotals[key]
-		lastTaken = st.objCounts[key]
-		if lastTaken == nil {
-			lastTaken = make([]int64, nExits)
-			st.objCounts[key] = lastTaken
+func (st *simState) chooseExit(c *score, t *taskInfo) int32 {
+	total, lastTaken := &st.taskTotal[c.task], st.lastTaken[t.exit0:t.exit0+t.nExits]
+	if st.perObject[c.task] {
+		key := [2]int32{c.objs[0], c.task}
+		at, ok := st.objAt[key]
+		if !ok {
+			at = int32(len(st.objCnt))
+			st.objAt[key] = at
+			st.objCnt = append(st.objCnt, make([]int64, 1+t.nExits)...)
 		}
-	} else {
-		total = st.taskTotals[task]
-		lastTaken = st.exitCounts[task]
-		if lastTaken == nil {
-			lastTaken = make([]int64, nExits)
-			st.exitCounts[task] = lastTaken
-		}
+		total, lastTaken = &st.objCnt[at], st.objCnt[at+1:at+1+t.nExits]
 	}
-	thisInv := total + 1 // 1-based index of this invocation
-	best := -1
-	bestOverdue, bestGap := 0.0, 0.0
-	fallback := -1
-	var fallbackProb float64
-	for e := 0; e < nExits; e++ {
-		p := st.opts.Prof.ExitProb(task, e)
+	thisInv := *total + 1 // 1-based index of this invocation
+	best, fallback := int32(-1), int32(-1)
+	var bestOverdue, bestGap, fallbackProb float64
+	for e := int32(0); e < t.nExits; e++ {
+		p, gap := st.t.prob[t.exit0+e], st.t.gap[t.exit0+e]
 		if p == 0 {
 			continue
 		}
-		gap := st.opts.Prof.ExitGap(task, e)
-		if gap <= 0 {
-			gap = 1 / p
-		}
 		overdue := float64(thisInv-lastTaken[e]) - gap
-		if overdue >= 0 {
-			if best < 0 || overdue > bestOverdue || (overdue == bestOverdue && gap > bestGap) {
-				best, bestOverdue, bestGap = e, overdue, gap
-			}
+		if overdue >= 0 && (best < 0 || overdue > bestOverdue || (overdue == bestOverdue && gap > bestGap)) {
+			best, bestOverdue, bestGap = e, overdue, gap
 		}
 		if fallback < 0 || p > fallbackProb {
 			fallback, fallbackProb = e, p
@@ -619,373 +432,132 @@ func (st *simState) chooseExit(inv *simInvocation) int {
 		best = fallback
 	}
 	if best < 0 {
-		// Task never profiled: take the implicit last exit.
-		return nExits - 1
+		return t.nExits - 1 // task never profiled: take the implicit last exit
 	}
-	lastTaken[best] = thisInv
-	if perObject {
-		st.objTotals[objTaskKey{obj: inv.objs[0].id, task: task}] = thisInv
-	} else {
-		st.taskTotals[task] = thisInv
-	}
+	lastTaken[best], *total = thisInv, thisInv
 	return best
 }
 
-// sortedAllocKeys returns the deterministic iteration order over the
-// profiled allocation keys of (task, exit), cached per profile.
-func (st *simState) sortedAllocKeys(task string, exit int, means map[profile.AllocKey]float64) []profile.AllocKey {
-	ck := taskExitKey{task: task, exit: exit}
-	if keys, ok := st.allocKeys[ck]; ok {
-		return keys
+// newGroup opens a tag group. The objects one invocation tags — parameters
+// gaining tags and companion allocations — share one, approximating the
+// engines binding a fresh tag to the parameter and what is allocated with it.
+func (st *simState) newGroup() int32 {
+	st.groups = append(st.groups, list{})
+	return int32(len(st.groups) - 1)
+}
+
+// keep copies an invocation's dependence records into the trace's slab.
+func (st *simState) keep(deps []Dep) []Dep {
+	n := len(st.depSlab)
+	if n+len(deps) > cap(st.depSlab) {
+		st.depSlab, n = make([]Dep, 0, max(st.depHint, 2*cap(st.depSlab), 64)), 0
 	}
-	keys := make([]profile.AllocKey, 0, len(means))
-	for k := range means {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	st.allocKeys[ck] = keys
-	return keys
+	st.depSlab = append(st.depSlab, deps...)
+	st.nDeps += len(deps)
+	return st.depSlab[n:len(st.depSlab):len(st.depSlab)]
 }
 
 func (st *simState) onComplete(ev *event) {
-	inv := ev.inv
+	c := &st.cores[ev.core]
+	t := &st.p.tasks[c.task]
+	span := int32(st.nInv)
 	st.nInv++
-	if ev.time > st.lastEnd {
-		st.lastEnd = ev.time
-	}
-	evIdx := st.nEvents
-	st.nEvents++
-	if st.opts.Trace != nil {
-		// The invocation is recycled after this event; the trace gets its
-		// own copy of the dependence records.
-		deps := append([]Dep(nil), inv.deps...)
-		st.opts.Trace.Events = append(st.opts.Trace.Events, Event{
-			Index: evIdx, Task: inv.ht.task.Name, Core: ev.core,
-			Start: ev.start, End: ev.time, Exit: inv.exit, Deps: deps,
+	st.lastEnd = max(st.lastEnd, ev.time)
+	if tr := st.opts.Trace; tr != nil {
+		tr.Events = append(tr.Events, Event{
+			Index: int(span), Task: t.name, Core: int(ev.core),
+			Start: c.start, End: ev.time, Exit: int(c.exit), Deps: st.keep(c.deps),
 		})
 	}
-	// Apply the chosen exit's flag/tag effects to the parameter objects,
-	// remembering which parameters the exit left unchanged.
-	taskFn := inv.ht.fn
-	if cap(st.unchanged) < len(inv.objs) {
-		st.unchanged = make([]bool, len(inv.objs))
-	}
-	unchanged := st.unchanged[:len(inv.objs)]
-	// All objects tagged by this invocation — parameters gaining tags via
-	// the exit's tag effects and companion allocations below — share one
-	// tag group, approximating the concrete engines binding a freshly
-	// created tag to both the parameter and the objects allocated with it.
-	tagGroup := int64(0)
-	for i, obj := range inv.objs {
-		before := obj.state.Key()
-		next, ok := depend.ExitEffect(obj.state, taskFn, i, inv.exit)
-		if ok {
-			obj.state = next
-		}
-		if len(obj.state.Tags) == 0 {
-			obj.tagGroup = 0
-		} else if obj.tagGroup == 0 {
-			if tagGroup == 0 {
-				st.nextTag++
-				tagGroup = st.nextTag
+	// Move the parameter objects along the chosen exit's edges, remembering
+	// which the exit left unchanged.
+	st.unchanged = sized(st.unchanged, len(c.objs))
+	group := int32(0)
+	for k, oi := range c.objs {
+		o, pi := &st.objs[oi], &st.p.params[t.param0+int32(k)]
+		node, oldGroup := pi.next[c.exit*pi.n+o.node-pi.base], o.group
+		st.unchanged[k] = node == o.node
+		o.node, o.locked, o.producer = node, false, span
+		if !st.p.nodes[node].hasTags {
+			o.group = 0
+		} else if o.group == 0 {
+			if group == 0 {
+				group = st.newGroup()
 			}
-			obj.tagGroup = tagGroup
+			o.group = group
 		}
-		unchanged[i] = obj.state.Key() == before
-		obj.locked = false
-		obj.producer = evIdx
+		if !st.unchanged[k] {
+			st.moved(oi, oldGroup)
+		}
 	}
-	c := st.cores[ev.core]
 	// Materialize profiled allocations with deterministic accumulators.
 	var sendCost int64
-	means := st.opts.Prof.MeanAllocs(inv.ht.task.Name, inv.exit)
-	if len(means) > 0 {
-		keys := st.sortedAllocKeys(inv.ht.task.Name, inv.exit, means)
-		for _, k := range keys {
-			accKey := allocAccKey{task: inv.ht.task.Name, exit: inv.exit, k: k}
-			st.allocAcc[accKey] += means[k]
-			for st.allocAcc[accKey] >= 1 {
-				st.allocAcc[accKey]--
-				state, ok := st.stateFor(k)
-				if !ok {
-					continue
-				}
-				obj := st.newObject()
-				obj.id, obj.class, obj.state, obj.producer = st.id(), st.sim.prog.Info.Classes[k.Class], state, evIdx
-				// Objects allocated by the same invocation into tagged
-				// states share a tag group (approximating shared tags).
-				if len(state.Tags) > 0 {
-					if tagGroup == 0 {
-						st.nextTag++
-						tagGroup = st.nextTag
-					}
-					obj.tagGroup = tagGroup
-				}
-				sendCost += st.route(obj, ev.core, ev.time, 0)
+	for ai := st.t.allocOff[t.exit0+c.exit]; ai < st.t.allocOff[t.exit0+c.exit+1]; ai++ {
+		a := st.t.allocs[ai]
+		for st.allocAcc[ai] += a.mean; st.allocAcc[ai] >= 1; st.allocAcc[ai]-- {
+			if a.node < 0 {
+				continue
 			}
+			obj := simObject{node: a.node, producer: span}
+			if st.p.nodes[a.node].hasTags {
+				if group == 0 {
+					group = st.newGroup()
+				}
+				obj.group = group
+			}
+			st.objs = append(st.objs, obj)
+			sendCost += st.route(int32(len(st.objs)-1), ev.core, ev.time, 0)
 		}
 	}
-	for i, obj := range inv.objs {
+	for k, oi := range c.objs {
 		fifo := int64(0)
-		if unchanged[i] {
-			fifo = inv.objSeqs[i]
+		if st.unchanged[k] {
+			fifo = c.seqs[k]
 		}
-		sendCost += st.route(obj, ev.core, ev.time, fifo)
+		sendCost += st.route(oi, ev.core, ev.time, fifo)
 	}
 	if sendCost > 0 {
 		c.freeAt += sendCost
 		c.busy += sendCost
-		if c.freeAt > st.lastEnd {
-			st.lastEnd = c.freeAt
-		}
+		st.lastEnd = max(st.lastEnd, c.freeAt)
 	}
-	ne := st.newEvent()
-	ne.time, ne.kind, ne.core = c.freeAt, 1, c.id
-	st.push(ne)
-	for _, other := range st.cores {
-		if other == c {
-			continue
-		}
-		pending := false
-		for _, ht := range other.tasks {
-			for _, s := range ht.paramSets {
-				if len(s) > 0 {
-					pending = true
-				}
-			}
-		}
-		if pending {
-			at := ev.time
-			if other.freeAt > at {
-				at = other.freeAt
-			}
-			ne := st.newEvent()
-			ne.time, ne.kind, ne.core = at, 1, other.id
-			st.push(ne)
-		}
-	}
-	st.putInv(inv)
-}
-
-// stateFor resolves a profiled allocation key back to an abstract state via
-// the dependence analysis's ASTG.
-func (st *simState) stateFor(k profile.AllocKey) (depend.State, bool) {
-	g := st.sim.dep.Graphs[k.Class]
-	if g == nil {
-		return depend.State{}, false
-	}
-	n := g.Nodes[k.StateKey]
-	if n == nil {
-		return depend.State{}, false
-	}
-	return n.State.Clone(), true
-}
-
-// findInvocation assembles a candidate per hosted task and returns the one
-// that became ready first (mirroring the execution engine's oldest-ready
-// dispatch).
-func (st *simState) findInvocation(c *score) *simInvocation {
-	var best *simInvocation
-	var bestHT *hostedTask
-	for _, ht := range c.tasks {
-		inv := st.peek(ht)
-		if inv == nil {
-			continue
-		}
-		if best == nil || inv.readySeq < best.readySeq {
-			if best != nil {
-				st.putInv(best)
-			}
-			best, bestHT = inv, ht
-		} else {
-			st.putInv(inv)
-		}
-	}
-	if best != nil {
-		st.consumeInvocation(bestHT, best)
-	}
-	return best
-}
-
-// peek matches the engine's backtracking assembly over abstract objects
-// (guards on states, tag guards approximated by shared tag groups) without
-// consuming the chosen objects.
-func (st *simState) peek(ht *hostedTask) *simInvocation {
-	// Prune stale entries.
-	for pi := range ht.paramSets {
-		p := ht.task.Params[pi]
-		kept := ht.paramSets[pi][:0]
-		for _, a := range ht.paramSets[pi] {
-			if a.obj.state.SatisfiesParam(p) {
-				kept = append(kept, a)
-			} else {
-				delete(ht.inSet[pi], a.obj)
-			}
-		}
-		ht.paramSets[pi] = kept
-	}
-	inv := st.newInv(ht, len(ht.task.Params))
-	objs := inv.objs
-	deps := inv.deps
-	var rec func(pi int, tagGroup int64) bool
-	rec = func(pi int, tagGroup int64) bool {
-		if pi == len(ht.task.Params) {
-			return true
-		}
-		p := ht.task.Params[pi]
-		needsTag := len(p.Tags) > 0
-		for _, a := range ht.paramSets[pi] {
-			if a.obj.locked {
-				continue
-			}
-			dup := false
-			for i := 0; i < pi; i++ {
-				if objs[i] == a.obj {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			next := tagGroup
-			if needsTag {
-				if a.obj.tagGroup == 0 {
-					continue
-				}
-				if tagGroup != 0 && a.obj.tagGroup != tagGroup {
-					continue
-				}
-				next = a.obj.tagGroup
-			}
-			objs[pi] = a.obj
-			deps[pi] = Dep{Obj: a.obj.id, Arrival: a.time, Producer: a.obj.producer}
-			if rec(pi+1, next) {
-				return true
-			}
-		}
-		return false
-	}
-	if !rec(0, 0) {
-		st.putInv(inv)
-		return nil
-	}
-	for i := range objs {
-		for _, a := range ht.paramSets[i] {
-			if a.obj == objs[i] {
-				inv.objSeqs[i] = a.seq
-				if a.seq > inv.readySeq {
-					inv.readySeq = a.seq
-				}
-			}
-		}
-	}
-	return inv
-}
-
-// consumeInvocation removes the invocation's objects from the parameter
-// sets.
-func (st *simState) consumeInvocation(ht *hostedTask, inv *simInvocation) {
-	for i, o := range inv.objs {
-		delete(ht.inSet[i], o)
-		for j, a := range ht.paramSets[i] {
-			if a.obj == o {
-				ht.paramSets[i] = append(ht.paramSets[i][:j], ht.paramSets[i][j+1:]...)
-				break
-			}
+	st.poke(ev.core, c.freeAt)
+	for i := range st.cores {
+		if int32(i) != ev.core && st.cores[i].queued > 0 {
+			st.poke(int32(i), ev.time)
 		}
 	}
 }
 
-// route mirrors the engine's routing over abstract objects; fifo != 0
-// preserves an earlier arrival sequence.
-func (st *simState) route(obj *simObject, fromCore int, t int64, fifo int64) int64 {
-	consumers := st.sim.dep.Consumers(obj.class, obj.state)
-	var cost int64
-	for _, pr := range consumers {
-		cs := st.opts.Layout.Cores(pr.Task.Name)
+// route sends object oi from core from (-1: the environment) at time t to
+// every parameter its node satisfies — the task's single host, the host its
+// tag group hashes to, or the next of the ring staggered by the sender — and
+// returns the sender's enqueue cost. fifo != 0 keeps an earlier sequence.
+func (st *simState) route(oi, from int32, t, fifo int64) (cost int64) {
+	o, m := st.objs[oi], st.opts.Machine
+	nd := &st.p.nodes[o.node]
+	for _, cn := range nd.consumers {
+		cs := st.taskCores[cn.task]
 		if len(cs) == 0 {
 			continue
 		}
-		var dst int
-		switch {
-		case len(cs) == 1:
-			dst = cs[0]
-		default:
-			if obj.tagGroup != 0 && (len(pr.Task.Params) > 1 || len(pr.Task.Params[pr.Param].Tags) > 0) {
-				// Tag-hash like the engine: multi-parameter joins and
-				// single-parameter tag-guarded stages both pin a tag group
-				// to one instantiation.
-				dst = cs[int(obj.tagGroup)%len(cs)]
+		dst := cs[0]
+		if len(cs) > 1 {
+			if o.group != 0 && cn.hashed {
+				dst = cs[int(o.group)%len(cs)]
 			} else {
-				ring := st.ring(pr.Task.Name, cs)
-				key := rrKey{fromCore: fromCore, task: pr.Task.Name}
-				start := fromCore
-				if start < 0 {
-					start = 0
-				}
-				dst = ring[(st.rr[key]+start)%len(ring)]
-				st.rr[key]++
+				ring, k := st.rings[cn.task], &st.rr[int(from+1)*len(st.p.tasks)+int(cn.task)]
+				dst = ring[(*k+max(int(from), 0))%len(ring)]
+				*k++
 			}
 		}
 		var latency int64
-		if fromCore >= 0 {
-			words := 2 + len(obj.class.Fields)
-			latency = st.opts.Machine.MsgCycles(st.cores[fromCore].phys, st.cores[dst].phys, words)
-			cost += st.opts.Machine.EnqueueCycles
+		if from >= 0 {
+			latency = m.MsgCycles(st.cores[from].phys, st.cores[dst].phys, nd.words)
+			cost += m.EnqueueCycles
 		}
-		var target *hostedTask
-		for _, ht := range st.cores[dst].tasks {
-			if ht.task.Name == pr.Task.Name {
-				target = ht
-				break
-			}
-		}
-		if target == nil {
-			continue
-		}
-		ne := st.newEvent()
-		ne.time, ne.kind, ne.core, ne.ht, ne.param, ne.obj, ne.fifo = t+latency, 0, dst, target, pr.Param, obj, fifo
-		st.push(ne)
+		set := st.hosted[st.slot[int(cn.task)*len(st.cores)+dst]-1].set0 + cn.param
+		st.push(event{time: t + latency, kind: arrive, set: set, obj: oi, fifo: fifo})
 	}
 	return cost
-}
-
-// ring mirrors the execution engine's speed-weighted round-robin
-// destination list (see bamboort.Engine.ring).
-func (st *simState) ring(task string, cores []int) []int {
-	if r, ok := st.destRing[task]; ok {
-		return r
-	}
-	m := st.opts.Machine
-	maxSlow := 1.0
-	for _, c := range cores {
-		if s := m.SlowdownOf(st.cores[c].phys); s > maxSlow {
-			maxSlow = s
-		}
-	}
-	weights := make([]int, len(cores))
-	for i, c := range cores {
-		w := int(maxSlow/m.SlowdownOf(st.cores[c].phys) + 0.5)
-		if w < 1 {
-			w = 1
-		}
-		weights[i] = w
-	}
-	var ring []int
-	for {
-		added := false
-		for i, c := range cores {
-			if weights[i] > 0 {
-				weights[i]--
-				ring = append(ring, c)
-				added = true
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	st.destRing[task] = ring
-	return ring
 }

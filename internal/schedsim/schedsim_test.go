@@ -172,12 +172,9 @@ func TestTraceDeps(t *testing.T) {
 	}
 }
 
-// TestPerObjectCounts exercises the Section 4.4 developer hint: a task
-// whose exit depends on a per-object counter (each Job loops three times
-// through the work state before finishing) simulates accurately with
-// per-object exit matching.
-func TestPerObjectCounts(t *testing.T) {
-	src := `
+// perObjectSrc walks each Job three times through the work state before
+// finishing: the exit depends on a per-object counter.
+const perObjectSrc = `
 class Job {
 	flag work;
 	int n;
@@ -201,7 +198,13 @@ task step(Job j in work) {
 	}
 	taskexit(j: work := true);
 }`
-	sys, err := core.CompileSource(src)
+
+// TestPerObjectCounts exercises the Section 4.4 developer hint: a task
+// whose exit depends on a per-object counter (each Job loops three times
+// through the work state before finishing) simulates accurately with
+// per-object exit matching.
+func TestPerObjectCounts(t *testing.T) {
+	sys, err := core.CompileSource(perObjectSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
