@@ -458,11 +458,11 @@ func (inv *invocation) unchanged(i int) bool {
 }
 
 // restore rolls the parameter objects back to their snapshot (clearing tags
-// added since and re-adding tags removed, so tag back references stay
-// consistent). Field values are not rolled back: faults inject before the
-// task body runs (a recovered mid-body panic restores the guard state that
-// drives scheduling; its partial field writes are not retried — see
-// DESIGN.md). Callers hold the objects' parameter locks.
+// added since and re-adding tags removed). Field values are not rolled
+// back: faults inject before the task body runs (a recovered mid-body panic
+// restores the guard state that drives scheduling; its partial field writes
+// are not retried — see DESIGN.md). Callers hold the objects' parameter
+// locks.
 func (inv *invocation) restore() {
 	for i, o := range inv.objs {
 		pre := inv.pre[i]

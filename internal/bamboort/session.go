@@ -9,11 +9,12 @@ import (
 	"repro/internal/depend"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/types"
 )
 
 // ErrInject classifies malformed injections (unknown class/flag/field/tag
-// type). They are rejected before anything is routed, so the session stays
-// serviceable; callers test with errors.Is.
+// type). The whole batch is rejected before anything is allocated or routed,
+// so the session stays serviceable; callers test with errors.Is.
 var ErrInject = errors.New("bamboort: bad injection")
 
 // ErrStale classifies feeds whose context was already done before any
@@ -58,67 +59,102 @@ type Inject struct {
 
 // buildBatch builds a feed's objects. A context already done (e.g. the
 // caller waited out its budget queuing behind a slow batch) and a malformed
-// injection both reject the feed before anything is routed, so the session
-// stays live.
+// injection both reject the feed before anything is allocated or routed, so
+// the session stays live and its heap — object IDs included — is exactly as
+// if the feed had never been offered: a park→revive replay, which logs only
+// accepted batches, reproduces the same IDs.
 func buildBatch(ctx context.Context, prog *ir.Program, heap *interp.Heap, batch []Inject) ([]*interp.Object, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStale, ctx.Err())
 	}
-	objs := make([]*interp.Object, len(batch))
-	for i, inj := range batch {
-		o, err := buildInject(prog, heap, inj)
-		if err != nil {
+	// Pass 1 resolves and validates every injection; pass 2 cannot fail.
+	plans := make([]injectPlan, len(batch))
+	var tagType string
+	var tags []*interp.Tag
+	for i := range batch {
+		inj := &batch[i]
+		if inj.TagType != "" && inj.TagType != tagType {
+			tagType, tags = inj.TagType, heap.TagsOf(inj.TagType)
+		}
+		var err error
+		if plans[i], err = resolveInject(prog, inj, tags); err != nil {
 			return nil, err
 		}
-		objs[i] = o
+	}
+	objs := make([]*interp.Object, len(batch))
+	for i := range batch {
+		objs[i] = plans[i].build(heap, &batch[i])
 	}
 	return objs, nil
 }
 
-// buildInject allocates and initializes one injected object on heap.
-func buildInject(prog *ir.Program, heap *interp.Heap, inj Inject) (*interp.Object, error) {
-	cl := prog.Info.Classes[inj.Class]
-	if cl == nil {
-		return nil, fmt.Errorf("%w: unknown class %q", ErrInject, inj.Class)
+// injectPlan is one validated injection: everything build needs that could
+// have failed to resolve.
+type injectPlan struct {
+	cl   *types.Class
+	flag int
+	args int         // field index of "args"; -1 without Args
+	tag  *interp.Tag // nil without TagType
+}
+
+// resolveInject validates one injection against the program and the tag
+// instances of its TagType (ignored when TagType is empty). It allocates
+// nothing on the session heap.
+func resolveInject(prog *ir.Program, inj *Inject, tags []*interp.Tag) (injectPlan, error) {
+	p := injectPlan{cl: prog.Info.Classes[inj.Class], args: -1}
+	if p.cl == nil {
+		return p, fmt.Errorf("%w: unknown class %q", ErrInject, inj.Class)
 	}
-	fi, ok := cl.FlagIndex[inj.Flag]
-	if !ok {
-		return nil, fmt.Errorf("%w: class %s has no flag %q", ErrInject, inj.Class, inj.Flag)
+	var ok bool
+	if p.flag, ok = p.cl.FlagIndex[inj.Flag]; !ok {
+		return p, fmt.Errorf("%w: class %s has no flag %q", ErrInject, inj.Class, inj.Flag)
 	}
-	o := heap.NewObject(cl)
 	if inj.Args != nil {
-		f, ok := cl.FieldByName["args"]
+		f, ok := p.cl.FieldByName["args"]
 		if !ok {
-			return nil, fmt.Errorf("%w: class %s has no args field", ErrInject, inj.Class)
+			return p, fmt.Errorf("%w: class %s has no args field", ErrInject, inj.Class)
 		}
-		o.Fields[f.Index] = interp.ArrV(heap.NewStringArray(inj.Args))
+		p.args = f.Index
 	}
-	for name, v := range inj.Fields {
-		f, ok := cl.FieldByName[name]
+	for name := range inj.Fields {
+		f, ok := p.cl.FieldByName[name]
 		if !ok {
-			return nil, fmt.Errorf("%w: class %s has no field %q", ErrInject, inj.Class, name)
+			return p, fmt.Errorf("%w: class %s has no field %q", ErrInject, inj.Class, name)
 		}
 		if f.Type == nil || f.Type.Kind != ast.TInt {
-			return nil, fmt.Errorf("%w: field %s.%s is not int", ErrInject, inj.Class, name)
+			return p, fmt.Errorf("%w: field %s.%s is not int", ErrInject, inj.Class, name)
 		}
-		o.Fields[f.Index] = interp.IntV(v)
 	}
 	if inj.TagType != "" {
-		tags := heap.TagsOf(inj.TagType)
 		if len(tags) == 0 {
-			return nil, fmt.Errorf("%w: program created no tag instances of type %q", ErrInject, inj.TagType)
+			return p, fmt.Errorf("%w: program created no tag instances of type %q", ErrInject, inj.TagType)
 		}
 		k := inj.TagKey % int64(len(tags))
 		if k < 0 {
 			k += int64(len(tags))
 		}
-		o.AddTag(tags[k])
+		p.tag = tags[k]
+	}
+	return p, nil
+}
+
+// build allocates and initializes the injected object on heap.
+func (p *injectPlan) build(heap *interp.Heap, inj *Inject) *interp.Object {
+	o := heap.NewObject(p.cl)
+	if p.args >= 0 {
+		o.Fields[p.args] = interp.ArrV(heap.NewStringArray(inj.Args))
+	}
+	for name, v := range inj.Fields {
+		o.Fields[p.cl.FieldByName[name].Index] = interp.IntV(v)
+	}
+	if p.tag != nil {
+		o.AddTag(p.tag)
 	}
 	// Set the entry flag last: the object only becomes routable once fully
 	// initialized (matters for the concurrent runtime, where routing makes
 	// it visible to other goroutines).
-	o.SetFlag(fi, true)
-	return o, nil
+	o.SetFlag(p.flag, true)
+	return o
 }
 
 // StartSession boots the deterministic engine as a persistent session: tag

@@ -39,7 +39,7 @@ func startKV(t *testing.T, engine core.Engine, cores int) *core.Session {
 }
 
 // kvReq builds the injection for one KV request. TagKey is the key itself:
-// buildInject hashes it over the 8 shard tags, so a key always lands on
+// resolveInject hashes it over the 8 shard tags, so a key always lands on
 // the same shard.
 func kvReq(op, key, val int) bamboort.Inject {
 	return bamboort.Inject{

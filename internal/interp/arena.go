@@ -18,16 +18,18 @@ import (
 // carries no object pointers. Heaps handed in from outside (differential
 // harnesses with tracking enabled) are never released.
 
+// Chunk sizes are byte budgets; the element counts follow from the element
+// sizes, so a smaller Value means more Values per chunk, not smaller chunks.
 const (
-	// arenaObjChunk is the number of Objects per arena chunk (~16 KiB).
-	arenaObjChunk = 256
-	// arenaValChunk is the number of Values per arena chunk (~64 KiB);
-	// larger field/element slices get a dedicated allocation.
-	arenaValChunk = 1024
-	// arenaArrChunk is the number of Array headers per arena chunk
-	// (~16 KiB). Session feeds allocate one Array per injected request
-	// (the args String[]), so headers recycle with the rest of the arena.
-	arenaArrChunk = 512
+	// arenaObjChunk is the number of Objects per 16 KiB arena chunk.
+	arenaObjChunk = (16 << 10) / int(unsafe.Sizeof(Object{}))
+	// arenaValChunk is the number of Values per 64 KiB arena chunk; larger
+	// field/element slices get a dedicated allocation.
+	arenaValChunk = (64 << 10) / int(unsafe.Sizeof(Value{}))
+	// arenaArrChunk is the number of Array headers per 16 KiB arena chunk.
+	// Session feeds allocate one Array per injected request (the args
+	// String[]), so headers recycle with the rest of the arena.
+	arenaArrChunk = (16 << 10) / int(unsafe.Sizeof(Array{}))
 )
 
 // Chunk pools are process-wide: sequential executions (a bambood worker
@@ -174,10 +176,10 @@ type frameStack struct {
 	sp     int // used slots in the active chunk
 }
 
-// frameChunkRegs is the register capacity of one frame-stack chunk.
+// frameChunkRegs is the register capacity of one 32 KiB frame-stack chunk.
 // Functions with more registers than this (none of the embedded
 // benchmarks come close) fall back to a dedicated allocation.
-const frameChunkRegs = 512
+const frameChunkRegs = (32 << 10) / int(unsafe.Sizeof(Value{}))
 
 var frameStackPool = sync.Pool{New: func() any {
 	return &frameStack{chunks: [][]Value{make([]Value, frameChunkRegs)}}

@@ -57,7 +57,7 @@ func TestAllMathBuiltins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Kind != KFloat || v.F == 0 {
+	if v.Kind != KFloat || v.Float() == 0 {
 		t.Errorf("run = %v", v)
 	}
 	// 13 libm calls charged at MathBuiltin each.
@@ -86,13 +86,13 @@ func TestStringEdgeCases(t *testing.T) {
 	if !call("emptyEq", StrV("")).Bool() {
 		t.Error(`"".equals("") = false`)
 	}
-	if call("emptyLen").I != 0 {
+	if call("emptyLen").Int() != 0 {
 		t.Error("empty length != 0")
 	}
-	if call("missing", StrV("abc")).I != -1 {
+	if call("missing", StrV("abc")).Int() != -1 {
 		t.Error("indexOf missing != -1")
 	}
-	if call("whole", StrV("xyz")).S != "xyz" {
+	if call("whole", StrV("xyz")).Str() != "xyz" {
 		t.Error("substring(0, len) wrong")
 	}
 }

@@ -8,38 +8,6 @@ import (
 	"repro/internal/types"
 )
 
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// cleanValue rebuilds a Value from its Kind-relevant payload, dropping
-// whatever stale cold fields the in-place register writes left behind, so
-// values returned to callers are bit-identical to the walker's.
-func cleanValue(v Value) Value {
-	switch v.Kind {
-	case KInt:
-		return IntV(v.I)
-	case KFloat:
-		return FloatV(v.F)
-	case KBool:
-		return Value{Kind: KBool, I: v.I}
-	case KString:
-		return StrV(v.S)
-	case KNull:
-		return NullV()
-	case KObject:
-		return ObjV(v.O)
-	case KArray:
-		return ArrV(v.A)
-	case KTag:
-		return TagV(v.T)
-	}
-	return v
-}
-
 // icFieldSlot is the inline-cache hit test for field sites: tiny so it
 // inlines into every dispatch arm that touches a field IC.
 func icFieldSlot(site *icSite, cls *types.Class) (int32, bool) {
@@ -81,311 +49,209 @@ func icCallee(site *icSite, cls *types.Class) (*flatFunc, bool) {
 // before calls (error aborts may drop the final delta; stats are best-
 // effort on failed runs).
 func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) {
-	fn := ff.fn
 	code := ff.code
 	cycles := ex.Cycles
 	var ich, icm int64
+	// No budget reads as an unreachable one: a single compare per instruction.
 	maxC := in.MaxCycles
+	if maxC <= 0 {
+		maxC = math.MaxInt64
+	}
 	pc := int32(0)
 	for {
 		ins := &code[pc]
 		cycles += ins.cost
-		if maxC > 0 && cycles > maxC {
+		if cycles > maxC {
 			ex.Cycles = cycles
 			ex.ICHits += ich
 			ex.ICMisses += icm
-			return Value{}, in.errf(fn, ins.aux.pos, "cycle budget exhausted (%d cycles)", maxC)
+			return Value{}, in.errf(ff.fn, ins.aux.pos, "cycle budget exhausted (%d cycles)", maxC)
 		}
 		switch ins.op {
-		// Numeric and boolean results are written in place (Kind plus one
-		// payload field) instead of assigning a whole Value: the full
-		// 64-byte store drags four pointer fields through the GC write
-		// barrier on every arithmetic instruction. Stale cold fields left
-		// in a register slot are invisible — every consumer of a Value is
-		// Kind-directed (valueEq included) — and the one value that escapes
-		// to callers is scrubbed by cleanValue in run().
+		// Numeric and boolean results are written in place (Kind plus the
+		// scalar word, see Value.setInt): no pointer store, so no write
+		// barrier on arithmetic. The pointer word a register held before
+		// stays behind, stale; it is invisible — the pointer accessors
+		// convert it only under the Kind that stored it — and the one value
+		// that escapes to callers is scrubbed in run().
 		case fConstInt:
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, ins.i
+			regs[ins.dst].setInt(ins.i)
 		case fConstFloat:
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, ins.f
+			regs[ins.dst].setFloat(ins.f)
 		case fConstBool:
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, ins.i
+			regs[ins.dst].setBool(ins.i != 0)
 		case fConstStr:
 			regs[ins.dst] = StrV(ins.aux.s)
 		case fConstNull:
 			regs[ins.dst] = NullV()
 		case fMove:
-			// Kind-directed copy, open-coded here and in the other generic
-			// load arms (the compiler refuses to inline a helper this size
-			// into a function as large as execFlat): write only the payload
-			// the Kind uses, so at most one pointer goes through the write
-			// barrier instead of four via the bulk path.
-			sv := &regs[ins.a]
-			dv := &regs[ins.dst]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
+			// A whole-Value copy is three words, one of them a pointer: one
+			// write barrier, here and in every generic load arm below.
+			regs[ins.dst] = regs[ins.a]
 
 		case fAddI:
-			x := regs[ins.a].I + regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() + regs[ins.b].Int())
 		case fAddF:
-			x := regs[ins.a].F + regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(regs[ins.a].Float() + regs[ins.b].Float())
 		case fSubI:
-			x := regs[ins.a].I - regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() - regs[ins.b].Int())
 		case fSubF:
-			x := regs[ins.a].F - regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(regs[ins.a].Float() - regs[ins.b].Float())
 		case fMulI:
-			x := regs[ins.a].I * regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() * regs[ins.b].Int())
 		case fMulF:
-			x := regs[ins.a].F * regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(regs[ins.a].Float() * regs[ins.b].Float())
 		case fDivI:
-			d := regs[ins.b].I
+			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "integer division by zero")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer division by zero")
 			}
-			x := regs[ins.a].I / d
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() / d)
 		case fDivF:
-			x := regs[ins.a].F / regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(regs[ins.a].Float() / regs[ins.b].Float())
 		case fRem:
-			d := regs[ins.b].I
+			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "integer modulo by zero")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer modulo by zero")
 			}
-			x := regs[ins.a].I % d
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() % d)
 		case fNegI:
-			x := -regs[ins.a].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(-regs[ins.a].Int())
 		case fNegF:
-			x := -regs[ins.a].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(-regs[ins.a].Float())
 		case fShl:
-			x := regs[ins.a].I << uint(regs[ins.b].I)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() << uint(regs[ins.b].Int()))
 		case fShr:
-			x := regs[ins.a].I >> uint(regs[ins.b].I)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() >> uint(regs[ins.b].Int()))
 		case fBitAnd:
-			x := regs[ins.a].I & regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() & regs[ins.b].Int())
 		case fBitOr:
-			x := regs[ins.a].I | regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() | regs[ins.b].Int())
 		case fBitXor:
-			x := regs[ins.a].I ^ regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(regs[ins.a].Int() ^ regs[ins.b].Int())
 		case fNot:
-			x := b2i(regs[ins.a].I == 0)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Int() == 0)
 
 		case fCmpEq:
-			x := b2i(valueEq(regs[ins.a], regs[ins.b]))
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(valueEq(regs[ins.a], regs[ins.b]))
 		case fCmpNe:
-			x := b2i(!valueEq(regs[ins.a], regs[ins.b]))
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(!valueEq(regs[ins.a], regs[ins.b]))
 		case fLtI:
-			x := b2i(regs[ins.a].I < regs[ins.b].I)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Int() < regs[ins.b].Int())
 		case fLtF:
-			x := b2i(regs[ins.a].F < regs[ins.b].F)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Float() < regs[ins.b].Float())
 		case fLeI:
-			x := b2i(regs[ins.a].I <= regs[ins.b].I)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Int() <= regs[ins.b].Int())
 		case fLeF:
-			x := b2i(regs[ins.a].F <= regs[ins.b].F)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Float() <= regs[ins.b].Float())
 		case fGtI:
-			x := b2i(regs[ins.a].I > regs[ins.b].I)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Int() > regs[ins.b].Int())
 		case fGtF:
-			x := b2i(regs[ins.a].F > regs[ins.b].F)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Float() > regs[ins.b].Float())
 		case fGeI:
-			x := b2i(regs[ins.a].I >= regs[ins.b].I)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Int() >= regs[ins.b].Int())
 		case fGeF:
-			x := b2i(regs[ins.a].F >= regs[ins.b].F)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.dst].setBool(regs[ins.a].Float() >= regs[ins.b].Float())
 
 		case fI2F:
-			x := float64(regs[ins.a].I)
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(float64(regs[ins.a].Int()))
 		case fF2I:
-			x := int64(regs[ins.a].F)
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.dst].setInt(int64(regs[ins.a].Float()))
 		case fI2S:
-			s := strconv.FormatInt(regs[ins.a].I, 10)
+			s := strconv.FormatInt(regs[ins.a].Int(), 10)
 			cycles += in.Cost.StrPerChar * int64(len(s))
 			regs[ins.dst] = StrV(s)
 		case fF2S:
-			s := strconv.FormatFloat(regs[ins.a].F, 'g', -1, 64)
+			s := strconv.FormatFloat(regs[ins.a].Float(), 'g', -1, 64)
 			cycles += in.Cost.StrPerChar * int64(len(s))
 			regs[ins.dst] = StrV(s)
 		case fConcat:
-			s := regs[ins.a].S + regs[ins.b].S
+			s := regs[ins.a].Str() + regs[ins.b].Str()
 			cycles += in.Cost.StrPerChar * int64(len(s))
 			regs[ins.dst] = StrV(s)
 
 		case fGetField:
-			recv := &regs[ins.a]
-			if recv.Kind != KObject {
+			recv := regs[ins.a].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", recv.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
 				}
 			}
-			sv := &recv.O.Fields[slot]
-			dv := &regs[ins.dst]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
+			regs[ins.dst] = recv.Fields[slot]
 		case fSetField:
-			recv := &regs[ins.a]
-			if recv.Kind != KObject {
+			recv := regs[ins.a].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference writing field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference writing field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", recv.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
 				}
 			}
-			recv.O.Fields[slot] = regs[ins.b]
+			recv.Fields[slot] = regs[ins.b]
 		case fArrGet:
-			arr := &regs[ins.a]
-			if arr.Kind != KArray {
+			arr := regs[ins.a].Arr()
+			if arr == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null array dereference")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
-			idx := regs[ins.b].I
-			if idx < 0 || idx >= int64(len(arr.A.Elems)) {
+			idx := regs[ins.b].Int()
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.A.Elems))
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
-			sv := &arr.A.Elems[idx]
-			dv := &regs[ins.dst]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
+			regs[ins.dst] = arr.Elems[idx]
 		case fArrSet:
-			arr := &regs[ins.a]
-			if arr.Kind != KArray {
+			arr := regs[ins.a].Arr()
+			if arr == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null array dereference")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
-			idx := regs[ins.b].I
-			if idx < 0 || idx >= int64(len(arr.A.Elems)) {
+			idx := regs[ins.b].Int()
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.A.Elems))
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
-			arr.A.Elems[idx] = regs[ins.c]
+			arr.Elems[idx] = regs[ins.c]
 		case fArrLen:
-			arr := &regs[ins.a]
-			if arr.Kind != KArray {
+			arr := regs[ins.a].Arr()
+			if arr == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null array dereference")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, int64(len(arr.A.Elems))
+			regs[ins.dst].setInt(int64(len(arr.Elems)))
 
 		case fNewObj:
 			ax := ins.aux
@@ -400,19 +266,19 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				if tv.Kind != KTag {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ax.pos, "tag binding with non-tag value")
+					return Value{}, in.errf(ff.fn, ax.pos, "tag binding with non-tag value")
 				}
-				o.AddTag(tv.T)
+				o.AddTag(tv.Tag())
 				cycles += in.Cost.TagOp
 			}
 			ex.NewObjects = append(ex.NewObjects, o)
 			regs[ins.dst] = ObjV(o)
 		case fNewArr:
-			n := regs[ins.a].I
+			n := regs[ins.a].Int()
 			if n < 0 {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "negative array length %d", n)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "negative array length %d", n)
 			}
 			cycles += in.Cost.AllocWord * n
 			regs[ins.dst] = ArrV(in.Heap.NewArray(int(n), ins.aux.zero))
@@ -421,42 +287,29 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 
 		case fCall:
 			ax := ins.aux
-			recv := regs[ax.args[0]]
-			if recv.Kind != KObject {
+			recv := regs[ax.args[0]].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ax.pos, "null dereference calling %s", ax.s)
+				return Value{}, in.errf(ff.fn, ax.pos, "null dereference calling %s", ax.s)
 			}
-			callee, hit := icCallee(&ff.ics[ins.idx], recv.O.Class)
+			callee, hit := icCallee(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
-				callee = ff.fp.resolveMethod(recv.O.Class, ax.simple, &ff.ics[ins.idx])
+				callee = ff.fp.resolveMethod(recv.Class, ax.simple, &ff.ics[ins.idx])
 				if callee == nil {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ax.pos, "unknown method %s", ax.s)
+					return Value{}, in.errf(ff.fn, ax.pos, "unknown method %s", ax.s)
 				}
 			}
 			fs := ex.fs
 			ci, sp := fs.ci, fs.sp
 			cregs := fs.alloc(callee.numRegs)
 			for i, a := range ax.args {
-				sv := &regs[a]
-				dv := &cregs[i]
-				switch sv.Kind {
-				case KString:
-					dv.Kind, dv.S = KString, sv.S
-				case KObject:
-					dv.Kind, dv.O = KObject, sv.O
-				case KArray:
-					dv.Kind, dv.A = KArray, sv.A
-				case KTag:
-					dv.Kind, dv.T = KTag, sv.T
-				default:
-					dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-				}
+				cregs[i] = regs[a]
 			}
 			ex.Cycles = cycles
 			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
@@ -468,23 +321,10 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			cycles = ex.Cycles
 			if ins.dst >= 0 {
-				sv := &ret
-				dv := &regs[ins.dst]
-				switch sv.Kind {
-				case KString:
-					dv.Kind, dv.S = KString, sv.S
-				case KObject:
-					dv.Kind, dv.O = KObject, sv.O
-				case KArray:
-					dv.Kind, dv.A = KArray, sv.A
-				case KTag:
-					dv.Kind, dv.T = KTag, sv.T
-				default:
-					dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-				}
+				regs[ins.dst] = ret
 			}
 		case fMathUnary:
-			x := regs[ins.a].F
+			x := regs[ins.a].Float()
 			var y float64
 			switch ins.bi {
 			case bMathSin:
@@ -510,11 +350,10 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			default:
 				y = math.Ceil(x)
 			}
-			d := &regs[ins.dst]
-			d.Kind, d.F = KFloat, y
+			regs[ins.dst].setFloat(y)
 
 		case fMathUnaryMv:
-			x := regs[ins.a].F
+			x := regs[ins.a].Float()
 			var y float64
 			switch ins.bi {
 			case bMathSin:
@@ -540,32 +379,27 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			default:
 				y = math.Ceil(x)
 			}
-			d := &regs[ins.dst]
-			d.Kind, d.F = KFloat, y
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, y
+			regs[ins.dst].setFloat(y)
+			regs[ins.jmp2].setFloat(y)
 
 		case fMathBinary:
 			var y float64
 			if ins.bi == bMathAtan2 {
-				y = math.Atan2(regs[ins.a].F, regs[ins.b].F)
+				y = math.Atan2(regs[ins.a].Float(), regs[ins.b].Float())
 			} else {
-				y = math.Pow(regs[ins.a].F, regs[ins.b].F)
+				y = math.Pow(regs[ins.a].Float(), regs[ins.b].Float())
 			}
-			d := &regs[ins.dst]
-			d.Kind, d.F = KFloat, y
+			regs[ins.dst].setFloat(y)
 
 		case fMathBinaryMv:
 			var y float64
 			if ins.bi == bMathAtan2 {
-				y = math.Atan2(regs[ins.a].F, regs[ins.b].F)
+				y = math.Atan2(regs[ins.a].Float(), regs[ins.b].Float())
 			} else {
-				y = math.Pow(regs[ins.a].F, regs[ins.b].F)
+				y = math.Pow(regs[ins.a].Float(), regs[ins.b].Float())
 			}
-			d := &regs[ins.dst]
-			d.Kind, d.F = KFloat, y
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, y
+			regs[ins.dst].setFloat(y)
+			regs[ins.jmp2].setFloat(y)
 
 		case fCallBuiltin:
 			ex.Cycles = cycles
@@ -576,27 +410,14 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			cycles = ex.Cycles
 			if ins.dst >= 0 {
-				sv := &ret
-				dv := &regs[ins.dst]
-				switch sv.Kind {
-				case KString:
-					dv.Kind, dv.S = KString, sv.S
-				case KObject:
-					dv.Kind, dv.O = KObject, sv.O
-				case KArray:
-					dv.Kind, dv.A = KArray, sv.A
-				case KTag:
-					dv.Kind, dv.T = KTag, sv.T
-				default:
-					dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-				}
+				regs[ins.dst] = ret
 			}
 
 		case fJump:
 			pc = ins.jmp
 			continue
 		case fBranch:
-			if regs[ins.a].I != 0 {
+			if regs[ins.a].Int() != 0 {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
@@ -613,16 +434,16 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fTaskExit:
 			ex.Cycles = cycles
 			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-			in.applyExit(fn, ins.aux.exit, regs, ex)
+			in.applyExit(ff.fn, ins.aux.exit, regs, ex)
 			return Value{}, nil
 
 		case fTrap:
 			ex.Cycles = cycles
 			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 			if ins.idx < 0 {
-				return Value{}, in.errf(fn, ins.aux.pos, "unhandled op %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "unhandled op %s", ins.aux.s)
 			}
-			return Value{}, in.errf(fn, ins.aux.pos, "block b%d has no terminator", ins.idx)
+			return Value{}, in.errf(ff.fn, ins.aux.pos, "block b%d has no terminator", ins.idx)
 
 		// --- Superinstructions. Each arm executes its two halves in exact
 		// sequential order: the first half's destination (register c) is
@@ -630,100 +451,90 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		// operands behave identically to unfused execution.
 
 		case fEqBr:
-			x := b2i(valueEq(regs[ins.a], regs[ins.b]))
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := valueEq(regs[ins.a], regs[ins.b])
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fNeBr:
-			x := b2i(!valueEq(regs[ins.a], regs[ins.b]))
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := !valueEq(regs[ins.a], regs[ins.b])
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fLtIBr:
-			x := b2i(regs[ins.a].I < regs[ins.b].I)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Int() < regs[ins.b].Int()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fLtFBr:
-			x := b2i(regs[ins.a].F < regs[ins.b].F)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Float() < regs[ins.b].Float()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fLeIBr:
-			x := b2i(regs[ins.a].I <= regs[ins.b].I)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Int() <= regs[ins.b].Int()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fLeFBr:
-			x := b2i(regs[ins.a].F <= regs[ins.b].F)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Float() <= regs[ins.b].Float()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fGtIBr:
-			x := b2i(regs[ins.a].I > regs[ins.b].I)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Int() > regs[ins.b].Int()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fGtFBr:
-			x := b2i(regs[ins.a].F > regs[ins.b].F)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Float() > regs[ins.b].Float()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fGeIBr:
-			x := b2i(regs[ins.a].I >= regs[ins.b].I)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Int() >= regs[ins.b].Int()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fGeFBr:
-			x := b2i(regs[ins.a].F >= regs[ins.b].F)
-			r := &regs[ins.c]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			x := regs[ins.a].Float() >= regs[ins.b].Float()
+			regs[ins.c].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
@@ -734,350 +545,235 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		// "local = move result" copies the whole register (like fMove) into
 		// jmp2.
 		case fConstMvI:
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, ins.i
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, ins.i
+			regs[ins.dst].setInt(ins.i)
+			regs[ins.jmp2].setInt(ins.i)
 		case fConstMvF:
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, ins.f
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, ins.f
+			regs[ins.dst].setFloat(ins.f)
+			regs[ins.jmp2].setFloat(ins.f)
 		case fAddMvI:
-			x := regs[ins.a].I + regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			x := regs[ins.a].Int() + regs[ins.b].Int()
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fSubMvI:
-			x := regs[ins.a].I - regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			x := regs[ins.a].Int() - regs[ins.b].Int()
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fMulMvI:
-			x := regs[ins.a].I * regs[ins.b].I
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			x := regs[ins.a].Int() * regs[ins.b].Int()
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fAddMvF:
-			x := regs[ins.a].F + regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			x := regs[ins.a].Float() + regs[ins.b].Float()
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 		case fSubMvF:
-			x := regs[ins.a].F - regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			x := regs[ins.a].Float() - regs[ins.b].Float()
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 		case fMulMvF:
-			x := regs[ins.a].F * regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			x := regs[ins.a].Float() * regs[ins.b].Float()
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 
 		case fAddImmI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I + ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setInt(regs[ins.a].Int() + ins.i)
 		case fAddImmMvI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I + ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() + ins.i
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fSubImmI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I - ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setInt(regs[ins.a].Int() - ins.i)
 		case fSubImmMvI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I - ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() - ins.i
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fMulImmI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I * ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setInt(regs[ins.a].Int() * ins.i)
 		case fMulImmMvI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I * ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() * ins.i
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fShlImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I << uint(ins.i)
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setInt(regs[ins.a].Int() << uint(ins.i))
 		case fShrImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I >> uint(ins.i)
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setInt(regs[ins.a].Int() >> uint(ins.i))
 		case fAddImmF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F + ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			regs[ins.dst].setFloat(regs[ins.a].Float() + ins.f)
 		case fAddImmMvF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F + ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			x := regs[ins.a].Float() + ins.f
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 		case fSubImmF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F - ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			regs[ins.dst].setFloat(regs[ins.a].Float() - ins.f)
 		case fSubImmMvF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F - ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			x := regs[ins.a].Float() - ins.f
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 		case fMulImmF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F * ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			regs[ins.dst].setFloat(regs[ins.a].Float() * ins.f)
 		case fMulImmMvF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F * ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			x := regs[ins.a].Float() * ins.f
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 
 		// const+div/rem: the immediate is nonzero by construction (fusion
 		// skips zero), so these arms cannot raise division-by-zero.
 		case fDivImmI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I / ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setInt(regs[ins.a].Int() / ins.i)
 		case fDivImmMvI:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I / ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() / ins.i
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fRemImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I % ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setInt(regs[ins.a].Int() % ins.i)
 		case fRemImmMv:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := regs[ins.a].I % ins.i
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() % ins.i
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fDivImmF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F / ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			regs[ins.dst].setFloat(regs[ins.a].Float() / ins.f)
 		case fDivImmMvF:
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, ins.f
-			x := regs[ins.a].F / ins.f
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			regs[ins.c].setFloat(ins.f)
+			x := regs[ins.a].Float() / ins.f
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 
 		case fDivMvI:
-			d := regs[ins.b].I
+			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "integer division by zero")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer division by zero")
 			}
-			x := regs[ins.a].I / d
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			x := regs[ins.a].Int() / d
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 		case fDivMvF:
-			x := regs[ins.a].F / regs[ins.b].F
-			r := &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.F = KFloat, x
+			x := regs[ins.a].Float() / regs[ins.b].Float()
+			regs[ins.dst].setFloat(x)
+			regs[ins.jmp2].setFloat(x)
 		case fRemMv:
-			d := regs[ins.b].I
+			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "integer modulo by zero")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer modulo by zero")
 			}
-			x := regs[ins.a].I % d
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			m := &regs[ins.jmp2]
-			m.Kind, m.I = KInt, x
+			x := regs[ins.a].Int() % d
+			regs[ins.dst].setInt(x)
+			regs[ins.jmp2].setInt(x)
 
 		case fMulSubI, fMulSubMvI:
-			x := regs[ins.a].I * regs[ins.b].I
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, x
+			x := regs[ins.a].Int() * regs[ins.b].Int()
+			regs[ins.c].setInt(x)
 			var y int64
 			if ins.bi == fvLoadLeft {
-				y = regs[ins.c].I - regs[ins.jmp].I
+				y = regs[ins.c].Int() - regs[ins.jmp].Int()
 			} else {
-				y = regs[ins.jmp].I - regs[ins.c].I
+				y = regs[ins.jmp].Int() - regs[ins.c].Int()
 			}
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, y
+			regs[ins.dst].setInt(y)
 			if ins.op == fMulSubMvI {
-				m := &regs[ins.jmp2]
-				m.Kind, m.I = KInt, y
+				regs[ins.jmp2].setInt(y)
 			}
 
 		// const+compare: the immediate is the compare's right operand by
 		// construction; the const temp (c) is written through first.
 		case fEqImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(valueEq(regs[ins.a], regs[ins.c]))
-			r = &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setBool(valueEq(regs[ins.a], regs[ins.c]))
 		case fNeImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(!valueEq(regs[ins.a], regs[ins.c]))
-			r = &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setBool(!valueEq(regs[ins.a], regs[ins.c]))
 		case fLtImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I < ins.i)
-			r = &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setBool(regs[ins.a].Int() < ins.i)
 		case fLeImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I <= ins.i)
-			r = &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setBool(regs[ins.a].Int() <= ins.i)
 		case fGtImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I > ins.i)
-			r = &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setBool(regs[ins.a].Int() > ins.i)
 		case fGeImm:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I >= ins.i)
-			r = &regs[ins.dst]
-			r.Kind, r.I = KBool, x
+			regs[ins.c].setInt(ins.i)
+			regs[ins.dst].setBool(regs[ins.a].Int() >= ins.i)
 
 		// const+compare+branch: write the const temp (c) and the compare
 		// temp (b) through, then transfer.
 		case fEqImmBr:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(valueEq(regs[ins.a], regs[ins.c]))
-			r = &regs[ins.b]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			regs[ins.c].setInt(ins.i)
+			x := valueEq(regs[ins.a], regs[ins.c])
+			regs[ins.b].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fNeImmBr:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(!valueEq(regs[ins.a], regs[ins.c]))
-			r = &regs[ins.b]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			regs[ins.c].setInt(ins.i)
+			x := !valueEq(regs[ins.a], regs[ins.c])
+			regs[ins.b].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fLtImmBr:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I < ins.i)
-			r = &regs[ins.b]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() < ins.i
+			regs[ins.b].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fLeImmBr:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I <= ins.i)
-			r = &regs[ins.b]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() <= ins.i
+			regs[ins.b].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fGtImmBr:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I > ins.i)
-			r = &regs[ins.b]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() > ins.i
+			regs[ins.b].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
 			}
 			continue
 		case fGeImmBr:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
-			x := b2i(regs[ins.a].I >= ins.i)
-			r = &regs[ins.b]
-			r.Kind, r.I = KBool, x
-			if x != 0 {
+			regs[ins.c].setInt(ins.i)
+			x := regs[ins.a].Int() >= ins.i
+			regs[ins.b].setBool(x)
+			if x {
 				pc = ins.jmp
 			} else {
 				pc = ins.jmp2
@@ -1087,381 +783,257 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		// i2f+mul/div: the converted value (c) is written through; bi
 		// keeps the original operand order for bit-identical floats.
 		case fI2FMulF, fI2FMulMvF:
-			xf := float64(regs[ins.a].I)
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, xf
+			xf := float64(regs[ins.a].Int())
+			regs[ins.c].setFloat(xf)
 			var x float64
 			if ins.bi == fvLoadLeft {
-				x = xf * regs[ins.b].F
+				x = xf * regs[ins.b].Float()
 			} else {
-				x = regs[ins.b].F * xf
+				x = regs[ins.b].Float() * xf
 			}
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(x)
 			if ins.op == fI2FMulMvF {
-				m := &regs[ins.jmp2]
-				m.Kind, m.F = KFloat, x
+				regs[ins.jmp2].setFloat(x)
 			}
 		case fI2FDivF, fI2FDivMvF:
-			xf := float64(regs[ins.a].I)
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, xf
+			xf := float64(regs[ins.a].Int())
+			regs[ins.c].setFloat(xf)
 			var x float64
 			if ins.bi == fvLoadLeft {
-				x = xf / regs[ins.b].F
+				x = xf / regs[ins.b].Float()
 			} else {
-				x = regs[ins.b].F / xf
+				x = regs[ins.b].Float() / xf
 			}
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, x
+			regs[ins.dst].setFloat(x)
 			if ins.op == fI2FDivMvF {
-				m := &regs[ins.jmp2]
-				m.Kind, m.F = KFloat, x
+				regs[ins.jmp2].setFloat(x)
 			}
 
 		case fMulAddI, fMulAddMvI:
-			x := regs[ins.a].I * regs[ins.b].I
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, x
-			y := regs[ins.c].I + regs[ins.jmp].I
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, y
+			x := regs[ins.a].Int() * regs[ins.b].Int()
+			regs[ins.c].setInt(x)
+			y := regs[ins.c].Int() + regs[ins.jmp].Int()
+			regs[ins.dst].setInt(y)
 			if ins.op == fMulAddMvI {
-				m := &regs[ins.jmp2]
-				m.Kind, m.I = KInt, y
+				regs[ins.jmp2].setInt(y)
 			}
 		case fMulAddF, fMulAddMvF:
-			x := regs[ins.a].F * regs[ins.b].F
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, x
+			x := regs[ins.a].Float() * regs[ins.b].Float()
+			regs[ins.c].setFloat(x)
 			var y float64
 			if ins.bi == fvLoadLeft {
-				y = regs[ins.c].F + regs[ins.jmp].F
+				y = regs[ins.c].Float() + regs[ins.jmp].Float()
 			} else {
-				y = regs[ins.jmp].F + regs[ins.c].F
+				y = regs[ins.jmp].Float() + regs[ins.c].Float()
 			}
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, y
+			regs[ins.dst].setFloat(y)
 			if ins.op == fMulAddMvF {
-				m := &regs[ins.jmp2]
-				m.Kind, m.F = KFloat, y
+				regs[ins.jmp2].setFloat(y)
 			}
 		case fMulSubF, fMulSubMvF:
-			x := regs[ins.a].F * regs[ins.b].F
-			r := &regs[ins.c]
-			r.Kind, r.F = KFloat, x
+			x := regs[ins.a].Float() * regs[ins.b].Float()
+			regs[ins.c].setFloat(x)
 			var y float64
 			if ins.bi == fvLoadLeft {
-				y = regs[ins.c].F - regs[ins.jmp].F
+				y = regs[ins.c].Float() - regs[ins.jmp].Float()
 			} else {
-				y = regs[ins.jmp].F - regs[ins.c].F
+				y = regs[ins.jmp].Float() - regs[ins.c].Float()
 			}
-			r = &regs[ins.dst]
-			r.Kind, r.F = KFloat, y
+			regs[ins.dst].setFloat(y)
 			if ins.op == fMulSubMvF {
-				m := &regs[ins.jmp2]
-				m.Kind, m.F = KFloat, y
+				regs[ins.jmp2].setFloat(y)
 			}
 
 		case fGetMv:
-			recv := &regs[ins.a]
-			if recv.Kind != KObject {
+			recv := regs[ins.a].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", recv.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
 				}
 			}
-			sv := &recv.O.Fields[slot]
-			dv := &regs[ins.dst]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
-			sv = &regs[ins.dst]
-			dv = &regs[ins.jmp2]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
+			regs[ins.dst] = recv.Fields[slot]
+			regs[ins.jmp2] = regs[ins.dst]
 		case fArrGetMv:
-			arr := &regs[ins.a]
-			if arr.Kind != KArray {
+			arr := regs[ins.a].Arr()
+			if arr == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null array dereference")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
-			idx := regs[ins.b].I
-			if idx < 0 || idx >= int64(len(arr.A.Elems)) {
+			idx := regs[ins.b].Int()
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.A.Elems))
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
-			sv := &arr.A.Elems[idx]
-			dv := &regs[ins.dst]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
-			sv = &regs[ins.dst]
-			dv = &regs[ins.jmp2]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
+			regs[ins.dst] = arr.Elems[idx]
+			regs[ins.jmp2] = regs[ins.dst]
 
 		case fGetGet, fGetGetMv:
-			recv := &regs[ins.a]
-			if recv.Kind != KObject {
+			recv := regs[ins.a].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", recv.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
 				}
 			}
-			sv := &recv.O.Fields[slot]
-			dv := &regs[ins.c]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
+			regs[ins.c] = recv.Fields[slot]
 			ax2 := ins.aux.aux2
-			mid := &regs[ins.c]
-			if mid.Kind != KObject {
+			mid := regs[ins.c].Obj()
+			if mid == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ax2.pos, "null dereference reading field %s", ax2.s)
+				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference reading field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp], mid.O.Class)
+			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp], mid.Class)
 			if hit2 {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp], mid.O.Class, ax2.s)
+				slot2, ok = icFieldMiss(&ff.ics[ins.jmp], mid.Class, ax2.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ax2.pos, "class %s has no field %s", mid.O.Class.Name, ax2.s)
+					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", mid.Class.Name, ax2.s)
 				}
 			}
-			sv = &mid.O.Fields[slot2]
-			dv = &regs[ins.dst]
-			switch sv.Kind {
-			case KString:
-				dv.Kind, dv.S = KString, sv.S
-			case KObject:
-				dv.Kind, dv.O = KObject, sv.O
-			case KArray:
-				dv.Kind, dv.A = KArray, sv.A
-			case KTag:
-				dv.Kind, dv.T = KTag, sv.T
-			default:
-				dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-			}
+			regs[ins.dst] = mid.Fields[slot2]
 			if ins.op == fGetGetMv {
-				sv := &regs[ins.dst]
-				dv := &regs[ins.jmp2]
-				switch sv.Kind {
-				case KString:
-					dv.Kind, dv.S = KString, sv.S
-				case KObject:
-					dv.Kind, dv.O = KObject, sv.O
-				case KArray:
-					dv.Kind, dv.A = KArray, sv.A
-				case KTag:
-					dv.Kind, dv.T = KTag, sv.T
-				default:
-					dv.Kind, dv.I, dv.F = sv.Kind, sv.I, sv.F
-				}
+				regs[ins.jmp2] = regs[ins.dst]
 			}
 
 		case fGetAddI, fGetSubI, fGetMulI, fGetAddF, fGetSubF, fGetMulF:
-			recv := &regs[ins.a]
-			if recv.Kind != KObject {
+			recv := regs[ins.a].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", recv.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
 				}
 			}
-			// The loaded value feeds arithmetic, so it is statically
-			// numeric: copying only the scalar fields skips the pointer
-			// write barrier a whole-Value copy would incur.
-			fv := &recv.O.Fields[slot]
-			rc := &regs[ins.c]
-			rc.Kind, rc.I, rc.F = fv.Kind, fv.I, fv.F
+			regs[ins.c] = recv.Fields[slot]
 			// The variant byte keeps the original operand order so float
 			// results (and NaN propagation) stay bit-identical; int add
 			// and mul are fully commutative and skip the check.
 			switch ins.op {
 			case fGetAddI:
-				x := regs[ins.c].I + regs[ins.b].I
-				r := &regs[ins.dst]
-				r.Kind, r.I = KInt, x
+				regs[ins.dst].setInt(regs[ins.c].Int() + regs[ins.b].Int())
 			case fGetSubI:
 				var x int64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].I - regs[ins.b].I
+					x = regs[ins.c].Int() - regs[ins.b].Int()
 				} else {
-					x = regs[ins.b].I - regs[ins.c].I
+					x = regs[ins.b].Int() - regs[ins.c].Int()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.I = KInt, x
+				regs[ins.dst].setInt(x)
 			case fGetMulI:
-				x := regs[ins.c].I * regs[ins.b].I
-				r := &regs[ins.dst]
-				r.Kind, r.I = KInt, x
+				regs[ins.dst].setInt(regs[ins.c].Int() * regs[ins.b].Int())
 			case fGetAddF:
 				var x float64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].F + regs[ins.b].F
+					x = regs[ins.c].Float() + regs[ins.b].Float()
 				} else {
-					x = regs[ins.b].F + regs[ins.c].F
+					x = regs[ins.b].Float() + regs[ins.c].Float()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.F = KFloat, x
+				regs[ins.dst].setFloat(x)
 			case fGetSubF:
 				var x float64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].F - regs[ins.b].F
+					x = regs[ins.c].Float() - regs[ins.b].Float()
 				} else {
-					x = regs[ins.b].F - regs[ins.c].F
+					x = regs[ins.b].Float() - regs[ins.c].Float()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.F = KFloat, x
+				regs[ins.dst].setFloat(x)
 			case fGetMulF:
 				var x float64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].F * regs[ins.b].F
+					x = regs[ins.c].Float() * regs[ins.b].Float()
 				} else {
-					x = regs[ins.b].F * regs[ins.c].F
+					x = regs[ins.b].Float() * regs[ins.c].Float()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.F = KFloat, x
+				regs[ins.dst].setFloat(x)
 			}
 
 		case fGetLtI2, fGetLeI2, fGetGtI2, fGetGeI2,
 			fGetLtIBr, fGetLeIBr, fGetGtIBr, fGetGeIBr:
-			recv := &regs[ins.a]
-			if recv.Kind != KObject {
+			recv := regs[ins.a].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", recv.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
 				}
 			}
-			// Integer order compare: the field is statically numeric, so the
-			// write-through copies only the scalar payload.
-			fv := &recv.O.Fields[slot]
-			rc := &regs[ins.c]
-			rc.Kind, rc.I, rc.F = fv.Kind, fv.I, fv.F
+			regs[ins.c] = recv.Fields[slot]
 			var l, r int64
 			if ins.bi == fvLoadLeft {
-				l, r = regs[ins.c].I, regs[ins.b].I
+				l, r = regs[ins.c].Int(), regs[ins.b].Int()
 			} else {
-				l, r = regs[ins.b].I, regs[ins.c].I
+				l, r = regs[ins.b].Int(), regs[ins.c].Int()
 			}
-			var x int64
+			var x bool
 			switch ins.op {
 			case fGetLtI2, fGetLtIBr:
-				x = b2i(l < r)
+				x = l < r
 			case fGetLeI2, fGetLeIBr:
-				x = b2i(l <= r)
+				x = l <= r
 			case fGetGtI2, fGetGtIBr:
-				x = b2i(l > r)
+				x = l > r
 			default:
-				x = b2i(l >= r)
+				x = l >= r
 			}
-			d := &regs[ins.dst]
-			d.Kind, d.I = KBool, x
+			regs[ins.dst].setBool(x)
 			switch ins.op {
 			case fGetLtIBr, fGetLeIBr, fGetGtIBr, fGetGeIBr:
-				if x != 0 {
+				if x {
 					pc = ins.jmp
 				} else {
 					pc = ins.jmp2
@@ -1470,272 +1042,247 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 
 		case fAddImmISt, fSubImmISt, fMulImmISt:
-			r := &regs[ins.c]
-			r.Kind, r.I = KInt, ins.i
+			regs[ins.c].setInt(ins.i)
 			var x int64
 			switch ins.op {
 			case fAddImmISt:
-				x = regs[ins.a].I + ins.i
+				x = regs[ins.a].Int() + ins.i
 			case fSubImmISt:
-				x = regs[ins.a].I - ins.i
+				x = regs[ins.a].Int() - ins.i
 			default:
-				x = regs[ins.a].I * ins.i
+				x = regs[ins.a].Int() * ins.i
 			}
-			r = &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			obj := &regs[ins.jmp]
+			regs[ins.dst].setInt(x)
+			obj := regs[ins.jmp].Obj()
 			ax2 := ins.aux.aux2
-			if obj.Kind != KObject {
+			if obj == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ax2.pos, "null dereference writing field %s", ax2.s)
+				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.O.Class)
+			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.Class)
 			if hit2 {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.O.Class, ax2.s)
+				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.Class, ax2.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ax2.pos, "class %s has no field %s", obj.O.Class.Name, ax2.s)
+					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", obj.Class.Name, ax2.s)
 				}
 			}
-			fv2 := &obj.O.Fields[slot2]
-			fv2.Kind, fv2.I = KInt, x
+			obj.Fields[slot2].setInt(x)
 
 		case fAddISt, fSubISt, fMulISt:
 			var x int64
 			switch ins.op {
 			case fAddISt:
-				x = regs[ins.a].I + regs[ins.b].I
+				x = regs[ins.a].Int() + regs[ins.b].Int()
 			case fSubISt:
-				x = regs[ins.a].I - regs[ins.b].I
+				x = regs[ins.a].Int() - regs[ins.b].Int()
 			default:
-				x = regs[ins.a].I * regs[ins.b].I
+				x = regs[ins.a].Int() * regs[ins.b].Int()
 			}
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			obj := &regs[ins.jmp]
+			regs[ins.dst].setInt(x)
+			obj := regs[ins.jmp].Obj()
 			ax2 := ins.aux.aux2
-			if obj.Kind != KObject {
+			if obj == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ax2.pos, "null dereference writing field %s", ax2.s)
+				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.O.Class)
+			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.Class)
 			if hit2 {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.O.Class, ax2.s)
+				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.Class, ax2.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ax2.pos, "class %s has no field %s", obj.O.Class.Name, ax2.s)
+					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", obj.Class.Name, ax2.s)
 				}
 			}
-			fv2 := &obj.O.Fields[slot2]
-			fv2.Kind, fv2.I = KInt, x
+			obj.Fields[slot2].setInt(x)
 
 		case fGetAddISt, fGetSubISt, fGetMulISt:
-			recv := &regs[ins.a]
-			if recv.Kind != KObject {
+			recv := regs[ins.a].Obj()
+			if recv == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", recv.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
 				}
 			}
-			fv := &recv.O.Fields[slot]
-			rc := &regs[ins.c]
-			rc.Kind, rc.I, rc.F = fv.Kind, fv.I, fv.F
+			regs[ins.c] = recv.Fields[slot]
 			var x int64
 			switch ins.op {
 			case fGetAddISt:
-				x = regs[ins.c].I + regs[ins.b].I
+				x = regs[ins.c].Int() + regs[ins.b].Int()
 			case fGetSubISt:
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].I - regs[ins.b].I
+					x = regs[ins.c].Int() - regs[ins.b].Int()
 				} else {
-					x = regs[ins.b].I - regs[ins.c].I
+					x = regs[ins.b].Int() - regs[ins.c].Int()
 				}
 			default:
-				x = regs[ins.c].I * regs[ins.b].I
+				x = regs[ins.c].Int() * regs[ins.b].Int()
 			}
-			r := &regs[ins.dst]
-			r.Kind, r.I = KInt, x
-			obj := &regs[ins.jmp]
+			regs[ins.dst].setInt(x)
+			obj := regs[ins.jmp].Obj()
 			ax2 := ins.aux.aux2
-			if obj.Kind != KObject {
+			if obj == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ax2.pos, "null dereference writing field %s", ax2.s)
+				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.O.Class)
+			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.Class)
 			if hit2 {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.O.Class, ax2.s)
+				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.Class, ax2.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ax2.pos, "class %s has no field %s", obj.O.Class.Name, ax2.s)
+					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", obj.Class.Name, ax2.s)
 				}
 			}
-			fv2 := &obj.O.Fields[slot2]
-			fv2.Kind, fv2.I = KInt, x
+			obj.Fields[slot2].setInt(x)
 
 		case fArrAddI, fArrSubI, fArrMulI, fArrAddF, fArrSubF, fArrMulF,
 			fArrAddMvI, fArrSubMvI, fArrMulMvI, fArrAddMvF, fArrSubMvF, fArrMulMvF:
-			arr := &regs[ins.a]
-			if arr.Kind != KArray {
+			arr := regs[ins.a].Arr()
+			if arr == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null array dereference")
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
-			idx := regs[ins.b].I
-			if idx < 0 || idx >= int64(len(arr.A.Elems)) {
+			idx := regs[ins.b].Int()
+			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.A.Elems))
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
-			// Statically numeric (feeds arithmetic): scalar-only copy, as
-			// on getfield+arith.
-			ev := &arr.A.Elems[idx]
-			rc := &regs[ins.c]
-			rc.Kind, rc.I, rc.F = ev.Kind, ev.I, ev.F
+			regs[ins.c] = arr.Elems[idx]
 			// Variant byte as on getfield+arith: original operand order.
 			// The Mv variants additionally copy the result into jmp2.
 			switch ins.op {
 			case fArrAddI, fArrAddMvI:
-				x := regs[ins.c].I + regs[ins.jmp].I
-				r := &regs[ins.dst]
-				r.Kind, r.I = KInt, x
+				x := regs[ins.c].Int() + regs[ins.jmp].Int()
+				regs[ins.dst].setInt(x)
 				if ins.op == fArrAddMvI {
-					m := &regs[ins.jmp2]
-					m.Kind, m.I = KInt, x
+					regs[ins.jmp2].setInt(x)
 				}
 			case fArrSubI, fArrSubMvI:
 				var x int64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].I - regs[ins.jmp].I
+					x = regs[ins.c].Int() - regs[ins.jmp].Int()
 				} else {
-					x = regs[ins.jmp].I - regs[ins.c].I
+					x = regs[ins.jmp].Int() - regs[ins.c].Int()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.I = KInt, x
+				regs[ins.dst].setInt(x)
 				if ins.op == fArrSubMvI {
-					m := &regs[ins.jmp2]
-					m.Kind, m.I = KInt, x
+					regs[ins.jmp2].setInt(x)
 				}
 			case fArrMulI, fArrMulMvI:
-				x := regs[ins.c].I * regs[ins.jmp].I
-				r := &regs[ins.dst]
-				r.Kind, r.I = KInt, x
+				x := regs[ins.c].Int() * regs[ins.jmp].Int()
+				regs[ins.dst].setInt(x)
 				if ins.op == fArrMulMvI {
-					m := &regs[ins.jmp2]
-					m.Kind, m.I = KInt, x
+					regs[ins.jmp2].setInt(x)
 				}
 			case fArrAddF, fArrAddMvF:
 				var x float64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].F + regs[ins.jmp].F
+					x = regs[ins.c].Float() + regs[ins.jmp].Float()
 				} else {
-					x = regs[ins.jmp].F + regs[ins.c].F
+					x = regs[ins.jmp].Float() + regs[ins.c].Float()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.F = KFloat, x
+				regs[ins.dst].setFloat(x)
 				if ins.op == fArrAddMvF {
-					m := &regs[ins.jmp2]
-					m.Kind, m.F = KFloat, x
+					regs[ins.jmp2].setFloat(x)
 				}
 			case fArrSubF, fArrSubMvF:
 				var x float64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].F - regs[ins.jmp].F
+					x = regs[ins.c].Float() - regs[ins.jmp].Float()
 				} else {
-					x = regs[ins.jmp].F - regs[ins.c].F
+					x = regs[ins.jmp].Float() - regs[ins.c].Float()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.F = KFloat, x
+				regs[ins.dst].setFloat(x)
 				if ins.op == fArrSubMvF {
-					m := &regs[ins.jmp2]
-					m.Kind, m.F = KFloat, x
+					regs[ins.jmp2].setFloat(x)
 				}
 			case fArrMulF, fArrMulMvF:
 				var x float64
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].F * regs[ins.jmp].F
+					x = regs[ins.c].Float() * regs[ins.jmp].Float()
 				} else {
-					x = regs[ins.jmp].F * regs[ins.c].F
+					x = regs[ins.jmp].Float() * regs[ins.c].Float()
 				}
-				r := &regs[ins.dst]
-				r.Kind, r.F = KFloat, x
+				regs[ins.dst].setFloat(x)
 				if ins.op == fArrMulMvF {
-					m := &regs[ins.jmp2]
-					m.Kind, m.F = KFloat, x
+					regs[ins.jmp2].setFloat(x)
 				}
 			}
 
 		case fGetSet:
-			src := &regs[ins.a]
-			if src.Kind != KObject {
+			src := regs[ins.a].Obj()
+			if src == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
+				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], src.O.Class)
+			slot, hit := icFieldSlot(&ff.ics[ins.idx], src.Class)
 			if hit {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], src.O.Class, ins.aux.s)
+				slot, ok = icFieldMiss(&ff.ics[ins.idx], src.Class, ins.aux.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ins.aux.pos, "class %s has no field %s", src.O.Class.Name, ins.aux.s)
+					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", src.Class.Name, ins.aux.s)
 				}
 			}
-			regs[ins.c] = src.O.Fields[slot]
+			regs[ins.c] = src.Fields[slot]
 			ax2 := ins.aux.aux2
-			dst := &regs[ins.b]
-			if dst.Kind != KObject {
+			dst := regs[ins.b].Obj()
+			if dst == nil {
 				ex.Cycles = cycles
 				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-				return Value{}, in.errf(fn, ax2.pos, "null dereference writing field %s", ax2.s)
+				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp], dst.O.Class)
+			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp], dst.Class)
 			if hit2 {
 				ich++
 			} else {
 				icm++
 				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp], dst.O.Class, ax2.s)
+				slot2, ok = icFieldMiss(&ff.ics[ins.jmp], dst.Class, ax2.s)
 				if !ok {
 					ex.Cycles = cycles
 					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(fn, ax2.pos, "class %s has no field %s", dst.O.Class.Name, ax2.s)
+					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", dst.Class.Name, ax2.s)
 				}
 			}
-			dst.O.Fields[slot2] = regs[ins.c]
+			dst.Fields[slot2] = regs[ins.c]
 		}
 		pc++
 	}
@@ -1745,48 +1292,48 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 // costs as the walker's name-switch dispatcher.
 func (in *Interp) builtinFast(ff *flatFunc, ins *finstr, regs []Value, ex *Exec) (Value, error) {
 	ax := ins.aux
-	arg := func(i int) Value { return regs[ax.args[i]] }
+	arg := func(i int) *Value { return &regs[ax.args[i]] }
 	switch ins.bi {
 	// --- Math (double) ---
 	case bMathSin:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Sin(arg(0).F)), nil
+		return FloatV(math.Sin(arg(0).Float())), nil
 	case bMathCos:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Cos(arg(0).F)), nil
+		return FloatV(math.Cos(arg(0).Float())), nil
 	case bMathTan:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Tan(arg(0).F)), nil
+		return FloatV(math.Tan(arg(0).Float())), nil
 	case bMathAsin:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Asin(arg(0).F)), nil
+		return FloatV(math.Asin(arg(0).Float())), nil
 	case bMathAcos:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Acos(arg(0).F)), nil
+		return FloatV(math.Acos(arg(0).Float())), nil
 	case bMathAtan:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Atan(arg(0).F)), nil
+		return FloatV(math.Atan(arg(0).Float())), nil
 	case bMathAtan2:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Atan2(arg(0).F, arg(1).F)), nil
+		return FloatV(math.Atan2(arg(0).Float(), arg(1).Float())), nil
 	case bMathSqrt:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Sqrt(arg(0).F)), nil
+		return FloatV(math.Sqrt(arg(0).Float())), nil
 	case bMathExp:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Exp(arg(0).F)), nil
+		return FloatV(math.Exp(arg(0).Float())), nil
 	case bMathLog:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Log(arg(0).F)), nil
+		return FloatV(math.Log(arg(0).Float())), nil
 	case bMathPow:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Pow(arg(0).F, arg(1).F)), nil
+		return FloatV(math.Pow(arg(0).Float(), arg(1).Float())), nil
 	case bMathFloor:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Floor(arg(0).F)), nil
+		return FloatV(math.Floor(arg(0).Float())), nil
 	case bMathCeil:
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Ceil(arg(0).F)), nil
+		return FloatV(math.Ceil(arg(0).Float())), nil
 	case bMathAbsF:
 		ex.Cycles += in.Cost.FloatAdd
 		return FloatV(math.Abs(toF(arg(0)))), nil
@@ -1798,27 +1345,27 @@ func (in *Interp) builtinFast(ff *flatFunc, ins *finstr, regs []Value, ex *Exec)
 		return FloatV(math.Max(toF(arg(0)), toF(arg(1)))), nil
 	case bMathAbsI:
 		ex.Cycles += in.Cost.IntALU
-		v := arg(0).I
+		v := arg(0).Int()
 		if v < 0 {
 			v = -v
 		}
 		return IntV(v), nil
 	case bMathMinI:
 		ex.Cycles += in.Cost.IntALU
-		return IntV(min(arg(0).I, arg(1).I)), nil
+		return IntV(min(arg(0).Int(), arg(1).Int())), nil
 	case bMathMaxI:
 		ex.Cycles += in.Cost.IntALU
-		return IntV(max(arg(0).I, arg(1).I)), nil
+		return IntV(max(arg(0).Int(), arg(1).Int())), nil
 
 	// --- System output ---
 	case bPrintString:
-		in.print(arg(0).S, ex)
+		in.print(arg(0).Str(), ex)
 		return Value{}, nil
 	case bPrintInt:
-		in.print(strconv.FormatInt(arg(0).I, 10), ex)
+		in.print(strconv.FormatInt(arg(0).Int(), 10), ex)
 		return Value{}, nil
 	case bPrintDouble:
-		in.print(strconv.FormatFloat(arg(0).F, 'g', -1, 64), ex)
+		in.print(strconv.FormatFloat(arg(0).Float(), 'g', -1, 64), ex)
 		return Value{}, nil
 	case bPrintln:
 		in.print("\n", ex)
@@ -1827,31 +1374,31 @@ func (in *Interp) builtinFast(ff *flatFunc, ins *finstr, regs []Value, ex *Exec)
 	// --- String ---
 	case bStrLength:
 		ex.Cycles += in.Cost.IntALU
-		return IntV(int64(len(arg(0).S))), nil
+		return IntV(int64(len(arg(0).Str()))), nil
 	case bStrCharAt:
 		ex.Cycles += in.Cost.Mem
-		s, i := arg(0).S, arg(1).I
+		s, i := arg(0).Str(), arg(1).Int()
 		if i < 0 || i >= int64(len(s)) {
 			return Value{}, in.errf(ff.fn, ax.pos, "charAt index %d out of bounds [0,%d)", i, len(s))
 		}
 		return IntV(int64(s[i])), nil
 	case bStrEquals:
-		a, b := arg(0).S, arg(1).S
+		a, b := arg(0).Str(), arg(1).Str()
 		ex.Cycles += in.Cost.StrPerChar * int64(min(int64(len(a)), int64(len(b)))+1)
 		return BoolV(a == b), nil
 	case bStrSubstring:
-		s, lo, hi := arg(0).S, arg(1).I, arg(2).I
+		s, lo, hi := arg(0).Str(), arg(1).Int(), arg(2).Int()
 		if lo < 0 || hi > int64(len(s)) || lo > hi {
 			return Value{}, in.errf(ff.fn, ax.pos, "substring bounds [%d,%d) invalid for length %d", lo, hi, len(s))
 		}
 		ex.Cycles += in.Cost.StrPerChar * (hi - lo)
 		return StrV(s[lo:hi]), nil
 	case bStrIndexOf:
-		s, sub := arg(0).S, arg(1).S
+		s, sub := arg(0).Str(), arg(1).Str()
 		ex.Cycles += in.Cost.StrPerChar * int64(len(s))
 		return IntV(int64(strings.Index(s, sub))), nil
 	case bStrHashCode:
-		s := arg(0).S
+		s := arg(0).Str()
 		ex.Cycles += in.Cost.StrPerChar * int64(len(s))
 		var h int64
 		for i := 0; i < len(s); i++ {

@@ -311,8 +311,8 @@ const (
 	// walker charges MathBuiltin inside the builtin dispatcher (which is
 	// why instrCost(OpCallBuiltin) is zero); here the same charge bakes
 	// into cost so the loop-head budget check covers it, and the arm
-	// skips the whole call path — Exec flush, name dispatch, 64-byte
-	// Value return. These builtins cannot fault and only emit when the
+	// skips the whole call path — Exec flush, name dispatch, Value
+	// return. These builtins cannot fault and only emit when the
 	// result register exists, so trivial task bodies may contain them.
 	fMathUnary
 	fMathBinary
@@ -1101,8 +1101,8 @@ var immCmpBrFused = map[fop]fop{
 }
 
 // getCmpFused maps the integer order compares to their getfield-fused
-// forms (equality is excluded: its operands need not be numeric, so the
-// write-through would have to copy a whole Value).
+// forms (equality is excluded: its operands need not be numeric, and the
+// fused arms compare the scalar words as integers).
 var getCmpFused = map[fop]fop{
 	fLtI: fGetLtI2, fLeI: fGetLeI2,
 	fGtI: fGetGtI2, fGeI: fGetGeI2,

@@ -117,7 +117,7 @@ func (in *Interp) run(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 		copy(regs, args)
 		v, err := in.execFlat(ff, regs, ex)
 		in.finish(ex)
-		return cleanValue(v), err
+		return v.scrubbed(), err
 	}
 	fs := getFrameStack()
 	ex.fs = fs
@@ -127,9 +127,9 @@ func (in *Interp) run(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 	ex.fs = nil
 	putFrameStack(fs)
 	in.finish(ex)
-	// Scrub stale register cold fields so callers see the same Value bits
+	// Scrub a stale register pointer word so callers see the same Value bits
 	// the walker would return.
-	return cleanValue(v), err
+	return v.scrubbed(), err
 }
 
 // finish folds one invocation's inline-cache traffic into the
@@ -281,59 +281,59 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 			case ir.OpAdd:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = FloatV(a.F + b.F)
+					regs[instr.Dst] = FloatV(a.Float() + b.Float())
 				} else {
-					regs[instr.Dst] = IntV(a.I + b.I)
+					regs[instr.Dst] = IntV(a.Int() + b.Int())
 				}
 			case ir.OpSub:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = FloatV(a.F - b.F)
+					regs[instr.Dst] = FloatV(a.Float() - b.Float())
 				} else {
-					regs[instr.Dst] = IntV(a.I - b.I)
+					regs[instr.Dst] = IntV(a.Int() - b.Int())
 				}
 			case ir.OpMul:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = FloatV(a.F * b.F)
+					regs[instr.Dst] = FloatV(a.Float() * b.Float())
 				} else {
-					regs[instr.Dst] = IntV(a.I * b.I)
+					regs[instr.Dst] = IntV(a.Int() * b.Int())
 				}
 			case ir.OpDiv:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = FloatV(a.F / b.F)
+					regs[instr.Dst] = FloatV(a.Float() / b.Float())
 				} else {
-					if b.I == 0 {
+					if b.Int() == 0 {
 						return Value{}, in.errf(fn, instr.Pos, "integer division by zero")
 					}
-					regs[instr.Dst] = IntV(a.I / b.I)
+					regs[instr.Dst] = IntV(a.Int() / b.Int())
 				}
 			case ir.OpRem:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
-				if b.I == 0 {
+				if b.Int() == 0 {
 					return Value{}, in.errf(fn, instr.Pos, "integer modulo by zero")
 				}
-				regs[instr.Dst] = IntV(a.I % b.I)
+				regs[instr.Dst] = IntV(a.Int() % b.Int())
 			case ir.OpNeg:
 				a := regs[instr.Args[0]]
 				if instr.Float {
-					regs[instr.Dst] = FloatV(-a.F)
+					regs[instr.Dst] = FloatV(-a.Float())
 				} else {
-					regs[instr.Dst] = IntV(-a.I)
+					regs[instr.Dst] = IntV(-a.Int())
 				}
 			case ir.OpShl:
-				regs[instr.Dst] = IntV(regs[instr.Args[0]].I << uint(regs[instr.Args[1]].I))
+				regs[instr.Dst] = IntV(regs[instr.Args[0]].Int() << uint(regs[instr.Args[1]].Int()))
 			case ir.OpShr:
-				regs[instr.Dst] = IntV(regs[instr.Args[0]].I >> uint(regs[instr.Args[1]].I))
+				regs[instr.Dst] = IntV(regs[instr.Args[0]].Int() >> uint(regs[instr.Args[1]].Int()))
 			case ir.OpBitAnd:
-				regs[instr.Dst] = IntV(regs[instr.Args[0]].I & regs[instr.Args[1]].I)
+				regs[instr.Dst] = IntV(regs[instr.Args[0]].Int() & regs[instr.Args[1]].Int())
 			case ir.OpBitOr:
-				regs[instr.Dst] = IntV(regs[instr.Args[0]].I | regs[instr.Args[1]].I)
+				regs[instr.Dst] = IntV(regs[instr.Args[0]].Int() | regs[instr.Args[1]].Int())
 			case ir.OpBitXor:
-				regs[instr.Dst] = IntV(regs[instr.Args[0]].I ^ regs[instr.Args[1]].I)
+				regs[instr.Dst] = IntV(regs[instr.Args[0]].Int() ^ regs[instr.Args[1]].Int())
 			case ir.OpNot:
-				regs[instr.Dst] = BoolV(regs[instr.Args[0]].I == 0)
+				regs[instr.Dst] = BoolV(regs[instr.Args[0]].Int() == 0)
 
 			case ir.OpCmpEq:
 				regs[instr.Dst] = BoolV(valueEq(regs[instr.Args[0]], regs[instr.Args[1]]))
@@ -342,46 +342,46 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 			case ir.OpCmpLt:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = BoolV(a.F < b.F)
+					regs[instr.Dst] = BoolV(a.Float() < b.Float())
 				} else {
-					regs[instr.Dst] = BoolV(a.I < b.I)
+					regs[instr.Dst] = BoolV(a.Int() < b.Int())
 				}
 			case ir.OpCmpLe:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = BoolV(a.F <= b.F)
+					regs[instr.Dst] = BoolV(a.Float() <= b.Float())
 				} else {
-					regs[instr.Dst] = BoolV(a.I <= b.I)
+					regs[instr.Dst] = BoolV(a.Int() <= b.Int())
 				}
 			case ir.OpCmpGt:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = BoolV(a.F > b.F)
+					regs[instr.Dst] = BoolV(a.Float() > b.Float())
 				} else {
-					regs[instr.Dst] = BoolV(a.I > b.I)
+					regs[instr.Dst] = BoolV(a.Int() > b.Int())
 				}
 			case ir.OpCmpGe:
 				a, b := regs[instr.Args[0]], regs[instr.Args[1]]
 				if instr.Float {
-					regs[instr.Dst] = BoolV(a.F >= b.F)
+					regs[instr.Dst] = BoolV(a.Float() >= b.Float())
 				} else {
-					regs[instr.Dst] = BoolV(a.I >= b.I)
+					regs[instr.Dst] = BoolV(a.Int() >= b.Int())
 				}
 
 			case ir.OpI2F:
-				regs[instr.Dst] = FloatV(float64(regs[instr.Args[0]].I))
+				regs[instr.Dst] = FloatV(float64(regs[instr.Args[0]].Int()))
 			case ir.OpF2I:
-				regs[instr.Dst] = IntV(int64(regs[instr.Args[0]].F))
+				regs[instr.Dst] = IntV(int64(regs[instr.Args[0]].Float()))
 			case ir.OpI2S:
-				s := strconv.FormatInt(regs[instr.Args[0]].I, 10)
+				s := strconv.FormatInt(regs[instr.Args[0]].Int(), 10)
 				ex.Cycles += in.Cost.StrPerChar * int64(len(s))
 				regs[instr.Dst] = StrV(s)
 			case ir.OpF2S:
-				s := strconv.FormatFloat(regs[instr.Args[0]].F, 'g', -1, 64)
+				s := strconv.FormatFloat(regs[instr.Args[0]].Float(), 'g', -1, 64)
 				ex.Cycles += in.Cost.StrPerChar * int64(len(s))
 				regs[instr.Dst] = StrV(s)
 			case ir.OpConcat:
-				s := regs[instr.Args[0]].S + regs[instr.Args[1]].S
+				s := regs[instr.Args[0]].Str() + regs[instr.Args[1]].Str()
 				ex.Cycles += in.Cost.StrPerChar * int64(len(s))
 				regs[instr.Dst] = StrV(s)
 
@@ -392,51 +392,51 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 			// map lookup on every access; the fast path's inline caches
 			// memoize exactly this lookup.
 			case ir.OpGetField:
-				recv := regs[instr.Args[0]]
-				if recv.Kind != KObject {
+				recv := regs[instr.Args[0]].Obj()
+				if recv == nil {
 					return Value{}, in.errf(fn, instr.Pos, "null dereference reading field %s", instr.Field.Name)
 				}
-				f, ok := recv.O.Class.FieldByName[instr.Field.Name]
+				f, ok := recv.Class.FieldByName[instr.Field.Name]
 				if !ok {
-					return Value{}, in.errf(fn, instr.Pos, "class %s has no field %s", recv.O.Class.Name, instr.Field.Name)
+					return Value{}, in.errf(fn, instr.Pos, "class %s has no field %s", recv.Class.Name, instr.Field.Name)
 				}
-				regs[instr.Dst] = recv.O.Fields[f.Index]
+				regs[instr.Dst] = recv.Fields[f.Index]
 			case ir.OpSetField:
-				recv := regs[instr.Args[0]]
-				if recv.Kind != KObject {
+				recv := regs[instr.Args[0]].Obj()
+				if recv == nil {
 					return Value{}, in.errf(fn, instr.Pos, "null dereference writing field %s", instr.Field.Name)
 				}
-				f, ok := recv.O.Class.FieldByName[instr.Field.Name]
+				f, ok := recv.Class.FieldByName[instr.Field.Name]
 				if !ok {
-					return Value{}, in.errf(fn, instr.Pos, "class %s has no field %s", recv.O.Class.Name, instr.Field.Name)
+					return Value{}, in.errf(fn, instr.Pos, "class %s has no field %s", recv.Class.Name, instr.Field.Name)
 				}
-				recv.O.Fields[f.Index] = regs[instr.Args[1]]
+				recv.Fields[f.Index] = regs[instr.Args[1]]
 			case ir.OpArrGet:
-				arr := regs[instr.Args[0]]
-				if arr.Kind != KArray {
+				arr := regs[instr.Args[0]].Arr()
+				if arr == nil {
 					return Value{}, in.errf(fn, instr.Pos, "null array dereference")
 				}
-				idx := regs[instr.Args[1]].I
-				if idx < 0 || idx >= int64(len(arr.A.Elems)) {
-					return Value{}, in.errf(fn, instr.Pos, "array index %d out of bounds [0,%d)", idx, len(arr.A.Elems))
+				idx := regs[instr.Args[1]].Int()
+				if idx < 0 || idx >= int64(len(arr.Elems)) {
+					return Value{}, in.errf(fn, instr.Pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 				}
-				regs[instr.Dst] = arr.A.Elems[idx]
+				regs[instr.Dst] = arr.Elems[idx]
 			case ir.OpArrSet:
-				arr := regs[instr.Args[0]]
-				if arr.Kind != KArray {
+				arr := regs[instr.Args[0]].Arr()
+				if arr == nil {
 					return Value{}, in.errf(fn, instr.Pos, "null array dereference")
 				}
-				idx := regs[instr.Args[1]].I
-				if idx < 0 || idx >= int64(len(arr.A.Elems)) {
-					return Value{}, in.errf(fn, instr.Pos, "array index %d out of bounds [0,%d)", idx, len(arr.A.Elems))
+				idx := regs[instr.Args[1]].Int()
+				if idx < 0 || idx >= int64(len(arr.Elems)) {
+					return Value{}, in.errf(fn, instr.Pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 				}
-				arr.A.Elems[idx] = regs[instr.Args[2]]
+				arr.Elems[idx] = regs[instr.Args[2]]
 			case ir.OpArrLen:
-				arr := regs[instr.Args[0]]
-				if arr.Kind != KArray {
+				arr := regs[instr.Args[0]].Arr()
+				if arr == nil {
 					return Value{}, in.errf(fn, instr.Pos, "null array dereference")
 				}
-				regs[instr.Dst] = IntV(int64(len(arr.A.Elems)))
+				regs[instr.Dst] = IntV(int64(len(arr.Elems)))
 
 			case ir.OpNewObj:
 				cl := in.Prog.Info.Classes[instr.Class]
@@ -450,13 +450,13 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 					if tv.Kind != KTag {
 						return Value{}, in.errf(fn, instr.Pos, "tag binding with non-tag value")
 					}
-					o.AddTag(tv.T)
+					o.AddTag(tv.Tag())
 					ex.Cycles += in.Cost.TagOp
 				}
 				ex.NewObjects = append(ex.NewObjects, o)
 				regs[instr.Dst] = ObjV(o)
 			case ir.OpNewArr:
-				n := regs[instr.Args[0]].I
+				n := regs[instr.Args[0]].Int()
 				if n < 0 {
 					return Value{}, in.errf(fn, instr.Pos, "negative array length %d", n)
 				}
@@ -466,11 +466,11 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 				regs[instr.Dst] = TagV(in.Heap.NewTag(instr.Str))
 
 			case ir.OpCall:
-				recv := regs[instr.Args[0]]
-				if recv.Kind != KObject {
+				recv := regs[instr.Args[0]].Obj()
+				if recv == nil {
 					return Value{}, in.errf(fn, instr.Pos, "null dereference calling %s", instr.Method)
 				}
-				callee := in.methodOn(recv.O.Class, instr.Method)
+				callee := in.methodOn(recv.Class, instr.Method)
 				if callee == nil {
 					return Value{}, in.errf(fn, instr.Pos, "unknown method %s", instr.Method)
 				}
@@ -498,7 +498,7 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 				blk = fn.Blocks[instr.Blk]
 				goto nextBlock
 			case ir.OpBranch:
-				if regs[instr.Args[0]].I != 0 {
+				if regs[instr.Args[0]].Int() != 0 {
 					blk = fn.Blocks[instr.Blk]
 				} else {
 					blk = fn.Blocks[instr.Blk2]
@@ -527,12 +527,12 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 // parameter objects and records the exit.
 func (in *Interp) applyExit(fn *ir.Func, spec *ir.ExitSpec, regs []Value, ex *Exec) {
 	for _, fa := range spec.FlagOps {
-		obj := regs[fa.Param].O
+		obj := regs[fa.Param].Obj()
 		obj.SetFlag(fa.Index, fa.Value)
 	}
 	for _, ta := range spec.TagOps {
-		obj := regs[ta.Param].O
-		tag := regs[ta.TagReg].T
+		obj := regs[ta.Param].Obj()
+		tag := regs[ta.TagReg].Tag()
 		if ta.Add {
 			obj.AddTag(tag)
 		} else {
@@ -543,79 +543,50 @@ func (in *Interp) applyExit(fn *ir.Func, spec *ir.ExitSpec, regs []Value, ex *Ex
 	ex.ExitID = spec.ID
 }
 
-// valueEq implements ==: numeric equality for ints/doubles, value equality
-// for booleans and strings, reference identity for objects/arrays/tags, and
-// null comparisons.
-func valueEq(a, b Value) bool {
-	switch {
-	case a.Kind == KInt && b.Kind == KInt:
-		return a.I == b.I
-	case a.Kind == KFloat && b.Kind == KFloat:
-		return a.F == b.F
-	case a.Kind == KInt && b.Kind == KFloat:
-		return float64(a.I) == b.F
-	case a.Kind == KFloat && b.Kind == KInt:
-		return a.F == float64(b.I)
-	case a.Kind == KBool && b.Kind == KBool:
-		return a.I == b.I
-	case a.Kind == KString && b.Kind == KString:
-		return a.S == b.S
-	case a.Kind == KNull || b.Kind == KNull:
-		return a.Kind == b.Kind
-	case a.Kind == KObject && b.Kind == KObject:
-		return a.O == b.O
-	case a.Kind == KArray && b.Kind == KArray:
-		return a.A == b.A
-	case a.Kind == KTag && b.Kind == KTag:
-		return a.T == b.T
-	}
-	return false
-}
-
 // builtin dispatches Math.*, System.*, and String.* builtins.
 func (in *Interp) builtin(fn *ir.Func, instr *ir.Instr, regs []Value, ex *Exec) (Value, error) {
-	arg := func(i int) Value { return regs[instr.Args[i]] }
+	arg := func(i int) *Value { return &regs[instr.Args[i]] }
 	switch instr.Builtin {
 	// --- Math (double) ---
 	case "Math.sin":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Sin(arg(0).F)), nil
+		return FloatV(math.Sin(arg(0).Float())), nil
 	case "Math.cos":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Cos(arg(0).F)), nil
+		return FloatV(math.Cos(arg(0).Float())), nil
 	case "Math.tan":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Tan(arg(0).F)), nil
+		return FloatV(math.Tan(arg(0).Float())), nil
 	case "Math.asin":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Asin(arg(0).F)), nil
+		return FloatV(math.Asin(arg(0).Float())), nil
 	case "Math.acos":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Acos(arg(0).F)), nil
+		return FloatV(math.Acos(arg(0).Float())), nil
 	case "Math.atan":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Atan(arg(0).F)), nil
+		return FloatV(math.Atan(arg(0).Float())), nil
 	case "Math.atan2":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Atan2(arg(0).F, arg(1).F)), nil
+		return FloatV(math.Atan2(arg(0).Float(), arg(1).Float())), nil
 	case "Math.sqrt":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Sqrt(arg(0).F)), nil
+		return FloatV(math.Sqrt(arg(0).Float())), nil
 	case "Math.exp":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Exp(arg(0).F)), nil
+		return FloatV(math.Exp(arg(0).Float())), nil
 	case "Math.log":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Log(arg(0).F)), nil
+		return FloatV(math.Log(arg(0).Float())), nil
 	case "Math.pow":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Pow(arg(0).F, arg(1).F)), nil
+		return FloatV(math.Pow(arg(0).Float(), arg(1).Float())), nil
 	case "Math.floor":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Floor(arg(0).F)), nil
+		return FloatV(math.Floor(arg(0).Float())), nil
 	case "Math.ceil":
 		ex.Cycles += in.Cost.MathBuiltin
-		return FloatV(math.Ceil(arg(0).F)), nil
+		return FloatV(math.Ceil(arg(0).Float())), nil
 	case "Math.absF":
 		ex.Cycles += in.Cost.FloatAdd
 		return FloatV(math.Abs(toF(arg(0)))), nil
@@ -627,27 +598,27 @@ func (in *Interp) builtin(fn *ir.Func, instr *ir.Instr, regs []Value, ex *Exec) 
 		return FloatV(math.Max(toF(arg(0)), toF(arg(1)))), nil
 	case "Math.absI":
 		ex.Cycles += in.Cost.IntALU
-		v := arg(0).I
+		v := arg(0).Int()
 		if v < 0 {
 			v = -v
 		}
 		return IntV(v), nil
 	case "Math.minI":
 		ex.Cycles += in.Cost.IntALU
-		return IntV(min(arg(0).I, arg(1).I)), nil
+		return IntV(min(arg(0).Int(), arg(1).Int())), nil
 	case "Math.maxI":
 		ex.Cycles += in.Cost.IntALU
-		return IntV(max(arg(0).I, arg(1).I)), nil
+		return IntV(max(arg(0).Int(), arg(1).Int())), nil
 
 	// --- System output ---
 	case "System.printString":
-		in.print(arg(0).S, ex)
+		in.print(arg(0).Str(), ex)
 		return Value{}, nil
 	case "System.printInt":
-		in.print(strconv.FormatInt(arg(0).I, 10), ex)
+		in.print(strconv.FormatInt(arg(0).Int(), 10), ex)
 		return Value{}, nil
 	case "System.printDouble":
-		in.print(strconv.FormatFloat(arg(0).F, 'g', -1, 64), ex)
+		in.print(strconv.FormatFloat(arg(0).Float(), 'g', -1, 64), ex)
 		return Value{}, nil
 	case "System.println":
 		in.print("\n", ex)
@@ -656,31 +627,31 @@ func (in *Interp) builtin(fn *ir.Func, instr *ir.Instr, regs []Value, ex *Exec) 
 	// --- String ---
 	case "String.length":
 		ex.Cycles += in.Cost.IntALU
-		return IntV(int64(len(arg(0).S))), nil
+		return IntV(int64(len(arg(0).Str()))), nil
 	case "String.charAt":
 		ex.Cycles += in.Cost.Mem
-		s, i := arg(0).S, arg(1).I
+		s, i := arg(0).Str(), arg(1).Int()
 		if i < 0 || i >= int64(len(s)) {
 			return Value{}, in.errf(fn, instr.Pos, "charAt index %d out of bounds [0,%d)", i, len(s))
 		}
 		return IntV(int64(s[i])), nil
 	case "String.equals":
-		a, b := arg(0).S, arg(1).S
+		a, b := arg(0).Str(), arg(1).Str()
 		ex.Cycles += in.Cost.StrPerChar * int64(min(int64(len(a)), int64(len(b)))+1)
 		return BoolV(a == b), nil
 	case "String.substring":
-		s, lo, hi := arg(0).S, arg(1).I, arg(2).I
+		s, lo, hi := arg(0).Str(), arg(1).Int(), arg(2).Int()
 		if lo < 0 || hi > int64(len(s)) || lo > hi {
 			return Value{}, in.errf(fn, instr.Pos, "substring bounds [%d,%d) invalid for length %d", lo, hi, len(s))
 		}
 		ex.Cycles += in.Cost.StrPerChar * (hi - lo)
 		return StrV(s[lo:hi]), nil
 	case "String.indexOf":
-		s, sub := arg(0).S, arg(1).S
+		s, sub := arg(0).Str(), arg(1).Str()
 		ex.Cycles += in.Cost.StrPerChar * int64(len(s))
 		return IntV(int64(strings.Index(s, sub))), nil
 	case "String.hashCode":
-		s := arg(0).S
+		s := arg(0).Str()
 		ex.Cycles += in.Cost.StrPerChar * int64(len(s))
 		var h int64
 		for i := 0; i < len(s); i++ {
@@ -691,11 +662,11 @@ func (in *Interp) builtin(fn *ir.Func, instr *ir.Instr, regs []Value, ex *Exec) 
 	return Value{}, in.errf(fn, instr.Pos, "unknown builtin %s", instr.Builtin)
 }
 
-func toF(v Value) float64 {
+func toF(v *Value) float64 {
 	if v.Kind == KInt {
-		return float64(v.I)
+		return float64(v.Int())
 	}
-	return v.F
+	return v.Float()
 }
 
 func (in *Interp) print(s string, ex *Exec) {

@@ -57,15 +57,15 @@ func TestArithmetic(t *testing.T) {
 	}`
 	v, _ := callMethod(t, src, "C", "f", IntV(10), IntV(3))
 	want := (10+3)*(10-3)/2 + 10%3
-	if v.I != int64(want) {
-		t.Errorf("f(10,3) = %d, want %d", v.I, want)
+	if v.Int() != int64(want) {
+		t.Errorf("f(10,3) = %d, want %d", v.Int(), want)
 	}
 	v, _ = callMethod(t, src, "C", "g", FloatV(4.0))
-	if got, want := v.F, 4.0*4.0-4.0/2.0+1.5; got != want {
+	if got, want := v.Float(), 4.0*4.0-4.0/2.0+1.5; got != want {
 		t.Errorf("g(4) = %g, want %g", got, want)
 	}
 	v, _ = callMethod(t, src, "C", "bits", IntV(9))
-	if got, want := v.I, int64(((9<<3)|5)&127^3); got != want {
+	if got, want := v.Int(), int64(((9<<3)|5)&127^3); got != want {
 		t.Errorf("bits(9) = %d, want %d", got, want)
 	}
 }
@@ -95,14 +95,14 @@ func TestControlFlow(t *testing.T) {
 			return steps;
 		}
 	}`
-	if v, _ := callMethod(t, src, "C", "fib", IntV(12)); v.I != 144 {
-		t.Errorf("fib(12) = %d, want 144", v.I)
+	if v, _ := callMethod(t, src, "C", "fib", IntV(12)); v.Int() != 144 {
+		t.Errorf("fib(12) = %d, want 144", v.Int())
 	}
-	if v, _ := callMethod(t, src, "C", "sumEvens", IntV(10)); v.I != 30 {
-		t.Errorf("sumEvens(10) = %d, want 30", v.I)
+	if v, _ := callMethod(t, src, "C", "sumEvens", IntV(10)); v.Int() != 30 {
+		t.Errorf("sumEvens(10) = %d, want 30", v.Int())
 	}
-	if v, _ := callMethod(t, src, "C", "countdown", IntV(7)); v.I != 7 {
-		t.Errorf("countdown(7) = %d, want 7", v.I)
+	if v, _ := callMethod(t, src, "C", "countdown", IntV(7)); v.Int() != 7 {
+		t.Errorf("countdown(7) = %d, want 7", v.Int())
 	}
 }
 
@@ -117,8 +117,8 @@ func TestShortCircuit(t *testing.T) {
 			return calls;
 		}
 	}`
-	if v, _ := callMethod(t, src, "C", "test"); v.I != 1 {
-		t.Errorf("short-circuit evaluated bump %d times, want 1", v.I)
+	if v, _ := callMethod(t, src, "C", "test"); v.Int() != 1 {
+		t.Errorf("short-circuit evaluated bump %d times, want 1", v.Int())
 	}
 }
 
@@ -139,8 +139,8 @@ func TestObjectsAndFields(t *testing.T) {
 			return a.dist(b);
 		}
 	}`
-	if v, _ := callMethod(t, src, "C", "run"); math.Abs(v.F-5.0) > 1e-12 {
-		t.Errorf("dist = %g, want 5", v.F)
+	if v, _ := callMethod(t, src, "C", "run"); math.Abs(v.Float()-5.0) > 1e-12 {
+		t.Errorf("dist = %g, want 5", v.Float())
 	}
 }
 
@@ -166,11 +166,11 @@ func TestArrays(t *testing.T) {
 			return tr;
 		}
 	}`
-	if v, _ := callMethod(t, src, "C", "sum", IntV(10)); v.I != 285 {
-		t.Errorf("sum(10) = %d, want 285", v.I)
+	if v, _ := callMethod(t, src, "C", "sum", IntV(10)); v.Int() != 285 {
+		t.Errorf("sum(10) = %d, want 285", v.Int())
 	}
-	if v, _ := callMethod(t, src, "C", "matTrace", IntV(4)); v.F != 10.0 {
-		t.Errorf("matTrace(4) = %g, want 10", v.F)
+	if v, _ := callMethod(t, src, "C", "matTrace", IntV(4)); v.Float() != 10.0 {
+		t.Errorf("matTrace(4) = %g, want 10", v.Float())
 	}
 }
 
@@ -190,20 +190,20 @@ func TestStrings(t *testing.T) {
 		String mid(String s) { return s.substring(1, 3); }
 		int find(String s) { return s.indexOf("lo"); }
 	}`
-	if v, _ := callMethod(t, src, "C", "label", IntV(3), FloatV(1.5)); v.S != "n=3 d=1.5" {
-		t.Errorf("label = %q", v.S)
+	if v, _ := callMethod(t, src, "C", "label", IntV(3), FloatV(1.5)); v.Str() != "n=3 d=1.5" {
+		t.Errorf("label = %q", v.Str())
 	}
-	if v, _ := callMethod(t, src, "C", "vowels", StrV("education")); v.I != 5 {
-		t.Errorf("vowels = %d, want 5", v.I)
+	if v, _ := callMethod(t, src, "C", "vowels", StrV("education")); v.Int() != 5 {
+		t.Errorf("vowels = %d, want 5", v.Int())
 	}
 	if v, _ := callMethod(t, src, "C", "same", StrV("ab"), StrV("ab")); !v.Bool() {
 		t.Error("same(ab,ab) = false")
 	}
-	if v, _ := callMethod(t, src, "C", "mid", StrV("hello")); v.S != "el" {
-		t.Errorf("mid = %q, want el", v.S)
+	if v, _ := callMethod(t, src, "C", "mid", StrV("hello")); v.Str() != "el" {
+		t.Errorf("mid = %q, want el", v.Str())
 	}
-	if v, _ := callMethod(t, src, "C", "find", StrV("hello")); v.I != 3 {
-		t.Errorf("find = %d, want 3", v.I)
+	if v, _ := callMethod(t, src, "C", "find", StrV("hello")); v.Int() != 3 {
+		t.Errorf("find = %d, want 3", v.Int())
 	}
 }
 
@@ -212,11 +212,11 @@ func TestMathBuiltins(t *testing.T) {
 		double f(double x) { return Math.pow(Math.sin(x), 2.0) + Math.pow(Math.cos(x), 2.0); }
 		int imax(int a, int b) { return Math.max(a, b) + Math.min(a, b) + Math.abs(0 - a); }
 	}`
-	if v, _ := callMethod(t, src, "C", "f", FloatV(0.7)); math.Abs(v.F-1.0) > 1e-12 {
-		t.Errorf("sin^2+cos^2 = %g, want 1", v.F)
+	if v, _ := callMethod(t, src, "C", "f", FloatV(0.7)); math.Abs(v.Float()-1.0) > 1e-12 {
+		t.Errorf("sin^2+cos^2 = %g, want 1", v.Float())
 	}
-	if v, _ := callMethod(t, src, "C", "imax", IntV(3), IntV(8)); v.I != 3+8+3 {
-		t.Errorf("imax = %d, want 14", v.I)
+	if v, _ := callMethod(t, src, "C", "imax", IntV(3), IntV(8)); v.Int() != 3+8+3 {
+		t.Errorf("imax = %d, want 14", v.Int())
 	}
 }
 
@@ -368,7 +368,7 @@ func TestRunTask(t *testing.T) {
 	if lastExit != 0 { // first taskexit (finished := true) on the final merge
 		t.Errorf("final merge exit = %d, want 0", lastExit)
 	}
-	if got := results.Fields[0].I; got != 0+10+20+30 {
+	if got := results.Fields[0].Int(); got != 0+10+20+30 {
 		t.Errorf("total = %d, want 60", got)
 	}
 	finishedIdx := irp.Info.Classes["Results"].FlagIndex["finished"]
@@ -405,7 +405,7 @@ task finish(D d in !dirty with pair t, I im in done with pair t) {
 		t.Fatalf("tag binding wrong: im=%v d=%v", im.Tags(), d.Tags())
 	}
 	tag := im.Tags()[0]
-	if tag.Type != "pair" || len(tag.Bound()) != 2 {
+	if tag.Type != "pair" || !im.HasTag(tag) || !d.HasTag(tag) || d.TagCount("pair") != 1 {
 		t.Errorf("tag = %+v", tag)
 	}
 	// Drive im to done and run finish with the tag bound as hidden param.
@@ -414,8 +414,8 @@ task finish(D d in !dirty with pair t, I im in done with pair t) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Tags()) != 0 || len(im.Tags()) != 0 || len(tag.Bound()) != 0 {
-		t.Errorf("clear failed: d=%v im=%v bound=%v", d.Tags(), im.Tags(), tag.Bound())
+	if len(d.Tags()) != 0 || len(im.Tags()) != 0 || d.HasTag(tag) || im.HasTag(tag) {
+		t.Errorf("clear failed: d=%v im=%v", d.Tags(), im.Tags())
 	}
 }
 
@@ -451,7 +451,7 @@ func TestQuickIntArithmetic(t *testing.T) {
 			return false
 		}
 		want := int64(a)*3 + int64(b)*int64(b) - (int64(a) - int64(b))
-		return v.I == want
+		return v.Int() == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -77,8 +77,8 @@ func TestStringIndexOf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("indexOf(%q, %q): %v", c.s, c.sub, err)
 		}
-		if v.I != c.want {
-			t.Errorf("indexOf(%q, %q) = %d, want %d", c.s, c.sub, v.I, c.want)
+		if v.Int() != c.want {
+			t.Errorf("indexOf(%q, %q) = %d, want %d", c.s, c.sub, v.Int(), c.want)
 		}
 	}
 }
@@ -100,8 +100,8 @@ func TestStringHashCode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("hashCode(%q): %v", c.s, err)
 		}
-		if v.I != c.want {
-			t.Errorf("hashCode(%q) = %d, want %d", c.s, v.I, c.want)
+		if v.Int() != c.want {
+			t.Errorf("hashCode(%q) = %d, want %d", c.s, v.Int(), c.want)
 		}
 	}
 }
@@ -126,23 +126,23 @@ func TestStringEqualsAndLength(t *testing.T) {
 			t.Errorf("equals(%q, %q) = %v, want %v", c.a, c.b, v.Bool(), c.want)
 		}
 	}
-	if v, _ := callString(t, "len", StrV("hello")); v.I != 5 {
-		t.Errorf("length = %d, want 5", v.I)
+	if v, _ := callString(t, "len", StrV("hello")); v.Int() != 5 {
+		t.Errorf("length = %d, want 5", v.Int())
 	}
-	if v, _ := callString(t, "len", StrV("")); v.I != 0 {
-		t.Errorf("length of empty = %d, want 0", v.I)
+	if v, _ := callString(t, "len", StrV("")); v.Int() != 0 {
+		t.Errorf("length of empty = %d, want 0", v.Int())
 	}
 }
 
 func TestStringSubstring(t *testing.T) {
-	if v, err := callString(t, "cut", StrV("hello"), IntV(1), IntV(3)); err != nil || v.S != "el" {
-		t.Errorf("substring(1,3) = %q (%v), want \"el\"", v.S, err)
+	if v, err := callString(t, "cut", StrV("hello"), IntV(1), IntV(3)); err != nil || v.Str() != "el" {
+		t.Errorf("substring(1,3) = %q (%v), want \"el\"", v.Str(), err)
 	}
-	if v, err := callString(t, "cut", StrV("hello"), IntV(2), IntV(2)); err != nil || v.S != "" {
-		t.Errorf("substring(2,2) = %q (%v), want \"\"", v.S, err)
+	if v, err := callString(t, "cut", StrV("hello"), IntV(2), IntV(2)); err != nil || v.Str() != "" {
+		t.Errorf("substring(2,2) = %q (%v), want \"\"", v.Str(), err)
 	}
-	if v, err := callString(t, "cut", StrV("hello"), IntV(0), IntV(5)); err != nil || v.S != "hello" {
-		t.Errorf("substring(0,5) = %q (%v), want \"hello\"", v.S, err)
+	if v, err := callString(t, "cut", StrV("hello"), IntV(0), IntV(5)); err != nil || v.Str() != "hello" {
+		t.Errorf("substring(0,5) = %q (%v), want \"hello\"", v.Str(), err)
 	}
 	for _, bad := range [][2]int64{{-1, 2}, {0, 6}, {3, 1}} {
 		_, err := callString(t, "cut", StrV("hello"), IntV(bad[0]), IntV(bad[1]))
@@ -153,8 +153,8 @@ func TestStringSubstring(t *testing.T) {
 }
 
 func TestStringCharAtBounds(t *testing.T) {
-	if v, err := callString(t, "at", StrV("abc"), IntV(2)); err != nil || v.I != 'c' {
-		t.Errorf("charAt(2) = %d (%v), want 'c'", v.I, err)
+	if v, err := callString(t, "at", StrV("abc"), IntV(2)); err != nil || v.Int() != 'c' {
+		t.Errorf("charAt(2) = %d (%v), want 'c'", v.Int(), err)
 	}
 	for _, i := range []int64{-1, 3} {
 		_, err := callString(t, "at", StrV("abc"), IntV(i))

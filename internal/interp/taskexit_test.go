@@ -40,7 +40,7 @@ func TestTrivialTaskExitAllocs(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("trivial taskexit allocates %.1f objects per invocation, want <= 1", allocs)
 	}
-	if obj.Fields[0].I == 0 {
+	if obj.Fields[0].Int() == 0 {
 		t.Fatal("task body did not run")
 	}
 }

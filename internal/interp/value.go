@@ -10,8 +10,10 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/types"
@@ -20,7 +22,8 @@ import (
 // Kind tags the dynamic type of a Value.
 type Kind uint8
 
-// Value kinds.
+// Value kinds. The kinds below KString are the scalar ones: their pointer
+// word carries nothing (scrubbed relies on the order).
 const (
 	KInvalid Kind = iota
 	KInt
@@ -33,68 +36,164 @@ const (
 	KTag
 )
 
-// Value is a Bamboo runtime value.
+// Value is a Bamboo runtime value in three words (24 bytes): the kind, one
+// scalar word and one pointer word. Every register, field and array element
+// is one of these, so the layout is private to this file and everything
+// else goes through the constructors and accessors below.
+//
+//   - n holds an int, a bool (0/1), the math.Float64bits of a double, or a
+//     string's length; it is zero for null, objects, arrays and tags.
+//   - p holds the *Object, *Array or *Tag, or a string's unsafe.StringData.
+//     It is always a real Go pointer or nil — never a uintptr, never an
+//     integer in disguise — so the collector can mark through it whatever
+//     Kind says.
+//
+// The fast dispatcher overwrites numeric registers in place (Kind and n
+// only, see setInt), which can leave a stale pointer under a scalar Kind.
+// That is harmless: p is converted back to a typed pointer only under the
+// Kind that stored it (Str, Obj, Arr and Tag check), the stale pointee is
+// merely kept alive a little longer, and Interp.run scrubs the one Value
+// that escapes to callers. Pointer kinds are only ever written whole, so
+// their (n, p) pair is exactly what the constructor made.
 type Value struct {
 	Kind Kind
-	I    int64
-	F    float64
-	S    string
-	O    *Object
-	A    *Array
-	T    *Tag
+	n    uint64
+	p    unsafe.Pointer
 }
 
 // Convenience constructors.
-func IntV(i int64) Value     { return Value{Kind: KInt, I: i} }
-func FloatV(f float64) Value { return Value{Kind: KFloat, F: f} }
-func BoolV(b bool) Value {
-	v := Value{Kind: KBool}
-	if b {
-		v.I = 1
-	}
-	return v
+func IntV(i int64) Value     { return Value{Kind: KInt, n: uint64(i)} }
+func FloatV(f float64) Value { return Value{Kind: KFloat, n: math.Float64bits(f)} }
+func BoolV(b bool) Value     { return Value{Kind: KBool, n: b2u(b)} }
+func StrV(s string) Value {
+	return Value{Kind: KString, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
 }
-func StrV(s string) Value { return Value{Kind: KString, S: s} }
-func NullV() Value        { return Value{Kind: KNull} }
+func NullV() Value { return Value{Kind: KNull} }
 func ObjV(o *Object) Value {
 	if o == nil {
 		return NullV()
 	}
-	return Value{Kind: KObject, O: o}
+	return Value{Kind: KObject, p: unsafe.Pointer(o)}
 }
 func ArrV(a *Array) Value {
 	if a == nil {
 		return NullV()
 	}
-	return Value{Kind: KArray, A: a}
+	return Value{Kind: KArray, p: unsafe.Pointer(a)}
 }
-func TagV(t *Tag) Value { return Value{Kind: KTag, T: t} }
+func TagV(t *Tag) Value { return Value{Kind: KTag, p: unsafe.Pointer(t)} }
 
-// Bool reports the boolean value (valid for KBool).
-func (v Value) Bool() bool { return v.I != 0 }
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Scalar accessors reinterpret the scalar word and are meaningful only for
+// the Kind they name (Int also reads a bool as 0/1). Float reads through a
+// pointer so a register's double loads straight into a float register; the
+// compiler does not fold math.Float64frombits into an indexed load.
+func (v Value) Int() int64      { return int64(v.n) }
+func (v *Value) Float() float64 { return *(*float64)(unsafe.Pointer(&v.n)) }
+func (v Value) Bool() bool      { return v.n != 0 }
+
+// Pointer accessors convert the pointer word only under the Kind that
+// stored it; any other Kind reads as "" or nil (so a null String is empty).
+func (v Value) Str() string {
+	if v.Kind != KString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
+func (v Value) Obj() *Object {
+	if v.Kind != KObject {
+		return nil
+	}
+	return (*Object)(v.p)
+}
+func (v Value) Arr() *Array {
+	if v.Kind != KArray {
+		return nil
+	}
+	return (*Array)(v.p)
+}
+func (v Value) Tag() *Tag {
+	if v.Kind != KTag {
+		return nil
+	}
+	return (*Tag)(v.p)
+}
+
+// In-place scalar writes for the fast dispatcher's numeric arms: Kind and
+// the scalar word only, no pointer store and so no write barrier.
+func (v *Value) setInt(x int64)     { v.Kind, v.n = KInt, uint64(x) }
+func (v *Value) setFloat(x float64) { v.Kind, v.n = KFloat, math.Float64bits(x) }
+func (v *Value) setBool(b bool)     { v.Kind, v.n = KBool, b2u(b) }
+
+// scrubbed drops the stale pointer word an in-place scalar write may have
+// left, so a Value handed to callers has the bits its constructor makes.
+func (v Value) scrubbed() Value {
+	if v.Kind < KString {
+		v.p = nil
+	}
+	return v
+}
+
+// valueEq implements ==: numeric equality for ints/doubles (doubles compare
+// as doubles: NaN != NaN, -0 == 0), value equality for booleans and
+// strings, reference identity for objects/arrays/tags, and null
+// comparisons.
+func valueEq(a, b Value) bool {
+	if a.Kind != b.Kind {
+		switch {
+		case a.Kind == KInt && b.Kind == KFloat:
+			return float64(a.Int()) == b.Float()
+		case a.Kind == KFloat && b.Kind == KInt:
+			return a.Float() == float64(b.Int())
+		}
+		return false
+	}
+	switch a.Kind {
+	case KInt, KBool:
+		return a.n == b.n
+	case KFloat:
+		return a.Float() == b.Float()
+	case KString:
+		return a.Str() == b.Str()
+	case KNull:
+		return true
+	case KObject, KArray, KTag:
+		return a.p == b.p
+	}
+	return false
+}
 
 // String renders the value for diagnostics and printing.
 func (v Value) String() string {
 	switch v.Kind {
 	case KInt:
-		return fmt.Sprintf("%d", v.I)
+		return fmt.Sprintf("%d", v.Int())
 	case KFloat:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.Float())
 	case KBool:
-		if v.I != 0 {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"
 	case KString:
-		return v.S
+		return v.Str()
 	case KNull:
 		return "null"
 	case KObject:
-		return fmt.Sprintf("%s#%d", v.O.Class.Name, v.O.ID)
+		o := v.Obj()
+		return fmt.Sprintf("%s#%d", o.Class.Name, o.ID)
 	case KArray:
-		return fmt.Sprintf("array#%d[%d]", v.A.ID, len(v.A.Elems))
+		a := v.Arr()
+		return fmt.Sprintf("array#%d[%d]", a.ID, len(a.Elems))
 	case KTag:
-		return fmt.Sprintf("tag:%s#%d", v.T.Type, v.T.ID)
+		t := v.Tag()
+		return fmt.Sprintf("tag:%s#%d", t.Type, t.ID)
 	}
 	return "<invalid>"
 }
@@ -167,7 +266,7 @@ func (o *Object) TagCount(tagType string) int {
 	return n
 }
 
-// AddTag binds tag instance t (idempotent) and records the back reference.
+// AddTag binds tag instance t (idempotent).
 // Callers must hold the object's parameter lock or own it exclusively.
 func (o *Object) AddTag(t *Tag) {
 	if o.HasTag(t) {
@@ -175,7 +274,6 @@ func (o *Object) AddTag(t *Tag) {
 	}
 	next := append(append([]*Tag(nil), o.Tags()...), t)
 	o.tags.Store(&next)
-	t.bind(o)
 }
 
 // ClearTag removes the binding of tag instance t. Callers must hold the
@@ -189,7 +287,6 @@ func (o *Object) ClearTag(t *Tag) {
 		}
 	}
 	o.tags.Store(&next)
-	t.unbind(o)
 }
 
 // TryLock attempts to acquire the object's parameter lock.
@@ -205,39 +302,12 @@ type Array struct {
 	Elems []Value
 }
 
-// Tag is a tag instance. It holds back references to every object the
-// instance is bound to — the runtime uses these to prune task invocations
-// with tag constraints (Section 4.7 of the paper).
+// Tag is a tag instance. Objects point at the instances they are bound to
+// (Object.Tags); the instance keeps no back references — the runtime's
+// parameter sets index objects by tag instance themselves.
 type Tag struct {
 	ID   int64
 	Type string
-
-	mu    sync.Mutex
-	bound []*Object
-}
-
-// Bound returns a snapshot of the objects this tag instance is bound to.
-func (t *Tag) Bound() []*Object {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]*Object(nil), t.bound...)
-}
-
-func (t *Tag) bind(o *Object) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.bound = append(t.bound, o)
-}
-
-func (t *Tag) unbind(o *Object) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, b := range t.bound {
-		if b == o {
-			t.bound = append(t.bound[:i], t.bound[i+1:]...)
-			return
-		}
-	}
 }
 
 // Heap issues deterministic object/array/tag identities. It is safe for
