@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bamboort"
 	"repro/internal/expt"
 	"repro/internal/machine"
 )
@@ -83,7 +82,7 @@ func run(exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int
 		fmt.Println(expt.FormatFig11(rows, cores))
 	}
 	if exp == "fidelity" {
-		rows, err := expt.FidelityAll(4, bamboort.SchedPolicy{})
+		rows, err := expt.FidelityAll(4)
 		if err != nil {
 			return err
 		}

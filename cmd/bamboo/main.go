@@ -7,7 +7,7 @@
 //
 //	bamboo run        -file prog.bb [-args a,b,c] [-cores N] [-seed S] [-O]
 //	                  [-trace] [-trace-out t.json] [-concurrent] [-metrics-out m.json]
-//	                  [-no-steal] [-inject-panic-every N] [-inject-delay-every N]
+//	                  [-inject-panic-every N] [-inject-delay-every N]
 //	                  [-stall-timeout d]    (Ctrl-C cancels and still flushes outputs)
 //	bamboo profile    -file prog.bb [-args a,b,c] [-o profile.json] [-O]
 //	bamboo synthesize -file prog.bb [-args a,b,c] [-cores N] [-seed S] [-O]
@@ -157,7 +157,6 @@ func cmdRun(argv []string) error {
 	seed := fs.Int64("seed", 1, "synthesis search seed")
 	seq := fs.Bool("seq", false, "run the zero-overhead sequential baseline")
 	conc := fs.Bool("concurrent", false, "execute on the concurrent engine (goroutine per core, wall-clock trace)")
-	noSteal := fs.Bool("no-steal", false, "disable work stealing in the concurrent engine")
 	panicEvery := fs.Int("inject-panic-every", 0, "inject a crash into every Nth concurrent invocation (0 = none)")
 	delayEvery := fs.Int("inject-delay-every", 0, "inject a 1ms stall into every Nth concurrent invocation (0 = none)")
 	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault injector")
@@ -287,15 +286,13 @@ func cmdRun(argv []string) error {
 		res, err := sys.Exec(ctx, core.ExecConfig{
 			Engine: core.Concurrent,
 			Layout: lay, Args: args, Out: os.Stdout, Trace: tr, Metrics: mx,
-			Sched: bamboort.SchedPolicy{DisableStealing: *noSteal},
 			Fault: bamboort.FaultPolicy{Injector: inj, StallTimeout: *stall},
 		})
 		if err != nil {
 			return flush(err)
 		}
-		snap := mx.Snapshot()
-		fmt.Printf("-- concurrent, %d cores: %d invocations, %d steals, %d retries\n",
-			lay.NumCores, res.Invocations, snap.StealSuccesses, snap.Retries)
+		fmt.Printf("-- concurrent, %d cores: %d invocations, %d contention skips, %d retries\n",
+			lay.NumCores, res.Invocations, mx.ContentionSkips.Load(), mx.Retries.Load())
 		return flush(nil)
 	}
 	res, err := sys.Exec(ctx, core.ExecConfig{
@@ -635,23 +632,21 @@ func cmdFidelity(args []string) error {
 	fs := flag.NewFlagSet("fidelity", flag.ExitOnError)
 	cores := fs.Int("cores", 4, "number of cores")
 	name := fs.String("name", "", "restrict to one embedded benchmark")
-	noSteal := fs.Bool("no-steal", false, "disable work stealing in the measured run")
 	fs.Parse(args)
-	sched := bamboort.SchedPolicy{DisableStealing: *noSteal}
 	var rows []*expt.FidelityRow
 	if *name != "" {
 		b, err := benchmarks.Get(*name)
 		if err != nil {
 			return err
 		}
-		row, err := expt.Fidelity(b, nil, *cores, nil, sched)
+		row, err := expt.Fidelity(b, nil, *cores, nil)
 		if err != nil {
 			return err
 		}
 		rows = append(rows, row)
 	} else {
 		var err error
-		rows, err = expt.FidelityAll(*cores, sched)
+		rows, err = expt.FidelityAll(*cores)
 		if err != nil {
 			return err
 		}

@@ -38,8 +38,6 @@
 //	GET    /varz                     cache/queue/session/latency aggregates
 //
 // Every /v1 error is the uniform envelope {code, message, retryAfterMs}.
-// The pre-/v1 job routes under /api/v1/ remain as deprecated aliases for
-// one release, keeping their original error shape.
 //
 // SIGINT/SIGTERM starts a graceful drain: new submissions and feeds get
 // 503 + Retry-After, accepted work runs to completion, live sessions are

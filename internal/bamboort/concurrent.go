@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 	"sync"
@@ -19,32 +18,32 @@ import (
 )
 
 // delivery is one message on a core's inbox: an object for a parameter set,
-// or a poke (obj == nil) prompting a rescan after a remote unlock.
+// or a poke (obj == nil) prompting a rescan after another core released a
+// lock the receiver had skipped on.
 type delivery struct {
 	ht    int32 // index of the hosted task on the receiving core
 	param int32
 	obj   *interp.Object
 }
 
-// ccore is one core of the concurrent runtime. mu guards the scheduler
-// state — parameter sets and arrival sequencing — so a thieving core can
-// bind and claim invocations from a victim's sets; the inbox is drained
-// only by the owning worker (and by the coordinator in degraded drain).
+// ccore is one core of the concurrent runtime. Only its worker touches its
+// scheduler state (the coordinator does in the degraded drain, once the
+// workers have exited), so none of it is locked; other cores reach it
+// through the inbox and the waiting flag.
 type ccore struct {
 	id    int
 	inbox chan delivery
-	// pokePending is set while a poke sits unconsumed in the inbox. A poke
-	// only prompts a rescan, so senders suppress duplicates: the pending
-	// poke guarantees a rescan is still coming. Cleared in receive, under
-	// the consumer's inbox drain.
-	pokePending atomic.Bool
+	// waiting announces that the core skipped on a held lock and ran dry:
+	// whoever next releases locks clears it and pokes the core (see take).
+	waiting atomic.Bool
 
-	mu sync.Mutex
 	*runq
 	arrSeq int64
-	// ran counts the invocations this core executed, by task index; only
-	// its worker (the coordinator, once workers stopped) writes it.
+	// ran counts the invocations this core executed, by task index.
 	ran []int64
+	// failures counts, for bounded retry, the failed attempts of the core's
+	// invocations that have not succeeded since (nil until one fails).
+	failures map[string]int
 }
 
 // ctracer records wall-clock spans for a concurrent run, appended in
@@ -100,30 +99,22 @@ type crun struct {
 	// degraded flips when a core is poisoned: workers stop dispatching and
 	// the coordinator drains the remaining work sequentially.
 	degraded atomic.Bool
-
-	// failures counts, for bounded retry, the failed attempts of
-	// invocations that have not succeeded since; nFailing is its size, so
-	// the success path skips the lock while nothing is failing.
-	failMu   sync.Mutex
-	failures map[string]int
-	nFailing atomic.Int64
 }
 
 // RunConcurrent executes the program with real parallelism: one goroutine
 // per layout core, channels as the on-chip network, and per-object mutexes
 // implementing the runtime's parameter locks. It is not cycle accurate —
 // it validates that the runtime protocol (guarded dispatch, lock-or-skip,
-// tag routing, work stealing) is correct under true concurrency. Programs
-// whose observable output is order-independent produce the same output as
-// the deterministic engine; a task's output is written whole, at commit.
+// tag routing) is correct under true concurrency. Programs whose observable
+// output is order-independent produce the same output as the deterministic
+// engine; a task's output is written whole, at commit.
 //
-// Scheduling: each core runs, of its hosted tasks' first bindable
-// invocations, the one that became ready first. When guard matching comes
-// up empty it probes other cores in random order and steals the newest
-// ready invocation of a victim (opts.Sched). A stolen invocation keeps the
-// paper's transactional semantics: the thief acquires all parameter locks
-// in canonical (ascending object ID) order, re-validates the guards, and
-// only then claims the objects from the victim's parameter sets.
+// Scheduling is the paper's owner dispatch and nothing else: a core runs
+// only what the layout placed on it — of its hosted tasks' first bindable
+// invocations, the one that became ready first — after acquiring all
+// parameter locks in canonical (ascending object ID) order with try-locks
+// and re-validating the guards. An object routed to a core wakes it; a core
+// that skipped on a held lock asks the holder for a poke (see take).
 //
 // Failure containment (opts.Fault): every attempt snapshots its parameter
 // objects' flag/tag state; a panic — real or injected via the faultinject
@@ -137,8 +128,8 @@ type crun struct {
 // run start) per invocation with parameter object IDs and dependence edges
 // — the measured counterpart of schedsim's predicted schedule — and
 // opts.Metrics counts locks, contention, guard rechecks, deliveries, pokes,
-// inbox depths, steals, retries, rollbacks, timeouts, panics and poisoned
-// cores. Both default to nil and every site is gated on a nil check, so
+// inbox depths, retries, rollbacks, timeouts, panics and poisoned cores.
+// Both default to nil and every site is gated on a nil check, so
 // observability costs nothing when off.
 func RunConcurrent(ctx context.Context, prog *ir.Program, dep *depend.Result, opts Options) (*Result, error) {
 	if ctx == nil {
@@ -183,12 +174,11 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 	n := opts.Layout.NumCores
 	r := &crun{
 		prog: prog, opts: opts, in: newInterp(prog, opts), plan: pl,
-		cores:    make([]*ccore, n),
-		mx:       opts.Metrics,
-		trc:      trc,
-		wake:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		failures: map[string]int{},
+		cores: make([]*ccore, n),
+		mx:    opts.Metrics,
+		trc:   trc,
+		wake:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
 	}
 	for i := range r.cores {
 		r.cores[i] = &ccore{id: i, inbox: make(chan delivery, 1<<16),
@@ -329,22 +319,6 @@ func (r *crun) send(dst int, d delivery) {
 	r.cores[dst].inbox <- d
 }
 
-// poke sends an empty wakeup to target unless one is already sitting
-// unconsumed in its inbox. The sender must publish the state the wakeup
-// advertises (released locks, re-filed work) before calling: if the CAS
-// fails, the pending poke's consumer clears the flag before it rescans,
-// so the atomic order flag-read → flag-clear → rescan guarantees the
-// rescan observes that state — the wakeup is absorbed, not lost.
-func (r *crun) poke(target *ccore) {
-	if !target.pokePending.CompareAndSwap(false, true) {
-		if r.mx != nil {
-			r.mx.PokesSuppressed.Add(1)
-		}
-		return
-	}
-	r.send(target.id, delivery{})
-}
-
 // route delivers obj to every task parameter its current state can
 // satisfy, where the plan places it.
 func (r *crun) route(obj *interp.Object, fromCore int) {
@@ -354,16 +328,11 @@ func (r *crun) route(obj *interp.Object, fromCore int) {
 }
 
 // worker is one core's scheduler loop: drain the inbox into the parameter
-// sets, dispatch local ready work oldest first, and steal when idle.
-// Credits (one per received delivery, one per steal execution) keep
+// sets, then dispatch ready work oldest first until there is none. Credits
+// (one per received delivery, held until the dispatch loop returns) keep
 // quiescence detection from observing a transient zero.
 func (r *crun) worker(c *ccore) {
 	defer r.wg.Done()
-	rng := rand.New(rand.NewSource(r.opts.Sched.Seed<<16 + int64(c.id) + 1))
-	perm := make([]int, len(r.cores)) // victim order scratch
-	for i := range perm {
-		perm[i] = i
-	}
 	for {
 		select {
 		case <-r.stop:
@@ -375,7 +344,7 @@ func (r *crun) worker(c *ccore) {
 				r.mx.SampleInbox(len(c.inbox) + 1)
 			}
 			credits := 1 + r.drainInbox(c, &d)
-			r.dispatchLoop(c, rng, perm)
+			r.dispatchLoop(c)
 			if r.inFlight.Add(-credits) == 0 {
 				r.notify()
 			}
@@ -383,87 +352,57 @@ func (r *crun) worker(c *ccore) {
 	}
 }
 
-// dispatchLoop runs local ready invocations until the core's queue and
-// guard matching come up empty, then tries to steal; it returns when there
-// is nothing left to execute (or the run is stopping/degraded).
-func (r *crun) dispatchLoop(c *ccore, rng *rand.Rand, perm []int) {
+// dispatchLoop runs the core's ready invocations until it has none left to
+// execute (or the run is stopping/degraded).
+func (r *crun) dispatchLoop(c *ccore) {
 	for !r.stopped() && !r.degraded.Load() {
-		inv, owner := r.takeFrom(c, false), c
-		if inv == nil && !r.opts.Sched.DisableStealing {
-			inv, owner = r.stealFrom(c, rng, perm)
-		}
-		if inv == nil {
-			return
-		}
-		if !r.execute(c, owner, inv, false) {
+		inv := r.take(c)
+		if inv == nil || !r.execute(c, inv, false) {
 			return
 		}
 	}
 }
 
-// stealFrom probes other cores in random order and steals the newest
-// ready invocation from the first victim with claimable work. The thief
-// still holds its own drain credits while executing stolen work, so
-// quiescence detection keeps counting it.
-func (r *crun) stealFrom(c *ccore, rng *rand.Rand, perm []int) (*invocation, *ccore) {
-	n := len(r.cores)
-	if n <= 1 {
-		return nil, nil
+// take claims the core's next invocation. A scan that finds none because it
+// skipped one on a held lock has no delivery coming to wake it, so the core
+// announces that it is waiting and scans once more. Flag and locks are
+// sequentially consistent atomics: of that second try-lock and the holder's
+// look at the flag after its unlock (release) at least one sees the other, so
+// a release between the first try-lock and the announcement is not lost.
+func (r *crun) take(c *ccore) *invocation {
+	inv, skipped := r.scan(c)
+	if inv != nil || !skipped {
+		return inv
 	}
-	tries := r.opts.Sched.StealTries
-	if tries <= 0 {
-		tries = n - 1
-	}
-	probed := 0
-	rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-	for _, vi := range perm {
-		v := r.cores[vi]
-		if v == c {
-			continue
-		}
-		if probed >= tries {
-			break
-		}
-		probed++
-		if r.mx != nil {
-			r.mx.StealAttempts.Add(1)
-		}
-		if inv := r.takeFrom(v, true); inv != nil {
-			if r.mx != nil {
-				r.mx.StealSuccesses.Add(1)
-			}
-			return inv, v
-		}
-	}
-	return nil, nil
+	c.waiting.Store(true)
+	inv, _ = r.scan(c)
+	return inv
 }
 
-// takeFrom claims from v's parameter sets the first candidate invocation
-// that survives validation: all parameter locks acquired in canonical order
-// (lock-or-skip — never block), guards re-checked after locking, and the
-// objects consumed, all under v's scheduler lock. Local dispatch takes the
-// oldest ready candidate, stealing the newest.
-func (r *crun) takeFrom(v *ccore, stealing bool) *invocation {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.ready(nil, r.opts.Sched.dequeCap())
-	for ht := v.next(stealing); ht != nil; ht = v.next(stealing) {
+// scan claims from c's parameter sets the oldest ready candidate that
+// survives validation — all parameter locks acquired, guards re-checked,
+// objects consumed — and reports whether it passed one over for a held lock.
+func (r *crun) scan(c *ccore) (_ *invocation, skipped bool) {
+	c.ready(nil)
+	for ht := c.next(); ht != nil; ht = c.next() {
 		inv := ht.take()
-		if r.lockAndValidate(inv) {
+		ok, held := r.lockAndValidate(c, inv)
+		if ok {
 			ht.consume()
-			return inv
+			return inv, skipped
 		}
+		skipped = skipped || held
 		inv.release()
 	}
-	return nil
+	return nil, skipped
 }
 
 // lockAndValidate acquires the invocation's parameter locks in canonical
 // (ascending object ID) order with try-locks and re-validates every guard
 // after locking (another core may have transitioned an object between
-// binding and acquisition). On failure it releases what it acquired in
-// reverse-canonical order and reports false.
-func (r *crun) lockAndValidate(inv *invocation) bool {
+// binding and acquisition). On failure it releases what it acquired and
+// reports whether a held lock was the reason.
+func (r *crun) lockAndValidate(c *ccore, inv *invocation) (ok, held bool) {
 	inv.locked = append(inv.locked, inv.objs...) // distinct by construction
 	slices.SortFunc(inv.locked, func(a, b *interp.Object) int { return cmp.Compare(a.ID, b.ID) })
 	for i, o := range inv.locked {
@@ -472,8 +411,8 @@ func (r *crun) lockAndValidate(inv *invocation) bool {
 			if r.mx != nil {
 				r.mx.RecordContention(o.ID)
 			}
-			unlockAll(inv.locked[:i])
-			return false
+			r.release(c, inv.locked[:i])
+			return false, true
 		}
 		if r.mx != nil {
 			r.mx.LockAcquisitions.Add(1)
@@ -484,19 +423,30 @@ func (r *crun) lockAndValidate(inv *invocation) bool {
 			if r.mx != nil {
 				r.mx.GuardRechecks.Add(1)
 			}
-			unlockAll(inv.locked)
-			return false
+			r.release(c, inv.locked)
+			return false, false
 		}
 	}
-	return true
+	return true, false
 }
 
-// unlockAll releases parameter locks in reverse-canonical order (the
-// mirror of acquisition; locked is already deduplicated and in ascending
-// object ID order).
-func unlockAll(locked []*interp.Object) {
+// release unlocks c's parameter locks in reverse-canonical order (locked is
+// deduplicated and in ascending object ID order), then pokes every other core
+// waiting on a lock: one of these may be it. The compare-and-swap makes one
+// announcement buy one poke, whoever else is releasing. Every unlock goes
+// through here, an invocation abandoned half locked included, or a waiting
+// core could sleep on a lock nobody holds.
+func (r *crun) release(c *ccore, locked []*interp.Object) {
+	if len(locked) == 0 {
+		return
+	}
 	for i := len(locked) - 1; i >= 0; i-- {
 		locked[i].Unlock()
+	}
+	for _, other := range r.cores {
+		if other != c && other.waiting.Load() && other.waiting.CompareAndSwap(true, false) {
+			r.send(other.id, delivery{})
+		}
 	}
 }
 
@@ -511,30 +461,28 @@ func failKey(inv *invocation) string {
 }
 
 // attempt returns the 1-based number of the attempt about to run: one more
-// than the invocation's failures since it last succeeded.
-func (r *crun) attempt(inv *invocation) int {
-	if r.nFailing.Load() == 0 {
+// than the invocation's failures since it last succeeded. A failed
+// invocation is re-filed on its own core, so the count is the core's.
+func (c *ccore) attempt(inv *invocation) int {
+	if len(c.failures) == 0 {
 		return 1
 	}
-	r.failMu.Lock()
-	defer r.failMu.Unlock()
-	return 1 + r.failures[failKey(inv)]
+	return 1 + c.failures[failKey(inv)]
 }
 
 // settleAttempt records attempt's outcome: a failure counts against the
 // invocation's retry budget, a success after failures clears the count.
-func (r *crun) settleAttempt(inv *invocation, attempt int, failed bool) {
-	if !failed && attempt == 1 {
+func (c *ccore) settleAttempt(inv *invocation, attempt int, failed bool) {
+	if !failed {
+		if attempt > 1 {
+			delete(c.failures, failKey(inv))
+		}
 		return
 	}
-	r.failMu.Lock()
-	if failed {
-		r.failures[failKey(inv)] = attempt
-	} else {
-		delete(r.failures, failKey(inv))
+	if c.failures == nil {
+		c.failures = map[string]int{}
 	}
-	r.nFailing.Store(int64(len(r.failures)))
-	r.failMu.Unlock()
+	c.failures[failKey(inv)] = attempt
 }
 
 // injectedPanic marks a panic raised by the fault-injection hook, so the
@@ -589,12 +537,11 @@ func (r *crun) runProtected(coreID int, inv *invocation, attempt int, drain bool
 	return exec, err, false
 }
 
-// execute runs one claimed invocation on core c (owner is the core whose
-// parameter sets the invocation was drawn from — different from c when the
-// work was stolen). It returns false when the caller's dispatch loop
-// should stop (terminal error, invocation budget, or degradation).
-func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
-	attempt := r.attempt(inv)
+// execute runs one claimed invocation on core c. It returns false when the
+// caller's dispatch loop should stop (terminal error, invocation budget, or
+// degradation).
+func (r *crun) execute(c *ccore, inv *invocation, drain bool) bool {
+	attempt := c.attempt(inv)
 	inv.snapshot()
 	var spanStart int64
 	if r.trc != nil {
@@ -603,30 +550,28 @@ func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
 	exec, err, retryable := r.runProtected(c.id, inv, attempt, drain)
 	if err != nil {
 		// Contained failure: roll the parameter objects back to their
-		// pre-invocation flag/tag snapshot, re-file them into the owner's
+		// pre-invocation flag/tag snapshot, re-file them into the core's
 		// parameter sets, and release the locks — then decide between
 		// retry and degradation. The attempt's output dies with its Exec.
 		inv.restore()
 		if r.mx != nil {
 			r.mx.Rollbacks.Add(1)
 		}
-		r.settleAttempt(inv, attempt, true)
-		owner.mu.Lock()
+		c.settleAttempt(inv, attempt, true)
 		inv.unconsume()
-		owner.mu.Unlock()
-		unlockAll(inv.locked)
+		r.release(c, inv.locked)
 		inv.release()
 		r.progress.Add(1)
-		return r.handleFailure(c, owner, err, attempt, retryable, drain)
+		return r.handleFailure(err, attempt, retryable, drain)
 	}
-	r.settleAttempt(inv, attempt, false)
+	c.settleAttempt(inv, attempt, false)
 	r.in.Commit(exec)
 	if r.trc != nil {
 		// Record while the parameter locks are held and before routing,
 		// so dependence edges resolve.
 		r.trc.record(c.id, inv, exec, spanStart, r.trc.now())
 	}
-	unlockAll(inv.locked)
+	r.release(c, inv.locked)
 	r.nInv.Add(1)
 	r.progress.Add(1)
 	c.ran[inv.ht.tp.task.Index]++
@@ -639,16 +584,6 @@ func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
 			r.route(o, c.id)
 		}
 	}
-	if !drain {
-		// Poke other cores: a released lock may unblock them, and idle
-		// cores use the wakeup to try stealing. Cores with a poke already
-		// queued are skipped — they will rescan when they consume it.
-		for _, other := range r.cores {
-			if other != c {
-				r.poke(other)
-			}
-		}
-	}
 	if r.nInv.Load() > r.opts.MaxInvocations {
 		r.fail(fmt.Errorf("bamboort: exceeded %d invocations", r.opts.MaxInvocations))
 		return false
@@ -658,10 +593,11 @@ func (r *crun) execute(c, owner *ccore, inv *invocation, drain bool) bool {
 
 // handleFailure implements the retry policy for one contained failure:
 // transient (injected) failures back off exponentially and retry up to the
-// policy's budget; exhaustion poisons the executing core and degrades the
-// run to a sequential drain; non-retryable failures (a real task panic)
-// terminate the run with the typed error.
-func (r *crun) handleFailure(c, owner *ccore, err error, attempt int, retryable, drain bool) bool {
+// policy's budget (the core's dispatch loop finds the re-filed invocation
+// again); exhaustion poisons the executing core and degrades the run to a
+// sequential drain; non-retryable failures (a real task panic) terminate the
+// run with the typed error.
+func (r *crun) handleFailure(err error, attempt int, retryable, drain bool) bool {
 	fp := r.opts.Fault
 	exhausted := attempt > fp.maxRetries()
 	if !retryable || (exhausted && drain) {
@@ -675,11 +611,6 @@ func (r *crun) handleFailure(c, owner *ccore, err error, attempt int, retryable,
 			r.mx.Retries.Add(1)
 		}
 		r.sleep(fp.backoff(attempt))
-		if owner != c && !drain {
-			// Stolen work: wake the owner so the invocation is
-			// re-dispatched even if this thief finds other work.
-			r.poke(owner)
-		}
 		return true
 	}
 	if r.mx != nil {
@@ -699,10 +630,9 @@ func (r *crun) drainSequential() error {
 	if r.mx != nil {
 		r.mx.DegradedDrains.Add(1)
 	}
-	r.failMu.Lock()
-	clear(r.failures)
-	r.nFailing.Store(0)
-	r.failMu.Unlock()
+	for _, c := range r.cores {
+		clear(c.failures)
+	}
 	for {
 		if err := r.err(); err != nil {
 			return err
@@ -715,15 +645,15 @@ func (r *crun) drainSequential() error {
 			}
 		}
 		for _, c := range r.cores {
-			inv := r.takeFrom(c, false)
+			inv := r.take(c)
 			if inv == nil {
 				continue
 			}
 			moved = true
-			// Execute on the owner's identity so trace spans and routing
-			// stay attributed to the core that hosted the work; injectors
+			// Execute on the core's identity so trace spans and routing
+			// stay attributed to the core that hosts the work; injectors
 			// see DrainCore via the drain flag.
-			if !r.execute(c, c, inv, true) {
+			if !r.execute(c, inv, true) {
 				if err := r.err(); err != nil {
 					return err
 				}
@@ -738,8 +668,6 @@ func (r *crun) drainSequential() error {
 // drainInbox files first (if any) and every delivery queued behind it into
 // the parameter sets, and returns how many it took off the inbox.
 func (r *crun) drainInbox(c *ccore, first *delivery) (n int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if first != nil {
 		r.receive(c, *first)
 	}
@@ -754,14 +682,9 @@ func (r *crun) drainInbox(c *ccore, first *delivery) (n int64) {
 	}
 }
 
-// receive files a delivery into the matching parameter set. Callers hold
-// c.mu.
+// receive files a delivery into the matching parameter set.
 func (r *crun) receive(c *ccore, d delivery) {
 	if d.obj == nil {
-		// Clear the dedup flag before the caller's rescan: any state a
-		// suppressed sender published before reading the flag is visible
-		// to the rescan that follows this drain.
-		c.pokePending.Store(false)
 		if r.mx != nil {
 			r.mx.Pokes.Add(1)
 		}

@@ -94,7 +94,10 @@ func TestStaleThenRevalidatedArrivalOrder(t *testing.T) {
 }
 
 // fanSrc sends thirteen objects from one core to a stage hosted on all.
-const fanSrc = `
+// tagFanSrc gives each its own tag and has the stage guard on it: a
+// single-parameter tag-guarded stage, which only a session places by hash.
+const (
+	fanSrc = `
 class W { flag ready; int x; }
 task startup(StartupObject s in initialstate) {
 	int i;
@@ -105,13 +108,29 @@ task work(W w in ready) {
 	w.x++;
 	taskexit(w: ready := false);
 }`
+	tagFanSrc = `
+class W { flag ready; int x; }
+task startup(StartupObject s in initialstate) {
+	int i;
+	for (i = 0; i < 13; i++) {
+		tag t = new tag(grp);
+		W w = new W(){ ready := true, add t };
+	}
+	taskexit(s: initialstate := false);
+}
+task work(W w in ready with grp t) {
+	w.x++;
+	taskexit(w: ready := false, clear t);
+}`
+)
 
 // TestPlacementSameOnBothEngines: the two engines resolve destinations
 // through one plan, so on a machine with slowed tiles they weight the
 // round-robin ring alike (the concurrent runtime used to ignore Slowdown)
 // and hash tags alike, for the same (task, sender, tag) stream. The
-// scheduling simulator has its own router over the same machine.Ring: a
-// one-shot fan-out lands on the same cores simulated as executed.
+// scheduling simulator places through the same machine.Place: a one-shot
+// fan-out lands on the same cores simulated as executed on either engine,
+// also when the stage is tag-guarded (which the simulator used to hash).
 func TestPlacementSameOnBothEngines(t *testing.T) {
 	sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
 	if err != nil {
@@ -166,14 +185,6 @@ func TestPlacementSameOnBothEngines(t *testing.T) {
 		}
 	}
 
-	fan, err := core.Compile(fanSrc, core.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, _, err := fan.Profile(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	lay := layout.New(4)
 	lay.Place("startup", 1)
 	lay.Place("work", 0, 1, 2, 3)
@@ -196,15 +207,28 @@ func TestPlacementSameOnBothEngines(t *testing.T) {
 		}
 		return cores
 	}
-	executed, simulated := &obsv.Trace{}, &obsv.Trace{}
-	if _, err := fan.Exec(ctx, core.ExecConfig{Machine: opts.Machine, Layout: lay, Trace: executed}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fan.Simulator().Run(schedsim.Options{Machine: opts.Machine, Layout: lay, Prof: prof, Trace: simulated}); err != nil {
-		t.Fatal(err)
-	}
-	if e, s := workCores(executed), workCores(simulated); !slices.Equal(e, want) || !slices.Equal(s, want) {
-		t.Errorf("fan-out from core 1: executed on %v, simulated on %v, want %v", e, s, want)
+	for name, src := range map[string]string{"fan-out": fanSrc, "tag-guarded fan-out": tagFanSrc} {
+		fan, err := core.Compile(src, core.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof, _, err := fan.Profile(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		executed, concurrent, simulated := &obsv.Trace{}, &obsv.Trace{}, &obsv.Trace{}
+		if _, err := fan.Exec(ctx, core.ExecConfig{Machine: opts.Machine, Layout: lay, Trace: executed}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fan.Exec(ctx, core.ExecConfig{Engine: core.Concurrent, Machine: opts.Machine, Layout: lay, Trace: concurrent}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fan.Simulator().Run(schedsim.Options{Machine: opts.Machine, Layout: lay, Prof: prof, Trace: simulated}); err != nil {
+			t.Fatal(err)
+		}
+		if e, c, s := workCores(executed), workCores(concurrent), workCores(simulated); !slices.Equal(e, want) || !slices.Equal(c, want) || !slices.Equal(s, want) {
+			t.Errorf("%s from core 1: executed on %v, concurrently on %v, simulated on %v, want %v", name, e, c, s, want)
+		}
 	}
 }
 
@@ -336,11 +360,12 @@ func kvReplies(t *testing.T, sess *core.Session, batch []bamboort.Inject) []core
 // batches of mixed size while injected crashes force a rollback and a retry
 // on about one invocation in a hundred, and checks every reply against the
 // deterministic engine fed the same batches. Keys are distinct within a
-// batch (the concurrent runtime does not order one batch's requests) and
-// collide across batches, so versions count every put exactly once however
-// often its invocation was retried. Run under -race it covers the state the
-// engines share: the plan's counters, the per-core stores under stealing,
-// pooled invocations, the failure table and the coordinator wake-up.
+// batch (a rolled-back invocation is re-filed behind later arrivals, so
+// per-key order holds only while nothing fails) and collide across batches,
+// so versions count every put exactly once however often its invocation was
+// retried. Run under -race it covers the state the engines share: the
+// plan's counters, pooled invocations, the failure table and the
+// coordinator wake-up.
 func TestConcurrentFeedStress(t *testing.T) {
 	mx := &obsv.Metrics{}
 	conc := kvSession(t, core.Concurrent, 4, core.ExecConfig{
@@ -370,5 +395,32 @@ func TestConcurrentFeedStress(t *testing.T) {
 	t.Logf("%d requests, %d rollbacks, %d retries", requests, rollbacks, mx.Retries.Load())
 	if rollbacks == 0 {
 		t.Error("no invocation was rolled back: the injector did not fire")
+	}
+}
+
+// TestConcurrentSessionPerKeyOrder: one batch's requests on one key are
+// served in the order the batch lists them, on the concurrent engine as on
+// the deterministic one. Every batch puts a few keys several times each,
+// interleaved, and reads them back: a put served out of turn shows as a
+// version or a value that differs from the deterministic engine's.
+func TestConcurrentSessionPerKeyOrder(t *testing.T) {
+	conc := kvSession(t, core.Concurrent, 4, core.ExecConfig{})
+	det := kvSession(t, core.Deterministic, 4, core.ExecConfig{})
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		keys := rng.Perm(64)[:1+rng.Intn(4)]
+		var batch []bamboort.Inject
+		for round := 0; round < 2+rng.Intn(3); round++ {
+			for _, k := range keys {
+				batch = append(batch, kvReq(1, k, rng.Intn(1000)))
+			}
+		}
+		for _, k := range keys {
+			batch = append(batch, kvReq(0, k, 0))
+		}
+		got, want := kvReplies(t, conc, batch), kvReplies(t, det, batch)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch %d (keys %v): concurrent replies %v, deterministic %v", i, keys, got, want)
+		}
 	}
 }

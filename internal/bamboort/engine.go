@@ -28,9 +28,6 @@ type Options struct {
 	// Metrics, when non-nil, collects runtime counters (RunConcurrent
 	// only; the deterministic engine has no lock contention to count).
 	Metrics *obsv.Metrics
-	// Sched configures the concurrent scheduler (RunConcurrent only). The
-	// zero value enables work stealing with default knobs.
-	Sched SchedPolicy
 	// Fault configures failure containment (RunConcurrent only). The zero
 	// value contains panics but injects nothing.
 	Fault FaultPolicy
@@ -339,8 +336,8 @@ func (e *Engine) onAttempt(ev *event) error {
 	if c.freeAt > ev.time {
 		return nil // busy; completion will reschedule
 	}
-	c.ready(e.locked, len(c.tasks))
-	ht := c.next(false)
+	c.ready(e.locked)
+	ht := c.next()
 	if ht == nil {
 		return nil
 	}

@@ -6,33 +6,6 @@ import (
 	"repro/internal/faultinject"
 )
 
-// SchedPolicy configures the concurrent scheduler. The zero value is the
-// default policy: work stealing enabled, all other cores probed per idle
-// episode, up to 64 candidate invocations weighed per dispatch.
-type SchedPolicy struct {
-	// DisableStealing turns randomized work stealing off, reverting to
-	// pure owner-dispatch (the pre-work-stealing protocol; useful for
-	// comparing scheduling policies through the fidelity harness).
-	DisableStealing bool
-	// StealTries bounds how many victims an idle core probes per episode
-	// (0 = all other cores).
-	StealTries int
-	// DequeCap bounds how many hosted tasks' candidate invocations a core
-	// weighs per dispatch (0 = 64). The others stay in the parameter sets
-	// for a later dispatch, so the cap sheds scheduler work, never program
-	// work.
-	DequeCap int
-	// Seed perturbs the per-core victim-selection RNGs (0 = 1).
-	Seed int64
-}
-
-func (p SchedPolicy) dequeCap() int {
-	if p.DequeCap <= 0 {
-		return 64
-	}
-	return p.DequeCap
-}
-
 // FaultPolicy configures the failure-containment layer of the concurrent
 // scheduler. The zero value contains panics (recover, roll back, retry up
 // to 3 times) but injects no faults, applies no timeout, and disables the

@@ -56,7 +56,7 @@ func (l *list) unlink(ents []entry, which int, i int32) {
 
 // store holds the entries of a group of hosted tasks that one scheduler
 // owns: the whole deterministic engine, or one core of the concurrent one
-// (guarded by that core's lock).
+// (touched only by that core's worker).
 type store struct {
 	ents  []entry                  // ents[0] is unused
 	free  int32                    // free slots, chained through same
@@ -329,30 +329,28 @@ func newRunq(hosted []*taskPlan, st *store) *runq {
 	return q
 }
 
-// ready collects up to limit hosted tasks that have a bindable invocation.
-func (q *runq) ready(locked map[*interp.Object]bool, limit int) {
+// ready collects the hosted tasks that have a bindable invocation.
+func (q *runq) ready(locked map[*interp.Object]bool) {
 	q.cands = q.cands[:0]
 	if q.queued == 0 {
 		return
 	}
 	for _, ht := range q.tasks {
 		if seq, ok := ht.find(locked); ok {
-			if q.cands = append(q.cands, candidate{ht, seq}); len(q.cands) >= limit {
-				return
-			}
+			q.cands = append(q.cands, candidate{ht, seq})
 		}
 	}
 }
 
-// next removes and returns the candidate that became ready first (last when
-// newest is set), the earlier task on a tie; nil when none is left.
-func (q *runq) next(newest bool) *hostedTask {
+// next removes and returns the candidate that became ready first, the
+// earlier task on a tie; nil when none is left.
+func (q *runq) next() *hostedTask {
 	if len(q.cands) == 0 {
 		return nil
 	}
 	b := 0
 	for i, c := range q.cands {
-		if c.readySeq != q.cands[b].readySeq && (c.readySeq > q.cands[b].readySeq) == newest {
+		if c.readySeq < q.cands[b].readySeq {
 			b = i
 		}
 	}
@@ -435,7 +433,7 @@ func (inv *invocation) release() {
 // unconsume re-files the invocation's objects into the parameter sets they
 // were drawn from, preserving their arrival sequences and timestamps. The
 // concurrent scheduler calls it when an attempt fails and the invocation
-// must become dispatchable again; callers hold the owning core's lock.
+// must become dispatchable again.
 func (inv *invocation) unconsume() {
 	for i, obj := range inv.objs {
 		inv.ht.add(i, obj, inv.objSeqs[i], inv.objArrs[i])

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/depend"
@@ -19,17 +18,15 @@ import (
 // plan is the dispatch plan: everything routing and matching need that
 // depends only on the program, the layout and the machine, resolved once so
 // that the per-object and per-invocation paths index instead of searching.
-// Both engines route and match through it (it has no engine state beyond
-// the round-robin counters, which are atomic for the concurrent one).
+// Both engines route and match through it; its only engine state is the
+// round-robin counters, and a row of those has one writer: the goroutine
+// that sends as that core (the feeder for the environment's row).
 type plan struct {
-	dep    *depend.Result
-	tasks  []*taskPlan   // by types.Task.Index
-	hosted [][]*taskPlan // per core, in task-name order
-	// session makes single-parameter tag-guarded tasks route by tag hash
-	// too (per-key shard affinity for streams); one-shot runs keep their
-	// round-robin placement.
-	session bool
-	rr      []atomic.Int64 // [fromCore+1][task] round-robin counters
+	dep     *depend.Result
+	tasks   []*taskPlan   // by types.Task.Index
+	hosted  [][]*taskPlan // per core, in task-name order
+	session bool          // setSession(true) was called
+	rr      []int         // [fromCore+1][task] round-robin counters
 }
 
 // taskPlan is one task's share of the plan.
@@ -37,6 +34,7 @@ type taskPlan struct {
 	fn      *ir.Func
 	task    *types.Task
 	tagType string  // type of the tag variable every parameter shares, or ""
+	hashed  bool    // placed by the hash of that tag (see machine.Place)
 	nGroups int     // disjointness lock groups
 	cores   []int   // hosting cores
 	ring    []int   // round-robin destination list (machine.Ring)
@@ -162,7 +160,7 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 		dep:    dep,
 		tasks:  make([]*taskPlan, len(fns)),
 		hosted: make([][]*taskPlan, l.NumCores),
-		rr:     make([]atomic.Int64, (l.NumCores+1)*len(fns)),
+		rr:     make([]int, (l.NumCores+1)*len(fns)),
 	}
 	for _, fn := range fns {
 		task := fn.Task
@@ -192,28 +190,35 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 		}
 		tp.ring = m.Ring(nil, tp.cores, phys)
 	}
+	pl.setSession(false)
 	return pl, nil
 }
 
-// place resolves the core that receives obj for tp when sent from fromCore
-// (-1: the environment): the single host; the tag-hashed host, so that all
-// objects of one tag group meet at one instantiation (multi-parameter joins
-// always, single-parameter tag-guarded stages in session mode); otherwise
-// round-robin over the ring, staggered by the sender's index so a core that
-// sends one object to a stage it also hosts keeps it local.
-func (pl *plan) place(tp *taskPlan, fromCore int, obj *interp.Object) int {
-	if len(tp.cores) == 1 {
-		return tp.cores[0]
+// setSession resolves which tasks are placed by tag hash: multi-parameter
+// joins always; in a session single-parameter tag-guarded stages too, so one
+// key's stream stays on one core (one-shot runs spread them round-robin). A
+// session switches before anything is routed.
+func (pl *plan) setSession(on bool) {
+	pl.session = on
+	for _, tp := range pl.tasks {
+		tp.hashed = tp.tagType != "" && len(tp.cores) > 1 && (len(tp.params) > 1 || on)
 	}
-	if tp.tagType != "" && (len(tp.params) > 1 || pl.session) {
+}
+
+// place resolves the core that receives obj for tp when sent from fromCore
+// (-1: the environment): machine.Place, keyed by the task's tag on obj when
+// the task is hashed.
+func (pl *plan) place(tp *taskPlan, fromCore int, obj *interp.Object) int {
+	group := -1
+	if tp.hashed {
 		for _, tg := range obj.Tags() {
 			if tg.Type == tp.tagType {
-				return tp.cores[int(tg.ID)%len(tp.cores)]
+				group = int(tg.ID)
+				break
 			}
 		}
 	}
-	n := pl.rr[(fromCore+1)*len(pl.tasks)+tp.task.Index].Add(1) - 1
-	return tp.ring[(int(n)+max(fromCore, 0))%len(tp.ring)]
+	return machine.Place(tp.cores, tp.ring, group, fromCore, &pl.rr[(fromCore+1)*len(pl.tasks)+tp.task.Index])
 }
 
 // routes reports whether objects of cl can ever serve as task parameters

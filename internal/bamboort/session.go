@@ -166,7 +166,7 @@ func (e *Engine) StartSession(ctx context.Context) error {
 	if e.plan.session {
 		return fmt.Errorf("bamboort: session already started")
 	}
-	e.plan.session = true
+	e.plan.setSession(true)
 	e.in.Heap.TrackTags()
 	e.begin()
 	e.sessErr = e.drain(ctx)
@@ -216,10 +216,15 @@ func (e *Engine) EndSession() *Result {
 // ConcurrentSession is a persistent session on the concurrent runtime:
 // workers stay up between batches and quiescence (no undelivered messages,
 // no held credits) marks a batch complete. Feeds must be serialized by the
-// caller; the runtime's internal concurrency (work stealing, per-object
-// locks) is unaffected. Note the concurrent runtime does not order
-// deliveries between cores, so per-group FIFO holds only on the
-// deterministic engine.
+// caller. The requests of one batch that carry the same tag are served in
+// the order the batch lists them, at every tag-guarded stage, as on the
+// deterministic engine: Feed is their one sender, session placement hashes
+// the tag to one core per stage, a core's inbox is FIFO, and a core
+// dispatches a task's oldest arrival first and nobody else dispatches for it.
+// The guarantee is per sender — objects of one tag that reach a stage from
+// different cores (behind a stage spread round-robin) are ordered by the
+// cores' timing — and holds while nothing fails: a rolled-back invocation is
+// re-filed behind later arrivals (DESIGN.md §13).
 type ConcurrentSession struct {
 	r   *crun
 	err error
@@ -238,7 +243,7 @@ func StartConcurrentSession(ctx context.Context, prog *ir.Program, dep *depend.R
 	// Flip to session routing before startup so the boot phase places
 	// objects the same way feeds will (and the same way a replayed boot
 	// does on the deterministic engine).
-	r.plan.session = true
+	r.plan.setSession(true)
 	r.in.Heap.TrackTags()
 	r.injectStartup()
 	s := &ConcurrentSession{r: r}

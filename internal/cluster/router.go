@@ -84,13 +84,10 @@ func NewRouter(local http.Handler, opts Options) *Router {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, req *http.Request) { r.routeSubmit(w, req, true) })
-	mux.HandleFunc("POST /api/v1/jobs", func(w http.ResponseWriter, req *http.Request) { r.routeSubmit(w, req, true) })
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, req *http.Request) { r.routeSubmit(w, req, false) })
 	for _, pat := range []string{
 		"GET /v1/jobs/{id}", "GET /v1/jobs/{id}/output", "GET /v1/jobs/{id}/trace",
 		"GET /v1/jobs/{id}/metrics", "DELETE /v1/jobs/{id}",
-		"GET /api/v1/jobs/{id}", "GET /api/v1/jobs/{id}/output", "GET /api/v1/jobs/{id}/trace",
-		"GET /api/v1/jobs/{id}/metrics", "DELETE /api/v1/jobs/{id}",
 		"GET /v1/sessions/{id}", "POST /v1/sessions/{id}/feed", "DELETE /v1/sessions/{id}",
 	} {
 		mux.HandleFunc(pat, r.routeByID)
@@ -126,7 +123,7 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 
 // fingerprint extracts the routing key from a submit/session body.
 // Errors return "" — the request is served locally so the local server
-// renders the proper 400 envelope (legacy vs /v1 included).
+// renders the proper 400 envelope.
 func fingerprint(body []byte, job bool) string {
 	if job {
 		var sr server.SubmitRequest
@@ -161,7 +158,7 @@ func (r *Router) routeSubmit(w http.ResponseWriter, req *http.Request, shedable 
 	}
 	body, err := io.ReadAll(io.LimitReader(req.Body, 16<<20))
 	if err != nil {
-		r.writeUnavailable(w, req, "reading request body: "+err.Error())
+		r.writeUnavailable(w, "reading request body: "+err.Error())
 		return
 	}
 	fp := fingerprint(body, shedable)
@@ -206,7 +203,7 @@ func (r *Router) routeSubmit(w http.ResponseWriter, req *http.Request, shedable 
 		last.flush(w)
 		return
 	}
-	r.writeUnavailable(w, req, "no routable cluster node for this program")
+	r.writeUnavailable(w, "no routable cluster node for this program")
 }
 
 // attempt runs the request on node (locally or one proxy hop) and
@@ -267,12 +264,12 @@ func (r *Router) routeByID(w http.ResponseWriter, req *http.Request) {
 	}
 	if !r.members.Routable(node) {
 		r.failovers.Add(1)
-		r.writeUnavailable(w, req, fmt.Sprintf("node %s (owner of %s) is unreachable", node, id))
+		r.writeUnavailable(w, fmt.Sprintf("node %s (owner of %s) is unreachable", node, id))
 		return
 	}
 	preq, err := http.NewRequestWithContext(req.Context(), req.Method, r.members.URL(node)+req.URL.RequestURI(), req.Body)
 	if err != nil {
-		r.writeUnavailable(w, req, err.Error())
+		r.writeUnavailable(w, err.Error())
 		return
 	}
 	preq.Header = req.Header.Clone()
@@ -282,7 +279,7 @@ func (r *Router) routeByID(w http.ResponseWriter, req *http.Request) {
 	if err != nil {
 		r.proxyErrors.Add(1)
 		r.members.ReportFailure(node)
-		r.writeUnavailable(w, req, fmt.Sprintf("proxy to %s: %v", node, err))
+		r.writeUnavailable(w, fmt.Sprintf("proxy to %s: %v", node, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -304,15 +301,10 @@ func ownerOf(id string) (string, bool) {
 	return id[:i], true
 }
 
-// writeUnavailable renders the 502 unavailable envelope (legacy shape
-// on /api/v1 paths, APIError on /v1).
-func (r *Router) writeUnavailable(w http.ResponseWriter, req *http.Request, msg string) {
+// writeUnavailable renders the 502 unavailable envelope.
+func (r *Router) writeUnavailable(w http.ResponseWriter, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusBadGateway)
-	if strings.HasPrefix(req.URL.Path, "/api/") {
-		_ = json.NewEncoder(w).Encode(server.ErrorResponse{Error: msg})
-		return
-	}
 	_ = json.NewEncoder(w).Encode(server.APIError{Code: server.CodeUnavailable, Message: msg})
 }
 

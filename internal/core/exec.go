@@ -28,7 +28,7 @@ const (
 	// every experiment table. Requires ExecConfig.Machine.
 	Deterministic Engine = iota
 	// Concurrent is the true parallel runtime — one goroutine per layout
-	// core, wall-clock spans, work stealing, and failure containment. It
+	// core, wall-clock spans, owner dispatch, and failure containment. It
 	// validates the runtime protocol under real concurrency and ignores
 	// ExecConfig.Machine.
 	Concurrent
@@ -48,8 +48,8 @@ func (e Engine) String() string {
 // ExecConfig is the unified configuration for one execution on either
 // engine. It supersedes the old RunConfig/bamboort.RunConcurrent split:
 // one struct carries the machine, layout, program input, output sink,
-// observability hooks, and the concurrent engine's scheduling and fault
-// policies, with the Engine field selecting the execution substrate.
+// observability hooks, and the concurrent engine's fault policy, with the
+// Engine field selecting the execution substrate.
 type ExecConfig struct {
 	// Engine selects the substrate (default Deterministic).
 	Engine Engine
@@ -72,9 +72,6 @@ type ExecConfig struct {
 	// dispatch statistics on both engines, scheduler/lock counters on
 	// Concurrent.
 	Metrics *obsv.Metrics
-	// Sched configures the concurrent scheduler; the zero value enables
-	// work stealing with default knobs (Concurrent only).
-	Sched bamboort.SchedPolicy
 	// Fault configures failure containment: fault injection, retry
 	// budget, per-invocation timeout, stall watchdog (Concurrent only).
 	Fault bamboort.FaultPolicy
@@ -102,7 +99,6 @@ func (cfg ExecConfig) options() bamboort.Options {
 		Profile:        cfg.Profile,
 		Trace:          cfg.Trace,
 		Metrics:        cfg.Metrics,
-		Sched:          cfg.Sched,
 		Fault:          cfg.Fault,
 		MaxInvocations: cfg.MaxInvocations,
 		MaxTaskCycles:  cfg.MaxTaskCycles,

@@ -54,20 +54,14 @@ type FidelityRow struct {
 	// PredMakespan is in cycles; MeasMakespan is in nanoseconds.
 	PredMakespan int64
 	MeasMakespan int64
-	// StealAttempts/Steals/Retries surface the measured run's scheduler
-	// counters (zero when stealing is disabled and no faults fire).
-	StealAttempts int64
-	Steals        int64
-	Retries       int64
 }
 
 // Fidelity runs b through the scheduling simulator and through the
 // concurrent engine on the same layout and compares the predicted
 // schedule against the measured one. A nil layout selects the
 // deterministic bamboort.SpreadLayout over cores cores; nil args select
-// the benchmark's default input; sched configures the concurrent
-// scheduler (the zero value steals).
-func Fidelity(b *benchmarks.Benchmark, lay *layout.Layout, cores int, args []string, sched bamboort.SchedPolicy) (*FidelityRow, error) {
+// the benchmark's default input.
+func Fidelity(b *benchmarks.Benchmark, lay *layout.Layout, cores int, args []string) (*FidelityRow, error) {
 	sys, err := core.CompileSource(b.Source)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
@@ -91,7 +85,6 @@ func Fidelity(b *benchmarks.Benchmark, lay *layout.Layout, cores int, args []str
 		return nil, fmt.Errorf("%s simulate: %w", b.Name, err)
 	}
 	meas := &obsv.Trace{}
-	mx := &obsv.Metrics{}
 	// Measure with fast dispatch off: the tree walker's host time per
 	// instruction tracks the virtual cycle model, so wall-clock shares stay
 	// comparable to the cycle-level prediction. With the flattened fast
@@ -99,13 +92,12 @@ func Fidelity(b *benchmarks.Benchmark, lay *layout.Layout, cores int, args []str
 	// and timer granularity dominate the measured shares.
 	measRes, err := sys.Exec(context.Background(), core.ExecConfig{
 		Engine: core.Concurrent,
-		Layout: lay, Args: args, Trace: meas, Metrics: mx, Sched: sched,
+		Layout: lay, Args: args, Trace: meas,
 		NoFastDispatch: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s concurrent: %w", b.Name, err)
 	}
-	snap := mx.Snapshot()
 	row := &FidelityRow{
 		Benchmark:       b.Name,
 		Cores:           lay.NumCores,
@@ -115,9 +107,6 @@ func Fidelity(b *benchmarks.Benchmark, lay *layout.Layout, cores int, args []str
 		MeasShares:      meas.UtilizationShares(),
 		PredMakespan:    pred.Makespan(),
 		MeasMakespan:    meas.Makespan(),
-		StealAttempts:   snap.StealAttempts,
-		Steals:          snap.StealSuccesses,
-		Retries:         snap.Retries,
 	}
 	for c := 0; c < lay.NumCores; c++ {
 		var p, q float64
@@ -154,10 +143,10 @@ func absf(x float64) float64 {
 
 // FidelityAll runs the fidelity comparison for every embedded benchmark at
 // the given core count and returns one row per benchmark.
-func FidelityAll(cores int, sched bamboort.SchedPolicy) ([]*FidelityRow, error) {
+func FidelityAll(cores int) ([]*FidelityRow, error) {
 	var rows []*FidelityRow
 	for _, b := range benchmarks.InPaper() {
-		row, err := Fidelity(b, nil, cores, nil, sched)
+		row, err := Fidelity(b, nil, cores, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -171,14 +160,13 @@ func FormatFidelity(rows []*FidelityRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Simulation fidelity: schedsim prediction vs measured concurrent run\n")
 	fmt.Fprintf(&b, "(per-core utilization shares; tolerance %.2f)\n", FidelityShareTolerance)
-	fmt.Fprintf(&b, "%-12s %5s %6s | %-28s %-28s %9s | %9s %9s | %6s %6s\n",
-		"Benchmark", "cores", "inv", "predicted shares", "measured shares", "max diff", "crit/pred", "crit/meas", "steals", "retry")
+	fmt.Fprintf(&b, "%-12s %5s %6s | %-28s %-28s %9s | %9s %9s\n",
+		"Benchmark", "cores", "inv", "predicted shares", "measured shares", "max diff", "crit/pred", "crit/meas")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %5d %6d | %-28s %-28s %8.3f%s | %9.3f %9.3f | %6d %6d\n",
+		fmt.Fprintf(&b, "%-12s %5d %6d | %-28s %-28s %8.3f%s | %9.3f %9.3f\n",
 			r.Benchmark, r.Cores, r.MeasInvocations,
 			shareStr(r.PredShares), shareStr(r.MeasShares),
-			r.ShareMaxDiff, passMark(r.ShareMaxDiff), r.PredCritFrac, r.MeasCritFrac,
-			r.Steals, r.Retries)
+			r.ShareMaxDiff, passMark(r.ShareMaxDiff), r.PredCritFrac, r.MeasCritFrac)
 	}
 	return b.String()
 }

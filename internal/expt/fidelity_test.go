@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/benchmarks"
-	"repro/internal/bamboort"
 )
 
 // TestSimulationFidelity checks that the scheduling simulator's predicted
@@ -43,12 +42,7 @@ func TestSimulationFidelity(t *testing.T) {
 		}
 		var best *FidelityRow
 		for attempt := 0; attempt < 3; attempt++ {
-			// The scheduling simulator models owner dispatch, not work
-			// stealing, so the measured run pins work to its owners; the
-			// stealing scheduler is validated by the differential sweep
-			// and TestFidelityStealing instead.
-			row, err := Fidelity(b, nil, c.cores, nil,
-				bamboort.SchedPolicy{DisableStealing: true})
+			row, err := Fidelity(b, nil, c.cores, nil)
 			if err != nil {
 				t.Fatalf("%s/%d: %v", c.name, c.cores, err)
 			}
@@ -79,26 +73,4 @@ func TestSimulationFidelity(t *testing.T) {
 		rows = append(rows, best)
 	}
 	t.Logf("\n%s", FormatFidelity(rows))
-}
-
-// TestFidelityStealing runs the measured side with the default (stealing)
-// scheduler: the run must still complete the same task system, and the row
-// must surface the scheduler counters.
-func TestFidelityStealing(t *testing.T) {
-	b, err := benchmarks.Get("ImagePipe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := Fidelity(b, nil, 4, nil, bamboort.SchedPolicy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.MeasInvocations != row.PredInvocations && row.MeasInvocations == 0 {
-		t.Fatalf("measured run executed no invocations")
-	}
-	if row.StealAttempts < row.Steals {
-		t.Errorf("steal attempts %d < successes %d", row.StealAttempts, row.Steals)
-	}
-	t.Logf("steal attempts=%d successes=%d retries=%d",
-		row.StealAttempts, row.Steals, row.Retries)
 }

@@ -198,6 +198,29 @@ func (m *Machine) Ring(ring, cores, usable []int) []int {
 	return ring
 }
 
+// Place picks, among the cores hosting a task, the one that receives an
+// object sent from core from (-1: the environment): the runtime's one
+// placement rule, shared by both engines' dispatch plan and the scheduling
+// simulator. The single host; else, for tag group group >= 0, the host the
+// group hashes to, so that all objects of one group meet at one
+// instantiation; else the next turn of ring (Machine.Ring over cores),
+// counted in *rr per (sender, task) and staggered by the sender's index so
+// that a core sending one object to a stage it also hosts keeps it local.
+// Callers resolve once per task whether it hashes — a multi-parameter join
+// always, a single-parameter tag-guarded stage only in a session — and pass
+// group < 0 otherwise, or when the object carries no tag of the task's.
+func Place(cores, ring []int, group, from int, rr *int) int {
+	if len(cores) == 1 {
+		return cores[0]
+	}
+	if group >= 0 {
+		return cores[group%len(cores)]
+	}
+	n := *rr
+	*rr++
+	return ring[(n+max(from, 0))%len(ring)]
+}
+
 // Heterogeneous returns a machine whose first fast tiles run at nominal
 // speed and whose remaining tiles take factor times as long (a simple big
 // LITTLE configuration for the Section 4.6 extension).

@@ -26,23 +26,16 @@ type Metrics struct {
 	GuardRechecks atomic.Int64
 	// Deliveries counts object messages received into parameter sets.
 	Deliveries atomic.Int64
-	// Pokes counts empty wakeup messages sent after a task released its
-	// locks. PokesSuppressed counts wakeups elided because the target core
-	// already had an unconsumed poke in its inbox — it will rescan anyway,
-	// so a second message buys nothing.
-	Pokes           atomic.Int64
-	PokesSuppressed atomic.Int64
+	// Pokes counts empty wakeup messages: a core that released parameter
+	// locks sends one to each core that announced it had skipped on a held
+	// lock, so an uncontended run counts none.
+	Pokes atomic.Int64
 	// InboxSamples / InboxDepthSum / InboxDepthMax summarize the inbox
 	// depths observed when workers start a drain (mean = sum / samples).
 	InboxSamples  atomic.Int64
 	InboxDepthSum atomic.Int64
 	InboxDepthMax atomic.Int64
 
-	// StealAttempts counts work-stealing probes (a core whose local queue
-	// and guard matching came up empty inspecting a victim's sets);
-	// StealSuccesses counts probes that dispatched a stolen invocation.
-	StealAttempts  atomic.Int64
-	StealSuccesses atomic.Int64
 	// Retries counts invocation attempts re-dispatched after a contained
 	// failure (panic or timeout); Rollbacks counts parameter snapshot
 	// restorations (one per contained failure).
@@ -125,15 +118,17 @@ func (m *Metrics) TopContended(n int) []ObjContention {
 
 // MetricsSnapshot is a plain (JSON-marshalable) copy of the counters.
 type MetricsSnapshot struct {
-	LockAcquisitions int64           `json:"lock_acquisitions"`
-	ContentionSkips  int64           `json:"contention_skips"`
-	GuardRechecks    int64           `json:"guard_rechecks"`
-	Deliveries       int64           `json:"deliveries"`
-	Pokes            int64           `json:"pokes"`
-	PokesSuppressed  int64           `json:"pokes_suppressed"`
-	InboxSamples     int64           `json:"inbox_samples"`
-	InboxDepthSum    int64           `json:"inbox_depth_sum"`
-	InboxDepthMax    int64           `json:"inbox_depth_max"`
+	LockAcquisitions int64 `json:"lock_acquisitions"`
+	ContentionSkips  int64 `json:"contention_skips"`
+	GuardRechecks    int64 `json:"guard_rechecks"`
+	Deliveries       int64 `json:"deliveries"`
+	Pokes            int64 `json:"pokes"`
+	InboxSamples     int64 `json:"inbox_samples"`
+	InboxDepthSum    int64 `json:"inbox_depth_sum"`
+	InboxDepthMax    int64 `json:"inbox_depth_max"`
+	// The next two are always 0: the runtime dispatches on the owning core
+	// only. They stay because bench/ (frozen by BENCHMARK.json) reads them
+	// for bamboort.conc_steal_success_ratio.
 	StealAttempts    int64           `json:"steal_attempts"`
 	StealSuccesses   int64           `json:"steal_successes"`
 	Retries          int64           `json:"retries"`
@@ -159,12 +154,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		GuardRechecks:    m.GuardRechecks.Load(),
 		Deliveries:       m.Deliveries.Load(),
 		Pokes:            m.Pokes.Load(),
-		PokesSuppressed:  m.PokesSuppressed.Load(),
 		InboxSamples:     m.InboxSamples.Load(),
 		InboxDepthSum:    m.InboxDepthSum.Load(),
 		InboxDepthMax:    m.InboxDepthMax.Load(),
-		StealAttempts:    m.StealAttempts.Load(),
-		StealSuccesses:   m.StealSuccesses.Load(),
 		Retries:          m.Retries.Load(),
 		Rollbacks:        m.Rollbacks.Load(),
 		Timeouts:         m.Timeouts.Load(),

@@ -58,8 +58,9 @@ type nodeInfo struct {
 // consumer is one task parameter a node's objects are routed to.
 type consumer struct {
 	task, param int32
-	// hashed: objects of one tag group meet at one instantiation of the task
-	// (a multi-parameter join, or a tag-guarded stage); otherwise round-robin.
+	// hashed: the task is a multi-parameter join, so objects of one tag group
+	// meet at one instantiation (machine.Place; a one-shot run, which is all
+	// the simulator models, spreads every other task round-robin).
 	hashed bool
 }
 
@@ -98,7 +99,7 @@ func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *prog
 			p.sat[int32(id)*p.satW+slot/64] |= 1 << (slot % 64)
 			nd.consumers = append(nd.consumers, consumer{
 				task: int32(pr.Task.Index), param: int32(pr.Param),
-				hashed: len(pr.Task.Params) > 1 || p.params[slot].needsTag,
+				hashed: len(pr.Task.Params) > 1,
 			})
 		}
 		for _, e := range n.Out {

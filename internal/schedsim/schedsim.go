@@ -530,9 +530,9 @@ func (st *simState) onComplete(ev *event) {
 }
 
 // route sends object oi from core from (-1: the environment) at time t to
-// every parameter its node satisfies — the task's single host, the host its
-// tag group hashes to, or the next of the ring staggered by the sender — and
-// returns the sender's enqueue cost. fifo != 0 keeps an earlier sequence.
+// every parameter its node satisfies, on the core machine.Place picks as it
+// does for the engines, and returns the sender's enqueue cost. fifo != 0
+// keeps an earlier sequence.
 func (st *simState) route(oi, from int32, t, fifo int64) (cost int64) {
 	o, m := st.objs[oi], st.opts.Machine
 	nd := &st.p.nodes[o.node]
@@ -541,16 +541,11 @@ func (st *simState) route(oi, from int32, t, fifo int64) (cost int64) {
 		if len(cs) == 0 {
 			continue
 		}
-		dst := cs[0]
-		if len(cs) > 1 {
-			if o.group != 0 && cn.hashed {
-				dst = cs[int(o.group)%len(cs)]
-			} else {
-				ring, k := st.rings[cn.task], &st.rr[int(from+1)*len(st.p.tasks)+int(cn.task)]
-				dst = ring[(*k+max(int(from), 0))%len(ring)]
-				*k++
-			}
+		group := -1
+		if cn.hashed && o.group != 0 {
+			group = int(o.group)
 		}
+		dst := machine.Place(cs, st.rings[cn.task], group, int(from), &st.rr[int(from+1)*len(st.p.tasks)+int(cn.task)])
 		var latency int64
 		if from >= 0 {
 			latency = m.MsgCycles(st.cores[from].phys, st.cores[dst].phys, nd.words)

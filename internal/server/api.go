@@ -83,17 +83,8 @@ type JobView struct {
 	Result  *ResultView `json:"result,omitempty"`
 }
 
-// ErrorResponse is the body of non-2xx responses on the deprecated legacy
-// routes (/api/v1/*). The /v1 surface uses APIError.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	// RetryAfterSec mirrors the Retry-After header on 429/503.
-	RetryAfterSec int `json:"retry_after_sec,omitempty"`
-}
-
 // APIError is the uniform error envelope of every non-2xx /v1 response:
-// one shape for every failure, replacing the legacy surface's mix of
-// plain-text 503s, ErrorResponse bodies, and ad-hoc retry hints.
+// one shape for every failure.
 type APIError struct {
 	// Code is a stable machine-readable cause (see the Code* constants).
 	Code string `json:"code"`

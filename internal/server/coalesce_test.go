@@ -74,7 +74,10 @@ func putsPerFeed(g, perBatch, heavy int) int {
 func TestSessionCoalescingDeterminism(t *testing.T) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
-			s := newTestService(t, server.Config{})
+			// The ladder's last rung feeds 196,608 requests; past the default
+			// MaxSessionLog the session would be pinned and its log dropped,
+			// leaving the control nothing to replay.
+			s := newTestService(t, server.Config{MaxSessionLog: 1 << 20})
 
 			// Coalescing needs the engine busy long enough for feeds to
 			// queue, and how long a put takes depends on the machine (and
@@ -101,6 +104,9 @@ func TestSessionCoalescingDeterminism(t *testing.T) {
 			// Replay the exact engine batches the coalescer chose against a
 			// control session, one client feed per recorded batch.
 			log := s.srv.SessionLog(sv.ID)
+			if len(log) == 0 {
+				t.Fatal("the coalesced session kept no log: nothing to replay against")
+			}
 			cv := kvSession(t, s, "", cores)
 			for _, batch := range log {
 				if _, err := s.cl.Feed(ctxT(), cv.ID, batch); err != nil {

@@ -297,10 +297,8 @@ func (s *Server) sessID() string {
 func (s *Server) SetClusterStats(fn func() ClusterStats) { s.clusterFn.Store(&fn) }
 
 // Handler returns the HTTP API. The canonical surface lives under /v1/
-// and renders every non-2xx response as the uniform APIError envelope.
-// The original /api/v1/ job routes remain as deprecated aliases for one
-// release: same handlers, legacy ErrorResponse error shape, and a
-// Deprecation header pointing at the successor. Sessions are /v1-only.
+// and renders every non-2xx response as the uniform APIError envelope;
+// the conventional unprefixed probe paths answer too.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -315,36 +313,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleSessionClose)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/varz", s.handleVarz)
-	// Deprecated aliases (one release), plus the conventional unprefixed
-	// probe paths, which stay.
-	mux.HandleFunc("POST /api/v1/jobs", legacy(s.handleSubmit))
-	mux.HandleFunc("GET /api/v1/jobs/{id}", legacy(s.handleStatus))
-	mux.HandleFunc("GET /api/v1/jobs/{id}/output", legacy(s.handleOutput))
-	mux.HandleFunc("GET /api/v1/jobs/{id}/trace", legacy(s.handleTrace))
-	mux.HandleFunc("GET /api/v1/jobs/{id}/metrics", legacy(s.handleJobMetrics))
-	mux.HandleFunc("DELETE /api/v1/jobs/{id}", legacy(s.handleCancel))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /varz", s.handleVarz)
 	return mux
-}
-
-// legacyKey marks a request that arrived through a deprecated alias so
-// writeErr renders the old ErrorResponse shape instead of APIError.
-type ctxKey int
-
-const legacyKey ctxKey = 0
-
-func legacy(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/>; rel="successor-version"`)
-		h(w, r.WithContext(context.WithValue(r.Context(), legacyKey, true)))
-	}
-}
-
-func isLegacy(r *http.Request) bool {
-	v, _ := r.Context().Value(legacyKey).(bool)
-	return v
 }
 
 // Drain performs the graceful shutdown: stop admitting (503), let the
@@ -693,14 +664,11 @@ func (s *Server) aggregate(m obsv.MetricsSnapshot) {
 	a.GuardRechecks += m.GuardRechecks
 	a.Deliveries += m.Deliveries
 	a.Pokes += m.Pokes
-	a.PokesSuppressed += m.PokesSuppressed
 	a.InboxSamples += m.InboxSamples
 	a.InboxDepthSum += m.InboxDepthSum
 	if m.InboxDepthMax > a.InboxDepthMax {
 		a.InboxDepthMax = m.InboxDepthMax
 	}
-	a.StealAttempts += m.StealAttempts
-	a.StealSuccesses += m.StealSuccesses
 	a.Retries += m.Retries
 	a.Rollbacks += m.Rollbacks
 	a.Timeouts += m.Timeouts
@@ -749,21 +717,11 @@ func writeJSONBuf(w http.ResponseWriter, code int, v any) {
 	}
 }
 
-// writeErr renders one failure: the uniform APIError envelope on /v1,
-// the legacy ErrorResponse shape on deprecated aliases. retryMS, when
-// nonzero, also sets the Retry-After header (whole seconds, rounded up).
-func writeErr(w http.ResponseWriter, r *http.Request, status int, code, msg string, retryMS int64) {
-	sec := int((retryMS + 999) / 1000)
+// writeErr renders one failure as the uniform APIError envelope. retryMS,
+// when nonzero, also sets the Retry-After header (whole seconds, rounded up).
+func writeErr(w http.ResponseWriter, status int, code, msg string, retryMS int64) {
 	if retryMS > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(sec))
-	}
-	if isLegacy(r) {
-		e := ErrorResponse{Error: msg}
-		if retryMS > 0 {
-			e.RetryAfterSec = sec
-		}
-		writeJSON(w, status, e)
-		return
+		w.Header().Set("Retry-After", strconv.Itoa(int((retryMS+999)/1000)))
 	}
 	writeJSON(w, status, &APIError{Code: code, Message: msg, RetryAfterMS: retryMS})
 }
@@ -772,12 +730,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes+4096)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
+		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}
 	j, err := s.resolve(&req)
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidArgument, err.Error(), 0)
+		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), 0)
 		return
 	}
 	j.ID = s.jobID()
@@ -790,7 +748,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// crash after this line.
 	if err := s.logJobAccept(j); err != nil {
 		j.cancel()
-		writeErr(w, r, http.StatusInternalServerError, CodeInternal, "write-ahead log append failed: "+err.Error(), 0)
+		writeErr(w, http.StatusInternalServerError, CodeInternal, "write-ahead log append failed: "+err.Error(), 0)
 		return
 	}
 
@@ -812,7 +770,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if err == errDraining {
 			status, code = http.StatusServiceUnavailable, CodeDraining
 		}
-		writeErr(w, r, status, code, err.Error(), int64(s.retryAfter())*1000)
+		writeErr(w, status, code, err.Error(), int64(s.retryAfter())*1000)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
@@ -826,7 +784,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such job", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
 		return
 	}
 	writeJSON(w, http.StatusOK, j.view())
@@ -835,11 +793,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such job", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
 		return
 	}
 	if !j.terminal() {
-		writeErr(w, r, http.StatusConflict, CodeConflict, "job has not finished", 0)
+		writeErr(w, http.StatusConflict, CodeConflict, "job has not finished", 0)
 		return
 	}
 	out, _ := j.out.snapshot()
@@ -850,15 +808,15 @@ func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such job", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
 		return
 	}
 	if j.trace == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "job was not submitted with trace=true", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "job was not submitted with trace=true", 0)
 		return
 	}
 	if !j.terminal() {
-		writeErr(w, r, http.StatusConflict, CodeConflict, "job has not finished", 0)
+		writeErr(w, http.StatusConflict, CodeConflict, "job has not finished", 0)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -881,7 +839,7 @@ type jobMetricsView struct {
 func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such job", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
 		return
 	}
 	v := j.view()
@@ -899,7 +857,7 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such job", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
 		return
 	}
 	if j.markCanceled() {
@@ -931,8 +889,8 @@ type Varz struct {
 	// Runtime sums the runtime counters over every finished job:
 	// interpreter dispatch statistics (superinstruction coverage,
 	// inline-cache hits/misses, arena reuse) from both engines, plus the
-	// concurrent engine's scheduler/lock counters (steals, retries,
-	// rollbacks, ...).
+	// concurrent engine's scheduler/lock counters (contention skips,
+	// retries, rollbacks, ...).
 	Runtime obsv.MetricsSnapshot `json:"runtime_counters"`
 	// WAL reports the durability layer (nil when no WALDir is set).
 	WAL *WALView `json:"wal,omitempty"`

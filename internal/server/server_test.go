@@ -15,8 +15,8 @@ import (
 
 // testService is an in-process bambood plus the typed /v1 client every
 // test drives it through. The raw httptest server stays reachable for
-// the few tests whose subject is the wire format itself (legacy aliases,
-// malformed bodies).
+// the few tests whose subject is the wire format itself (the error
+// envelope, malformed bodies).
 type testService struct {
 	srv *server.Server
 	ts  *httptest.Server
@@ -172,10 +172,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeAndLegacyAlias pins the wire formats: /v1 renders the
-// uniform {code, message} envelope, while the deprecated /api/v1 aliases
-// keep the original {"error": ...} shape and announce their deprecation.
-func TestErrorEnvelopeAndLegacyAlias(t *testing.T) {
+// TestErrorEnvelope pins the wire format of a failure: the uniform
+// {code, message} envelope.
+func TestErrorEnvelope(t *testing.T) {
 	s := newTestService(t, server.Config{})
 
 	resp, err := http.Get(s.ts.URL + "/v1/jobs/j404")
@@ -190,49 +189,6 @@ func TestErrorEnvelopeAndLegacyAlias(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound || env.Code != server.CodeNotFound || env.Message == "" {
 		t.Errorf("/v1 envelope = HTTP %d %+v", resp.StatusCode, env)
 	}
-
-	resp, err = http.Get(s.ts.URL + "/api/v1/jobs/j404")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy server.ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound || legacy.Error == "" {
-		t.Errorf("legacy shape = HTTP %d %+v", resp.StatusCode, legacy)
-	}
-	if resp.Header.Get("Deprecation") == "" {
-		t.Error("legacy alias response lacks a Deprecation header")
-	}
-
-	// The alias serves real work too, not just errors.
-	sub, subResp := rawSubmit(t, s.ts.URL+"/api/v1/jobs", server.SubmitRequest{Source: testProgram(33)})
-	if subResp.StatusCode != http.StatusAccepted || sub.ID == "" {
-		t.Fatalf("legacy submit: HTTP %d %+v", subResp.StatusCode, sub)
-	}
-	v := s.await(t, sub.ID, 10*time.Second)
-	if v.Status != server.StatusSucceeded {
-		t.Errorf("legacy-submitted job = %+v", v)
-	}
-}
-
-func rawSubmit(t *testing.T, url string, req server.SubmitRequest) (server.SubmitResponse, *http.Response) {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sub server.SubmitResponse
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return sub, resp
 }
 
 // slowProgram keeps a worker occupied across many cheap task invocations

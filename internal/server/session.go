@@ -499,16 +499,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes+4096)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
+		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}
 	sn, err := s.resolveSession(&req)
 	if err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidArgument, err.Error(), 0)
+		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), 0)
 		return
 	}
 	if err := s.beginSessionOp(); err != nil {
-		writeErr(w, r, http.StatusServiceUnavailable, CodeDraining, err.Error(), int64(s.retryAfter())*1000)
+		writeErr(w, http.StatusServiceUnavailable, CodeDraining, err.Error(), int64(s.retryAfter())*1000)
 		return
 	}
 	defer s.sessWg.Done()
@@ -519,7 +519,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// must not wedge admission shut forever.
 	if len(s.sessions)-len(s.sessRing) >= s.cfg.MaxSessions {
 		s.sessMu.Unlock()
-		writeErr(w, r, http.StatusTooManyRequests, CodeSaturated, "session table is full", int64(s.retryAfter())*1000)
+		writeErr(w, http.StatusTooManyRequests, CodeSaturated, "session table is full", int64(s.retryAfter())*1000)
 		return
 	}
 	sn.ID = s.sessID()
@@ -539,7 +539,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			status, code = http.StatusGatewayTimeout, CodeDeadlineExceeded
 		}
-		writeErr(w, r, status, code, err.Error(), 0)
+		writeErr(w, status, code, err.Error(), 0)
 		return
 	}
 	// Durability before acknowledgment: log the create before the client
@@ -547,7 +547,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if err := s.logSessCreate(sn); err != nil {
 		s.closeLiveLocked(sn)
 		s.dropSession(sn.ID)
-		writeErr(w, r, http.StatusInternalServerError, CodeInternal, "write-ahead log append failed: "+err.Error(), 0)
+		writeErr(w, http.StatusInternalServerError, CodeInternal, "write-ahead log append failed: "+err.Error(), 0)
 		return
 	}
 	sn.status = SessionActive
@@ -559,17 +559,17 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	sn := s.session(r.PathValue("id"))
 	if sn == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such session", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such session", 0)
 		return
 	}
 	var req FeedRequest
 	body := http.MaxBytesReader(w, r.Body, 8<<20)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
+		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}
 	if len(req.Requests) == 0 {
-		writeErr(w, r, http.StatusBadRequest, CodeInvalidArgument, "requests must be non-empty", 0)
+		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "requests must be non-empty", 0)
 		return
 	}
 	accept := time.Now()
@@ -581,7 +581,7 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err := s.beginSessionOp(); err != nil {
-		writeErr(w, r, http.StatusServiceUnavailable, CodeDraining, err.Error(), int64(s.retryAfter())*1000)
+		writeErr(w, http.StatusServiceUnavailable, CodeDraining, err.Error(), int64(s.retryAfter())*1000)
 		return
 	}
 	defer s.sessWg.Done()
@@ -620,7 +620,7 @@ func (fw *feedWaiter) respond(w http.ResponseWriter, r *http.Request) {
 		writeJSONBuf(w, http.StatusOK, fw.resp)
 		return
 	}
-	writeErr(w, r, fw.status, fw.code, fw.msg, fw.retryMS)
+	writeErr(w, fw.status, fw.code, fw.msg, fw.retryMS)
 }
 
 // claimLocked removes a window-bounded prefix of the pending queue:
@@ -848,7 +848,7 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	sn := s.session(r.PathValue("id"))
 	if sn == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such session", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such session", 0)
 		return
 	}
 	sn.mu.Lock()
@@ -860,7 +860,7 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	sn := s.session(r.PathValue("id"))
 	if sn == nil {
-		writeErr(w, r, http.StatusNotFound, CodeNotFound, "no such session", 0)
+		writeErr(w, http.StatusNotFound, CodeNotFound, "no such session", 0)
 		return
 	}
 	sn.mu.Lock()
@@ -883,7 +883,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	default:
 		// Pre-boot window: the create handler still owns this session.
 		sn.mu.Unlock()
-		writeErr(w, r, http.StatusConflict, CodeFailedPrecondition, "session is not ready", 0)
+		writeErr(w, http.StatusConflict, CodeFailedPrecondition, "session is not ready", 0)
 		return
 	}
 	v := sn.viewLocked()

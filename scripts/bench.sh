@@ -115,11 +115,11 @@ if want synthesis; then
 fi
 
 # Runtime counter snapshot: run each benchmark on the concurrent engine
-# with metrics enabled and collect the counters JSON per benchmark. The
-# default 8 cores leaves some cores under-loaded on the imbalanced
-# benchmarks (e.g. ImagePipe's pipeline stages), so the work-stealing
-# counters come out nonzero; a light injected-crash rate exercises the
-# rollback/retry path so the retry counters are nonzero too.
+# with metrics enabled and collect the counters JSON per benchmark. None
+# of the three contends for a lock across cores, so contention_skips and
+# pokes read 0 (a poke answers a contention skip and nothing else); a
+# light injected-crash rate exercises the rollback/retry path so the
+# retry counters are nonzero.
 rtout="${2:-BENCH_runtime.json}"
 cores="${RUNTIME_CORES:-8}"
 panic_every="${RUNTIME_PANIC_EVERY:-13}"

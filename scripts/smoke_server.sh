@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for bambood: build it, start it, submit one
 # benchmark job over the /v1 API, poll to completion, assert a successful
-# result with nonzero total_cycles, check that the deprecated /api/v1
-# alias still answers with its legacy error shape, then SIGTERM the
-# daemon and assert it drains cleanly (exit 0). CI runs this as the
+# result with nonzero total_cycles, check the error envelope, then SIGTERM
+# the daemon and assert it drains cleanly (exit 0). CI runs this as the
 # `server` job's last step; scripts/smoke_stream.sh covers the
 # persistent-session streaming path.
 #
@@ -63,17 +62,10 @@ echo "job succeeded with total_cycles=$cycles" >&2
 # /varz should report the completed job and a cache miss.
 curl -fsS "$base/v1/varz" | grep -q '"submitted": 1'
 
-# The deprecated /api/v1 alias must still answer, flag its deprecation,
-# and keep the legacy {"error": ...} shape (the /v1 surface uses the
-# {code, message} envelope instead).
-alias_headers="$(curl -sS -D - -o /dev/null "$base/api/v1/jobs/j404")"
-echo "$alias_headers" | grep -qi '^deprecation:' \
-    || { echo "legacy alias lacks Deprecation header" >&2; exit 1; }
-curl -sS "$base/api/v1/jobs/j404" | grep -q '"error"' \
-    || { echo "legacy alias lost its error shape" >&2; exit 1; }
+# A failure is the uniform {code, message} envelope.
 curl -sS "$base/v1/jobs/j404" | grep -q '"code": *"not_found"' \
     || { echo "/v1 error is not the uniform envelope" >&2; exit 1; }
-echo "legacy alias + /v1 envelope OK" >&2
+echo "/v1 envelope OK" >&2
 
 # Graceful drain on SIGTERM: the daemon must exit 0 on its own.
 kill -TERM "$daemon_pid"
