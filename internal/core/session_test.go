@@ -250,3 +250,55 @@ func TestSessionDeterministicReplay(t *testing.T) {
 		t.Fatalf("results differ: %+v vs %+v", ra, rb)
 	}
 }
+
+// TestSessionSimulatedScaling: the same KVStore traffic costs at most half
+// the simulated cycles per request on an 8-core layout that it costs on
+// one core (measured 4.09x). Each core count gets a deterministic session
+// fed the full key space for eight rounds, every reply checked against a
+// model of the store; a zero-round session's cycles (boot and warm-up)
+// are subtracted, leaving the feed cost. The keys sit above the warm range
+// (0..63): 384 are 48 per shard, within the 56 free slots each shard has.
+func TestSessionSimulatedScaling(t *testing.T) {
+	const rounds, keys, keyBase = 8, 384, 1000
+	cyclesPerRequest := func(cores int) float64 {
+		boot := startKV(t, core.Deterministic, cores).Close().TotalCycles
+		sess := startKV(t, core.Deterministic, cores)
+		puts, last := map[int]int{}, map[int]int{}
+		for r := 0; r < rounds; r++ {
+			reqs := make([]bamboort.Inject, keys)
+			for j := range reqs {
+				op := 1 // put, but every third request a get
+				if (r+j)%3 == 2 {
+					op = 0
+				}
+				reqs[j] = kvReq(op, keyBase+j, 100000+r*keys+j)
+			}
+			for j, rep := range feedKV(t, sess, reqs...) {
+				key, val := keyBase+j, 100000+r*keys+j
+				switch {
+				case (r+j)%3 != 2: // put: echoes the value at the key's next version
+					puts[key]++
+					last[key] = val
+					wantField(t, rep, "reply", strconv.Itoa(val))
+				case puts[key] == 0: // get before any put
+					wantField(t, rep, "found", "0")
+					continue
+				default: // get: the latest put, at its version
+					wantField(t, rep, "found", "1")
+					wantField(t, rep, "reply", strconv.Itoa(last[key]))
+				}
+				wantField(t, rep, "version", strconv.Itoa(puts[key]))
+			}
+		}
+		feed := sess.Close().TotalCycles - boot
+		if feed <= 0 {
+			t.Fatalf("%d cores: %d feed cycles over %d requests", cores, feed, rounds*keys)
+		}
+		return float64(feed) / (rounds * keys)
+	}
+	one, eight := cyclesPerRequest(1), cyclesPerRequest(8)
+	t.Logf("simulated cycles per request: %.1f on 1 core, %.1f on 8 (%.2fx)", one, eight, one/eight)
+	if eight > one/2 {
+		t.Fatalf("8 cores cost %.1f cycles per request against %.1f on one: scaling %.2fx, want >= 2x", eight, one, one/eight)
+	}
+}

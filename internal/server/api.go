@@ -250,8 +250,9 @@ type SessionView struct {
 	Batches  int64 `json:"batches"`
 	// EngineBatches counts engine Feed calls — under load it runs behind
 	// Batches because queued feeds coalesce; CoalescedFeeds counts the
-	// feeds that shared an engine batch. BatchWindow is the adaptive
-	// coalescing window (max requests per engine batch) right now.
+	// feeds that shared an engine batch. BatchWindow is the most requests
+	// one engine batch takes: a constant, reported because bench/ (frozen
+	// by BENCHMARK.json) reads it for server.batch_window.
 	EngineBatches  int64 `json:"engine_batches"`
 	CoalescedFeeds int64 `json:"coalesced_feeds"`
 	BatchWindow    int   `json:"batch_window"`

@@ -1,7 +1,7 @@
 // Package client is the typed Go client for bambood's /v1 API. It is the
 // single place HTTP paths, request/response shapes, and the APIError
-// envelope are spelled out on the client side: the load harness, the
-// smoke tests, and the server's own e2e tests all drive the service
+// envelope are spelled out on the client side: the benchmark (bench/)
+// and the server's and cluster's own e2e tests all drive the service
 // through it instead of hand-rolling requests.
 package client
 
@@ -69,7 +69,7 @@ func RetryAfter(err error) time.Duration {
 }
 
 // bodyPool recycles request-encoding buffers: a feed-heavy client (the
-// closed-loop load harness) marshals thousands of bodies per second, and
+// benchmark's closed loop) marshals thousands of bodies per second, and
 // json.Marshal's fresh byte slice per call is pure garbage-collector load.
 var bodyPool sync.Pool // of *bytes.Buffer
 
@@ -244,12 +244,4 @@ func (c *Client) Varz(ctx context.Context) (server.Varz, error) {
 // Healthz returns nil when the service is accepting work.
 func (c *Client) Healthz(ctx context.Context) error {
 	return c.do(ctx, http.MethodGet, "/v1/healthz", nil, nil)
-}
-
-// Cluster fetches the local node's router counters and peer health.
-// Only cluster-fronted daemons serve this route.
-func (c *Client) Cluster(ctx context.Context) (server.ClusterStats, error) {
-	var out server.ClusterStats
-	err := c.do(ctx, http.MethodGet, "/v1/cluster", nil, &out)
-	return out, err
 }

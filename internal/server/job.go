@@ -46,11 +46,9 @@ type Job struct {
 	ID  string
 	key string
 	req SubmitRequest
-	// resolved fields (benchmark source, defaulted args/engine/cores).
-	source  string
-	args    []string
+	// resolved fields: the defaulted engine and the compile request
+	// (benchmark source, defaulted args/cores/seed).
 	engine  string
-	cores   int
 	creq    CompileRequest
 	timeout time.Duration
 
@@ -135,7 +133,7 @@ func (j *Job) view() JobView {
 		ID:       j.ID,
 		Status:   j.status,
 		Engine:   j.engine,
-		Cores:    j.cores,
+		Cores:    j.creq.Prep.Cores,
 		CacheKey: j.key,
 		CacheHit: j.cacheHit,
 		Error:    j.errMsg,

@@ -66,11 +66,6 @@ type Config struct {
 	MaxLiveSessions int
 	MaxSessionLog   int
 	RetainSessions  int
-	// CoalesceTargetDelay is the queueing-delay target of the session feed
-	// coalescer (default 3ms): the adaptive batch controller sizes the
-	// per-session coalescing window so one engine batch's service time
-	// tracks this budget. Smaller values favor latency, larger throughput.
-	CoalesceTargetDelay time.Duration
 	// WALDir, when set, enables the write-ahead log: every accepted job
 	// and session mutation is fsynced there before it is acknowledged,
 	// and Open replays non-terminal work on boot. Empty disables
@@ -129,9 +124,6 @@ func (c *Config) applyDefaults() {
 	if c.RetainSessions <= 0 {
 		c.RetainSessions = 1024
 	}
-	if c.CoalesceTargetDelay <= 0 {
-		c.CoalesceTargetDelay = 3 * time.Millisecond
-	}
 }
 
 // Server is the bambood execution service: a program cache, a bounded
@@ -184,12 +176,10 @@ type Server struct {
 	sessReplays atomic.Int64
 	sessFeeds   atomic.Int64
 	sessReqs    atomic.Int64
-	// feed-coalescing counters: engine batches driven, feeds that shared a
-	// batch, and adaptive-window resizes across all sessions.
+	// feed-coalescing counters: engine batches driven and feeds that
+	// shared a batch, across all sessions.
 	sessEngBatches atomic.Int64
 	sessCoalesced  atomic.Int64
-	winGrows       atomic.Int64
-	winShrinks     atomic.Int64
 
 	e2eLat   obsv.Histogram // admission → completion, ns
 	execLat  obsv.Histogram // dispatch → completion, ns
@@ -383,125 +373,145 @@ func (s *Server) cancelAll() {
 // Draining reports whether a drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Cache exposes the program cache (tests, loadgen assertions).
-func (s *Server) Cache() *ProgramCache { return s.cache }
-
 // ---- admission ----
 
-// resolveProgram maps a request's source/benchmark pair onto program
-// text and args (benchmark defaults applied). Shared by job and session
-// resolution and by the Fingerprint methods the cluster router hashes.
-func resolveProgram(source, benchmark string, args []string) (string, []string, error) {
-	if (source == "") == (benchmark == "") {
-		return "", nil, fmt.Errorf("exactly one of source and benchmark is required")
-	}
-	if benchmark != "" {
-		b, err := benchmarks.Get(benchmark)
-		if err != nil {
-			return "", nil, err
-		}
-		source = b.Source
-		if args == nil {
-			args = b.Args
-		}
-	}
-	return source, args, nil
+// execSpec is the part of a job or session request that says what to
+// compile and how to run it; SubmitRequest and SessionRequest carry the
+// same seven top-level fields.
+type execSpec struct {
+	Source, Benchmark, Engine string
+	Args                      []string
+	Cores                     int
+	Seed                      int64
+	Optimize                  bool
 }
 
-// execDefaults applies the documented cores/seed defaults.
-func execDefaults(cores int, seed int64) (int, int64) {
-	if cores <= 0 {
-		cores = 1
+func (r *SubmitRequest) spec() execSpec {
+	return execSpec{Source: r.Source, Benchmark: r.Benchmark, Engine: r.Engine,
+		Args: r.Args, Cores: r.Cores, Seed: r.Seed, Optimize: r.Optimize}
+}
+
+func (r *SessionRequest) spec() execSpec {
+	return execSpec{Source: r.Source, Benchmark: r.Benchmark, Engine: r.Engine,
+		Args: r.Args, Cores: r.Cores, Seed: r.Seed, Optimize: r.Optimize}
+}
+
+// compileRequest is the one place a request becomes the CompileRequest
+// whose Key is its content address, plus the engine it runs on: exactly
+// one of source and benchmark (a benchmark supplies default args), a known
+// engine (default deterministic), cores and seed defaulting to 1.
+// Admission, session creation, WAL recovery and the Fingerprint methods
+// the cluster router hashes all go through it, so every front agrees on a
+// program's owner.
+func (e execSpec) compileRequest() (CompileRequest, string, error) {
+	if (e.Source == "") == (e.Benchmark == "") {
+		return CompileRequest{}, "", fmt.Errorf("exactly one of source and benchmark is required")
 	}
-	if seed == 0 {
-		seed = 1
+	if e.Benchmark != "" {
+		b, err := benchmarks.Get(e.Benchmark)
+		if err != nil {
+			return CompileRequest{}, "", err
+		}
+		e.Source = b.Source
+		if e.Args == nil {
+			e.Args = b.Args
+		}
 	}
-	return cores, seed
+	switch e.Engine {
+	case "":
+		e.Engine = "deterministic"
+	case "deterministic", "concurrent":
+	default:
+		return CompileRequest{}, "", fmt.Errorf("unknown engine %q", e.Engine)
+	}
+	if e.Cores <= 0 {
+		e.Cores = 1
+	}
+	if e.Seed == 0 {
+		e.Seed = 1
+	}
+	return CompileRequest{
+		Source: e.Source,
+		Opts:   core.CompileOptions{Optimize: e.Optimize},
+		Prep:   core.PrepareConfig{Cores: e.Cores, Seed: e.Seed, Args: e.Args},
+	}, e.Engine, nil
+}
+
+func (e execSpec) fingerprint() (string, error) {
+	creq, _, err := e.compileRequest()
+	if err != nil {
+		return "", err
+	}
+	return creq.Key(), nil
 }
 
 // Fingerprint returns the request's compile-cache content address
 // without compiling anything — the same key GetOrCompile will use. The
 // cluster router consistent-hashes on it, so a hot program's jobs land
 // on the node that already holds its compiled cache entry.
-func (r *SubmitRequest) Fingerprint() (string, error) {
-	src, args, err := resolveProgram(r.Source, r.Benchmark, r.Args)
-	if err != nil {
-		return "", err
-	}
-	cores, seed := execDefaults(r.Cores, r.Seed)
-	creq := CompileRequest{
-		Source: src,
-		Opts:   core.CompileOptions{Optimize: r.Optimize},
-		Prep:   core.PrepareConfig{Cores: cores, Seed: seed, Args: args},
-	}
-	return creq.Key(), nil
-}
+func (r *SubmitRequest) Fingerprint() (string, error) { return r.spec().fingerprint() }
 
 // Fingerprint is the session analogue of SubmitRequest.Fingerprint:
 // sessions are routed to the node whose cache holds their program (and
 // stay there — session state is sticky).
-func (r *SessionRequest) Fingerprint() (string, error) {
-	src, args, err := resolveProgram(r.Source, r.Benchmark, r.Args)
-	if err != nil {
-		return "", err
+func (r *SessionRequest) Fingerprint() (string, error) { return r.spec().fingerprint() }
+
+// admissible is compileRequest plus this server's source-size bound.
+func (s *Server) admissible(e execSpec) (CompileRequest, string, error) {
+	creq, engine, err := e.compileRequest()
+	if err == nil && int64(len(creq.Source)) > s.cfg.MaxSourceBytes {
+		err = fmt.Errorf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
 	}
-	cores, seed := execDefaults(r.Cores, r.Seed)
-	creq := CompileRequest{
-		Source: src,
-		Opts:   core.CompileOptions{Optimize: r.Optimize},
-		Prep:   core.PrepareConfig{Cores: cores, Seed: seed, Args: args},
+	return creq, engine, err
+}
+
+// timeout is a request's deadline budget: its timeout_ms capped at
+// MaxTimeout, or DefaultTimeout when it sets none.
+func (s *Server) timeout(ms int64) time.Duration {
+	if ms <= 0 {
+		return s.cfg.DefaultTimeout
 	}
-	return creq.Key(), nil
+	return min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
+}
+
+// execConfig is what either engine needs to run a compiled program; the
+// caller adds its own output, trace and metrics sinks.
+func execConfig(c *Compiled, engine string, args []string) core.ExecConfig {
+	cfg := core.ExecConfig{
+		Engine:  core.Deterministic,
+		Machine: c.Prep.Machine,
+		Layout:  c.Prep.Layout,
+		Args:    args,
+	}
+	if engine == "concurrent" {
+		cfg.Engine = core.Concurrent
+	}
+	return cfg
 }
 
 // resolve validates a SubmitRequest and fills a Job's execution fields.
 func (s *Server) resolve(req *SubmitRequest) (*Job, error) {
-	src, args, err := resolveProgram(req.Source, req.Benchmark, req.Args)
+	creq, engine, err := s.admissible(req.spec())
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(src)) > s.cfg.MaxSourceBytes {
-		return nil, fmt.Errorf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
-	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "deterministic"
-	}
-	if engine != "deterministic" && engine != "concurrent" {
-		return nil, fmt.Errorf("unknown engine %q", req.Engine)
-	}
-	cores, seed := execDefaults(req.Cores, req.Seed)
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
 	j := &Job{
 		req:     *req,
-		source:  src,
-		args:    args,
 		engine:  engine,
-		cores:   cores,
-		timeout: timeout,
+		creq:    creq,
+		key:     creq.Key(),
+		timeout: s.timeout(req.TimeoutMS),
 		status:  StatusQueued,
 		out:     limitWriter{max: s.cfg.MaxOutputBytes},
+		// Every job carries a metrics sink: both engines report interpreter
+		// dispatch statistics (superinstruction coverage, inline-cache hit
+		// rates, arena reuse), and the concurrent engine adds its scheduler
+		// and lock counters on top.
+		metrics: &obsv.Metrics{},
 	}
-	j.creq = CompileRequest{
-		Source: src,
-		Opts:   core.CompileOptions{Optimize: req.Optimize},
-		Prep:   core.PrepareConfig{Cores: cores, Seed: seed, Args: args},
-	}
-	j.key = j.creq.Key()
 	if req.Trace {
 		j.trace = &obsv.Trace{}
 	}
-	// Every job carries a metrics sink: both engines report interpreter
-	// dispatch statistics (superinstruction coverage, inline-cache hit
-	// rates, arena reuse), and the concurrent engine adds its scheduler
-	// and lock counters on top.
-	j.metrics = &obsv.Metrics{}
 	return j, nil
 }
 
@@ -548,21 +558,28 @@ func (s *Server) retryAfter() int {
 	return sec
 }
 
-// register stores the job and enforces finished-job retention.
 func (s *Server) register(j *Job) {
 	s.jobMu.Lock()
 	s.jobs[j.ID] = j
 	s.jobMu.Unlock()
 }
 
+// trimRing forgets the oldest IDs beyond keep, from ring and from table,
+// and returns the shortened ring: the one retention rule finished jobs and
+// terminal sessions share. Caller holds the table's lock.
+func trimRing[T any](ring []string, table map[string]T, keep int) []string {
+	for len(ring) > keep {
+		delete(table, ring[0])
+		ring = ring[1:]
+	}
+	return ring
+}
+
+// retire enforces finished-job retention: the oldest finished jobs are
+// forgotten first.
 func (s *Server) retire(j *Job) {
 	s.jobMu.Lock()
-	s.doneRing = append(s.doneRing, j.ID)
-	for len(s.doneRing) > s.cfg.RetainJobs {
-		old := s.doneRing[0]
-		s.doneRing = s.doneRing[1:]
-		delete(s.jobs, old)
-	}
+	s.doneRing = trimRing(append(s.doneRing, j.ID), s.jobs, s.cfg.RetainJobs)
 	s.jobMu.Unlock()
 }
 
@@ -588,7 +605,6 @@ func (s *Server) execute(j *Job) {
 		s.retire(j)
 		return
 	}
-	s.logJobStart(j)
 	s.running.Add(1)
 	defer s.running.Add(-1)
 
@@ -640,19 +656,9 @@ func (s *Server) runJob(j *Job) (*bamboort.Result, error) {
 	j.cacheHit = hit
 	j.mu.Unlock()
 
-	engine := core.Deterministic
-	if j.engine == "concurrent" {
-		engine = core.Concurrent
-	}
-	return compiled.Sys.Exec(ctx, core.ExecConfig{
-		Engine:  engine,
-		Machine: compiled.Prep.Machine,
-		Layout:  compiled.Prep.Layout,
-		Args:    j.args,
-		Out:     &j.out,
-		Trace:   j.trace,
-		Metrics: j.metrics,
-	})
+	cfg := execConfig(compiled, j.engine, j.creq.Prep.Args)
+	cfg.Out, cfg.Trace, cfg.Metrics = &j.out, j.trace, j.metrics
+	return compiled.Sys.Exec(ctx, cfg)
 }
 
 func (s *Server) aggregate(m obsv.MetricsSnapshot) {
@@ -912,8 +918,7 @@ type LatencyStats struct {
 	Queue obsv.HistogramSnapshot `json:"queue"`
 }
 
-// VarzSnapshot builds the /varz document (also used by the load harness
-// directly).
+// VarzSnapshot builds the /varz document (bench/ reads it in-process).
 func (s *Server) VarzSnapshot() Varz {
 	s.aggMu.Lock()
 	agg := s.agg

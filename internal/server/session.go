@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bamboort"
@@ -38,19 +37,17 @@ import (
 // Feeds are pipelined: instead of each HTTP handler taking mu for its own
 // engine batch, handlers enqueue a feedWaiter on the pending queue (qmu)
 // and contend for the leadership token in lead. The token holder drives
-// engine batches — claiming a window-bounded prefix of the queue,
-// injecting it as ONE coalesced engine Feed, and demuxing the replies back
-// to each waiter — until its own waiter is answered, then hands the token
-// on. Queue order is FIFO, so coalescing preserves per-key request order
+// engine batches — claiming what is queued (claimLocked), injecting it as
+// ONE coalesced engine Feed, and demuxing the replies back to each waiter
+// — until its own waiter is answered, then hands the token on. Queue
+// order is FIFO, so coalescing preserves per-key request order
 // exactly as serialized feeds did; the replay log records the coalesced
 // batch boundaries, so a park→revive replay re-runs the identical batches.
 type Session struct {
 	ID     string
 	key    string // content address of the compiled program
 	engine string
-	cores  int
 	spec   SessionRequestSpec
-	args   []string
 	creq   CompileRequest
 	// req is the creating request verbatim, for the WAL (create records
 	// and checkpoint re-encoding).
@@ -85,7 +82,6 @@ type Session struct {
 	res        *bamboort.Result // cumulative result, set at close
 	arenaBytes int64            // last observed arena-reuse bytes
 
-	bc     batchController
 	injBuf []bamboort.Inject // leader-only inject scratch, under mu
 }
 
@@ -116,49 +112,11 @@ func failAll(ws []*feedWaiter, status int, code, msg string, retryMS int64) {
 	}
 }
 
-// batchController adapts the coalescing window — the maximum number of
-// injected requests per engine batch. It keeps an EWMA of per-request
-// engine service time and sizes the window so one batch's service time
-// tracks the configured queueing-delay target: when requests are cheap the
-// window doubles (more coalescing, higher throughput), when they are
-// expensive it halves (less queueing delay per batch). Rate matching falls
-// out for free: under light load batches never fill the window, and under
-// saturation the window converges to target/ewma.
-type batchController struct {
-	target time.Duration // queueing-delay target per engine batch
-	ewma   float64       // smoothed per-request service time, ns
-	win    int
-}
-
-const (
-	coalesceMinWindow = 16
-	coalesceMaxWindow = 8192
-	coalesceAlpha     = 0.2
-)
-
-func (bc *batchController) observe(items int, svc time.Duration, grows, shrinks *atomic.Int64) {
-	if items <= 0 {
-		return
-	}
-	per := float64(svc.Nanoseconds()) / float64(items)
-	if bc.ewma == 0 {
-		bc.ewma = per
-	} else {
-		bc.ewma = coalesceAlpha*per + (1-coalesceAlpha)*bc.ewma
-	}
-	if bc.ewma <= 0 {
-		return
-	}
-	desired := float64(bc.target.Nanoseconds()) / bc.ewma
-	switch {
-	case desired >= float64(2*bc.win) && bc.win < coalesceMaxWindow:
-		bc.win *= 2
-		grows.Add(1)
-	case desired < float64(bc.win)/2 && bc.win > coalesceMinWindow:
-		bc.win /= 2
-		shrinks.Add(1)
-	}
-}
+// maxEngineBatch bounds the requests one leader injects as one engine
+// batch. A leader claims what is queued; the bound only keeps one batch —
+// its reply demux, its replay-log entry, its WAL record — finite under a
+// flood.
+const maxEngineBatch = 8192
 
 // appendInjects expands feed items with the session's request spec into
 // runtime injections, appending to dst so the leader's scratch buffer is
@@ -187,13 +145,13 @@ func (sn *Session) viewLocked() SessionView {
 		ID:             sn.ID,
 		Status:         sn.status,
 		Engine:         sn.engine,
-		Cores:          sn.cores,
+		Cores:          sn.creq.Prep.Cores,
 		CacheKey:       sn.key,
 		Requests:       sn.fed,
 		Batches:        sn.batches,
 		EngineBatches:  sn.engBatches,
 		CoalescedFeeds: sn.coalesced,
-		BatchWindow:    sn.bc.win,
+		BatchWindow:    maxEngineBatch,
 		Replays:        sn.replays,
 		Error:          sn.errMsg,
 	}
@@ -221,21 +179,10 @@ func (sn *Session) viewLocked() SessionView {
 
 // resolveSession validates a SessionRequest into an unregistered Session.
 func (s *Server) resolveSession(req *SessionRequest) (*Session, error) {
-	src, args, err := resolveProgram(req.Source, req.Benchmark, req.Args)
+	creq, engine, err := s.admissible(req.spec())
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(src)) > s.cfg.MaxSourceBytes {
-		return nil, fmt.Errorf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
-	}
-	engine := req.Engine
-	if engine == "" {
-		engine = "deterministic"
-	}
-	if engine != "deterministic" && engine != "concurrent" {
-		return nil, fmt.Errorf("unknown engine %q", req.Engine)
-	}
-	cores, seed := execDefaults(req.Cores, req.Seed)
 	if req.Request.Class == "" || req.Request.Flag == "" {
 		return nil, fmt.Errorf("request spec needs class and flag")
 	}
@@ -245,20 +192,13 @@ func (s *Server) resolveSession(req *SessionRequest) (*Session, error) {
 	sn := &Session{
 		req:    *req,
 		engine: engine,
-		cores:  cores,
 		spec:   req.Request,
-		args:   args,
+		creq:   creq,
+		key:    creq.Key(),
 		pinned: engine == "concurrent",
 		lead:   make(chan struct{}, 1),
-		bc:     batchController{target: s.cfg.CoalesceTargetDelay, win: 64},
 	}
 	sn.lead <- struct{}{} // token starts available
-	sn.creq = CompileRequest{
-		Source: src,
-		Opts:   core.CompileOptions{Optimize: req.Optimize},
-		Prep:   core.PrepareConfig{Cores: cores, Seed: seed, Args: args},
-	}
-	sn.key = sn.creq.Key()
 	return sn, nil
 }
 
@@ -299,12 +239,7 @@ func (s *Server) dropSession(id string) {
 // lock order (nothing blocks on sn.mu while holding sessMu).
 func (s *Server) retireSession(id string) {
 	s.sessMu.Lock()
-	s.sessRing = append(s.sessRing, id)
-	for len(s.sessRing) > s.cfg.RetainSessions {
-		old := s.sessRing[0]
-		s.sessRing = s.sessRing[1:]
-		delete(s.sessions, old)
-	}
+	s.sessRing = trimRing(append(s.sessRing, id), s.sessions, s.cfg.RetainSessions)
 	s.sessMu.Unlock()
 }
 
@@ -329,22 +264,13 @@ func (s *Server) boot(ctx context.Context, sn *Session) error {
 	if err != nil {
 		return err
 	}
-	engine := core.Deterministic
-	if sn.engine == "concurrent" {
-		engine = core.Concurrent
-	}
 	sn.out = &limitWriter{max: s.cfg.MaxOutputBytes}
 	// A fresh counter sink per boot: folded into the server aggregate at
 	// teardown, never double-counted across revivals.
 	sn.met = &obsv.Metrics{}
-	live, err := compiled.Sys.StartSession(ctx, core.ExecConfig{
-		Engine:  engine,
-		Machine: compiled.Prep.Machine,
-		Layout:  compiled.Prep.Layout,
-		Args:    sn.args,
-		Out:     sn.out,
-		Metrics: sn.met,
-	})
+	cfg := execConfig(compiled, sn.engine, sn.creq.Prep.Args)
+	cfg.Out, cfg.Metrics = sn.out, sn.met
+	live, err := compiled.Sys.StartSession(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -384,23 +310,40 @@ func (s *Server) revive(ctx context.Context, sn *Session) error {
 	sn.replays++
 	s.sessReplays.Add(1)
 	sn.status = SessionActive
-	s.logSessEvent(recSessRevive, sn.ID)
 	return nil
 }
 
-// failLocked moves the session to its terminal failed state and releases
-// the engine. Callers must be done reading reply objects first: closing
-// the engine releases its arena heap.
-func (s *Server) failLocked(sn *Session, err error) {
+// endLocked is a session's one terminal transition, to closed or failed:
+// release the engine if one is resident, drop the replay history, count
+// and log the outcome, retire the ID. Callers hold sn.mu and must be done
+// reading reply objects first: closing the engine releases its arena heap.
+func (s *Server) endLocked(sn *Session, status, errMsg string) {
 	if sn.live != nil {
 		sn.res = s.closeLiveLocked(sn)
 	}
-	sn.status = SessionFailed
-	sn.errMsg = err.Error()
+	sn.status, sn.errMsg = status, errMsg
 	sn.log, sn.logReqs = nil, 0
-	s.sessFailed.Add(1)
+	if status == SessionFailed {
+		s.sessFailed.Add(1)
+	} else {
+		s.sessClosed.Add(1)
+	}
 	s.logSessDone(sn)
 	s.retireSession(sn.ID)
+}
+
+func (s *Server) failLocked(sn *Session, err error) { s.endLocked(sn, SessionFailed, err.Error()) }
+
+// allSessions snapshots the session table, so callers can take each
+// session's mutex without holding sessMu.
+func (s *Server) allSessions() []*Session {
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	all := make([]*Session, 0, len(s.sessions))
+	for _, sn := range s.sessions {
+		all = append(all, sn)
+	}
+	return all
 }
 
 // parkForRoom evicts least-recently-used resident sessions until incoming
@@ -409,22 +352,16 @@ func (s *Server) failLocked(sn *Session, err error) {
 // (making the limit soft rather than introducing an ABBA deadlock between
 // sn.mu orderings).
 func (s *Server) parkForRoom(incoming *Session) {
-	s.sessMu.Lock()
-	others := make([]*Session, 0, len(s.sessions))
-	for _, sn := range s.sessions {
-		if sn != incoming {
-			others = append(others, sn)
-		}
-	}
-	s.sessMu.Unlock()
-
 	type cand struct {
 		sn   *Session
 		last time.Time
 	}
 	live := 0
 	var cands []cand
-	for _, sn := range others {
+	for _, sn := range s.allSessions() {
+		if sn == incoming {
+			continue
+		}
 		if !sn.mu.TryLock() {
 			// busy ⇒ resident and unparkable right now
 			live++
@@ -457,7 +394,6 @@ func (s *Server) parkForRoom(incoming *Session) {
 			// chunks feed the next boot's arena.
 			s.closeLiveLocked(c.sn)
 			c.sn.status = SessionParked
-			s.logSessEvent(recSessPark, c.sn.ID)
 			s.sessParks.Add(1)
 			need--
 		}
@@ -467,27 +403,10 @@ func (s *Server) parkForRoom(incoming *Session) {
 
 // closeAllSessions finalizes every live or parked session (drain path).
 func (s *Server) closeAllSessions() {
-	s.sessMu.Lock()
-	all := make([]*Session, 0, len(s.sessions))
-	for _, sn := range s.sessions {
-		all = append(all, sn)
-	}
-	s.sessMu.Unlock()
-	for _, sn := range all {
+	for _, sn := range s.allSessions() {
 		sn.mu.Lock()
-		switch sn.status {
-		case SessionActive:
-			sn.res = s.closeLiveLocked(sn)
-			sn.status = SessionClosed
-			s.sessClosed.Add(1)
-			s.logSessDone(sn)
-			s.retireSession(sn.ID)
-		case SessionParked:
-			sn.status = SessionClosed
-			sn.log, sn.logReqs = nil, 0
-			s.sessClosed.Add(1)
-			s.logSessDone(sn)
-			s.retireSession(sn.ID)
+		if sn.status == SessionActive || sn.status == SessionParked {
+			s.endLocked(sn, SessionClosed, "")
 		}
 		sn.mu.Unlock()
 	}
@@ -573,13 +492,6 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	accept := time.Now()
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
 	if err := s.beginSessionOp(); err != nil {
 		writeErr(w, http.StatusServiceUnavailable, CodeDraining, err.Error(), int64(s.retryAfter())*1000)
 		return
@@ -590,7 +502,7 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	// creation. Sessions are long-lived by design; inheriting the
 	// admission-anchored job deadline would expire every session one
 	// timeout window after it was created.
-	ctx, cancel := context.WithDeadline(s.baseCtx, accept.Add(timeout))
+	ctx, cancel := context.WithDeadline(s.baseCtx, accept.Add(s.timeout(req.TimeoutMS)))
 	defer cancel()
 
 	fw := &feedWaiter{items: req.Requests, ctx: ctx, accept: accept, done: make(chan struct{})}
@@ -623,14 +535,13 @@ func (fw *feedWaiter) respond(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, fw.status, fw.code, fw.msg, fw.retryMS)
 }
 
-// claimLocked removes a window-bounded prefix of the pending queue:
-// waiters whose deadline already passed are answered 504 on the spot
-// (nothing ran — same contract as bamboort.ErrStale), and live waiters
-// accumulate until the next one would overflow the coalescing window. A
-// waiter's batch is never split, and the first live waiter is always
-// taken even if it alone exceeds the window. Caller holds sn.mu.
+// claimLocked removes a FIFO prefix of the pending queue: waiters whose
+// deadline already passed are answered 504 on the spot (nothing ran —
+// same contract as bamboort.ErrStale), and live waiters accumulate until
+// the next one would overflow maxEngineBatch. A waiter's batch is never
+// split, and the first live waiter is always taken even if it alone
+// exceeds the bound. Caller holds sn.mu.
 func (s *Server) claimLocked(sn *Session) []*feedWaiter {
-	win := sn.bc.win
 	sn.qmu.Lock()
 	defer sn.qmu.Unlock()
 	var ws []*feedWaiter
@@ -643,7 +554,7 @@ func (s *Server) claimLocked(sn *Session) []*feedWaiter {
 				int64(s.retryAfter())*1000)
 			continue
 		}
-		if len(ws) > 0 && n+len(w.items) > win {
+		if len(ws) > 0 && n+len(w.items) > maxEngineBatch {
 			break
 		}
 		ws = append(ws, w)
@@ -727,9 +638,7 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 	for _, w := range ws {
 		sn.injBuf = sn.appendInjects(sn.injBuf, w.items)
 	}
-	svcStart := time.Now()
 	objs, err := sn.live.Feed(ctx, sn.injBuf)
-	svc := time.Since(svcStart)
 	if err != nil && objs == nil {
 		if errors.Is(err, bamboort.ErrInject) {
 			if len(ws) == 1 {
@@ -761,8 +670,6 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		failAll(ws, status, code, err.Error(), 0)
 		return
 	}
-
-	sn.bc.observe(len(objs), svc, &s.winGrows, &s.winShrinks)
 
 	// Read replies BEFORE any engine teardown: failLocked releases the
 	// arena heap the reply objects live in. Each waiter gets the reply span
@@ -821,7 +728,7 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 				// session can no longer be rebuilt from the log.
 				sn.pinned = true
 				sn.log, sn.logReqs = nil, 0
-				s.logSessEvent(recSessPin, sn.ID)
+				s.logSessPin(sn)
 			}
 		}
 	}
@@ -865,19 +772,8 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	}
 	sn.mu.Lock()
 	switch sn.status {
-	case SessionActive:
-		sn.res = s.closeLiveLocked(sn)
-		sn.status = SessionClosed
-		sn.log, sn.logReqs = nil, 0
-		s.sessClosed.Add(1)
-		s.logSessDone(sn)
-		s.retireSession(sn.ID)
-	case SessionParked:
-		sn.status = SessionClosed
-		sn.log, sn.logReqs = nil, 0
-		s.sessClosed.Add(1)
-		s.logSessDone(sn)
-		s.retireSession(sn.ID)
+	case SessionActive, SessionParked:
+		s.endLocked(sn, SessionClosed, "")
 	case SessionClosed, SessionFailed:
 		// idempotent: report the terminal view again
 	default:
@@ -904,12 +800,14 @@ type SessionStats struct {
 	Parked int   `json:"parked"`
 	Feeds  int64 `json:"feeds"`
 	// EngineBatches counts engine Feed calls across all sessions;
-	// CoalescedFeeds counts feeds that shared one. WindowGrows /
-	// WindowShrinks count adaptive batch-window resizes.
+	// CoalescedFeeds counts feeds that shared one.
 	EngineBatches  int64 `json:"engine_batches"`
 	CoalescedFeeds int64 `json:"coalesced_feeds"`
-	WindowGrows    int64 `json:"window_grows"`
-	WindowShrinks  int64 `json:"window_shrinks"`
+	// The next two are always 0: the claim bound is a constant. They stay
+	// because bench/ (frozen by BENCHMARK.json) reads them for
+	// server.window_resizes.
+	WindowGrows   int64 `json:"window_grows"`
+	WindowShrinks int64 `json:"window_shrinks"`
 	// Requests counts fed requests; LatencyNS is their per-request
 	// accept-to-quiescence latency histogram.
 	Requests  int64                  `json:"requests"`
@@ -926,18 +824,10 @@ func (s *Server) sessionStats() SessionStats {
 		Feeds:          s.sessFeeds.Load(),
 		EngineBatches:  s.sessEngBatches.Load(),
 		CoalescedFeeds: s.sessCoalesced.Load(),
-		WindowGrows:    s.winGrows.Load(),
-		WindowShrinks:  s.winShrinks.Load(),
 		Requests:       s.sessReqs.Load(),
 		LatencyNS:      s.feedLat.Snapshot(),
 	}
-	s.sessMu.Lock()
-	all := make([]*Session, 0, len(s.sessions))
-	for _, sn := range s.sessions {
-		all = append(all, sn)
-	}
-	s.sessMu.Unlock()
-	for _, sn := range all {
+	for _, sn := range s.allSessions() {
 		if !sn.mu.TryLock() {
 			// mid-feed ⇒ active
 			st.Active++

@@ -17,10 +17,14 @@ import (
 // is acknowledged to the client, so a kill -9 at any instant loses
 // nothing that was ever acknowledged:
 //
-//   - job accept (job+), start (job!), terminal state (job-);
+//   - job accept (job+) and terminal state (job-);
 //   - session create (sess+), each coalesced feed batch (feed, with a
-//     per-session sequence number), park/revive/pin transitions, and
-//     the terminal state (sess-).
+//     per-session sequence number), the pin transition, and the terminal
+//     state (sess-).
+//
+// The log holds only what recovery reads: a job's start and a session's
+// park/revive change nothing a restart rebuilds (a started job replays as
+// queued, a resident session recovers as parked), so they are not logged.
 //
 // On boot, Open replays the log: jobs without a terminal record are
 // re-queued — with their deadline re-anchored at replay time, since the
@@ -69,12 +73,9 @@ type walRecord struct {
 // Record types.
 const (
 	recJobAccept  = "job+"
-	recJobStart   = "job!"
 	recJobDone    = "job-"
 	recSessCreate = "sess+"
 	recSessFeed   = "feed"
-	recSessPark   = "park"
-	recSessRevive = "revive"
 	recSessPin    = "pin"
 	recSessDone   = "sess-"
 )
@@ -136,11 +137,6 @@ func (s *Server) logJobAccept(j *Job) error {
 	return s.walAppend(walRecord{T: recJobAccept, ID: j.ID, Req: &j.req, AcceptedAt: j.submitted})
 }
 
-// logJobStart is best-effort: a started-but-unfinished job replays as
-// queued either way (execution is repeatable), so losing this record
-// costs nothing but history.
-func (s *Server) logJobStart(j *Job) { _ = s.walAppend(walRecord{T: recJobStart, ID: j.ID}) }
-
 // logJobDone is best-effort: if it is lost, the job replays and re-runs
 // on the next boot, which is wasteful but correct.
 func (s *Server) logJobDone(j *Job) {
@@ -166,7 +162,9 @@ func (s *Server) logSessFeed(sn *Session, seq int, entry *FeedRequest) error {
 	return s.walAppend(walRecord{T: recSessFeed, ID: sn.ID, Seq: seq, Feed: entry})
 }
 
-func (s *Server) logSessEvent(t, id string) { _ = s.walAppend(walRecord{T: t, ID: id}) }
+// logSessPin marks the session's logged history as incomplete from here
+// on, so recovery fails it instead of replaying a prefix.
+func (s *Server) logSessPin(sn *Session) { _ = s.walAppend(walRecord{T: recSessPin, ID: sn.ID}) }
 
 func (s *Server) logSessDone(sn *Session) {
 	_ = s.walAppend(walRecord{T: recSessDone, ID: sn.ID, Status: sn.status, Error: sn.errMsg})
@@ -178,9 +176,8 @@ func (s *Server) logSessDone(sn *Session) {
 // no Server involved, so idempotence (double replay is a no-op) is a
 // property testable on the data alone.
 type recJobState struct {
-	req     SubmitRequest
-	started bool
-	done    *walRecord
+	req  SubmitRequest
+	done *walRecord
 }
 
 type recSessState struct {
@@ -225,10 +222,6 @@ func recoverState(payloads [][]byte) *recoveredState {
 			}
 			st.jobs[rec.ID] = &recJobState{req: *rec.Req}
 			st.jobOrder = append(st.jobOrder, rec.ID)
-		case recJobStart:
-			if rj := st.jobs[rec.ID]; rj != nil {
-				rj.started = true
-			}
 		case recJobDone:
 			if rj := st.jobs[rec.ID]; rj != nil && rj.done == nil {
 				r := rec
@@ -261,9 +254,10 @@ func recoverState(payloads [][]byte) *recoveredState {
 				// reconstructed after a restart.
 				rs.pinned = true
 			}
-		case recSessPark, recSessRevive:
-			// State-neutral history: both parked and active sessions
-			// recover as parked.
+		case "job!", "park", "revive":
+			// Written by earlier versions (job start, session park and
+			// revive) and never read back: accepted silently so an old
+			// log boots without counting as damage.
 		case recSessDone:
 			if rs := st.sessions[rec.ID]; rs != nil && rs.done == nil {
 				r := rec
@@ -291,9 +285,9 @@ func unrecoverable(rs *recSessState) (string, bool) {
 
 // checkpointRecords re-encodes the recovered state as a compact record
 // stream: live jobs and sessions keep their accept/create + feeds,
-// terminal ones keep accept/create + terminal, and park/revive noise,
-// superseded feeds, and torn history disappear. Live-but-unrecoverable
-// sessions are written as the failed terminals they are about to become.
+// terminal ones keep accept/create + terminal, and superseded feeds and
+// torn history disappear. Live-but-unrecoverable sessions are written as
+// the failed terminals they are about to become.
 func checkpointRecords(st *recoveredState) [][]byte {
 	var recs [][]byte
 	put := func(rec walRecord) {
@@ -376,10 +370,8 @@ func (s *Server) applyRecovered(st *recoveredState) {
 			if j.status == StatusSucceeded {
 				j.res = &bamboort.Result{TotalCycles: rj.done.Cycles, Invocations: rj.done.Invocations}
 			}
-			s.jobMu.Lock()
-			s.jobs[id] = j
-			s.doneRing = append(s.doneRing, id)
-			s.jobMu.Unlock()
+			s.register(j)
+			s.retire(j)
 			s.walRecoveredTerm.Add(1)
 			continue
 		}
@@ -393,14 +385,6 @@ func (s *Server) applyRecovered(st *recoveredState) {
 		s.queue <- j
 		s.walReplayedJobs.Add(1)
 	}
-	// Trim the ring in one pass (registration order is log order).
-	s.jobMu.Lock()
-	for len(s.doneRing) > s.cfg.RetainJobs {
-		old := s.doneRing[0]
-		s.doneRing = s.doneRing[1:]
-		delete(s.jobs, old)
-	}
-	s.jobMu.Unlock()
 
 	for _, id := range st.sessOrder {
 		if n := idSeq(id); n > maxSess {
@@ -442,15 +426,10 @@ func (s *Server) applyRecovered(st *recoveredState) {
 		}
 		s.sessMu.Lock()
 		s.sessions[id] = sn
-		if terminal {
-			s.sessRing = append(s.sessRing, id)
-			for len(s.sessRing) > s.cfg.RetainSessions {
-				old := s.sessRing[0]
-				s.sessRing = s.sessRing[1:]
-				delete(s.sessions, old)
-			}
-		}
 		s.sessMu.Unlock()
+		if terminal {
+			s.retireSession(id)
+		}
 	}
 
 	if maxJob > s.nextID.Load() {
@@ -461,8 +440,8 @@ func (s *Server) applyRecovered(st *recoveredState) {
 	}
 }
 
-// Kill simulates kill -9 for crash-recovery tests and the cluster
-// failover harness: no drain, no terminal records, no goodbye — WAL
+// Kill simulates kill -9 for the crash-recovery and failover tests and
+// the benchmark: no drain, no terminal records, no goodbye — WAL
 // appends stop (a dead process writes nothing), every in-flight context
 // is canceled, and the call returns once the workers and session
 // operations have observed the cancellation. Accepted-but-unfinished

@@ -127,15 +127,15 @@ func TestReplayBumpsIDCounters(t *testing.T) {
 func TestRecoverStateIdempotent(t *testing.T) {
 	recs := []walRecord{
 		{T: recJobAccept, ID: "j00000001", Req: &SubmitRequest{Source: "a"}},
-		{T: recJobStart, ID: "j00000001"},
+		{T: "job!", ID: "j00000001"}, // written before the log stopped recording job starts
 		{T: recJobDone, ID: "j00000001", Status: StatusSucceeded, Cycles: 7, Invocations: 3},
 		{T: recJobAccept, ID: "j00000002", Req: &SubmitRequest{Source: "b"}},
-		{T: recJobStart, ID: "j00000002"},
+		{T: "job!", ID: "j00000002"},
 		{T: recSessCreate, ID: "s00000001", Sess: &SessionRequest{Source: "c"}},
 		{T: recSessFeed, ID: "s00000001", Seq: 0, Feed: &FeedRequest{Requests: []FeedItem{{TagKey: 1}}}},
 		{T: recSessFeed, ID: "s00000001", Seq: 1, Feed: &FeedRequest{Requests: []FeedItem{{TagKey: 2}}}},
-		{T: recSessPark, ID: "s00000001"},
-		{T: recSessRevive, ID: "s00000001"},
+		{T: "park", ID: "s00000001"}, // likewise park and revive
+		{T: "revive", ID: "s00000001"},
 		{T: recSessCreate, ID: "s00000002", Sess: &SessionRequest{Source: "d"}},
 		{T: recSessPin, ID: "s00000002"},
 		{T: recSessDone, ID: "s00000002", Status: SessionClosed, Cycles: 11},
@@ -152,6 +152,14 @@ func TestRecoverStateIdempotent(t *testing.T) {
 	}
 	if len(a.jobs) != 2 || len(a.sessions) != 2 {
 		t.Fatalf("recovered %d jobs / %d sessions, want 2/2", len(a.jobs), len(a.sessions))
+	}
+	// The three record types older logs carry are accepted, not damage; a
+	// type nobody ever wrote still counts.
+	if a.skipped != 0 {
+		t.Fatalf("skipped = %d, want 0: job!/park/revive from an older log counted as damage", a.skipped)
+	}
+	if c := recoverState(append(once, mustMarshal(t, walRecord{T: "bogus", ID: "j00000001"}))); c.skipped != 1 {
+		t.Fatalf("unknown record type: skipped = %d, want 1", c.skipped)
 	}
 	if s1 := a.sessions["s00000001"]; len(s1.feeds) != 2 || s1.done != nil {
 		t.Fatalf("s00000001 = %+v, want 2 feeds, live", s1)

@@ -1,78 +1,42 @@
 #!/usr/bin/env bash
-# Runs the headline synthesis benchmarks and records them in
-# BENCH_synthesis.json (benchmark name -> ns/op, B/op, allocs/op, and any
-# custom metrics such as evals/sec), so successive PRs can track the perf
-# trajectory of the synthesis pipeline. Also snapshots the concurrent
-# runtime's contention counters (lock acquisitions, lock-or-skip
-# contention, pokes, inbox depths) for a fixed set of benchmarks into
-# BENCH_runtime.json, so changes to the runtime protocol show up as
-# counter shifts.
+# Regenerates the committed benchmark snapshots, one section each:
 #
-# Also records the interpreter dispatch benchmarks (hot-op micro plus
-# end-to-end per benchmark, each on the flattened fast path and the
-# reference tree walker) into BENCH_interp.json; the fast/walker ratio per
-# name is the dispatch speedup and allocs/op shows the frame pooling.
+#   synthesis  the headline synthesis benchmarks -> BENCH_synthesis.json
+#              (benchmark name -> ns/op, B/op, allocs/op and custom metrics
+#              such as evals/sec), so successive PRs can track the perf
+#              trajectory of the synthesis pipeline.
+#   runtime    the concurrent runtime's contention counters (lock
+#              acquisitions, lock-or-skip contention, pokes, inbox depths)
+#              for a fixed set of benchmarks -> BENCH_runtime.json, so
+#              changes to the runtime protocol show up as counter shifts.
+#   interp     the interpreter dispatch benchmarks (hot-op micro plus end to
+#              end per benchmark, each on the flattened fast path and the
+#              reference tree walker) -> BENCH_interp.json; the fast/walker
+#              ratio per name is the dispatch speedup and allocs/op shows
+#              the frame pooling.
+#   e2e        the repository's benchmark (bench/, see bench/README.md):
+#              five model-checked workloads over the toolchain and the
+#              serving stack, five sets, traced -> BENCH_e2e.json, stamped
+#              by bench itself with machine, Go version, commit and seed.
+#              Every end-to-end number README and DESIGN.md quote comes
+#              from that file (about 12 minutes).
 #
-# Finally, drives the bambood serving layer with the load harness
-# (scripts/loadgen.go): N concurrent clients over the benchmark suite
-# against an in-process server, recording throughput, client-observed
-# p50/p95/p99 latency, backpressure retries, and the steady-state cache
-# hit rate into BENCH_server.json.
-#
-# Finally finally, runs the persistent-session streaming benchmark: one
-# KVStore session per core count driven open-loop (fixed request rate in
-# bursts, regardless of completion) by scripts/loadgen.go -stream, with
-# every reply verified against a client-side model of the store. The
-# sustained RPS and p50/p95/p99 request latency per core count go to
-# BENCH_stream.json.
-#
-# And the closed-loop saturation benchmark: scripts/loadgen.go
-# -closed-loop drives one concurrent-runtime KVStore session per core
-# count with a sweep of synchronous workers to find peak wall-clock RPS
-# (this is what exercises the feed coalescer), and measures 1->8 core
-# scaling in simulated cycles-per-request on the deterministic engine.
-# Results go to BENCH_saturate.json and are checked against the committed
-# floor ratchet in scripts/saturate_floors.json.
-#
-# And the sharded-cluster benchmark: scripts/loadgen.go -cluster boots
-# an in-process 3-node bambood ring (WAL + router per node) plus a
-# 1-node baseline and drives both with a cache-affinity workload (more
-# distinct programs than one node's cache holds), then kills one node
-# mid-burst and restarts it from its WAL. BENCH_cluster.json records
-# 3-node-vs-1-node throughput scaling and the failover recovery time;
-# the run FAILS if 3-node does not beat 1-node or any accepted job is
-# lost across the kill.
-#
-# Usage: scripts/bench.sh [output.json] [runtime-output.json] [interp-output.json] [server-output.json] [stream-output.json] [saturate-output.json] [cluster-output.json]
-#   BENCH_SECTIONS space-separated subset of "synthesis runtime interp
-#                  server stream saturate cluster" to run (default: all).
-#                  Benchmarks on a shared box are noisy; re-rolling one
-#                  section beats re-rolling them all.
+# Usage: scripts/bench.sh [output.json] [runtime-output.json] [interp-output.json]
+#   BENCH_SECTIONS space-separated subset of "synthesis runtime interp e2e"
+#                  to run (default: all). Benchmarks on a shared box are
+#                  noisy; re-rolling one section beats re-rolling them all.
 #   BENCH_PATTERN  override the benchmark regexp
 #   BENCH_TIME     override -benchtime (default 5x)
-#   RUNTIME_CORES  cores for the runtime counter snapshot (default 4)
+#   RUNTIME_CORES  cores for the runtime counter snapshot (default 8)
 #   INTERP_TIME    override -benchtime for the interpreter section (default
 #                  1s — time-based, because the section spans ~200ns micros
 #                  and ~300ms end-to-end runs; a fixed -benchtime Nx starves
 #                  the micros of samples and their ratios come out as noise)
-#   SERVER_CLIENTS concurrent load-harness clients (default 64)
-#   SERVER_JOBS    jobs per client (default 3)
-#   STREAM_CORES   core counts for the streaming runs (default 1,2,4,8)
-#   STREAM_RATE    open-loop request rate per second (default 1000)
-#   STREAM_TIME    generator duration per core count (default 5s)
-#   SAT_CORES      core counts for the saturation runs (default 1,2,4,8)
-#   SAT_WORKERS    closed-loop worker sweep (default 4,16,48)
-#   SAT_TIME       measurement window per (cores, workers) pair (default 2s)
-#   CLUSTER_PROGRAMS  distinct programs in the cache-affinity workload
-#                     (default 24; must exceed CLUSTER_CACHE)
-#   CLUSTER_CACHE     compiled-cache entries per node (default 12)
-#   CLUSTER_ROUNDS    measured rounds over the program set (default 8)
-#   CLUSTER_CLIENTS   closed-loop submitters (default 8)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-sections="${BENCH_SECTIONS:-synthesis runtime interp server stream saturate cluster}"
+sections="${BENCH_SECTIONS:-synthesis runtime interp e2e}"
 want() { case " $sections " in *" $1 "*) return 0 ;; *) return 1 ;; esac; }
 
 out="${1:-BENCH_synthesis.json}"
@@ -186,73 +150,10 @@ else
 fi
 fi
 
-# Server load benchmark: the load harness starts an in-process bambood
-# server (same code path as the daemon), warms the compiled-program
-# cache over the benchmark suite, then measures a concurrent-client
-# steady state. The JSON carries throughput, latency quantiles, retry
-# counts, and the server's own /varz snapshot.
-sout="${4:-BENCH_server.json}"
-sclients="${SERVER_CLIENTS:-64}"
-sjobs="${SERVER_JOBS:-3}"
+# End-to-end: bench writes the result file itself.
+if want e2e; then
+    echo "running: go run -C bench . -trace -repeat 5 -out $PWD/BENCH_e2e.json" >&2
+    go run -C bench . -trace -repeat 5 -out "$PWD/BENCH_e2e.json"
 
-if want server; then
-    echo "running: go run ./scripts -clients $sclients -jobs $sjobs -out $sout" >&2
-    go run ./scripts -clients "$sclients" -jobs "$sjobs" -out "$sout"
-
-    echo "wrote $sout" >&2
-fi
-
-# Streaming benchmark: one persistent KVStore session per core count,
-# driven open-loop against an in-process server; every reply is verified
-# client-side, so a nonzero exit here means lost/reordered responses.
-stout="${5:-BENCH_stream.json}"
-stcores="${STREAM_CORES:-1,2,4,8}"
-strate="${STREAM_RATE:-1000}"
-sttime="${STREAM_TIME:-5s}"
-
-if want stream; then
-    echo "running: go run ./scripts -stream -stream-cores $stcores -rate $strate -stream-duration $sttime -out $stout" >&2
-    go run ./scripts -stream -stream-cores "$stcores" -rate "$strate" \
-        -stream-duration "$sttime" -out "$stout"
-
-    echo "wrote $stout" >&2
-fi
-
-# Saturation benchmark: closed-loop workers drive one KVStore session per
-# core count to peak throughput (exercising the feed coalescer), then the
-# deterministic engine measures simulated cycles-per-request at the same
-# core counts. A nonzero exit means a reply was lost/reordered OR a
-# committed floor in scripts/saturate_floors.json was missed.
-satout="${6:-BENCH_saturate.json}"
-satcores="${SAT_CORES:-1,2,4,8}"
-satworkers="${SAT_WORKERS:-4,16,48}"
-sattime="${SAT_TIME:-2s}"
-
-if want saturate; then
-    echo "running: go run ./scripts -closed-loop -loop-cores $satcores -workers $satworkers -loop-duration $sattime -out $satout" >&2
-    go run ./scripts -closed-loop -loop-cores "$satcores" -workers "$satworkers" \
-        -loop-duration "$sattime" -floors scripts/saturate_floors.json -out "$satout"
-
-    echo "wrote $satout" >&2
-fi
-
-# Cluster sweep: 1-node baseline vs 3-node ring on the cache-affinity
-# workload, then the kill -9 failover experiment. A nonzero exit means
-# the ring failed to out-throughput one node (throughput_scaling_
-# 3node_vs_1node <= 1.0) or an accepted job was lost across the crash
-# (failover.lost_jobs > 0); failover_recovery_open_ms and
-# failover_recovery_total_ms carry the recovery-time side of the story.
-clout="${7:-BENCH_cluster.json}"
-clprograms="${CLUSTER_PROGRAMS:-24}"
-clcache="${CLUSTER_CACHE:-12}"
-clrounds="${CLUSTER_ROUNDS:-8}"
-clclients="${CLUSTER_CLIENTS:-8}"
-
-if want cluster; then
-    echo "running: go run ./scripts -cluster -cluster-programs $clprograms -cluster-cache-entries $clcache -cluster-rounds $clrounds -cluster-clients $clclients -out $clout" >&2
-    go run ./scripts -cluster -cluster-programs "$clprograms" \
-        -cluster-cache-entries "$clcache" -cluster-rounds "$clrounds" \
-        -cluster-clients "$clclients" -out "$clout"
-
-    echo "wrote $clout" >&2
+    echo "wrote BENCH_e2e.json" >&2
 fi

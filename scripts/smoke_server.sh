@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for bambood: build it, start it, submit one
 # benchmark job over the /v1 API, poll to completion, assert a successful
-# result with nonzero total_cycles, check the error envelope, then SIGTERM
-# the daemon and assert it drains cleanly (exit 0). CI runs this as the
-# `server` job's last step; scripts/smoke_stream.sh covers the
-# persistent-session streaming path.
+# result with nonzero total_cycles, check the error envelope, create a
+# KVStore session and feed it (three puts on one key, then a get: versions
+# 1, 2, 3 and the last value read back), close it, then SIGTERM the daemon
+# and assert it drains cleanly (exit 0). CI runs this as the `server`
+# job's last step. Sessions under load — the 10k-request model check, the
+# coalescer — are the benchmark's feed workloads (bench/) and the raced
+# Go tests in internal/server.
 #
 # Usage: scripts/smoke_server.sh [port]
 set -euo pipefail
@@ -66,6 +69,31 @@ curl -fsS "$base/v1/varz" | grep -q '"submitted": 1'
 curl -sS "$base/v1/jobs/j404" | grep -q '"code": *"not_found"' \
     || { echo "/v1 error is not the uniform envelope" >&2; exit 1; }
 echo "/v1 envelope OK" >&2
+
+# A persistent session: state written by one feed is visible to the next.
+session="$(curl -fsS -X POST "$base/v1/sessions" \
+    -H 'Content-Type: application/json' \
+    -d '{"benchmark":"KVStore","args":["8","64","64"],"cores":2,
+         "request":{"class":"Request","flag":"pending","tagType":"shard",
+                    "doneFlag":"replied","replyFields":["reply","version","found"]}}')"
+sid="$(echo "$session" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)"
+[ -n "$sid" ] || { echo "no session id in: $session" >&2; exit 1; }
+feed() {
+    curl -fsS -X POST "$base/v1/sessions/$sid/feed" -H 'Content-Type: application/json' -d "$1"
+}
+puts="$(feed '{"requests":[{"args":["1","500","11"],"tagKey":500},
+                           {"args":["1","500","22"],"tagKey":500},
+                           {"args":["1","500","33"],"tagKey":500}]}')"
+versions="$(echo "$puts" | grep -o '"version":"[0-9]*"' | tr -dc '0-9\n' | paste -sd, -)"
+[ "$versions" = "1,2,3" ] || { echo "put versions '$versions', want 1,2,3: $puts" >&2; exit 1; }
+got="$(feed '{"requests":[{"args":["0","500","0"],"tagKey":500}]}')"
+echo "$got" | grep -q '"fields":{"found":"1","reply":"33","version":"3"}' \
+    || { echo "get after three puts: $got" >&2; exit 1; }
+curl -fsS "$base/v1/varz" | grep -q '"requests": 4,' \
+    || { echo "/varz sessions.requests is not 4" >&2; exit 1; }
+curl -fsS -X DELETE "$base/v1/sessions/$sid" | grep -q '"status": *"closed"' \
+    || { echo "session did not close" >&2; exit 1; }
+echo "session $sid: versions $versions, read back 33, closed" >&2
 
 # Graceful drain on SIGTERM: the daemon must exit 0 on its own.
 kill -TERM "$daemon_pid"
