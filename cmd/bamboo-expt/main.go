@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/expt"
@@ -31,18 +32,20 @@ func main() {
 	optimize := flag.Bool("O", false, "optimize the IR before profiling and execution; virtual-cycle counts diverge from the paper-calibrated baseline")
 	flag.Parse()
 
-	if err := run(*exp, *seed, *dsaRuns, *fig10Cores, *maxExhaustive, *workers, *optimize); err != nil {
+	if err := run(os.Stdout, os.Stderr, *exp, *seed, *dsaRuns, *fig10Cores, *maxExhaustive, *workers, *optimize); err != nil {
 		fmt.Fprintln(os.Stderr, "bamboo-expt:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int, optimize bool) error {
+// run prints the selected experiments' tables to out and progress notes to
+// progress.
+func run(out, progress io.Writer, exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int, optimize bool) error {
 	cores := machine.TilePro64().NumUsable()
 	needPrep := exp == "all" || exp == "fig7" || exp == "fig9" || exp == "fig11" || exp == "dsatime"
 	var prepared []*expt.Prepared
 	if needPrep {
-		fmt.Fprintf(os.Stderr, "preparing benchmarks (compile, profile, synthesize for %d cores)...\n", cores)
+		fmt.Fprintf(progress, "preparing benchmarks (compile, profile, synthesize for %d cores)...\n", cores)
 		var err error
 		prepared, err = expt.PrepareAll(seed, workers, optimize)
 		if err != nil {
@@ -54,17 +57,17 @@ func run(exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int
 		if err != nil {
 			return err
 		}
-		fmt.Println(expt.FormatFig7(rows, cores))
+		fmt.Fprintln(out, expt.FormatFig7(rows, cores))
 	}
 	if exp == "all" || exp == "fig9" {
 		rows, err := expt.Fig9(prepared)
 		if err != nil {
 			return err
 		}
-		fmt.Println(expt.FormatFig9(rows, cores))
+		fmt.Fprintln(out, expt.FormatFig9(rows, cores))
 	}
 	if exp == "all" || exp == "fig10" {
-		fmt.Fprintf(os.Stderr, "running fig10 study (%d cores, %d DSA runs per benchmark)...\n", fig10Cores, dsaRuns)
+		fmt.Fprintf(progress, "running fig10 study (%d cores, %d DSA runs per benchmark)...\n", fig10Cores, dsaRuns)
 		results, err := expt.Fig10(expt.Fig10Options{
 			Cores: fig10Cores, DSARuns: dsaRuns, MaxExhaustive: maxExhaustive,
 			Seed: seed, SkipTracking: true, Workers: workers,
@@ -72,28 +75,28 @@ func run(exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int
 		if err != nil {
 			return err
 		}
-		fmt.Println(expt.FormatFig10(results))
+		fmt.Fprintln(out, expt.FormatFig10(results))
 	}
 	if exp == "all" || exp == "fig11" {
 		rows, err := expt.Fig11(prepared, seed+1)
 		if err != nil {
 			return err
 		}
-		fmt.Println(expt.FormatFig11(rows, cores))
+		fmt.Fprintln(out, expt.FormatFig11(rows, cores))
 	}
 	if exp == "fidelity" {
 		rows, err := expt.FidelityAll(4)
 		if err != nil {
 			return err
 		}
-		fmt.Print(expt.FormatFidelity(rows))
+		fmt.Fprint(out, expt.FormatFidelity(rows))
 	}
 	if exp == "all" || exp == "dsatime" {
-		fmt.Println("DSA synthesis time (Section 5.1 reports 1.3 min for Tracking, 10 s for KMeans, <0.2 s for the rest):")
+		fmt.Fprintln(out, "DSA synthesis time (Section 5.1 reports 1.3 min for Tracking, 10 s for KMeans, <0.2 s for the rest):")
 		for _, p := range prepared {
-			fmt.Printf("  %-12s %8.2fs (%d simulator evaluations)\n", p.Bench.Name, p.SynthWall.Seconds(), p.Synth.Evaluations)
+			fmt.Fprintf(out, "  %-12s %8.2fs (%d simulator evaluations)\n", p.Bench.Name, p.SynthWall.Seconds(), p.Synth.Evaluations)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
 	return nil
 }

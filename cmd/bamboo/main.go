@@ -7,8 +7,7 @@
 //
 //	bamboo run        -file prog.bb [-args a,b,c] [-cores N] [-seed S] [-O]
 //	                  [-trace] [-trace-out t.json] [-concurrent] [-metrics-out m.json]
-//	                  [-inject-panic-every N] [-inject-delay-every N]
-//	                  [-stall-timeout d]    (Ctrl-C cancels and still flushes outputs)
+//	                  (Ctrl-C cancels and still flushes outputs)
 //	bamboo profile    -file prog.bb [-args a,b,c] [-o profile.json] [-O]
 //	bamboo synthesize -file prog.bb [-args a,b,c] [-cores N] [-seed S] [-O]
 //	bamboo analyze    -file prog.bb            (ASTGs, lock groups, IR)
@@ -30,7 +29,6 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/benchmarks"
 	"repro/internal/ast"
@@ -39,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/critpath"
 	"repro/internal/expt"
-	"repro/internal/faultinject"
 	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/obsv"
@@ -157,10 +154,6 @@ func cmdRun(argv []string) error {
 	seed := fs.Int64("seed", 1, "synthesis search seed")
 	seq := fs.Bool("seq", false, "run the zero-overhead sequential baseline")
 	conc := fs.Bool("concurrent", false, "execute on the concurrent engine (goroutine per core, wall-clock trace)")
-	panicEvery := fs.Int("inject-panic-every", 0, "inject a crash into every Nth concurrent invocation (0 = none)")
-	delayEvery := fs.Int("inject-delay-every", 0, "inject a 1ms stall into every Nth concurrent invocation (0 = none)")
-	faultSeed := fs.Int64("fault-seed", 1, "seed for the fault injector")
-	stall := fs.Duration("stall-timeout", 0, "abort the concurrent run as deadlocked after this long without progress (0 = disabled)")
 	showTrace := fs.Bool("trace", false, "print an execution trace summary to stderr")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON (loads in Perfetto) to this file")
 	metricsOut := fs.String("metrics-out", "", "write runtime counters JSON to this file (implies -concurrent)")
@@ -239,8 +232,8 @@ func cmdRun(argv []string) error {
 		}
 		return nil
 	}
-	// flush runs emit even when the run failed (interrupt, deadlock, fault
-	// exhaustion): partial traces are exactly what one wants to inspect.
+	// flush runs emit even when the run failed (interrupt, task error):
+	// partial traces are exactly what one wants to inspect.
 	flush := func(runErr error) error {
 		emitErr := emit()
 		if runErr != nil {
@@ -276,23 +269,15 @@ func cmdRun(argv []string) error {
 		return err
 	}
 	if *conc {
-		var inj faultinject.Injector
-		if *panicEvery > 0 || *delayEvery > 0 {
-			inj = &faultinject.Seeded{
-				Seed: *faultSeed, PanicEvery: *panicEvery,
-				DelayEvery: *delayEvery, Delay: time.Millisecond,
-			}
-		}
 		res, err := sys.Exec(ctx, core.ExecConfig{
 			Engine: core.Concurrent,
 			Layout: lay, Args: args, Out: os.Stdout, Trace: tr, Metrics: mx,
-			Fault: bamboort.FaultPolicy{Injector: inj, StallTimeout: *stall},
 		})
 		if err != nil {
 			return flush(err)
 		}
-		fmt.Printf("-- concurrent, %d cores: %d invocations, %d contention skips, %d retries\n",
-			lay.NumCores, res.Invocations, mx.ContentionSkips.Load(), mx.Retries.Load())
+		fmt.Printf("-- concurrent, %d cores: %d invocations, %d contention skips\n",
+			lay.NumCores, res.Invocations, mx.ContentionSkips.Load())
 		return flush(nil)
 	}
 	res, err := sys.Exec(ctx, core.ExecConfig{

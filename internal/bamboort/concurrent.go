@@ -5,13 +5,11 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/depend"
-	"repro/internal/faultinject"
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obsv"
@@ -27,9 +25,8 @@ type delivery struct {
 }
 
 // ccore is one core of the concurrent runtime. Only its worker touches its
-// scheduler state (the coordinator does in the degraded drain, once the
-// workers have exited), so none of it is locked; other cores reach it
-// through the inbox and the waiting flag.
+// scheduler state, so none of it is locked; other cores reach it through
+// the inbox and the waiting flag.
 type ccore struct {
 	id    int
 	inbox chan delivery
@@ -41,9 +38,6 @@ type ccore struct {
 	arrSeq int64
 	// ran counts the invocations this core executed, by task index.
 	ran []int64
-	// failures counts, for bounded retry, the failed attempts of the core's
-	// invocations that have not succeeded since (nil until one fails).
-	failures map[string]int
 }
 
 // ctracer records wall-clock spans for a concurrent run, appended in
@@ -85,9 +79,6 @@ type crun struct {
 	// worker that takes it to zero wakes the coordinator.
 	inFlight atomic.Int64
 	wake     chan struct{}
-	// progress bumps on every delivery, completion, and contained failure
-	// (the stall watchdog watches it).
-	progress atomic.Int64
 	nInv     atomic.Int64
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -95,10 +86,6 @@ type crun struct {
 
 	errMu  sync.Mutex
 	runErr error
-
-	// degraded flips when a core is poisoned: workers stop dispatching and
-	// the coordinator drains the remaining work sequentially.
-	degraded atomic.Bool
 }
 
 // RunConcurrent executes the program with real parallelism: one goroutine
@@ -116,19 +103,16 @@ type crun struct {
 // and re-validating the guards. An object routed to a core wakes it; a core
 // that skipped on a held lock asks the holder for a poke (see take).
 //
-// Failure containment (opts.Fault): every attempt snapshots its parameter
-// objects' flag/tag state; a panic — real or injected via the faultinject
-// hook — is recovered, the snapshot rolled back, and the invocation retried
-// with exponential backoff, as are injected stalls beyond the invocation
-// timeout (ErrTimeout). When retries are exhausted the run degrades to a
-// sequential drain on the coordinator; a stall watchdog converts a hung run
-// into ErrDeadlock. The context cancels the run between invocations.
+// Failure: tasks never roll back. A task that fails — a RuntimeError, the
+// cycle budget, or a panic the interpreter recovers into ErrTaskPanic —
+// fails the run with that error, as on the deterministic engine. The
+// context cancels the run between invocations.
 //
 // Observability: opts.Trace records one wall-clock span (nanoseconds since
 // run start) per invocation with parameter object IDs and dependence edges
 // — the measured counterpart of schedsim's predicted schedule — and
-// opts.Metrics counts locks, contention, guard rechecks, deliveries, pokes,
-// inbox depths, retries, rollbacks, timeouts, panics and poisoned cores.
+// opts.Metrics counts locks, contention, guard rechecks, deliveries, pokes
+// and inbox depths.
 // Both default to nil and every site is gated on a nil check, so
 // observability costs nothing when off.
 func RunConcurrent(ctx context.Context, prog *ir.Program, dep *depend.Result, opts Options) (*Result, error) {
@@ -198,58 +182,26 @@ func (r *crun) injectStartup() {
 }
 
 // quiesce is the coordinator loop: it sleeps until a worker reports
-// quiescence (no undelivered messages, no worker holding credits), a
-// terminal error or a poisoning, and watches for cancellation and — when
-// the fault policy arms it — a stall. On a nil return all work accepted so
-// far has completed; r.stopped() then reports whether the workers survived
-// (a degraded run drains its remaining work sequentially but cannot accept
-// more).
+// quiescence (no undelivered messages, no worker holding credits) or a
+// terminal error, and watches for cancellation. On a nil return all work
+// accepted so far has completed; on an error the workers have stopped.
 func (r *crun) quiesce(ctx context.Context) error {
-	lastProgress := r.progress.Load()
-	lastMove := time.Now()
-	stall := r.opts.Fault.StallTimeout
-	var tick <-chan time.Time
-	if stall > 0 {
-		t := time.NewTicker(max(stall/8, time.Millisecond))
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		if err := r.err(); err != nil {
 			r.shutdown()
 			return err
-		}
-		if r.degraded.Load() {
-			r.shutdown()
-			return r.drainSequential()
 		}
 		if err := ctx.Err(); err != nil {
 			r.shutdown()
 			return fmt.Errorf("bamboort: run canceled: %w", err)
 		}
 		if r.inFlight.Load() == 0 {
-			// A poisoning worker stores the degraded flag before releasing
-			// its credits, so re-checking here cannot miss a degradation
-			// that drained inFlight to zero.
-			if r.degraded.Load() {
-				continue
-			}
 			return nil
-		}
-		if stall > 0 {
-			if p := r.progress.Load(); p != lastProgress {
-				lastProgress, lastMove = p, time.Now()
-			} else if time.Since(lastMove) > stall {
-				r.shutdown()
-				return fmt.Errorf("%w: no progress for %v with %d messages or credits outstanding",
-					ErrDeadlock, stall, r.inFlight.Load())
-			}
 		}
 		// A token left over from an earlier wait costs one extra turn.
 		select {
 		case <-r.wake:
 		case <-ctx.Done():
-		case <-tick:
 		}
 	}
 }
@@ -285,16 +237,6 @@ func (r *crun) stopped() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// sleep waits d, cut short by shutdown.
-func (r *crun) sleep(d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-r.stop:
 	}
 }
 
@@ -343,7 +285,8 @@ func (r *crun) worker(c *ccore) {
 				// delivery already in hand).
 				r.mx.SampleInbox(len(c.inbox) + 1)
 			}
-			credits := 1 + r.drainInbox(c, &d)
+			r.receive(c, d)
+			credits := 1 + r.drainInbox(c)
 			r.dispatchLoop(c)
 			if r.inFlight.Add(-credits) == 0 {
 				r.notify()
@@ -353,11 +296,11 @@ func (r *crun) worker(c *ccore) {
 }
 
 // dispatchLoop runs the core's ready invocations until it has none left to
-// execute (or the run is stopping/degraded).
+// execute (or the run is stopping).
 func (r *crun) dispatchLoop(c *ccore) {
-	for !r.stopped() && !r.degraded.Load() {
+	for !r.stopped() {
 		inv := r.take(c)
-		if inv == nil || !r.execute(c, inv, false) {
+		if inv == nil || !r.execute(c, inv) {
 			return
 		}
 	}
@@ -450,121 +393,21 @@ func (r *crun) release(c *ccore, locked []*interp.Object) {
 	}
 }
 
-// failKey identifies an invocation across re-dispatches: the task plus its
-// parameter object IDs. Only failing invocations are ever keyed.
-func failKey(inv *invocation) string {
-	b := append(make([]byte, 0, 64), inv.ht.tp.task.Name...)
-	for _, o := range inv.objs {
-		b = strconv.AppendInt(append(b, '|'), o.ID, 10)
-	}
-	return string(b)
-}
-
-// attempt returns the 1-based number of the attempt about to run: one more
-// than the invocation's failures since it last succeeded. A failed
-// invocation is re-filed on its own core, so the count is the core's.
-func (c *ccore) attempt(inv *invocation) int {
-	if len(c.failures) == 0 {
-		return 1
-	}
-	return 1 + c.failures[failKey(inv)]
-}
-
-// settleAttempt records attempt's outcome: a failure counts against the
-// invocation's retry budget, a success after failures clears the count.
-func (c *ccore) settleAttempt(inv *invocation, attempt int, failed bool) {
-	if !failed {
-		if attempt > 1 {
-			delete(c.failures, failKey(inv))
-		}
-		return
-	}
-	if c.failures == nil {
-		c.failures = map[string]int{}
-	}
-	c.failures[failKey(inv)] = attempt
-}
-
-// injectedPanic marks a panic raised by the fault-injection hook, so the
-// recovery path can tell a scripted transient crash (safe to retry — the
-// task body never started) from a real panic escaping the interpreter.
-type injectedPanic struct{ task string }
-
-// runProtected executes one invocation attempt under the failure-
-// containment envelope: injected faults fire first (stall, then crash),
-// the per-invocation timeout is enforced on the pre-body phase, and any
-// panic is recovered into a typed error. retryable reports whether the
-// failure is a contained transient (injected) fault.
-func (r *crun) runProtected(coreID int, inv *invocation, attempt int, drain bool) (exec *interp.Exec, err error, retryable bool) {
-	if drain {
-		coreID = faultinject.DrainCore
-	}
-	task := inv.ht.tp.task.Name
-	defer func() {
-		if p := recover(); p != nil {
-			if r.mx != nil {
-				r.mx.TaskPanics.Add(1)
-			}
-			exec = nil
-			_, injected := p.(injectedPanic)
-			retryable = injected
-			err = fmt.Errorf("%w: task %s on core %d (attempt %d): %v",
-				ErrTaskPanic, inv.ht.tp.task.Name, coreID, attempt, p)
-		}
-	}()
-	fp := r.opts.Fault
-	if fp.Injector != nil {
-		start := time.Now()
-		f := fp.Injector.Inject(task, coreID, attempt)
-		if f.Delay > 0 {
-			r.sleep(f.Delay)
-		}
-		// Judge the stall by the injected duration as well as the measured
-		// one: shutdown cuts r.sleep short, and an over-budget stall must
-		// still count as a timeout when re-attempted in the degraded drain.
-		if fp.InvocationTimeout > 0 && (f.Delay > fp.InvocationTimeout || time.Since(start) > fp.InvocationTimeout) {
-			if r.mx != nil {
-				r.mx.Timeouts.Add(1)
-			}
-			return nil, fmt.Errorf("%w: task %s on core %d (attempt %d): stalled %v, budget %v",
-				ErrTimeout, task, coreID, attempt, time.Since(start), fp.InvocationTimeout), true
-		}
-		if f.Panic {
-			panic(injectedPanic{task: task})
-		}
-	}
-	exec, err = r.in.RunTask(inv.ht.tp.fn, inv.args)
-	return exec, err, false
-}
-
 // execute runs one claimed invocation on core c. It returns false when the
-// caller's dispatch loop should stop (terminal error, invocation budget, or
-// degradation).
-func (r *crun) execute(c *ccore, inv *invocation, drain bool) bool {
-	attempt := c.attempt(inv)
-	inv.snapshot()
+// caller's dispatch loop should stop: the task failed, which fails the run,
+// or the run exceeded its invocation budget.
+func (r *crun) execute(c *ccore, inv *invocation) bool {
 	var spanStart int64
 	if r.trc != nil {
 		spanStart = r.trc.now()
 	}
-	exec, err, retryable := r.runProtected(c.id, inv, attempt, drain)
+	exec, err := r.in.RunTask(inv.ht.tp.fn, inv.args)
 	if err != nil {
-		// Contained failure: roll the parameter objects back to their
-		// pre-invocation flag/tag snapshot, re-file them into the core's
-		// parameter sets, and release the locks — then decide between
-		// retry and degradation. The attempt's output dies with its Exec.
-		inv.restore()
-		if r.mx != nil {
-			r.mx.Rollbacks.Add(1)
-		}
-		c.settleAttempt(inv, attempt, true)
-		inv.unconsume()
 		r.release(c, inv.locked)
 		inv.release()
-		r.progress.Add(1)
-		return r.handleFailure(err, attempt, retryable, drain)
+		r.fail(err)
+		return false
 	}
-	c.settleAttempt(inv, attempt, false)
 	r.in.Commit(exec)
 	if r.trc != nil {
 		// Record while the parameter locks are held and before routing,
@@ -573,7 +416,6 @@ func (r *crun) execute(c *ccore, inv *invocation, drain bool) bool {
 	}
 	r.release(c, inv.locked)
 	r.nInv.Add(1)
-	r.progress.Add(1)
 	c.ran[inv.ht.tp.task.Index]++
 	for _, o := range inv.objs {
 		r.route(o, c.id)
@@ -591,86 +433,9 @@ func (r *crun) execute(c *ccore, inv *invocation, drain bool) bool {
 	return true
 }
 
-// handleFailure implements the retry policy for one contained failure:
-// transient (injected) failures back off exponentially and retry up to the
-// policy's budget (the core's dispatch loop finds the re-filed invocation
-// again); exhaustion poisons the executing core and degrades the run to a
-// sequential drain; non-retryable failures (a real task panic) terminate the
-// run with the typed error.
-func (r *crun) handleFailure(err error, attempt int, retryable, drain bool) bool {
-	fp := r.opts.Fault
-	exhausted := attempt > fp.maxRetries()
-	if !retryable || (exhausted && drain) {
-		// A fault that stays through the sequential drain's retries is not
-		// transient after all — surface it.
-		r.fail(err)
-		return false
-	}
-	if !exhausted {
-		if r.mx != nil {
-			r.mx.Retries.Add(1)
-		}
-		r.sleep(fp.backoff(attempt))
-		return true
-	}
-	if r.mx != nil {
-		r.mx.PoisonedCores.Add(1)
-	}
-	r.degraded.Store(true)
-	r.notify()
-	return false
-}
-
-// drainSequential is the degraded mode entered when a core is poisoned:
-// with all workers stopped, the coordinator alone drains every inbox and
-// executes the remaining invocations one at a time (injectors observe
-// faultinject.DrainCore). Retry budgets reset on entry; an invocation that
-// still exhausts them fails the run with its typed error.
-func (r *crun) drainSequential() error {
-	if r.mx != nil {
-		r.mx.DegradedDrains.Add(1)
-	}
-	for _, c := range r.cores {
-		clear(c.failures)
-	}
-	for {
-		if err := r.err(); err != nil {
-			return err
-		}
-		moved := false
-		for _, c := range r.cores {
-			if n := r.drainInbox(c, nil); n > 0 {
-				r.inFlight.Add(-n)
-				moved = true
-			}
-		}
-		for _, c := range r.cores {
-			inv := r.take(c)
-			if inv == nil {
-				continue
-			}
-			moved = true
-			// Execute on the core's identity so trace spans and routing
-			// stay attributed to the core that hosts the work; injectors
-			// see DrainCore via the drain flag.
-			if !r.execute(c, inv, true) {
-				if err := r.err(); err != nil {
-					return err
-				}
-			}
-		}
-		if !moved {
-			return r.err()
-		}
-	}
-}
-
-// drainInbox files first (if any) and every delivery queued behind it into
-// the parameter sets, and returns how many it took off the inbox.
-func (r *crun) drainInbox(c *ccore, first *delivery) (n int64) {
-	if first != nil {
-		r.receive(c, *first)
-	}
+// drainInbox files every queued delivery into the parameter sets and
+// returns how many it took off the inbox.
+func (r *crun) drainInbox(c *ccore) (n int64) {
 	for {
 		select {
 		case d := <-c.inbox:

@@ -13,7 +13,6 @@ import (
 	"repro/examples"
 	"repro/internal/bamboort"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/interp"
 	"repro/internal/layout"
 	"repro/internal/machine"
@@ -357,25 +356,13 @@ func kvReplies(t *testing.T, sess *core.Session, batch []bamboort.Inject) []core
 }
 
 // TestConcurrentFeedStress feeds a 4-core concurrent KVStore session
-// batches of mixed size while injected crashes force a rollback and a retry
-// on about one invocation in a hundred, and checks every reply against the
-// deterministic engine fed the same batches. Keys are distinct within a
-// batch (a rolled-back invocation is re-filed behind later arrivals, so
-// per-key order holds only while nothing fails) and collide across batches,
-// so versions count every put exactly once however often its invocation was
-// retried. Run under -race it covers the state the engines share: the
-// plan's counters, pooled invocations, the failure table and the
-// coordinator wake-up.
+// batches of mixed size and checks every reply against the deterministic
+// engine fed the same batches. Keys are distinct within a batch and collide
+// across batches, so versions count every put exactly once. Run under -race
+// it covers the state the engines share: the plan's counters, pooled
+// invocations and the coordinator wake-up.
 func TestConcurrentFeedStress(t *testing.T) {
-	mx := &obsv.Metrics{}
-	conc := kvSession(t, core.Concurrent, 4, core.ExecConfig{
-		Metrics: mx,
-		Fault: bamboort.FaultPolicy{
-			Injector:     &faultinject.Seeded{Seed: 7, PanicEvery: 100},
-			RetryBackoff: time.Microsecond,
-			StallTimeout: 30 * time.Second,
-		},
-	})
+	conc := kvSession(t, core.Concurrent, 4, core.ExecConfig{})
 	det := kvSession(t, core.Deterministic, 4, core.ExecConfig{})
 	rng := rand.New(rand.NewSource(11))
 	requests := 0
@@ -391,11 +378,7 @@ func TestConcurrentFeedStress(t *testing.T) {
 		}
 		requests += n
 	}
-	rollbacks := mx.Rollbacks.Load()
-	t.Logf("%d requests, %d rollbacks, %d retries", requests, rollbacks, mx.Retries.Load())
-	if rollbacks == 0 {
-		t.Error("no invocation was rolled back: the injector did not fire")
-	}
+	t.Logf("%d requests", requests)
 }
 
 // TestConcurrentSessionPerKeyOrder: one batch's requests on one key are

@@ -28,9 +28,6 @@ type Options struct {
 	// Metrics, when non-nil, collects runtime counters (RunConcurrent
 	// only; the deterministic engine has no lock contention to count).
 	Metrics *obsv.Metrics
-	// Fault configures failure containment (RunConcurrent only). The zero
-	// value contains panics but injects nothing.
-	Fault FaultPolicy
 	// MaxInvocations guards against non-terminating task systems; 0 means
 	// the default of 50 million.
 	MaxInvocations int64

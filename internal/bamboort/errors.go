@@ -1,24 +1,9 @@
 package bamboort
 
-import "errors"
+import "repro/internal/interp"
 
-// Sentinel errors of the runtime. Callers classify failures with
-// errors.Is; the concrete error wraps the sentinel together with the
-// underlying cause (task name, core, attempt counts), so errors.As on the
-// wrapped cause still works.
-var (
-	// ErrTaskPanic reports a task invocation that panicked. The scheduler
-	// recovers the panic, rolls the parameter objects back to their
-	// pre-invocation flag/tag snapshot, and retries per the fault policy;
-	// the error surfaces only when retries are exhausted and the degraded
-	// sequential drain fails too.
-	ErrTaskPanic = errors.New("bamboort: task panicked")
-
-	// ErrTimeout reports an invocation attempt that exceeded the fault
-	// policy's per-invocation timeout before its body could run.
-	ErrTimeout = errors.New("bamboort: invocation timed out")
-
-	// ErrDeadlock reports a concurrent run that stopped making progress
-	// while work was still outstanding (the stall watchdog fired).
-	ErrDeadlock = errors.New("bamboort: run stalled with work outstanding")
-)
+// ErrTaskPanic reports a task invocation whose body panicked. The
+// interpreter recovers the panic (interp.ErrTaskPanic is the same
+// sentinel); like a RuntimeError, it fails the run or session that
+// executed the task and nothing else. Callers classify with errors.Is.
+var ErrTaskPanic = interp.ErrTaskPanic

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strconv"
+	"sync"
 	"testing"
-	"time"
 
 	"repro/benchmarks"
 	"repro/internal/bamboort"
 	"repro/internal/core"
-	"repro/internal/faultinject"
+	"repro/internal/ir"
 	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/obsv"
@@ -30,165 +35,38 @@ func spreadKeyword(nc int) *layout.Layout {
 	return l
 }
 
-// TestTransientPanicRecovered: every invocation's first attempt crashes
-// (injected), the scheduler rolls the parameter objects back and retries,
-// and the run's output still matches the sequential baseline exactly.
-func TestTransientPanicRecovered(t *testing.T) {
-	sys := compileKeyword(t)
-	var seq bytes.Buffer
-	if _, err := sys.RunSequential(nArg(12), &seq); err != nil {
-		t.Fatal(err)
-	}
-	inj := &faultinject.FirstN{N: 1, Fault: faultinject.Fault{Panic: true}}
-	mx := &obsv.Metrics{}
-	var out bytes.Buffer
-	res, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: spreadKeyword(4), Args: nArg(12), Out: &out, Metrics: mx,
-		Fault: bamboort.FaultPolicy{Injector: inj},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != seq.String() {
-		t.Errorf("output %q != sequential %q", out.String(), seq.String())
-	}
-	if res.Invocations != 25 { // 1 startup + 12 process + 12 merge
-		t.Errorf("invocations = %d, want 25", res.Invocations)
-	}
-	if inj.Injected() == 0 {
-		t.Fatal("injector never fired")
-	}
-	if mx.Retries.Load() == 0 || mx.Rollbacks.Load() == 0 || mx.TaskPanics.Load() == 0 {
-		t.Errorf("metrics: retries=%d rollbacks=%d panics=%d, want all > 0",
-			mx.Retries.Load(), mx.Rollbacks.Load(), mx.TaskPanics.Load())
-	}
-}
-
-// TestTimeoutRetried: injected stalls exceeding the per-invocation timeout
-// surface as ErrTimeout failures, are rolled back, and retried to success.
-func TestTimeoutRetried(t *testing.T) {
-	sys := compileKeyword(t)
-	var seq bytes.Buffer
-	if _, err := sys.RunSequential(nArg(6), &seq); err != nil {
-		t.Fatal(err)
-	}
-	inj := &faultinject.FirstN{
-		N: 1, Task: "processText",
-		Fault: faultinject.Fault{Delay: 5 * time.Millisecond},
-	}
-	mx := &obsv.Metrics{}
-	var out bytes.Buffer
-	if _, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: spreadKeyword(2), Args: nArg(6), Out: &out, Metrics: mx,
-		Fault: bamboort.FaultPolicy{
-			Injector:          inj,
-			InvocationTimeout: time.Millisecond,
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != seq.String() {
-		t.Errorf("output %q != sequential %q", out.String(), seq.String())
-	}
-	if mx.Timeouts.Load() == 0 {
-		t.Error("no timeouts recorded")
-	}
-}
-
-// TestPersistentFaultDegradesToDrain: a fault that crashes one task on
-// every worker attempt exhausts the retry budget, poisons the core, and the
-// run degrades to the coordinator's sequential drain — where the injector
-// observes faultinject.DrainCore, stops firing, and the program completes
-// with output identical to the sequential baseline.
-func TestPersistentFaultDegradesToDrain(t *testing.T) {
-	sys := compileKeyword(t)
-	var seq bytes.Buffer
-	if _, err := sys.RunSequential(nArg(10), &seq); err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.Func(func(task string, coreID, attempt int) faultinject.Fault {
-		if task == "mergeResult" && coreID != faultinject.DrainCore {
-			return faultinject.Fault{Panic: true}
+// corruptTask breaks one compiled task the way no checked program can: the
+// first register operand of block blk points past the register file, so
+// running that block panics inside the interpreter (an index out of range),
+// on the fast path and the walker alike. Call it before sys first runs: the
+// flattened program is cached.
+func corruptTask(t testing.TB, sys *core.System, task string, blk int) {
+	t.Helper()
+	fn := sys.Prog.Funcs[ir.TaskKey(task)]
+	for i := range fn.Blocks[blk].Instrs {
+		if ins := &fn.Blocks[blk].Instrs[i]; len(ins.Args) > 0 {
+			ins.Args = slices.Clone(ins.Args)
+			ins.Args[0] = ir.Reg(fn.NumRegs + 1000)
+			return
 		}
-		return faultinject.Fault{}
-	})
-	mx := &obsv.Metrics{}
-	var out bytes.Buffer
-	res, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: spreadKeyword(4), Args: nArg(10), Out: &out, Metrics: mx,
-		Fault: bamboort.FaultPolicy{Injector: inj, MaxRetries: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if out.String() != seq.String() {
-		t.Errorf("output %q != sequential %q", out.String(), seq.String())
-	}
-	if res.Invocations != 21 { // 1 startup + 10 process + 10 merge
-		t.Errorf("invocations = %d, want 21", res.Invocations)
-	}
-	if mx.PoisonedCores.Load() == 0 || mx.DegradedDrains.Load() == 0 {
-		t.Errorf("metrics: poisoned=%d drains=%d, want both > 0",
-			mx.PoisonedCores.Load(), mx.DegradedDrains.Load())
-	}
+	t.Fatalf("task %s has no register operand in block %d", task, blk)
 }
 
-// TestUnrecoverablePanicIsErrTaskPanic: a fault that crashes everywhere —
-// including the degraded drain — terminates the run with a typed error
+// TestUnrecoverablePanicIsErrTaskPanic: a task body that panics inside the
+// interpreter terminates the run, on either engine, with a typed error
 // classifiable by errors.Is.
 func TestUnrecoverablePanicIsErrTaskPanic(t *testing.T) {
 	sys := compileKeyword(t)
-	inj := &faultinject.FirstN{N: 1 << 30, Fault: faultinject.Fault{Panic: true}}
-	_, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: spreadKeyword(2), Args: nArg(4),
-		Fault: bamboort.FaultPolicy{Injector: inj, MaxRetries: 1, RetryBackoff: 10 * time.Microsecond},
-	})
-	if !errors.Is(err, bamboort.ErrTaskPanic) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrTaskPanic)", err)
-	}
-}
-
-// TestUnrecoverableStallIsErrTimeout: likewise for a stall that outlives
-// the invocation timeout on every attempt.
-func TestUnrecoverableStallIsErrTimeout(t *testing.T) {
-	sys := compileKeyword(t)
-	inj := &faultinject.FirstN{
-		N: 1 << 30, Fault: faultinject.Fault{Delay: 3 * time.Millisecond},
-	}
-	_, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: spreadKeyword(2), Args: nArg(4),
-		Fault: bamboort.FaultPolicy{
-			Injector: inj, MaxRetries: 1, RetryBackoff: 10 * time.Microsecond,
-			InvocationTimeout: 500 * time.Microsecond,
-		},
-	})
-	if !errors.Is(err, bamboort.ErrTimeout) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrTimeout)", err)
-	}
-}
-
-// TestStallWatchdogIsErrDeadlock: with the stall watchdog armed, a run
-// whose workers stop making progress (every attempt stalls far longer than
-// the watchdog window, with no timeout to contain it) aborts with
-// ErrDeadlock instead of hanging.
-func TestStallWatchdogIsErrDeadlock(t *testing.T) {
-	sys := compileKeyword(t)
-	inj := &faultinject.FirstN{
-		N: 1 << 30, Fault: faultinject.Fault{Delay: 30 * time.Second},
-	}
-	start := time.Now()
-	_, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: spreadKeyword(2), Args: nArg(4),
-		Fault: bamboort.FaultPolicy{
-			Injector:     inj,
-			StallTimeout: 20 * time.Millisecond,
-		},
-	})
-	if !errors.Is(err, bamboort.ErrDeadlock) {
-		t.Fatalf("err = %v, want errors.Is(err, ErrDeadlock)", err)
-	}
-	if wall := time.Since(start); wall > 10*time.Second {
-		t.Errorf("watchdog took %v to fire", wall)
+	corruptTask(t, sys, "mergeResult", 0)
+	for _, engine := range []core.Engine{core.Deterministic, core.Concurrent} {
+		_, err := sys.Exec(context.Background(), core.ExecConfig{
+			Engine: engine, Machine: machine.TilePro64().WithCores(2),
+			Layout: spreadKeyword(2), Args: nArg(4),
+		})
+		if !errors.Is(err, bamboort.ErrTaskPanic) {
+			t.Errorf("%v: err = %v, want errors.Is(err, ErrTaskPanic)", engine, err)
+		}
 	}
 }
 
@@ -199,33 +77,25 @@ func TestRunCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, engine := range []core.Engine{core.Deterministic, core.Concurrent} {
-		cfg := core.ExecConfig{Engine: engine, Layout: spreadKeyword(2), Args: nArg(64)}
-		if engine == core.Deterministic {
-			cfg.Machine = machine.TilePro64().WithCores(2)
-			// Stall one attempt so the concurrent monitor observes the
-			// canceled context before quiescence; the deterministic engine
-			// checks between event batches instead.
-		} else {
-			cfg.Fault = bamboort.FaultPolicy{
-				Injector: &faultinject.FirstN{N: 1, Fault: faultinject.Fault{Delay: 2 * time.Millisecond}},
-			}
-		}
-		_, err := sys.Exec(ctx, cfg)
+		_, err := sys.Exec(ctx, core.ExecConfig{
+			Engine: engine, Machine: machine.TilePro64().WithCores(2),
+			Layout: spreadKeyword(2), Args: nArg(64),
+		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%v: err = %v, want context.Canceled on the chain", engine, err)
 		}
 	}
 }
 
-// TestFaultDifferentialSweep is the randomized fault-injection
-// differential check: every embedded benchmark, at 2, 4, and 8 cores, with
-// seeded pseudo-random crashes and stalls injected into first attempts,
-// must produce output equal to the sequential baseline (exact integers,
-// 1e-9 relative tolerance on floats — the sameOutput rules) and execute
-// exactly the same number of invocations.
+// TestFaultDifferentialSweep is the differential check with and without a
+// fault: every embedded benchmark, at 2, 4, and 8 cores, runs on the
+// concurrent engine to output equal to the sequential baseline (exact
+// integers, 1e-9 relative tolerance on floats — the sameOutput rules) in
+// exactly as many invocations; and with its most-run task corrupted to
+// panic, both engines fail the run with ErrTaskPanic instead of crashing,
+// hanging, or running on.
 func TestFaultDifferentialSweep(t *testing.T) {
 	for _, b := range benchmarks.All() {
-		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			sys, err := core.CompileSource(b.Source)
@@ -237,34 +107,125 @@ func TestFaultDifferentialSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, nc := range []int{2, 4, 8} {
-				inj := &faultinject.Seeded{
-					Seed: int64(nc), PanicEvery: 5, DelayEvery: 7,
-					Delay: 100 * time.Microsecond,
+			hot := ""
+			for task, n := range seqRes.TasksRun {
+				if task != "startup" && (hot == "" || n > seqRes.TasksRun[hot] || n == seqRes.TasksRun[hot] && task < hot) {
+					hot = task
 				}
-				mx := &obsv.Metrics{}
+			}
+			broken, err := core.CompileSource(b.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corruptTask(t, broken, hot, 0)
+			for _, nc := range []int{2, 4, 8} {
 				var out bytes.Buffer
 				res, err := sys.Exec(context.Background(), core.ExecConfig{
 					Engine: core.Concurrent,
 					Layout: bamboort.SpreadLayout(sys.Prog, nc),
-					Args:   b.Args, Out: &out, Metrics: mx,
-					Fault: bamboort.FaultPolicy{
-						Injector:     inj,
-						RetryBackoff: 20 * time.Microsecond,
-					},
+					Args:   b.Args, Out: &out,
 				})
 				if err != nil {
 					t.Fatalf("%d cores: %v", nc, err)
 				}
 				if !sameOutput(t, out.String(), seqOut.String()) {
-					t.Errorf("%d cores: output diverged under fault injection", nc)
+					t.Errorf("%d cores: output diverged from the sequential baseline", nc)
 				}
 				if res.Invocations != seqRes.Invocations {
 					t.Errorf("%d cores: %d invocations, sequential ran %d",
 						nc, res.Invocations, seqRes.Invocations)
 				}
-				if mx.TaskPanics.Load()+mx.Timeouts.Load() > 0 && mx.Rollbacks.Load() == 0 {
-					t.Errorf("%d cores: failures without rollbacks", nc)
+				for _, engine := range []core.Engine{core.Deterministic, core.Concurrent} {
+					_, err := broken.Exec(context.Background(), core.ExecConfig{
+						Engine: engine, Machine: machine.TilePro64().WithCores(nc),
+						Layout: bamboort.SpreadLayout(broken.Prog, nc), Args: b.Args,
+					})
+					if !errors.Is(err, bamboort.ErrTaskPanic) {
+						t.Errorf("%d cores, %v, %s corrupted: err = %v, want ErrTaskPanic", nc, engine, hot, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// feedKV feeds a KVStore session batches of puts and gets on distinct keys
+// and checks every reply against a model of the store, until stop is closed
+// and at least min batches have run.
+func feedKV(sess *core.Session, seed int64, min int, stop <-chan struct{}) error {
+	rng := rand.New(rand.NewSource(seed))
+	val, ver := map[int]int{}, map[int]int{}
+	for k := 0; k < 64; k++ { // kvArgs warms keys 0..63 at version 1
+		val[k], ver[k] = k*31+7, 1
+	}
+	for i := 0; ; i++ {
+		select {
+		case <-stop:
+			if i >= min {
+				return nil
+			}
+		default:
+		}
+		keys := rng.Perm(64)[:1+rng.Intn(8)]
+		ops, vals := make([]int, len(keys)), make([]int, len(keys))
+		batch := make([]bamboort.Inject, len(keys))
+		for j, k := range keys {
+			ops[j], vals[j] = rng.Intn(2), rng.Intn(1000)
+			batch[j] = kvReq(ops[j], k, vals[j])
+		}
+		objs, err := sess.Feed(context.Background(), batch)
+		if err != nil {
+			return fmt.Errorf("batch %d: %w", i, err)
+		}
+		for j, k := range keys {
+			if ops[j] == 1 {
+				val[k], ver[k] = vals[j], ver[k]+1
+			}
+			got := core.RenderReply(objs[j], "replied", []string{"reply", "version", "found"})
+			want := core.Reply{Done: true, Fields: map[string]string{
+				"reply": strconv.Itoa(val[k]), "version": strconv.Itoa(ver[k]), "found": "1"}}
+			if !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("batch %d, key %d: reply %v, want %v", i, k, got, want)
+			}
+		}
+	}
+}
+
+// TestSessionTaskPanicIsContained: on each engine, a KVStore session whose
+// parse task panics on every fed request (the block that parses a fed
+// request's arguments is corrupted; startup's warm requests skip it) fails
+// its first Feed with ErrTaskPanic and every later Feed with the same
+// error, while two healthy sessions fed from other goroutines throughout
+// answer every request as the model says. Run it under -race.
+func TestSessionTaskPanicIsContained(t *testing.T) {
+	for _, eng := range feedEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			stop := make(chan struct{})
+			errs := make(chan error, 2)
+			var wg sync.WaitGroup
+			for i := range 2 {
+				sess := kvSession(t, eng.engine, 2, core.ExecConfig{})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs <- feedKV(sess, int64(i), 20, stop)
+				}()
+			}
+			sys := kvSystem(t)
+			corruptTask(t, sys, "parse", 1)
+			bad := bootKV(t, sys, eng.engine, 2, core.ExecConfig{})
+			for i := range 3 {
+				_, err := bad.Feed(context.Background(), []bamboort.Inject{kvReq(0, i, 0)})
+				if !errors.Is(err, bamboort.ErrTaskPanic) {
+					t.Errorf("feed %d of the broken session: err = %v, want ErrTaskPanic", i, err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil {
+					t.Error(err)
 				}
 			}
 		})

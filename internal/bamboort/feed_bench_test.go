@@ -19,10 +19,23 @@ var kvArgs = []string{"8", "64", "64"}
 // kvSession boots a KVStore session on a synthesized layout.
 func kvSession(tb testing.TB, engine core.Engine, cores int, cfg core.ExecConfig) *core.Session {
 	tb.Helper()
+	return bootKV(tb, kvSystem(tb), engine, cores, cfg)
+}
+
+// kvSystem compiles KVStore.
+func kvSystem(tb testing.TB) *core.System {
+	tb.Helper()
 	sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return sys
+}
+
+// bootKV boots sys, a compiled KVStore, as a session on a synthesized
+// layout.
+func bootKV(tb testing.TB, sys *core.System, engine core.Engine, cores int, cfg core.ExecConfig) *core.Session {
+	tb.Helper()
 	prep, err := sys.Prepare(context.Background(), core.PrepareConfig{Cores: cores, Seed: 1, Args: kvArgs})
 	if err != nil {
 		tb.Fatal(err)

@@ -377,8 +377,8 @@ type invocation struct {
 	// re-enqueued with its original sequence (it logically never left the
 	// sets); the timestamps are trace dependence edges.
 	objSeqs, objArrs []int64
-	// pre snapshots the parameters' states at dispatch, for the unchanged
-	// test at commit and for rollback.
+	// pre snapshots the parameters' states at dispatch, for the
+	// deterministic engine's unchanged test at commit.
 	pre []objSnapshot
 	// locked is objs in canonical (ascending object ID) order, as the
 	// concurrent scheduler acquired the locks; release walks it in reverse.
@@ -430,16 +430,6 @@ func (inv *invocation) release() {
 	invPool.Put(inv)
 }
 
-// unconsume re-files the invocation's objects into the parameter sets they
-// were drawn from, preserving their arrival sequences and timestamps. The
-// concurrent scheduler calls it when an attempt fails and the invocation
-// must become dispatchable again.
-func (inv *invocation) unconsume() {
-	for i, obj := range inv.objs {
-		inv.ht.add(i, obj, inv.objSeqs[i], inv.objArrs[i])
-	}
-}
-
 // unchanged reports whether parameter i's abstract state (flags plus
 // 1-limited tag counts per type) is what it was at dispatch.
 func (inv *invocation) unchanged(i int) bool {
@@ -453,25 +443,4 @@ func (inv *invocation) unchanged(i int) bool {
 	}
 	var a, b [8]depend.TagEntry
 	return slices.Equal(appendTagEntries(a[:0], now), appendTagEntries(b[:0], pre.tags))
-}
-
-// restore rolls the parameter objects back to their snapshot (clearing tags
-// added since and re-adding tags removed). Field values are not rolled
-// back: faults inject before the task body runs (a recovered mid-body panic
-// restores the guard state that drives scheduling; its partial field writes
-// are not retried — see DESIGN.md). Callers hold the objects' parameter
-// locks.
-func (inv *invocation) restore() {
-	for i, o := range inv.objs {
-		pre := inv.pre[i]
-		o.SetFlagsWord(pre.flags)
-		for _, t := range o.Tags() {
-			if !slices.Contains(pre.tags, t) {
-				o.ClearTag(t)
-			}
-		}
-		for _, t := range pre.tags {
-			o.AddTag(t) // idempotent
-		}
-	}
 }

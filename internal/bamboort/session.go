@@ -221,10 +221,9 @@ func (e *Engine) EndSession() *Result {
 // deterministic engine: Feed is their one sender, session placement hashes
 // the tag to one core per stage, a core's inbox is FIFO, and a core
 // dispatches a task's oldest arrival first and nobody else dispatches for it.
-// The guarantee is per sender — objects of one tag that reach a stage from
+// The guarantee is per sender: objects of one tag that reach a stage from
 // different cores (behind a stage spread round-robin) are ordered by the
-// cores' timing — and holds while nothing fails: a rolled-back invocation is
-// re-filed behind later arrivals (DESIGN.md §13).
+// cores' timing (DESIGN.md §13).
 type ConcurrentSession struct {
 	r   *crun
 	err error
@@ -250,19 +249,15 @@ func StartConcurrentSession(ctx context.Context, prog *ir.Program, dep *depend.R
 	if err := s.settle(ctx); err != nil {
 		return nil, err
 	}
-	return s, s.err
+	return s, nil
 }
 
-// settle waits for the current batch to quiesce and poisons the session on
-// any terminal condition. A degraded run (poisoned core) completes its
-// accepted work via the sequential drain but cannot serve further batches.
+// settle waits for the current batch to quiesce; a terminal error fails the
+// session, so every later Feed returns it.
 func (s *ConcurrentSession) settle(ctx context.Context) error {
 	if err := s.r.quiesce(ctx); err != nil {
 		s.err = fmt.Errorf("bamboort: session failed: %w", err)
 		return err
-	}
-	if s.r.stopped() && s.err == nil {
-		s.err = fmt.Errorf("bamboort: session degraded to sequential drain and closed")
 	}
 	return nil
 }
@@ -286,10 +281,7 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	if err := s.settle(ctx); err != nil {
 		return nil, err
 	}
-	// Degraded mid-batch, the batch completed (the sequential drain finishes
-	// accepted work) but the session is closed: the results come with the
-	// terminal error alongside.
-	return objs, s.err
+	return objs, nil
 }
 
 // ArenaReused reports the live session heap's arena-reuse bytes (see

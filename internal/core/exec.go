@@ -28,9 +28,8 @@ const (
 	// every experiment table. Requires ExecConfig.Machine.
 	Deterministic Engine = iota
 	// Concurrent is the true parallel runtime — one goroutine per layout
-	// core, wall-clock spans, owner dispatch, and failure containment. It
-	// validates the runtime protocol under real concurrency and ignores
-	// ExecConfig.Machine.
+	// core, wall-clock spans, owner dispatch. It validates the runtime
+	// protocol under real concurrency and ignores ExecConfig.Machine.
 	Concurrent
 )
 
@@ -47,9 +46,9 @@ func (e Engine) String() string {
 
 // ExecConfig is the unified configuration for one execution on either
 // engine. It supersedes the old RunConfig/bamboort.RunConcurrent split:
-// one struct carries the machine, layout, program input, output sink,
-// observability hooks, and the concurrent engine's fault policy, with the
-// Engine field selecting the execution substrate.
+// one struct carries the machine, layout, program input, output sink and
+// observability hooks, with the Engine field selecting the execution
+// substrate.
 type ExecConfig struct {
 	// Engine selects the substrate (default Deterministic).
 	Engine Engine
@@ -72,9 +71,6 @@ type ExecConfig struct {
 	// dispatch statistics on both engines, scheduler/lock counters on
 	// Concurrent.
 	Metrics *obsv.Metrics
-	// Fault configures failure containment: fault injection, retry
-	// budget, per-invocation timeout, stall watchdog (Concurrent only).
-	Fault bamboort.FaultPolicy
 	// MaxInvocations guards against non-terminating task systems
 	// (0 = 50 million).
 	MaxInvocations int64
@@ -99,7 +95,6 @@ func (cfg ExecConfig) options() bamboort.Options {
 		Profile:        cfg.Profile,
 		Trace:          cfg.Trace,
 		Metrics:        cfg.Metrics,
-		Fault:          cfg.Fault,
 		MaxInvocations: cfg.MaxInvocations,
 		MaxTaskCycles:  cfg.MaxTaskCycles,
 		NoFastDispatch: cfg.NoFastDispatch,

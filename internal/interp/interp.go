@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -27,6 +28,13 @@ type RuntimeError struct {
 func (e *RuntimeError) Error() string {
 	return fmt.Sprintf("runtime error in %s at %s: %s", e.Fn, e.Pos, e.Msg)
 }
+
+// ErrTaskPanic classifies a task body that panicked inside the interpreter
+// (a Go runtime fault no RuntimeError check anticipated). RunTask recovers
+// the panic into an error wrapping this sentinel, so it fails the run or
+// session that executed the task and nothing else; callers test with
+// errors.Is.
+var ErrTaskPanic = errors.New("interp: task panicked")
 
 // Exec accumulates the observable effects of one task invocation (or one
 // plain method call tree): cycles consumed, objects allocated, the
@@ -198,8 +206,9 @@ func (in *Interp) Stats() DispatchStats {
 // variable (Func.TagParams order). Flag and tag actions of the taken
 // taskexit are applied to the parameter objects before returning. Program
 // output is held in the Exec until the caller commits it; a failed task's
-// partial output is written before the error is returned.
-func (in *Interp) RunTask(fn *ir.Func, params []Value) (*Exec, error) {
+// partial output is written before the error is returned. A panic in the
+// body is returned as an error wrapping ErrTaskPanic.
+func (in *Interp) RunTask(fn *ir.Func, params []Value) (_ *Exec, err error) {
 	if !fn.IsTask {
 		return nil, fmt.Errorf("interp: %s is not a task", fn.Name)
 	}
@@ -207,7 +216,13 @@ func (in *Interp) RunTask(fn *ir.Func, params []Value) (*Exec, error) {
 		return nil, fmt.Errorf("interp: task %s expects %d parameters, got %d", fn.Name, fn.NumParams, len(params))
 	}
 	ex := &Exec{ExitID: -1}
-	_, err := in.run(fn, params, ex)
+	defer func() {
+		if p := recover(); p != nil {
+			in.Commit(ex)
+			err = fmt.Errorf("%w: %s: %v", ErrTaskPanic, fn.Name, p)
+		}
+	}()
+	_, err = in.run(fn, params, ex)
 	if err != nil {
 		in.Commit(ex)
 		return nil, err
@@ -217,8 +232,7 @@ func (in *Interp) RunTask(fn *ir.Func, params []Value) (*Exec, error) {
 
 // Commit writes the output the invocation printed, as one write under the
 // interpreter's output lock. An engine calls it when the invocation's
-// effects become final; an Exec that is dropped instead (a rolled-back
-// attempt) prints nothing.
+// effects become final.
 func (in *Interp) Commit(ex *Exec) {
 	if len(ex.out) == 0 {
 		return

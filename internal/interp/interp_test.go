@@ -2,6 +2,7 @@ package interp
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -374,6 +375,31 @@ func TestRunTask(t *testing.T) {
 	finishedIdx := irp.Info.Classes["Results"].FlagIndex["finished"]
 	if !results.FlagSet(finishedIdx) {
 		t.Error("Results not finished")
+	}
+}
+
+// TestRunTaskPanicIsErrTaskPanic: a task body that panics inside the
+// interpreter — processText with its first register operand pointed past
+// the register file, which no checked program can produce — comes back from
+// RunTask as an error wrapping ErrTaskPanic, on the fast path and the walker
+// alike, instead of unwinding through the caller.
+func TestRunTaskPanicIsErrTaskPanic(t *testing.T) {
+	for _, walker := range []bool{false, true} {
+		irp := compile(t, taskSrc)
+		fn := irp.Funcs[ir.TaskKey("processText")]
+		ins := &fn.Blocks[0].Instrs[0]
+		ins.Args = []ir.Reg{ir.Reg(fn.NumRegs + 1000)}
+		in := New(irp)
+		if walker {
+			in.DisableFastDispatch()
+		}
+		cl := irp.Info.Classes["Text"]
+		txt := in.Heap.NewObject(cl)
+		txt.SetFlag(cl.FlagIndex["process"], true)
+		ex, err := in.RunTask(fn, []Value{ObjV(txt)})
+		if ex != nil || !errors.Is(err, ErrTaskPanic) {
+			t.Errorf("walker=%v: RunTask = %v, %v; want no Exec and an ErrTaskPanic", walker, ex, err)
+		}
 	}
 }
 

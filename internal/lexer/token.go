@@ -22,39 +22,39 @@ const (
 	CharLit
 
 	// Punctuation and operators.
-	LParen   // (
-	RParen   // )
-	LBrace   // {
-	RBrace   // }
-	LBracket // [
-	RBracket // ]
-	Semi     // ;
-	Comma    // ,
-	Dot      // .
-	Colon    // :
-	Assign   // =
-	Walrus   // := (flag action assignment)
-	Plus     // +
-	Minus    // -
-	Star     // *
-	Slash    // /
-	Percent  // %
-	Lt       // <
-	Gt       // >
-	Le       // <=
-	Ge       // >=
-	EqEq     // ==
-	NotEq    // !=
-	AndAnd   // &&
-	OrOr     // ||
-	Not      // !
-	PlusPlus // ++
-	MinusMinus// --
-	LShift   // <<
-	RShift   // >>
-	Amp      // &
-	Pipe     // |
-	Caret    // ^
+	LParen     // (
+	RParen     // )
+	LBrace     // {
+	RBrace     // }
+	LBracket   // [
+	RBracket   // ]
+	Semi       // ;
+	Comma      // ,
+	Dot        // .
+	Colon      // :
+	Assign     // =
+	Walrus     // := (flag action assignment)
+	Plus       // +
+	Minus      // -
+	Star       // *
+	Slash      // /
+	Percent    // %
+	Lt         // <
+	Gt         // >
+	Le         // <=
+	Ge         // >=
+	EqEq       // ==
+	NotEq      // !=
+	AndAnd     // &&
+	OrOr       // ||
+	Not        // !
+	PlusPlus   // ++
+	MinusMinus // --
+	LShift     // <<
+	RShift     // >>
+	Amp        // &
+	Pipe       // |
+	Caret      // ^
 
 	// Java-like keywords.
 	KwClass
@@ -118,8 +118,7 @@ var keywords = map[string]Kind{
 	"class": KwClass, "new": KwNew, "if": KwIf, "else": KwElse, "while": KwWhile,
 	"for": KwFor, "return": KwReturn, "break": KwBreak, "continue": KwContinue,
 	"true": KwTrue, "false": KwFalse, "null": KwNull, "this": KwThis,
-	"void": KwVoid, "int": KwInt, "double": KwDouble, "boolean": KwBoolean,
-	"String": KwString,
+	"void": KwVoid, "int": KwInt, "double": KwDouble, "boolean": KwBoolean, "String": KwString,
 	"flag": KwFlag, "tag": KwTag, "task": KwTask, "taskexit": KwTaskExit,
 	"in": KwIn, "with": KwWith, "and": KwAnd, "or": KwOr, "add": KwAdd, "clear": KwClear,
 }

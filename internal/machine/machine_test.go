@@ -28,8 +28,8 @@ func TestDistManhattan(t *testing.T) {
 	cases := []struct{ a, b, want int }{
 		{0, 0, 0},
 		{0, 1, 1},
-		{0, 8, 1},  // one row down
-		{0, 9, 2},  // diagonal
+		{0, 8, 1},   // one row down
+		{0, 9, 2},   // diagonal
 		{0, 63, 14}, // opposite corner: 7+7
 		{7, 56, 14},
 	}

@@ -36,21 +36,6 @@ type Metrics struct {
 	InboxDepthSum atomic.Int64
 	InboxDepthMax atomic.Int64
 
-	// Retries counts invocation attempts re-dispatched after a contained
-	// failure (panic or timeout); Rollbacks counts parameter snapshot
-	// restorations (one per contained failure).
-	Retries   atomic.Int64
-	Rollbacks atomic.Int64
-	// Timeouts counts attempts that exceeded the per-invocation timeout;
-	// TaskPanics counts recovered invocation panics.
-	Timeouts   atomic.Int64
-	TaskPanics atomic.Int64
-	// PoisonedCores counts cores that exhausted an invocation's retry
-	// budget and were taken out of the worker pool; DegradedDrains counts
-	// runs that fell back to the sequential drain.
-	PoisonedCores  atomic.Int64
-	DegradedDrains atomic.Int64
-
 	// Interpreter dispatch statistics, folded in once per run by the
 	// engines: inline-cache traffic, superinstruction coverage of the
 	// flattened program, and arena bytes the heap recycled from the
@@ -126,17 +111,13 @@ type MetricsSnapshot struct {
 	InboxSamples     int64 `json:"inbox_samples"`
 	InboxDepthSum    int64 `json:"inbox_depth_sum"`
 	InboxDepthMax    int64 `json:"inbox_depth_max"`
-	// The next two are always 0: the runtime dispatches on the owning core
-	// only. They stay because bench/ (frozen by BENCHMARK.json) reads them
-	// for bamboort.conc_steal_success_ratio.
+	// The next three are always 0: the runtime dispatches on the owning
+	// core only, and a failed task fails its run instead of being retried.
+	// They stay because bench/ (frozen by BENCHMARK.json) reads them for
+	// bamboort.conc_steal_success_ratio and bamboort.conc_retries.
 	StealAttempts    int64           `json:"steal_attempts"`
 	StealSuccesses   int64           `json:"steal_successes"`
 	Retries          int64           `json:"retries"`
-	Rollbacks        int64           `json:"rollbacks"`
-	Timeouts         int64           `json:"timeouts"`
-	TaskPanics       int64           `json:"task_panics"`
-	PoisonedCores    int64           `json:"poisoned_cores"`
-	DegradedDrains   int64           `json:"degraded_drains"`
 	ICHits           int64           `json:"ic_hits"`
 	ICMisses         int64           `json:"ic_misses"`
 	FlatInstrs       int64           `json:"flat_instrs"`
@@ -157,12 +138,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		InboxSamples:     m.InboxSamples.Load(),
 		InboxDepthSum:    m.InboxDepthSum.Load(),
 		InboxDepthMax:    m.InboxDepthMax.Load(),
-		Retries:          m.Retries.Load(),
-		Rollbacks:        m.Rollbacks.Load(),
-		Timeouts:         m.Timeouts.Load(),
-		TaskPanics:       m.TaskPanics.Load(),
-		PoisonedCores:    m.PoisonedCores.Load(),
-		DegradedDrains:   m.DegradedDrains.Load(),
 		ICHits:           m.ICHits.Load(),
 		ICMisses:         m.ICMisses.Load(),
 		FlatInstrs:       m.FlatInstrs.Load(),

@@ -38,7 +38,7 @@ func Parse(src string) (*ast.Program, error) {
 	return p.program()
 }
 
-func (p *parser) cur() lexer.Token  { return p.toks[p.pos] }
+func (p *parser) cur() lexer.Token { return p.toks[p.pos] }
 func (p *parser) peek() lexer.Token {
 	if p.pos+1 < len(p.toks) {
 		return p.toks[p.pos+1]
@@ -1071,8 +1071,10 @@ func (p *parser) primaryExpr() (ast.Expr, error) {
 	return nil, p.errorf("expected expression, found %s", t)
 }
 
-// newExpr := "new" basetype "[" expr "]"
-//          | "new" IDENT "(" args ")" ["{" action ("," action)* "}"]
+// newExpr parses an allocation:
+//
+//	newExpr := "new" basetype "[" expr "]"
+//	         | "new" IDENT "(" args ")" ["{" action ("," action)* "}"]
 func (p *parser) newExpr() (ast.Expr, error) {
 	t := p.next() // new
 	switch p.cur().Kind {

@@ -315,15 +315,15 @@ func TestParseCharLiterals(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		"class",                                  // missing name
-		"class C { flag }",                       // missing flag name
-		"task t() { }",                           // empty guard list is OK actually? tasks need >=1 param per grammar; we allow 0 here, so skip
-		"class C { int f( { } }",                 // bad params
-		"task t(C x in ) {}",                     // missing guard
-		"class C { int f() { return 1 } }",       // missing semicolon
+		"class",                            // missing name
+		"class C { flag }",                 // missing flag name
+		"task t() { }",                     // empty guard list is OK actually? tasks need >=1 param per grammar; we allow 0 here, so skip
+		"class C { int f( { } }",           // bad params
+		"task t(C x in ) {}",               // missing guard
+		"class C { int f() { return 1 } }", // missing semicolon
 		"task t(C x in a) { taskexit(x: a = true); }", // = instead of :=
-		"class C { int f() { x +; } }",           // bad compound
-		"banana",                                 // not a decl
+		"class C { int f() { x +; } }",                // bad compound
+		"banana",                                      // not a decl
 	}
 	for _, src := range cases {
 		if src == "task t() { }" {
@@ -387,16 +387,16 @@ func TestParseStringOps(t *testing.T) {
 
 func TestParseMoreErrors(t *testing.T) {
 	cases := []string{
-		"class C { int f() { for (;;) } }",            // missing body brace is fine? body required
+		"class C { int f() { for (;;) } }",                // missing body brace is fine? body required
 		"class C { void m() { taskexit(x a := true); } }", // missing colon
-		"class C { void m() { tag t = new tag(); } }",  // missing tag type
-		"class C { void m() { int x = new; } }",        // bad new
-		"class C { void m() { x[1 = 2; } }",            // missing bracket
-		"class C { void m() { if x { } } }",            // missing parens
-		"task t(C c in a with) {}",                     // bad tag guard
-		"class C { void m() { obj.; } }",               // missing member name
-		"class C { int f() { return (1 + ; } }",        // bad paren expr
-		"class C { int f() { new int[]; } }",           // missing length
+		"class C { void m() { tag t = new tag(); } }",     // missing tag type
+		"class C { void m() { int x = new; } }",           // bad new
+		"class C { void m() { x[1 = 2; } }",               // missing bracket
+		"class C { void m() { if x { } } }",               // missing parens
+		"task t(C c in a with) {}",                        // bad tag guard
+		"class C { void m() { obj.; } }",                  // missing member name
+		"class C { int f() { return (1 + ; } }",           // bad paren expr
+		"class C { int f() { new int[]; } }",              // missing length
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -293,6 +293,10 @@ func TestSessionFeedAllocs(t *testing.T) {
 		serveFeed(t, h, sv.ID, payload)
 	})
 	t.Logf("session feed: %.1f allocs/op", avg)
+	if raceEnabled {
+		// The detector's own allocations count here: 89 allocs/op under it.
+		t.Skip("allocation ceiling not enforced under the race detector")
+	}
 	// Measured 73.0, every run (105 before dispatch stopped allocating, 301
 	// before the coalescing/arena/routing-path pass).
 	const ceiling = 84

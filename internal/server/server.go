@@ -675,12 +675,6 @@ func (s *Server) aggregate(m obsv.MetricsSnapshot) {
 	if m.InboxDepthMax > a.InboxDepthMax {
 		a.InboxDepthMax = m.InboxDepthMax
 	}
-	a.Retries += m.Retries
-	a.Rollbacks += m.Rollbacks
-	a.Timeouts += m.Timeouts
-	a.TaskPanics += m.TaskPanics
-	a.PoisonedCores += m.PoisonedCores
-	a.DegradedDrains += m.DegradedDrains
 	a.ICHits += m.ICHits
 	a.ICMisses += m.ICMisses
 	a.FlatInstrs += m.FlatInstrs
@@ -896,7 +890,7 @@ type Varz struct {
 	// interpreter dispatch statistics (superinstruction coverage,
 	// inline-cache hits/misses, arena reuse) from both engines, plus the
 	// concurrent engine's scheduler/lock counters (contention skips,
-	// retries, rollbacks, ...).
+	// deliveries, pokes, ...).
 	Runtime obsv.MetricsSnapshot `json:"runtime_counters"`
 	// WAL reports the durability layer (nil when no WALDir is set).
 	WAL *WALView `json:"wal,omitempty"`

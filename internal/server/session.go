@@ -639,7 +639,7 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		sn.injBuf = sn.appendInjects(sn.injBuf, w.items)
 	}
 	objs, err := sn.live.Feed(ctx, sn.injBuf)
-	if err != nil && objs == nil {
+	if err != nil {
 		if errors.Is(err, bamboort.ErrInject) {
 			if len(ws) == 1 {
 				// Rejected before anything was routed; the session stays live.
@@ -691,12 +691,7 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 			Coalesced: coalesced,
 		}
 	}
-	if err != nil {
-		// Concurrent runtime degraded mid-batch: the accepted requests
-		// completed via the sequential drain, so the clients get their
-		// replies, but the session cannot serve further batches.
-		s.failLocked(sn, err)
-	} else if !sn.pinned {
+	if !sn.pinned {
 		// Log the coalesced batch as ONE replay entry: revival replays each
 		// logged entry as one engine batch, so recording the boundary the
 		// engine actually saw keeps the replayed state byte-identical.

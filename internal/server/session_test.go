@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/examples"
 	"repro/internal/server"
 	"repro/internal/server/client"
 )
@@ -185,7 +187,7 @@ func TestSessionConcurrentFeeds(t *testing.T) {
 			defer wg.Done()
 			key := 100 + g // disjoint key per goroutine
 			for i := 1; i <= puts; i++ {
-				fr, err := s.cl.Feed(ctxT(), sv.ID, server.FeedRequest{Requests: []server.FeedItem{put(key, 1000*g + i)}})
+				fr, err := s.cl.Feed(ctxT(), sv.ID, server.FeedRequest{Requests: []server.FeedItem{put(key, 1000*g+i)}})
 				if err != nil {
 					errs <- fmt.Errorf("feeder %d: %w", g, err)
 					return
@@ -412,5 +414,93 @@ func TestSessionConcurrentEngine(t *testing.T) {
 	}
 	if _, err := s.cl.CloseSession(ctxT(), sv.ID); err != nil {
 		t.Errorf("close concurrent session: %v", err)
+	}
+}
+
+// TestSessionRuntimeErrorIsContained: one session's program hits a runtime
+// error on a poison key. That session fails — its view says failed, with
+// the error — and so does every later feed to it, while two other sessions
+// (one per engine) fed concurrently throughout, and a job submitted
+// afterwards, all succeed. Run it under -race.
+func TestSessionRuntimeErrorIsContained(t *testing.T) {
+	s := newTestService(t, server.Config{})
+	const parseKey = "r.key = lib.parseInt(r.args[1]);"
+	src := strings.Replace(examples.KVStoreSource(), parseKey,
+		parseKey+"\n\t\tif (r.key == 666) { r.key = 1 / (r.key - 666); }", 1)
+	if src == examples.KVStoreSource() {
+		t.Fatal("KVStore no longer parses its key where the poison goes")
+	}
+	bad, err := s.cl.CreateSession(ctxT(), server.SessionRequest{
+		Source: src, Args: []string{"8", "64", "64"}, Cores: 2,
+		Request: server.SessionRequestSpec{
+			Class: "Request", Flag: "pending", TagType: "shard",
+			DoneFlag: "replied", ReplyFields: []string{"reply", "version", "found"},
+		},
+	})
+	if err != nil {
+		t.Fatalf("create poisoned session: %v", err)
+	}
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for g, engine := range []string{"deterministic", "concurrent"} {
+		sv := kvSession(t, s, engine, 2)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 1; ; i++ {
+				select {
+				case <-stop:
+					if i > 10 {
+						return
+					}
+				default:
+				}
+				fr, err := s.cl.Feed(ctxT(), sv.ID, server.FeedRequest{Requests: []server.FeedItem{put(100+g, i), get(5)}})
+				if err != nil {
+					errs <- fmt.Errorf("%s session, feed %d: %w", engine, i, err)
+					return
+				}
+				p, w := fr.Replies[0].Fields, fr.Replies[1].Fields
+				if p["version"] != strconv.Itoa(i) || p["reply"] != strconv.Itoa(i) || w["reply"] != "162" {
+					errs <- fmt.Errorf("%s session, feed %d: replies %v, %v", engine, i, p, w)
+					return
+				}
+			}
+		}()
+	}
+
+	if fr := feed(t, s, bad.ID, put(7, 1)); fr.Replies[0].Fields["version"] != "2" {
+		t.Errorf("healthy feed to the poisoned session: %+v", fr.Replies[0].Fields)
+	}
+	_, err = s.cl.Feed(ctxT(), bad.ID, server.FeedRequest{Requests: []server.FeedItem{put(666, 1)}})
+	if !client.IsCode(err, server.CodeInternal) {
+		t.Errorf("poison feed: err = %v, want %s", err, server.CodeInternal)
+	}
+	view, err := s.cl.Session(ctxT(), bad.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Status != server.SessionFailed || !strings.Contains(view.Error, "division by zero") {
+		t.Errorf("poisoned session view: status %q, error %q; want failed with the division by zero", view.Status, view.Error)
+	}
+	_, err = s.cl.Feed(ctxT(), bad.ID, server.FeedRequest{Requests: []server.FeedItem{get(7)}})
+	if !client.IsCode(err, server.CodeFailedPrecondition) {
+		t.Errorf("feed after failure: err = %v, want %s", err, server.CodeFailedPrecondition)
+	}
+
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	sub, err := s.cl.SubmitJob(ctxT(), server.SubmitRequest{Source: testProgram(50)})
+	if err != nil {
+		t.Fatalf("submit after failure: %v", err)
+	}
+	if v := s.await(t, sub.ID, 30*time.Second); v.Status != server.StatusSucceeded {
+		t.Errorf("job after a session failed: %+v", v)
 	}
 }

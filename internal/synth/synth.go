@@ -52,8 +52,8 @@ type Group struct {
 // Synthesis holds the core groups and the task-level graph used to
 // generate candidate layouts.
 type Synthesis struct {
-	Graph  *cstg.Graph
-	Groups []*Group
+	Graph   *cstg.Graph
+	Groups  []*Group
 	groupOf map[string]*Group
 }
 

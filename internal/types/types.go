@@ -37,14 +37,14 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
 // Class is the checked form of a class declaration.
 type Class struct {
-	Name      string
-	Decl      *ast.ClassDecl // nil for the synthesized StartupObject
-	Flags     []string       // declared flags, in declaration order
-	FlagIndex map[string]int // flag name -> bit index
-	Fields    []*Field       // in declaration order
+	Name        string
+	Decl        *ast.ClassDecl // nil for the synthesized StartupObject
+	Flags       []string       // declared flags, in declaration order
+	FlagIndex   map[string]int // flag name -> bit index
+	Fields      []*Field       // in declaration order
 	FieldByName map[string]*Field
-	Methods   map[string]*Method
-	Ctor      *Method // nil when the class has no constructor
+	Methods     map[string]*Method
+	Ctor        *Method // nil when the class has no constructor
 }
 
 // HasFlag reports whether the class declares the named flag.
@@ -127,12 +127,12 @@ type VarRef struct {
 
 // Info is the result of semantic analysis.
 type Info struct {
-	Prog      *ast.Program
-	Classes   map[string]*Class
-	ClassList []*Class // sorted by name for deterministic iteration
-	Tasks     []*Task
+	Prog       *ast.Program
+	Classes    map[string]*Class
+	ClassList  []*Class // sorted by name for deterministic iteration
+	Tasks      []*Task
 	TaskByName map[string]*Task
-	TagTypes  []string // all tag type names, sorted
+	TagTypes   []string // all tag type names, sorted
 
 	// Per-node analysis results consumed by IR lowering.
 	ExprTypes map[ast.Expr]*ast.Type

@@ -81,12 +81,10 @@ fi
 # Runtime counter snapshot: run each benchmark on the concurrent engine
 # with metrics enabled and collect the counters JSON per benchmark. None
 # of the three contends for a lock across cores, so contention_skips and
-# pokes read 0 (a poke answers a contention skip and nothing else); a
-# light injected-crash rate exercises the rollback/retry path so the
-# retry counters are nonzero.
+# pokes read 0 (a poke answers a contention skip and nothing else); a task
+# is never retried, so retries reads 0 too.
 rtout="${2:-BENCH_runtime.json}"
 cores="${RUNTIME_CORES:-8}"
-panic_every="${RUNTIME_PANIC_EVERY:-13}"
 mtmp="$(mktemp)"
 trap 'rm -f "$raw" "$mtmp"' EXIT
 
@@ -95,9 +93,8 @@ if want runtime; then
     echo "{"
     first=1
     for bench in Keyword ImagePipe Tracking; do
-        echo "running: bamboo run -name $bench -cores $cores -concurrent -inject-panic-every $panic_every" >&2
+        echo "running: bamboo run -name $bench -cores $cores -concurrent" >&2
         go run ./cmd/bamboo run -name "$bench" -cores "$cores" -concurrent \
-            -inject-panic-every "$panic_every" \
             -metrics-out "$mtmp" >/dev/null 2>&1
         [ "$first" = 1 ] || echo ","
         first=0
