@@ -89,7 +89,8 @@ type Reply struct {
 // RenderReply reads a reply off an injected object: Done is the state of
 // doneFlag (false when the class has no such flag), and each named field
 // is rendered with the interpreter's value formatting. Unknown fields are
-// omitted.
+// omitted. The server renders feed replies straight to bytes without it;
+// RenderReply is the reference that rendering is tested against.
 func RenderReply(o *interp.Object, doneFlag string, fields []string) Reply {
 	rep := Reply{Fields: map[string]string{}}
 	if idx, ok := o.Class.FlagIndex[doneFlag]; ok {

@@ -68,20 +68,18 @@ func RetryAfter(err error) time.Duration {
 	return 0
 }
 
-// bodyPool recycles request-encoding buffers: a feed-heavy client (the
-// benchmark's closed loop) marshals thousands of bodies per second, and
-// json.Marshal's fresh byte slice per call is pure garbage-collector load.
-var bodyPool sync.Pool // of *bytes.Buffer
+// bodyPool recycles request-encoding and feed-response buffers: a
+// feed-heavy client (the benchmark's closed loop) moves thousands of bodies
+// per second, and a fresh byte slice per body is pure garbage-collector
+// load.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // do runs one JSON round-trip. Non-2xx responses decode the uniform
 // APIError envelope and return it as the error.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
-		b, _ := bodyPool.Get().(*bytes.Buffer)
-		if b == nil {
-			b = &bytes.Buffer{}
-		}
+		b := bodyPool.Get().(*bytes.Buffer)
 		b.Reset()
 		if err := json.NewEncoder(b).Encode(in); err != nil {
 			bodyPool.Put(b)
@@ -108,6 +106,16 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("%s %s: HTTP %d", method, path, resp.StatusCode)
 		}
 		return &ae
+	}
+	if fr, ok := out.(*server.FeedResponse); ok {
+		// One pass over a pooled copy; the feed codec copies strings out.
+		b := bodyPool.Get().(*bytes.Buffer)
+		defer bodyPool.Put(b)
+		b.Reset()
+		if _, err := b.ReadFrom(resp.Body); err != nil {
+			return err
+		}
+		return fr.UnmarshalJSON(b.Bytes())
 	}
 	if out != nil {
 		return json.NewDecoder(resp.Body).Decode(out)

@@ -254,10 +254,18 @@ func TestSessionArenaReuse(t *testing.T) {
 	}
 }
 
-// feedPayload is one marshalled single-put feed body.
-func feedPayload(t testing.TB, key, val int) []byte {
+// feedPayload is one marshalled feed body of n requests on keys 300..:
+// puts, every third a get.
+func feedPayload(t testing.TB, n int) []byte {
 	t.Helper()
-	p, err := json.Marshal(server.FeedRequest{Requests: []server.FeedItem{put(key, val)}})
+	items := make([]server.FeedItem, n)
+	for i := range items {
+		items[i] = put(300+i, i+1)
+		if i%3 == 2 {
+			items[i] = get(300 + i)
+		}
+	}
+	p, err := json.Marshal(server.FeedRequest{Requests: items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +285,7 @@ func serveFeed(t testing.TB, h http.Handler, id string, payload []byte) {
 }
 
 // TestSessionFeedAllocs is the alloc-regression gate on the session feed
-// hot path: decode, enqueue, claim, inject, run, demux, encode. The
+// hot path: decode, enqueue, claim, inject, run, demux, render. The
 // ceiling is the measured steady state plus 15%, so real regressions (a
 // fresh envelope or inject slice per request creeping back in, an
 // invocation assembled per hosted task) trip it while Go version and
@@ -286,7 +294,7 @@ func TestSessionFeedAllocs(t *testing.T) {
 	s := newTestService(t, server.Config{})
 	sv := kvSession(t, s, "", 1)
 	h := s.srv.Handler()
-	payload := feedPayload(t, 300, 1)
+	payload := feedPayload(t, 1)
 
 	serveFeed(t, h, sv.ID, payload) // warm engine, arena, pools
 	avg := testing.AllocsPerRun(200, func() {
@@ -294,54 +302,64 @@ func TestSessionFeedAllocs(t *testing.T) {
 	})
 	t.Logf("session feed: %.1f allocs/op", avg)
 	if raceEnabled {
-		// The detector's own allocations count here: 89 allocs/op under it.
+		// The detector's own allocations count here: 65 allocs/op under it.
 		t.Skip("allocation ceiling not enforced under the race detector")
 	}
-	// Measured 73.0, every run (105 before dispatch stopped allocating, 301
-	// before the coalescing/arena/routing-path pass).
-	const ceiling = 84
+	// Measured 53.0, every run, since the feed codec stopped reflecting
+	// (74 before it, 105 before dispatch stopped allocating, 301 before the
+	// coalescing/arena/routing-path pass).
+	const ceiling = 61
 	if avg > ceiling {
 		t.Errorf("session feed allocates %.1f objects/op, ceiling %d", avg, ceiling)
 	}
 }
 
-// BenchmarkSessionFeed measures the serving hot path end to end at the
-// handler layer (single put per feed, deterministic engine, 1 core).
+// BenchmarkSessionFeed measures the serving hot path at the handler layer:
+// feeds of 4 and 96 KVStore requests through Handler().ServeHTTP on a
+// recorder, into a 2-core session of either engine. Set beside
+// internal/bamboort's BenchmarkSessionFeed, which feeds the same session
+// shape directly, the difference per request is what decode, coalescer
+// hand-off and reply rendering cost.
 func BenchmarkSessionFeed(b *testing.B) {
 	s := server.New(server.Config{})
 	b.Cleanup(s.Close)
 	h := s.Handler()
-
-	body, err := json.Marshal(server.SessionRequest{
-		Benchmark: "KVStore",
-		Args:      []string{"8", "64", "64"},
-		Request: server.SessionRequestSpec{
-			Class:       "Request",
-			Flag:        "pending",
-			TagType:     "shard",
-			DoneFlag:    "replied",
-			ReplyFields: []string{"reply", "version", "found"},
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body))
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusCreated {
-		b.Fatalf("create: HTTP %d: %s", rec.Code, rec.Body.String())
-	}
-	var sv server.SessionView
-	if err := json.Unmarshal(rec.Body.Bytes(), &sv); err != nil {
-		b.Fatal(err)
-	}
-	payload := feedPayload(b, 300, 1)
-	serveFeed(b, h, sv.ID, payload)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		serveFeed(b, h, sv.ID, payload)
+	for _, engine := range []struct{ name, engine string }{{"det", "deterministic"}, {"conc", "concurrent"}} {
+		for _, n := range []int{4, 96} {
+			b.Run(fmt.Sprintf("%s/b%d", engine.name, n), func(b *testing.B) {
+				body, err := json.Marshal(server.SessionRequest{
+					Benchmark: "KVStore",
+					Args:      []string{"8", "64", "64"},
+					Engine:    engine.engine,
+					Cores:     2,
+					Request: server.SessionRequestSpec{
+						Class:       "Request",
+						Flag:        "pending",
+						TagType:     "shard",
+						DoneFlag:    "replied",
+						ReplyFields: []string{"reply", "version", "found"},
+					},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(body)))
+				if rec.Code != http.StatusCreated {
+					b.Fatalf("create: HTTP %d: %s", rec.Code, rec.Body.String())
+				}
+				var sv server.SessionView
+				if err := json.Unmarshal(rec.Body.Bytes(), &sv); err != nil {
+					b.Fatal(err)
+				}
+				payload := feedPayload(b, n)
+				serveFeed(b, h, sv.ID, payload)
+				b.ReportAllocs()
+				for b.Loop() {
+					serveFeed(b, h, sv.ID, payload)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/request")
+			})
+		}
 	}
 }

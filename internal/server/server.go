@@ -692,29 +692,33 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-var jsonBufPool sync.Pool // of *bytes.Buffer
+// bodyPool recycles request bodies; a feed's buffer then carries its response.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// writeJSONBuf is writeJSON for hot paths: compact encoding through a
-// pooled buffer, flushed in a single Write. Feed responses go through here
-// — at saturation the pretty-printer's indentation buffers and chunked
-// writes are a measurable allocation tax.
-func writeJSONBuf(w http.ResponseWriter, code int, v any) {
-	b, _ := jsonBufPool.Get().(*bytes.Buffer)
-	if b == nil {
-		b = &bytes.Buffer{}
-	}
+// readBody reads r's body, at most limit bytes, into a pooled buffer that
+// the caller hands back with putBody, also when err is not nil.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*bytes.Buffer, error) {
+	b := bodyPool.Get().(*bytes.Buffer)
 	b.Reset()
-	if err := json.NewEncoder(b).Encode(v); err != nil {
-		jsonBufPool.Put(b)
-		writeJSON(w, code, v)
-		return
+	_, err := b.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	return b, err
+}
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() <= 1<<20 { // don't let one huge body pin pool memory
+		bodyPool.Put(b)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_, _ = w.Write(b.Bytes())
-	if b.Cap() <= 1<<20 { // don't let one huge reply pin pool memory
-		jsonBufPool.Put(b)
+}
+
+// decodeBody decodes r's body, at most limit bytes, as exactly one JSON
+// value: data after it, other than whitespace, is an error.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	b, err := readBody(w, r, limit)
+	if err == nil {
+		err = json.Unmarshal(b.Bytes(), v)
 	}
+	putBody(b)
+	return err
 }
 
 // writeErr renders one failure as the uniform APIError envelope. retryMS,
@@ -728,8 +732,7 @@ func writeErr(w http.ResponseWriter, status int, code, msg string, retryMS int64
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes+4096)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, s.cfg.MaxSourceBytes+4096, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}

@@ -172,6 +172,58 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// postRaw sends body verbatim and returns the status and, on a failure,
+// the error envelope.
+func postRaw(t *testing.T, url, body string) (int, server.APIError) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env server.APIError
+	if resp.StatusCode >= 300 {
+		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+			t.Fatalf("HTTP %d without an error envelope: %v", resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, env
+}
+
+// checkTrailingData posts one valid body followed by a second value, by
+// garbage, and by whitespace: the first two are 400 invalid_argument, the
+// last is one JSON value and answers ok.
+func checkTrailingData(t *testing.T, url, one string, ok int) {
+	t.Helper()
+	for _, c := range []struct {
+		name, body string
+		status     int
+	}{
+		{"second value", one + " " + one, http.StatusBadRequest},
+		{"garbage", one + "garbage", http.StatusBadRequest},
+		{"whitespace", one + " \n\t\r\n", ok},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			status, env := postRaw(t, url, c.body)
+			if status != c.status || status == http.StatusBadRequest && env.Code != server.CodeInvalidArgument {
+				t.Errorf("HTTP %d %+v, want %d", status, env, c.status)
+			}
+		})
+	}
+}
+
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	s := newTestService(t, server.Config{})
+	checkTrailingData(t, s.ts.URL+"/v1/jobs", `{"benchmark":"Series","args":["2","2","8"]}`, http.StatusAccepted)
+	varz, err := s.cl.Varz(ctxT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := varz.Jobs["submitted"]; n != 1 {
+		t.Errorf("%d jobs submitted, want the 1 with only whitespace after it", n)
+	}
+}
+
 // TestErrorEnvelope pins the wire format of a failure: the uniform
 // {code, message} envelope.
 func TestErrorEnvelope(t *testing.T) {

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -83,6 +83,7 @@ type Session struct {
 	arenaBytes int64            // last observed arena-reuse bytes
 
 	injBuf []bamboort.Inject // leader-only inject scratch, under mu
+	reply  replyPlan         // resolved at each boot, under mu
 }
 
 // feedWaiter is one parked /feed request: its items, its deadline, and the
@@ -92,9 +93,9 @@ type feedWaiter struct {
 	ctx    context.Context
 	accept time.Time
 	done   chan struct{}
+	body   *bytes.Buffer // held the request; the leader renders the 200 into it
 
 	// Outcome (written before done is closed, read only after).
-	resp    *FeedResponse
 	status  int
 	code    string
 	msg     string
@@ -275,6 +276,7 @@ func (s *Server) boot(ctx context.Context, sn *Session) error {
 		return err
 	}
 	sn.live = live
+	sn.reply = newReplyPlan(compiled.Sys.Info.Classes[sn.spec.Class], sn.spec)
 	return nil
 }
 
@@ -416,8 +418,7 @@ func (s *Server) closeAllSessions() {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxSourceBytes+4096)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, s.cfg.MaxSourceBytes+4096, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}
@@ -482,8 +483,12 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FeedRequest
-	body := http.MaxBytesReader(w, r.Body, 8<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	body, err := readBody(w, r, 8<<20)
+	defer putBody(body)
+	if err == nil {
+		err = req.UnmarshalJSON(body.Bytes())
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}
@@ -505,7 +510,7 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithDeadline(s.baseCtx, accept.Add(s.timeout(req.TimeoutMS)))
 	defer cancel()
 
-	fw := &feedWaiter{items: req.Requests, ctx: ctx, accept: accept, done: make(chan struct{})}
+	fw := &feedWaiter{items: req.Requests, ctx: ctx, accept: accept, done: make(chan struct{}), body: body}
 	sn.qmu.Lock()
 	sn.pending = append(sn.pending, fw)
 	sn.qmu.Unlock()
@@ -518,7 +523,7 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	for {
 		select {
 		case <-fw.done:
-			fw.respond(w, r)
+			fw.respond(w)
 			return
 		case <-sn.lead:
 			s.feedBatch(sn)
@@ -527,12 +532,14 @@ func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (fw *feedWaiter) respond(w http.ResponseWriter, r *http.Request) {
-	if fw.resp != nil {
-		writeJSONBuf(w, http.StatusOK, fw.resp)
+func (fw *feedWaiter) respond(w http.ResponseWriter) {
+	if fw.status != http.StatusOK {
+		writeErr(w, fw.status, fw.code, fw.msg, fw.retryMS)
 		return
 	}
-	writeErr(w, fw.status, fw.code, fw.msg, fw.retryMS)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(fw.body.Bytes())
 }
 
 // claimLocked removes a FIFO prefix of the pending queue: waiters whose
@@ -671,24 +678,21 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		return
 	}
 
-	// Read replies BEFORE any engine teardown: failLocked releases the
+	// Render replies BEFORE any engine teardown: failLocked releases the
 	// arena heap the reply objects live in. Each waiter gets the reply span
 	// matching its items — injection order is queue order, so the demux is
 	// a plain offset walk.
 	coalesced := len(ws) > 1
 	off := 0
 	for _, w := range ws {
-		replies := make([]FeedReply, len(w.items))
-		for i := range w.items {
-			rep := core.RenderReply(objs[off+i], sn.spec.DoneFlag, sn.spec.ReplyFields)
-			replies[i] = FeedReply{Done: rep.Done, Fields: rep.Fields}
-		}
-		off += len(w.items)
-		w.resp = &FeedResponse{
-			Replies:   replies,
-			LatencyNS: time.Since(w.accept).Nanoseconds(),
-			Replayed:  replayed,
-			Coalesced: coalesced,
+		n := len(w.items)
+		lat := time.Since(w.accept).Nanoseconds()
+		w.body.Reset()
+		w.body.Write(sn.reply.appendResponse(w.body.AvailableBuffer(), objs[off:off+n], lat, replayed, coalesced))
+		w.status = http.StatusOK
+		off += n
+		for range n {
+			s.feedLat.Observe(lat)
 		}
 	}
 	if !sn.pinned {
@@ -738,9 +742,6 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 	sn.lastUsed = time.Now()
 
 	for _, w := range ws {
-		for range w.items {
-			s.feedLat.Observe(w.resp.LatencyNS)
-		}
 		s.sessFeeds.Add(1)
 		s.sessReqs.Add(int64(len(w.items)))
 		close(w.done)

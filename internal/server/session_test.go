@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"strconv"
 	"strings"
 	"sync"
@@ -389,6 +390,32 @@ func TestSessionCreateValidation(t *testing.T) {
 				t.Errorf("err = %v, want %s", err, server.CodeInvalidArgument)
 			}
 		})
+	}
+}
+
+func TestSessionCreateRejectsTrailingData(t *testing.T) {
+	s := newTestService(t, server.Config{})
+	checkTrailingData(t, s.ts.URL+"/v1/sessions", `{"benchmark":"KVStore","args":["8","64","64"],
+		"request":{"class":"Request","flag":"pending","tagType":"shard","doneFlag":"replied","replyFields":["reply"]}}`,
+		http.StatusCreated)
+	varz, err := s.cl.Varz(ctxT())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := varz.Sessions.Created; n != 1 {
+		t.Errorf("%d sessions created, want the 1 with only whitespace after it", n)
+	}
+}
+
+// TestSessionFeedRejectsTrailingData: a feed body with anything but
+// whitespace after it is rejected whole; before, the first value ran.
+func TestSessionFeedRejectsTrailingData(t *testing.T) {
+	s := newTestService(t, server.Config{})
+	sv := kvSession(t, s, "", 1)
+	checkTrailingData(t, s.ts.URL+"/v1/sessions/"+sv.ID+"/feed", `{"requests":[{"args":["1","700","5"],"tagKey":700}]}`, http.StatusOK)
+	// Only the last put ran.
+	if f := feed(t, s, sv.ID, get(700)).Replies[0].Fields; f["found"] != "1" || f["reply"] != "5" || f["version"] != "1" {
+		t.Errorf("get after the rejected feeds = %+v, want version 1", f)
 	}
 }
 
