@@ -157,7 +157,7 @@ func cmdRun(argv []string) error {
 	showTrace := fs.Bool("trace", false, "print an execution trace summary to stderr")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON (loads in Perfetto) to this file")
 	metricsOut := fs.String("metrics-out", "", "write runtime counters JSON to this file (implies -concurrent)")
-	interpStats := fs.Bool("interpstats", false, "print interpreter dispatch statistics (superinstruction coverage, inline-cache hit rate, arena reuse) to stderr")
+	interpStats := fs.Bool("interpstats", false, "print interpreter dispatch statistics (superinstruction coverage, inline-cache hit rate) to stderr")
 	workers := workersFlag(fs)
 	optimize := optFlag(fs)
 	fs.Parse(argv)
@@ -217,8 +217,8 @@ func cmdRun(argv []string) error {
 			if snap.FlatInstrs > 0 {
 				cov = 100 * float64(snap.FusedInstrs) / float64(snap.FlatInstrs)
 			}
-			fmt.Fprintf(os.Stderr, "-- interp: %d fused of %d flat instrs (%.1f%% superinstruction coverage), IC %d hits / %d misses (%.1f%% hit rate), %d arena bytes reused\n",
-				snap.FusedInstrs, snap.FlatInstrs, cov, snap.ICHits, snap.ICMisses, hitPct, snap.ArenaReusedBytes)
+			fmt.Fprintf(os.Stderr, "-- interp: %d fused of %d flat instrs (%.1f%% superinstruction coverage), IC %d hits / %d misses (%.1f%% hit rate)\n",
+				snap.FusedInstrs, snap.FlatInstrs, cov, snap.ICHits, snap.ICMisses, hitPct)
 		}
 		if mx != nil && *metricsOut != "" {
 			data, err := json.MarshalIndent(mx.Snapshot(), "", "  ")

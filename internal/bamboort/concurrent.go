@@ -100,8 +100,10 @@ type crun struct {
 // only what the layout placed on it — of its hosted tasks' first bindable
 // invocations, the one that became ready first — after acquiring all
 // parameter locks in canonical (ascending object ID) order with try-locks
-// and re-validating the guards. An object routed to a core wakes it; a core
-// that skipped on a held lock asks the holder for a poke (see take).
+// and re-validating the guards. An object routed to another core wakes it; a
+// core that skipped on a held lock asks the holder for a poke (see take).
+// Deliveries are ordered per sender: a core's inbox is FIFO, and an object a
+// core routes to itself is filed at once, in its execution order (see route).
 //
 // Failure: tasks never roll back. A task that fails — a RuntimeError, the
 // cycle budget, or a panic the interpreter recovers into ErrTaskPanic —
@@ -214,10 +216,10 @@ func (r *crun) notify() {
 	}
 }
 
-// result finalizes a successful run (see finishInterp) and sums the
-// per-core invocation counts.
+// result folds the interpreter's statistics into the run's metrics and
+// sums the per-core invocation counts.
 func (r *crun) result() *Result {
-	finishInterp(r.in, r.opts)
+	finishInterp(r.in, r.mx)
 	var ran []int64
 	for _, c := range r.cores {
 		ran = append(ran, c.ran...)
@@ -262,10 +264,18 @@ func (r *crun) send(dst int, d delivery) {
 }
 
 // route delivers obj to every task parameter its current state can
-// satisfy, where the plan places it.
+// satisfy, where the plan places it. A delivery to the sending core is
+// filed at once instead of through its own inbox: only that core's worker
+// routes from it, and the credits it holds until its dispatch loop returns
+// cover the new entry, which that loop will run or drop.
 func (r *crun) route(obj *interp.Object, fromCore int) {
 	r.plan.route(obj, fromCore, func(tp *taskPlan, dst, param int) {
-		r.send(dst, delivery{ht: tp.slot[dst], param: int32(param), obj: obj})
+		d := delivery{ht: tp.slot[dst], param: int32(param), obj: obj}
+		if dst == fromCore {
+			r.receive(r.cores[dst], d)
+			return
+		}
+		r.send(dst, d)
 	})
 }
 

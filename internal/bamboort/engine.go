@@ -236,7 +236,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 	if err := e.drain(ctx); err != nil {
 		return nil, err
 	}
-	finishInterp(e.in, e.opts)
+	finishInterp(e.in, e.opts.Metrics)
 	return e.result(), nil
 }
 
@@ -298,20 +298,16 @@ func (e *Engine) drain(ctx context.Context) error {
 }
 
 // finishInterp folds the interpreter's dispatch statistics into the run's
-// metrics and, when the run owns its heap, hands the arena back to the
-// process-wide pools for the next execution.
-func finishInterp(in *interp.Interp, opts Options) {
-	if m := opts.Metrics; m != nil {
-		st := in.Stats()
-		m.ICHits.Add(st.ICHits)
-		m.ICMisses.Add(st.ICMisses)
-		m.FlatInstrs.Add(st.FlatInstrs)
-		m.FusedInstrs.Add(st.FusedInstrs)
-		m.ArenaReusedBytes.Add(st.ArenaReusedBytes)
+// metrics.
+func finishInterp(in *interp.Interp, m *obsv.Metrics) {
+	if m == nil {
+		return
 	}
-	if opts.Heap == nil {
-		in.Heap.Release()
-	}
+	st := in.Stats()
+	m.ICHits.Add(st.ICHits)
+	m.ICMisses.Add(st.ICMisses)
+	m.FlatInstrs.Add(st.FlatInstrs)
+	m.FusedInstrs.Add(st.FusedInstrs)
 }
 
 func (e *Engine) onArrive(ev *event) {

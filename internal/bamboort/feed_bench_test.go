@@ -138,8 +138,11 @@ func TestFeedCostIsLinear(t *testing.T) {
 
 // TestFeedAllocs pins the allocation count of the deterministic 96-request
 // feed (288 invocations). What is left is the objects and argument arrays
-// the batch itself creates and one Exec per invocation; dispatch — routing,
-// matching, materializing the invocation — adds nothing.
+// the batch itself creates — each heap object, field slice, array and
+// element slice is its own allocation — and one Exec per invocation;
+// dispatch — routing, matching, materializing the invocation — adds
+// nothing. Measured 1,251 (773 while a chunked arena bump-allocated the
+// objects); the ceiling is that plus 15 %.
 func TestFeedAllocs(t *testing.T) {
 	sess := kvSession(t, core.Deterministic, 2, core.ExecConfig{})
 	batch := kvBatch(96)
@@ -152,7 +155,10 @@ func TestFeedAllocs(t *testing.T) {
 	feed()
 	avg := testing.AllocsPerRun(50, feed)
 	t.Logf("deterministic 96-request feed: %.0f allocs", avg)
-	if avg > 2400 {
-		t.Errorf("deterministic 96-request feed allocates %.0f objects, ceiling 2400", avg)
+	if raceEnabled {
+		t.Skip("allocation ceiling not enforced under the race detector")
+	}
+	if avg > 1439 {
+		t.Errorf("deterministic 96-request feed allocates %.0f objects, ceiling 1439", avg)
 	}
 }

@@ -199,17 +199,11 @@ func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, er
 	return objs, nil
 }
 
-// ArenaReused reports how many bytes of arena capacity the live session
-// heap has obtained from the process-wide recycling pools so far. Unlike
-// the metrics fold at EndSession, this reads the live heap, so serving
-// layers can surface cross-batch arena reuse while the session is up.
-func (e *Engine) ArenaReused() int64 { return e.in.Heap.ArenaReused() }
-
 // EndSession finalizes the session and returns the cumulative result
 // (virtual cycles across all batches, total invocations). The engine must
 // not be used afterwards.
 func (e *Engine) EndSession() *Result {
-	finishInterp(e.in, e.opts)
+	finishInterp(e.in, e.opts.Metrics)
 	return e.result()
 }
 
@@ -219,8 +213,10 @@ func (e *Engine) EndSession() *Result {
 // caller. The requests of one batch that carry the same tag are served in
 // the order the batch lists them, at every tag-guarded stage, as on the
 // deterministic engine: Feed is their one sender, session placement hashes
-// the tag to one core per stage, a core's inbox is FIFO, and a core
-// dispatches a task's oldest arrival first and nobody else dispatches for it.
+// the tag to one core per stage, a core files each sender's deliveries in
+// the order they were sent (its inbox is FIFO, and what it routes to itself
+// it files at once, in its execution order), and a core dispatches a task's
+// oldest arrival first and nobody else dispatches for it.
 // The guarantee is per sender: objects of one tag that reach a stage from
 // different cores (behind a stage spread round-robin) are ordered by the
 // cores' timing (DESIGN.md §13).
@@ -283,10 +279,6 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	}
 	return objs, nil
 }
-
-// ArenaReused reports the live session heap's arena-reuse bytes (see
-// Engine.ArenaReused).
-func (s *ConcurrentSession) ArenaReused() int64 { return s.r.in.Heap.ArenaReused() }
 
 // Close stops the workers and returns the cumulative result.
 func (s *ConcurrentSession) Close() *Result {

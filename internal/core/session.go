@@ -58,17 +58,6 @@ func (sn *Session) Feed(ctx context.Context, batch []bamboort.Inject) ([]*interp
 	return sn.conc.Feed(ctx, batch)
 }
 
-// ArenaReused reports how many bytes of arena capacity the live session
-// heap recycled from the process-wide pools (cross-batch and cross-session
-// reuse; a revived session's replay boot grabs the chunks its parked
-// predecessor released).
-func (sn *Session) ArenaReused() int64 {
-	if sn.eng != nil {
-		return sn.eng.ArenaReused()
-	}
-	return sn.conc.ArenaReused()
-}
-
 // Close finalizes the session and returns the cumulative result.
 func (sn *Session) Close() *bamboort.Result {
 	if sn.eng != nil {

@@ -175,24 +175,21 @@ func (in *Interp) buildNameTables() {
 }
 
 // DispatchStats summarizes the fast path's behavior for observability:
-// inline-cache traffic, how much of the flattened program the
-// superinstruction pass covered, and how much arena memory the heap
-// recycled.
+// inline-cache traffic and how much of the flattened program the
+// superinstruction pass covered.
 type DispatchStats struct {
-	ICHits           int64
-	ICMisses         int64
-	FlatInstrs       int64
-	FusedInstrs      int64
-	ArenaReusedBytes int64
+	ICHits      int64
+	ICMisses    int64
+	FlatInstrs  int64
+	FusedInstrs int64
 }
 
 // Stats reports cumulative dispatch statistics. Call after executions
 // complete (engines read it once a run has quiesced).
 func (in *Interp) Stats() DispatchStats {
 	s := DispatchStats{
-		ICHits:           in.icHits.Load(),
-		ICMisses:         in.icMisses.Load(),
-		ArenaReusedBytes: in.Heap.ArenaReused(),
+		ICHits:   in.icHits.Load(),
+		ICMisses: in.icMisses.Load(),
 	}
 	if fp := in.fp; fp != nil {
 		s.FlatInstrs = fp.flatInstrs

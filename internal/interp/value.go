@@ -311,13 +311,12 @@ type Tag struct {
 }
 
 // Heap issues deterministic object/array/tag identities. It is safe for
-// concurrent use. Object headers and field/element storage come from a
-// chunked arena so that an engine owning its heap can hand the memory of a
-// finished run to the next one wholesale (see Release).
+// concurrent use. Objects, arrays and their storage are ordinary Go
+// allocations: once nothing references one (a served request, say), the
+// garbage collector reclaims it, so a resident session holds only what its
+// live objects reach.
 type Heap struct {
 	nextID atomic.Int64
-
-	ar arena
 
 	// Object tracking (off by default; differential harnesses switch it on
 	// to snapshot final flag/tag state across execution modes).
@@ -352,10 +351,7 @@ func (h *Heap) Objects() []*Object {
 
 // NewObject allocates an instance of cl with zeroed fields and flags.
 func (h *Heap) NewObject(cl *types.Class) *Object {
-	o := h.ar.newObject()
-	o.ID = h.id()
-	o.Class = cl
-	o.Fields = h.ar.newValues(len(cl.Fields))
+	o := &Object{ID: h.id(), Class: cl, Fields: make([]Value, len(cl.Fields))}
 	for i, f := range cl.Fields {
 		o.Fields[i] = ZeroOf(f.Type)
 	}
@@ -368,12 +364,9 @@ func (h *Heap) NewObject(cl *types.Class) *Object {
 }
 
 // NewArray allocates an array of n elements, each set to the zero value for
-// elemKind. The header and element storage both come from the arena, so
-// per-request arrays (session-feed args) recycle with the rest of the heap.
+// elemKind.
 func (h *Heap) NewArray(n int, zero Value) *Array {
-	a := h.ar.newArray()
-	a.ID = h.id()
-	a.Elems = h.ar.newValues(n)
+	a := &Array{ID: h.id(), Elems: make([]Value, n)}
 	for i := range a.Elems {
 		a.Elems[i] = zero
 	}
@@ -417,30 +410,12 @@ func (h *Heap) NewTag(tagType string) *Tag {
 // NewStringArray builds a String[] from Go strings (used to populate
 // StartupObject.args and per-request injection args).
 func (h *Heap) NewStringArray(ss []string) *Array {
-	a := h.ar.newArray()
-	a.ID = h.id()
-	a.Elems = h.ar.newValues(len(ss))
+	a := &Array{ID: h.id(), Elems: make([]Value, len(ss))}
 	for i, s := range ss {
 		a.Elems[i] = StrV(s)
 	}
 	return a
 }
-
-// Release hands the heap's arena chunks back to the process-wide pools so
-// the next execution reuses them. Only the heap's creator may call it, and
-// only once no object the heap issued can be referenced again. It refuses
-// to run while object tracking is on: a tracked heap's objects outlive the
-// run by design (differential harnesses snapshot them afterwards).
-func (h *Heap) Release() {
-	if h.track.Load() {
-		return
-	}
-	h.ar.release()
-}
-
-// ArenaReused reports how many bytes of arena capacity this heap obtained
-// from the recycling pools rather than fresh allocation.
-func (h *Heap) ArenaReused() int64 { return h.ar.reusedBytes() }
 
 // ZeroOf returns the zero value of a static type (0, 0.0, false, or null).
 func ZeroOf(t *ast.Type) Value {

@@ -37,14 +37,12 @@ type Metrics struct {
 	InboxDepthMax atomic.Int64
 
 	// Interpreter dispatch statistics, folded in once per run by the
-	// engines: inline-cache traffic, superinstruction coverage of the
-	// flattened program, and arena bytes the heap recycled from the
-	// process-wide pools instead of allocating fresh.
-	ICHits           atomic.Int64
-	ICMisses         atomic.Int64
-	FlatInstrs       atomic.Int64
-	FusedInstrs      atomic.Int64
-	ArenaReusedBytes atomic.Int64
+	// engines: inline-cache traffic and superinstruction coverage of the
+	// flattened program.
+	ICHits      atomic.Int64
+	ICMisses    atomic.Int64
+	FlatInstrs  atomic.Int64
+	FusedInstrs atomic.Int64
 
 	mu       sync.Mutex
 	objSkips map[int64]int64 // object ID -> contention skips
@@ -115,15 +113,14 @@ type MetricsSnapshot struct {
 	// core only, and a failed task fails its run instead of being retried.
 	// They stay because bench/ (frozen by BENCHMARK.json) reads them for
 	// bamboort.conc_steal_success_ratio and bamboort.conc_retries.
-	StealAttempts    int64           `json:"steal_attempts"`
-	StealSuccesses   int64           `json:"steal_successes"`
-	Retries          int64           `json:"retries"`
-	ICHits           int64           `json:"ic_hits"`
-	ICMisses         int64           `json:"ic_misses"`
-	FlatInstrs       int64           `json:"flat_instrs"`
-	FusedInstrs      int64           `json:"fused_instrs"`
-	ArenaReusedBytes int64           `json:"arena_reused_bytes"`
-	TopContended     []ObjContention `json:"top_contended,omitempty"`
+	StealAttempts  int64           `json:"steal_attempts"`
+	StealSuccesses int64           `json:"steal_successes"`
+	Retries        int64           `json:"retries"`
+	ICHits         int64           `json:"ic_hits"`
+	ICMisses       int64           `json:"ic_misses"`
+	FlatInstrs     int64           `json:"flat_instrs"`
+	FusedInstrs    int64           `json:"fused_instrs"`
+	TopContended   []ObjContention `json:"top_contended,omitempty"`
 }
 
 // Snapshot copies the counters (and the 10 most contended objects) into a
@@ -142,7 +139,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ICMisses:         m.ICMisses.Load(),
 		FlatInstrs:       m.FlatInstrs.Load(),
 		FusedInstrs:      m.FusedInstrs.Load(),
-		ArenaReusedBytes: m.ArenaReusedBytes.Load(),
 		TopContended:     m.TopContended(10),
 	}
 }

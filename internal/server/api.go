@@ -253,15 +253,11 @@ type SessionView struct {
 	// feeds that shared an engine batch. BatchWindow is the most requests
 	// one engine batch takes: a constant, reported because bench/ (frozen
 	// by BENCHMARK.json) reads it for server.batch_window.
-	EngineBatches  int64 `json:"engine_batches"`
-	CoalescedFeeds int64 `json:"coalesced_feeds"`
-	BatchWindow    int   `json:"batch_window"`
-	Replays        int64 `json:"replays"`
-	// ArenaReusedBytes is how much arena capacity the session heap has
-	// recycled from the process-wide chunk pools (cross-batch and
-	// cross-session reuse; park/revive cycles feed the pools).
-	ArenaReusedBytes int64  `json:"arena_reused_bytes"`
-	Error            string `json:"error,omitempty"`
+	EngineBatches  int64  `json:"engine_batches"`
+	CoalescedFeeds int64  `json:"coalesced_feeds"`
+	BatchWindow    int    `json:"batch_window"`
+	Replays        int64  `json:"replays"`
+	Error          string `json:"error,omitempty"`
 	// Output is the program output accumulated since the session (or its
 	// latest revival) started.
 	Output string `json:"output,omitempty"`

@@ -505,7 +505,7 @@ func (s *Server) resolve(req *SubmitRequest) (*Job, error) {
 		out:     limitWriter{max: s.cfg.MaxOutputBytes},
 		// Every job carries a metrics sink: both engines report interpreter
 		// dispatch statistics (superinstruction coverage, inline-cache hit
-		// rates, arena reuse), and the concurrent engine adds its scheduler
+		// rates), and the concurrent engine adds its scheduler
 		// and lock counters on top.
 		metrics: &obsv.Metrics{},
 	}
@@ -679,7 +679,6 @@ func (s *Server) aggregate(m obsv.MetricsSnapshot) {
 	a.ICMisses += m.ICMisses
 	a.FlatInstrs += m.FlatInstrs
 	a.FusedInstrs += m.FusedInstrs
-	a.ArenaReusedBytes += m.ArenaReusedBytes
 }
 
 // ---- handlers ----
@@ -891,7 +890,7 @@ type Varz struct {
 	LatencyNS LatencyStats     `json:"latency_ns"`
 	// Runtime sums the runtime counters over every finished job:
 	// interpreter dispatch statistics (superinstruction coverage,
-	// inline-cache hits/misses, arena reuse) from both engines, plus the
+	// inline-cache hits/misses) from both engines, plus the
 	// concurrent engine's scheduler/lock counters (contention skips,
 	// deliveries, pokes, ...).
 	Runtime obsv.MetricsSnapshot `json:"runtime_counters"`

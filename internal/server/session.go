@@ -80,7 +80,6 @@ type Session struct {
 	errMsg     string
 	lastUsed   time.Time
 	res        *bamboort.Result // cumulative result, set at close
-	arenaBytes int64            // last observed arena-reuse bytes
 
 	injBuf []bamboort.Inject // leader-only inject scratch, under mu
 	reply  replyPlan         // resolved at each boot, under mu
@@ -156,10 +155,6 @@ func (sn *Session) viewLocked() SessionView {
 		Replays:        sn.replays,
 		Error:          sn.errMsg,
 	}
-	if sn.live != nil {
-		sn.arenaBytes = sn.live.ArenaReused()
-	}
-	v.ArenaReusedBytes = sn.arenaBytes
 	var out string
 	var trunc bool
 	if sn.out != nil {
@@ -280,13 +275,12 @@ func (s *Server) boot(ctx context.Context, sn *Session) error {
 	return nil
 }
 
-// closeLiveLocked tears down the resident engine: it records the heap's
-// final arena-reuse bytes, folds the boot's counters into the server
-// aggregate, and returns the cumulative result. Callers hold sn.mu. Every
-// engine teardown goes through here so session counters reach /varz no
-// matter how the engine dies (close, park, failure, drain).
+// closeLiveLocked tears down the resident engine: it folds the boot's
+// counters into the server aggregate and returns the cumulative result.
+// Callers hold sn.mu. Every engine teardown goes through here so session
+// counters reach /varz no matter how the engine dies (close, park, failure,
+// drain).
 func (s *Server) closeLiveLocked(sn *Session) *bamboort.Result {
-	sn.arenaBytes = sn.live.ArenaReused()
 	res := sn.live.Close()
 	sn.live = nil
 	if sn.met != nil {
@@ -317,8 +311,7 @@ func (s *Server) revive(ctx context.Context, sn *Session) error {
 
 // endLocked is a session's one terminal transition, to closed or failed:
 // release the engine if one is resident, drop the replay history, count
-// and log the outcome, retire the ID. Callers hold sn.mu and must be done
-// reading reply objects first: closing the engine releases its arena heap.
+// and log the outcome, retire the ID. Callers hold sn.mu.
 func (s *Server) endLocked(sn *Session, status, errMsg string) {
 	if sn.live != nil {
 		sn.res = s.closeLiveLocked(sn)
@@ -391,9 +384,7 @@ func (s *Server) parkForRoom(incoming *Session) {
 		}
 		if c.sn.status == SessionActive && !c.sn.pinned {
 			// The engine (and its cumulative result) is discarded: replay
-			// reconstructs both exactly, startup included. Parking is also
-			// where cross-session arena reuse comes from — the released
-			// chunks feed the next boot's arena.
+			// reconstructs both exactly, startup included.
 			s.closeLiveLocked(c.sn)
 			c.sn.status = SessionParked
 			s.sessParks.Add(1)
@@ -678,10 +669,8 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		return
 	}
 
-	// Render replies BEFORE any engine teardown: failLocked releases the
-	// arena heap the reply objects live in. Each waiter gets the reply span
-	// matching its items — injection order is queue order, so the demux is
-	// a plain offset walk.
+	// Each waiter gets the reply span matching its items — injection order
+	// is queue order, so the demux is a plain offset walk.
 	coalesced := len(ws) > 1
 	off := 0
 	for _, w := range ws {
@@ -715,7 +704,7 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		// so the replies stay valid either way — but if the log cannot
 		// hold this batch the session's durable history has diverged from
 		// its live state, and the only honest move is to fail it for
-		// future feeds (replies were rendered above; the arena can go).
+		// future feeds (replies were rendered above).
 		if werr := s.logSessFeed(sn, len(sn.log), &entry); werr != nil {
 			s.failLocked(sn, fmt.Errorf("write-ahead log append failed: %w", werr))
 		} else {
