@@ -157,7 +157,7 @@ func cmdRun(argv []string) error {
 	showTrace := fs.Bool("trace", false, "print an execution trace summary to stderr")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON (loads in Perfetto) to this file")
 	metricsOut := fs.String("metrics-out", "", "write runtime counters JSON to this file (implies -concurrent)")
-	interpStats := fs.Bool("interpstats", false, "print interpreter dispatch statistics (superinstruction coverage, inline-cache hit rate) to stderr")
+	interpStats := fs.Bool("interpstats", false, "print interpreter dispatch statistics (superinstruction coverage) to stderr")
 	workers := workersFlag(fs)
 	optimize := optFlag(fs)
 	fs.Parse(argv)
@@ -208,17 +208,12 @@ func cmdRun(argv []string) error {
 		}
 		if *interpStats && mx != nil {
 			snap := mx.Snapshot()
-			total := snap.ICHits + snap.ICMisses
-			hitPct := 0.0
-			if total > 0 {
-				hitPct = 100 * float64(snap.ICHits) / float64(total)
-			}
 			cov := 0.0
 			if snap.FlatInstrs > 0 {
 				cov = 100 * float64(snap.FusedInstrs) / float64(snap.FlatInstrs)
 			}
-			fmt.Fprintf(os.Stderr, "-- interp: %d fused of %d flat instrs (%.1f%% superinstruction coverage), IC %d hits / %d misses (%.1f%% hit rate)\n",
-				snap.FusedInstrs, snap.FlatInstrs, cov, snap.ICHits, snap.ICMisses, hitPct)
+			fmt.Fprintf(os.Stderr, "-- interp: %d fused of %d flat instrs (%.1f%% superinstruction coverage)\n",
+				snap.FusedInstrs, snap.FlatInstrs, cov)
 		}
 		if mx != nil && *metricsOut != "" {
 			data, err := json.MarshalIndent(mx.Snapshot(), "", "  ")

@@ -3,6 +3,7 @@ package bamboort_test
 import (
 	"bytes"
 	"context"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/machine"
+	"repro/internal/obsv"
 )
 
 // objState is the observable final state of one heap object: identity,
@@ -76,17 +78,33 @@ func sameSnapshot(t *testing.T, label string, got, want []objState) {
 	}
 }
 
+// dispatchPrograms is the embedded benchmarks plus the icflip fixture:
+// eight classes whose same-named fields and methods sit at different slots,
+// so a field slot or callee resolved against the wrong class would change
+// the printed total.
+func dispatchPrograms(t *testing.T) []*benchmarks.Benchmark {
+	t.Helper()
+	src, err := os.ReadFile("testdata/icflip.bb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(benchmarks.All(), &benchmarks.Benchmark{Name: "icflip", Source: string(src)})
+}
+
 // TestDispatchDifferential proves the flattened fast dispatch path is
 // observationally identical to the reference tree walker: for every
-// embedded benchmark at 1, 2, 4, and 8 cores on the deterministic engine,
-// both paths must produce byte-identical program output, the same virtual
-// cycle total, the same invocation count, and the same final heap state
-// (every object's flags and tag bindings, in allocation order).
+// embedded benchmark and the icflip fixture at 1, 2, 4, and 8 cores on the
+// deterministic engine, both paths must produce byte-identical program
+// output, the same virtual cycle total, the same invocation count, and the
+// same final heap state (every object's flags and tag bindings, in
+// allocation order). The walker resolves fields and methods by name on the
+// receiver's runtime class; the fast path resolved them when it flattened
+// the program.
 func TestDispatchDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential sweep is not short")
 	}
-	for _, b := range benchmarks.All() {
+	for _, b := range dispatchPrograms(t) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
@@ -155,5 +173,45 @@ func TestDispatchDifferentialOptimized(t *testing.T) {
 				sameSnapshot(t, "-O", optSnap, refSnap)
 			}
 		})
+	}
+}
+
+// TestFusedInstrCounts pins, per program, how many instructions the
+// flattened form has and how many of them the superinstruction pass fused
+// (a dropped fall-through jump counts as fused). The figures were recorded
+// while a static pair-frequency ranking chose which shapes to fuse, capped
+// at 64 of the 84 the dispatcher has arms for. No program here, in the
+// bbfuzz corpus or among 2,000 generated ones used more than 37 shapes, so
+// the cap never bound; fusable's fixed set fuses exactly the same pairs.
+func TestFusedInstrCounts(t *testing.T) {
+	want := map[string][2]int64{
+		"Tracking":   {510, 276},
+		"KMeans":     {329, 164},
+		"MonteCarlo": {165, 72},
+		"FilterBank": {197, 86},
+		"Fractal":    {118, 48},
+		"Series":     {121, 48},
+		"ImagePipe":  {101, 45},
+		"KVStore":    {208, 49},
+		"Keyword":    {118, 55},
+		"icflip":     {318, 160},
+	}
+	for _, b := range dispatchPrograms(t) {
+		sys, err := core.CompileSource(b.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := &obsv.Metrics{}
+		if _, err := sys.Exec(context.Background(), core.ExecConfig{
+			Machine: machine.TilePro64().WithCores(1),
+			Layout:  bamboort.SpreadLayout(sys.Prog, 1),
+			Args:    b.Args,
+			Metrics: m,
+		}); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		if got := [2]int64{m.FlatInstrs.Load(), m.FusedInstrs.Load()}; got != want[b.Name] {
+			t.Errorf("%s: (flat, fused) instrs = %v, want %v", b.Name, got, want[b.Name])
+		}
 	}
 }

@@ -249,7 +249,7 @@ func routeFixture(tb testing.TB) (*bamboort.Engine, *interp.Object) {
 	}
 	cl := sys.Prog.Info.Classes["Request"]
 	o := e.Heap().NewObject(cl)
-	o.AddTag(e.Heap().TagsOf("shard")[3])
+	o.AddTag(e.StartupTags("shard")[3])
 	o.SetFlag(cl.FlagIndex["pending"], true)
 	return e, o
 }

@@ -139,6 +139,9 @@ type Engine struct {
 	// sessErr poisons a session (session.go; plan.session marks one
 	// started) after a drain error.
 	sessErr error
+	// tags are a session's startup tag instances by type, which
+	// injections bind.
+	tags map[string][]*interp.Tag
 }
 
 // NewEngine builds an engine over the compiled program and analyses.
@@ -304,8 +307,6 @@ func finishInterp(in *interp.Interp, m *obsv.Metrics) {
 		return
 	}
 	st := in.Stats()
-	m.ICHits.Add(st.ICHits)
-	m.ICMisses.Add(st.ICMisses)
 	m.FlatInstrs.Add(st.FlatInstrs)
 	m.FusedInstrs.Add(st.FusedInstrs)
 }

@@ -37,11 +37,14 @@ func (e *Engine) Route(obj *interp.Object, fromCore int) (n int) {
 // Heap returns the engine's heap, for building objects to route.
 func (e *Engine) Heap() *interp.Heap { return e.in.Heap }
 
+// StartupTags returns a session's startup tag instances of tagType.
+func (e *Engine) StartupTags(tagType string) []*interp.Tag { return e.tags[tagType] }
+
 // FeedHeld is Feed with the injected objects' parameter locks already held,
 // as if another core were running an invocation on them: the batch quiesces
 // with none of them dispatched.
 func (s *ConcurrentSession) FeedHeld(ctx context.Context, batch []Inject) ([]*interp.Object, error) {
-	objs, err := buildBatch(ctx, s.r.prog, s.r.in.Heap, batch)
+	objs, err := buildBatch(ctx, s.r.prog, s.r.in.Heap, s.tags, batch)
 	if err != nil {
 		return nil, err
 	}

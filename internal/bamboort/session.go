@@ -34,7 +34,8 @@ var ErrStale = errors.New("bamboort: feed context done before routing")
 // session. The object is allocated in the session heap, its fields are
 // initialized, the entry flag is set, and — when TagType names a tag type
 // the program created during startup — one of those tag instances is bound
-// so tag-hash routing sends the object to its shard's core.
+// so tag-hash routing sends the object to its shard's core. Tags that task
+// bodies create after startup are never bound.
 type Inject struct {
 	// Class is the parameter class to instantiate (must name a class in
 	// the program).
@@ -47,37 +48,31 @@ type Inject struct {
 	Args []string
 	// Fields sets int fields by name.
 	Fields map[string]int64
-	// TagType, when non-empty, binds one program-created tag instance of
-	// this type, selected by TagKey modulo the instance count (creation
-	// order). Requires the session heap to track tags, which sessions
-	// enable before startup.
+	// TagType, when non-empty, binds one tag instance of this type that
+	// the startup phase created, selected by TagKey modulo their count
+	// (creation order).
 	TagType string
 	// TagKey selects the tag instance (e.g. a KV key hash, so one key
 	// always lands on the same shard).
 	TagKey int64
 }
 
-// buildBatch builds a feed's objects. A context already done (e.g. the
-// caller waited out its budget queuing behind a slow batch) and a malformed
-// injection both reject the feed before anything is allocated or routed, so
-// the session stays live and its heap — object IDs included — is exactly as
-// if the feed had never been offered: a park→revive replay, which logs only
-// accepted batches, reproduces the same IDs.
-func buildBatch(ctx context.Context, prog *ir.Program, heap *interp.Heap, batch []Inject) ([]*interp.Object, error) {
+// buildBatch builds a feed's objects, binding tags from the session's
+// startup tags. A context already done (e.g. the caller waited out its
+// budget queuing behind a slow batch) and a malformed injection both reject
+// the feed before anything is allocated or routed, so the session stays
+// live and its heap — object IDs included — is exactly as if the feed had
+// never been offered: a park→revive replay, which logs only accepted
+// batches, reproduces the same IDs.
+func buildBatch(ctx context.Context, prog *ir.Program, heap *interp.Heap, tags map[string][]*interp.Tag, batch []Inject) ([]*interp.Object, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStale, ctx.Err())
 	}
 	// Pass 1 resolves and validates every injection; pass 2 cannot fail.
 	plans := make([]injectPlan, len(batch))
-	var tagType string
-	var tags []*interp.Tag
 	for i := range batch {
-		inj := &batch[i]
-		if inj.TagType != "" && inj.TagType != tagType {
-			tagType, tags = inj.TagType, heap.TagsOf(inj.TagType)
-		}
 		var err error
-		if plans[i], err = resolveInject(prog, inj, tags); err != nil {
+		if plans[i], err = resolveInject(prog, &batch[i], tags[batch[i].TagType]); err != nil {
 			return nil, err
 		}
 	}
@@ -157,9 +152,9 @@ func (p *injectPlan) build(heap *interp.Heap, inj *Inject) *interp.Object {
 	return o
 }
 
-// StartSession boots the deterministic engine as a persistent session: tag
-// tracking is enabled so injected objects can bind the program's tags, the
-// startup phase runs to quiescence, and the engine stays resident — heap,
+// StartSession boots the deterministic engine as a persistent session: the
+// startup phase runs to quiescence with tag tracking on, its tags become
+// the ones injected objects bind, and the engine stays resident — heap,
 // flags, tags, and virtual clock intact — for subsequent Feed calls.
 // An engine runs either one RunContext or one session, never both.
 func (e *Engine) StartSession(ctx context.Context) error {
@@ -170,6 +165,7 @@ func (e *Engine) StartSession(ctx context.Context) error {
 	e.in.Heap.TrackTags()
 	e.begin()
 	e.sessErr = e.drain(ctx)
+	e.tags = e.in.Heap.StartupTags()
 	return e.sessErr
 }
 
@@ -185,7 +181,7 @@ func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, er
 	if e.sessErr != nil {
 		return nil, fmt.Errorf("bamboort: session failed: %w", e.sessErr)
 	}
-	objs, err := buildBatch(ctx, e.prog, e.in.Heap, batch)
+	objs, err := buildBatch(ctx, e.prog, e.in.Heap, e.tags, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -221,8 +217,9 @@ func (e *Engine) EndSession() *Result {
 // different cores (behind a stage spread round-robin) are ordered by the
 // cores' timing (DESIGN.md §13).
 type ConcurrentSession struct {
-	r   *crun
-	err error
+	r    *crun
+	err  error
+	tags map[string][]*interp.Tag // startup tags by type, as Engine.tags
 }
 
 // StartConcurrentSession builds the concurrent runtime, runs the startup
@@ -245,6 +242,7 @@ func StartConcurrentSession(ctx context.Context, prog *ir.Program, dep *depend.R
 	if err := s.settle(ctx); err != nil {
 		return nil, err
 	}
+	s.tags = r.in.Heap.StartupTags()
 	return s, nil
 }
 
@@ -267,7 +265,7 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	if s.err != nil {
 		return nil, s.err
 	}
-	objs, err := buildBatch(ctx, s.r.prog, s.r.in.Heap, batch)
+	objs, err := buildBatch(ctx, s.r.prog, s.r.in.Heap, s.tags, batch)
 	if err != nil {
 		return nil, err
 	}

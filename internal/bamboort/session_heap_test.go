@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/bamboort"
 	"repro/internal/core"
+	"repro/internal/interp"
+	"repro/internal/machine"
 )
 
 // liveHeap returns the bytes of reachable heap after a full collection (two
@@ -143,6 +145,104 @@ func TestRejectedFeedLeavesHeapUntouched(t *testing.T) {
 				}
 			}
 			runtime.KeepAlive(sess)
+		})
+	}
+}
+
+// mintSrc is a sharded program whose serving task mints a tag of the
+// sharding type for every request it serves: four shards are bound to the
+// startup's four shard tags, and each injected request is routed to one of
+// them by its tag key.
+const mintSrc = `
+class Shard {
+	flag ready;
+	int id;
+	Shard(int id) { this.id = id; }
+}
+
+class Request {
+	flag pending;
+	flag done;
+	int mint;
+	int shard;
+	Request(int mint) { this.mint = mint; }
+}
+
+task startup(StartupObject s in initialstate) {
+	int i;
+	for (i = 0; i < 4; i++) {
+		tag t = new tag(shard);
+		Shard sh = new Shard(i){ ready := true, add t };
+		Request w = new Request(0){ pending := true, add t };
+	}
+	taskexit(s: initialstate := false);
+}
+
+task serve(Shard sh in ready with shard t, Request r in pending with shard t) {
+	r.shard = sh.id;
+	if (r.mint == 1) {
+		tag fresh = new tag(shard);
+	}
+	taskexit(r: pending := false, done := true);
+}
+`
+
+// TestSessionTagKeyBindsStartupTag: an injection's TagKey selects among the
+// tags the startup phase created, and only those. A task that creates
+// another tag of the same type per request must not shift which instance a
+// key binds (one key, one shard) and must not make the session retain
+// anything per request.
+func TestSessionTagKeyBindsStartupTag(t *testing.T) {
+	sys, err := core.CompileSource(mintSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]bamboort.Inject, 16)
+	for i := range batch {
+		batch[i] = bamboort.Inject{Class: "Request", Flag: "pending", TagType: "shard", TagKey: 7, Fields: map[string]int64{"mint": 1}}
+	}
+	for _, eng := range feedEngines {
+		t.Run(eng.name, func(t *testing.T) {
+			ctx := context.Background()
+			sess, err := sys.StartSession(ctx, core.ExecConfig{
+				Engine: eng.engine, Machine: machine.TilePro64().WithCores(2), Layout: bamboort.SpreadLayout(sys.Prog, 2),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			var bound *interp.Tag
+			done := sys.Prog.Info.Classes["Request"].FlagIndex["done"]
+			feed := func(n int) {
+				for i := 0; i < n; i++ {
+					objs, err := sess.Feed(ctx, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, o := range objs {
+						tags := o.Tags()
+						if len(tags) != 1 {
+							t.Fatalf("feed %d: request bound %d tags, want 1", i, len(tags))
+						}
+						if bound != nil && tags[0] != bound {
+							t.Fatalf("feed %d: key 7 bound tag %d, earlier feeds tag %d", i, tags[0].ID, bound.ID)
+						}
+						bound = tags[0]
+						if !o.FlagSet(done) {
+							t.Fatalf("feed %d: request bound to tag %d was not served", i, bound.ID)
+						}
+					}
+				}
+			}
+			feed(8)
+			before := liveHeap()
+			const feeds = 2000
+			feed(feeds)
+			perReq := float64(liveHeap()-before) / (feeds * 16)
+			t.Logf("%s: %.1f B retained per request after %d feeds", eng.name, perReq, feeds)
+			if perReq > 16 {
+				t.Errorf("session retains %.1f B per request, ceiling 16", perReq)
+			}
 		})
 	}
 }

@@ -268,7 +268,7 @@ func genBody(c *genCtx, n int) []Stmt {
 }
 
 // genStmt draws one statement. Weights skew toward compare+branch and
-// field arithmetic — the superinstruction and inline-cache fast paths.
+// field arithmetic — the superinstruction and field-slot fast paths.
 func genStmt(c *genCtx) Stmt {
 	r := c.rng.Intn(100)
 	switch {

@@ -4,38 +4,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"repro/internal/types"
 )
-
-// icFieldSlot is the inline-cache hit test for field sites: tiny so it
-// inlines into every dispatch arm that touches a field IC.
-func icFieldSlot(site *icSite, cls *types.Class) (int32, bool) {
-	if e := site.entry.Load(); e != nil && e.cls == cls {
-		return e.slot, true
-	}
-	return 0, false
-}
-
-// icFieldMiss is the interned-lookup slow path for field sites: resolve
-// the field by name on the receiver's runtime class and install the
-// result. Reports false when the class has no such field.
-func icFieldMiss(site *icSite, cls *types.Class, name string) (int32, bool) {
-	f, ok := cls.FieldByName[name]
-	if !ok {
-		return 0, false
-	}
-	site.install(&icEntry{cls: cls, slot: int32(f.Index)})
-	return int32(f.Index), true
-}
-
-// icCallee is the inline-cache hit test for call sites.
-func icCallee(site *icSite, cls *types.Class) (*flatFunc, bool) {
-	if e := site.entry.Load(); e != nil && e.cls == cls {
-		return e.callee, true
-	}
-	return nil, false
-}
 
 // execFlat runs one flattened function body. regs is the caller-managed
 // frame (len == ff.numRegs). The cycle accounting, value semantics, heap
@@ -44,14 +13,10 @@ func icCallee(site *icSite, cls *types.Class) (*flatFunc, bool) {
 // The cycle counter lives in a local so hot ops never read-modify-write
 // ex.Cycles through the pointer; it is flushed back to ex at every exit
 // point and around every operation that hands ex to other code (calls,
-// builtins, taskexit), and reloaded afterwards. The inline-cache hit/miss
-// counters follow the same discipline, flushed as deltas at returns and
-// before calls (error aborts may drop the final delta; stats are best-
-// effort on failed runs).
+// builtins, taskexit), and reloaded afterwards.
 func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) {
 	code := ff.code
 	cycles := ex.Cycles
-	var ich, icm int64
 	// No budget reads as an unreachable one: a single compare per instruction.
 	maxC := in.MaxCycles
 	if maxC <= 0 {
@@ -63,8 +28,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		cycles += ins.cost
 		if cycles > maxC {
 			ex.Cycles = cycles
-			ex.ICHits += ich
-			ex.ICMisses += icm
 			return Value{}, in.errf(ff.fn, ins.aux.pos, "cycle budget exhausted (%d cycles)", maxC)
 		}
 		switch ins.op {
@@ -105,7 +68,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer division by zero")
 			}
 			regs[ins.dst].setInt(regs[ins.a].Int() / d)
@@ -115,7 +77,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer modulo by zero")
 			}
 			regs[ins.dst].setInt(regs[ins.a].Int() % d)
@@ -178,55 +139,25 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
-				}
-			}
-			regs[ins.dst] = recv.Fields[slot]
+			regs[ins.dst] = recv.Fields[ins.idx]
 		case fSetField:
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference writing field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
-				}
-			}
-			recv.Fields[slot] = regs[ins.b]
+			recv.Fields[ins.idx] = regs[ins.b]
 		case fArrGet:
 			arr := regs[ins.a].Arr()
 			if arr == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
 			idx := regs[ins.b].Int()
 			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
 			regs[ins.dst] = arr.Elems[idx]
@@ -234,13 +165,11 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			arr := regs[ins.a].Arr()
 			if arr == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
 			idx := regs[ins.b].Int()
 			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
 			arr.Elems[idx] = regs[ins.c]
@@ -248,7 +177,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			arr := regs[ins.a].Arr()
 			if arr == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
 			regs[ins.dst].setInt(int64(len(arr.Elems)))
@@ -265,7 +193,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				tv := regs[tr]
 				if tv.Kind != KTag {
 					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 					return Value{}, in.errf(ff.fn, ax.pos, "tag binding with non-tag value")
 				}
 				o.AddTag(tv.Tag())
@@ -277,7 +204,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			n := regs[ins.a].Int()
 			if n < 0 {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "negative array length %d", n)
 			}
 			cycles += in.Cost.AllocWord * n
@@ -290,21 +216,9 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			recv := regs[ax.args[0]].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ax.pos, "null dereference calling %s", ax.s)
 			}
-			callee, hit := icCallee(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				callee = ff.fp.resolveMethod(recv.Class, ax.simple, &ff.ics[ins.idx])
-				if callee == nil {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ax.pos, "unknown method %s", ax.s)
-				}
-			}
+			callee := ax.callee
 			fs := ex.fs
 			ci, sp := fs.ci, fs.sp
 			cregs := fs.alloc(callee.numRegs)
@@ -312,8 +226,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				cregs[i] = regs[a]
 			}
 			ex.Cycles = cycles
-			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-			ich, icm = 0, 0
 			ret, err := in.execFlat(callee, cregs, ex)
 			fs.ci, fs.sp = ci, sp
 			if err != nil {
@@ -405,7 +317,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			ex.Cycles = cycles
 			ret, err := in.builtinFast(ff, ins, regs, ex)
 			if err != nil {
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, err
 			}
 			cycles = ex.Cycles
@@ -425,21 +336,17 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			continue
 		case fRet:
 			ex.Cycles = cycles
-			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 			return regs[ins.a], nil
 		case fRetVoid:
 			ex.Cycles = cycles
-			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 			return Value{}, nil
 		case fTaskExit:
 			ex.Cycles = cycles
-			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 			in.applyExit(ff.fn, ins.aux.exit, regs, ex)
 			return Value{}, nil
 
 		case fTrap:
 			ex.Cycles = cycles
-			ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 			if ins.idx < 0 {
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "unhandled op %s", ins.aux.s)
 			}
@@ -661,7 +568,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer division by zero")
 			}
 			x := regs[ins.a].Int() / d
@@ -675,7 +581,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			d := regs[ins.b].Int()
 			if d == 0 {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer modulo by zero")
 			}
 			x := regs[ins.a].Int() % d
@@ -848,35 +753,19 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
-				}
-			}
-			regs[ins.dst] = recv.Fields[slot]
+			regs[ins.dst] = recv.Fields[ins.idx]
 			regs[ins.jmp2] = regs[ins.dst]
 		case fArrGetMv:
 			arr := regs[ins.a].Arr()
 			if arr == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
 			idx := regs[ins.b].Int()
 			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
 			regs[ins.dst] = arr.Elems[idx]
@@ -886,44 +775,16 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
-				}
-			}
-			regs[ins.c] = recv.Fields[slot]
+			regs[ins.c] = recv.Fields[ins.idx]
 			ax2 := ins.aux.aux2
 			mid := regs[ins.c].Obj()
 			if mid == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference reading field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp], mid.Class)
-			if hit2 {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp], mid.Class, ax2.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", mid.Class.Name, ax2.s)
-				}
-			}
-			regs[ins.dst] = mid.Fields[slot2]
+			regs[ins.dst] = mid.Fields[ins.jmp]
 			if ins.op == fGetGetMv {
 				regs[ins.jmp2] = regs[ins.dst]
 			}
@@ -932,23 +793,9 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
-				}
-			}
-			regs[ins.c] = recv.Fields[slot]
+			regs[ins.c] = recv.Fields[ins.idx]
 			// The variant byte keeps the original operand order so float
 			// results (and NaN propagation) stay bit-identical; int add
 			// and mul are fully commutative and skip the check.
@@ -996,23 +843,9 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
-				}
-			}
-			regs[ins.c] = recv.Fields[slot]
+			regs[ins.c] = recv.Fields[ins.idx]
 			var l, r int64
 			if ins.bi == fvLoadLeft {
 				l, r = regs[ins.c].Int(), regs[ins.b].Int()
@@ -1057,23 +890,9 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			ax2 := ins.aux.aux2
 			if obj == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.Class)
-			if hit2 {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.Class, ax2.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", obj.Class.Name, ax2.s)
-				}
-			}
-			obj.Fields[slot2].setInt(x)
+			obj.Fields[ins.jmp2].setInt(x)
 
 		case fAddISt, fSubISt, fMulISt:
 			var x int64
@@ -1090,45 +909,17 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			ax2 := ins.aux.aux2
 			if obj == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.Class)
-			if hit2 {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.Class, ax2.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", obj.Class.Name, ax2.s)
-				}
-			}
-			obj.Fields[slot2].setInt(x)
+			obj.Fields[ins.jmp2].setInt(x)
 
 		case fGetAddISt, fGetSubISt, fGetMulISt:
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], recv.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], recv.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", recv.Class.Name, ins.aux.s)
-				}
-			}
-			regs[ins.c] = recv.Fields[slot]
+			regs[ins.c] = recv.Fields[ins.idx]
 			var x int64
 			switch ins.op {
 			case fGetAddISt:
@@ -1147,36 +938,20 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			ax2 := ins.aux.aux2
 			if obj == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp2], obj.Class)
-			if hit2 {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp2], obj.Class, ax2.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", obj.Class.Name, ax2.s)
-				}
-			}
-			obj.Fields[slot2].setInt(x)
+			obj.Fields[ins.jmp2].setInt(x)
 
 		case fArrAddI, fArrSubI, fArrMulI, fArrAddF, fArrSubF, fArrMulF,
 			fArrAddMvI, fArrSubMvI, fArrMulMvI, fArrAddMvF, fArrSubMvF, fArrMulMvF:
 			arr := regs[ins.a].Arr()
 			if arr == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
 			}
 			idx := regs[ins.b].Int()
 			if idx < 0 || idx >= int64(len(arr.Elems)) {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
 			}
 			regs[ins.c] = arr.Elems[idx]
@@ -1245,44 +1020,16 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			src := regs[ins.a].Obj()
 			if src == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
-			slot, hit := icFieldSlot(&ff.ics[ins.idx], src.Class)
-			if hit {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot, ok = icFieldMiss(&ff.ics[ins.idx], src.Class, ins.aux.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ins.aux.pos, "class %s has no field %s", src.Class.Name, ins.aux.s)
-				}
-			}
-			regs[ins.c] = src.Fields[slot]
+			regs[ins.c] = src.Fields[ins.idx]
 			ax2 := ins.aux.aux2
 			dst := regs[ins.b].Obj()
 			if dst == nil {
 				ex.Cycles = cycles
-				ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
 				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference writing field %s", ax2.s)
 			}
-			slot2, hit2 := icFieldSlot(&ff.ics[ins.jmp], dst.Class)
-			if hit2 {
-				ich++
-			} else {
-				icm++
-				var ok bool
-				slot2, ok = icFieldMiss(&ff.ics[ins.jmp], dst.Class, ax2.s)
-				if !ok {
-					ex.Cycles = cycles
-					ex.ICHits, ex.ICMisses = ex.ICHits+ich, ex.ICMisses+icm
-					return Value{}, in.errf(ff.fn, ax2.pos, "class %s has no field %s", dst.Class.Name, ax2.s)
-				}
-			}
-			dst.Fields[slot2] = regs[ins.c]
+			dst.Fields[ins.jmp] = regs[ins.c]
 		}
 		pc++
 	}

@@ -2,43 +2,34 @@ package interp
 
 import (
 	"math"
-	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ir"
 	"repro/internal/lexer"
-	"repro/internal/opt"
 	"repro/internal/types"
 )
 
 // The fast dispatch path pre-flattens each ir.Func into one contiguous
 // instruction array (flatFunc.code). Flattening resolves everything the
 // tree walker looks up per instruction — jump targets become program
-// counters, builtin names become small integer IDs, per-instruction cycle
-// costs are baked in — and splits the int/float variants of arithmetic and
-// compare ops into distinct opcodes so the hot loop never re-examines
-// Instr payload fields. On top of that base form this file layers three
-// optimizations:
+// counters, field accesses carry their slot and calls their callee, builtin
+// names become small integer IDs, per-instruction cycle costs are baked in
+// — and splits the int/float variants of arithmetic and compare ops into
+// distinct opcodes so the hot loop never re-examines Instr payload fields.
+// Slots and callees come from the static types: the language has no
+// inheritance and the checker rejects a missing field or method, so a
+// receiver's runtime class is its static class.
 //
-//   - Superinstructions: high-frequency adjacent pairs (compare+branch,
-//     load+arith, load+store, const+arith) fuse into single dispatch arms.
-//     Which shapes earn a slot is decided by a static pair-frequency scan
-//     of the IR (opt.CollectPairs); fused arms write through the
-//     intermediate register, so register state stays byte-identical to
-//     unfused execution and no liveness analysis is needed.
+// On top of that base form, adjacent pairs of the shapes fusable lists
+// (compare+branch, load+arith, load+store, const+arith, ...) fuse into
+// single dispatch arms. Fused arms write through the intermediate register,
+// so register state stays byte-identical to unfused execution and no
+// liveness analysis is needed.
 //
-//   - Monomorphic inline caches: field access and method dispatch resolve
-//     by name against the receiver's runtime class, with a per-site cache
-//     of the last seen (class → slot/callee). The interned-lookup slow
-//     path (Class.FieldByName, the flat method tables) refills the cache;
-//     after icMegamorphic transitions a site stops installing new entries.
-//
-//   - A program-level flatten cache: the flat form lives on ir.Program
-//     (FlatCache), revalidated against the IR version and cost model, so
-//     every engine built over one compiled program — and every bambood job
-//     served from the program cache — reuses a single flattening and keeps
-//     its inline caches warm.
+// The flat form lives on ir.Program (FlatCache), revalidated against the IR
+// version and cost model, so every engine built over one compiled program —
+// and every bambood job served from the program cache — reuses a single
+// flattening. It is immutable once built.
 //
 // Execution semantics (value results, heap effects, cycle accounting,
 // error messages) are identical to Interp.exec; the differential tests in
@@ -148,7 +139,7 @@ const (
 	fSubImmF
 	fMulImmF
 
-	// getfield+arith: a = object, idx = IC site, c = loaded dst (written
+	// getfield+arith: a = object, idx = field slot, c = loaded dst (written
 	// through), b = the arithmetic's other operand, dst = result. The
 	// instruction's bi byte is the variant: fvLoadLeft when the loaded
 	// value is the left operand, fvLoadRight when it is the right (the
@@ -171,9 +162,9 @@ const (
 	fArrSubF
 	fArrMulF
 
-	// getfield+setfield: a = source object, idx = source IC site, c =
+	// getfield+setfield: a = source object, idx = source slot, c =
 	// intermediate (written through), b = destination object, jmp =
-	// destination IC site (data). aux holds the read side, aux.aux2 the
+	// destination slot (data). aux holds the read side, aux.aux2 the
 	// write side.
 	fGetSet
 
@@ -185,8 +176,8 @@ const (
 	fMulAddF
 	fMulSubF
 
-	// getfield+getfield: a = outer object, idx = outer IC site, c =
-	// intermediate object (written through), jmp = inner IC site (data),
+	// getfield+getfield: a = outer object, idx = outer slot, c =
+	// intermediate object (written through), jmp = inner slot (data),
 	// dst = result. aux holds the outer field, aux.aux2 the inner. The
 	// obj.field.field chain every shared-structure benchmark walks.
 	fGetGet
@@ -271,7 +262,7 @@ const (
 	fI2FDivMvF
 
 	// getfield+compare (int), optionally with the branch absorbed: a =
-	// object, idx = IC site, c = loaded dst (written through), b = the
+	// object, idx = field slot, c = loaded dst (written through), b = the
 	// other operand, dst = compare result (written through in the +Br
 	// forms too), jmp/jmp2 = branch targets (+Br only), bi = variant.
 	// The loop-guard idiom "it < this.maxIter".
@@ -286,7 +277,7 @@ const (
 
 	// arith+setfield: the arithmetic result is stored straight into an
 	// object field, turning lowering's "t = <op>; this.f = t" into one
-	// arm. jmp = object register, jmp2 = the store's IC site, dst is
+	// arm. jmp = object register, jmp2 = the store's field slot, dst is
 	// still written through; aux.aux2 holds the store's cold payload.
 	// Integer producers only, so the heap store writes Kind + I.
 	fAddImmISt
@@ -377,8 +368,8 @@ var builtinIDs = map[string]builtinID{
 // finstr is one flattened instruction. dst/a/b/c are register indices
 // (a/b/c mirror Args[0..2]); jmp/jmp2 are resolved program counters on
 // control ops (and data operands on some superinstructions; the post-
-// fusion pc remap touches control ops only). idx is the inline-cache site
-// index on field/call ops and the trap block ID on fTrap. The struct is
+// fusion pc remap touches control ops only). idx is the field slot on
+// field ops and the trap block ID on fTrap. The struct is
 // laid out to fit one 64-byte cache line: everything the hot ops read is
 // inline, and the cold payload — strings, allocation specs, source
 // positions for error paths — lives behind the aux pointer, allocated
@@ -390,7 +381,7 @@ type finstr struct {
 	a    int32
 	b    int32
 	c    int32
-	idx  int32 // IC site index; trap block ID
+	idx  int32 // field slot; trap block ID
 	jmp  int32
 	jmp2 int32
 	cost int64 // baked instrCost (sum of both halves on superinstructions)
@@ -402,8 +393,8 @@ type finstr struct {
 // fauxInstr is the cold payload of one flattened instruction, touched only
 // by allocation, call, string, taskexit, and error paths.
 type fauxInstr struct {
-	s         string // const string; tag type; field name; qualified method name
-	simple    string // method name without the class qualifier (IC slow path)
+	s         string    // const string; tag type; field name; qualified method name
+	callee    *flatFunc // fCall target
 	cls       *types.Class
 	args      []int32 // call/builtin arguments; newobj tag registers
 	flagInits []ir.FlagInit
@@ -411,37 +402,6 @@ type fauxInstr struct {
 	zero      Value      // newarr element zero value
 	aux2      *fauxInstr // second half's payload on fGetSet
 	pos       lexer.Pos
-}
-
-// icMegamorphic caps the number of cache transitions per IC site: a site
-// that has replaced its entry this many times is effectively polymorphic
-// and stops installing new entries (existing hits keep working, everything
-// else takes the interned-lookup slow path).
-const icMegamorphic = 8
-
-// icEntry is the immutable payload of a monomorphic inline cache: the last
-// seen receiver class and what name resolution produced for it — a field
-// slot for fGetField/fSetField sites, a callee for fCall sites.
-type icEntry struct {
-	cls    *types.Class
-	slot   int32
-	callee *flatFunc
-}
-
-// icSite is one inline-cache site. The entry pointer is atomic (one Interp
-// runs on many cores in the concurrent engine) and points to an immutable
-// icEntry, so readers never observe a half-written cache.
-type icSite struct {
-	entry       atomic.Pointer[icEntry]
-	transitions atomic.Int32
-}
-
-// install publishes a new cache entry unless the site has gone
-// megamorphic.
-func (s *icSite) install(e *icEntry) {
-	if s.transitions.Add(1) <= icMegamorphic {
-		s.entry.Store(e)
-	}
 }
 
 // trivialRegs is the register budget of the allocation-free trivial path
@@ -453,7 +413,6 @@ type flatFunc struct {
 	fn      *ir.Func
 	fp      *flatProgram
 	code    []finstr
-	ics     []icSite
 	numRegs int
 	// trivial marks bodies that cannot call, allocate, or build strings
 	// and fit in trivialRegs registers; run() executes them in a stack
@@ -463,29 +422,16 @@ type flatFunc struct {
 }
 
 // flatProgram is the flattened form of one ir.Program under one cost
-// model. It is immutable after construction except for the IC sites inside
-// its flatFuncs, and is shared: Interp.prepare caches it on
-// ir.Program.FlatCache and revalidates against (version, cost) on load.
+// model. It is immutable after construction and shared: Interp.prepare
+// caches it on ir.Program.FlatCache and revalidates against (version, cost)
+// on load.
 type flatProgram struct {
 	cost    CostModel // by value: the cache key alongside version
 	version int64
 	flat    map[*ir.Func]*flatFunc
-	// methods are the per-class method tables for the IC slow path,
-	// keyed by simple (unqualified) name.
-	methods map[*types.Class]map[string]*flatFunc
 
 	flatInstrs  int64 // total flattened instructions
 	fusedInstrs int64 // superinstructions among them
-}
-
-// resolveMethod is the call-site IC slow path: resolve the simple method
-// name against the receiver's runtime class and install the result.
-func (fp *flatProgram) resolveMethod(cls *types.Class, simple string, site *icSite) *flatFunc {
-	callee := fp.methods[cls][simple]
-	if callee != nil {
-		site.install(&icEntry{cls: cls, callee: callee})
-	}
-	return callee
 }
 
 // prepare resolves the interpreter's flatProgram, building it on first use
@@ -508,10 +454,9 @@ func (in *Interp) prepare() {
 // scratch slices once — and recycled across programs through
 // flatScratchPool, so a bambood serving cache-miss compiles re-flattens
 // without re-growing them. (The cold payloads the flattener emits — the
-// fauxInstr arena, the args backing array, the IC site table — are live
-// program state with the flatProgram's lifetime, each already a single
-// exact-sized allocation per function; only this working state is
-// transient.)
+// fauxInstr arena and the args backing array — are live program state
+// with the flatProgram's lifetime, each already a single exact-sized
+// allocation per function; only this working state is transient.)
 type flatScratch struct {
 	starts     []int32
 	terminated []bool
@@ -520,9 +465,8 @@ type flatScratch struct {
 	newPC      []int32
 }
 
-// pairSrc records the IR-level identity of one flattened instruction so
-// the fusion pass can consult the pair-frequency selection (which is keyed
-// on IR ops, not flattened ones). Trap padding gets op -1.
+// pairSrc records the IR-level identity of one flattened instruction, which
+// is what fusable tests. Trap padding gets op -1.
 type pairSrc struct {
 	op    ir.Op
 	float bool
@@ -533,33 +477,15 @@ func buildFlatProgram(prog *ir.Program, cost *CostModel, version int64) *flatPro
 		cost:    *cost,
 		version: version,
 		flat:    make(map[*ir.Func]*flatFunc, len(prog.Funcs)),
-		methods: make(map[*types.Class]map[string]*flatFunc),
 	}
-	// Shells first, so call-site IC seeding and the method tables can
-	// reference callees before their bodies exist.
+	// Shells first, so call sites can reference callees before their bodies
+	// exist.
 	for _, fn := range prog.Funcs {
 		fp.flat[fn] = &flatFunc{fn: fn, fp: fp, numRegs: fn.NumRegs}
 	}
-	for name, fn := range prog.Funcs {
-		cname, simple, ok := strings.Cut(name, ".")
-		if !ok {
-			continue // tasks ("task:name") are not callable methods
-		}
-		cl := prog.Info.Classes[cname]
-		if cl == nil {
-			continue
-		}
-		t := fp.methods[cl]
-		if t == nil {
-			t = make(map[string]*flatFunc)
-			fp.methods[cl] = t
-		}
-		t[simple] = fp.flat[fn]
-	}
-	sel := opt.CollectPairs(prog).Select(fuseCandidates(), maxFusedKinds)
 	sc := flatScratchPool.Get().(*flatScratch)
 	for fn, ff := range fp.flat {
-		flattenFunc(prog, cost, fn, ff, sel, sc)
+		flattenFunc(prog, cost, fn, ff, sc)
 		fp.flatInstrs += int64(len(ff.code))
 	}
 	flatScratchPool.Put(sc)
@@ -569,84 +495,65 @@ func buildFlatProgram(prog *ir.Program, cost *CostModel, version int64) *flatPro
 // flatScratchPool recycles flattening scratch across compiles.
 var flatScratchPool = sync.Pool{New: func() any { return &flatScratch{} }}
 
-// maxFusedKinds caps how many distinct pair shapes the selection admits.
-const maxFusedKinds = 64
-
-// fuseCandidates enumerates every pair shape the dispatcher has a fused
-// arm for; the static frequency scan picks which of them this program
-// actually uses.
-func fuseCandidates() []opt.PairKey {
-	ariths := []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul}
-	cmps := []ir.Op{ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe}
-	var out []opt.PairKey
-	for _, c := range cmps {
-		for _, f := range []bool{false, true} {
-			out = append(out, opt.PairKey{A: c, AFloat: f, B: ir.OpBranch})
+// fusable reports whether the dispatcher has a fused arm for the adjacent
+// IR pair (a, b); the operands must still wire up (tryFuse, fuseCode).
+// Float is part of the shape: the int and double variants of an op
+// flatten to different opcodes.
+func fusable(a, b pairSrc) bool {
+	switch b.op {
+	case ir.OpBranch:
+		// compare+branch, either compare variant.
+		switch a.op {
+		case ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
+			return !b.float
 		}
-		// Integer immediate as the compare's right operand (the branch
-		// on the result is absorbed separately, gated by the cmp+branch
-		// key above).
-		out = append(out, opt.PairKey{A: ir.OpConstInt, B: c})
-	}
-	// Loop guards comparing against a field: getfield + order compare
-	// (branch absorption reuses the cmp+branch keys above).
-	for _, c := range []ir.Op{ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe} {
-		out = append(out, opt.PairKey{A: ir.OpGetField, B: c})
-	}
-	// Integer arithmetic feeding a field store ("this.f = this.f + x"):
-	// the keys gate +St absorption regardless of whether the arith op was
-	// itself already pair-fused with a constant or a field load.
-	for _, a := range []ir.Op{ir.OpAdd, ir.OpSub, ir.OpMul} {
-		out = append(out, opt.PairKey{A: a, B: ir.OpSetField})
-	}
-	for _, a := range ariths {
-		out = append(out,
-			opt.PairKey{A: ir.OpConstInt, B: a},
-			opt.PairKey{A: ir.OpConstFloat, B: a, BFloat: true},
-		)
-		for _, f := range []bool{false, true} {
-			out = append(out,
-				opt.PairKey{A: ir.OpGetField, B: a, BFloat: f},
-				opt.PairKey{A: ir.OpArrGet, B: a, BFloat: f},
-			)
+		return false
+	case ir.OpMove:
+		// A result moved into a local: either spelling of the move, since
+		// lowering's flag on it mirrors the moved type.
+		switch a.op {
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv:
+			return true
+		case ir.OpConstInt, ir.OpConstFloat, ir.OpGetField, ir.OpArrGet, ir.OpRem, ir.OpCallBuiltin:
+			return !a.float
 		}
+		return false
 	}
-	out = append(out,
-		opt.PairKey{A: ir.OpConstInt, B: ir.OpShl},
-		opt.PairKey{A: ir.OpConstInt, B: ir.OpShr},
-		opt.PairKey{A: ir.OpConstInt, B: ir.OpDiv},
-		opt.PairKey{A: ir.OpConstInt, B: ir.OpRem},
-		opt.PairKey{A: ir.OpConstFloat, B: ir.OpDiv, BFloat: true},
-		opt.PairKey{A: ir.OpMul, B: ir.OpSub},
-		opt.PairKey{A: ir.OpI2F, B: ir.OpMul, BFloat: true},
-		opt.PairKey{A: ir.OpI2F, B: ir.OpDiv, BFloat: true},
-		opt.PairKey{A: ir.OpGetField, B: ir.OpSetField},
-		opt.PairKey{A: ir.OpGetField, B: ir.OpGetField},
+	if a.op == ir.OpMul && (b.op == ir.OpAdd || b.op == ir.OpSub) {
 		// mul+arith chains: index math and accumulating products.
-		opt.PairKey{A: ir.OpMul, B: ir.OpAdd},
-		opt.PairKey{A: ir.OpMul, AFloat: true, B: ir.OpAdd, BFloat: true},
-		opt.PairKey{A: ir.OpMul, AFloat: true, B: ir.OpSub, BFloat: true},
-	)
-	// Result-into-local moves: both BFloat spellings, since lowering's
-	// flag on the move mirrors the moved type.
-	for _, k := range []opt.PairKey{
-		{A: ir.OpConstInt}, {A: ir.OpConstFloat},
-		{A: ir.OpAdd}, {A: ir.OpSub}, {A: ir.OpMul},
-		{A: ir.OpAdd, AFloat: true}, {A: ir.OpSub, AFloat: true}, {A: ir.OpMul, AFloat: true},
-		{A: ir.OpGetField}, {A: ir.OpArrGet},
-		{A: ir.OpDiv}, {A: ir.OpRem}, {A: ir.OpDiv, AFloat: true},
-	} {
-		k.B = ir.OpMove
-		out = append(out, k)
-		k.BFloat = true
-		out = append(out, k)
+		return a.float == b.float
 	}
-	// Math-builtin results into locals (the inlined fMathUnary/fMathBinary
-	// forms absorb the move).
-	out = append(out,
-		opt.PairKey{A: ir.OpCallBuiltin, B: ir.OpMove, BFloat: true},
-		opt.PairKey{A: ir.OpCallBuiltin, B: ir.OpMove})
-	return out
+	if a.float {
+		return false
+	}
+	switch a.op {
+	case ir.OpConstInt:
+		switch b.op {
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShl, ir.OpShr, ir.OpDiv, ir.OpRem,
+			ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
+			return !b.float
+		}
+	case ir.OpConstFloat:
+		switch b.op {
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv:
+			return b.float
+		}
+	case ir.OpI2F:
+		return b.float && (b.op == ir.OpMul || b.op == ir.OpDiv)
+	case ir.OpGetField:
+		switch b.op {
+		case ir.OpAdd, ir.OpSub, ir.OpMul:
+			return true
+		case ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe, ir.OpSetField, ir.OpGetField:
+			return !b.float
+		}
+	case ir.OpArrGet:
+		return b.op == ir.OpAdd || b.op == ir.OpSub || b.op == ir.OpMul
+	case ir.OpAdd, ir.OpSub, ir.OpMul:
+		// Integer arithmetic feeding a field store ("this.f = this.f + x").
+		return b.op == ir.OpSetField && !b.float
+	}
+	return false
 }
 
 func grow[T any](s []T, n int) []T {
@@ -656,16 +563,16 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, sel map[opt.PairKey]bool, sc *flatScratch) {
+func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, sc *flatScratch) {
 	// Pass 1: lay blocks out back to back and record each block's entry pc.
 	// Blocks missing a terminator get a trailing fTrap so control cannot
 	// run off the end of one block into the next. The same pass sizes the
-	// cold-payload arrays: one aux arena, one []int32 backing for every
-	// args slice, one IC site table — all exact, so the pointers and
-	// sub-slices handed out below stay valid.
+	// cold-payload arrays: one aux arena and one []int32 backing for every
+	// args slice, both exact, so the pointers and sub-slices handed out
+	// below stay valid.
 	sc.starts = grow(sc.starts, len(fn.Blocks))
 	sc.terminated = grow(sc.terminated, len(fn.Blocks))
-	n, nArgs, nICs := 0, 0, 0
+	n, nArgs := 0, 0
 	for i, b := range fn.Blocks {
 		sc.starts[i] = int32(n)
 		n += len(b.Instrs)
@@ -683,28 +590,21 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 			switch instr := &b.Instrs[ii]; instr.Op {
 			case ir.OpCall, ir.OpCallBuiltin:
 				nArgs += len(instr.Args)
-				if instr.Op == ir.OpCall {
-					nICs++
-				}
 			case ir.OpNewObj:
 				nArgs += len(instr.TagRegs)
-			case ir.OpGetField, ir.OpSetField:
-				nICs++
 			}
 		}
 	}
 	code := make([]finstr, 0, n)
 	auxs := make([]fauxInstr, n)
 	argsBuf := make([]int32, 0, nArgs)
-	ff.ics = make([]icSite, nICs)
 	sc.srcOps = grow(sc.srcOps, n)
-	icIdx := int32(0)
 	fl := &flattener{prog: prog, cost: cost, fp: ff.fp, argsBuf: argsBuf}
 	for bi, b := range fn.Blocks {
 		for ii := range b.Instrs {
 			instr := &b.Instrs[ii]
 			k := len(code)
-			ins := fl.flattenInstr(instr, sc.starts, &auxs[k], ff, &icIdx)
+			ins := fl.flattenInstr(instr, sc.starts, &auxs[k])
 			ins.aux = &auxs[k]
 			sc.srcOps[k] = pairSrc{op: instr.Op, float: instr.Float}
 			code = append(code, ins)
@@ -715,7 +615,7 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 			code = append(code, finstr{op: fTrap, idx: int32(b.ID), aux: &auxs[k]})
 		}
 	}
-	code, fused := fuseCode(code, sc, sel)
+	code, fused := fuseCode(code, sc)
 	if cap(code)-len(code) >= cap(code)/4 {
 		// Fusion compacted well: re-house the code in an exact-sized
 		// array so the cached program doesn't retain the slack for its
@@ -767,7 +667,7 @@ func (fl *flattener) regArgs(args []ir.Reg) []int32 {
 	return fl.argsBuf[off:len(fl.argsBuf):len(fl.argsBuf)]
 }
 
-func (fl *flattener) flattenInstr(instr *ir.Instr, starts []int32, aux *fauxInstr, ff *flatFunc, icIdx *int32) finstr {
+func (fl *flattener) flattenInstr(instr *ir.Instr, starts []int32, aux *fauxInstr) finstr {
 	out := finstr{
 		dst:  int32(instr.Dst),
 		cost: fl.cost.instrCost(instr),
@@ -852,13 +752,11 @@ func (fl *flattener) flattenInstr(instr *ir.Instr, starts []int32, aux *fauxInst
 		out.op = fConcat
 	case ir.OpGetField:
 		out.op = fGetField
-		out.idx = *icIdx
-		*icIdx++
+		out.idx = int32(instr.Field.Index)
 		aux.s = instr.Field.Name
 	case ir.OpSetField:
 		out.op = fSetField
-		out.idx = *icIdx
-		*icIdx++
+		out.idx = int32(instr.Field.Index)
 		aux.s = instr.Field.Name
 	case ir.OpArrGet:
 		out.op = fArrGet
@@ -881,19 +779,7 @@ func (fl *flattener) flattenInstr(instr *ir.Instr, starts []int32, aux *fauxInst
 		out.op = fCall
 		aux.s = instr.Method
 		aux.args = fl.regArgs(instr.Args)
-		out.idx = *icIdx
-		*icIdx++
-		if cname, simple, ok := strings.Cut(instr.Method, "."); ok {
-			aux.simple = simple
-			// Seed the call IC with the static resolution: for well-typed
-			// programs the runtime class matches and the first dispatch
-			// already hits.
-			if cl := fl.prog.Info.Classes[cname]; cl != nil {
-				if callee := fl.fp.methods[cl][simple]; callee != nil {
-					ff.ics[out.idx].entry.Store(&icEntry{cls: cl, callee: callee})
-				}
-			}
-		}
+		aux.callee = fl.fp.flat[fl.prog.Funcs[instr.Method]]
 	case ir.OpCallBuiltin:
 		out.op = fCallBuiltin
 		aux.s = instr.Builtin
@@ -936,13 +822,13 @@ func (fl *flattener) flattenInstr(instr *ir.Instr, starts []int32, aux *fauxInst
 }
 
 // fuseCode runs the superinstruction pass over a flattened body: adjacent
-// pairs whose shape was selected by the frequency scan and whose operands
-// wire up collapse into one instruction, then the surviving control
+// pairs whose shape is fusable and whose operands wire up collapse into one
+// instruction, then the surviving control
 // transfers are remapped to the compacted program counters. The second
 // instruction of a pair must not be a jump target (jump targets are block
 // entry pcs, and pairs never span blocks, so this is defensive). Returns
 // the compacted code and the number of superinstructions formed.
-func fuseCode(code []finstr, sc *flatScratch, sel map[opt.PairKey]bool) ([]finstr, int) {
+func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 	if len(code) < 2 {
 		return code, 0
 	}
@@ -975,7 +861,7 @@ func fuseCode(code []finstr, sc *flatScratch, sel map[opt.PairKey]bool) ([]finst
 		}
 		width := 1
 		if i+1 < len(code) && sc.inbound[i+1] == 0 {
-			if f, ok := tryFuse(&ins, &code[i+1], last, sc.srcOps[i+1], sel); ok {
+			if f, ok := tryFuse(&ins, &code[i+1], last, sc.srcOps[i+1]); ok {
 				sc.newPC[i+1] = int32(n)
 				ins = f
 				last = sc.srcOps[i+1]
@@ -995,7 +881,7 @@ func fuseCode(code []finstr, sc *flatScratch, sel map[opt.PairKey]bool) ([]finst
 			switch {
 			case code[j].op == fMove && code[j].a == ins.dst:
 				if mv, ok := moveFused[ins.op]; ok &&
-					sel[opt.PairKey{A: last.op, AFloat: last.float, B: ir.OpMove, BFloat: sc.srcOps[j].float}] {
+					fusable(last, sc.srcOps[j]) {
 					ins.op = mv
 					ins.jmp2 = code[j].dst
 					ins.cost += code[j].cost
@@ -1005,7 +891,7 @@ func fuseCode(code []finstr, sc *flatScratch, sel map[opt.PairKey]bool) ([]finst
 				}
 			case code[j].op == fBranch && code[j].a == ins.dst:
 				if br, ok := immCmpBrFused[ins.op]; ok &&
-					sel[opt.PairKey{A: last.op, AFloat: last.float, B: ir.OpBranch}] {
+					fusable(last, pairSrc{op: ir.OpBranch}) {
 					ins.op = br
 					switch br {
 					case fGetLtIBr, fGetLeIBr, fGetGtIBr, fGetGeIBr:
@@ -1023,10 +909,10 @@ func fuseCode(code []finstr, sc *flatScratch, sel map[opt.PairKey]bool) ([]finst
 				}
 			case code[j].op == fSetField && code[j].b == ins.dst:
 				if st, ok := storeFused[ins.op]; ok &&
-					sel[opt.PairKey{A: last.op, AFloat: last.float, B: ir.OpSetField}] {
+					fusable(last, pairSrc{op: ir.OpSetField}) {
 					ins.op = st
 					ins.jmp = code[j].a    // object register
-					ins.jmp2 = code[j].idx // store IC site
+					ins.jmp2 = code[j].idx // store slot
 					ins.aux.aux2 = code[j].aux
 					ins.cost += code[j].cost
 					sc.newPC[j] = int32(n)
@@ -1168,13 +1054,13 @@ var moveFused = map[fop]fop{
 }
 
 // tryFuse attempts to merge instruction a with its successor b. The shape
-// must be selected and the operands must wire up (the conditions under
+// must be fusable and the operands must wire up (the conditions under
 // each arm); the fused instruction charges cost a+b in a single budget
 // check. Only non-faulting arithmetic (add/sub/mul) participates, so every
 // error a fused arm can raise belongs to its first half (or to the write
 // half of fGetSet, reached via aux2).
-func tryFuse(a, b *finstr, sa, sb pairSrc, sel map[opt.PairKey]bool) (finstr, bool) {
-	if sa.op < 0 || sb.op < 0 || !sel[opt.PairKey{A: sa.op, AFloat: sa.float, B: sb.op, BFloat: sb.float}] {
+func tryFuse(a, b *finstr, sa, sb pairSrc) (finstr, bool) {
+	if !fusable(sa, sb) {
 		return finstr{}, false
 	}
 	cost := a.cost + b.cost

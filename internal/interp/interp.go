@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
@@ -37,14 +36,12 @@ func (e *RuntimeError) Error() string {
 var ErrTaskPanic = errors.New("interp: task panicked")
 
 // Exec accumulates the observable effects of one task invocation (or one
-// plain method call tree): cycles consumed, objects allocated, the
-// taskexit taken, and inline-cache traffic.
+// plain method call tree): cycles consumed, objects allocated, and the
+// taskexit taken.
 type Exec struct {
 	Cycles     int64
 	NewObjects []*Object
-	ExitID     int   // taskexit index taken; -1 for non-task executions
-	ICHits     int64 // inline-cache hits (fast dispatch only)
-	ICMisses   int64 // inline-cache misses / slow-path resolutions
+	ExitID     int // taskexit index taken; -1 for non-task executions
 
 	// fs is the register stack for nested calls, owned by run() for the
 	// duration of one invocation.
@@ -58,8 +55,7 @@ type Exec struct {
 // (the concurrent engine runs one task per core goroutine); the heap's ID
 // counter is atomic, each invocation's output is written in one piece (see
 // Commit), and the flattened code
-// is built exactly once and read-only afterwards (inline-cache sites
-// update atomically).
+// is built exactly once and read-only afterwards.
 type Interp struct {
 	Prog *ir.Program
 	Cost *CostModel
@@ -81,14 +77,9 @@ type Interp struct {
 
 	// Walker-side name-resolution table: per-class method tables keyed by
 	// simple name. (Field resolution uses types.Class.FieldByName
-	// directly.) Built lazily; the walker is the interned-lookup slow
-	// path that the fast path's inline caches memoize.
+	// directly.) Built lazily: only the walker resolves members by name.
 	nameOnce sync.Once
 	mtab     map[*types.Class]map[string]*ir.Func
-
-	// Cumulative inline-cache traffic across all invocations.
-	icHits   atomic.Int64
-	icMisses atomic.Int64
 }
 
 // New returns an interpreter over prog with the default cost model.
@@ -124,7 +115,6 @@ func (in *Interp) run(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 		regs := buf[:ff.numRegs]
 		copy(regs, args)
 		v, err := in.execFlat(ff, regs, ex)
-		in.finish(ex)
 		return v.scrubbed(), err
 	}
 	fs := getFrameStack()
@@ -134,21 +124,9 @@ func (in *Interp) run(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 	v, err := in.execFlat(ff, regs, ex)
 	ex.fs = nil
 	putFrameStack(fs)
-	in.finish(ex)
 	// Scrub a stale register pointer word so callers see the same Value bits
 	// the walker would return.
 	return v.scrubbed(), err
-}
-
-// finish folds one invocation's inline-cache traffic into the
-// interpreter-wide counters.
-func (in *Interp) finish(ex *Exec) {
-	if ex.ICHits != 0 {
-		in.icHits.Add(ex.ICHits)
-	}
-	if ex.ICMisses != 0 {
-		in.icMisses.Add(ex.ICMisses)
-	}
 }
 
 // buildNameTables constructs the walker's per-class method tables from the
@@ -174,23 +152,17 @@ func (in *Interp) buildNameTables() {
 	in.mtab = mtab
 }
 
-// DispatchStats summarizes the fast path's behavior for observability:
-// inline-cache traffic and how much of the flattened program the
-// superinstruction pass covered.
+// DispatchStats summarizes the fast path for observability: how much of
+// the flattened program the superinstruction pass covered.
 type DispatchStats struct {
-	ICHits      int64
-	ICMisses    int64
 	FlatInstrs  int64
 	FusedInstrs int64
 }
 
-// Stats reports cumulative dispatch statistics. Call after executions
-// complete (engines read it once a run has quiesced).
+// Stats reports the dispatch statistics. Call after executions complete
+// (engines read it once a run has quiesced).
 func (in *Interp) Stats() DispatchStats {
-	s := DispatchStats{
-		ICHits:   in.icHits.Load(),
-		ICMisses: in.icMisses.Load(),
-	}
+	var s DispatchStats
 	if fp := in.fp; fp != nil {
 		s.FlatInstrs = fp.flatInstrs
 		s.FusedInstrs = fp.fusedInstrs
@@ -397,11 +369,10 @@ func (in *Interp) exec(fn *ir.Func, args []Value, ex *Exec) (Value, error) {
 				regs[instr.Dst] = StrV(s)
 
 			// Field and method access resolve by NAME against the
-			// receiver's runtime class (the language has no inheritance,
-			// so for well-typed programs this matches the static
-			// resolution bit for bit). The walker performs the interned
-			// map lookup on every access; the fast path's inline caches
-			// memoize exactly this lookup.
+			// receiver's runtime class on every access. The language has
+			// no inheritance, so for well-typed programs this is the slot
+			// and callee the fast path resolved statically at flatten
+			// time.
 			case ir.OpGetField:
 				recv := regs[instr.Args[0]].Obj()
 				if recv == nil {

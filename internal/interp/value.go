@@ -324,8 +324,8 @@ type Heap struct {
 	objsMu sync.Mutex
 	objs   []*Object
 
-	// Tag tracking (off by default; persistent sessions switch it on so the
-	// environment can address the tag instances a program creates — the
+	// Tag tracking (off by default; a persistent session records the tags
+	// its startup phase creates, so the environment can address them — the
 	// injection-side half of tag-hash request routing).
 	trackTags atomic.Bool
 	tagsMu    sync.Mutex
@@ -374,26 +374,29 @@ func (h *Heap) NewArray(n int, zero Value) *Array {
 }
 
 // TrackTags makes the heap remember every tag instance it allocates,
-// grouped by tag type in allocation order. Persistent sessions enable it
-// before the startup phase runs, so request objects injected later can be
-// bound to the shard tags the program created. Call before execution
-// starts.
+// grouped by tag type in allocation order, until StartupTags. Persistent
+// sessions enable it before the startup phase runs, so request objects
+// injected later can be bound to the shard tags the program created. Call
+// before execution starts.
 func (h *Heap) TrackTags() {
 	h.tagsMu.Lock()
-	if h.tagsBy == nil {
-		h.tagsBy = map[string][]*Tag{}
-	}
+	h.tagsBy = map[string][]*Tag{}
 	h.tagsMu.Unlock()
 	h.trackTags.Store(true)
 }
 
-// TagsOf returns the tag instances of the given type allocated since
-// TrackTags was enabled, in allocation order (deterministic: a program's
-// startup phase runs single-threaded in every engine).
-func (h *Heap) TagsOf(tagType string) []*Tag {
+// StartupTags stops tracking and returns the tag instances allocated since
+// TrackTags, by type in allocation order (deterministic: a program's
+// startup phase runs single-threaded in every engine). A session calls it
+// once its startup phase has quiesced: what injections bind is fixed from
+// then on, and the tags task bodies create later are never retained.
+func (h *Heap) StartupTags() map[string][]*Tag {
+	h.trackTags.Store(false)
 	h.tagsMu.Lock()
 	defer h.tagsMu.Unlock()
-	return append([]*Tag(nil), h.tagsBy[tagType]...)
+	tags := h.tagsBy
+	h.tagsBy = nil
+	return tags
 }
 
 // NewTag allocates a fresh tag instance of the given tag type.
@@ -401,7 +404,9 @@ func (h *Heap) NewTag(tagType string) *Tag {
 	t := &Tag{ID: h.id(), Type: tagType}
 	if h.trackTags.Load() {
 		h.tagsMu.Lock()
-		h.tagsBy[tagType] = append(h.tagsBy[tagType], t)
+		if h.tagsBy != nil {
+			h.tagsBy[tagType] = append(h.tagsBy[tagType], t)
+		}
 		h.tagsMu.Unlock()
 	}
 	return t

@@ -214,7 +214,7 @@ type Program struct {
 	// cost model) on load. It lives on the Program rather than on each
 	// Interp so that repeated executions of one compiled program — every
 	// engine construction, every bambood job served from the program cache —
-	// reuse a single flattening and keep its inline caches warm.
+	// reuse a single flattening.
 	FlatCache atomic.Value
 }
 

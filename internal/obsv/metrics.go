@@ -37,10 +37,7 @@ type Metrics struct {
 	InboxDepthMax atomic.Int64
 
 	// Interpreter dispatch statistics, folded in once per run by the
-	// engines: inline-cache traffic and superinstruction coverage of the
-	// flattened program.
-	ICHits      atomic.Int64
-	ICMisses    atomic.Int64
+	// engines: superinstruction coverage of the flattened program.
 	FlatInstrs  atomic.Int64
 	FusedInstrs atomic.Int64
 
@@ -113,14 +110,18 @@ type MetricsSnapshot struct {
 	// core only, and a failed task fails its run instead of being retried.
 	// They stay because bench/ (frozen by BENCHMARK.json) reads them for
 	// bamboort.conc_steal_success_ratio and bamboort.conc_retries.
-	StealAttempts  int64           `json:"steal_attempts"`
-	StealSuccesses int64           `json:"steal_successes"`
-	Retries        int64           `json:"retries"`
-	ICHits         int64           `json:"ic_hits"`
-	ICMisses       int64           `json:"ic_misses"`
-	FlatInstrs     int64           `json:"flat_instrs"`
-	FusedInstrs    int64           `json:"fused_instrs"`
-	TopContended   []ObjContention `json:"top_contended,omitempty"`
+	StealAttempts  int64 `json:"steal_attempts"`
+	StealSuccesses int64 `json:"steal_successes"`
+	Retries        int64 `json:"retries"`
+	// The next two are always 0: field slots and callees are resolved when
+	// the program is flattened, so there is no inline cache to hit or miss.
+	// They stay because bench/ (frozen by BENCHMARK.json) reads them for
+	// interp.ic_hit_ratio.
+	ICHits       int64           `json:"ic_hits"`
+	ICMisses     int64           `json:"ic_misses"`
+	FlatInstrs   int64           `json:"flat_instrs"`
+	FusedInstrs  int64           `json:"fused_instrs"`
+	TopContended []ObjContention `json:"top_contended,omitempty"`
 }
 
 // Snapshot copies the counters (and the 10 most contended objects) into a
@@ -135,8 +136,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		InboxSamples:     m.InboxSamples.Load(),
 		InboxDepthSum:    m.InboxDepthSum.Load(),
 		InboxDepthMax:    m.InboxDepthMax.Load(),
-		ICHits:           m.ICHits.Load(),
-		ICMisses:         m.ICMisses.Load(),
 		FlatInstrs:       m.FlatInstrs.Load(),
 		FusedInstrs:      m.FusedInstrs.Load(),
 		TopContended:     m.TopContended(10),

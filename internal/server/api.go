@@ -30,8 +30,6 @@ type SubmitRequest struct {
 	Cores int `json:"cores,omitempty"`
 	// Seed drives layout synthesis deterministically (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// Optimize runs the IR optimizer at compile time.
-	Optimize bool `json:"optimize,omitempty"`
 	// TimeoutMS bounds the job from admission to completion; 0 uses the
 	// server default. The deadline covers queue wait, compile, and run.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -158,8 +156,6 @@ type SessionRequest struct {
 	Engine string `json:"engine,omitempty"`
 	Cores  int    `json:"cores,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`
-	// Optimize runs the IR optimizer at compile time.
-	Optimize bool `json:"optimize,omitempty"`
 	// Request describes how feed items become injected objects and how
 	// replies are read back.
 	Request SessionRequestSpec `json:"request"`

@@ -377,23 +377,22 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // execSpec is the part of a job or session request that says what to
 // compile and how to run it; SubmitRequest and SessionRequest carry the
-// same seven top-level fields.
+// same six top-level fields.
 type execSpec struct {
 	Source, Benchmark, Engine string
 	Args                      []string
 	Cores                     int
 	Seed                      int64
-	Optimize                  bool
 }
 
 func (r *SubmitRequest) spec() execSpec {
 	return execSpec{Source: r.Source, Benchmark: r.Benchmark, Engine: r.Engine,
-		Args: r.Args, Cores: r.Cores, Seed: r.Seed, Optimize: r.Optimize}
+		Args: r.Args, Cores: r.Cores, Seed: r.Seed}
 }
 
 func (r *SessionRequest) spec() execSpec {
 	return execSpec{Source: r.Source, Benchmark: r.Benchmark, Engine: r.Engine,
-		Args: r.Args, Cores: r.Cores, Seed: r.Seed, Optimize: r.Optimize}
+		Args: r.Args, Cores: r.Cores, Seed: r.Seed}
 }
 
 // compileRequest is the one place a request becomes the CompileRequest
@@ -432,7 +431,6 @@ func (e execSpec) compileRequest() (CompileRequest, string, error) {
 	}
 	return CompileRequest{
 		Source: e.Source,
-		Opts:   core.CompileOptions{Optimize: e.Optimize},
 		Prep:   core.PrepareConfig{Cores: e.Cores, Seed: e.Seed, Args: e.Args},
 	}, e.Engine, nil
 }
@@ -504,9 +502,8 @@ func (s *Server) resolve(req *SubmitRequest) (*Job, error) {
 		status:  StatusQueued,
 		out:     limitWriter{max: s.cfg.MaxOutputBytes},
 		// Every job carries a metrics sink: both engines report interpreter
-		// dispatch statistics (superinstruction coverage, inline-cache hit
-		// rates), and the concurrent engine adds its scheduler
-		// and lock counters on top.
+		// dispatch statistics (superinstruction coverage), and the
+		// concurrent engine adds its scheduler and lock counters on top.
 		metrics: &obsv.Metrics{},
 	}
 	if req.Trace {
@@ -675,8 +672,6 @@ func (s *Server) aggregate(m obsv.MetricsSnapshot) {
 	if m.InboxDepthMax > a.InboxDepthMax {
 		a.InboxDepthMax = m.InboxDepthMax
 	}
-	a.ICHits += m.ICHits
-	a.ICMisses += m.ICMisses
 	a.FlatInstrs += m.FlatInstrs
 	a.FusedInstrs += m.FusedInstrs
 }
@@ -889,8 +884,8 @@ type Varz struct {
 	Cache     CacheStats       `json:"cache"`
 	LatencyNS LatencyStats     `json:"latency_ns"`
 	// Runtime sums the runtime counters over every finished job:
-	// interpreter dispatch statistics (superinstruction coverage,
-	// inline-cache hits/misses) from both engines, plus the
+	// interpreter dispatch statistics (superinstruction coverage) from
+	// both engines, plus the
 	// concurrent engine's scheduler/lock counters (contention skips,
 	// deliveries, pokes, ...).
 	Runtime obsv.MetricsSnapshot `json:"runtime_counters"`
