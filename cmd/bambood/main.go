@@ -8,13 +8,15 @@
 //
 //	bambood -addr :8080 [-exec-workers N] [-queue N] [-cache-entries N]
 //	        [-cache-bytes N] [-default-timeout d] [-drain-timeout d]
-//	        [-max-sessions N] [-live-sessions N] [-max-session-log N]
-//	        [-retain-sessions N] [-wal-dir DIR]
+//	        [-max-sessions N] [-live-sessions N] [-retain-sessions N]
+//	        [-wal-dir DIR]
 //	        [-node-id ID -peers id=url,id=url,...]
 //
 // With -wal-dir set, every accepted job and session mutation is fsynced
 // to a write-ahead log before it is acknowledged, and a restart replays
-// unfinished work: kill -9 loses nothing the daemon said yes to.
+// unfinished work: kill -9 loses nothing the daemon said yes to. A
+// session's log is its latest checkpoint plus the feeds after it, so
+// recovery does not grow with the requests a session has served.
 //
 // With -node-id and -peers set, the daemon joins a sharded serving
 // ring: programs are routed to their fingerprint's owner (where the
@@ -99,8 +101,7 @@ func run() error {
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "largest per-job deadline a request may ask for")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a drain may wait for in-flight jobs before canceling them")
 	maxSessions := flag.Int("max-sessions", 256, "bound on non-terminal (active+parked) sessions; a full table rejects creates with 429")
-	liveSessions := flag.Int("live-sessions", 8, "resident session engines; beyond this, idle deterministic sessions are parked and revived by replay")
-	sessionLog := flag.Int("max-session-log", 65536, "replay-log request bound per session; a session past it is pinned resident instead of parked")
+	liveSessions := flag.Int("live-sessions", 8, "resident session engines; beyond this, idle deterministic sessions are parked as a checkpoint and restored on their next feed")
 	retainSessions := flag.Int("retain-sessions", 1024, "closed/failed sessions kept for status queries; oldest forgotten first")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; empty disables durability")
 	nodeID := flag.String("node-id", "", "this node's cluster ID (no '-'); empty runs standalone")
@@ -117,7 +118,6 @@ func run() error {
 		MaxTimeout:      *maxTimeout,
 		MaxSessions:     *maxSessions,
 		MaxLiveSessions: *liveSessions,
-		MaxSessionLog:   *sessionLog,
 		RetainSessions:  *retainSessions,
 		WALDir:          *walDir,
 		NodeID:          *nodeID,

@@ -246,13 +246,18 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // begin arms tracing and injects the startup object at the core hosting
 // the startup task. Shared by one-shot runs and sessions.
 func (e *Engine) begin() {
+	e.armTrace()
+	e.routeObject(startupObject(e.prog, e.in.Heap, e.opts.Args), -1, 0, 0, 0)
+}
+
+// armTrace readies Options.Trace, if set, for this engine's spans.
+func (e *Engine) armTrace() {
 	if e.opts.Trace != nil {
 		e.opts.Trace.Source = "engine"
 		e.opts.Trace.TimeUnit = obsv.UnitCycles
 		e.opts.Trace.NumCores = e.opts.Layout.NumCores
 		e.producerOf = map[int64]int{}
 	}
-	e.routeObject(startupObject(e.prog, e.in.Heap, e.opts.Args), -1, 0, 0, 0)
 }
 
 // startupObject allocates the object whose arrival starts the program.

@@ -1,6 +1,7 @@
 package bbfuzz
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -27,6 +28,38 @@ func TestCorpusReplay(t *testing.T) {
 				t.Fatalf("%s", d)
 			}
 		})
+	}
+}
+
+// TestCorpusSessionFeeds runs the corpus's generated members through the
+// session-feed check as well: random batch splits against one batch, and
+// each deterministic split again restored from a checkpoint at every
+// batch boundary.
+func TestCorpusSessionFeeds(t *testing.T) {
+	entries, err := Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range entries {
+		var seed int64
+		if _, err := fmt.Sscanf(e.Name, "corpus/seed_%d.bb", &seed); err != nil {
+			continue
+		}
+		p := GenerateSeed(seed)
+		if p.Source() != e.Source {
+			t.Fatalf("%s is no longer what seed %d generates", e.Name, seed)
+		}
+		n++
+		t.Run(strings.TrimSuffix(strings.TrimPrefix(e.Name, "corpus/"), ".bb"), func(t *testing.T) {
+			t.Parallel()
+			if d := CheckSessionFeeds(p, seed, CheckConfig{}); d != nil {
+				t.Fatalf("%s", d)
+			}
+		})
+	}
+	if n == 0 {
+		t.Fatal("no generated members in the corpus")
 	}
 }
 

@@ -25,14 +25,22 @@ import (
 // the same program output, the same cumulative invocation count, and the
 // same final heap flag/tag state as one single-batch reference. This is
 // exactly the invariant bambood's feed coalescer leans on when it merges
-// queued feeds into shared engine batches (and, replayed from the session
-// log, when a parked session is revived).
+// queued feeds into shared engine batches (and, replayed from the
+// write-ahead log, when a crashed session is recovered).
+//
+// Each deterministic split also runs a second time, checkpointed at every
+// batch boundary and restored into a fresh engine: that run must match
+// the uninterrupted one byte for byte — output, invocations, virtual
+// cycles and the final reachable heap (its checkpoint encoding) — which
+// is the property bambood's park and revive lean on.
 
 // sessRun is one persistent-session execution's observables.
 type sessRun struct {
-	out  string
-	inv  int64
-	snap []objState
+	out    string
+	inv    int64
+	cycles int64
+	snap   []objState // nil on a revived run, whose heap was rebuilt
+	final  []byte     // the deterministic engine's closing checkpoint
 }
 
 // sessionExtras builds the injection list: nExtra fresh items per
@@ -79,8 +87,10 @@ func splitBatches(extras []bamboort.Inject, rng *rand.Rand) [][]bamboort.Inject 
 }
 
 // runSessionFeeds boots sys as a persistent session, feeds the batches in
-// order, and returns the run's observables.
-func runSessionFeeds(sys *core.System, engine core.Engine, nc int, batches [][]bamboort.Inject, maxInv int64) (*sessRun, error) {
+// order, and returns the run's observables. With revive, a deterministic
+// session is checkpointed before every batch and restored into a fresh
+// engine.
+func runSessionFeeds(sys *core.System, engine core.Engine, nc int, batches [][]bamboort.Inject, maxInv int64, revive bool) (*sessRun, error) {
 	heap := interp.NewHeap()
 	heap.TrackObjects()
 	var out bytes.Buffer
@@ -99,12 +109,34 @@ func runSessionFeeds(sys *core.System, engine core.Engine, nc int, batches [][]b
 		return nil, fmt.Errorf("start: %w", err)
 	}
 	for i, b := range batches {
+		if revive {
+			ck, err := sn.Checkpoint("bbfuzz", out.Bytes())
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint before feed %d: %w", i+1, err)
+			}
+			sn.Close()
+			out.Reset()
+			cfg.Heap = nil
+			if sn, err = sys.RestoreSession(cfg, "bbfuzz", ck); err != nil {
+				return nil, fmt.Errorf("restore before feed %d: %w", i+1, err)
+			}
+		}
 		if _, err := sn.Feed(context.Background(), b); err != nil {
 			return nil, fmt.Errorf("feed %d/%d: %w", i+1, len(batches), err)
 		}
 	}
+	run := &sessRun{out: out.String()}
+	if engine == core.Deterministic {
+		if run.final, err = sn.Checkpoint("bbfuzz", out.Bytes()); err != nil {
+			return nil, fmt.Errorf("final checkpoint: %w", err)
+		}
+	}
 	res := sn.Close()
-	return &sessRun{out: out.String(), inv: res.Invocations, snap: heapSnapshot(heap)}, nil
+	run.inv, run.cycles = res.Invocations, res.TotalCycles
+	if !revive {
+		run.snap = heapSnapshot(heap)
+	}
+	return run, nil
 }
 
 // CheckSessionFeeds boots p as a persistent session and cross-checks
@@ -131,7 +163,7 @@ func CheckSessionFeeds(p *Program, seed int64, cfg CheckConfig) *Divergence {
 
 	var base *sessRun
 	for _, nc := range cfg.cores() {
-		ref, err := runSessionFeeds(sys, core.Deterministic, nc, single, maxInv)
+		ref, err := runSessionFeeds(sys, core.Deterministic, nc, single, maxInv, false)
 		if err != nil {
 			return fail("session-run", nc, "reference: %v", err)
 		}
@@ -151,9 +183,17 @@ func CheckSessionFeeds(p *Program, seed int64, cfg CheckConfig) *Divergence {
 		}
 		for trial := 0; trial < 2; trial++ {
 			batches := splitBatches(extras, rng)
-			got, err := runSessionFeeds(sys, core.Deterministic, nc, batches, maxInv)
+			got, err := runSessionFeeds(sys, core.Deterministic, nc, batches, maxInv, false)
 			if err != nil {
 				return fail("session-run", nc, "%d batches: %v", len(batches), err)
+			}
+			rev, err := runSessionFeeds(sys, core.Deterministic, nc, batches, maxInv, true)
+			if err != nil {
+				return fail("session-revive", nc, "%d batches: %v", len(batches), err)
+			}
+			if rev.out != got.out || rev.inv != got.inv || rev.cycles != got.cycles || !bytes.Equal(rev.final, got.final) {
+				return fail("session-revive", nc, "%d batches, restored at every boundary: %d invocations, %d cycles, %d-byte state\nvs never parked: %d, %d, %d bytes\noutput %q\nvs     %q",
+					len(batches), rev.inv, rev.cycles, len(rev.final), got.inv, got.cycles, len(got.final), rev.out, got.out)
 			}
 			// Same engine, same core count: startup output precedes every
 			// feed, and the extras print nothing, so the output must be
@@ -178,7 +218,7 @@ func CheckSessionFeeds(p *Program, seed int64, cfg CheckConfig) *Divergence {
 	if !cfg.SkipConcurrent {
 		for _, nc := range cfg.cores() {
 			batches := splitBatches(extras, rng)
-			got, err := runSessionFeeds(sys, core.Concurrent, nc, batches, maxInv)
+			got, err := runSessionFeeds(sys, core.Concurrent, nc, batches, maxInv, false)
 			if err != nil {
 				return fail("session-run", nc, "concurrent %d batches: %v", len(batches), err)
 			}

@@ -47,6 +47,32 @@ func (s *System) StartSession(ctx context.Context, cfg ExecConfig) (*Session, er
 	return nil, fmt.Errorf("core: unknown engine %v", cfg.Engine)
 }
 
+// RestoreSession boots a deterministic session from a checkpoint that
+// Session.Checkpoint took for fingerprint, with the same configuration
+// surface as StartSession. The checkpoint's program output is written to
+// cfg.Out first; the session then continues exactly where the encoded one
+// stopped.
+func (s *System) RestoreSession(cfg ExecConfig, fingerprint string, ckpt []byte) (*Session, error) {
+	if cfg.Engine != Deterministic {
+		return nil, fmt.Errorf("core: only deterministic sessions restore from a checkpoint")
+	}
+	eng, err := bamboort.RestoreSession(s.Prog, s.Dep, s.Locks, cfg.options(), fingerprint, ckpt)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{eng: eng}, nil
+}
+
+// Checkpoint encodes the quiescent session (bamboort.Engine.Checkpoint):
+// fingerprint names the compiled program and layout, and output is the
+// program output so far. Concurrent-engine sessions have no checkpoint.
+func (sn *Session) Checkpoint(fingerprint string, output []byte) ([]byte, error) {
+	if sn.eng == nil {
+		return nil, fmt.Errorf("core: concurrent-engine sessions have no checkpoint")
+	}
+	return sn.eng.Checkpoint(nil, fingerprint, output)
+}
+
 // Feed injects one request batch into the live task graph, runs to
 // quiescence, and returns the injected objects (read replies from their
 // fields and flags, e.g. via RenderReply). Errors poison the session

@@ -337,6 +337,13 @@ func NewHeap() *Heap { return &Heap{} }
 
 func (h *Heap) id() int64 { return h.nextID.Add(1) }
 
+// LastID returns the most recently issued identity (0 before any).
+func (h *Heap) LastID() int64 { return h.nextID.Load() }
+
+// ResumeIDs makes the heap issue identities after last, as a session
+// restored from a checkpoint continues where the encoded one stopped.
+func (h *Heap) ResumeIDs(last int64) { h.nextID.Store(last) }
+
 // TrackObjects makes the heap retain a reference to every object it
 // allocates, retrievable via Objects. Call before execution starts.
 func (h *Heap) TrackObjects() { h.track.Store(true) }

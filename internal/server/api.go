@@ -215,8 +215,8 @@ type FeedResponse struct {
 	// LatencyNS is the server-side feed latency (accept to quiescence,
 	// queueing behind other coalesced feeds included).
 	LatencyNS int64 `json:"latency_ns"`
-	// Replayed reports that the session was revived from its replay log
-	// before this batch ran (it had been parked under cache pressure).
+	// Replayed reports that the session was revived from its checkpoint
+	// before this batch ran (it had been parked, or the server restarted).
 	Replayed bool `json:"replayed,omitempty"`
 	// Coalesced reports that this feed shared an engine batch with at
 	// least one other concurrent feed (the pipelined feed path).
@@ -227,8 +227,8 @@ type FeedResponse struct {
 const (
 	SessionActive = "active"
 	// SessionParked: evicted under pressure; the resident engine is gone
-	// but the replay log remains, and the next feed revives the session
-	// to byte-identical state (deterministic engine only).
+	// but its checkpoint remains, and the next feed revives the session
+	// to the identical state (deterministic engine only).
 	SessionParked = "parked"
 	SessionFailed = "failed"
 	SessionClosed = "closed"

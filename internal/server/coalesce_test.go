@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -68,17 +70,15 @@ func putsPerFeed(g, perBatch, heavy int) int {
 
 // TestSessionCoalescingDeterminism: a session hammered by concurrent
 // feeders (whose feeds coalesce into shared engine batches) must be
-// indistinguishable from a control session fed the recorded batch
-// boundaries one at a time — same probe replies, same cumulative cycles,
-// invocations, and output. The replay log *is* the batch-boundary record,
-// so this is also the property park-and-revive leans on.
+// indistinguishable from its recovery: a second server booted on a copy of
+// the write-ahead log restores the session's last checkpoint and replays
+// the batch boundaries the log recorded after it, and then gives the same
+// probe replies, cumulative cycles, invocations and output.
 func TestSessionCoalescingDeterminism(t *testing.T) {
 	for _, cores := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("cores=%d", cores), func(t *testing.T) {
-			// The ladder's last rung feeds 196,608 requests; past the default
-			// MaxSessionLog the session would be pinned and its log dropped,
-			// leaving the control nothing to replay.
-			s := newTestService(t, server.Config{MaxSessionLog: 1 << 20})
+			dir := t.TempDir()
+			s := newWALService(t, server.Config{WALDir: dir})
 
 			// Coalescing needs the engine busy long enough for feeds to
 			// queue, and how long a put takes depends on the machine (and
@@ -86,9 +86,11 @@ func TestSessionCoalescingDeterminism(t *testing.T) {
 			// so escalate the heavy feeder until feeds demonstrably
 			// coalesce rather than hard-coding a batch size.
 			const feeders, rounds, perBatch = 6, 6, 8
+			// 8192 slots per shard make a checkpoint larger than the feeds
+			// the first rungs log, so recovery replays their batches.
 			var sv server.SessionView
 			for heavy := 512; ; heavy *= 4 {
-				sv = kvSession(t, s, "", cores)
+				sv = kvSessionArgs(t, s, "", cores, "8", "64", "8192")
 				concurrentPuts(t, s, sv.ID, 120, feeders, rounds, perBatch, heavy)
 				view, err := s.cl.Session(ctxT(), sv.ID)
 				if err != nil {
@@ -102,17 +104,14 @@ func TestSessionCoalescingDeterminism(t *testing.T) {
 				}
 			}
 
-			// Replay the exact engine batches the coalescer chose against a
-			// control session, one client feed per recorded batch.
-			log := s.srv.SessionLog(sv.ID)
-			if len(log) == 0 {
-				t.Fatal("the coalesced session kept no log: nothing to replay against")
-			}
-			cv := kvSession(t, s, "", cores)
-			for _, batch := range log {
-				if _, err := s.cl.Feed(ctxT(), cv.ID, batch); err != nil {
-					t.Fatalf("control feed: %v", err)
-				}
+			// The server is idle and every batch is fsynced: a copy of the
+			// log is what a crash right now would leave.
+			control := t.TempDir()
+			copyDir(t, dir, control)
+			c := newWALService(t, server.Config{WALDir: control})
+			feeds, ckpt := c.srv.ParkedSuffix(sv.ID)
+			if !ckpt {
+				t.Fatal("the coalesced session logged no checkpoint")
 			}
 
 			probes := make([]server.FeedItem, feeders)
@@ -120,9 +119,9 @@ func TestSessionCoalescingDeterminism(t *testing.T) {
 				probes[g] = get(120 + g)
 			}
 			fa := feed(t, s, sv.ID, probes...)
-			fb := feed(t, s, cv.ID, probes...)
+			fb := feed(t, c, sv.ID, probes...)
 			if !reflect.DeepEqual(fa.Replies, fb.Replies) {
-				t.Fatalf("probe replies diverge:\ncoalesced: %+v\ncontrol:   %+v", fa.Replies, fb.Replies)
+				t.Fatalf("probe replies diverge:\ncoalesced: %+v\nrecovered: %+v", fa.Replies, fb.Replies)
 			}
 
 			view, err := s.cl.Session(ctxT(), sv.ID)
@@ -135,14 +134,14 @@ func TestSessionCoalescingDeterminism(t *testing.T) {
 			if view.CoalescedFeeds == 0 {
 				t.Error("no feeds coalesced — the differential test exercised nothing")
 			}
-			t.Logf("cores=%d: %d feeds in %d engine batches (%d coalesced, window %d)",
-				cores, view.Batches, view.EngineBatches, view.CoalescedFeeds, view.BatchWindow)
+			t.Logf("cores=%d: %d feeds in %d engine batches (%d coalesced); recovery replayed %d after the checkpoint",
+				cores, view.Batches, view.EngineBatches, view.CoalescedFeeds, feeds)
 
 			ca, err := s.cl.CloseSession(ctxT(), sv.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cb, err := s.cl.CloseSession(ctxT(), cv.ID)
+			cb, err := c.cl.CloseSession(ctxT(), sv.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,16 +151,33 @@ func TestSessionCoalescingDeterminism(t *testing.T) {
 			if ca.Result.TotalCycles != cb.Result.TotalCycles ||
 				ca.Result.Invocations != cb.Result.Invocations ||
 				ca.Result.Output != cb.Result.Output {
-				t.Fatalf("results diverge:\ncoalesced: %+v\ncontrol:   %+v", ca.Result, cb.Result)
+				t.Fatalf("results diverge:\ncoalesced: %+v\nrecovered: %+v", ca.Result, cb.Result)
 			}
 		})
 	}
 }
 
-// TestSessionCoalescingReplayDeterminism: park a session whose history was
-// written by coalesced concurrent feeds, then revive it and verify the
-// replayed state — the log's recorded batch boundaries must reconstruct
-// exactly what the live session held.
+// copyDir copies the files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSessionCoalescingReplayDeterminism: park a session whose state was
+// written by coalesced concurrent feeds, then revive it from its
+// checkpoint and verify it holds exactly what the live session held.
 func TestSessionCoalescingReplayDeterminism(t *testing.T) {
 	s := newTestService(t, server.Config{MaxLiveSessions: 1})
 	sv := kvSession(t, s, "", 2)
@@ -207,11 +223,11 @@ func liveHeap() int64 {
 }
 
 // TestSessionRetention: what a session keeps between feeds. A parked
-// session's next feed replays its log, /varz counts the engine batches, and
-// a resident concurrent-engine session (pinned, so it keeps no replay log)
-// holds no memory for the requests it has already answered: its live heap
-// after 200 feeds of 96 is within 1 MiB of the heap after 20 (a session that
-// kept every request object would have grown by about 9 MB).
+// session's next feed revives it from its checkpoint, /varz counts the
+// engine batches, and a resident session of either engine holds no memory
+// for the requests it has already answered: its live heap after 200 feeds
+// of 96 is within 1 MiB of the heap after 20 (a session that kept every
+// request, as a replay log did, grows by megabytes).
 func TestSessionRetention(t *testing.T) {
 	s := newTestService(t, server.Config{MaxLiveSessions: 1})
 	a := kvSession(t, s, "", 1)
@@ -222,10 +238,10 @@ func TestSessionRetention(t *testing.T) {
 	feed(t, s, a.ID, items...)
 
 	// Creating b parks a (LRU under MaxLiveSessions=1); feeding a revives it
-	// by replay, parking b.
+	// from its checkpoint, parking b.
 	b := kvSession(t, s, "", 1)
 	if fr := feed(t, s, a.ID, get(400)); !fr.Replayed {
-		t.Error("feed after park did not replay")
+		t.Error("feed after park did not revive")
 	}
 	for _, id := range []string{a.ID, b.ID} {
 		if _, err := s.cl.CloseSession(ctxT(), id); err != nil {
@@ -240,20 +256,25 @@ func TestSessionRetention(t *testing.T) {
 		t.Error("varz sessions engine_batches is 0")
 	}
 
-	c := kvSession(t, s, "concurrent", 2)
 	h := s.srv.Handler()
 	payload := feedPayload(t, 96)
-	heapAfter := func(feeds int) int64 {
-		for range feeds {
-			serveFeed(t, h, c.ID, payload)
+	for _, engine := range []string{"deterministic", "concurrent"} {
+		c := kvSession(t, s, engine, 2)
+		heapAfter := func(feeds int) int64 {
+			for range feeds {
+				serveFeed(t, h, c.ID, payload)
+			}
+			return liveHeap()
 		}
-		return liveHeap()
-	}
-	at20 := heapAfter(20)
-	at200 := heapAfter(180)
-	t.Logf("concurrent session live heap: %d B after 20 feeds of 96, %d B after 200", at20, at200)
-	if grew := at200 - at20; grew > 1<<20 {
-		t.Errorf("180 more feeds of 96 grew the live heap by %d B, more than 1 MiB", grew)
+		at20 := heapAfter(20)
+		at200 := heapAfter(180)
+		t.Logf("%s session live heap: %d B after 20 feeds of 96, %d B after 200", engine, at20, at200)
+		if grew := at200 - at20; grew > 1<<20 {
+			t.Errorf("%s: 180 more feeds of 96 grew the live heap by %d B, more than 1 MiB", engine, grew)
+		}
+		if _, err := s.cl.CloseSession(ctxT(), c.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -14,3 +14,16 @@ func OnePassFeedResponse(data []byte) bool {
 	scanFeedResponse(&s)
 	return s.done()
 }
+
+// ParkedSuffix reports how many logged batches a parked session's revive
+// replays after its checkpoint, and whether it has one.
+func (s *Server) ParkedSuffix(id string) (feeds int, ckpt bool) {
+	sn := s.session(id)
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	return len(sn.suffix), sn.ckpt != nil
+}
+
+// CloseWAL closes the server's write-ahead log under its live sessions, so
+// the next append fails.
+func (s *Server) CloseWAL() error { return s.wal.Close() }

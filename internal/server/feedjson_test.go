@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -177,7 +178,7 @@ func FuzzWALRecord(f *testing.F) {
 	for _, rec := range []walRecord{
 		{T: recSessFeed, ID: "s1", Feed: &feed},
 		{T: recSessFeed, ID: "s1", Seq: 1, Feed: &feed},
-		{T: recSessPin, ID: "s1"},
+		{T: recSessCkpt, ID: "s1", Seq: 2, Ckpt: []byte("BBCK\x01")},
 		{T: recSessDone, ID: "s1", Status: SessionClosed},
 		{T: recJobAccept, ID: "j1", Req: &SubmitRequest{Benchmark: "Series"}},
 	} {
@@ -194,6 +195,8 @@ func FuzzWALRecord(f *testing.F) {
 		`{"t":"feed","id":"s1","feed":{"requests":[{"args":["1"]}]} `,
 		`{"t":"feed","id":"s1","feed":{"requests":[]}}trailing`,
 		`{"t":"job+","id":"j2"}`,
+		`{"t":"pin","id":"s1"}`,
+		`{"t":"ckpt","id":"s1","seq":4,"ckpt":"!!"}`,
 		`{"t":"???","id":"x"}`,
 		`not json`,
 		``,
@@ -205,11 +208,11 @@ func FuzzWALRecord(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		st := recoverState([][]byte{create, payload})
+		st := recoverState(slices.Values([][]byte{create, payload}))
 		if err := json.Unmarshal(payload, new(walRecordJSON)); err != nil && st.skipped != 1 {
 			t.Fatalf("%q: encoding/json rejects it (%v) but recovery skipped %d records", payload, err, st.skipped)
 		}
-		recoverState(checkpointRecords(st))
+		recoverState(slices.Values(checkpointRecords(st)))
 	})
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -58,13 +59,10 @@ type Config struct {
 	// ring of RetainSessions entries (default 1024) kept for status
 	// queries, oldest forgotten first — mirroring RetainJobs.
 	// MaxLiveSessions bounds resident engines (default 8): beyond it,
-	// idle deterministic sessions are parked and revived by replay on
-	// their next feed. MaxSessionLog bounds one session's replay history
-	// in requests (default 65536); past it the session is pinned resident
-	// instead of parkable.
+	// idle deterministic sessions are parked as a checkpoint and restored
+	// from it on their next feed.
 	MaxSessions     int
 	MaxLiveSessions int
-	MaxSessionLog   int
 	RetainSessions  int
 	// WALDir, when set, enables the write-ahead log: every accepted job
 	// and session mutation is fsynced there before it is acknowledged,
@@ -117,9 +115,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxLiveSessions <= 0 {
 		c.MaxLiveSessions = 8
-	}
-	if c.MaxSessionLog <= 0 {
-		c.MaxSessionLog = 65536
 	}
 	if c.RetainSessions <= 0 {
 		c.RetainSessions = 1024
@@ -244,7 +239,8 @@ func Open(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.wal = l
-		recovered = recoverState(payloads)
+		recovered = recoverState(slices.Values(payloads))
+		recovered.failUnrecoverable()
 		// Compact before anything new can interleave: the checkpoint is a
 		// pure function of the recovered state, and replay idempotence
 		// makes a crash mid-checkpoint harmless.

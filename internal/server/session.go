@@ -24,11 +24,11 @@ import (
 //
 // Residency is bounded: at most Config.MaxLiveSessions engines stay
 // resident. Under pressure the least-recently-used deterministic session
-// is *parked* — its engine is torn down but its feed history is kept, and
-// the next feed revives it by replaying that history against a fresh boot.
-// Determinism makes the revived state byte-identical to the evicted one
-// (TestSessionDeterministicReplay in core is the property this leans on).
-// Concurrent-engine sessions cannot be replayed and are pinned resident.
+// is *parked* — its quiescent state is encoded as a checkpoint
+// (bamboort.Engine.Checkpoint) and its engine torn down — and the next feed
+// revives it by restoring that checkpoint, plus, after a crash, replaying
+// the feeds the log holds after it. A session keeps no feed history.
+// Concurrent-engine sessions have no checkpoint and are pinned resident.
 
 // Session is one resident program plus its lifecycle bookkeeping. mu
 // serializes engine access (the engine itself is not safe for concurrent
@@ -41,8 +41,8 @@ import (
 // ONE coalesced engine Feed, and demuxing the replies back to each waiter
 // — until its own waiter is answered, then hands the token on. Queue
 // order is FIFO, so coalescing preserves per-key request order
-// exactly as serialized feeds did; the replay log records the coalesced
-// batch boundaries, so a park→revive replay re-runs the identical batches.
+// exactly as serialized feeds did; the write-ahead log records the
+// coalesced batch boundaries, so a recovery replays the identical batches.
 type Session struct {
 	ID     string
 	key    string // content address of the compiled program
@@ -61,16 +61,21 @@ type Session struct {
 	pending []*feedWaiter
 	lead    chan struct{}
 
-	mu      sync.Mutex
-	status  string
-	live    *core.Session // non-nil iff status == active
-	met     *obsv.Metrics // engine counters since the latest boot
-	out     *limitWriter  // program output since the latest boot
-	log     []FeedRequest // feed history for park-and-replay revival
-	logReqs int
-	// pinned sessions are never parked: concurrent-engine sessions (replay
-	// cannot reproduce their state) and sessions whose history outgrew
-	// MaxSessionLog (replay would cost more than residency).
+	mu     sync.Mutex
+	status string
+	live   *core.Session // non-nil iff status == active
+	met    *obsv.Metrics // engine counters since the latest boot
+	out    *limitWriter  // program output, restored with each checkpoint
+	// A parked session is ckpt, its checkpoint (nil when recovered before
+	// its first batch), plus suffix, the logged batches after it that
+	// revive replays.
+	ckpt   []byte
+	suffix []FeedRequest
+	// seq numbers the session's logged batches; ckptBytes is the size of
+	// its last checkpoint record and sinceCkpt the feed bytes logged since.
+	seq, ckptBytes, sinceCkpt int
+	// pinned sessions are never parked: concurrent-engine sessions have
+	// no checkpoint.
 	pinned     bool
 	fed        int64
 	batches    int64 // HTTP feeds answered
@@ -114,8 +119,7 @@ func failAll(ws []*feedWaiter, status int, code, msg string, retryMS int64) {
 
 // maxEngineBatch bounds the requests one leader injects as one engine
 // batch. A leader claims what is queued; the bound only keeps one batch —
-// its reply demux, its replay-log entry, its WAL record — finite under a
-// flood.
+// its reply demux, its WAL record — finite under a flood.
 const maxEngineBatch = 8192
 
 // appendInjects expands feed items with the session's request spec into
@@ -133,11 +137,6 @@ func (sn *Session) appendInjects(dst []bamboort.Inject, items []FeedItem) []bamb
 		})
 	}
 	return dst
-}
-
-// injects expands feed items into a fresh injection slice (replay path).
-func (sn *Session) injects(items []FeedItem) []bamboort.Inject {
-	return sn.appendInjects(make([]bamboort.Inject, 0, len(items)), items)
 }
 
 func (sn *Session) viewLocked() SessionView {
@@ -204,22 +203,6 @@ func (s *Server) session(id string) *Session {
 	return s.sessions[id]
 }
 
-// SessionLog returns a copy of a session's replay log. It is a test and
-// diagnostic hook: each entry is one engine batch exactly as it ran, so
-// differential tests can replay the recorded coalesced batch boundaries
-// against a control session.
-func (s *Server) SessionLog(id string) []FeedRequest {
-	sn := s.session(id)
-	if sn == nil {
-		return nil
-	}
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	out := make([]FeedRequest, len(sn.log))
-	copy(out, sn.log)
-	return out
-}
-
 func (s *Server) dropSession(id string) {
 	s.sessMu.Lock()
 	delete(s.sessions, id)
@@ -253,8 +236,9 @@ func (s *Server) beginSessionOp() error {
 	return nil
 }
 
-// boot compiles (or cache-hits) the session's program and starts a fresh
-// resident engine: startup runs to quiescence with a fresh output buffer.
+// boot compiles (or cache-hits) the session's program and starts a
+// resident engine with a fresh output buffer: restored from the session's
+// checkpoint, or, without one, a fresh startup run to quiescence.
 func (s *Server) boot(ctx context.Context, sn *Session) error {
 	compiled, _, err := s.cache.GetOrCompile(ctx, sn.creq)
 	if err != nil {
@@ -266,7 +250,12 @@ func (s *Server) boot(ctx context.Context, sn *Session) error {
 	sn.met = &obsv.Metrics{}
 	cfg := execConfig(compiled, sn.engine, sn.creq.Prep.Args)
 	cfg.Out, cfg.Metrics = sn.out, sn.met
-	live, err := compiled.Sys.StartSession(ctx, cfg)
+	var live *core.Session
+	if sn.ckpt != nil {
+		live, err = compiled.Sys.RestoreSession(cfg, sn.key, sn.ckpt)
+	} else {
+		live, err = compiled.Sys.StartSession(ctx, cfg)
+	}
 	if err != nil {
 		return err
 	}
@@ -290,19 +279,20 @@ func (s *Server) closeLiveLocked(sn *Session) *bamboort.Result {
 	return res
 }
 
-// revive boots a parked session and replays its feed history; on the
-// deterministic engine the result is byte-identical to the state that was
-// parked. Caller holds sn.mu.
+// revive restores a parked session from its checkpoint and replays the
+// logged suffix after it: the state is exactly the one that was parked or
+// that the crash interrupted. Caller holds sn.mu.
 func (s *Server) revive(ctx context.Context, sn *Session) error {
 	s.parkForRoom(sn)
 	if err := s.boot(ctx, sn); err != nil {
 		return err
 	}
-	for _, batch := range sn.log {
-		if _, err := sn.live.Feed(ctx, sn.injects(batch.Requests)); err != nil {
+	for _, batch := range sn.suffix {
+		if _, err := sn.live.Feed(ctx, sn.appendInjects(nil, batch.Requests)); err != nil {
 			return err
 		}
 	}
+	sn.ckpt, sn.suffix = nil, nil
 	sn.replays++
 	s.sessReplays.Add(1)
 	sn.status = SessionActive
@@ -310,14 +300,14 @@ func (s *Server) revive(ctx context.Context, sn *Session) error {
 }
 
 // endLocked is a session's one terminal transition, to closed or failed:
-// release the engine if one is resident, drop the replay history, count
+// release the engine if one is resident, drop a parked checkpoint, count
 // and log the outcome, retire the ID. Callers hold sn.mu.
 func (s *Server) endLocked(sn *Session, status, errMsg string) {
 	if sn.live != nil {
 		sn.res = s.closeLiveLocked(sn)
 	}
 	sn.status, sn.errMsg = status, errMsg
-	sn.log, sn.logReqs = nil, 0
+	sn.ckpt, sn.suffix = nil, nil
 	if status == SessionFailed {
 		s.sessFailed.Add(1)
 	} else {
@@ -383,12 +373,14 @@ func (s *Server) parkForRoom(incoming *Session) {
 			continue
 		}
 		if c.sn.status == SessionActive && !c.sn.pinned {
-			// The engine (and its cumulative result) is discarded: replay
-			// reconstructs both exactly, startup included.
-			s.closeLiveLocked(c.sn)
-			c.sn.status = SessionParked
-			s.sessParks.Add(1)
-			need--
+			// The checkpoint holds everything, cumulative result included.
+			out, _ := c.sn.out.snapshot()
+			if ck, err := c.sn.live.Checkpoint(c.sn.key, []byte(out)); err == nil {
+				s.closeLiveLocked(c.sn)
+				c.sn.ckpt, c.sn.status = ck, SessionParked
+				s.sessParks.Add(1)
+				need--
+			}
 		}
 		c.sn.mu.Unlock()
 	}
@@ -615,8 +607,8 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		if err := s.revive(ctx, sn); err != nil {
 			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, bamboort.ErrStale) {
 				// The replay did not fit this batch's budget. The session was
-				// healthy when parked and its log is intact, so discard the
-				// half-replayed boot and stay parked: a later feed with a
+				// healthy when parked and its checkpoint is intact, so discard
+				// the half-replayed boot and stay parked: a later feed with a
 				// larger timeout can still revive it.
 				if sn.live != nil {
 					s.closeLiveLocked(sn)
@@ -646,8 +638,8 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 			}
 			// One feed in the coalesced batch is malformed, but ErrInject is
 			// pre-routing: nothing ran. Re-run each feed as its own batch so
-			// innocent feeds succeed (and log as their own replay batches)
-			// while only the offender is rejected.
+			// innocent feeds succeed (and log as their own batches) while
+			// only the offender is rejected.
 			for _, w := range ws {
 				s.runWaitersLocked(sn, []*feedWaiter{w})
 			}
@@ -669,6 +661,18 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		return
 	}
 
+	// Durability before acknowledgment: the batch reaches the WAL before
+	// any waiter is answered. If the log cannot hold it, the session's
+	// durable state has diverged from its live one, so it fails, and so do
+	// the feeds: a reply the log does not back would not survive a crash.
+	if !sn.pinned {
+		if err := s.logSessBatch(sn, ws); err != nil {
+			msg := "write-ahead log append failed: " + err.Error()
+			s.failLocked(sn, errors.New(msg))
+			failAll(ws, http.StatusInternalServerError, CodeInternal, msg, 0)
+			return
+		}
+	}
 	// Each waiter gets the reply span matching its items — injection order
 	// is queue order, so the demux is a plain offset walk.
 	coalesced := len(ws) > 1
@@ -682,42 +686,6 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 		off += n
 		for range n {
 			s.feedLat.Observe(lat)
-		}
-	}
-	if !sn.pinned {
-		// Log the coalesced batch as ONE replay entry: revival replays each
-		// logged entry as one engine batch, so recording the boundary the
-		// engine actually saw keeps the replayed state byte-identical.
-		var entry FeedRequest
-		if len(ws) == 1 {
-			entry = FeedRequest{Requests: ws[0].items}
-		} else {
-			items := make([]FeedItem, 0, len(objs))
-			for _, w := range ws {
-				items = append(items, w.items...)
-			}
-			entry = FeedRequest{Requests: items}
-		}
-		// Durability before acknowledgment: the batch must reach the WAL
-		// before any waiter is released below, or a crash+revive could
-		// rebuild a state clients have already seen past. The engine ran,
-		// so the replies stay valid either way — but if the log cannot
-		// hold this batch the session's durable history has diverged from
-		// its live state, and the only honest move is to fail it for
-		// future feeds (replies were rendered above).
-		if werr := s.logSessFeed(sn, len(sn.log), &entry); werr != nil {
-			s.failLocked(sn, fmt.Errorf("write-ahead log append failed: %w", werr))
-		} else {
-			sn.log = append(sn.log, entry)
-			sn.logReqs += len(objs)
-			if sn.logReqs > s.cfg.MaxSessionLog {
-				// Replay would cost more than residency: pin the session and
-				// drop the history. The pin record tells recovery this
-				// session can no longer be rebuilt from the log.
-				sn.pinned = true
-				sn.log, sn.logReqs = nil, 0
-				s.logSessPin(sn)
-			}
 		}
 	}
 	sn.fed += int64(len(objs))

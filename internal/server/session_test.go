@@ -19,9 +19,16 @@ import (
 // The benchmark warms keys 0..63 with value key*31+7 at version 1.
 func kvSession(t *testing.T, s *testService, engine string, cores int) server.SessionView {
 	t.Helper()
+	return kvSessionArgs(t, s, engine, cores, "8", "64", "64")
+}
+
+// kvSessionArgs is kvSession with KVStore's startup arguments: shards,
+// warm keys, slots per shard.
+func kvSessionArgs(t *testing.T, s *testService, engine string, cores int, args ...string) server.SessionView {
+	t.Helper()
 	sv, err := s.cl.CreateSession(ctxT(), server.SessionRequest{
 		Benchmark: "KVStore",
-		Args:      []string{"8", "64", "64"},
+		Args:      args,
 		Engine:    engine,
 		Cores:     cores,
 		Request: server.SessionRequestSpec{

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"os"
 	"strconv"
 	"strings"
@@ -18,9 +19,12 @@ import (
 // nothing that was ever acknowledged:
 //
 //   - job accept (job+) and terminal state (job-);
-//   - session create (sess+), each coalesced feed batch (feed, with a
-//     per-session sequence number), the pin transition, and the terminal
-//     state (sess-).
+//   - session create (sess+), each engine batch with a per-session
+//     sequence number, and the terminal state (sess-). A batch's record
+//     holds its requests (feed) or, once the feed bytes logged since the
+//     session's last checkpoint reach that checkpoint's size, the
+//     post-batch checkpoint instead (ckpt): a session's log is then its
+//     latest state plus a suffix no longer than that state.
 //
 // The log holds only what recovery reads: a job's start and a session's
 // park/revive change nothing a restart rebuilds (a started job replays as
@@ -30,16 +34,18 @@ import (
 // re-queued — with their deadline re-anchored at replay time, since the
 // original admission-anchored deadline would have every replayed job
 // reborn already expired — and sessions without a terminal record are
-// restored as parked, their logged feed history becoming the replay log
-// the existing park-and-revive machinery boots from. Terminal jobs and
-// sessions are restored as queryable views (minus buffered output,
-// which is not logged). After replay the recovered state is compacted
-// into a fresh checkpoint segment and older segments are deleted.
+// restored as parked at their latest checkpoint, with the feeds logged
+// after it as the suffix revive replays. Terminal jobs and sessions are
+// restored as queryable views (minus buffered output, which is not
+// logged). After replay the recovered state is compacted into a fresh
+// segment and older segments are deleted; the same fold compacts the log
+// online whenever a segment fills.
 //
 // Recovery is idempotent: creation records are deduplicated by ID, feed
 // records are accepted only at their expected per-session sequence
-// number, and terminal records win over everything after them — so
-// replaying a log twice (or a checkpoint plus the history it summarizes)
+// number, a checkpoint at or past it supersedes everything before it, and
+// terminal records win over everything after them — so replaying a log
+// twice (or a compaction plus the history it summarizes, in either order)
 // yields the same state.
 
 // walRecord is one logged mutation. T selects the record type; the
@@ -65,8 +71,10 @@ type walRecord struct {
 	Sess *SessionRequest `json:"sess,omitempty"`
 
 	// feed : one engine batch exactly as it ran (coalesced boundaries
-	// preserved), at per-session sequence Seq.
+	// preserved), at per-session sequence Seq. ckpt : the session's
+	// bamboort checkpoint after batch Seq.
 	Feed *FeedRequest `json:"feed,omitempty"`
+	Ckpt []byte       `json:"ckpt,omitempty"`
 	Seq  int          `json:"seq,omitempty"`
 }
 
@@ -76,7 +84,7 @@ const (
 	recJobDone    = "job-"
 	recSessCreate = "sess+"
 	recSessFeed   = "feed"
-	recSessPin    = "pin"
+	recSessCkpt   = "ckpt"
 	recSessDone   = "sess-"
 )
 
@@ -111,16 +119,19 @@ func (s *Server) walView() *WALView {
 	}
 }
 
-// walAppend marshals and durably appends one record. It is a no-op on a
-// WAL-less server and after Kill (a killed server must not keep writing
-// — that is the crash being simulated).
-func (s *Server) walAppend(rec walRecord) error {
+// walAppend durably appends one record: p, its encoding, or, when p is
+// nil, rec marshalled. It is a no-op on a WAL-less server and after Kill
+// (a killed server must not keep writing — that is the crash being
+// simulated).
+func (s *Server) walAppend(rec walRecord, p []byte) error {
 	if s.wal == nil || s.killed.Load() {
 		return nil
 	}
-	p, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	var err error
+	if p == nil {
+		if p, err = json.Marshal(rec); err != nil {
+			return err
+		}
 	}
 	if err := s.wal.Append(p); err != nil {
 		if !s.killed.Load() {
@@ -129,12 +140,18 @@ func (s *Server) walAppend(rec walRecord) error {
 		return err
 	}
 	s.walAppends.Add(1)
+	// A filled segment folds the log to its live state, as recovery does.
+	if s.wal.Stats().Segments > 1 {
+		if err := s.wal.Compact(func(p iter.Seq[[]byte]) [][]byte { return checkpointRecords(recoverState(p)) }); err != nil {
+			fmt.Fprintf(os.Stderr, "bambood: wal compaction: %v\n", err)
+		}
+	}
 	return nil
 }
 
 // logJobAccept must succeed before a submission is acknowledged.
 func (s *Server) logJobAccept(j *Job) error {
-	return s.walAppend(walRecord{T: recJobAccept, ID: j.ID, Req: &j.req, AcceptedAt: j.submitted})
+	return s.walAppend(walRecord{T: recJobAccept, ID: j.ID, Req: &j.req, AcceptedAt: j.submitted}, nil)
 }
 
 // logJobDone is best-effort: if it is lost, the job replays and re-runs
@@ -147,27 +164,48 @@ func (s *Server) logJobDone(j *Job) {
 		rec.Invocations = j.res.Invocations
 	}
 	j.mu.Unlock()
-	_ = s.walAppend(rec)
+	_ = s.walAppend(rec, nil)
 }
 
 func (s *Server) logSessCreate(sn *Session) error {
-	return s.walAppend(walRecord{T: recSessCreate, ID: sn.ID, Sess: &sn.req})
+	return s.walAppend(walRecord{T: recSessCreate, ID: sn.ID, Sess: &sn.req}, nil)
 }
 
-// logSessFeed must succeed before the feed's replies are released: the
-// logged history is what a post-crash revive replays, so acknowledging
-// a batch the log does not hold would let the revived state diverge
-// from what clients observed.
-func (s *Server) logSessFeed(sn *Session, seq int, entry *FeedRequest) error {
-	return s.walAppend(walRecord{T: recSessFeed, ID: sn.ID, Seq: seq, Feed: entry})
+// logSessBatch logs one engine batch of ws and must succeed before its
+// replies are released: acknowledging a batch the log does not hold would
+// let a post-crash revive diverge from what clients observed. The record
+// carries the batch's requests until the feed bytes logged since the
+// session's last checkpoint reach that checkpoint's size; that batch's
+// record carries the post-batch checkpoint instead. Writing a checkpoint
+// thus costs at most as many bytes as the feeds it retires, and the suffix
+// a recovery replays is never longer than the state it starts from.
+func (s *Server) logSessBatch(sn *Session, ws []*feedWaiter) error {
+	if s.wal == nil || s.killed.Load() {
+		return nil
+	}
+	var feed FeedRequest
+	for _, w := range ws {
+		feed.Requests = append(feed.Requests, w.items...)
+	}
+	rec := walRecord{T: recSessFeed, ID: sn.ID, Seq: sn.seq, Feed: &feed}
+	p, err := json.Marshal(rec)
+	if sn.sinceCkpt += len(p); err == nil && sn.sinceCkpt >= sn.ckptBytes {
+		out, _ := sn.out.snapshot()
+		rec = walRecord{T: recSessCkpt, ID: sn.ID, Seq: sn.seq}
+		if rec.Ckpt, err = sn.live.Checkpoint(sn.key, []byte(out)); err == nil {
+			p, err = json.Marshal(rec)
+		}
+		sn.ckptBytes, sn.sinceCkpt = len(p), 0
+	}
+	if err == nil {
+		err = s.walAppend(rec, p)
+	}
+	sn.seq++
+	return err
 }
-
-// logSessPin marks the session's logged history as incomplete from here
-// on, so recovery fails it instead of replaying a prefix.
-func (s *Server) logSessPin(sn *Session) { _ = s.walAppend(walRecord{T: recSessPin, ID: sn.ID}) }
 
 func (s *Server) logSessDone(sn *Session) {
-	_ = s.walAppend(walRecord{T: recSessDone, ID: sn.ID, Status: sn.status, Error: sn.errMsg})
+	_ = s.walAppend(walRecord{T: recSessDone, ID: sn.ID, Status: sn.status, Error: sn.errMsg}, nil)
 }
 
 // ---- recovery ----
@@ -181,10 +219,13 @@ type recJobState struct {
 }
 
 type recSessState struct {
-	req    SessionRequest
-	feeds  []FeedRequest
-	pinned bool
-	done   *walRecord
+	req  SessionRequest
+	ckpt []byte // the latest checkpoint; nil before the first
+	// feeds are logged after ckpt; the rest is as on Session.
+	feeds                []FeedRequest
+	next                 int
+	ckptBytes, sinceCkpt int
+	done                 *walRecord
 }
 
 type recoveredState struct {
@@ -198,14 +239,14 @@ type recoveredState struct {
 // recoverState folds raw WAL payloads into per-ID job/session state.
 // Unknown record types and malformed payloads are counted and skipped
 // (forward compatibility beats refusing to boot); duplicate creations
-// are ignored and feeds are accepted only at their expected sequence
-// number, which is what makes double replay a no-op.
-func recoverState(payloads [][]byte) *recoveredState {
+// are ignored, feeds are accepted only at their expected sequence number
+// and checkpoints at or past it, which is what makes double replay a no-op.
+func recoverState(payloads iter.Seq[[]byte]) *recoveredState {
 	st := &recoveredState{
 		jobs:     map[string]*recJobState{},
 		sessions: map[string]*recSessState{},
 	}
-	for _, p := range payloads {
+	for p := range payloads {
 		var rec walRecord
 		if err := json.Unmarshal(p, &rec); err != nil || rec.ID == "" {
 			st.skipped++
@@ -237,22 +278,29 @@ func recoverState(payloads [][]byte) *recoveredState {
 			}
 			st.sessions[rec.ID] = &recSessState{req: *rec.Sess}
 			st.sessOrder = append(st.sessOrder, rec.ID)
-		case recSessFeed:
+		case recSessFeed, recSessCkpt:
 			rs := st.sessions[rec.ID]
-			if rs == nil || rec.Feed == nil {
+			if rs == nil || (rec.Feed == nil) == (rec.Ckpt == nil) {
 				st.skipped++
 				continue
 			}
-			if rec.Seq != len(rs.feeds) {
-				continue // out-of-sequence: a re-replayed duplicate
+			switch {
+			case rec.Ckpt != nil && rec.Seq >= rs.next:
+				rs.ckpt, rs.feeds = rec.Ckpt, nil
+				rs.ckptBytes, rs.sinceCkpt = len(p), 0
+			case rec.Feed != nil && rec.Seq == rs.next:
+				rs.feeds = append(rs.feeds, *rec.Feed)
+				rs.sinceCkpt += len(p)
+			default:
+				continue // a duplicate from a replayed or compacted copy
 			}
-			rs.feeds = append(rs.feeds, *rec.Feed)
-		case recSessPin:
-			if rs := st.sessions[rec.ID]; rs != nil {
-				// A pinned session dropped its replay history in memory;
-				// whatever the log holds is a prefix, so it cannot be
-				// reconstructed after a restart.
-				rs.pinned = true
+			rs.next = rec.Seq + 1
+		case "pin":
+			// Written by earlier versions when a session outgrew their
+			// replay log: the history after it was never logged.
+			if rs := st.sessions[rec.ID]; rs != nil && rs.done == nil {
+				rs.done = &walRecord{T: recSessDone, ID: rec.ID, Status: SessionFailed,
+					Error: "session history outgrew the replay log and is not replayable across a restart"}
 			}
 		case "job!", "park", "revive":
 			// Written by earlier versions (job start, session park and
@@ -270,24 +318,23 @@ func recoverState(payloads [][]byte) *recoveredState {
 	return st
 }
 
-// unrecoverable reports whether a live session cannot be restored by
-// replay: concurrent-engine sessions (nondeterministic interleaving)
-// and pinned sessions (history discarded).
-func unrecoverable(rs *recSessState) (string, bool) {
-	if rs.req.Engine == "concurrent" {
-		return "concurrent-engine session state is not replayable across a restart", true
+// failUnrecoverable turns every live session that a restart cannot
+// restore — concurrent-engine sessions, which keep no checkpoint — into
+// the failed terminal it becomes. Only recovery calls it: online
+// compaction keeps the running server's sessions live in the log.
+func (st *recoveredState) failUnrecoverable() {
+	for id, rs := range st.sessions {
+		if rs.done == nil && rs.req.Engine == "concurrent" {
+			rs.done = &walRecord{T: recSessDone, ID: id, Status: SessionFailed,
+				Error: "concurrent-engine session state is not replayable across a restart"}
+		}
 	}
-	if rs.pinned {
-		return "session history outgrew the replay log and is not replayable across a restart", true
-	}
-	return "", false
 }
 
 // checkpointRecords re-encodes the recovered state as a compact record
-// stream: live jobs and sessions keep their accept/create + feeds,
-// terminal ones keep accept/create + terminal, and superseded feeds and
-// torn history disappear. Live-but-unrecoverable sessions are written as
-// the failed terminals they are about to become.
+// stream: live jobs keep their accept, live sessions their create, latest
+// checkpoint and the feeds after it, terminal ones their accept/create +
+// terminal; superseded batches and torn history disappear.
 func checkpointRecords(st *recoveredState) [][]byte {
 	var recs [][]byte
 	put := func(rec walRecord) {
@@ -307,18 +354,16 @@ func checkpointRecords(st *recoveredState) [][]byte {
 		rs := st.sessions[id]
 		req := rs.req
 		put(walRecord{T: recSessCreate, ID: id, Sess: &req})
-		switch {
-		case rs.done != nil:
+		if rs.done != nil {
 			put(*rs.done)
-		default:
-			if reason, bad := unrecoverable(rs); bad {
-				put(walRecord{T: recSessDone, ID: id, Status: SessionFailed, Error: reason})
-				continue
-			}
-			for i := range rs.feeds {
-				feed := rs.feeds[i]
-				put(walRecord{T: recSessFeed, ID: id, Seq: i, Feed: &feed})
-			}
+			continue
+		}
+		seq := rs.next - len(rs.feeds)
+		if rs.ckpt != nil {
+			put(walRecord{T: recSessCkpt, ID: id, Seq: seq - 1, Ckpt: rs.ckpt})
+		}
+		for i := range rs.feeds {
+			put(walRecord{T: recSessFeed, ID: id, Seq: seq + i, Feed: &rs.feeds[i]})
 		}
 	}
 	return recs
@@ -343,7 +388,7 @@ func idSeq(id string) int64 {
 // applyRecovered registers the recovered state on a freshly built
 // server: terminal work becomes queryable views, live jobs are
 // re-queued (deadlines re-anchored at now), live sessions become parked
-// with their logged history as the replay log. Workers are already
+// at their latest checkpoint with the logged suffix. Workers are already
 // running, so the blocking enqueue drains. Runs before the server
 // serves traffic.
 func (s *Server) applyRecovered(st *recoveredState) {
@@ -406,22 +451,13 @@ func (s *Server) applyRecovered(st *recoveredState) {
 			terminal = true
 			s.walRecoveredTerm.Add(1)
 		default:
-			if reason, bad := unrecoverable(rs); bad {
-				sn.status = SessionFailed
-				sn.errMsg = reason
-				terminal = true
-				s.walRecoveredTerm.Add(1)
-				break
-			}
-			// Restored as parked: the logged feed history is the replay
-			// log, and the next feed revives the session to the exact
-			// state the crash interrupted (acknowledged batches only —
-			// which is precisely the durability contract).
+			// Restored as parked: the next feed revives the session from
+			// its checkpoint plus the logged suffix to the exact state the
+			// crash interrupted (acknowledged batches only — which is
+			// precisely the durability contract).
 			sn.status = SessionParked
-			sn.log = rs.feeds
-			for i := range rs.feeds {
-				sn.logReqs += len(rs.feeds[i].Requests)
-			}
+			sn.ckpt, sn.suffix, sn.seq = rs.ckpt, rs.feeds, rs.next
+			sn.ckptBytes, sn.sinceCkpt = rs.ckptBytes, rs.sinceCkpt
 			s.walReplayedSess.Add(1)
 		}
 		s.sessMu.Lock()

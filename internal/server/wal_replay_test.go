@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,8 +124,10 @@ func TestReplayBumpsIDCounters(t *testing.T) {
 
 // recoverState must be a fixed point under double replay: feeding the
 // log twice (as a crash between checkpoint and truncation could) folds
-// to the identical state.
+// to the identical state, and so does a compaction replayed after, or
+// before, the history it summarizes.
 func TestRecoverStateIdempotent(t *testing.T) {
+	feedOf := func(k int64) *FeedRequest { return &FeedRequest{Requests: []FeedItem{{TagKey: k}}} }
 	recs := []walRecord{
 		{T: recJobAccept, ID: "j00000001", Req: &SubmitRequest{Source: "a"}},
 		{T: "job!", ID: "j00000001"}, // written before the log stopped recording job starts
@@ -132,13 +135,18 @@ func TestRecoverStateIdempotent(t *testing.T) {
 		{T: recJobAccept, ID: "j00000002", Req: &SubmitRequest{Source: "b"}},
 		{T: "job!", ID: "j00000002"},
 		{T: recSessCreate, ID: "s00000001", Sess: &SessionRequest{Source: "c"}},
-		{T: recSessFeed, ID: "s00000001", Seq: 0, Feed: &FeedRequest{Requests: []FeedItem{{TagKey: 1}}}},
-		{T: recSessFeed, ID: "s00000001", Seq: 1, Feed: &FeedRequest{Requests: []FeedItem{{TagKey: 2}}}},
+		{T: recSessFeed, ID: "s00000001", Seq: 0, Feed: feedOf(1)},
+		{T: recSessFeed, ID: "s00000001", Seq: 1, Feed: feedOf(2)},
 		{T: "park", ID: "s00000001"}, // likewise park and revive
 		{T: "revive", ID: "s00000001"},
+		{T: recSessCkpt, ID: "s00000001", Seq: 2, Ckpt: []byte("state after 3")},
+		{T: recSessFeed, ID: "s00000001", Seq: 3, Feed: feedOf(4)},
 		{T: recSessCreate, ID: "s00000002", Sess: &SessionRequest{Source: "d"}},
-		{T: recSessPin, ID: "s00000002"},
+		{T: "pin", ID: "s00000002"}, // an older log's session past its replay bound
 		{T: recSessDone, ID: "s00000002", Status: SessionClosed, Cycles: 11},
+		{T: recSessCreate, ID: "s00000003", Sess: &SessionRequest{Source: "e"}},
+		{T: recSessFeed, ID: "s00000003", Seq: 0, Feed: feedOf(5)},
+		{T: "pin", ID: "s00000003"},
 	}
 	var once, twice [][]byte
 	for _, rec := range recs {
@@ -146,34 +154,60 @@ func TestRecoverStateIdempotent(t *testing.T) {
 	}
 	twice = append(append(twice, once...), once...)
 
-	a, b := recoverState(once), recoverState(twice)
+	a, b := recoverState(slices.Values(once)), recoverState(slices.Values(twice))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("double replay diverged:\nonce:  %+v\ntwice: %+v", a, b)
 	}
-	if len(a.jobs) != 2 || len(a.sessions) != 2 {
-		t.Fatalf("recovered %d jobs / %d sessions, want 2/2", len(a.jobs), len(a.sessions))
+	if len(a.jobs) != 2 || len(a.sessions) != 3 {
+		t.Fatalf("recovered %d jobs / %d sessions, want 2/3", len(a.jobs), len(a.sessions))
 	}
-	// The three record types older logs carry are accepted, not damage; a
-	// type nobody ever wrote still counts.
+	// The record types older logs carry are accepted, not damage; a type
+	// nobody ever wrote still counts.
 	if a.skipped != 0 {
-		t.Fatalf("skipped = %d, want 0: job!/park/revive from an older log counted as damage", a.skipped)
+		t.Fatalf("skipped = %d, want 0: job!/park/revive/pin from an older log counted as damage", a.skipped)
 	}
-	if c := recoverState(append(once, mustMarshal(t, walRecord{T: "bogus", ID: "j00000001"}))); c.skipped != 1 {
+	if c := recoverState(slices.Values(append(once, mustMarshal(t, walRecord{T: "bogus", ID: "j00000001"})))); c.skipped != 1 {
 		t.Fatalf("unknown record type: skipped = %d, want 1", c.skipped)
 	}
-	if s1 := a.sessions["s00000001"]; len(s1.feeds) != 2 || s1.done != nil {
-		t.Fatalf("s00000001 = %+v, want 2 feeds, live", s1)
+	s1 := a.sessions["s00000001"]
+	if string(s1.ckpt) != "state after 3" || len(s1.feeds) != 1 || s1.feeds[0].Requests[0].TagKey != 4 || s1.next != 4 || s1.done != nil {
+		t.Fatalf("s00000001 = %+v, want its checkpoint after seq 2 plus the feed at 3, live", s1)
 	}
-	if s2 := a.sessions["s00000002"]; !s2.pinned || s2.done == nil {
-		t.Fatalf("s00000002 = %+v, want pinned + terminal", s2)
+	// A pin closes the session as failed, unless it already ended.
+	if s2 := a.sessions["s00000002"]; s2.done == nil || s2.done.Status != SessionFailed {
+		t.Fatalf("s00000002 = %+v, want failed by its pin", s2)
+	}
+	if s3 := a.sessions["s00000003"]; s3.done == nil || s3.done.Status != SessionFailed {
+		t.Fatalf("s00000003 = %+v, want failed by its pin", s3)
 	}
 	// Out-of-sequence feeds (duplicates from a partial double-write) are
-	// dropped, not double-applied.
-	stale := append(once, mustMarshal(t, walRecord{
-		T: recSessFeed, ID: "s00000001", Seq: 0,
-		Feed: &FeedRequest{Requests: []FeedItem{{TagKey: 99}}},
-	}))
-	if c := recoverState(stale); len(c.sessions["s00000001"].feeds) != 2 {
-		t.Fatalf("stale-seq feed was applied: %+v", c.sessions["s00000001"])
+	// dropped, not double-applied, and so is a checkpoint behind the state.
+	stale := append(once, mustMarshal(t, walRecord{T: recSessFeed, ID: "s00000001", Seq: 0, Feed: feedOf(99)}),
+		mustMarshal(t, walRecord{T: recSessCkpt, ID: "s00000001", Seq: 1, Ckpt: []byte("old")}))
+	if c := recoverState(slices.Values(stale)); !reflect.DeepEqual(c.sessions["s00000001"], s1) {
+		t.Fatalf("a stale record was applied: %+v", c.sessions["s00000001"])
+	}
+	// A compaction folds to the same state, replayed alone, after the
+	// history (a crash before the old segments were deleted) or after a
+	// suffix of it (a crash midway through deleting them).
+	compact := checkpointRecords(a)
+	for name, log := range map[string][][]byte{
+		"compaction":                compact,
+		"history, then compaction":  append(append([][]byte(nil), once...), compact...),
+		"a suffix, then compaction": append(append([][]byte(nil), once[9:]...), compact...),
+	} {
+		c := recoverState(slices.Values(log))
+		c.skipped = 0 // a suffix cut from its creates skips what it cannot place
+		for _, id := range []string{"s00000001", "s00000002", "s00000003"} {
+			got, want := *c.sessions[id], *a.sessions[id]
+			if want.done != nil { // a terminal session keeps its create and end
+				got = recSessState{req: got.req, done: got.done}
+				want = recSessState{req: want.req, done: want.done}
+			}
+			got.ckptBytes, got.sinceCkpt, want.ckptBytes, want.sinceCkpt = 0, 0, 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s = %+v, want %+v", name, id, got, want)
+			}
+		}
 	}
 }

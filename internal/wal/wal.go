@@ -25,6 +25,10 @@
 //   - Checkpoint: after replay the server compacts its live state into
 //     a fresh segment and older segments are deleted, bounding log
 //     growth across restarts.
+//   - Compaction: Compact folds every segment's records into one fresh
+//     segment and deletes the rest; called whenever a segment fills, it
+//     keeps the log at its live state plus at most one segment of history
+//     while the process runs.
 package wal
 
 import (
@@ -33,8 +37,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"iter"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -94,6 +101,7 @@ type commitBatch struct {
 type Log struct {
 	dir      string
 	segBytes int64
+	base     int64 // bytes the last Compact left in the current segment
 
 	// syncSem admits one committer at a time; Close and Checkpoint also
 	// acquire it to exclude in-flight commits while they touch files.
@@ -210,10 +218,44 @@ func readSegment(path string, last bool) ([][]byte, error) {
 		if crc32.Checksum(payload, castagnoli) != sum {
 			return recs, fmt.Errorf("%w: %s offset %d: crc mismatch", ErrCorrupt, path, off)
 		}
-		recs = append(recs, append([]byte(nil), payload...))
+		recs = append(recs, payload[:len(payload):len(payload)])
 		off += headerSize + int(n)
 	}
 	return recs, nil
+}
+
+// scanSegment streams the records of a sealed segment to fn in one reused
+// buffer until fn returns false. Any framing or CRC failure is corruption.
+func scanSegment(path string, fn func([]byte) bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	r := bufio.NewReaderSize(f, 1<<16)
+	var hdr [headerSize]byte
+	var buf []byte
+	for off := 0; ; off += headerSize + len(buf) {
+		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("%w: %s offset %d: %v", ErrCorrupt, path, off, err)
+		}
+		n := binary.LittleEndian.Uint32(hdr[:])
+		if n == 0 || n > maxRecordBytes {
+			return fmt.Errorf("%w: %s offset %d: impossible length %d", ErrCorrupt, path, off, n)
+		}
+		buf = slices.Grow(buf[:0], int(n))[:n]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return fmt.Errorf("%w: %s offset %d: %v", ErrCorrupt, path, off, err)
+		}
+		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+			return fmt.Errorf("%w: %s offset %d: crc mismatch", ErrCorrupt, path, off)
+		}
+		if !fn(buf) {
+			return nil
+		}
+	}
 }
 
 // tornTail handles an incomplete record at offset off: in the last
@@ -322,7 +364,7 @@ func (l *Log) commit() {
 	}
 	if err == nil {
 		l.mu.Lock()
-		if !l.closed && l.size >= l.segBytes {
+		if !l.closed && l.size >= l.base+l.segBytes {
 			err = l.rotateLocked()
 		}
 		l.mu.Unlock()
@@ -355,14 +397,57 @@ func (l *Log) Checkpoint(records [][]byte) error {
 			return err
 		}
 	}
-	start := l.seq
+	return l.replaceLocked(records, true)
+}
 
+// Compact replaces a log of more than one segment with fold's output, in
+// one fresh segment, and deletes the rest; the next segment then starts
+// once SegmentBytes more have been appended. fold receives the records
+// oldest first, streamed from disk in one buffer reused from record to
+// record, so compaction holds the fold and one record, not the log. It
+// must be a pure function of the records, and replaying its output must
+// give the state replaying its input gives, also after the input.
+func (l *Log) Compact(fold func(records iter.Seq[[]byte]) [][]byte) error {
+	l.syncSem <- struct{}{}
+	defer func() { <-l.syncSem }()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return ErrClosed
+	}
+	if l.seq == l.minSeq {
+		return nil
+	}
+	if err := l.rotateLocked(); err != nil {
+		return err
+	}
+	var err error
+	records := fold(func(yield func([]byte) bool) {
+		for seq := l.minSeq; seq < l.seq && err == nil; seq++ {
+			err = scanSegment(segPath(l.dir, seq), yield)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if err := l.replaceLocked(records, false); err != nil {
+		return err
+	}
+	l.base = l.size
+	return nil
+}
+
+// replaceLocked writes records from the current, empty segment on —
+// rotating at SegmentBytes when split is set — fsyncs them, and deletes
+// every older segment. Callers hold syncSem and mu.
+func (l *Log) replaceLocked(records [][]byte, split bool) error {
+	start := l.seq
 	var hdr [headerSize]byte
 	for _, p := range records {
 		if len(p) == 0 || len(p) > maxRecordBytes {
 			return fmt.Errorf("wal: checkpoint record size %d out of range", len(p))
 		}
-		if l.size > 0 && l.size+int64(headerSize+len(p)) > l.segBytes {
+		if split && l.size > 0 && l.size+int64(headerSize+len(p)) > l.segBytes {
 			if err := l.rotateLocked(); err != nil {
 				return err
 			}

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -310,6 +312,54 @@ func TestCheckpointCompaction(t *testing.T) {
 	l2, recs := openT(t, dir, 128)
 	defer l2.Close()
 	wantRecords(t, recs, "live-1", "live-2", "post-checkpoint")
+}
+
+// Compacting whenever a segment fills folds the log online: the fold sees
+// every record in order, the log keeps one segment holding its output plus
+// what was appended since, and a reopen replays exactly that. Here the
+// fold keeps the latest record per key ("k=v").
+func TestOnlineCompaction(t *testing.T) {
+	dir := t.TempDir()
+	var folds, seen int
+	latest := func(recs iter.Seq[[]byte]) [][]byte {
+		folds++
+		last, order := map[string][]byte{}, []string{}
+		for r := range recs {
+			seen++
+			k, _, _ := bytes.Cut(r, []byte("="))
+			if _, ok := last[string(k)]; !ok {
+				order = append(order, string(k))
+			}
+			last[string(k)] = bytes.Clone(r) // r is reused for the next record
+		}
+		out := make([][]byte, 0, len(order))
+		for _, k := range order {
+			out = append(out, last[k])
+		}
+		return out
+	}
+	l, _ := openT(t, dir, 256)
+	for i := 0; i < 200; i++ {
+		appendAll(t, l, fmt.Sprintf("k%d=%03d", i%3, i))
+		if l.Stats().Segments > 1 {
+			if err := l.Compact(latest); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if folds < 5 || seen < 200 {
+		t.Fatalf("%d compactions saw %d records, want several over all 200", folds, seen)
+	}
+	if n := len(segments(t, dir)); n != 1 {
+		t.Fatalf("%d segments after online compaction, want 1", n)
+	}
+	l2, recs := openT(t, dir, 256)
+	defer l2.Close()
+	got := latest(slices.Values(recs))
+	wantRecords(t, got, "k0=198", "k1=199", "k2=197")
 }
 
 // Group commit under concurrency: every Append that returned nil must

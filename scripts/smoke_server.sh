@@ -4,8 +4,10 @@
 # result with nonzero total_cycles, check the error envelope, create a
 # KVStore session and feed it (three puts on one key, then a get: versions
 # 1, 2, 3 and the last value read back), close it, then SIGTERM the daemon
-# and assert it drains cleanly (exit 0). CI runs this as the `server`
-# job's last step. Sessions under load — the 10k-request model check, the
+# and assert it drains cleanly (exit 0). Last, a kill -9 leg: a daemon with
+# -wal-dir takes a put, is killed with SIGKILL, restarts on the same
+# directory, and its next feed reports "replayed": true and reads the put
+# back. CI runs this as the `server` job's last step. Sessions under load — the 10k-request model check, the
 # coalescer — are the benchmark's feed workloads (bench/) and the raced
 # Go tests in internal/server.
 #
@@ -19,24 +21,37 @@ bin="$(mktemp -d)/bambood"
 log="$(mktemp)"
 
 cleanup() {
-    [ -n "${daemon_pid:-}" ] && kill "$daemon_pid" 2>/dev/null || true
+    [ -n "${daemon_pid:-}" ] && kill -9 "$daemon_pid" 2>/dev/null || true
     rm -rf "$(dirname "$bin")" "$log"
 }
 trap cleanup EXIT
 
-go build -o "$bin" ./cmd/bambood
-"$bin" -addr ":$port" >"$log" 2>&1 &
-daemon_pid=$!
+# start launches bambood with the given flags and waits until it is up.
+start() {
+    "$bin" -addr ":$port" "$@" >>"$log" 2>&1 &
+    daemon_pid=$!
+    for _ in $(seq 1 100); do
+        if curl -fsS "$base/v1/healthz" >/dev/null 2>&1; then break; fi
+        if ! kill -0 "$daemon_pid" 2>/dev/null; then
+            echo "bambood exited during startup:" >&2; cat "$log" >&2; exit 1
+        fi
+        sleep 0.1
+    done
+    curl -fsS "$base/v1/healthz" >/dev/null
+}
 
-# Wait for the daemon to come up.
-for _ in $(seq 1 100); do
-    if curl -fsS "$base/v1/healthz" >/dev/null 2>&1; then break; fi
-    if ! kill -0 "$daemon_pid" 2>/dev/null; then
-        echo "bambood exited during startup:" >&2; cat "$log" >&2; exit 1
-    fi
-    sleep 0.1
-done
-curl -fsS "$base/v1/healthz" >/dev/null
+# create_kv creates a KVStore session and prints its id.
+create_kv() {
+    curl -fsS -X POST "$base/v1/sessions" \
+        -H 'Content-Type: application/json' \
+        -d '{"benchmark":"KVStore","args":["8","64","64"],"cores":2,
+             "request":{"class":"Request","flag":"pending","tagType":"shard",
+                        "doneFlag":"replied","replyFields":["reply","version","found"]}}' |
+        sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1
+}
+
+go build -o "$bin" ./cmd/bambood
+start
 
 # Submit a benchmark job.
 submit="$(curl -fsS -X POST "$base/v1/jobs" \
@@ -71,13 +86,8 @@ curl -sS "$base/v1/jobs/j404" | grep -q '"code": *"not_found"' \
 echo "/v1 envelope OK" >&2
 
 # A persistent session: state written by one feed is visible to the next.
-session="$(curl -fsS -X POST "$base/v1/sessions" \
-    -H 'Content-Type: application/json' \
-    -d '{"benchmark":"KVStore","args":["8","64","64"],"cores":2,
-         "request":{"class":"Request","flag":"pending","tagType":"shard",
-                    "doneFlag":"replied","replyFields":["reply","version","found"]}}')"
-sid="$(echo "$session" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1)"
-[ -n "$sid" ] || { echo "no session id in: $session" >&2; exit 1; }
+sid="$(create_kv)"
+[ -n "$sid" ] || { echo "no session id" >&2; exit 1; }
 feed() {
     curl -fsS -X POST "$base/v1/sessions/$sid/feed" -H 'Content-Type: application/json' -d "$1"
 }
@@ -105,5 +115,23 @@ done
 [ "$drain_ok" = 1 ] || { echo "bambood did not exit after SIGTERM" >&2; exit 1; }
 wait "$daemon_pid" || { echo "bambood exited nonzero after SIGTERM:" >&2; cat "$log" >&2; exit 1; }
 grep -q "drained cleanly" "$log" || { echo "missing drain message:" >&2; cat "$log" >&2; exit 1; }
+daemon_pid=""
+
+# kill -9 with a write-ahead log: the acknowledged put survives.
+waldir="$(dirname "$bin")/wal"
+start -wal-dir "$waldir"
+sid="$(create_kv)"
+[ -n "$sid" ] || { echo "no durable session id" >&2; exit 1; }
+feed '{"requests":[{"args":["1","600","44"],"tagKey":600}]}' >/dev/null
+{ kill -9 "$daemon_pid" && wait "$daemon_pid"; } 2>/dev/null || true
+start -wal-dir "$waldir"
+got="$(feed '{"requests":[{"args":["0","600","0"],"tagKey":600}]}')"
+echo "$got" | grep -q '"replayed":true' \
+    || { echo "first feed after kill -9 did not revive the session: $got" >&2; exit 1; }
+echo "$got" | grep -q '"fields":{"found":"1","reply":"44","version":"1"}' \
+    || { echo "put lost across kill -9: $got" >&2; exit 1; }
+echo "session $sid: put survived kill -9 and restart" >&2
+kill -TERM "$daemon_pid"
+wait "$daemon_pid" || { echo "restarted bambood exited nonzero after SIGTERM:" >&2; cat "$log" >&2; exit 1; }
 daemon_pid=""
 echo "smoke_server: OK" >&2
