@@ -2,6 +2,7 @@ package benchmarks_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -65,7 +66,7 @@ func TestBenchmarksDeterministicOutput(t *testing.T) {
 			lay := genericLayout(sys, 4)
 			var out3 bytes.Buffer
 			m := machine.TilePro64().WithCores(4)
-			if _, err := sys.Run(core.RunConfig{Machine: m, Layout: lay, Args: b.Args, Out: &out3}); err != nil {
+			if _, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Args: b.Args, Out: &out3}); err != nil {
 				t.Fatal(err)
 			}
 			// Parallel merges reassociate floating-point reductions, so
@@ -113,7 +114,7 @@ func TestBenchmarkSpeedups(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := machine.TilePro64().WithCores(8)
-			par, err := sys.Run(core.RunConfig{Machine: m, Layout: genericLayout(sys, 8), Args: b.Args})
+			par, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: genericLayout(sys, 8), Args: b.Args})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package anneal_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,7 +102,7 @@ func TestDSAFindsNearOptimalLayout(t *testing.T) {
 	}
 	// The optimized layout actually runs and beats a naive all-on-one-core
 	// layout on the real engine.
-	real, err := sys.Run(core.RunConfig{Machine: m, Layout: outcome.Best, Args: nArg(32)})
+	real, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: outcome.Best, Args: nArg(32)})
 	if err != nil {
 		t.Fatal(err)
 	}

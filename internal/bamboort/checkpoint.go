@@ -13,6 +13,7 @@ import (
 	"repro/internal/disjoint"
 	"repro/internal/interp"
 	"repro/internal/ir"
+	"repro/internal/pset"
 	"repro/internal/types"
 )
 
@@ -172,9 +173,9 @@ func (e *Engine) reachable() *reach {
 	var work []any
 	for _, c := range e.cores {
 		for _, ht := range c.tasks {
-			for k := range ht.sets {
-				for i := ht.sets[k].list[0]; i != 0; i = ht.st.ents[i].link[fifo][1] {
-					work = append(work, ht.st.ents[i].obj)
+			for k := range ht.ents {
+				for i := ht.st.Sets[ht.set0+int32(k)].List[0]; i != 0; i = ht.st.Next(i, pset.FIFO) {
+					work = append(work, ht.st.Ents[i].Obj)
 				}
 			}
 		}
@@ -303,19 +304,19 @@ func (e *Engine) encode(dst []byte, fingerprint string, output []byte) []byte {
 		w.n(len(c.tasks))
 		for _, ht := range c.tasks {
 			w.n(ht.tp.task.Index)
-			for k := range ht.sets {
-				ps := &ht.sets[k]
-				w.b = append(w.b, b2b(ps.dirty))
+			for k := range ht.ents {
+				ps := &ht.st.Sets[ht.set0+int32(k)]
+				w.b = append(w.b, b2b(ps.Dirty))
 				var n int
-				for i := ps.list[0]; i != 0; i = ht.st.ents[i].link[fifo][1] {
+				for i := ps.List[0]; i != 0; i = ht.st.Next(i, pset.FIFO) {
 					n++
 				}
 				w.n(n)
-				for i := ps.list[0]; i != 0; i = ht.st.ents[i].link[fifo][1] {
-					en := &ht.st.ents[i]
-					w.i(en.obj.ID)
-					w.i(en.seq)
-					w.i(en.at)
+				for i := ps.List[0]; i != 0; i = ht.st.Next(i, pset.FIFO) {
+					en := &ht.st.Ents[i]
+					w.i(en.Obj.ID)
+					w.i(en.Seq)
+					w.i(en.At)
 				}
 			}
 		}
@@ -555,6 +556,9 @@ func (e *Engine) decode(fingerprint string, data []byte) ([]byte, error) {
 		for j := range o.Fields {
 			o.Fields[j] = r.value(h)
 		}
+		if err := e.plan.resolve(o); err != nil {
+			r.fail("%v", err)
+		}
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -587,7 +591,7 @@ func (e *Engine) decode(fingerprint string, data []byte) ([]byte, error) {
 			if r.n(math.MaxInt32) != ht.tp.task.Index {
 				r.fail("core %d hosts other tasks", c.id)
 			}
-			for k := range ht.sets {
+			for k := range ht.ents {
 				dirty := r.byte()
 				for range r.count() {
 					o, seq, at := h.objs[r.i()], r.i(), r.i()
@@ -599,7 +603,7 @@ func (e *Engine) decode(fingerprint string, data []byte) ([]byte, error) {
 						return nil, r.err
 					}
 				}
-				ht.sets[k].dirty = dirty != 0
+				ht.st.Sets[ht.set0+int32(k)].Dirty = dirty != 0
 			}
 		}
 	}

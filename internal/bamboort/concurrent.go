@@ -168,7 +168,7 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 	}
 	for i := range r.cores {
 		r.cores[i] = &ccore{id: i, inbox: make(chan delivery, 1<<16),
-			runq: newRunq(pl.hosted[i], newStore()), ran: make([]int64, len(pl.tasks))}
+			runq: newRunq(i, pl.hosted[i], newStore()), ran: make([]int64, len(pl.tasks))}
 	}
 
 	r.wg.Add(n)
@@ -180,7 +180,7 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 
 // injectStartup routes the startup object into the live run.
 func (r *crun) injectStartup() {
-	r.route(startupObject(r.prog, r.in.Heap, r.opts.Args), -1)
+	r.route(startupObject(r.plan, r.in.Heap, r.opts.Args), -1)
 }
 
 // quiesce is the coordinator loop: it sleeps until a worker reports
@@ -412,6 +412,10 @@ func (r *crun) execute(c *ccore, inv *invocation) bool {
 		spanStart = r.trc.now()
 	}
 	exec, err := r.in.RunTask(inv.ht.tp.fn, inv.args)
+	if err == nil {
+		// The new nodes are set before the locks are released.
+		err = r.plan.resolveAll(inv.objs, exec.NewObjects)
+	}
 	if err != nil {
 		r.release(c, inv.locked)
 		inv.release()
@@ -432,7 +436,7 @@ func (r *crun) execute(c *ccore, inv *invocation) bool {
 	}
 	inv.release()
 	for _, o := range exec.NewObjects {
-		if r.plan.routes(o.Class) {
+		if o.Node() >= 0 {
 			r.route(o, c.id)
 		}
 	}

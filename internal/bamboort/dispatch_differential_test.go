@@ -78,17 +78,22 @@ func sameSnapshot(t *testing.T, label string, got, want []objState) {
 	}
 }
 
-// dispatchPrograms is the embedded benchmarks plus the icflip fixture:
+// dispatchPrograms is the embedded benchmarks plus three fixtures: icflip,
 // eight classes whose same-named fields and methods sit at different slots,
 // so a field slot or callee resolved against the wrong class would change
-// the printed total.
+// the printed total; and the tag-effect probes readd and clearmany, whose
+// objects reach states only a tag re-add or a partial clear leads to.
 func dispatchPrograms(t *testing.T) []*benchmarks.Benchmark {
 	t.Helper()
-	src, err := os.ReadFile("testdata/icflip.bb")
-	if err != nil {
-		t.Fatal(err)
+	out := benchmarks.All()
+	for _, name := range []string{"icflip", "readd", "clearmany"} {
+		src, err := os.ReadFile("testdata/" + name + ".bb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, &benchmarks.Benchmark{Name: name, Source: string(src)})
 	}
-	return append(benchmarks.All(), &benchmarks.Benchmark{Name: "icflip", Source: string(src)})
+	return out
 }
 
 // TestDispatchDifferential proves the flattened fast dispatch path is
@@ -142,7 +147,7 @@ func TestDispatchDifferentialOptimized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential sweep is not short")
 	}
-	for _, b := range benchmarks.All() {
+	for _, b := range dispatchPrograms(t) {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
@@ -195,6 +200,8 @@ func TestFusedInstrCounts(t *testing.T) {
 		"KVStore":    {208, 49},
 		"Keyword":    {118, 55},
 		"icflip":     {318, 160},
+		"readd":      {18, 6},
+		"clearmany":  {20, 6},
 	}
 	for _, b := range dispatchPrograms(t) {
 		sys, err := core.CompileSource(b.Source)

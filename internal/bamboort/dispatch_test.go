@@ -251,6 +251,9 @@ func routeFixture(tb testing.TB) (*bamboort.Engine, *interp.Object) {
 	o := e.Heap().NewObject(cl)
 	o.AddTag(e.StartupTags("shard")[3])
 	o.SetFlag(cl.FlagIndex["pending"], true)
+	if err := e.Resolve(o); err != nil {
+		tb.Fatal(err)
+	}
 	return e, o
 }
 

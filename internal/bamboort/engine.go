@@ -167,7 +167,7 @@ func NewEngine(prog *ir.Program, dep *depend.Result, locks *disjoint.Result, opt
 	st := newStore()
 	e.cores = make([]*core, opts.Layout.NumCores)
 	for i := range e.cores {
-		e.cores[i] = &core{id: i, phys: usable[i], runq: newRunq(pl.hosted[i], st)}
+		e.cores[i] = &core{id: i, phys: usable[i], runq: newRunq(i, pl.hosted[i], st)}
 	}
 	return e, nil
 }
@@ -247,7 +247,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // the startup task. Shared by one-shot runs and sessions.
 func (e *Engine) begin() {
 	e.armTrace()
-	e.routeObject(startupObject(e.prog, e.in.Heap, e.opts.Args), -1, 0, 0, 0)
+	e.routeObject(startupObject(e.plan, e.in.Heap, e.opts.Args), -1, 0, 0, 0)
 }
 
 // armTrace readies Options.Trace, if set, for this engine's spans.
@@ -260,14 +260,17 @@ func (e *Engine) armTrace() {
 	}
 }
 
-// startupObject allocates the object whose arrival starts the program.
-func startupObject(prog *ir.Program, heap *interp.Heap, args []string) *interp.Object {
-	cl := prog.Info.Classes[types.StartupClass]
+// startupObject allocates the object whose arrival starts the program, in
+// the state the analysis seeds every ASTG with.
+func startupObject(pl *plan, heap *interp.Heap, args []string) *interp.Object {
+	cl := pl.dep.Prog.Info.Classes[types.StartupClass]
 	so := heap.NewObject(cl)
 	so.SetFlag(cl.FlagIndex[types.StartupFlag], true)
 	if f, ok := cl.FieldByName["args"]; ok {
 		so.Fields[f.Index] = interp.ArrV(heap.NewStringArray(args))
 	}
+	id, _ := pl.nodeOf(cl, so.Flags(), nil) // depend.Analyze always adds it
+	so.SetNode(id)
 	return so
 }
 
@@ -342,7 +345,6 @@ func (e *Engine) onAttempt(ev *event) error {
 	}
 	inv := ht.take()
 	ht.consume()
-	inv.snapshot()
 	// Lock all parameter objects (one lock per disjointness lock group).
 	for _, obj := range inv.objs {
 		e.locked[obj] = true
@@ -351,6 +353,9 @@ func (e *Engine) onAttempt(ev *event) error {
 	overhead := m.DispatchCycles + m.LockCycles*int64(ht.tp.nGroups)
 
 	exec, err := e.in.RunTask(ht.tp.fn, inv.args)
+	if err == nil {
+		err = e.plan.resolveAll(inv.objs, exec.NewObjects)
+	}
 	if err != nil {
 		return err
 	}
@@ -377,8 +382,8 @@ func (e *Engine) onComplete(ev *event) {
 	if e.opts.Profile != nil {
 		allocs := map[profile.AllocKey]int64{}
 		for _, o := range exec.NewObjects {
-			if e.plan.routes(o.Class) {
-				allocs[profile.AllocKey{Class: o.Class.Name, StateKey: StateOf(o).Key()}]++
+			if o.Node() >= 0 {
+				allocs[profile.AllocKey{Class: o.Class.Name, StateKey: e.plan.dep.Nodes[o.Node()].Key()}]++
 			}
 		}
 		e.opts.Profile.Record(task.Name, exec.ExitID, exec.Cycles, allocs)
@@ -399,7 +404,7 @@ func (e *Engine) onComplete(ev *event) {
 		sendCost += e.routeObject(obj, ev.core, ev.time, e.opts.Machine.EnqueueCycles, fifo)
 	}
 	for _, obj := range exec.NewObjects {
-		if e.plan.routes(obj.Class) {
+		if obj.Node() >= 0 {
 			sendCost += e.routeObject(obj, ev.core, ev.time, e.opts.Machine.EnqueueCycles, 0)
 		}
 	}
@@ -410,7 +415,7 @@ func (e *Engine) onComplete(ev *event) {
 	// have been released, enabling stalled invocations).
 	e.push(event{time: c.freeAt, kind: evAttempt, core: c.id})
 	for _, other := range e.cores {
-		if other != c && other.queued > 0 {
+		if other != c && other.queued() > 0 {
 			e.push(event{time: max(ev.time, other.freeAt), kind: evAttempt, core: other.id})
 		}
 	}

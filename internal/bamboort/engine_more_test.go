@@ -2,6 +2,7 @@ package bamboort_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/bamboort"
@@ -20,11 +21,11 @@ func TestMessageCostsMatter(t *testing.T) {
 	cheap.MsgBaseCycles, cheap.HopCycles, cheap.WordCycles = 0, 0, 0
 	costly := machine.TilePro64().WithCores(4)
 	costly.MsgBaseCycles = 5000
-	rCheap, err := sys.Run(core.RunConfig{Machine: cheap, Layout: lay, Args: nArg(8)})
+	rCheap, err := sys.Exec(context.Background(), core.ExecConfig{Machine: cheap, Layout: lay, Args: nArg(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rCostly, err := sys.Run(core.RunConfig{Machine: costly, Layout: lay, Args: nArg(8)})
+	rCostly, err := sys.Exec(context.Background(), core.ExecConfig{Machine: costly, Layout: lay, Args: nArg(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestUnplacedTaskStrandsWork(t *testing.T) {
 	// mergeResult unplaced: Text objects pile up in submit, never merged.
 	m := machine.TilePro64().WithCores(2)
 	var out bytes.Buffer
-	res, err := sys.Run(core.RunConfig{Machine: m, Layout: lay, Args: nArg(4), Out: &out})
+	res, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Args: nArg(4), Out: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestLayoutTooLarge(t *testing.T) {
 	lay := layout.New(8)
 	lay.Place("startup", 7)
 	m := machine.TilePro64().WithCores(4)
-	if _, err := sys.Run(core.RunConfig{Machine: m, Layout: lay, Args: nArg(4)}); err == nil {
+	if _, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Args: nArg(4)}); err == nil {
 		t.Fatal("expected error for layout larger than machine")
 	}
 }
@@ -82,7 +83,7 @@ func TestMulticoreProfileMatchesSingleCore(t *testing.T) {
 	}
 	multi := profile.New()
 	m := machine.TilePro64().WithCores(4)
-	if _, err := sys.Run(core.RunConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Profile: multi}); err != nil {
+	if _, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Profile: multi}); err != nil {
 		t.Fatal(err)
 	}
 	for _, task := range sys.TaskNames() {
@@ -130,7 +131,7 @@ task quick(Quick q in go) {
 	// allocates them first), so all quicks must complete before slow runs.
 	tr := &bamboort.Trace{}
 	m := machine.SingleCoreBamboo()
-	_, err = sys.Run(core.RunConfig{
+	_, err = sys.Exec(context.Background(), core.ExecConfig{
 		Machine: m, Layout: layout.Single(sys.TaskNames()), Trace: tr,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package bamboort_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestQuadCoreSpeedupAndEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.TilePro64().WithCores(4)
-	par, err := sys.Run(core.RunConfig{Machine: m, Layout: quadLayout(), Args: nArg(16), Out: &parOut})
+	par, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(16), Out: &parOut})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestDeterminism(t *testing.T) {
 	sys := compileKeyword(t)
 	m := machine.TilePro64().WithCores(4)
 	run := func() int64 {
-		res, err := sys.Run(core.RunConfig{Machine: m, Layout: quadLayout(), Args: nArg(12)})
+		res, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,7 @@ func TestTraceRecording(t *testing.T) {
 	sys := compileKeyword(t)
 	tr := &bamboort.Trace{}
 	m := machine.TilePro64().WithCores(4)
-	_, err := sys.Run(core.RunConfig{Machine: m, Layout: quadLayout(), Args: nArg(8), Trace: tr})
+	_, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(8), Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ task join(Left l in ready with pair t, Right r in ready with pair t) {
 	l.Place("prepRight", 2)
 	l.Place("join", 0, 1, 2, 3) // replicated: must route by tag hash
 	m := machine.TilePro64().WithCores(4)
-	res, err := sys.Run(core.RunConfig{Machine: m, Layout: l, Args: nArg(12), Out: &out})
+	res, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: l, Args: nArg(12), Out: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestMultiParamNoTagReplicationRejected(t *testing.T) {
 	l.Place("processText", 0)
 	l.Place("mergeResult", 0, 1) // invalid: two params, no common tag
 	m := machine.TilePro64().WithCores(4)
-	_, err := sys.Run(core.RunConfig{Machine: m, Layout: l, Args: nArg(4)})
+	_, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: l, Args: nArg(4)})
 	if err == nil || !strings.Contains(err.Error(), "cannot be replicated") {
 		t.Errorf("err = %v, want replication rejection", err)
 	}

@@ -34,6 +34,9 @@ func (e *Engine) Route(obj *interp.Object, fromCore int) (n int) {
 	return n
 }
 
+// Resolve sets obj's node from its state, as a commit does.
+func (e *Engine) Resolve(obj *interp.Object) error { return e.plan.resolve(obj) }
+
 // Heap returns the engine's heap, for building objects to route.
 func (e *Engine) Heap() *interp.Heap { return e.in.Heap }
 
@@ -44,7 +47,7 @@ func (e *Engine) StartupTags(tagType string) []*interp.Tag { return e.tags[tagTy
 // as if another core were running an invocation on them: the batch quiesces
 // with none of them dispatched.
 func (s *ConcurrentSession) FeedHeld(ctx context.Context, batch []Inject) ([]*interp.Object, error) {
-	objs, err := buildBatch(ctx, s.r.prog, s.r.in.Heap, s.tags, batch)
+	objs, err := buildBatch(ctx, s.r.plan, s.r.in.Heap, s.tags, batch)
 	if err != nil {
 		return nil, err
 	}

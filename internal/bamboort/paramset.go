@@ -1,115 +1,105 @@
 package bamboort
 
 import (
-	"slices"
 	"sync"
 
-	"repro/internal/depend"
 	"repro/internal/interp"
+	"repro/internal/pset"
 )
 
-// entry is one object queued in one parameter set. Entries live in a
-// store's slab and link by index (0 = none): link[fifo] threads the set's
-// FIFO list, link[byTag] the per-tag-instance sublist of an indexed set,
-// same the other entries that hold the same object.
-type entry struct {
-	obj *interp.Object
-	// seq is the arrival sequence (oldest-ready dispatch order); at the
-	// arrival timestamp (cycles, or wall-clock nanoseconds on the concurrent
-	// engine — observability only, never scheduling).
-	seq, at int64
-	ht      *hostedTask
-	param   int32
-	same    int32
-	link    [2][2]int32 // per list: previous, next
-	tag     *interp.Tag // sublist the entry is on; nil if on none
-}
-
-const fifo, byTag = 0, 1 // indices into entry.link
-
-// list is the head and tail of a doubly linked list of entries.
-type list [2]int32
-
-func (l *list) push(ents []entry, which int, i int32) {
-	ents[i].link[which] = [2]int32{l[1], 0}
-	if l[1] != 0 {
-		ents[l[1]].link[which][1] = i
-	} else {
-		l[0] = i
-	}
-	l[1] = i
-}
-
-func (l *list) unlink(ents []entry, which int, i int32) {
-	prev, next := ents[i].link[which][0], ents[i].link[which][1]
-	if prev != 0 {
-		ents[prev].link[which][1] = next
-	} else {
-		l[0] = next
-	}
-	if next != 0 {
-		ents[next].link[which][0] = prev
-	} else {
-		l[1] = prev
-	}
-}
-
-// store holds the entries of a group of hosted tasks that one scheduler
-// owns: the whole deterministic engine, or one core of the concurrent one
-// (touched only by that core's worker).
+// store holds the parameter sets of a group of hosted tasks that one
+// scheduler owns: the whole deterministic engine, or one core of the
+// concurrent one (touched only by that core's worker). A set whose
+// parameter has a tag guard that an earlier parameter binds is also indexed
+// by tag instance, so a join looks its partner up instead of walking the
+// objects of other groups. A set is dirty when a queued object may have
+// changed state since the set was last swept: it was dispatched from
+// another set (the only way its state changes), or re-delivered. A clean
+// set holds no stale entry, so sweeping only dirty sets drops exactly what
+// sweeping always would.
 type store struct {
-	ents  []entry                  // ents[0] is unused
-	free  int32                    // free slots, chained through same
+	pset.Store[*interp.Object, *interp.Tag]
 	byObj map[*interp.Object]int32 // first entry holding the object
+	byTag map[chainKey]pset.List   // an indexed set's entries by tag instance
+}
+
+type chainKey struct {
+	set int32
+	tag *interp.Tag
 }
 
 func newStore() *store {
-	return &store{ents: make([]entry, 1, 64), byObj: map[*interp.Object]int32{}}
+	return &store{byObj: map[*interp.Object]int32{}, byTag: map[chainKey]pset.List{}}
 }
 
-// paramSet is one parameter's queue, in arrival (FIFO) order. A set whose
-// parameter has a tag guard that an earlier parameter binds is also indexed
-// by tag instance, so a join looks its partner up instead of walking the
-// objects of other groups.
-type paramSet struct {
-	list
-	// dirty marks that a queued object may have changed state since the set
-	// was last swept: it was dispatched from another set (the only way its
-	// state changes), or re-delivered. A clean set holds no stale entry, so
-	// sweeping only dirty sets drops exactly what sweeping always would.
-	dirty bool
-	byTag map[*interp.Tag]list
-	// odd counts entries whose object does not carry exactly one tag of the
-	// indexed type; while there are any, lookups walk the whole list.
-	odd int
+// link files entry i on the chain of tag t in its set.
+func (st *store) link(i int32, t *interp.Tag) {
+	k := chainKey{st.Ents[i].Set, t}
+	l := st.byTag[k]
+	st.Link(&l, i, t)
+	st.byTag[k] = l
+}
+
+// unlink takes entry i off its tag's chain.
+func (st *store) unlink(i int32) {
+	k := chainKey{st.Ents[i].Set, st.Ents[i].Key}
+	l := st.byTag[k]
+	st.Unlink(&l, i)
+	st.putChain(k, l)
+}
+
+func (st *store) putChain(k chainKey, l pset.List) {
+	if l[0] == 0 {
+		delete(st.byTag, k)
+	} else {
+		st.byTag[k] = l
+	}
+}
+
+// remove unlinks entry i in O(1). The object's other entries are marked for
+// a sweep: it is removed to be dispatched or because its state changed, and
+// either may have made them stale.
+func (st *store) remove(i int32) {
+	e := &st.Ents[i]
+	obj, k := e.Obj, chainKey{e.Set, e.Key}
+	head, l := st.byObj[obj], st.byTag[k]
+	st.Remove(i, &l, &head)
+	if k.tag != nil {
+		st.putChain(k, l)
+	}
+	if head == 0 {
+		delete(st.byObj, obj)
+	} else {
+		st.byObj[obj] = head
+	}
+	for j := head; j != 0; j = st.Same(j) {
+		st.Sets[st.Ents[j].Set].Dirty = true
+	}
 }
 
 // hostedTask is one instantiation of a task on one core: a parameter set
-// per parameter. Arrival sequence numbers let the scheduler dispatch the
-// oldest-ready invocation first across tasks, so a long-running task cannot
-// starve short invocations that were already waiting.
+// per parameter, st.Sets[set0+k] for parameter k. Arrival sequence numbers
+// let the scheduler dispatch the oldest-ready invocation first across
+// tasks, so a long-running task cannot starve short invocations that were
+// already waiting.
 type hostedTask struct {
-	tp     *taskPlan
-	st     *store
-	sets   []paramSet
-	queued *int // the owning core's count of queued entries
+	tp   *taskPlan
+	st   *store
+	set0 int32
 	// ents and tags hold the binding find last made: the chosen entry per
 	// parameter and the tag instance per tag variable.
 	ents []int32
 	tags []*interp.Tag
 }
 
-func newHostedTask(tp *taskPlan, st *store, queued *int) *hostedTask {
+func newHostedTask(tp *taskPlan, st *store, core int32) *hostedTask {
 	ht := &hostedTask{
-		tp: tp, st: st, queued: queued,
-		sets: make([]paramSet, len(tp.params)),
+		tp: tp, st: st, set0: int32(len(st.Sets)),
 		ents: make([]int32, len(tp.params)),
 		tags: make([]*interp.Tag, len(tp.fn.TagParams())),
 	}
-	for k := range ht.sets {
-		if tp.params[k].index >= 0 {
-			ht.sets[k].byTag = map[*interp.Tag]list{}
-		}
+	for _, pp := range tp.params {
+		st.AddSet(pp.slot, core)
 	}
 	return ht
 }
@@ -117,109 +107,65 @@ func newHostedTask(tp *taskPlan, st *store, queued *int) *hostedTask {
 // add queues obj for the parameter with its arrival sequence number and
 // timestamp and reports whether it was newly added. An object already
 // queued there keeps its place and sequence.
-func (ht *hostedTask) add(param int, obj *interp.Object, seq, at int64) bool {
-	st, ps := ht.st, &ht.sets[param]
-	first := st.byObj[obj]
-	for i := first; i != 0; i = st.ents[i].same {
-		if e := &st.ents[i]; e.ht == ht && int(e.param) == param {
-			ps.dirty = true
-			return false
+func (ht *hostedTask) add(k int, obj *interp.Object, seq, at int64) bool {
+	st, si := ht.st, ht.set0+int32(k)
+	head := st.byObj[obj]
+	if st.Find(head, si) != 0 {
+		st.Sets[si].Dirty = true
+		return false
+	}
+	i := st.Add(si, obj, seq, at, &head)
+	st.byObj[obj] = head
+	if pp := &ht.tp.params[k]; pp.index >= 0 {
+		if t := pp.keyOf(obj); t != nil {
+			st.link(i, t)
 		}
-	}
-	i := st.free
-	if i != 0 {
-		st.free = st.ents[i].same
-	} else {
-		i = int32(len(st.ents))
-		st.ents = append(st.ents, entry{})
-	}
-	st.ents[i] = entry{obj: obj, seq: seq, at: at, ht: ht, param: int32(param), same: first}
-	st.byObj[obj] = i
-	ps.push(st.ents, fifo, i)
-	*ht.queued++
-	if ps.byTag != nil {
-		ht.index(param, i)
 	}
 	return true
 }
 
-// index files entry i of an indexed set under its object's tag instance.
-func (ht *hostedTask) index(param int, i int32) {
-	ps, pp, e := &ht.sets[param], &ht.tp.params[param], &ht.st.ents[i]
-	n := 0
-	for _, t := range e.obj.Tags() {
+// keyOf returns the tag an indexed set files obj under: its one tag of the
+// indexed type, nil when it has none or several.
+func (pp *paramPlan) keyOf(obj *interp.Object) (key *interp.Tag) {
+	for _, t := range obj.Tags() {
 		if t.Type == pp.binds[pp.index].typ {
-			e.tag = t
-			n++
+			if key != nil {
+				return nil
+			}
+			key = t
 		}
 	}
-	if n != 1 {
-		e.tag = nil
-		ps.odd++
-		return
-	}
-	l := ps.byTag[e.tag]
-	l.push(ht.st.ents, byTag, i)
-	ps.byTag[e.tag] = l
-}
-
-// remove unlinks entry i from its parameter set in O(1). The object's other
-// entries are marked for a sweep: it is removed to be dispatched or because
-// its state changed, and either may have made them stale.
-func (ht *hostedTask) remove(param int, i int32) {
-	st, ps := ht.st, &ht.sets[param]
-	ents := st.ents
-	e := &ents[i]
-	ps.unlink(ents, fifo, i)
-	*ht.queued--
-	if e.tag == nil && ps.byTag != nil {
-		ps.odd--
-	} else if e.tag != nil {
-		l := ps.byTag[e.tag]
-		if l.unlink(ents, byTag, i); l[0] == 0 {
-			delete(ps.byTag, e.tag)
-		} else {
-			ps.byTag[e.tag] = l
-		}
-	}
-	first := st.byObj[e.obj]
-	if first != i {
-		j := first
-		for ents[j].same != i {
-			j = ents[j].same
-		}
-		ents[j].same = e.same
-	} else if first = e.same; first != 0 {
-		st.byObj[e.obj] = first
-	} else {
-		delete(st.byObj, e.obj)
-	}
-	for j := first; j != 0; j = ents[j].same {
-		ents[j].ht.sets[ents[j].param].dirty = true
-	}
-	*e = entry{same: st.free}
-	st.free = i
+	return key
 }
 
 // sweep drops the set's entries whose object no longer satisfies the guard
-// and rebuilds the tag index from the objects' current tags.
-func (ht *hostedTask) sweep(param int) {
-	ps, pp, ents := &ht.sets[param], &ht.tp.params[param], ht.st.ents
-	ps.dirty = false
-	for i := ps.list[0]; i != 0; {
-		next := ents[i].link[fifo][1]
-		if !pp.satisfies(ents[i].obj) {
-			ht.remove(param, i)
+// and, when an object's tags moved it to another chain, refiles the set's
+// entries by their objects' current tags in arrival order.
+func (ht *hostedTask) sweep(k int) {
+	st, pp, ps := ht.st, &ht.tp.params[k], &ht.st.Sets[ht.set0+int32(k)]
+	ps.Dirty = false
+	refile := false
+	for i := ps.List[0]; i != 0; {
+		next := st.Next(i, pset.FIFO)
+		if !pp.satisfies(st.Ents[i].Obj) {
+			st.remove(i)
+		} else if pp.index >= 0 && pp.keyOf(st.Ents[i].Obj) != st.Ents[i].Key {
+			refile = true
 		}
 		i = next
 	}
-	if ps.byTag == nil {
+	if !refile {
 		return
 	}
-	clear(ps.byTag)
-	ps.odd = 0
-	for i := ps.list[0]; i != 0; i = ents[i].link[fifo][1] {
-		ht.index(param, i)
+	for i := ps.List[0]; i != 0; i = st.Next(i, pset.FIFO) {
+		if st.Ents[i].Key != nil {
+			st.unlink(i)
+		}
+	}
+	for i := ps.List[0]; i != 0; i = st.Next(i, pset.FIFO) {
+		if t := pp.keyOf(st.Ents[i].Obj); t != nil {
+			st.link(i, t)
+		}
 	}
 }
 
@@ -229,7 +175,7 @@ func (ht *hostedTask) sweep(param int) {
 // possible (the latest of its parameters' arrivals). Objects in locked (an
 // executing task's) are passed over; stale entries met are dropped.
 func (ht *hostedTask) find(locked map[*interp.Object]bool) (readySeq int64, ok bool) {
-	if ht.sets[0].list[0] == 0 {
+	if ht.st.Sets[ht.set0].List[0] == 0 {
 		return 0, false
 	}
 	clear(ht.tags)
@@ -237,35 +183,35 @@ func (ht *hostedTask) find(locked map[*interp.Object]bool) (readySeq int64, ok b
 		return 0, false
 	}
 	for _, i := range ht.ents {
-		readySeq = max(readySeq, ht.st.ents[i].seq)
+		readySeq = max(readySeq, ht.st.Ents[i].Seq)
 	}
 	return readySeq, true
 }
 
 func (ht *hostedTask) bind(k int, locked map[*interp.Object]bool) bool {
-	if k == len(ht.sets) {
+	if k == len(ht.ents) {
 		return true
 	}
-	ps, pp, ents := &ht.sets[k], &ht.tp.params[k], ht.st.ents
-	if ps.dirty {
+	st, pp, si := ht.st, &ht.tp.params[k], ht.set0+int32(k)
+	if st.Sets[si].Dirty {
 		ht.sweep(k)
 	}
-	// An indexed set with no odd entries is walked along the sublist of the
-	// tag instance already bound; any other along the whole list.
-	i, which := ps.list[0], fifo
-	if pp.index >= 0 && ps.odd == 0 {
-		i, which = ps.byTag[ht.tags[pp.binds[pp.index].v]][0], byTag
+	// An indexed set whose entries are all on their chains is walked along
+	// the chain of the tag instance already bound; any other along its list.
+	i, which := st.Sets[si].List[0], pset.FIFO
+	if pp.index >= 0 && st.Sets[si].Keyed() {
+		i, which = st.byTag[chainKey{si, ht.tags[pp.binds[pp.index].v]}][0], pset.Chain
 	}
 	for i != 0 {
-		e := &ents[i]
-		next := e.link[which][1]
-		if !pp.satisfies(e.obj) {
-			ht.remove(k, i)
-		} else if !(len(locked) > 0 && locked[e.obj]) && !ht.holds(k, e.obj) {
+		obj := st.Ents[i].Obj
+		next := st.Next(i, which)
+		if !pp.satisfies(obj) {
+			st.remove(i)
+		} else if !(len(locked) > 0 && locked[obj]) && !ht.holds(k, obj) {
 			// An object may satisfy several parameters of the task but
 			// binds only one of them per invocation.
 			ht.ents[k] = i
-			if ht.bindTags(k, 0, e.obj, locked) {
+			if ht.bindTags(k, 0, obj, locked) {
 				return true
 			}
 		}
@@ -276,7 +222,7 @@ func (ht *hostedTask) bind(k int, locked map[*interp.Object]bool) bool {
 
 func (ht *hostedTask) holds(k int, obj *interp.Object) bool {
 	for _, i := range ht.ents[:k] {
-		if ht.st.ents[i].obj == obj {
+		if ht.st.Ents[i].Obj == obj {
 			return true
 		}
 	}
@@ -307,12 +253,13 @@ func (ht *hostedTask) bindTags(k, gi int, obj *interp.Object, locked map[*interp
 	return false
 }
 
-// runq is one core's scheduler state: its hosted tasks in plan order, how
-// many objects their sets queue, and the dispatch in progress' candidates.
+// runq is one core's scheduler state: its hosted tasks in plan order, the
+// store their sets are in, and the dispatch in progress' candidates.
 type runq struct {
-	tasks  []*hostedTask
-	queued int
-	cands  []candidate
+	tasks []*hostedTask
+	st    *store
+	core  int32
+	cands []candidate
 }
 
 // candidate is a hosted task's first bindable invocation (bound in ht).
@@ -321,18 +268,22 @@ type candidate struct {
 	readySeq int64
 }
 
-func newRunq(hosted []*taskPlan, st *store) *runq {
-	q := &runq{}
+func newRunq(core int, hosted []*taskPlan, st *store) *runq {
+	q := &runq{st: st, core: int32(core)}
 	for _, tp := range hosted {
-		q.tasks = append(q.tasks, newHostedTask(tp, st, &q.queued))
+		q.tasks = append(q.tasks, newHostedTask(tp, st, q.core))
 	}
+	st.Cores(core + 1)
 	return q
 }
+
+// queued counts the objects the core's sets queue, stale ones included.
+func (q *runq) queued() int { return q.st.Queued[q.core] }
 
 // ready collects the hosted tasks that have a bindable invocation.
 func (q *runq) ready(locked map[*interp.Object]bool) {
 	q.cands = q.cands[:0]
-	if q.queued == 0 {
+	if q.queued() == 0 {
 		return
 	}
 	for _, ht := range q.tasks {
@@ -359,13 +310,6 @@ func (q *runq) next() *hostedTask {
 	return ht
 }
 
-// objSnapshot is one parameter object's guard-relevant state at dispatch.
-// Tag slices are immutable (interp.Object replaces them on change).
-type objSnapshot struct {
-	flags uint64
-	tags  []*interp.Tag
-}
-
 // invocation is a materialized task invocation, pooled: only the one a
 // scheduler runs is ever built.
 type invocation struct {
@@ -377,9 +321,9 @@ type invocation struct {
 	// re-enqueued with its original sequence (it logically never left the
 	// sets); the timestamps are trace dependence edges.
 	objSeqs, objArrs []int64
-	// pre snapshots the parameters' states at dispatch, for the
-	// deterministic engine's unchanged test at commit.
-	pre []objSnapshot
+	// nodes are the parameters' nodes at dispatch: a parameter is unchanged
+	// when its node is.
+	nodes []int32
 	// locked is objs in canonical (ascending object ID) order, as the
 	// concurrent scheduler acquired the locks; release walks it in reverse.
 	locked []*interp.Object
@@ -392,11 +336,12 @@ func (ht *hostedTask) take() *invocation {
 	inv := invPool.Get().(*invocation)
 	inv.ht = ht
 	for _, i := range ht.ents {
-		e := &ht.st.ents[i]
-		inv.objs = append(inv.objs, e.obj)
-		inv.args = append(inv.args, interp.ObjV(e.obj))
-		inv.objSeqs = append(inv.objSeqs, e.seq)
-		inv.objArrs = append(inv.objArrs, e.at)
+		e := &ht.st.Ents[i]
+		inv.objs = append(inv.objs, e.Obj)
+		inv.args = append(inv.args, interp.ObjV(e.Obj))
+		inv.objSeqs = append(inv.objSeqs, e.Seq)
+		inv.objArrs = append(inv.objArrs, e.At)
+		inv.nodes = append(inv.nodes, e.Obj.Node())
 	}
 	for _, t := range ht.tags {
 		inv.args = append(inv.args, interp.TagV(t))
@@ -406,16 +351,8 @@ func (ht *hostedTask) take() *invocation {
 
 // consume removes the binding's objects from their parameter sets.
 func (ht *hostedTask) consume() {
-	for k, i := range ht.ents {
-		ht.remove(k, i)
-	}
-}
-
-// snapshot records the parameters' states; callers hold their locks.
-func (inv *invocation) snapshot() {
-	inv.pre = inv.pre[:0]
-	for _, o := range inv.objs {
-		inv.pre = append(inv.pre, objSnapshot{o.Flags(), o.Tags()})
+	for _, i := range ht.ents {
+		ht.st.remove(i)
 	}
 }
 
@@ -423,24 +360,11 @@ func (inv *invocation) snapshot() {
 func (inv *invocation) release() {
 	clear(inv.objs)
 	clear(inv.args)
-	clear(inv.pre)
 	clear(inv.locked)
 	*inv = invocation{objs: inv.objs[:0], args: inv.args[:0], objSeqs: inv.objSeqs[:0],
-		objArrs: inv.objArrs[:0], pre: inv.pre[:0], locked: inv.locked[:0]}
+		objArrs: inv.objArrs[:0], nodes: inv.nodes[:0], locked: inv.locked[:0]}
 	invPool.Put(inv)
 }
 
-// unchanged reports whether parameter i's abstract state (flags plus
-// 1-limited tag counts per type) is what it was at dispatch.
-func (inv *invocation) unchanged(i int) bool {
-	o, pre := inv.objs[i], inv.pre[i]
-	now := o.Tags()
-	if pre.flags != o.Flags() {
-		return false
-	}
-	if len(now) == len(pre.tags) && (len(now) == 0 || &now[0] == &pre.tags[0]) {
-		return true
-	}
-	var a, b [8]depend.TagEntry
-	return slices.Equal(appendTagEntries(a[:0], now), appendTagEntries(b[:0], pre.tags))
-}
+// unchanged reports whether parameter i's node is what it was at dispatch.
+func (inv *invocation) unchanged(i int) bool { return inv.objs[i].Node() == inv.nodes[i] }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
-	"repro/internal/ast"
 	"repro/internal/depend"
 	"repro/internal/disjoint"
 	"repro/internal/interp"
@@ -23,11 +23,27 @@ import (
 // that sends as that core (the feeder for the environment's row).
 type plan struct {
 	dep     *depend.Result
-	tasks   []*taskPlan   // by types.Task.Index
-	hosted  [][]*taskPlan // per core, in task-name order
-	session bool          // setSession(true) was called
-	rr      []int         // [fromCore+1][task] round-robin counters
+	classes map[*types.Class]*classNodes // the classes some task takes
+	tasks   []*taskPlan                  // by types.Task.Index
+	hosted  [][]*taskPlan                // per core, in task-name order
+	session bool                         // setSession(true) was called
+	check   bool                         // CheckNodes was set when the plan was built
+	rr      []int                        // [fromCore+1][task] round-robin counters
 }
+
+// classNodes resolves the live states of one class to its ASTG nodes.
+type classNodes struct {
+	tagTypes []string // the tag types its states count, at most 32
+	// nodes maps (flags, the 1-limited count of each of tagTypes in two
+	// bits, in order) to the node's ID.
+	nodes map[[2]uint64]int32
+}
+
+// CheckNodes, once set, makes every engine built afterwards hold each node
+// it resolves to the reference abstraction: after every commit, for each
+// parameter and each new object, the node's state must be StateOf the
+// object, or the run fails. The differential harnesses set it.
+var CheckNodes atomic.Bool
 
 // taskPlan is one task's share of the plan.
 type taskPlan struct {
@@ -42,9 +58,6 @@ type taskPlan struct {
 	params  []paramPlan
 }
 
-// flagTerm is one conjunction of a flag guard in disjunctive normal form.
-type flagTerm struct{ mask, want uint64 }
-
 // tagBind is one tag guard: its type and the index of its variable among
 // the task's hidden tag parameters (ir.Func.TagParams order).
 type tagBind struct {
@@ -52,13 +65,10 @@ type tagBind struct {
 	v   int
 }
 
-// paramPlan is a compiled parameter guard.
+// paramPlan is one parameter's guard.
 type paramPlan struct {
-	terms []flagTerm // the flag guard holds iff some term does
-	// needs lists each distinct guarded tag type with the least 1-limited
-	// count that satisfies it: "many" when the parameter names the type
-	// more than once.
-	needs []depend.TagEntry
+	dep   *depend.Result
+	slot  int32 // its depend parameter slot
 	binds []tagBind
 	// index is the position in binds of the first guard whose variable an
 	// earlier parameter has already bound (the set is then indexed by that
@@ -66,79 +76,15 @@ type paramPlan struct {
 	index int
 }
 
-// satisfies is depend.State.SatisfiesParam on a live object: the compiled
-// flag predicate over the flag word plus the tag-count needs.
-func (pp *paramPlan) satisfies(o *interp.Object) bool {
-	f, ok := o.Flags(), false
-	for _, t := range pp.terms {
-		if f&t.mask == t.want {
-			ok = true
-			break
-		}
-	}
-	if !ok || len(pp.needs) == 0 {
-		return ok
-	}
-	tags := o.Tags()
-	for _, n := range pp.needs {
-		cnt := 0
-		for _, t := range tags {
-			if t.Type == n.Type {
-				cnt++
-			}
-		}
-		if cnt == 0 || (n.Count == depend.TagMany && cnt < 2) {
-			return false
-		}
-	}
-	return true
-}
+// satisfies tests o's node against the parameter's guards.
+func (pp *paramPlan) satisfies(o *interp.Object) bool { return pp.dep.Satisfies(o.Node(), pp.slot) }
 
-// compileGuard lowers a flag expression to disjunctive normal form; neg
-// pushes a negation down to the leaves.
-func compileGuard(g ast.FlagExp, cl *types.Class, neg bool) []flagTerm {
-	switch g := g.(type) {
-	case *ast.FlagRef:
-		bit := uint64(1) << uint(cl.FlagIndex[g.Name])
-		if neg {
-			return []flagTerm{{bit, 0}}
-		}
-		return []flagTerm{{bit, bit}}
-	case *ast.FlagConst:
-		if g.Value != neg {
-			return []flagTerm{{}}
-		}
-	case *ast.FlagNot:
-		return compileGuard(g.X, cl, !neg)
-	case *ast.FlagBin:
-		l, r := compileGuard(g.L, cl, neg), compileGuard(g.R, cl, neg)
-		if (g.Op == "and") == neg {
-			return append(l, r...)
-		}
-		var out []flagTerm
-		for _, a := range l {
-			for _, b := range r {
-				if both := a.mask & b.mask; a.want&both == b.want&both {
-					out = append(out, flagTerm{a.mask | b.mask, a.want | b.want})
-				}
-			}
-		}
-		return out
-	}
-	return nil
-}
-
-func compileParam(fn *ir.Func, p *types.TaskParam, bound map[string]bool) paramPlan {
-	pp := paramPlan{terms: compileGuard(p.Guard, p.Class, false), index: -1}
+func newParamPlan(fn *ir.Func, dep *depend.Result, p *types.TaskParam, bound map[string]bool) paramPlan {
+	pp := paramPlan{dep: dep, slot: dep.Slot0[fn.Task.Index] + int32(p.Index), index: -1}
 	for i, tg := range p.Tags {
 		pp.binds = append(pp.binds, tagBind{tg.TagType, slices.Index(fn.TagParams(), tg.Name)})
 		if pp.index < 0 && bound[tg.Name] {
 			pp.index = i
-		}
-		if j := slices.IndexFunc(pp.needs, func(n depend.TagEntry) bool { return n.Type == tg.TagType }); j >= 0 {
-			pp.needs[j].Count = depend.TagMany
-		} else {
-			pp.needs = append(pp.needs, depend.TagEntry{Type: tg.TagType, Count: depend.TagOne})
 		}
 	}
 	for _, tg := range p.Tags {
@@ -157,10 +103,30 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 	fns := append([]*ir.Func(nil), prog.Tasks...)
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Task.Name < fns[j].Task.Name })
 	pl := &plan{
-		dep:    dep,
-		tasks:  make([]*taskPlan, len(fns)),
-		hosted: make([][]*taskPlan, l.NumCores),
-		rr:     make([]int, (l.NumCores+1)*len(fns)),
+		dep:     dep,
+		classes: map[*types.Class]*classNodes{},
+		tasks:   make([]*taskPlan, len(fns)),
+		hosted:  make([][]*taskPlan, l.NumCores),
+		check:   CheckNodes.Load(),
+		rr:      make([]int, (l.NumCores+1)*len(fns)),
+	}
+	for _, g := range dep.Graphs {
+		pl.classes[g.Class] = &classNodes{nodes: map[[2]uint64]int32{}}
+	}
+	for _, n := range dep.Nodes {
+		cn := pl.classes[n.Class]
+		var counts uint64
+		for ty, c := range n.State.Tags {
+			j := slices.Index(cn.tagTypes, ty)
+			if j < 0 {
+				if j = len(cn.tagTypes); j == 32 {
+					return nil, fmt.Errorf("bamboort: class %s has states over more than 32 tag types", n.Class.Name)
+				}
+				cn.tagTypes = append(cn.tagTypes, ty)
+			}
+			counts |= uint64(c) << (2 * j)
+		}
+		cn.nodes[[2]uint64{n.State.Flags, counts}] = int32(n.ID)
 	}
 	for _, fn := range fns {
 		task := fn.Task
@@ -171,7 +137,7 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 		}
 		common, bound := CommonTagVar(task), map[string]bool{}
 		for _, p := range task.Params {
-			tp.params = append(tp.params, compileParam(fn, p, bound))
+			tp.params = append(tp.params, newParamPlan(fn, dep, p, bound))
 			for _, tg := range p.Tags {
 				if tg.Name == common && tp.tagType == "" {
 					tp.tagType = tg.TagType
@@ -221,22 +187,70 @@ func (pl *plan) place(tp *taskPlan, fromCore int, obj *interp.Object) int {
 	return machine.Place(tp.cores, tp.ring, group, fromCore, &pl.rr[(fromCore+1)*len(pl.tasks)+tp.task.Index])
 }
 
-// routes reports whether objects of cl can ever serve as task parameters
-// (only those participate in routing).
-func (pl *plan) routes(cl *types.Class) bool {
-	_, ok := pl.dep.Graphs[cl.Name]
-	return ok
+// nodeOf returns the ASTG node of an object of class cl with flags and
+// tags: -1 for a class no task takes, an error naming the class and the
+// state when the analysis has no node for it.
+func (pl *plan) nodeOf(cl *types.Class, flags uint64, tags []*interp.Tag) (int32, error) {
+	cn := pl.classes[cl]
+	if cn == nil {
+		return -1, nil
+	}
+	var counts uint64
+	for _, t := range tags {
+		j := slices.Index(cn.tagTypes, t.Type)
+		if j < 0 {
+			counts = ^uint64(0) // no state counts this tag type
+			break
+		}
+		if c := counts >> (2 * j) & 3; c < uint64(depend.TagMany) {
+			counts += 1 << (2 * j)
+		}
+	}
+	if id, ok := cn.nodes[[2]uint64{flags, counts}]; ok {
+		return id, nil
+	}
+	return -1, fmt.Errorf("bamboort: a %s in state %s, which the dependence analysis has no node for", cl.Name, stateOf(flags, tags).Pretty(cl))
 }
 
-// route resolves every delivery obj's current abstract state calls for —
-// one per task parameter it can satisfy, to the core place picks — and hands
-// each to deliver. It runs on every engine's hot path and allocates nothing:
-// the lookup key is built in stack scratch that covers typical tag fan-out.
+// resolve sets o's node from its current state, once per state change:
+// after the task that changed it, before anyone else can see it.
+func (pl *plan) resolve(o *interp.Object) error {
+	id, err := pl.nodeOf(o.Class, o.Flags(), o.Tags())
+	if err != nil {
+		return fmt.Errorf("%w (object %d)", err, o.ID)
+	}
+	o.SetNode(id)
+	if pl.check && id >= 0 {
+		if got, want := pl.dep.Nodes[id].State.Key(), StateOf(o).Key(); got != want {
+			return fmt.Errorf("bamboort: object %d resolved to node %d (%s), its state is %s", o.ID, id, got, want)
+		}
+	}
+	return nil
+}
+
+// resolveAll resolves the nodes of a committed task's parameters and new
+// objects.
+func (pl *plan) resolveAll(params, made []*interp.Object) error {
+	for _, objs := range [2][]*interp.Object{params, made} {
+		for _, o := range objs {
+			if err := pl.resolve(o); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// route resolves every delivery obj's node calls for — one per task
+// parameter it satisfies, to the core place picks — and hands each to
+// deliver; an object of a class no task takes has none. It runs on every
+// engine's hot path and allocates nothing.
 func (pl *plan) route(obj *interp.Object, fromCore int, deliver func(tp *taskPlan, dst, param int)) {
-	var tagArr [8]depend.TagEntry
-	var keyArr [96]byte
-	key := depend.AppendConsumerKey(keyArr[:0], obj.Class.Name, obj.Flags(), appendTagEntries(tagArr[:0], obj.Tags()))
-	for _, pr := range pl.dep.ConsumersByKey(key) {
+	id := obj.Node()
+	if id < 0 {
+		return
+	}
+	for _, pr := range pl.dep.Nodes[id].Consumers {
 		if tp := pl.tasks[pr.Task.Index]; len(tp.cores) > 0 {
 			deliver(tp, pl.place(tp, fromCore, obj), pr.Param)
 		}

@@ -29,8 +29,10 @@
 package bamboort
 
 import (
+	"slices"
 	"sort"
 
+	"repro/internal/ast"
 	"repro/internal/depend"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -39,46 +41,16 @@ import (
 )
 
 // StateOf abstracts a live object's current state (flags plus 1-limited tag
-// counts) into the dependence analysis's state domain.
-func StateOf(o *interp.Object) depend.State {
-	s := depend.NewState(o.Flags())
-	for _, t := range o.Tags() {
+// counts) into the dependence analysis's state domain: the reference the
+// runtime's node ids are held to (CheckNodes).
+func StateOf(o *interp.Object) depend.State { return stateOf(o.Flags(), o.Tags()) }
+
+func stateOf(flags uint64, tags []*interp.Tag) depend.State {
+	s := depend.NewState(flags)
+	for _, t := range tags {
 		s = s.WithTag(t.Type)
 	}
 	return s
-}
-
-// appendTagEntries appends the distinct tag types of an object's tags with
-// 1-limited counts to buf in ascending type order (insertion sort — objects
-// carry a handful of tags at most) and returns it.
-func appendTagEntries(buf []depend.TagEntry, tags []*interp.Tag) []depend.TagEntry {
-	for i, t := range tags {
-		dup := false
-		for j := 0; j < i; j++ {
-			if tags[j].Type == t.Type {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		c := depend.TagOne
-		for j := i + 1; j < len(tags); j++ {
-			if tags[j].Type == t.Type {
-				c = depend.TagMany
-				break
-			}
-		}
-		pos := len(buf)
-		buf = append(buf, depend.TagEntry{})
-		for pos > 0 && buf[pos-1].Type > t.Type {
-			buf[pos] = buf[pos-1]
-			pos--
-		}
-		buf[pos] = depend.TagEntry{Type: t.Type, Count: c}
-	}
-	return buf
 }
 
 // ObjWords estimates the message payload size of an object in words: a
@@ -92,26 +64,16 @@ func CommonTagVar(task *types.Task) string {
 	if len(task.Params) == 0 {
 		return ""
 	}
-	counts := map[string]int{}
-	types := map[string]string{}
-	for _, p := range task.Params {
-		seen := map[string]bool{}
-		for _, tg := range p.Tags {
-			if !seen[tg.Name] {
-				seen[tg.Name] = true
-				counts[tg.Name]++
-				types[tg.Name] = tg.TagType
-			}
-		}
-	}
-	// When more than one tag variable is shared by every parameter, pick
-	// the lexicographically smallest: map iteration order is randomized,
-	// and the chosen routing tag determines the layout, so a random pick
-	// made layouts (and thus whole runs) vary between executions.
+	// Of several, the lexicographically smallest: the routing tag decides
+	// the layout, so the pick must be deterministic.
 	best := ""
-	for name, n := range counts {
-		if n == len(task.Params) && (best == "" || name < best) {
-			best = name
+	for _, tg := range task.Params[0].Tags {
+		shared := true
+		for _, p := range task.Params[1:] {
+			shared = shared && slices.ContainsFunc(p.Tags, func(g *ast.TagGuard) bool { return g.Name == tg.Name })
+		}
+		if shared && (best == "" || tg.Name < best) {
+			best = tg.Name
 		}
 	}
 	return best

@@ -64,7 +64,7 @@ type Inject struct {
 // live and its heap — object IDs included — is exactly as if the feed had
 // never been offered: a park→revive replay, which logs only accepted
 // batches, reproduces the same IDs.
-func buildBatch(ctx context.Context, prog *ir.Program, heap *interp.Heap, tags map[string][]*interp.Tag, batch []Inject) ([]*interp.Object, error) {
+func buildBatch(ctx context.Context, pl *plan, heap *interp.Heap, tags map[string][]*interp.Tag, batch []Inject) ([]*interp.Object, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStale, ctx.Err())
 	}
@@ -72,7 +72,7 @@ func buildBatch(ctx context.Context, prog *ir.Program, heap *interp.Heap, tags m
 	plans := make([]injectPlan, len(batch))
 	for i := range batch {
 		var err error
-		if plans[i], err = resolveInject(prog, &batch[i], tags[batch[i].TagType]); err != nil {
+		if plans[i], err = resolveInject(pl, &batch[i], tags[batch[i].TagType]); err != nil {
 			return nil, err
 		}
 	}
@@ -90,13 +90,15 @@ type injectPlan struct {
 	flag int
 	args int         // field index of "args"; -1 without Args
 	tag  *interp.Tag // nil without TagType
+	node int32       // the object's ASTG node; -1 for a class no task takes
 }
 
-// resolveInject validates one injection against the program and the tag
-// instances of its TagType (ignored when TagType is empty). It allocates
-// nothing on the session heap.
-func resolveInject(prog *ir.Program, inj *Inject, tags []*interp.Tag) (injectPlan, error) {
-	p := injectPlan{cl: prog.Info.Classes[inj.Class], args: -1}
+// resolveInject validates one injection against the program, the tag
+// instances of its TagType (ignored when TagType is empty) and the ASTG,
+// which must have a node for the injected state. It allocates nothing on
+// the session heap.
+func resolveInject(pl *plan, inj *Inject, tags []*interp.Tag) (injectPlan, error) {
+	p := injectPlan{cl: pl.dep.Prog.Info.Classes[inj.Class], args: -1}
 	if p.cl == nil {
 		return p, fmt.Errorf("%w: unknown class %q", ErrInject, inj.Class)
 	}
@@ -130,6 +132,14 @@ func resolveInject(prog *ir.Program, inj *Inject, tags []*interp.Tag) (injectPla
 		}
 		p.tag = tags[k]
 	}
+	var bound []*interp.Tag
+	if p.tag != nil {
+		bound = []*interp.Tag{p.tag}
+	}
+	var err error
+	if p.node, err = pl.nodeOf(p.cl, 1<<p.flag, bound); err != nil {
+		return p, fmt.Errorf("%w: %v", ErrInject, err)
+	}
 	return p, nil
 }
 
@@ -149,6 +159,7 @@ func (p *injectPlan) build(heap *interp.Heap, inj *Inject) *interp.Object {
 	// initialized (matters for the concurrent runtime, where routing makes
 	// it visible to other goroutines).
 	o.SetFlag(p.flag, true)
+	o.SetNode(p.node)
 	return o
 }
 
@@ -181,7 +192,7 @@ func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, er
 	if e.sessErr != nil {
 		return nil, fmt.Errorf("bamboort: session failed: %w", e.sessErr)
 	}
-	objs, err := buildBatch(ctx, e.prog, e.in.Heap, e.tags, batch)
+	objs, err := buildBatch(ctx, e.plan, e.in.Heap, e.tags, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +276,7 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	if s.err != nil {
 		return nil, s.err
 	}
-	objs, err := buildBatch(ctx, s.r.prog, s.r.in.Heap, s.tags, batch)
+	objs, err := buildBatch(ctx, s.r.plan, s.r.in.Heap, s.tags, batch)
 	if err != nil {
 		return nil, err
 	}

@@ -225,11 +225,14 @@ func sortedOutput(s string) string {
 // Divergence describing the first mismatch otherwise. Programs are
 // expected to be valid and terminating (the generator guarantees both);
 // compile or run errors are reported as divergences too, since the
-// corpus must stay green.
+// corpus must stay green. It turns bamboort.CheckNodes on for the process.
 func CheckSource(src string, cfg CheckConfig) *Divergence {
 	fail := func(kind string, cores int, format string, args ...any) *Divergence {
 		return &Divergence{Kind: kind, Cores: cores, Detail: fmt.Sprintf(format, args...), Source: src}
 	}
+	// Every substrate routes through the same analysis and would agree on
+	// a state it lacks; the runtime's node check does not.
+	bamboort.CheckNodes.Store(true)
 	sys, err := core.CompileSource(src)
 	if err != nil {
 		return fail("compile", 0, "%v", err)

@@ -76,6 +76,8 @@ func TestCorpusHasReproducers(t *testing.T) {
 	}
 	for _, want := range []string{
 		"corpus/tagjoin_schedsim.bb",
+		"corpus/tag_readd.bb",
+		"corpus/tag_clearmany.bb",
 		"corpus/opt_reorder_4core.bb",
 		"corpus/opt_double_fold_4core.bb",
 		"corpus/opt_alloc_order_4core.bb",

@@ -152,6 +152,7 @@ func CheckSessionFeeds(p *Program, seed int64, cfg CheckConfig) *Divergence {
 	fail := func(kind string, cores int, format string, args ...any) *Divergence {
 		return &Divergence{Kind: kind, Cores: cores, Detail: fmt.Sprintf(format, args...), Source: src}
 	}
+	bamboort.CheckNodes.Store(true) // as in CheckSource
 	sys, err := core.CompileSource(src)
 	if err != nil {
 		return fail("compile", 0, "%v", err)

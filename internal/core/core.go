@@ -75,36 +75,6 @@ func (s *System) TaskNames() []string {
 	return out
 }
 
-// RunConfig configures one execution on the deterministic engine.
-//
-// Deprecated: use ExecConfig with Exec, which unifies both engines behind
-// one entry point and adds context cancellation, scheduling policy, and
-// fault policy. RunConfig remains as a thin compatibility shim.
-type RunConfig struct {
-	Machine *machine.Machine
-	Layout  *layout.Layout
-	Args    []string
-	Out     io.Writer
-	Profile *profile.Profile
-	Trace   *bamboort.Trace
-}
-
-// Run executes the program on the given machine and layout with the
-// deterministic discrete-event engine.
-//
-// Deprecated: use Exec with ExecConfig{Engine: Deterministic, ...}.
-func (s *System) Run(cfg RunConfig) (*bamboort.Result, error) {
-	return s.Exec(context.Background(), ExecConfig{
-		Engine:  Deterministic,
-		Machine: cfg.Machine,
-		Layout:  cfg.Layout,
-		Args:    cfg.Args,
-		Out:     cfg.Out,
-		Profile: cfg.Profile,
-		Trace:   cfg.Trace,
-	})
-}
-
 // RunSequential executes the paper's single-core baseline: one core, zero
 // runtime overhead (the stand-in for the hand-written C version).
 func (s *System) RunSequential(args []string, out io.Writer) (*bamboort.Result, error) {

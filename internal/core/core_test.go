@@ -134,7 +134,7 @@ task t(StartupObject s in initialstate) { taskexit(s: initialstate := false); }`
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Run(core.RunConfig{}); err == nil {
+	if _, err := sys.Exec(context.Background(), core.ExecConfig{}); err == nil {
 		t.Error("expected error for missing machine/layout")
 	}
 }

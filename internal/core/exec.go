@@ -45,10 +45,9 @@ func (e Engine) String() string {
 }
 
 // ExecConfig is the unified configuration for one execution on either
-// engine. It supersedes the old RunConfig/bamboort.RunConcurrent split:
-// one struct carries the machine, layout, program input, output sink and
-// observability hooks, with the Engine field selecting the execution
-// substrate.
+// engine: one struct carries the machine, layout, program input, output
+// sink and observability hooks, with the Engine field selecting the
+// execution substrate.
 type ExecConfig struct {
 	// Engine selects the substrate (default Deterministic).
 	Engine Engine

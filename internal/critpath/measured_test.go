@@ -29,7 +29,7 @@ func measuredTraces(t *testing.T, name string) []*obsv.Trace {
 	}
 	lay := bamboort.SpreadLayout(sys.Prog, 4)
 	eng := &obsv.Trace{}
-	if _, err := sys.Run(core.RunConfig{
+	if _, err := sys.Exec(context.Background(), core.ExecConfig{
 		Machine: machine.TilePro64().WithCores(4), Layout: lay,
 		Args: b.Args, Out: io.Discard, Trace: eng,
 	}); err != nil {

@@ -2,10 +2,11 @@ package depend
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
+	"maps"
+	"slices"
 	"strings"
 
+	"repro/internal/ast"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -38,6 +39,9 @@ type Edge struct {
 	Task     *types.Task
 	Param    int // parameter index within the task
 	Exit     int // taskexit ID within the task
+	// Alt marks the second successor of an exit that clears one of "many"
+	// tags: at least two may remain (ExitEffect).
+	Alt bool
 }
 
 // Graph is the abstract state transition graph of one class.
@@ -48,22 +52,14 @@ type Graph struct {
 	Base  int // ID of the first node; the graph's IDs are contiguous
 }
 
-// sortedNodes returns nodes in deterministic key order.
-func (g *Graph) sortedNodes() []*Node {
-	keys := make([]string, 0, len(g.Nodes))
-	for k := range g.Nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Node, len(keys))
-	for i, k := range keys {
-		out[i] = g.Nodes[k]
+// NodeList returns the graph's nodes in deterministic (key) order.
+func (g *Graph) NodeList() []*Node {
+	out := make([]*Node, 0, len(g.Nodes))
+	for _, k := range slices.Sorted(maps.Keys(g.Nodes)) {
+		out = append(out, g.Nodes[k])
 	}
 	return out
 }
-
-// NodeList returns the graph's nodes in deterministic order.
-func (g *Graph) NodeList() []*Node { return g.sortedNodes() }
 
 // Result is the output of dependence analysis for a whole program.
 type Result struct {
@@ -77,9 +73,13 @@ type Result struct {
 	// TaskAllocs maps task name to the allocation sites reachable from the
 	// task body (including through method calls).
 	TaskAllocs map[string][]AllocSite
-	// Consumers maps a (class, state-key) pair to the task parameters that
-	// can consume an object in that state, in deterministic order.
-	consumers map[string][]ParamRef
+	// Slot0 numbers the task parameters: parameter k of the task with
+	// types.Task.Index t is slot Slot0[t]+k.
+	Slot0 []int32
+	// sat holds, per node, one bit per parameter slot: the node satisfies
+	// the parameter's flag and tag guards (State.SatisfiesParam).
+	sat  []uint64
+	satW int32
 }
 
 // ParamRef identifies one parameter position of one task.
@@ -91,42 +91,17 @@ type ParamRef struct {
 // Consumers returns the task parameters whose guards an object of class cl
 // in state s satisfies.
 func (r *Result) Consumers(cl *types.Class, s State) []ParamRef {
-	return r.consumers[consumerKey(cl.Name, s.Key())]
-}
-
-func consumerKey(class, stateKey string) string { return class + "|" + stateKey }
-
-// TagEntry is one (tag type, 1-limited count) pair of an abstract state,
-// used by AppendConsumerKey to encode a state without building it.
-type TagEntry struct {
-	Type  string
-	Count TagCount
-}
-
-// AppendConsumerKey appends the consumer-map key for (class, state) to
-// buf and returns it. tags must hold the state's distinct tag types in
-// ascending Type order; the encoding is byte-identical to
-// consumerKey(class, State.Key()). Together with ConsumersByKey it lets
-// the runtime's routing path look up consumers from a live object with a
-// reused buffer instead of materializing a State and two strings per
-// routed object.
-func AppendConsumerKey(buf []byte, class string, flags uint64, tags []TagEntry) []byte {
-	buf = append(buf, class...)
-	buf = append(buf, '|', 'f')
-	buf = strconv.AppendUint(buf, flags, 16)
-	for _, t := range tags {
-		buf = append(buf, ',')
-		buf = append(buf, t.Type...)
-		buf = append(buf, ':')
-		buf = strconv.AppendUint(buf, uint64(t.Count), 10)
+	if g := r.Graphs[cl.Name]; g != nil && g.Nodes[s.Key()] != nil {
+		return g.Nodes[s.Key()].Consumers
 	}
-	return buf
+	return nil
 }
 
-// ConsumersByKey is Consumers for a key built by AppendConsumerKey. The
-// string conversion inside the map index does not allocate.
-func (r *Result) ConsumersByKey(key []byte) []ParamRef {
-	return r.consumers[string(key)]
+// Satisfies reports whether node satisfies the guards of parameter slot:
+// the one guard test the engines and the simulator make. A negative node
+// (an object whose state has none) satisfies nothing.
+func (r *Result) Satisfies(node, slot int32) bool {
+	return node >= 0 && r.sat[node*r.satW+slot/64]&(1<<(slot%64)) != 0
 }
 
 // Analyze runs the dependence analysis.
@@ -135,7 +110,6 @@ func Analyze(prog *ir.Program) (*Result, error) {
 		Prog:       prog,
 		Graphs:     map[string]*Graph{},
 		TaskAllocs: map[string][]AllocSite{},
-		consumers:  map[string][]ParamRef{},
 	}
 	allocs := collectAllocs(prog)
 	for _, taskFn := range prog.Tasks {
@@ -191,21 +165,12 @@ func Analyze(prog *ir.Program) (*Result, error) {
 	}
 
 	// Fixpoint: propagate states through task exits. A node enters the
-	// worklist exactly once, when first created.
+	// worklist exactly once, when first created, so each (node, task,
+	// parameter, exit, successor) edge is made once.
 	var work []*Node
-	queued := map[*Node]bool{}
-	enqueue := func(n *Node) {
-		if !queued[n] {
-			queued[n] = true
-			work = append(work, n)
-		}
+	for _, clName := range slices.Sorted(maps.Keys(res.Graphs)) {
+		work = append(work, res.Graphs[clName].NodeList()...)
 	}
-	for _, clName := range sortedKeys(res.Graphs) {
-		for _, n := range res.Graphs[clName].sortedNodes() {
-			enqueue(n)
-		}
-	}
-	seenEdge := map[string]bool{}
 	for len(work) > 0 {
 		n := work[0]
 		work = work[1:]
@@ -217,16 +182,13 @@ func Analyze(prog *ir.Program) (*Result, error) {
 					continue
 				}
 				for exitID := 0; exitID < taskFn.NumExits; exitID++ {
-					next, ok := ExitEffect(n.State, taskFn, p.Index, exitID)
-					if !ok {
-						continue
-					}
-					toNode := addNode(g, next, false)
-					enqueue(toNode)
-					ek := fmt.Sprintf("%s|%d|%d|%s|%s", task.Name, p.Index, exitID, n.Key(), toNode.Key())
-					if !seenEdge[ek] {
-						seenEdge[ek] = true
-						e := &Edge{From: n, To: toNode, Task: task, Param: p.Index, Exit: exitID}
+					for k, next := range ExitEffect(n.State, taskFn, p.Index, exitID) {
+						toNode := g.Nodes[next.Key()]
+						if toNode == nil {
+							toNode = addNode(g, next, false)
+							work = append(work, toNode)
+						}
+						e := &Edge{From: n, To: toNode, Task: task, Param: p.Index, Exit: exitID, Alt: k > 0}
 						g.Edges = append(g.Edges, e)
 						n.Out = append(n.Out, e)
 					}
@@ -234,39 +196,48 @@ func Analyze(prog *ir.Program) (*Result, error) {
 			}
 		}
 	}
-	for _, clName := range sortedKeys(res.Graphs) {
+	var slots int32
+	for _, task := range prog.Info.Tasks {
+		res.Slot0 = append(res.Slot0, slots)
+		slots += int32(len(task.Params))
+	}
+	res.satW = (slots + 63) / 64
+	for _, clName := range slices.Sorted(maps.Keys(res.Graphs)) {
 		g := res.Graphs[clName]
 		g.Base = len(res.Nodes)
-		for _, n := range g.sortedNodes() {
+		for _, n := range g.NodeList() {
 			n.ID = len(res.Nodes)
 			res.Nodes = append(res.Nodes, n)
+			res.sat = append(res.sat, make([]uint64, res.satW)...)
 			for _, task := range prog.Info.Tasks {
 				for _, p := range task.Params {
 					if p.Class == g.Class && n.State.SatisfiesParam(p) {
 						n.Consumers = append(n.Consumers, ParamRef{Task: task, Param: p.Index})
+						slot := res.Slot0[task.Index] + int32(p.Index)
+						res.sat[int32(n.ID)*res.satW+slot/64] |= 1 << (slot % 64)
 					}
 				}
 			}
-			res.consumers[consumerKey(clName, n.Key())] = n.Consumers
 		}
 	}
 	return res, nil
 }
 
-// ExitEffect computes the state after taking exit exitID with the object
-// bound to parameter paramIdx. The bool result is false when the exit is
-// impossible (an unreachable implicit end exit). The scheduling simulator
-// shares this to transition its abstract objects exactly as the analysis
-// predicts.
-func ExitEffect(s State, taskFn *ir.Func, paramIdx, exitID int) (State, bool) {
+// ExitEffect returns the states an object bound to parameter paramIdx can
+// be in after exit exitID, none when the exit cannot be taken (an
+// unreachable implicit end exit). The tag effects follow the runtime's:
+// adding a tag the parameter's own guard binds is a no-op, and clearing one
+// of "many" tags leaves one or many, so such an exit has a second state.
+// The first is the simulator's single successor.
+func ExitEffect(s State, taskFn *ir.Func, paramIdx, exitID int) []State {
 	spec := findExit(taskFn, exitID)
 	if spec == nil {
 		// Implicit end exit: no flag or tag changes, and only when the body
 		// can actually fall off the end.
 		if exitID == taskFn.NumExits-1 && taskFn.ImplicitExitReachable {
-			return s.Clone(), true
+			return []State{s.Clone()}
 		}
-		return State{}, false
+		return nil
 	}
 	out := s.Clone()
 	for _, fa := range spec.FlagOps {
@@ -279,21 +250,36 @@ func ExitEffect(s State, taskFn *ir.Func, paramIdx, exitID int) (State, bool) {
 			out.Flags &^= 1 << uint(fa.Index)
 		}
 	}
+	outs := []State{out}
+	p := taskFn.Task.Params[paramIdx]
 	for _, ta := range spec.TagOps {
-		if ta.Param != paramIdx {
-			continue
-		}
 		ty := taskFn.TagRegType[ta.TagReg]
-		if ty == "" {
-			continue // unknown tag type: no abstract effect tracked
+		if ta.Param != paramIdx || ty == "" {
+			continue // another parameter's, or an unknown tag type
 		}
-		if ta.Add {
-			out = out.WithTag(ty)
-		} else {
-			out = out.WithoutTag(ty)
+		if ta.Add && slices.ContainsFunc(p.Tags, func(tg *ast.TagGuard) bool {
+			return ir.Reg(len(taskFn.Task.Params)+slices.Index(taskFn.TagParams(), tg.Name)) == ta.TagReg
+		}) {
+			continue // the guard's own tag: already bound
+		}
+		for i := range outs {
+			if ta.Add {
+				outs[i] = outs[i].WithTag(ty)
+				continue
+			}
+			if outs[i].TagCountOf(ty) == TagMany {
+				outs = append(outs, outs[i].Clone())
+			}
+			outs[i] = outs[i].WithoutTag(ty)
 		}
 	}
-	return out, true
+	uniq := outs[:1]
+	for _, o := range outs[1:] {
+		if !slices.ContainsFunc(uniq, func(u State) bool { return u.Key() == o.Key() }) {
+			uniq = append(uniq, o)
+		}
+	}
+	return uniq
 }
 
 // findExit locates the ExitSpec with the given ID in the task body.
@@ -305,16 +291,6 @@ func findExit(fn *ir.Func, exitID int) *ir.ExitSpec {
 		}
 	}
 	return nil
-}
-
-// sortedKeys returns map keys in sorted order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // collectAllocs computes, for every function, the set of allocation sites
@@ -337,8 +313,9 @@ func collectAllocs(prog *ir.Program) map[string][]AllocSite {
 						}
 					}
 					st := NewState(flags)
-					for _, tr := range in.TagRegs {
-						if ty := fn.TagRegType[tr]; ty != "" {
+					for k, tr := range in.TagRegs {
+						// The same tag twice binds it once.
+						if ty := fn.TagRegType[tr]; ty != "" && !slices.Contains(in.TagRegs[:k], tr) {
 							st = st.WithTag(ty)
 						}
 					}
@@ -352,11 +329,7 @@ func collectAllocs(prog *ir.Program) map[string][]AllocSite {
 	// Transitive closure per function (fixpoint handles recursion).
 	closure := map[string]map[string]AllocSite{}
 	keyOf := func(s AllocSite) string { return s.Class.Name + "|" + s.State.Key() }
-	names := make([]string, 0, len(prog.Funcs))
-	for n := range prog.Funcs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(prog.Funcs))
 	for _, n := range names {
 		closure[n] = map[string]AllocSite{}
 		for _, s := range direct[n] {
@@ -378,12 +351,7 @@ func collectAllocs(prog *ir.Program) map[string][]AllocSite {
 	}
 	out := map[string][]AllocSite{}
 	for _, n := range names {
-		keys := make([]string, 0, len(closure[n]))
-		for k := range closure[n] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		for _, k := range slices.Sorted(maps.Keys(closure[n])) {
 			out[n] = append(out[n], closure[n][k])
 		}
 	}
@@ -394,7 +362,7 @@ func collectAllocs(prog *ir.Program) map[string][]AllocSite {
 func (g *Graph) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ASTG %s\n", g.Class.Name)
-	for _, n := range g.sortedNodes() {
+	for _, n := range g.NodeList() {
 		mark := " "
 		if n.Alloc {
 			mark = "*"

@@ -1,6 +1,9 @@
 package depend
 
 import (
+	"os"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -298,5 +301,94 @@ task t(C c in a) {
 	}
 	if !selfLoop {
 		t.Errorf("missing implicit-exit self-loop: %s", g)
+	}
+}
+
+// probeGraph analyzes one of the runtime's tag-effect probe programs and
+// returns its Item ASTG with the states named by Pretty.
+func probeGraph(t *testing.T, name string) (*Graph, map[string]*Node) {
+	t.Helper()
+	src, err := os.ReadFile("../bamboort/testdata/" + name + ".bb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := analyze(t, string(src)).Graphs["Item"]
+	nodes := map[string]*Node{}
+	for _, n := range g.Nodes {
+		nodes[n.State.Pretty(g.Class)] = n
+	}
+	return g, nodes
+}
+
+// edgesOf lists n's out-edges for task as "to-state" (with "alt" marked).
+func edgesOf(g *Graph, n *Node, task string) []string {
+	var out []string
+	for _, e := range n.Out {
+		if e.Task.Name == task {
+			s := e.To.State.Pretty(g.Class)
+			if e.Alt {
+				s += " alt"
+			}
+			out = append(out, s)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestReaddBoundTagKeepsCount: re-adding the tag the parameter's guard
+// binds leaves one tag, as Object.AddTag does, so step leads to b with one
+// grp tag, where fin consumes it; no "many" state exists.
+func TestReaddBoundTagKeepsCount(t *testing.T) {
+	g, nodes := probeGraph(t, "readd")
+	from := nodes["a+tag(grp:1)"]
+	if from == nil || !from.Alloc {
+		t.Fatalf("no allocation node a+tag(grp:1) in\n%s", g)
+	}
+	if got := edgesOf(g, from, "step"); !slices.Equal(got, []string{"b+tag(grp:1)"}) {
+		t.Errorf("step from a+tag(grp:1) leads to %v, want [b+tag(grp:1)]", got)
+	}
+	if n := nodes["b+tag(grp:1)"]; n == nil || len(n.Consumers) != 1 || n.Consumers[0].Task.Name != "fin" {
+		t.Errorf("b+tag(grp:1) is not consumed by fin:\n%s", g)
+	}
+	if nodes["b+tag(grp:2)"] != nil {
+		t.Errorf("a many-count state exists:\n%s", g)
+	}
+}
+
+// TestClearOfManyReachesOneAndMany: clearing one of three grp tags leaves
+// one or many; the analysis keeps both, the second as an Alt edge, and fin
+// consumes both.
+func TestClearOfManyReachesOneAndMany(t *testing.T) {
+	g, nodes := probeGraph(t, "clearmany")
+	from := nodes["a+tag(grp:2)"]
+	if from == nil || !from.Alloc {
+		t.Fatalf("no allocation node a+tag(grp:2) in\n%s", g)
+	}
+	if got, want := edgesOf(g, from, "step"), []string{"b+tag(grp:1)", "b+tag(grp:2) alt"}; !slices.Equal(got, want) {
+		t.Errorf("step from a+tag(grp:2) leads to %v, want %v", got, want)
+	}
+	for _, s := range []string{"b+tag(grp:1)", "b+tag(grp:2)"} {
+		if n := nodes[s]; n == nil || len(n.Consumers) != 1 || n.Consumers[0].Task.Name != "fin" {
+			t.Errorf("%s is not consumed by fin:\n%s", s, g)
+		}
+	}
+}
+
+// TestAllocSameTagTwice: binding one tag twice at an allocation binds it
+// once.
+func TestAllocSameTagTwice(t *testing.T) {
+	res := analyze(t, `
+class Item { flag a; Item() {} }
+task startup(StartupObject s in initialstate) {
+	tag t = new tag(grp);
+	Item it = new Item(){ a := true, add t, add t };
+	taskexit(s: initialstate := false);
+}
+task use(Item it in a with grp t) { taskexit(it: a := false); }
+`)
+	sites := res.TaskAllocs["startup"]
+	if len(sites) != 1 || sites[0].State.TagCountOf("grp") != TagOne {
+		t.Errorf("allocation sites %+v, want one Item with one grp tag", sites)
 	}
 }

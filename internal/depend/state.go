@@ -13,7 +13,8 @@ package depend
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -40,11 +41,9 @@ func (c TagCount) inc() TagCount {
 	return TagOne
 }
 
-// dec is the conservative decrement: removing one instance from "many"
-// may leave one or more, so the analysis keeps TagOne (an object observed
-// in state many has at least one binding; after one clear at least zero
-// remain — we approximate with One to keep the state space small, which is
-// sound for guard satisfaction because guards only test "has a tag").
+// dec is the decrement along an exit's primary successor: removing one
+// instance from "many" leaves at least one. ExitEffect adds the other
+// outcome, "many" again, as a second successor.
 func (c TagCount) dec() TagCount {
 	switch c {
 	case TagMany:
@@ -72,10 +71,7 @@ func NewState(flags uint64) State {
 func (s State) Clone() State {
 	out := State{Flags: s.Flags}
 	if len(s.Tags) > 0 {
-		out.Tags = make(map[string]TagCount, len(s.Tags))
-		for k, v := range s.Tags {
-			out.Tags[k] = v
-		}
+		out.Tags = maps.Clone(s.Tags)
 	}
 	return out
 }
@@ -108,17 +104,9 @@ func (s State) TagCountOf(tagType string) TagCount { return s.Tags[tagType] }
 
 // Key returns a canonical string encoding usable as a map key.
 func (s State) Key() string {
-	if len(s.Tags) == 0 {
-		return fmt.Sprintf("f%x", s.Flags)
-	}
-	names := make([]string, 0, len(s.Tags))
-	for n := range s.Tags {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "f%x", s.Flags)
-	for _, n := range names {
+	for _, n := range slices.Sorted(maps.Keys(s.Tags)) {
 		fmt.Fprintf(&b, ",%s:%d", n, s.Tags[n])
 	}
 	return b.String()
@@ -144,28 +132,13 @@ func (s State) Pretty(cl *types.Class) string {
 	default:
 		b.WriteString("{}")
 	}
-	if len(s.Tags) > 0 {
-		names := make([]string, 0, len(s.Tags))
-		for n := range s.Tags {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "+tag(%s:%d)", n, s.Tags[n])
-		}
+	for _, n := range slices.Sorted(maps.Keys(s.Tags)) {
+		fmt.Fprintf(&b, "+tag(%s:%d)", n, s.Tags[n])
 	}
 	return b.String()
 }
 
-// SatisfiesGuard evaluates a flag guard against the abstract flag vector.
-func (s State) SatisfiesGuard(g ast.FlagExp, cl *types.Class) bool {
-	return GuardSatisfied(g, s.Flags, cl)
-}
-
-// GuardSatisfied evaluates a flag guard against a raw flag vector. It is
-// the allocation-free form of State.SatisfiesGuard for callers (the
-// runtime's routing and pruning paths) that have a live object's flags
-// and no reason to materialize an abstract State around them.
+// GuardSatisfied evaluates a flag guard against a flag vector.
 func GuardSatisfied(g ast.FlagExp, flags uint64, cl *types.Class) bool {
 	switch g := g.(type) {
 	case *ast.FlagRef:
@@ -186,7 +159,7 @@ func GuardSatisfied(g ast.FlagExp, flags uint64, cl *types.Class) bool {
 // SatisfiesParam reports whether the state satisfies a task parameter's
 // flag guard and tag guards.
 func (s State) SatisfiesParam(p *types.TaskParam) bool {
-	if !s.SatisfiesGuard(p.Guard, p.Class) {
+	if !GuardSatisfied(p.Guard, s.Flags, p.Class) {
 		return false
 	}
 	// Each distinct required tag type must have at least one binding; a

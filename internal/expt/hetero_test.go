@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestHeterogeneousMachine(t *testing.T) {
 	}
 
 	runOn := func(m *machine.Machine, s *core.SynthesisResult) int64 {
-		res, err := sys.Run(core.RunConfig{Machine: m, Layout: s.Layout, Args: b.Args})
+		res, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: s.Layout, Args: b.Args})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestRingTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Run(core.RunConfig{Machine: m, Layout: synth.Layout, Args: b.Args})
+	res, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: synth.Layout, Args: b.Args})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/ast"
 	"repro/internal/ir"
 	"repro/internal/lexer"
 	"repro/internal/types"
@@ -656,23 +655,4 @@ func (in *Interp) print(s string, ex *Exec) {
 	if in.Out != nil {
 		ex.out = append(ex.out, s...)
 	}
-}
-
-// GuardSatisfied evaluates a task parameter's flag guard against an
-// object's current flag vector.
-func GuardSatisfied(g ast.FlagExp, obj *Object) bool {
-	switch g := g.(type) {
-	case *ast.FlagRef:
-		return obj.FlagSet(obj.Class.FlagIndex[g.Name])
-	case *ast.FlagConst:
-		return g.Value
-	case *ast.FlagNot:
-		return !GuardSatisfied(g.X, obj)
-	case *ast.FlagBin:
-		if g.Op == "and" {
-			return GuardSatisfied(g.L, obj) && GuardSatisfied(g.R, obj)
-		}
-		return GuardSatisfied(g.L, obj) || GuardSatisfied(g.R, obj)
-	}
-	return false
 }

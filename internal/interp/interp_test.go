@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/depend"
 	"repro/internal/ir"
 	"repro/internal/parser"
 	"repro/internal/types"
@@ -347,13 +348,13 @@ func TestRunTask(t *testing.T) {
 	procFn := irp.Funcs[ir.TaskKey("processText")]
 	processGuard := irp.Info.TaskByName["processText"].Params[0].Guard
 	for _, txt := range texts {
-		if !GuardSatisfied(processGuard, txt) {
+		if !depend.GuardSatisfied(processGuard, txt.Flags(), txt.Class) {
 			t.Fatal("new Text does not satisfy process guard")
 		}
 		if _, err := in.RunTask(procFn, []Value{ObjV(txt)}); err != nil {
 			t.Fatal(err)
 		}
-		if GuardSatisfied(processGuard, txt) {
+		if depend.GuardSatisfied(processGuard, txt.Flags(), txt.Class) {
 			t.Error("processText left Text in process state")
 		}
 	}
@@ -484,8 +485,9 @@ func TestQuickIntArithmetic(t *testing.T) {
 	}
 }
 
-// Property: guard evaluation matches a direct evaluation of the guard
-// expression over random flag vectors.
+// Property: the guard test the runtime makes (depend.GuardSatisfied over an
+// object's flag word) matches a direct evaluation of the guard expression
+// over random flag vectors.
 func TestQuickGuards(t *testing.T) {
 	src := `
 class C { flag a; flag b; flag c; }
@@ -502,7 +504,7 @@ task t1(C x in a and !b or c) { taskexit(x: a := false); }
 		b := o.FlagSet(1)
 		c := o.FlagSet(2)
 		want := a && !b || c
-		return GuardSatisfied(guard, o) == want
+		return depend.GuardSatisfied(guard, o.Flags(), o.Class) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -203,7 +203,9 @@ func (v Value) String() string {
 // in the concurrent engine; the deterministic engine uses its own lock
 // table. Flag and tag state use atomic access because unlocked cores read
 // them while evaluating guards (all writes happen under the object's lock,
-// and readers re-validate after locking).
+// and readers re-validate after locking). The node is the runtime's name
+// for that state, its ASTG node; the runtime sets it whenever the state
+// changes.
 type Object struct {
 	ID     int64
 	Class  *types.Class
@@ -212,8 +214,16 @@ type Object struct {
 	flags atomic.Uint64
 	tags  atomic.Pointer[[]*Tag]
 
-	mu sync.Mutex
+	mu   sync.Mutex
+	node atomic.Int32 // depend.Node.ID plus one; 0: none
 }
+
+// Node returns the object's ASTG node ID, -1 when it has none.
+func (o *Object) Node() int32 { return o.node.Load() - 1 }
+
+// SetNode records the object's ASTG node ID. Callers must hold the object's
+// parameter lock or own it exclusively.
+func (o *Object) SetNode(id int32) { o.node.Store(id + 1) }
 
 // Flags returns the current flag bit vector.
 func (o *Object) Flags() uint64 { return o.flags.Load() }

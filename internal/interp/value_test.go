@@ -33,6 +33,22 @@ func TestValueLayout(t *testing.T) {
 	}
 }
 
+// TestObjectLayout pins the object header: identity, class, fields, the
+// flag word, the tag slice, the parameter lock and the ASTG node id. The
+// node id grew it from 64 to 72 bytes.
+func TestObjectLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 72 {
+		t.Errorf("Sizeof(Object) = %d, want 72", got)
+	}
+	var o Object
+	if o.Node() != -1 {
+		t.Errorf("new object's node = %d, want -1 (none)", o.Node())
+	}
+	if o.SetNode(3); o.Node() != 3 {
+		t.Errorf("node = %d after SetNode(3)", o.Node())
+	}
+}
+
 // TestValueRoundTrip checks every constructor against its accessor and
 // against the rendering the seven-field Value printed.
 func TestValueRoundTrip(t *testing.T) {

@@ -11,25 +11,26 @@ import (
 )
 
 // program is the simulator compiled against one program: what a simulated
-// event asks of the ASTG — who consumes this state, does it satisfy that
-// guard, where does this exit take it — answered once and indexed by task
-// (types.Task.Index), parameter and exit slot, and node (depend.Node.ID).
+// event asks of the ASTG — who consumes this state, where does this exit
+// take it — answered once and indexed by task (types.Task.Index), parameter
+// slot (depend.Result.Slot0), exit slot and node (depend.Node.ID). Whether a
+// node satisfies a parameter and who consumes it are the engines' answers:
+// depend.Result.Satisfies and depend.Node.Consumers.
 //
 // An object only ever holds an ASTG node: it starts in one, it is only moved
 // while bound to a parameter it satisfies, and the analysis closed the graph
 // over exactly those (node, parameter, exit) triples with depend.ExitEffect.
-// So the edges are the transition function and nothing is approximated.
+// So the edges are the transition function. An exit that clears one of
+// "many" tags has a second edge, back to "many" (Edge.Alt); the simulator
+// follows the first.
 type program struct {
+	dep    *depend.Result
 	tasks  []taskInfo  // by types.Task.Index
 	order  []int32     // task indices in name order: the per-core hosting order
 	params []paramInfo // by parameter slot, taskInfo.param0 + parameter index
 	nodes  []nodeInfo  // by depend.Node.ID
 	start  int32       // the startup object's node
 	exits  int32       // exit slots, taskInfo.exit0 + exit id
-	// sat holds, per node, one bit per parameter slot: the node satisfies the
-	// parameter's flag and tag guards (depend.State.SatisfiesParam).
-	sat  []uint64
-	satW int32
 }
 
 type taskInfo struct {
@@ -50,22 +51,12 @@ type paramInfo struct {
 }
 
 type nodeInfo struct {
-	consumers []consumer
-	hasTags   bool
-	words     int // message payload: header plus one word per field
-}
-
-// consumer is one task parameter a node's objects are routed to.
-type consumer struct {
-	task, param int32
-	// hashed: the task is a multi-parameter join, so objects of one tag group
-	// meet at one instantiation (machine.Place; a one-shot run, which is all
-	// the simulator models, spreads every other task round-robin).
-	hashed bool
+	hasTags bool
+	words   int // message payload: header plus one word per field
 }
 
 func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *program {
-	p := &program{tasks: make([]taskInfo, len(prog.Tasks)), nodes: make([]nodeInfo, len(dep.Nodes))}
+	p := &program{dep: dep, tasks: make([]taskInfo, len(prog.Tasks)), nodes: make([]nodeInfo, len(dep.Nodes))}
 	fns := append([]*ir.Func(nil), prog.Tasks...)
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Task.Name < fns[j].Task.Name })
 	for _, fn := range fns {
@@ -73,11 +64,14 @@ func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *prog
 		p.order = append(p.order, int32(t.Index))
 		p.tasks[t.Index] = taskInfo{
 			name: t.Name, nParams: int32(len(t.Params)), nExits: int32(fn.NumExits),
-			param0: int32(len(p.params)), exit0: p.exits, lockGroups: int64(len(locks.LockGroups[t.Name])),
+			param0: dep.Slot0[t.Index], exit0: p.exits, lockGroups: int64(len(locks.LockGroups[t.Name])),
 		}
 		p.exits += int32(fn.NumExits)
 		tagged := false
-		for _, tp := range t.Params {
+		for len(p.params) < int(dep.Slot0[t.Index])+len(t.Params) {
+			p.params = append(p.params, paramInfo{})
+		}
+		for k, tp := range t.Params {
 			g := dep.Graphs[tp.Class.Name]
 			pi := paramInfo{needsTag: len(tp.Tags) > 0, base: int32(g.Base), n: int32(len(g.Nodes))}
 			pi.indexed = pi.needsTag && tagged
@@ -86,23 +80,16 @@ func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *prog
 			for i := range pi.next {
 				pi.next[i] = pi.base + int32(i)%pi.n
 			}
-			p.params = append(p.params, pi)
+			p.params[dep.Slot0[t.Index]+int32(k)] = pi
 		}
 	}
-	p.satW = int32(len(p.params)+63) / 64
-	p.sat = make([]uint64, int32(len(p.nodes))*p.satW)
 	for id, n := range dep.Nodes {
 		nd := &p.nodes[id]
 		nd.hasTags, nd.words = len(n.State.Tags) > 0, 2+len(n.Class.Fields)
-		for _, pr := range n.Consumers {
-			slot := p.tasks[pr.Task.Index].param0 + int32(pr.Param)
-			p.sat[int32(id)*p.satW+slot/64] |= 1 << (slot % 64)
-			nd.consumers = append(nd.consumers, consumer{
-				task: int32(pr.Task.Index), param: int32(pr.Param),
-				hashed: len(pr.Task.Params) > 1,
-			})
-		}
 		for _, e := range n.Out {
+			if e.Alt {
+				continue
+			}
 			pi := &p.params[p.tasks[e.Task.Index].param0+int32(e.Param)]
 			pi.next[int32(e.Exit)*pi.n+int32(id)-pi.base] = int32(e.To.ID)
 		}
@@ -111,10 +98,6 @@ func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *prog
 	startState := depend.NewState(1 << uint(startCl.FlagIndex[types.StartupFlag]))
 	p.start = int32(dep.Graphs[startCl.Name].Nodes[startState.Key()].ID)
 	return p
-}
-
-func (p *program) satisfies(node, slot int32) bool {
-	return p.sat[node*p.satW+slot/64]&(1<<(slot%64)) != 0
 }
 
 // profTables is the read side of one profile by exit slot, its allocation

@@ -35,6 +35,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obsv"
 	"repro/internal/profile"
+	"repro/internal/pset"
 )
 
 // Options configures a simulation.
@@ -94,7 +95,6 @@ type score struct {
 	phys         int
 	freeAt, busy int64
 	tasks        []int32 // hosted tasks in task-name order (indices into simState.hosted)
-	queued       int     // entries in the core's sets, stale ones included until swept
 	dirty        bool    // some set of the core is
 	// pokes[head:] are the pending dispatch attempts. Each is due at or after
 	// every earlier one, so only the head needs a place in the event heap.
@@ -130,14 +130,14 @@ type simState struct {
 	t    *profTables
 	opts Options
 
-	cores   []score
-	hosted  []hostedTask
-	sets    []paramSet
+	cores  []score
+	hosted []hostedTask
+	// s holds the parameter sets and their entries; s.Queued counts a core's
+	// entries, stale ones included until swept.
+	s       pset.Store[int32, int32]
 	bound   []int32 // per set: the entry the hosted task's last find chose
-	ents    []entry // ents[0] is unused
-	free    int32   // free entries, chained through same
 	objs    []simObject
-	groups  []list // per tag group: the entries of its objects in indexed sets
+	groups  []pset.List // per tag group: the entries of its objects in indexed sets
 	events  eventHeap
 	seq     int64
 	nInv    int64 // completed invocations: the next span's index
@@ -213,11 +213,11 @@ func sized[T any](s []T, n int) []T {
 func (st *simState) reset(usable []int) error {
 	p, lay := st.p, st.opts.Layout
 	n, nt := lay.NumCores, len(p.tasks)
-	st.seq, st.nInv, st.lastEnd, st.free, st.nDeps = 0, 0, 0, 0, 0
+	st.seq, st.nInv, st.lastEnd, st.nDeps = 0, 0, 0, 0
 	st.events, st.objs, st.objCnt = st.events[:0], st.objs[:0], st.objCnt[:0]
-	st.hosted, st.sets, st.ringBuf = st.hosted[:0], st.sets[:0], st.ringBuf[:0]
-	st.ents = append(st.ents[:0], entry{})
-	st.groups = append(st.groups[:0], list{})
+	st.hosted, st.ringBuf = st.hosted[:0], st.ringBuf[:0]
+	st.s.Reset()
+	st.groups = append(st.groups[:0], pset.List{})
 	clear(st.objAt)
 	for len(st.cores) < n {
 		st.cores = append(st.cores, score{})
@@ -243,10 +243,10 @@ func (st *simState) reset(usable []int) error {
 				continue // listed twice: a second instantiation would never be routed to
 			}
 			st.cores[c].tasks = append(st.cores[c].tasks, int32(len(st.hosted)))
-			st.hosted = append(st.hosted, hostedTask{task: ti, set0: int32(len(st.sets))})
+			st.hosted = append(st.hosted, hostedTask{task: ti, set0: int32(len(st.s.Sets))})
 			st.slot[int(ti)*n+c] = int32(len(st.hosted))
 			for k := int32(0); k < t.nParams; k++ {
-				st.sets = append(st.sets, paramSet{slot: t.param0 + k, core: int32(c)})
+				st.s.AddSet(t.param0+k, int32(c))
 			}
 		}
 		if len(cs) > 1 {
@@ -255,7 +255,8 @@ func (st *simState) reset(usable []int) error {
 			st.rings[ti] = st.ringBuf[k:]
 		}
 	}
-	st.bound = sized(st.bound, len(st.sets))
+	st.s.Cores(n)
+	st.bound = sized(st.bound, len(st.s.Sets))
 	return nil
 }
 
@@ -338,17 +339,15 @@ func (st *simState) nextPoke(ci int32) {
 }
 
 func (st *simState) onArrive(ev *event) {
-	o, s := &st.objs[ev.obj], &st.sets[ev.set]
-	if !st.p.satisfies(o.node, s.slot) {
+	o, s := &st.objs[ev.obj], &st.s.Sets[ev.set]
+	if !st.p.dep.Satisfies(o.node, s.Slot) {
 		return
 	}
-	for i := o.first; i != 0; i = st.ents[i].same {
-		if st.ents[i].set == ev.set {
-			return // already queued there (possibly stale): it keeps its place
-		}
+	if st.s.Find(o.first, ev.set) != 0 {
+		return // already queued there (possibly stale): it keeps its place
 	}
 	st.add(ev.set, ev.obj, ev.fifo, ev.time)
-	st.poke(s.core, ev.time)
+	st.poke(s.Core, ev.time)
 }
 
 // onAttempt starts, on a free core, the hosted task whose first invocation
@@ -356,7 +355,7 @@ func (st *simState) onArrive(ev *event) {
 // engine's oldest-ready dispatch. Only the winner is materialized.
 func (st *simState) onAttempt(ev *event) {
 	c := &st.cores[ev.core]
-	if c.freeAt > ev.time || c.queued == 0 {
+	if c.freeAt > ev.time || st.s.Queued[ev.core] == 0 {
 		return
 	}
 	if c.dirty {
@@ -375,10 +374,10 @@ func (st *simState) onAttempt(ev *event) {
 	t := &st.p.tasks[ht.task]
 	c.task, c.objs, c.seqs, c.deps = ht.task, c.objs[:0], c.seqs[:0], c.deps[:0]
 	for _, i := range st.bound[ht.set0 : ht.set0+t.nParams] {
-		e := st.ents[i]
-		o := &st.objs[e.obj]
-		c.objs, c.seqs = append(c.objs, e.obj), append(c.seqs, e.seq)
-		c.deps = append(c.deps, Dep{Obj: int64(e.obj) + 1, Arrival: e.at, Producer: int(o.producer)})
+		e := st.s.Ents[i]
+		o := &st.objs[e.Obj]
+		c.objs, c.seqs = append(c.objs, e.Obj), append(c.seqs, e.Seq)
+		c.deps = append(c.deps, Dep{Obj: int64(e.Obj) + 1, Arrival: e.At, Producer: int(o.producer)})
 		o.locked = true
 		st.remove(i)
 	}
@@ -442,7 +441,7 @@ func (st *simState) chooseExit(c *score, t *taskInfo) int32 {
 // gaining tags and companion allocations — share one, approximating the
 // engines binding a fresh tag to the parameter and what is allocated with it.
 func (st *simState) newGroup() int32 {
-	st.groups = append(st.groups, list{})
+	st.groups = append(st.groups, pset.List{})
 	return int32(len(st.groups) - 1)
 }
 
@@ -523,7 +522,7 @@ func (st *simState) onComplete(ev *event) {
 	}
 	st.poke(ev.core, c.freeAt)
 	for i := range st.cores {
-		if int32(i) != ev.core && st.cores[i].queued > 0 {
+		if int32(i) != ev.core && st.s.Queued[i] > 0 {
 			st.poke(int32(i), ev.time)
 		}
 	}
@@ -535,23 +534,26 @@ func (st *simState) onComplete(ev *event) {
 // keeps an earlier sequence.
 func (st *simState) route(oi, from int32, t, fifo int64) (cost int64) {
 	o, m := st.objs[oi], st.opts.Machine
-	nd := &st.p.nodes[o.node]
-	for _, cn := range nd.consumers {
-		cs := st.taskCores[cn.task]
+	for _, cn := range st.p.dep.Nodes[o.node].Consumers {
+		task := cn.Task.Index
+		cs := st.taskCores[task]
 		if len(cs) == 0 {
 			continue
 		}
+		// A multi-parameter join is hashed, so objects of one tag group
+		// meet at one instantiation (machine.Place; a one-shot run, which is
+		// all the simulator models, spreads every other task round-robin).
 		group := -1
-		if cn.hashed && o.group != 0 {
+		if len(cn.Task.Params) > 1 && o.group != 0 {
 			group = int(o.group)
 		}
-		dst := machine.Place(cs, st.rings[cn.task], group, int(from), &st.rr[int(from+1)*len(st.p.tasks)+int(cn.task)])
+		dst := machine.Place(cs, st.rings[task], group, int(from), &st.rr[int(from+1)*len(st.p.tasks)+task])
 		var latency int64
 		if from >= 0 {
-			latency = m.MsgCycles(st.cores[from].phys, st.cores[dst].phys, nd.words)
+			latency = m.MsgCycles(st.cores[from].phys, st.cores[dst].phys, st.p.nodes[o.node].words)
 			cost += m.EnqueueCycles
 		}
-		set := st.hosted[st.slot[int(cn.task)*len(st.cores)+dst]-1].set0 + cn.param
+		set := st.hosted[st.slot[task*len(st.cores)+dst]-1].set0 + int32(cn.Param)
 		st.push(event{time: t + latency, kind: arrive, set: set, obj: oi, fifo: fifo})
 	}
 	return cost

@@ -1,6 +1,7 @@
 package schedsim_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func TestEstimateVsRealQuadCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.TilePro64().WithCores(4)
-	real, err := sys.Run(core.RunConfig{Machine: m, Layout: quadLayout(), Args: nArg(16)})
+	real, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(16)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,8 @@ type SessionRequest struct {
 	// Args populate StartupObject.args for the startup phase.
 	Args []string `json:"args,omitempty"`
 	// Engine is "deterministic" (default) or "concurrent". Only
-	// deterministic sessions can be parked and revived by replay.
+	// deterministic sessions can be parked: they are revived from a
+	// checkpoint.
 	Engine string `json:"engine,omitempty"`
 	Cores  int    `json:"cores,omitempty"`
 	Seed   int64  `json:"seed,omitempty"`

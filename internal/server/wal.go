@@ -56,7 +56,7 @@ type walRecord struct {
 
 	// job+ : the accepted request, plus when it was accepted. AcceptedAt
 	// is informational — replay deliberately re-anchors the deadline at
-	// replay time instead of honoring it (see ISSUE: admission-anchored
+	// replay time instead of honoring it (DESIGN.md §15: admission-anchored
 	// deadlines would expire every replayed job on arrival).
 	Req        *SubmitRequest `json:"req,omitempty"`
 	AcceptedAt time.Time      `json:"acceptedAt,omitempty"`

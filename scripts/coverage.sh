@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Coverage ratchet for the runtime and observability packages: fails when
-# statement coverage drops below the per-package minimum. The minimums sit
+# Coverage ratchet for the runtime, the analyses it routes by, the parameter
+# sets and the observability package: fails when statement coverage drops
+# below the per-package minimum. The minimums sit
 # a few points under the measured coverage at the time they were set; when
 # new tests push coverage up, raise the minimum to just below the new
 # number so it can only move forward.
@@ -13,7 +14,10 @@ cd "$(dirname "$0")/.."
 # package -> minimum statement coverage (%)
 ratchet=(
     "internal/bamboort 93.0"
+    "internal/depend 91.0"
     "internal/obsv 95.0"
+    "internal/pset 98.0"
+    "internal/schedsim 97.0"
 )
 
 fail=0
