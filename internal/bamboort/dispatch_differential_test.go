@@ -81,12 +81,13 @@ func sameSnapshot(t *testing.T, label string, got, want []objState) {
 // dispatchPrograms is the embedded benchmarks plus three fixtures: icflip,
 // eight classes whose same-named fields and methods sit at different slots,
 // so a field slot or callee resolved against the wrong class would change
-// the printed total; and the tag-effect probes readd and clearmany, whose
-// objects reach states only a tag re-add or a partial clear leads to.
+// the printed total; and the tag-effect probes readd, clearmany and
+// clearadd, whose objects reach states only a tag re-add, a partial clear or
+// a clear followed by a re-add leads to.
 func dispatchPrograms(t *testing.T) []*benchmarks.Benchmark {
 	t.Helper()
 	out := benchmarks.All()
-	for _, name := range []string{"icflip", "readd", "clearmany"} {
+	for _, name := range []string{"icflip", "readd", "clearmany", "clearadd"} {
 		src, err := os.ReadFile("testdata/" + name + ".bb")
 		if err != nil {
 			t.Fatal(err)
@@ -202,6 +203,7 @@ func TestFusedInstrCounts(t *testing.T) {
 		"icflip":     {318, 160},
 		"readd":      {18, 6},
 		"clearmany":  {20, 6},
+		"clearadd":   {18, 6},
 	}
 	for _, b := range dispatchPrograms(t) {
 		sys, err := core.CompileSource(b.Source)

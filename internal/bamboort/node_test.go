@@ -24,11 +24,12 @@ func execOn(sys *core.System, engine core.Engine, nc int, args []string) (string
 	return out.String(), err
 }
 
-// TestTagEffectProbes: re-adding the tag a guard binds keeps one tag, and
-// clearing one of three leaves many. The analysis must hold both states, or
+// TestTagEffectProbes: re-adding the tag a guard binds keeps one tag,
+// clearing one of three leaves many, and clearing the bound tag then adding
+// it back leaves one. The analysis must hold both states, or
 // the Items reach a state without an ASTG node and fin never runs.
 func TestTagEffectProbes(t *testing.T) {
-	for _, name := range []string{"readd", "clearmany"} {
+	for _, name := range []string{"readd", "clearmany", "clearadd"} {
 		src, err := os.ReadFile("testdata/" + name + ".bb")
 		if err != nil {
 			t.Fatal(err)

@@ -29,10 +29,8 @@
 package bamboort
 
 import (
-	"slices"
 	"sort"
 
-	"repro/internal/ast"
 	"repro/internal/depend"
 	"repro/internal/interp"
 	"repro/internal/ir"
@@ -64,16 +62,24 @@ func CommonTagVar(task *types.Task) string {
 	if len(task.Params) == 0 {
 		return ""
 	}
-	// Of several, the lexicographically smallest: the routing tag decides
-	// the layout, so the pick must be deterministic.
-	best := ""
-	for _, tg := range task.Params[0].Tags {
-		shared := true
-		for _, p := range task.Params[1:] {
-			shared = shared && slices.ContainsFunc(p.Tags, func(g *ast.TagGuard) bool { return g.Name == tg.Name })
+	counts := map[string]int{}
+	for _, p := range task.Params {
+		seen := map[string]bool{}
+		for _, tg := range p.Tags {
+			if !seen[tg.Name] {
+				seen[tg.Name] = true
+				counts[tg.Name]++
+			}
 		}
-		if shared && (best == "" || tg.Name < best) {
-			best = tg.Name
+	}
+	// When more than one tag variable is shared by every parameter, pick
+	// the lexicographically smallest: map iteration order is randomized,
+	// and the chosen routing tag determines the layout, so a random pick
+	// made layouts (and thus whole runs) vary between executions.
+	best := ""
+	for name, n := range counts {
+		if n == len(task.Params) && (best == "" || name < best) {
+			best = name
 		}
 	}
 	return best

@@ -87,6 +87,11 @@ func Build(prog *ir.Program, dep *depend.Result, prof *profile.Profile) *Graph {
 			g.Nodes[cn+"|"+n.Key()] = &StateNode{Class: n.Class, State: n.State, Alloc: n.Alloc}
 		}
 		for _, e := range ag.Edges {
+			if e.Alt {
+				// The second successor of a clear of "many" tags: the exit's
+				// probability is on its first, as in the simulator.
+				continue
+			}
 			te := &TransEdge{
 				From:  g.Nodes[cn+"|"+e.From.Key()],
 				To:    g.Nodes[cn+"|"+e.To.Key()],

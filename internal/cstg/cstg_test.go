@@ -1,6 +1,7 @@
 package cstg_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -226,5 +227,37 @@ func TestBuildWithoutProfile(t *testing.T) {
 	}
 	if !sawNew {
 		t.Error("no structural new edges")
+	}
+}
+
+// TestClearOfManyOneTransition: an exit that clears one of "many" tags has
+// two ASTG successors, but the CSTG keeps one transition per (state, task,
+// exit), so the probabilities leaving a state still sum to one.
+func TestClearOfManyOneTransition(t *testing.T) {
+	src, err := os.ReadFile("../bamboort/testdata/clearmany.bb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.CompileSource(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := sys.Profile(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := map[*cstg.StateNode]float64{}
+	for _, te := range sys.CSTG(prof).Trans {
+		if te.Task.Name == "step" {
+			sum[te.From] += te.Prob
+		}
+	}
+	if len(sum) != 1 {
+		t.Fatalf("step leaves %d states, want 1", len(sum))
+	}
+	for from, p := range sum {
+		if p < 0.99 || p > 1.01 {
+			t.Errorf("step's exit probabilities from %s sum to %g, want 1", from.State.Key(), p)
+		}
 	}
 }

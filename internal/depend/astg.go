@@ -2,11 +2,10 @@ package depend
 
 import (
 	"fmt"
-	"maps"
 	"slices"
+	"sort"
 	"strings"
 
-	"repro/internal/ast"
 	"repro/internal/ir"
 	"repro/internal/types"
 )
@@ -52,14 +51,22 @@ type Graph struct {
 	Base  int // ID of the first node; the graph's IDs are contiguous
 }
 
-// NodeList returns the graph's nodes in deterministic (key) order.
-func (g *Graph) NodeList() []*Node {
-	out := make([]*Node, 0, len(g.Nodes))
-	for _, k := range slices.Sorted(maps.Keys(g.Nodes)) {
-		out = append(out, g.Nodes[k])
+// sortedNodes returns nodes in deterministic key order.
+func (g *Graph) sortedNodes() []*Node {
+	keys := make([]string, 0, len(g.Nodes))
+	for k := range g.Nodes {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*Node, len(keys))
+	for i, k := range keys {
+		out[i] = g.Nodes[k]
 	}
 	return out
 }
+
+// NodeList returns the graph's nodes in deterministic order.
+func (g *Graph) NodeList() []*Node { return g.sortedNodes() }
 
 // Result is the output of dependence analysis for a whole program.
 type Result struct {
@@ -168,8 +175,8 @@ func Analyze(prog *ir.Program) (*Result, error) {
 	// worklist exactly once, when first created, so each (node, task,
 	// parameter, exit, successor) edge is made once.
 	var work []*Node
-	for _, clName := range slices.Sorted(maps.Keys(res.Graphs)) {
-		work = append(work, res.Graphs[clName].NodeList()...)
+	for _, clName := range sortedKeys(res.Graphs) {
+		work = append(work, res.Graphs[clName].sortedNodes()...)
 	}
 	for len(work) > 0 {
 		n := work[0]
@@ -202,10 +209,10 @@ func Analyze(prog *ir.Program) (*Result, error) {
 		slots += int32(len(task.Params))
 	}
 	res.satW = (slots + 63) / 64
-	for _, clName := range slices.Sorted(maps.Keys(res.Graphs)) {
+	for _, clName := range sortedKeys(res.Graphs) {
 		g := res.Graphs[clName]
 		g.Base = len(res.Nodes)
-		for _, n := range g.NodeList() {
+		for _, n := range g.sortedNodes() {
 			n.ID = len(res.Nodes)
 			res.Nodes = append(res.Nodes, n)
 			res.sat = append(res.sat, make([]uint64, res.satW)...)
@@ -226,7 +233,8 @@ func Analyze(prog *ir.Program) (*Result, error) {
 // ExitEffect returns the states an object bound to parameter paramIdx can
 // be in after exit exitID, none when the exit cannot be taken (an
 // unreachable implicit end exit). The tag effects follow the runtime's:
-// adding a tag the parameter's own guard binds is a no-op, and clearing one
+// adding a tag the object is bound to (its guard's own, not cleared earlier
+// in the exit, or one the exit already added) is a no-op, and clearing one
 // of "many" tags leaves one or many, so such an exit has a second state.
 // The first is the simulator's single successor.
 func ExitEffect(s State, taskFn *ir.Func, paramIdx, exitID int) []State {
@@ -251,16 +259,24 @@ func ExitEffect(s State, taskFn *ir.Func, paramIdx, exitID int) []State {
 		}
 	}
 	outs := []State{out}
-	p := taskFn.Task.Params[paramIdx]
+	// held lists the tag registers the object is known to be bound to: its
+	// guard's own tags, then those this exit adds, less those it clears.
+	var held []ir.Reg
+	for _, tg := range taskFn.Task.Params[paramIdx].Tags {
+		held = append(held, ir.Reg(len(taskFn.Task.Params)+slices.Index(taskFn.TagParams(), tg.Name)))
+	}
 	for _, ta := range spec.TagOps {
 		ty := taskFn.TagRegType[ta.TagReg]
 		if ta.Param != paramIdx || ty == "" {
 			continue // another parameter's, or an unknown tag type
 		}
-		if ta.Add && slices.ContainsFunc(p.Tags, func(tg *ast.TagGuard) bool {
-			return ir.Reg(len(taskFn.Task.Params)+slices.Index(taskFn.TagParams(), tg.Name)) == ta.TagReg
-		}) {
-			continue // the guard's own tag: already bound
+		if ta.Add {
+			if slices.Contains(held, ta.TagReg) {
+				continue // already bound
+			}
+			held = append(held, ta.TagReg)
+		} else {
+			held = slices.DeleteFunc(held, func(r ir.Reg) bool { return r == ta.TagReg })
 		}
 		for i := range outs {
 			if ta.Add {
@@ -291,6 +307,16 @@ func findExit(fn *ir.Func, exitID int) *ir.ExitSpec {
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns map keys in sorted order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // collectAllocs computes, for every function, the set of allocation sites
@@ -329,7 +355,11 @@ func collectAllocs(prog *ir.Program) map[string][]AllocSite {
 	// Transitive closure per function (fixpoint handles recursion).
 	closure := map[string]map[string]AllocSite{}
 	keyOf := func(s AllocSite) string { return s.Class.Name + "|" + s.State.Key() }
-	names := slices.Sorted(maps.Keys(prog.Funcs))
+	names := make([]string, 0, len(prog.Funcs))
+	for n := range prog.Funcs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
 	for _, n := range names {
 		closure[n] = map[string]AllocSite{}
 		for _, s := range direct[n] {
@@ -351,7 +381,12 @@ func collectAllocs(prog *ir.Program) map[string][]AllocSite {
 	}
 	out := map[string][]AllocSite{}
 	for _, n := range names {
-		for _, k := range slices.Sorted(maps.Keys(closure[n])) {
+		keys := make([]string, 0, len(closure[n]))
+		for k := range closure[n] {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
 			out[n] = append(out[n], closure[n][k])
 		}
 	}
@@ -362,7 +397,7 @@ func collectAllocs(prog *ir.Program) map[string][]AllocSite {
 func (g *Graph) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ASTG %s\n", g.Class.Name)
-	for _, n := range g.NodeList() {
+	for _, n := range g.sortedNodes() {
 		mark := " "
 		if n.Alloc {
 			mark = "*"

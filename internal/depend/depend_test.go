@@ -356,6 +356,23 @@ func TestReaddBoundTagKeepsCount(t *testing.T) {
 	}
 }
 
+// TestClearThenReaddCountsOne: an exit that clears the guard's tag and then
+// adds it back leaves the object bound to it once, so step leads to b with
+// one grp tag, where fin consumes it.
+func TestClearThenReaddCountsOne(t *testing.T) {
+	g, nodes := probeGraph(t, "clearadd")
+	from := nodes["a+tag(grp:1)"]
+	if from == nil || !from.Alloc {
+		t.Fatalf("no allocation node a+tag(grp:1) in\n%s", g)
+	}
+	if got := edgesOf(g, from, "step"); !slices.Equal(got, []string{"b+tag(grp:1)"}) {
+		t.Errorf("step from a+tag(grp:1) leads to %v, want [b+tag(grp:1)]", got)
+	}
+	if n := nodes["b+tag(grp:1)"]; n == nil || len(n.Consumers) != 1 || n.Consumers[0].Task.Name != "fin" {
+		t.Errorf("b+tag(grp:1) is not consumed by fin:\n%s", g)
+	}
+}
+
 // TestClearOfManyReachesOneAndMany: clearing one of three grp tags leaves
 // one or many; the analysis keeps both, the second as an Alt edge, and fin
 // consumes both.

@@ -13,8 +13,7 @@ package depend
 
 import (
 	"fmt"
-	"maps"
-	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -71,7 +70,10 @@ func NewState(flags uint64) State {
 func (s State) Clone() State {
 	out := State{Flags: s.Flags}
 	if len(s.Tags) > 0 {
-		out.Tags = maps.Clone(s.Tags)
+		out.Tags = make(map[string]TagCount, len(s.Tags))
+		for k, v := range s.Tags {
+			out.Tags[k] = v
+		}
 	}
 	return out
 }
@@ -104,9 +106,17 @@ func (s State) TagCountOf(tagType string) TagCount { return s.Tags[tagType] }
 
 // Key returns a canonical string encoding usable as a map key.
 func (s State) Key() string {
+	if len(s.Tags) == 0 {
+		return fmt.Sprintf("f%x", s.Flags)
+	}
+	names := make([]string, 0, len(s.Tags))
+	for n := range s.Tags {
+		names = append(names, n)
+	}
+	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "f%x", s.Flags)
-	for _, n := range slices.Sorted(maps.Keys(s.Tags)) {
+	for _, n := range names {
 		fmt.Fprintf(&b, ",%s:%d", n, s.Tags[n])
 	}
 	return b.String()
@@ -132,8 +142,15 @@ func (s State) Pretty(cl *types.Class) string {
 	default:
 		b.WriteString("{}")
 	}
-	for _, n := range slices.Sorted(maps.Keys(s.Tags)) {
-		fmt.Fprintf(&b, "+tag(%s:%d)", n, s.Tags[n])
+	if len(s.Tags) > 0 {
+		names := make([]string, 0, len(s.Tags))
+		for n := range s.Tags {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			fmt.Fprintf(&b, "+tag(%s:%d)", n, s.Tags[n])
+		}
 	}
 	return b.String()
 }
