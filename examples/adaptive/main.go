@@ -70,7 +70,7 @@ func main() {
 // a profile, like a field executable reporting statistics to the
 // optimization library.
 func runWithProfile(sys *core.System, m *machine.Machine, synth *core.SynthesisResult, args []string) (*profile.Profile, int64, error) {
-	prof := profile.New()
+	prof := profile.New(sys.Dep)
 	res, err := sys.Exec(context.Background(), core.ExecConfig{
 		Engine: core.Deterministic, Machine: m, Layout: synth.Layout, Args: args, Profile: prof,
 	})

@@ -55,18 +55,18 @@ func buildMovesSynth(t *testing.T) *synth.Synthesis {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := profile.New()
-	prof.Record("startup", 0, 2000, map[profile.AllocKey]int64{
-		{Class: "Work", StateKey: "f1"}: 8,
-		{Class: "Sink", StateKey: "f1"}: 1,
-	})
+	prof := profile.New(dep)
+	task := func(name string) int { return irProg.Info.TaskByName[name].Index }
+	allocs := prof.Allocated(prof.Record(task("startup"), 0, 2000))
+	allocs[dep.Graphs["Work"].Nodes["f1"].ID] = 8
+	allocs[dep.Graphs["Sink"].Nodes["f1"].ID] = 1
 	for i := 0; i < 8; i++ {
-		prof.Record("step", 0, 500, nil)
+		prof.Record(task("step"), 0, 500)
 	}
 	for i := 0; i < 7; i++ {
-		prof.Record("collect", 1, 300, nil)
+		prof.Record(task("collect"), 1, 300)
 	}
-	prof.Record("collect", 0, 300, nil)
+	prof.Record(task("collect"), 0, 300)
 	return synth.Build(cstg.Build(irProg, dep, prof), 4)
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bamboort"
+	"repro/internal/bbfuzz"
 	"repro/internal/core"
 	"repro/internal/machine"
 )
@@ -128,36 +129,68 @@ func TestCheckpointRejects(t *testing.T) {
 	}
 }
 
-// FuzzSessionCheckpoint: restoring arbitrary bytes returns an error or an
-// engine, never a panic or a hang, and whatever restores encodes back to
-// exactly the bytes it came from.
-func FuzzSessionCheckpoint(f *testing.F) {
-	sys := kvSystem(f)
-	var out bytes.Buffer
-	// A spread layout, not a synthesized one: every fuzz worker builds it.
-	cfg := core.ExecConfig{Engine: core.Deterministic, Machine: machine.TilePro64().WithCores(2),
-		Layout: bamboort.SpreadLayout(sys.Prog, 2), Args: kvArgs, Out: &out}
-	sn, err := sys.StartSession(context.Background(), cfg)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, n := range []int{0, 5, 40} {
-		if n > 0 {
-			if _, err := sn.Feed(context.Background(), kvBatch(n)); err != nil {
-				f.Fatal(err)
-			}
+// fuzzSession is a program FuzzSessionCheckpoint restores into: its system,
+// a deterministic session config on a spread two-core layout, and the feeds
+// its seed checkpoints are taken between.
+type fuzzSession struct {
+	sys   *core.System
+	cfg   core.ExecConfig
+	feeds [][]bamboort.Inject
+}
+
+// fuzzSessions are KVStore and the generated members of the bbfuzz corpus,
+// fed as bbfuzz's session mode feeds them.
+func fuzzSessions(tb testing.TB) []fuzzSession {
+	kv := kvSystem(tb)
+	out := []fuzzSession{{sys: kv, cfg: core.ExecConfig{Args: kvArgs}, feeds: [][]bamboort.Inject{kvBatch(5), kvBatch(35)}}}
+	for _, seed := range []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 64, 197, 350, 1564} {
+		p := bbfuzz.GenerateSeed(seed)
+		sys, err := core.CompileSource(p.Source())
+		if err != nil {
+			tb.Fatal(err)
 		}
-		ck, err := sn.Checkpoint("kv", out.Bytes())
+		extras := bbfuzz.SessionExtras(p, 4)
+		out = append(out, fuzzSession{sys: sys, feeds: [][]bamboort.Inject{extras[:len(extras)/2], extras[len(extras)/2:]}})
+	}
+	for i := range out {
+		// A spread layout, not a synthesized one: every fuzz worker builds it.
+		s := &out[i]
+		s.cfg.Engine, s.cfg.Machine, s.cfg.Layout = core.Deterministic, machine.TilePro64().WithCores(2), bamboort.SpreadLayout(s.sys.Prog, 2)
+	}
+	return out
+}
+
+// FuzzSessionCheckpoint: restoring arbitrary bytes into any of the
+// fuzzSessions returns an error or an engine, never a panic or a hang, and
+// whatever restores encodes back to exactly the bytes it came from. The
+// seeds are each program's checkpoints before, between and after its feeds.
+func FuzzSessionCheckpoint(f *testing.F) {
+	progs := fuzzSessions(f)
+	for i, p := range progs {
+		var out bytes.Buffer
+		cfg := p.cfg
+		cfg.Out = &out
+		sn, err := p.sys.StartSession(context.Background(), cfg)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(ck)
+		for k := 0; k <= len(p.feeds); k++ {
+			if k > 0 {
+				if _, err := sn.Feed(context.Background(), p.feeds[k-1]); err != nil {
+					f.Fatal(err)
+				}
+			}
+			ck, err := sn.Checkpoint("fz", out.Bytes())
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(uint8(i), ck)
+		}
+		sn.Close()
 	}
-	sn.Close()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg := cfg
-		cfg.Out = nil
-		rs, err := sys.RestoreSession(cfg, "kv", data)
+	f.Fuzz(func(t *testing.T, prog uint8, data []byte) {
+		p := progs[int(prog)%len(progs)]
+		rs, err := p.sys.RestoreSession(p.cfg, "fz", data)
 		if err != nil {
 			if !errors.Is(err, bamboort.ErrCheckpoint) {
 				t.Fatalf("error outside ErrCheckpoint: %v", err)
@@ -167,7 +200,7 @@ func FuzzSessionCheckpoint(f *testing.F) {
 		defer rs.Close()
 		// Output is carried, not re-read: compare everything after it by
 		// re-encoding with the output the checkpoint held.
-		again, err := rs.Checkpoint("kv", checkpointOutput(t, sys, cfg, data))
+		again, err := rs.Checkpoint("fz", checkpointOutput(t, p.sys, p.cfg, data))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +215,7 @@ func FuzzSessionCheckpoint(f *testing.F) {
 func checkpointOutput(t *testing.T, sys *core.System, cfg core.ExecConfig, data []byte) []byte {
 	var out bytes.Buffer
 	cfg.Out = &out
-	rs, err := sys.RestoreSession(cfg, "kv", data)
+	rs, err := sys.RestoreSession(cfg, "fz", data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,6 +149,9 @@ func NewEngine(prog *ir.Program, dep *depend.Result, locks *disjoint.Result, opt
 	if opts.Machine == nil || opts.Layout == nil {
 		return nil, fmt.Errorf("bamboort: Machine and Layout are required")
 	}
+	if opts.Profile != nil && opts.Profile.Dep != dep {
+		return nil, fmt.Errorf("bamboort: the profile numbers another dependence analysis")
+	}
 	opts.setDefaults()
 	usable := opts.Machine.UsableCores()
 	if opts.Layout.NumCores > len(usable) {
@@ -269,8 +272,7 @@ func startupObject(pl *plan, heap *interp.Heap, args []string) *interp.Object {
 	if f, ok := cl.FieldByName["args"]; ok {
 		so.Fields[f.Index] = interp.ArrV(heap.NewStringArray(args))
 	}
-	id, _ := pl.nodeOf(cl, so.Flags(), nil) // depend.Analyze always adds it
-	so.SetNode(id)
+	so.SetNode(int32(pl.dep.Start.ID))
 	return so
 }
 
@@ -379,14 +381,13 @@ func (e *Engine) onComplete(ev *event) {
 		delete(e.locked, obj)
 	}
 	// Record profile and trace.
-	if e.opts.Profile != nil {
-		allocs := map[profile.AllocKey]int64{}
+	if p := e.opts.Profile; p != nil {
+		allocs := p.Allocated(p.Record(task.Index, exec.ExitID, exec.Cycles))
 		for _, o := range exec.NewObjects {
-			if o.Node() >= 0 {
-				allocs[profile.AllocKey{Class: o.Class.Name, StateKey: e.plan.dep.Nodes[o.Node()].Key()}]++
+			if n := o.Node(); n >= 0 {
+				allocs[n]++
 			}
 		}
-		e.opts.Profile.Record(task.Name, exec.ExitID, exec.Cycles, allocs)
 	}
 	if e.opts.Trace != nil {
 		recordSpan(e.opts.Trace, e.producerOf, ev.core, inv, exec, ev.start, ev.time)

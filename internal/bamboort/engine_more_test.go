@@ -3,6 +3,8 @@ package bamboort_test
 import (
 	"bytes"
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bamboort"
@@ -81,21 +83,30 @@ func TestMulticoreProfileMatchesSingleCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi := profile.New()
+	multi := profile.New(sys.Dep)
 	m := machine.TilePro64().WithCores(4)
 	if _, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Profile: multi}); err != nil {
 		t.Fatal(err)
 	}
-	for _, task := range sys.TaskNames() {
-		if single.Tasks[task].Total() != multi.Tasks[task].Total() {
-			t.Errorf("%s: invocation counts differ: %d vs %d", task,
-				single.Tasks[task].Total(), multi.Tasks[task].Total())
+	if !slices.Equal(single.Inv, multi.Inv) {
+		t.Errorf("invocation counts differ: %v vs %v", single.Inv, multi.Inv)
+	}
+	for s := range single.Exits {
+		if single.Exits[s].Count != multi.Exits[s].Count {
+			t.Errorf("exit slot %d: count %d vs %d", s, single.Exits[s].Count, multi.Exits[s].Count)
 		}
-		for exit := range single.Tasks[task].Exits {
-			if p1, p2 := single.ExitProb(task, exit), multi.ExitProb(task, exit); p1 != p2 {
-				t.Errorf("%s exit %d: prob %g vs %g", task, exit, p1, p2)
-			}
+		if !slices.Equal(single.Allocated(s), multi.Allocated(s)) {
+			t.Errorf("exit slot %d: allocations %v vs %v", s, single.Allocated(s), multi.Allocated(s))
 		}
+	}
+	// A profile is bound to the analysis that numbers it.
+	other, err := core.CompileSource(keywordSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Profile: profile.New(other.Dep)})
+	if err == nil || !strings.Contains(err.Error(), "another dependence analysis") {
+		t.Errorf("a profile of another analysis: err = %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package bamboort_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/profile"
 )
 
 // keywordSrc is the Section 2 keyword-counting example: startup partitions
@@ -176,31 +176,26 @@ func TestProfileRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	task := func(name string) int { return sys.Prog.Info.TaskByName[name].Index }
 	// startup ran once taking exit 0 and allocated 8 Text + 1 Results.
-	if got := prof.Tasks["startup"].Total(); got != 1 {
+	if got := prof.Inv[task("startup")]; got != 1 {
 		t.Errorf("startup count = %d", got)
 	}
-	allocs := prof.MeanAllocs("startup", 0)
-	var textMean, resultsMean float64
-	for k, v := range allocs {
-		switch k.Class {
-		case "Text":
-			textMean = v
-		case "Results":
-			resultsMean = v
-		}
+	allocs := map[string]int64{}
+	for id, n := range prof.Allocated(int(sys.Dep.Exit0[task("startup")])) {
+		allocs[sys.Dep.Nodes[id].Class.Name] += n
 	}
-	if textMean != 8 || resultsMean != 1 {
-		t.Errorf("startup allocs: Text=%g Results=%g, want 8 and 1", textMean, resultsMean)
+	if allocs["Text"] != 8 || allocs["Results"] != 1 {
+		t.Errorf("startup allocs: Text=%d Results=%d, want 8 and 1", allocs["Text"], allocs["Results"])
 	}
 	// mergeResult took exit 0 once (the final merge) and exit 1 seven times.
-	if got := prof.ExitProb("mergeResult", 0); got != 1.0/8 {
+	if got := prof.ExitProb(task("mergeResult"), 0); got != 1.0/8 {
 		t.Errorf("merge exit0 prob = %g, want 0.125", got)
 	}
-	if got := prof.ExitProb("mergeResult", 1); got != 7.0/8 {
+	if got := prof.ExitProb(task("mergeResult"), 1); got != 7.0/8 {
 		t.Errorf("merge exit1 prob = %g, want 0.875", got)
 	}
-	if prof.MeanCycles("processText", 0) <= 0 {
+	if prof.MeanCycles(task("processText"), 0) <= 0 {
 		t.Error("processText mean cycles missing")
 	}
 }
@@ -252,15 +247,29 @@ func TestProfileSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := profile.Unmarshal(data)
-	if err != nil {
+	var back struct {
+		Tasks map[string]struct {
+			Exits []struct {
+				Count       int64 `json:"count"`
+				TotalCycles int64 `json:"total_cycles"`
+			} `json:"exits"`
+			Inv int64 `json:"inv"`
+		} `json:"tasks"`
+	}
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.ExitProb("mergeResult", 0) != prof.ExitProb("mergeResult", 0) {
-		t.Error("round-trip changed exit probabilities")
-	}
-	if back.MeanCycles("processText", 0) != prof.MeanCycles("processText", 0) {
-		t.Error("round-trip changed mean cycles")
+	for _, fn := range sys.Prog.Tasks {
+		got := back.Tasks[fn.Task.Name]
+		if got.Inv != prof.Inv[fn.Task.Index] || len(got.Exits) != fn.NumExits {
+			t.Errorf("%s: %d invocations over %d exits, want %d over %d", fn.Task.Name, got.Inv, len(got.Exits), prof.Inv[fn.Task.Index], fn.NumExits)
+			continue
+		}
+		for x, e := range got.Exits {
+			if want := prof.Exits[int(sys.Dep.Exit0[fn.Task.Index])+x]; e.Count != want.Count || e.TotalCycles != want.TotalCycles {
+				t.Errorf("%s exit %d = %+v, want %+v", fn.Task.Name, x, e, want)
+			}
+		}
 	}
 }
 

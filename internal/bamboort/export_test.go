@@ -66,3 +66,13 @@ func (s *ConcurrentSession) ReleaseAs(core int, objs []*interp.Object) {
 
 // Settle waits for quiescence, like the tail of Feed.
 func (s *ConcurrentSession) Settle(ctx context.Context) error { return s.settle(ctx) }
+
+// Deliver injects batch into a session without running it: the arrivals
+// stay queued.
+func (e *Engine) Deliver(batch []Inject) error {
+	objs, err := buildBatch(context.Background(), e.plan, e.in.Heap, e.tags, batch)
+	for _, o := range objs {
+		e.routeObject(o, -1, e.lastEnd, 0, 0)
+	}
+	return err
+}

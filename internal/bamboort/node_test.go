@@ -27,9 +27,11 @@ func execOn(sys *core.System, engine core.Engine, nc int, args []string) (string
 // TestTagEffectProbes: re-adding the tag a guard binds keeps one tag,
 // clearing one of three leaves many, and clearing the bound tag then adding
 // it back leaves one. The analysis must hold both states, or
-// the Items reach a state without an ASTG node and fin never runs.
+// the Items reach a state without an ASTG node and fin never runs. Trading
+// the bound tag for another of its type (swaptag) keeps the node, and the
+// join's indexed set must refile the Item under the new tag when it sweeps.
 func TestTagEffectProbes(t *testing.T) {
-	for _, name := range []string{"readd", "clearmany", "clearadd"} {
+	for _, name := range []string{"readd", "clearmany", "clearadd", "swaptag"} {
 		src, err := os.ReadFile("testdata/" + name + ".bb")
 		if err != nil {
 			t.Fatal(err)

@@ -43,12 +43,12 @@ type sessRun struct {
 	final  []byte     // the deterministic engine's closing checkpoint
 }
 
-// sessionExtras builds the injection list: nExtra fresh items per
+// SessionExtras builds the injection list: nExtra fresh items per
 // pipeline, ids continuing past the startup items, interleaved across
 // pipelines. Injected objects skip the class constructor (fields start
 // zeroed), which is fine — every stage writes only the item's own fields,
 // so the walk stays deterministic.
-func sessionExtras(p *Program, nExtra int) []bamboort.Inject {
+func SessionExtras(p *Program, nExtra int) []bamboort.Inject {
 	var out []bamboort.Inject
 	for k := 0; k < nExtra; k++ {
 		for _, pl := range p.Pipelines {
@@ -158,7 +158,7 @@ func CheckSessionFeeds(p *Program, seed int64, cfg CheckConfig) *Divergence {
 		return fail("compile", 0, "%v", err)
 	}
 	maxInv := cfg.maxInv()
-	extras := sessionExtras(p, 4)
+	extras := SessionExtras(p, 4)
 	single := [][]bamboort.Inject{extras}
 	rng := rand.New(rand.NewSource(seed))
 

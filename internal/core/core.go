@@ -106,7 +106,7 @@ func (s *System) Profile(args []string) (*profile.Profile, *bamboort.Result, err
 }
 
 func (s *System) profile(ctx context.Context, args []string) (*profile.Profile, *bamboort.Result, error) {
-	prof := profile.New()
+	prof := profile.New(s.Dep)
 	res, err := s.Exec(ctx, ExecConfig{
 		Engine:  Deterministic,
 		Machine: machine.SingleCoreBamboo(),

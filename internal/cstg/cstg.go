@@ -12,8 +12,11 @@
 package cstg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/depend"
@@ -22,19 +25,17 @@ import (
 	"repro/internal/types"
 )
 
-// StateNode is one abstract object state of one class.
+// StateNode is one ASTG node of the CSTG.
 type StateNode struct {
-	Class *types.Class
-	State depend.State
-	Alloc bool // drawn with a double ellipse: an allocation site targets it
+	*depend.Node
 	// MinTime is a lower-bound estimate (cycles) of the remaining
 	// processing an object entering this state triggers (the node labels
 	// in Figure 3).
 	MinTime float64
 }
 
-// ID returns a unique node identifier.
-func (n *StateNode) ID() string { return n.Class.Name + "|" + n.State.Key() }
+// ID returns the node's DOT name; Node.ID is its index in Graph.Nodes.
+func (n *StateNode) ID() string { return n.Class.Name + "|" + n.Key() }
 
 // Label renders the node like the paper's figures: "process: 13".
 func (n *StateNode) Label() string {
@@ -67,7 +68,7 @@ type Graph struct {
 	Prog  *ir.Program
 	Dep   *depend.Result
 	Prof  *profile.Profile
-	Nodes map[string]*StateNode
+	Nodes []*StateNode // by depend.Node.ID
 	Trans []*TransEdge
 	News  []*NewEdge
 }
@@ -75,82 +76,63 @@ type Graph struct {
 // Build combines the ASTGs and annotates them with prof (which may be nil
 // for a purely structural graph).
 func Build(prog *ir.Program, dep *depend.Result, prof *profile.Profile) *Graph {
-	g := &Graph{Prog: prog, Dep: dep, Prof: prof, Nodes: map[string]*StateNode{}}
-	classNames := make([]string, 0, len(dep.Graphs))
-	for n := range dep.Graphs {
-		classNames = append(classNames, n)
+	g := &Graph{Prog: prog, Dep: dep, Prof: prof, Nodes: make([]*StateNode, len(dep.Nodes))}
+	for i, n := range dep.Nodes {
+		g.Nodes[i] = &StateNode{Node: n}
 	}
-	sort.Strings(classNames)
-	for _, cn := range classNames {
-		ag := dep.Graphs[cn]
-		for _, n := range ag.NodeList() {
-			g.Nodes[cn+"|"+n.Key()] = &StateNode{Class: n.Class, State: n.State, Alloc: n.Alloc}
+	// Transitions class by class, each class's in the order the analysis
+	// found them (the DOT's edge order).
+	for i, n := range dep.Nodes {
+		if i > 0 && dep.Nodes[i-1].Class == n.Class {
+			continue
 		}
-		for _, e := range ag.Edges {
+		for _, e := range dep.Graphs[n.Class.Name].Edges {
 			if e.Alt {
 				// The second successor of a clear of "many" tags: the exit's
 				// probability is on its first, as in the simulator.
 				continue
 			}
 			te := &TransEdge{
-				From:  g.Nodes[cn+"|"+e.From.Key()],
-				To:    g.Nodes[cn+"|"+e.To.Key()],
+				From:  g.Nodes[e.From.ID],
+				To:    g.Nodes[e.To.ID],
 				Task:  e.Task,
 				Param: e.Param,
 				Exit:  e.Exit,
 			}
 			if prof != nil {
-				te.Prob = prof.ExitProb(e.Task.Name, e.Exit)
-				te.MeanCycles = prof.MeanCycles(e.Task.Name, e.Exit)
+				te.Prob = prof.ExitProb(e.Task.Index, e.Exit)
+				te.MeanCycles = prof.MeanCycles(e.Task.Index, e.Exit)
 			}
 			g.Trans = append(g.Trans, te)
 		}
 	}
 	// New-object edges from profiled allocations (falling back to the
 	// static allocation sites when no profile is available).
-	if prof != nil {
-		taskNames := make([]string, 0, len(dep.TaskAllocs))
-		for t := range dep.TaskAllocs {
-			taskNames = append(taskNames, t)
-		}
-		sort.Strings(taskNames)
-		for _, tn := range taskNames {
-			task := prog.Info.TaskByName[tn]
-			taskFn := prog.Funcs[ir.TaskKey(tn)]
-			// Expected objects per invocation = sum over exits of
-			// P(exit) * mean allocs on that exit.
-			agg := map[profile.AllocKey]float64{}
-			for exit := 0; exit < taskFn.NumExits; exit++ {
-				p := prof.ExitProb(tn, exit)
-				if p == 0 {
-					continue
-				}
-				for k, mean := range prof.MeanAllocs(tn, exit) {
-					agg[k] += p * mean
-				}
-			}
-			keys := make([]profile.AllocKey, 0, len(agg))
-			for k := range agg {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-			for _, k := range keys {
-				node := g.Nodes[k.Class+"|"+k.StateKey]
-				if node == nil {
-					continue
-				}
-				g.News = append(g.News, &NewEdge{Task: task, To: node, Count: agg[k]})
-			}
-		}
-	} else {
-		for _, tn := range sortedTaskNames(dep) {
-			task := prog.Info.TaskByName[tn]
+	for _, tn := range slices.Sorted(maps.Keys(dep.TaskAllocs)) {
+		task := prog.Info.TaskByName[tn]
+		if prof == nil {
 			for _, site := range dep.TaskAllocs[tn] {
-				node := g.Nodes[site.Class.Name+"|"+site.State.Key()]
-				if node == nil {
-					continue
+				g.News = append(g.News, &NewEdge{Task: task, To: g.Nodes[site.Node.ID], Count: 1})
+			}
+			continue
+		}
+		// Expected objects per invocation = sum over exits of
+		// P(exit) * mean allocs on that exit.
+		agg, t := make([]float64, len(g.Nodes)), task.Index
+		for x, es := range prof.Exits[dep.Exit0[t]:dep.Exit0[t+1]] {
+			p := prof.ExitProb(t, x)
+			if p == 0 {
+				continue
+			}
+			for id, n := range prof.Allocated(int(dep.Exit0[t]) + x) {
+				if n > 0 {
+					agg[id] += p * (float64(n) / float64(es.Count))
 				}
-				g.News = append(g.News, &NewEdge{Task: task, To: node, Count: 1})
+			}
+		}
+		for id, count := range agg {
+			if count > 0 {
+				g.News = append(g.News, &NewEdge{Task: task, To: g.Nodes[id], Count: count})
 			}
 		}
 	}
@@ -158,43 +140,23 @@ func Build(prog *ir.Program, dep *depend.Result, prof *profile.Profile) *Graph {
 	return g
 }
 
-func sortedTaskNames(dep *depend.Result) []string {
-	out := make([]string, 0, len(dep.TaskAllocs))
-	for t := range dep.TaskAllocs {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// computeMinTimes assigns each node a lower-bound estimate of the remaining
-// processing time for an object entering that state: the minimum over
-// outgoing transitions of (task time + destination estimate), computed to
-// fixpoint (cycles converge because times are non-negative and we take
-// minima).
+// computeMinTimes labels each node with a lower bound on the processing an
+// object entering it still triggers: the shortest path, in mean task cycles,
+// to a state with no outgoing transition, which costs 0. A self-loop costs
+// its task time alone. A state that reaches no such state keeps +Inf.
 func (g *Graph) computeMinTimes() {
-	out := map[*StateNode][]*TransEdge{}
 	for _, e := range g.Trans {
-		out[e.From] = append(out[e.From], e)
+		e.From.MinTime = math.Inf(1)
 	}
-	// Initialize: nodes with no outgoing transitions cost 0.
-	for changed, iter := true, 0; changed && iter < 1000; iter++ {
+	for changed := true; changed; {
 		changed = false
-		for _, n := range g.Nodes {
-			var best float64
-			first := true
-			for _, e := range out[n] {
-				v := e.MeanCycles
-				if e.To != n {
-					v += e.To.MinTime
-				}
-				if first || v < best {
-					best, first = v, false
-				}
+		for _, e := range g.Trans {
+			v := e.MeanCycles
+			if e.To != e.From {
+				v += e.To.MinTime
 			}
-			if !first && best != n.MinTime {
-				n.MinTime = best
-				changed = true
+			if v < e.From.MinTime {
+				e.From.MinTime, changed = v, true
 			}
 		}
 	}
@@ -219,7 +181,7 @@ func (g *Graph) TaskFlowGraph() *TaskFlow {
 	}
 	// Flow: a transition edge by t1 whose destination state t2 consumes.
 	for _, e := range g.Trans {
-		for _, pr := range g.Dep.Consumers(e.To.Class, e.To.State) {
+		for _, pr := range e.To.Consumers {
 			if pr.Task.Name != e.Task.Name || e.From != e.To {
 				tf.Flow[[2]string{e.Task.Name, pr.Task.Name}] = true
 			}
@@ -227,7 +189,7 @@ func (g *Graph) TaskFlowGraph() *TaskFlow {
 	}
 	// New: allocation edges to states consumed by tasks.
 	for _, ne := range g.News {
-		for _, pr := range g.Dep.Consumers(ne.To.Class, ne.To.State) {
+		for _, pr := range ne.To.Consumers {
 			key := [2]string{ne.Task.Name, pr.Task.Name}
 			if ne.Count > tf.New[key] {
 				tf.New[key] = ne.Count
@@ -246,34 +208,21 @@ func (tf *TaskFlow) DOT() string {
 	for _, t := range tf.Tasks {
 		fmt.Fprintf(&b, "  %q;\n", t)
 	}
-	edges := make([][2]string, 0, len(tf.Flow))
-	for e := range tf.Flow {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	for _, e := range edges {
+	for _, e := range sortedPairs(tf.Flow) {
 		fmt.Fprintf(&b, "  %q -> %q;\n", e[0], e[1])
 	}
-	newEdges := make([][2]string, 0, len(tf.New))
-	for e := range tf.New {
-		newEdges = append(newEdges, e)
-	}
-	sort.Slice(newEdges, func(i, j int) bool {
-		if newEdges[i][0] != newEdges[j][0] {
-			return newEdges[i][0] < newEdges[j][0]
-		}
-		return newEdges[i][1] < newEdges[j][1]
-	})
-	for _, e := range newEdges {
+	for _, e := range sortedPairs(tf.New) {
 		fmt.Fprintf(&b, "  %q -> %q [style=dashed label=\"%.1f\"];\n", e[0], e[1], tf.New[e])
 	}
 	b.WriteString("}\n")
 	return b.String()
+}
+
+// sortedPairs returns m's (producer, consumer) keys in order.
+func sortedPairs[V any](m map[[2]string]V) [][2]string {
+	return slices.SortedFunc(maps.Keys(m), func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
+	})
 }
 
 // DOT renders the CSTG in Graphviz syntax in the style of Figure 3:
@@ -282,30 +231,24 @@ func (tf *TaskFlow) DOT() string {
 func (g *Graph) DOT() string {
 	var b strings.Builder
 	b.WriteString("digraph CSTG {\n  rankdir=TB;\n  node [fontsize=10];\n")
-	classNames := map[string][]*StateNode{}
-	for _, n := range g.Nodes {
-		classNames[n.Class.Name] = append(classNames[n.Class.Name], n)
-	}
-	names := make([]string, 0, len(classNames))
-	for n := range classNames {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	id := func(n *StateNode) string {
 		return fmt.Sprintf("%q", n.ID())
 	}
-	for ci, cn := range names {
-		fmt.Fprintf(&b, "  subgraph cluster_%d {\n    label=\"Class %s\";\n", ci, cn)
-		nodes := classNames[cn]
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID() < nodes[j].ID() })
-		for _, n := range nodes {
-			shape := "ellipse"
-			if n.Alloc {
-				shape = "doublecircle"
-			}
-			fmt.Fprintf(&b, "    %s [label=%q shape=%s];\n", id(n), n.Label(), shape)
+	// Node ids run class by class, classes in name order.
+	ci := 0
+	for i, n := range g.Nodes {
+		if i == 0 || g.Nodes[i-1].Class != n.Class {
+			fmt.Fprintf(&b, "  subgraph cluster_%d {\n    label=\"Class %s\";\n", ci, n.Class.Name)
+			ci++
 		}
-		b.WriteString("  }\n")
+		shape := "ellipse"
+		if n.Alloc {
+			shape = "doublecircle"
+		}
+		fmt.Fprintf(&b, "    %s [label=%q shape=%s];\n", id(n), n.Label(), shape)
+		if i == len(g.Nodes)-1 || g.Nodes[i+1].Class != n.Class {
+			b.WriteString("  }\n")
+		}
 	}
 	for _, e := range g.Trans {
 		label := fmt.Sprintf("%s:<%.0f,%.0f%%>", e.Task.Name, e.MeanCycles, e.Prob*100)

@@ -1,12 +1,15 @@
 package cstg_test
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/benchmarks"
 	"repro/internal/core"
 	"repro/internal/cstg"
+	"repro/internal/profile"
 )
 
 const keywordSrc = `
@@ -259,5 +262,50 @@ func TestClearOfManyOneTransition(t *testing.T) {
 		if p < 0.99 || p > 1.01 {
 			t.Errorf("step's exit probabilities from %s sum to %g, want 1", from.State.Key(), p)
 		}
+	}
+}
+
+// buildEmbedded profiles an embedded benchmark on its default input and
+// returns the system and the profile.
+func buildEmbedded(t *testing.T, name string) (*core.System, *profile.Profile) {
+	t.Helper()
+	b, err := benchmarks.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.CompileSource(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := sys.Profile(b.Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys, prof
+}
+
+// TestMinTimesDeterministic: KMeans' Worker states form a cycle that reaches
+// no end state. Their labels are +Inf, the same on every build, and
+// Keyword's Figure 3 is unchanged (testdata/keyword.dot).
+func TestMinTimesDeterministic(t *testing.T) {
+	sys, prof := buildEmbedded(t, "KMeans")
+	first := cstg.Build(sys.Prog, sys.Dep, prof).DOT()
+	for i := 0; i < 20; i++ {
+		if dot := cstg.Build(sys.Prog, sys.Dep, prof).DOT(); dot != first {
+			t.Fatalf("build %d's DOT differs from the first:\n%s\nvs\n%s", i, dot, first)
+		}
+	}
+	for _, state := range []string{"fresh", "compute", "submitted", "idle"} {
+		if want := fmt.Sprintf("[label=\"%s: +Inf\"", state); !strings.Contains(first, want) {
+			t.Errorf("KMeans DOT lacks %s", want)
+		}
+	}
+	sys, prof = buildEmbedded(t, "Keyword")
+	want, err := os.ReadFile("testdata/keyword.dot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.CSTG(prof).DOT(); got != string(want) {
+		t.Errorf("Keyword CSTG:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -11,10 +11,12 @@ import (
 )
 
 // AllocSite is one object allocation a task can perform (directly or through
-// method calls): the allocated class and its initial abstract state.
+// method calls): the allocated class, its initial abstract state and that
+// state's node.
 type AllocSite struct {
 	Class *types.Class
 	State State
+	Node  *Node
 }
 
 // Node is one abstract state of a class in its ASTG.
@@ -65,9 +67,6 @@ func (g *Graph) sortedNodes() []*Node {
 	return out
 }
 
-// NodeList returns the graph's nodes in deterministic order.
-func (g *Graph) NodeList() []*Node { return g.sortedNodes() }
-
 // Result is the output of dependence analysis for a whole program.
 type Result struct {
 	Prog *ir.Program
@@ -83,6 +82,11 @@ type Result struct {
 	// Slot0 numbers the task parameters: parameter k of the task with
 	// types.Task.Index t is slot Slot0[t]+k.
 	Slot0 []int32
+	// Exit0 numbers the task exits the same way: exit x of task t is exit
+	// slot Exit0[t]+x, and Exit0[len(Slot0)] is the number of exit slots.
+	Exit0 []int32
+	// Start is the node of the startup object, which starts every run.
+	Start *Node
 	// sat holds, per node, one bit per parameter slot: the node satisfies
 	// the parameter's flag and tag guards (State.SatisfiesParam).
 	sat  []uint64
@@ -93,15 +97,6 @@ type Result struct {
 type ParamRef struct {
 	Task  *types.Task
 	Param int
-}
-
-// Consumers returns the task parameters whose guards an object of class cl
-// in state s satisfies.
-func (r *Result) Consumers(cl *types.Class, s State) []ParamRef {
-	if g := r.Graphs[cl.Name]; g != nil && g.Nodes[s.Key()] != nil {
-		return g.Nodes[s.Key()].Consumers
-	}
-	return nil
 }
 
 // Satisfies reports whether node satisfies the guards of parameter slot:
@@ -148,7 +143,7 @@ func Analyze(prog *ir.Program) (*Result, error) {
 	// The StartupObject is allocated by the environment in initialstate.
 	startCl := prog.Info.Classes[types.StartupClass]
 	startState := NewState(1 << uint(startCl.FlagIndex[types.StartupFlag]))
-	addNode(graph(startCl), startState, true)
+	res.Start = addNode(graph(startCl), startState, true)
 
 	// Abstract states only matter for classes that can serve as task
 	// parameters; allocations of other classes (plain helper objects)
@@ -164,7 +159,7 @@ func Analyze(prog *ir.Program) (*Result, error) {
 		kept := sites[:0]
 		for _, site := range sites {
 			if paramClass[site.Class] {
-				addNode(graph(site.Class), site.State, true)
+				site.Node = addNode(graph(site.Class), site.State, true)
 				kept = append(kept, site)
 			}
 		}
@@ -203,11 +198,13 @@ func Analyze(prog *ir.Program) (*Result, error) {
 			}
 		}
 	}
-	var slots int32
+	var slots, exits int32
 	for _, task := range prog.Info.Tasks {
-		res.Slot0 = append(res.Slot0, slots)
+		res.Slot0, res.Exit0 = append(res.Slot0, slots), append(res.Exit0, exits)
 		slots += int32(len(task.Params))
+		exits += int32(prog.Funcs[ir.TaskKey(task.Name)].NumExits)
 	}
+	res.Exit0 = append(res.Exit0, exits)
 	res.satW = (slots + 63) / 64
 	for _, clName := range sortedKeys(res.Graphs) {
 		g := res.Graphs[clName]

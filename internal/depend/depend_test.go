@@ -80,6 +80,14 @@ func TestKeywordASTG(t *testing.T) {
 	if len(sg.Edges) != 1 || sg.Edges[0].Task.Name != "startup" {
 		t.Errorf("StartupObject edges wrong: %s", sg)
 	}
+	if res.Start != sg.Edges[0].From || !res.Start.Alloc {
+		t.Errorf("Start = %+v, want the startup task's allocated source node", res.Start)
+	}
+	// Exits are numbered by task index, each task's implicit end exit last:
+	// startup 1+1, processText 1+1, merge 2+1.
+	if want := []int32{0, 2, 4, 7}; !slices.Equal(res.Exit0, want) {
+		t.Errorf("Exit0 = %v, want %v", res.Exit0, want)
+	}
 
 	// Text: process (alloc) --processText--> submit --merge(e0|e1)--> !submit.
 	tg := res.Graphs["Text"]
@@ -129,6 +137,9 @@ func TestTaskAllocs(t *testing.T) {
 	names := map[string]bool{}
 	for _, s := range sites {
 		names[s.Class.Name] = true
+		if s.Node == nil || s.Node.Class != s.Class || s.Node.State.Key() != s.State.Key() || !s.Node.Alloc {
+			t.Errorf("%s site's node = %+v", s.Class.Name, s.Node)
+		}
 	}
 	if !names["Text"] || !names["Results"] {
 		t.Errorf("alloc classes = %v", names)
@@ -162,20 +173,29 @@ task consume(Item it in fresh) {
 	}
 }
 
+// consumers returns the parameters an object of class cl in state s
+// satisfies: those of its node, none when the analysis has no node for s.
+func consumers(res *Result, cl *types.Class, s State) []ParamRef {
+	if n := res.Graphs[cl.Name].Nodes[s.Key()]; n != nil {
+		return n.Consumers
+	}
+	return nil
+}
+
 func TestConsumers(t *testing.T) {
 	res := analyze(t, keywordSrc)
 	cl := res.Prog.Info.Classes["Text"]
 	processBit := uint64(1) << uint(cl.FlagIndex["process"])
-	cons := res.Consumers(cl, NewState(processBit))
+	cons := consumers(res, cl, NewState(processBit))
 	if len(cons) != 1 || cons[0].Task.Name != "processText" {
 		t.Errorf("consumers of Text{process} = %+v", cons)
 	}
 	submitBit := uint64(1) << uint(cl.FlagIndex["submit"])
-	cons = res.Consumers(cl, NewState(submitBit))
+	cons = consumers(res, cl, NewState(submitBit))
 	if len(cons) != 1 || cons[0].Task.Name != "merge" || cons[0].Param != 1 {
 		t.Errorf("consumers of Text{submit} = %+v", cons)
 	}
-	if cons := res.Consumers(cl, NewState(0)); len(cons) != 0 {
+	if cons := consumers(res, cl, NewState(0)); len(cons) != 0 {
 		t.Errorf("consumers of Text{} = %+v, want none", cons)
 	}
 }
@@ -198,7 +218,7 @@ task finish(D d in !dirty with pair t, I im in done with pair t) {
 	ig := res.Graphs["I"]
 	// Allocation state: raw + tag(pair).
 	var allocNode *Node
-	for _, n := range ig.NodeList() {
+	for _, n := range ig.sortedNodes() {
 		if n.Alloc {
 			allocNode = n
 		}
@@ -213,17 +233,17 @@ task finish(D d in !dirty with pair t, I im in done with pair t) {
 	iCl := res.Prog.Info.Classes["I"]
 	doneBit := uint64(1) << uint(iCl.FlagIndex["done"])
 	doneTagged := NewState(doneBit).WithTag("pair")
-	cons := res.Consumers(iCl, doneTagged)
+	cons := consumers(res, iCl, doneTagged)
 	if len(cons) != 1 || cons[0].Task.Name != "finish" {
 		t.Errorf("consumers of I{done,pair} = %+v", cons)
 	}
 	// Without the tag, finish must not trigger.
-	if cons := res.Consumers(iCl, NewState(doneBit)); len(cons) != 0 {
+	if cons := consumers(res, iCl, NewState(doneBit)); len(cons) != 0 {
 		t.Errorf("consumers of I{done} without tag = %+v, want none", cons)
 	}
 }
 
-func TestStateKeyCanonical(t *testing.T) {
+func TestCanonicalKey(t *testing.T) {
 	s1 := NewState(5).WithTag("a").WithTag("b")
 	s2 := NewState(5).WithTag("b").WithTag("a")
 	if s1.Key() != s2.Key() {

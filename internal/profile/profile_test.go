@@ -1,131 +1,231 @@
-package profile
+package profile_test
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/benchmarks"
+	"repro/internal/core"
+	"repro/internal/profile"
 )
 
+// exitsSrc's task t has six exits: five explicit, then the implicit end.
+const exitsSrc = `
+class Text { flag process; int v; }
+class Results { flag finished; }
+task startup(StartupObject s in initialstate) {
+	Text x = new Text(){ process := true };
+	Results r = new Results(){ finished := false };
+	taskexit(s: initialstate := false);
+}
+task t(Text x in process) {
+	if (x.v == 0) { taskexit(x: process := false); }
+	if (x.v == 1) { taskexit(x: process := false); }
+	if (x.v == 2) { taskexit(x: process := false); }
+	if (x.v == 3) { taskexit(x: process := false); }
+	taskexit(x: process := false);
+}
+task merge(Results r in !finished) {
+	taskexit(r: finished := true);
+}
+`
+
+// newProfile returns an empty profile over exitsSrc and a task's index by name.
+func newProfile(t testing.TB) (*profile.Profile, func(string) int) {
+	t.Helper()
+	sys, err := core.CompileSource(exitsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return profile.New(sys.Dep), func(name string) int { return sys.Prog.Info.TaskByName[name].Index }
+}
+
 func TestRecordAndStats(t *testing.T) {
-	p := New()
+	p, task := newProfile(t)
+	merge := task("merge")
 	// Simulate a merge-style task: exit 1 usually, exit 0 every 4th.
 	for i := 1; i <= 12; i++ {
 		exit := 1
 		if i%4 == 0 {
 			exit = 0
 		}
-		p.Record("merge", exit, int64(100+i), nil)
+		p.Record(merge, exit, int64(100+i))
 	}
-	if got := p.ExitProb("merge", 0); got != 0.25 {
+	if got := p.ExitProb(merge, 0); got != 0.25 {
 		t.Errorf("exit0 prob = %g, want 0.25", got)
 	}
-	if got := p.ExitProb("merge", 1); got != 0.75 {
+	if got := p.ExitProb(merge, 1); got != 0.75 {
 		t.Errorf("exit1 prob = %g, want 0.75", got)
 	}
-	if got := p.ExitGap("merge", 0); got != 4 {
+	if got := p.ExitGap(merge, 0); got != 4 {
 		t.Errorf("exit0 gap = %g, want 4 (every 4th invocation)", got)
 	}
-	if got := p.Tasks["merge"].Total(); got != 12 {
+	if got := p.Inv[merge]; got != 12 {
 		t.Errorf("total = %d", got)
 	}
 	// Mean cycles per exit.
 	want0 := float64(104+108+112) / 3
-	if got := p.MeanCycles("merge", 0); math.Abs(got-want0) > 1e-9 {
+	if got := p.MeanCycles(merge, 0); math.Abs(got-want0) > 1e-9 {
 		t.Errorf("exit0 mean = %g, want %g", got, want0)
 	}
 }
 
 func TestAllocStats(t *testing.T) {
-	p := New()
-	k1 := AllocKey{Class: "Text", StateKey: "f1"}
-	k2 := AllocKey{Class: "Results", StateKey: "f0"}
-	p.Record("startup", 0, 1000, map[AllocKey]int64{k1: 8, k2: 1})
-	p.Record("startup", 0, 1200, map[AllocKey]int64{k1: 6, k2: 1})
-	allocs := p.MeanAllocs("startup", 0)
-	if got := allocs[k1]; got != 7 {
-		t.Errorf("Text mean = %g, want 7", got)
+	p, task := newProfile(t)
+	text, results := p.Dep.Graphs["Text"].Nodes["f1"].ID, p.Dep.Graphs["Results"].Nodes["f0"].ID
+	for _, n := range []int64{8, 6} {
+		allocs := p.Allocated(p.Record(task("startup"), 0, 1000))
+		allocs[text] += n
+		allocs[results]++
 	}
-	if got := allocs[k2]; got != 1 {
-		t.Errorf("Results mean = %g, want 1", got)
+	startup := int(p.Dep.Exit0[task("startup")])
+	if got := p.Allocated(startup); got[text] != 14 || got[results] != 2 {
+		t.Errorf("startup exit 0 allocations = %v, want Text 14 and Results 2", got)
 	}
-	totals := p.TotalAllocsByClass()
-	if totals["Text"] != 14 || totals["Results"] != 2 {
-		t.Errorf("totals = %v", totals)
+	for s := range p.Exits {
+		for id, n := range p.Allocated(s) {
+			if s != startup && n != 0 {
+				t.Errorf("allocation counted under exit slot %d, node %d", s, id)
+			}
+		}
 	}
 }
 
 func TestFallbackMeans(t *testing.T) {
-	p := New()
-	p.Record("t", 0, 100, nil)
-	p.Record("t", 0, 300, nil)
+	p, task := newProfile(t)
+	p.Record(task("t"), 0, 100)
+	p.Record(task("t"), 0, 300)
 	// Exit 1 never observed: falls back to the task-wide mean.
-	if got := p.MeanCycles("t", 1); got != 200 {
+	if got := p.MeanCycles(task("t"), 1); got != 200 {
 		t.Errorf("fallback mean = %g, want 200", got)
 	}
-	if got := p.MeanCycles("missing", 0); got != 0 {
-		t.Errorf("missing task mean = %g", got)
+	if got := p.MeanCycles(task("merge"), 0); got != 0 {
+		t.Errorf("never-run task mean = %g", got)
 	}
-	if got := p.ExitProb("t", 5); got != 0 {
-		t.Errorf("out-of-range exit prob = %g", got)
+	if got := p.ExitProb(task("merge"), 0); got != 0 {
+		t.Errorf("never-run task prob = %g", got)
+	}
+	if got := p.ExitGap(task("t"), 1); got != 0 {
+		t.Errorf("never-taken exit gap = %g", got)
 	}
 }
 
+// marshaled is Marshal's JSON, decoded.
+type marshaled struct {
+	Tasks map[string]struct {
+		Exits []*struct {
+			Count       int64            `json:"count"`
+			TotalCycles int64            `json:"total_cycles"`
+			Allocs      map[string]int64 `json:"allocs"`
+			GapSum      int64            `json:"gap_sum"`
+			GapN        int64            `json:"gap_n"`
+			LastInv     int64            `json:"last_inv"`
+		} `json:"exits"`
+		Inv int64 `json:"inv"`
+	} `json:"tasks"`
+}
+
+func decode(t *testing.T, data []byte) marshaled {
+	t.Helper()
+	var m marshaled
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
-	p := New()
-	p.Record("a", 0, 500, map[AllocKey]int64{{Class: "C", StateKey: "f1"}: 3})
-	p.Record("a", 1, 700, nil)
-	p.Record("b", 0, 20, nil)
+	p, task := newProfile(t)
+	p.Allocated(p.Record(task("t"), 0, 500))[p.Dep.Graphs["Text"].Nodes["f1"].ID] = 3
+	p.Record(task("t"), 1, 700)
+	p.Record(task("merge"), 0, 20)
 	data, err := p.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unmarshal(data)
+	m := decode(t, data)
+	if _, ok := m.Tasks["startup"]; ok || len(m.Tasks) != 2 {
+		t.Errorf("tasks %v, want t and merge (startup never ran)", m.Tasks)
+	}
+	tt := m.Tasks["t"]
+	if tt.Inv != 2 || len(tt.Exits) != 6 {
+		t.Fatalf("t: %d invocations, %d exits; want 2 and 6", tt.Inv, len(tt.Exits))
+	}
+	if e := tt.Exits[0]; e.Count != 1 || e.TotalCycles != 500 || e.Allocs["Text|f1"] != 3 || e.GapN != 1 {
+		t.Errorf("t exit 0 = %+v", e)
+	}
+	if e := tt.Exits[1]; e.GapSum != 2 || e.LastInv != 2 || e.Allocs != nil {
+		t.Errorf("t exit 1 = %+v", e)
+	}
+}
+
+// TestMarshalKeywordUnchanged holds `bamboo profile -name Keyword` to
+// testdata/keyword.json: every (task, exit) count, cycle total, gap and
+// "Class|state" allocation equal. An exit the file has as null or leaves out
+// reads as a zero record.
+func TestMarshalKeywordUnchanged(t *testing.T) {
+	b, err := benchmarks.Get("Keyword")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ExitProb("a", 0) != p.ExitProb("a", 0) {
-		t.Error("prob changed")
+	sys, err := core.CompileSource(b.Source)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if back.ExitGap("a", 1) != p.ExitGap("a", 1) {
-		t.Error("gap changed")
+	prof, _, err := sys.Profile(b.Args)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if back.MeanAllocs("a", 0)[AllocKey{Class: "C", StateKey: "f1"}] != 3 {
-		t.Error("allocs changed")
+	data, err := prof.Marshal()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestUnmarshalError(t *testing.T) {
-	if _, err := Unmarshal([]byte("{nope")); err == nil {
-		t.Error("expected JSON error")
+	want, err := os.ReadFile("testdata/keyword.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestAllocKeyParse(t *testing.T) {
-	k := AllocKey{Class: "Foo", StateKey: "f3,tag:1"}
-	parsed := parseAllocKey(k.String())
-	if parsed != k {
-		t.Errorf("parse(%q) = %+v", k.String(), parsed)
+	got, old := decode(t, data), decode(t, want)
+	if len(got.Tasks) != len(old.Tasks) {
+		t.Errorf("%d tasks, want %d", len(got.Tasks), len(old.Tasks))
+	}
+	for name, o := range old.Tasks {
+		g := got.Tasks[name]
+		if g.Inv != o.Inv || len(g.Exits) < len(o.Exits) {
+			t.Errorf("%s: %d invocations, %d exits; want %d and at least %d", name, g.Inv, len(g.Exits), o.Inv, len(o.Exits))
+			continue
+		}
+		for x, ge := range g.Exits {
+			var oe any = struct{}{}
+			if x < len(o.Exits) && o.Exits[x] != nil {
+				oe = *o.Exits[x]
+			} else if ge.Count == 0 && ge.Allocs == nil {
+				continue
+			}
+			if !reflect.DeepEqual(*ge, oe) {
+				t.Errorf("%s exit %d = %+v, want %+v", name, x, *ge, oe)
+			}
+		}
 	}
 }
 
 // Property: probabilities over exits sum to 1 for any recording pattern.
 func TestQuickProbsSumToOne(t *testing.T) {
+	p0, task := newProfile(t)
 	f := func(exits []uint8) bool {
 		if len(exits) == 0 {
 			return true
 		}
-		p := New()
-		maxExit := 0
+		p := profile.New(p0.Dep)
 		for _, e := range exits {
-			exit := int(e % 5)
-			if exit > maxExit {
-				maxExit = exit
-			}
-			p.Record("t", exit, 10, nil)
+			p.Record(task("t"), int(e%5), 10)
 		}
 		var sum float64
-		for e := 0; e <= maxExit; e++ {
-			sum += p.ExitProb("t", e)
+		for e := 0; e < 6; e++ {
+			sum += p.ExitProb(task("t"), e)
 		}
 		return math.Abs(sum-1) < 1e-9
 	}
@@ -137,17 +237,18 @@ func TestQuickProbsSumToOne(t *testing.T) {
 // Property: the mean gap of an exit never exceeds the total invocations and
 // is at least 1.
 func TestQuickGapBounds(t *testing.T) {
+	p0, task := newProfile(t)
 	f := func(exits []uint8) bool {
 		if len(exits) == 0 {
 			return true
 		}
-		p := New()
+		p := profile.New(p0.Dep)
 		for _, e := range exits {
-			p.Record("t", int(e%3), 1, nil)
+			p.Record(task("t"), int(e%3), 1)
 		}
-		total := float64(p.Tasks["t"].Total())
+		total := float64(p.Inv[task("t")])
 		for e := 0; e < 3; e++ {
-			g := p.ExitGap("t", e)
+			g := p.ExitGap(task("t"), e)
 			if g == 0 {
 				continue
 			}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/disjoint"
 	"repro/internal/ir"
 	"repro/internal/profile"
-	"repro/internal/types"
 )
 
 // program is the simulator compiled against one program: what a simulated
@@ -29,8 +28,7 @@ type program struct {
 	order  []int32     // task indices in name order: the per-core hosting order
 	params []paramInfo // by parameter slot, taskInfo.param0 + parameter index
 	nodes  []nodeInfo  // by depend.Node.ID
-	start  int32       // the startup object's node
-	exits  int32       // exit slots, taskInfo.exit0 + exit id
+	exits  int32       // exit slots, taskInfo.exit0 + exit id (depend.Result.Exit0)
 }
 
 type taskInfo struct {
@@ -56,7 +54,10 @@ type nodeInfo struct {
 }
 
 func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *program {
-	p := &program{dep: dep, tasks: make([]taskInfo, len(prog.Tasks)), nodes: make([]nodeInfo, len(dep.Nodes))}
+	p := &program{
+		dep: dep, tasks: make([]taskInfo, len(prog.Tasks)), nodes: make([]nodeInfo, len(dep.Nodes)),
+		exits: dep.Exit0[len(prog.Tasks)],
+	}
 	fns := append([]*ir.Func(nil), prog.Tasks...)
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Task.Name < fns[j].Task.Name })
 	for _, fn := range fns {
@@ -64,9 +65,8 @@ func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *prog
 		p.order = append(p.order, int32(t.Index))
 		p.tasks[t.Index] = taskInfo{
 			name: t.Name, nParams: int32(len(t.Params)), nExits: int32(fn.NumExits),
-			param0: dep.Slot0[t.Index], exit0: p.exits, lockGroups: int64(len(locks.LockGroups[t.Name])),
+			param0: dep.Slot0[t.Index], exit0: dep.Exit0[t.Index], lockGroups: int64(len(locks.LockGroups[t.Name])),
 		}
-		p.exits += int32(fn.NumExits)
 		tagged := false
 		for len(p.params) < int(dep.Slot0[t.Index])+len(t.Params) {
 			p.params = append(p.params, paramInfo{})
@@ -94,14 +94,10 @@ func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *prog
 			pi.next[int32(e.Exit)*pi.n+int32(id)-pi.base] = int32(e.To.ID)
 		}
 	}
-	startCl := prog.Info.Classes[types.StartupClass]
-	startState := depend.NewState(1 << uint(startCl.FlagIndex[types.StartupFlag]))
-	p.start = int32(dep.Graphs[startCl.Name].Nodes[startState.Key()].ID)
 	return p
 }
 
-// profTables is the read side of one profile by exit slot, its allocation
-// keys sorted and resolved to nodes.
+// profTables is the read side of one profile by exit slot.
 type profTables struct {
 	prof *profile.Profile
 	// prob is the exit's probability; gap the mean number of the task's
@@ -110,45 +106,38 @@ type profTables struct {
 	prob, gap []float64
 	cycles    []int64
 	// allocs[allocOff[s]:allocOff[s+1]] are exit slot s's mean allocations in
-	// key order; a position in allocs is also the fractional accumulator's.
+	// node order; a position in allocs is also the fractional accumulator's.
 	allocOff []int32
 	allocs   []alloc
 }
 
 type alloc struct {
 	mean float64
-	node int32 // -1: the profile names a state the ASTG does not have
+	node int32
 }
 
-func (p *program) newTables(dep *depend.Result, prof *profile.Profile) *profTables {
+func (p *program) newTables(prof *profile.Profile) *profTables {
 	t := &profTables{
 		prof: prof, prob: make([]float64, p.exits), gap: make([]float64, p.exits),
 		cycles: make([]int64, p.exits), allocOff: make([]int32, 0, p.exits+1),
 	}
-	for _, ti := range p.order {
-		task := &p.tasks[ti]
+	for ti, task := range p.tasks {
 		for e := 0; e < int(task.nExits); e++ {
 			s := task.exit0 + int32(e)
-			if pr := prof.ExitProb(task.name, e); pr != 0 {
-				t.prob[s], t.gap[s] = pr, prof.ExitGap(task.name, e)
+			if pr := prof.ExitProb(ti, e); pr != 0 {
+				t.prob[s], t.gap[s] = pr, prof.ExitGap(ti, e)
 				if t.gap[s] <= 0 {
 					t.gap[s] = 1 / pr
 				}
 			}
-			t.cycles[s] = int64(prof.MeanCycles(task.name, e) + 0.5)
-			t.allocOff = append(t.allocOff, int32(len(t.allocs)))
-			means := prof.MeanAllocs(task.name, e)
-			keys := make([]profile.AllocKey, 0, len(means))
-			for k := range means {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-			for _, k := range keys {
-				a := alloc{mean: means[k], node: -1}
-				if g := dep.Graphs[k.Class]; g != nil && g.Nodes[k.StateKey] != nil {
-					a.node = int32(g.Nodes[k.StateKey].ID)
-				}
-				t.allocs = append(t.allocs, a)
+			t.cycles[s] = int64(prof.MeanCycles(ti, e) + 0.5)
+		}
+	}
+	for s := range p.exits {
+		t.allocOff = append(t.allocOff, int32(len(t.allocs)))
+		for id, n := range prof.Allocated(int(s)) {
+			if n > 0 {
+				t.allocs = append(t.allocs, alloc{mean: float64(n) / float64(prof.Exits[s].Count), node: int32(id)})
 			}
 		}
 	}

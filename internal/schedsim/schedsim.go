@@ -113,14 +113,13 @@ type score struct {
 // profile tables are immutable, and per-run state lives in pooled scratch.
 type Simulator struct {
 	p       *program
-	dep     *depend.Result
 	tabs    atomic.Pointer[profTables] // of the profile last simulated
 	scratch sync.Pool                  // *simState
 }
 
 // New compiles a simulator over the program and its analyses.
 func New(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *Simulator {
-	return &Simulator{p: compile(prog, dep, locks), dep: dep}
+	return &Simulator{p: compile(prog, dep, locks)}
 }
 
 // simState is the per-run state, pooled: reset clears every logical field
@@ -180,9 +179,12 @@ func (s *Simulator) Run(opts Options) (*Result, error) {
 	if opts.Layout.NumCores > len(usable) {
 		return nil, fmt.Errorf("schedsim: layout needs %d cores, machine has %d usable", opts.Layout.NumCores, len(usable))
 	}
+	if opts.Prof.Dep != s.p.dep {
+		return nil, fmt.Errorf("schedsim: the profile numbers another dependence analysis")
+	}
 	t := s.tabs.Load()
 	if t == nil || t.prof != opts.Prof {
-		t = s.p.newTables(s.dep, opts.Prof)
+		t = s.p.newTables(opts.Prof)
 		s.tabs.Store(t)
 	}
 	st, _ := s.scratch.Get().(*simState)
@@ -272,7 +274,7 @@ func (st *simState) run(usable []int) (*Result, error) {
 		}
 	}
 	// Inject the startup object.
-	st.objs = append(st.objs, simObject{node: st.p.start, producer: -1})
+	st.objs = append(st.objs, simObject{node: int32(st.p.dep.Start.ID), producer: -1})
 	st.route(0, -1, 0, 0)
 	for len(st.events) > 0 && st.nInv <= st.opts.MaxInvocations {
 		switch ev := st.events.pop(); ev.kind {
@@ -494,9 +496,6 @@ func (st *simState) onComplete(ev *event) {
 	for ai := st.t.allocOff[t.exit0+c.exit]; ai < st.t.allocOff[t.exit0+c.exit+1]; ai++ {
 		a := st.t.allocs[ai]
 		for st.allocAcc[ai] += a.mean; st.allocAcc[ai] >= 1; st.allocAcc[ai]-- {
-			if a.node < 0 {
-				continue
-			}
 			obj := simObject{node: a.node, producer: span}
 			if st.p.nodes[a.node].hasTags {
 				if group == 0 {

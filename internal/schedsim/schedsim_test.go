@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/machine"
+	"repro/internal/profile"
 	"repro/internal/schedsim"
 )
 
@@ -249,18 +250,34 @@ task spin(Spin sp in on) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build a tiny synthetic profile by hand-running a few iterations is
-	// impossible (the program never terminates), so record a fake profile.
-	prof := fakeSpinProfile()
+	// The program never terminates, so it cannot be profiled: fabricate the
+	// profile. startup allocates one Spin{on} and exits once; spin always
+	// takes exit 0, keeping the flag set.
+	prof := profile.New(sys.Dep)
+	task := func(name string) int { return sys.Prog.Info.TaskByName[name].Index }
+	prof.Allocated(prof.Record(task("startup"), 0, 500))[sys.Dep.Graphs["Spin"].Nodes["f1"].ID] = 1
+	for i := 0; i < 10; i++ {
+		prof.Record(task("spin"), 0, 200)
+	}
 	sim := schedsim.New(sys.Prog, sys.Dep, sys.Locks)
-	res, err := sim.Run(schedsim.Options{
+	opts := schedsim.Options{
 		Machine:        machine.SingleCoreBamboo(),
 		Layout:         layout.Single(sys.TaskNames()),
 		Prof:           prof,
 		MaxInvocations: 500,
-	})
+	}
+	res, err := sim.Run(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A profile is bound to the analysis that numbers it.
+	other, err := core.CompileSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Prof = profile.New(other.Dep)
+	if _, err := sim.Run(opts); err == nil || !strings.Contains(err.Error(), "another dependence analysis") {
+		t.Errorf("a profile of another analysis: err = %v", err)
 	}
 	if res.Terminated {
 		t.Fatal("spin program should not terminate")

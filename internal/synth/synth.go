@@ -68,7 +68,12 @@ func Build(g *cstg.Graph, maxCores int) *Synthesis {
 	// Object population per class over the profiled run.
 	var popByClass map[string]int64
 	if g.Prof != nil {
-		popByClass = g.Prof.TotalAllocsByClass()
+		popByClass = map[string]int64{}
+		for s := range g.Prof.Exits {
+			for id, n := range g.Prof.Allocated(s) {
+				popByClass[g.Prof.Dep.Nodes[id].Class.Name] += n
+			}
+		}
 	}
 
 	for i, tn := range taskNames {
@@ -113,7 +118,7 @@ func (s *Synthesis) replicaBound(tn string, tf *cstg.TaskFlow, popByClass map[st
 		var mean float64
 		if s.Graph.Prof != nil {
 			for exit := 0; exit < f.NumExits; exit++ {
-				mean += s.Graph.Prof.ExitProb(name, exit) * s.Graph.Prof.MeanCycles(name, exit)
+				mean += s.Graph.Prof.ExitProb(f.Task.Index, exit) * s.Graph.Prof.MeanCycles(f.Task.Index, exit)
 			}
 		}
 		return mean

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# Coverage ratchet for the runtime, the analyses it routes by, the parameter
-# sets and the observability package: fails when statement coverage drops
-# below the per-package minimum. The minimums sit
-# a few points under the measured coverage at the time they were set; when
-# new tests push coverage up, raise the minimum to just below the new
-# number so it can only move forward.
+# Coverage ratchet for the runtime, the analyses it routes by, the profile
+# and the CSTG it annotates, the parameter sets and the observability
+# package: fails when statement coverage drops below the per-package
+# minimum. The minimums sit a few points under the measured coverage at the
+# time they were set; when new tests push coverage up, raise the minimum to
+# just below the new number so it can only move forward.
 #
 # Usage: scripts/coverage.sh
 set -euo pipefail
@@ -13,9 +13,11 @@ cd "$(dirname "$0")/.."
 
 # package -> minimum statement coverage (%)
 ratchet=(
-    "internal/bamboort 93.0"
+    "internal/bamboort 96.0"
+    "internal/cstg 99.0"
     "internal/depend 91.0"
     "internal/obsv 95.0"
+    "internal/profile 99.0"
     "internal/pset 98.0"
     "internal/schedsim 97.0"
 )
