@@ -212,7 +212,7 @@ func FuzzWALRecord(f *testing.F) {
 		if err := json.Unmarshal(payload, new(walRecordJSON)); err != nil && st.skipped != 1 {
 			t.Fatalf("%q: encoding/json rejects it (%v) but recovery skipped %d records", payload, err, st.skipped)
 		}
-		recoverState(slices.Values(checkpointRecords(st)))
+		recoverState(checkpointRecords(st, 8192, 1024))
 	})
 }
 

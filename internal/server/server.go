@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -233,18 +232,21 @@ func Open(cfg Config) (*Server, error) {
 	}
 	var recovered *recoveredState
 	if cfg.WALDir != "" {
-		l, payloads, err := wal.Open(wal.Options{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes})
+		l, replay, err := wal.Open(wal.Options{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes})
 		if err != nil {
 			stop()
 			return nil, err
 		}
 		s.wal = l
-		recovered = recoverState(slices.Values(payloads))
+		recovered = recoverState(replay.All())
 		recovered.failUnrecoverable()
 		// Compact before anything new can interleave: the checkpoint is a
 		// pure function of the recovered state, and replay idempotence
 		// makes a crash mid-checkpoint harmless.
-		if err := l.Checkpoint(checkpointRecords(recovered)); err != nil {
+		if err = replay.Err(); err == nil {
+			err = l.Checkpoint(checkpointRecords(recovered, cfg.RetainJobs, cfg.RetainSessions))
+		}
+		if err != nil {
 			stop()
 			_ = l.Close()
 			return nil, err

@@ -35,11 +35,13 @@ import (
 // original admission-anchored deadline would have every replayed job
 // reborn already expired — and sessions without a terminal record are
 // restored as parked at their latest checkpoint, with the feeds logged
-// after it as the suffix revive replays. Terminal jobs and sessions are
-// restored as queryable views (minus buffered output, which is not
-// logged). After replay the recovered state is compacted into a fresh
-// segment and older segments are deleted; the same fold compacts the log
-// online whenever a segment fills.
+// after it as the suffix revive replays. The terminal jobs and sessions
+// the retention rings hold are restored as queryable views (minus
+// buffered output, which is not logged). Replay streams the log one
+// record at a time; the recovered state, minus terminal work past the
+// retention bounds, is then compacted into a fresh segment and older
+// segments are deleted; the same fold compacts the log online whenever a
+// segment fills.
 //
 // Recovery is idempotent: creation records are deduplicated by ID, feed
 // records are accepted only at their expected per-session sequence
@@ -142,7 +144,9 @@ func (s *Server) walAppend(rec walRecord, p []byte) error {
 	s.walAppends.Add(1)
 	// A filled segment folds the log to its live state, as recovery does.
 	if s.wal.Stats().Segments > 1 {
-		if err := s.wal.Compact(func(p iter.Seq[[]byte]) [][]byte { return checkpointRecords(recoverState(p)) }); err != nil {
+		if err := s.wal.Compact(func(p iter.Seq[[]byte]) iter.Seq[[]byte] {
+			return checkpointRecords(recoverState(p), s.cfg.RetainJobs, s.cfg.RetainSessions)
+		}); err != nil {
 			fmt.Fprintf(os.Stderr, "bambood: wal compaction: %v\n", err)
 		}
 	}
@@ -241,6 +245,8 @@ type recoveredState struct {
 // (forward compatibility beats refusing to boot); duplicate creations
 // are ignored, feeds are accepted only at their expected sequence number
 // and checkpoints at or past it, which is what makes double replay a no-op.
+// A payload may sit in a buffer the stream reuses for the next record:
+// decoding copies whatever the fold keeps.
 func recoverState(payloads iter.Seq[[]byte]) *recoveredState {
 	st := &recoveredState{
 		jobs:     map[string]*recJobState{},
@@ -332,41 +338,86 @@ func (st *recoveredState) failUnrecoverable() {
 }
 
 // checkpointRecords re-encodes the recovered state as a compact record
-// stream: live jobs keep their accept, live sessions their create, latest
-// checkpoint and the feeds after it, terminal ones their accept/create +
-// terminal; superseded batches and torn history disappear.
-func checkpointRecords(st *recoveredState) [][]byte {
-	var recs [][]byte
-	put := func(rec walRecord) {
-		if p, err := json.Marshal(rec); err == nil {
-			recs = append(recs, p)
+// stream, marshalling each record as it is yielded: live jobs keep their
+// accept, live sessions their create, latest checkpoint and the feeds after
+// it, retained terminal ones their accept/create + terminal; superseded
+// batches, torn history and terminal work past keepJobs and keepSess
+// disappear.
+func checkpointRecords(st *recoveredState, keepJobs, keepSess int) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		more := true
+		put := func(rec walRecord) {
+			if !more {
+				return
+			}
+			if p, err := json.Marshal(rec); err == nil {
+				more = yield(p)
+			}
+		}
+		for id := range st.keptJobs(keepJobs) {
+			rj := st.jobs[id]
+			req := rj.req
+			put(walRecord{T: recJobAccept, ID: id, Req: &req})
+			if rj.done != nil {
+				put(*rj.done)
+			}
+		}
+		for id := range st.keptSessions(keepSess) {
+			rs := st.sessions[id]
+			req := rs.req
+			put(walRecord{T: recSessCreate, ID: id, Sess: &req})
+			if rs.done != nil {
+				put(*rs.done)
+				continue
+			}
+			seq := rs.next - len(rs.feeds)
+			if rs.ckpt != nil {
+				put(walRecord{T: recSessCkpt, ID: id, Seq: seq - 1, Ckpt: rs.ckpt})
+			}
+			for i := range rs.feeds {
+				put(walRecord{T: recSessFeed, ID: id, Seq: seq + i, Feed: &rs.feeds[i]})
+			}
 		}
 	}
-	for _, id := range st.jobOrder {
-		rj := st.jobs[id]
-		req := rj.req
-		put(walRecord{T: recJobAccept, ID: id, Req: &req})
-		if rj.done != nil {
-			put(*rj.done)
+}
+
+// keptJobs and keptSessions yield the jobs and sessions that recovery
+// restores and compaction keeps, oldest first (see retained).
+func (st *recoveredState) keptJobs(keep int) iter.Seq[string] {
+	return retained(st.jobOrder, func(id string) bool { return st.jobs[id].done != nil }, keep)
+}
+
+func (st *recoveredState) keptSessions(keep int) iter.Seq[string] {
+	return retained(st.sessOrder, func(id string) bool { return st.sessions[id].done != nil }, keep)
+}
+
+// retained yields the IDs of order that survive a restart, oldest first:
+// every live one; the newest keep terminal ones, which are the ones a
+// retention ring of keep holds after retiring them in this order; and the
+// highest ID, so the ID counter resumes past every ID the log ever held.
+func retained(order []string, terminal func(id string) bool, keep int) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		drop, top := -keep, ""
+		for _, id := range order {
+			if terminal(id) {
+				drop++
+			}
+			if idSeq(id) > idSeq(top) {
+				top = id
+			}
+		}
+		for _, id := range order {
+			if terminal(id) && drop > 0 {
+				drop--
+				if id != top {
+					continue
+				}
+			}
+			if !yield(id) {
+				return
+			}
 		}
 	}
-	for _, id := range st.sessOrder {
-		rs := st.sessions[id]
-		req := rs.req
-		put(walRecord{T: recSessCreate, ID: id, Sess: &req})
-		if rs.done != nil {
-			put(*rs.done)
-			continue
-		}
-		seq := rs.next - len(rs.feeds)
-		if rs.ckpt != nil {
-			put(walRecord{T: recSessCkpt, ID: id, Seq: seq - 1, Ckpt: rs.ckpt})
-		}
-		for i := range rs.feeds {
-			put(walRecord{T: recSessFeed, ID: id, Seq: seq + i, Feed: &rs.feeds[i]})
-		}
-	}
-	return recs
 }
 
 // idSeq extracts the numeric suffix of a job/session ID ("n1-j00000042"
@@ -386,7 +437,7 @@ func idSeq(id string) int64 {
 }
 
 // applyRecovered registers the recovered state on a freshly built
-// server: terminal work becomes queryable views, live jobs are
+// server: retained terminal work becomes queryable views, live jobs are
 // re-queued (deadlines re-anchored at now), live sessions become parked
 // at their latest checkpoint with the logged suffix. Workers are already
 // running, so the blocking enqueue drains. Runs before the server
@@ -396,7 +447,7 @@ func (s *Server) applyRecovered(st *recoveredState) {
 	now := time.Now()
 
 	var maxJob, maxSess int64
-	for _, id := range st.jobOrder {
+	for id := range st.keptJobs(s.cfg.RetainJobs) {
 		if n := idSeq(id); n > maxJob {
 			maxJob = n
 		}
@@ -431,7 +482,7 @@ func (s *Server) applyRecovered(st *recoveredState) {
 		s.walReplayedJobs.Add(1)
 	}
 
-	for _, id := range st.sessOrder {
+	for id := range st.keptSessions(s.cfg.RetainSessions) {
 		if n := idSeq(id); n > maxSess {
 			maxSess = n
 		}

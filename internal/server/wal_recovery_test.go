@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -124,6 +125,76 @@ func TestWALCleanDrainKeepsTerminalViews(t *testing.T) {
 		if v.Status != server.StatusSucceeded || v.Result == nil || v.Result.TotalCycles != cycles[i] {
 			t.Fatalf("job %s after reboot = %+v, want succeeded with %d cycles", id, v, cycles[i])
 		}
+	}
+}
+
+// The log keeps only the terminal work the server can still show: with
+// RetainJobs 2 and RetainSessions 1, six finished jobs and three closed
+// sessions reboot as the two newest jobs and the newest session, the
+// rewritten log holds only their records, and fresh IDs collide with none
+// the log ever held.
+func TestWALKeepsRetainedTerminalWorkOnly(t *testing.T) {
+	dir := t.TempDir()
+	cfg := server.Config{WALDir: dir, RetainJobs: 2, RetainSessions: 1}
+	s1 := newWALService(t, cfg)
+	var jobs, sessions []string
+	for i := 0; i < 6; i++ {
+		sub, err := s1.cl.SubmitJob(ctxT(), server.SubmitRequest{Source: testProgram(40 + i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := s1.await(t, sub.ID, 30*time.Second); v.Status != server.StatusSucceeded {
+			t.Fatalf("job = %+v", v)
+		}
+		jobs = append(jobs, sub.ID)
+	}
+	for i := 0; i < 3; i++ {
+		sv := kvSession(t, s1, "", 1)
+		if _, err := s1.cl.CloseSession(ctxT(), sv.ID); err != nil {
+			t.Fatal(err)
+		}
+		sessions = append(sessions, sv.ID)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := s1.srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	s1.ts.Close()
+
+	s2 := newWALService(t, cfg)
+	if w := s2.srv.VarzSnapshot().WAL; w.RecoveredTerminal != 3 || w.ReplayedJobs != 0 || w.ReplayedSessions != 0 {
+		t.Fatalf("varz wal = %+v, want 3 recovered terminal (2 jobs, 1 session), nothing replayed", w)
+	}
+	count := map[string]int{}
+	for _, f := range walFrames(t, dir) {
+		count[f.typ]++
+	}
+	if want := map[string]int{"job+": 2, "job-": 2, "sess+": 1, "sess-": 1}; !reflect.DeepEqual(count, want) {
+		t.Fatalf("rewritten log holds %v, want %v", count, want)
+	}
+	for i, id := range jobs {
+		_, err := s2.cl.Job(ctxT(), id)
+		if kept := i >= len(jobs)-2; kept != (err == nil) || !kept && !client.IsCode(err, server.CodeNotFound) {
+			t.Fatalf("job %s after reboot: err %v, want kept=%v", id, err, kept)
+		}
+	}
+	for i, id := range sessions {
+		_, err := s2.cl.Session(ctxT(), id)
+		if kept := i == len(sessions)-1; kept != (err == nil) || !kept && !client.IsCode(err, server.CodeNotFound) {
+			t.Fatalf("session %s after reboot: err %v, want kept=%v", id, err, kept)
+		}
+	}
+
+	sub, err := s2.cl.SubmitJob(ctxT(), server.SubmitRequest{Source: testProgram(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sub.ID != "j00000007" {
+		t.Fatalf("post-reboot job ID = %s, want j00000007 (past all six)", sub.ID)
+	}
+	if sv := kvSession(t, s2, "", 1); sv.ID != "s00000004" {
+		t.Fatalf("post-reboot session ID = %s, want s00000004 (past all three)", sv.ID)
 	}
 }
 

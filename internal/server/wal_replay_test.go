@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -47,8 +49,8 @@ func seedWAL(t *testing.T, dir string, recs ...walRecord) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(replay) != 0 {
-		t.Fatalf("fresh dir replayed %d records", len(replay))
+	if n := len(slices.Collect(replay.All())); n != 0 {
+		t.Fatalf("fresh dir replayed %d records", n)
 	}
 	for _, rec := range recs {
 		if err := l.Append(mustMarshal(t, rec)); err != nil {
@@ -190,7 +192,7 @@ func TestRecoverStateIdempotent(t *testing.T) {
 	// A compaction folds to the same state, replayed alone, after the
 	// history (a crash before the old segments were deleted) or after a
 	// suffix of it (a crash midway through deleting them).
-	compact := checkpointRecords(a)
+	compact := slices.Collect(checkpointRecords(a, 8192, 1024))
 	for name, log := range map[string][][]byte{
 		"compaction":                compact,
 		"history, then compaction":  append(append([][]byte(nil), once...), compact...),
@@ -209,5 +211,83 @@ func TestRecoverStateIdempotent(t *testing.T) {
 				t.Fatalf("%s: %s = %+v, want %+v", name, id, got, want)
 			}
 		}
+	}
+}
+
+// Compaction keeps every live job and session, the newest keep terminal
+// ones in log order — which applyRecovered retires oldest first — and the
+// highest ID even when it is older: j00000004 was logged before
+// j00000003, as two concurrent submissions can be.
+func TestCheckpointRecordsRetention(t *testing.T) {
+	var log [][]byte
+	for _, rec := range []walRecord{
+		{T: recJobAccept, ID: "j00000001", Req: &SubmitRequest{Source: "a"}},
+		{T: recJobAccept, ID: "j00000002", Req: &SubmitRequest{Source: "b"}},
+		{T: recJobAccept, ID: "j00000004", Req: &SubmitRequest{Source: "d"}},
+		{T: recJobAccept, ID: "j00000003", Req: &SubmitRequest{Source: "c"}},
+		{T: recJobDone, ID: "j00000001", Status: StatusSucceeded},
+		{T: recJobDone, ID: "j00000004", Status: StatusSucceeded},
+		{T: recJobDone, ID: "j00000003", Status: StatusFailed},
+		{T: recSessCreate, ID: "s00000001", Sess: &SessionRequest{Source: "e"}},
+		{T: recSessCreate, ID: "s00000002", Sess: &SessionRequest{Source: "f"}},
+		{T: recSessCreate, ID: "s00000003", Sess: &SessionRequest{Source: "g"}},
+		{T: recSessDone, ID: "s00000001", Status: SessionClosed},
+		{T: recSessDone, ID: "s00000003", Status: SessionClosed},
+	} {
+		log = append(log, mustMarshal(t, rec))
+	}
+	st := recoverState(slices.Values(log))
+	for range checkpointRecords(st, 1, 1) {
+		break // a writer that stops early is not yielded to again
+	}
+	got := recoverState(checkpointRecords(st, 1, 1))
+	if want := []string{"j00000002", "j00000004", "j00000003"}; !slices.Equal(got.jobOrder, want) {
+		t.Fatalf("kept jobs %v, want %v", got.jobOrder, want)
+	}
+	if want := []string{"s00000002", "s00000003"}; !slices.Equal(got.sessOrder, want) {
+		t.Fatalf("kept sessions %v, want %v", got.sessOrder, want)
+	}
+	if rj := got.jobs["j00000003"]; rj.done == nil || rj.done.Status != StatusFailed || got.jobs["j00000002"].done != nil {
+		t.Fatalf("kept jobs lost their state: %+v", got.jobs)
+	}
+	if all := recoverState(checkpointRecords(st, 3, 2)); !reflect.DeepEqual(all.jobOrder, st.jobOrder) || !reflect.DeepEqual(all.sessOrder, st.sessOrder) {
+		t.Fatalf("with room for all, kept %v %v, want %v %v", all.jobOrder, all.sessOrder, st.jobOrder, st.sessOrder)
+	}
+}
+
+// The replay reuses one buffer from record to record, so the fold must
+// copy what it keeps: after a replay from disk, the checkpoint and feeds
+// recoverState holds equal what was appended, though later records were
+// read into the same buffer.
+func TestRecoverStateCopiesWhatItKeeps(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := bytes.Repeat([]byte("checkpoint"), 64)
+	feeds := []FeedRequest{
+		{Requests: []FeedItem{{Args: []string{"1", "5", "9"}, TagKey: 5}}},
+		{Requests: []FeedItem{{Args: []string{"0", "5", "0"}, TagKey: 5}, {Args: []string{"1", "6", "2"}, TagKey: 6}}},
+	}
+	big := strings.Repeat("overwrite", 512)
+	seedWAL(t, dir,
+		walRecord{T: recSessCreate, ID: "s00000001", Sess: &SessionRequest{Source: "kv"}},
+		walRecord{T: recSessCkpt, ID: "s00000001", Seq: 0, Ckpt: ckpt},
+		walRecord{T: recSessFeed, ID: "s00000001", Seq: 1, Feed: &feeds[0]},
+		walRecord{T: recSessFeed, ID: "s00000001", Seq: 2, Feed: &feeds[1]},
+		walRecord{T: recJobAccept, ID: "j00000001", Req: &SubmitRequest{Source: big}},
+	)
+	l, replay, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	st := recoverState(replay.All())
+	if err := replay.Err(); err != nil {
+		t.Fatal(err)
+	}
+	rs := st.sessions["s00000001"]
+	if !bytes.Equal(rs.ckpt, ckpt) || !reflect.DeepEqual(rs.feeds, feeds) || rs.req.Source != "kv" || rs.next != 3 {
+		t.Fatalf("recovered session = ckpt %q, feeds %+v, source %q, next %d; want what was appended", rs.ckpt, rs.feeds, rs.req.Source, rs.next)
+	}
+	if st.jobs["j00000001"].req.Source != big {
+		t.Fatal("recovered job source differs from what was appended")
 	}
 }

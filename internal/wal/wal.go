@@ -17,10 +17,12 @@
 //   - Segments: wal-%08d.log files, rotated once a segment passes
 //     SegmentBytes. Sequence numbers are monotonic across boots and
 //     checkpoints, so replay order is just filename order.
-//   - Recovery: an incomplete record at the tail of the *last* segment
-//     is a torn write from the crash — it is truncated away and replay
-//     succeeds. A complete record whose CRC does not match, or an
-//     incomplete record anywhere else, is real corruption and surfaces
+//   - Recovery: Open reads every segment one record at a time to verify
+//     it, then returns a Replay that streams the records again; neither
+//     holds more than one record. An incomplete record at the tail of the
+//     *last* segment is a torn write from the crash — it is truncated away
+//     and replay succeeds. A complete record whose CRC does not match, or
+//     an incomplete record anywhere else, is real corruption and surfaces
 //     as ErrCorrupt: better to refuse to boot than to replay garbage.
 //   - Checkpoint: after replay the server compacts its live state into
 //     a fresh segment and older segments are deleted, bounding log
@@ -122,13 +124,13 @@ func segPath(dir string, seq int64) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%08d.log", seq))
 }
 
-// Open opens (or creates) the log in opts.Dir, replays every live
-// segment in order, and returns the recovered payloads oldest-first.
-// A torn record at the tail of the last segment is truncated away; any
-// other framing or CRC failure returns an error wrapping ErrCorrupt.
-// Appends always go to a fresh segment, so a segment is written by
-// exactly one process lifetime.
-func Open(opts Options) (*Log, [][]byte, error) {
+// Open opens (or creates) the log in opts.Dir and verifies every live
+// segment in order, one record at a time: a torn record at the tail of the
+// last segment is truncated away; any other framing or CRC failure returns
+// an error wrapping ErrCorrupt. It returns the log and a Replay of the
+// records it verified, oldest first. Appends always go to a fresh segment,
+// so a segment is written by exactly one process lifetime.
+func Open(opts Options) (*Log, *Replay, error) {
 	if opts.Dir == "" {
 		return nil, nil, fmt.Errorf("wal: Dir is required")
 	}
@@ -143,14 +145,11 @@ func Open(opts Options) (*Log, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-
-	var records [][]byte
+	rp := &Replay{dir: opts.Dir, seqs: seqs, r: bufio.NewReaderSize(nil, 1<<16)}
 	for i, seq := range seqs {
-		recs, err := readSegment(segPath(opts.Dir, seq), i == len(seqs)-1)
-		if err != nil {
+		if err := rp.scan(segPath(opts.Dir, seq), i == len(seqs)-1, nil); err != nil {
 			return nil, nil, err
 		}
-		records = append(records, recs...)
 	}
 
 	l := &Log{
@@ -168,7 +167,7 @@ func Open(opts Options) (*Log, [][]byte, error) {
 	if err := l.openSegmentLocked(next); err != nil {
 		return nil, nil, err
 	}
-	return l, records, nil
+	return l, rp, nil
 }
 
 // listSegments returns the live segment sequence numbers, ascending.
@@ -188,82 +187,81 @@ func listSegments(dir string) ([]int64, error) {
 	return seqs, nil
 }
 
-// readSegment decodes every record in one segment. If last, a torn
-// record at the tail (incomplete header or payload) is truncated off
-// the file and the records before it are returned; otherwise any torn
-// tail is corruption.
-func readSegment(path string, last bool) ([][]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var recs [][]byte
-	off := 0
-	for off < len(data) {
-		if len(data)-off < headerSize {
-			return recs, tornTail(path, last, int64(off), "incomplete header")
-		}
-		n := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n == 0 || n > maxRecordBytes {
-			// The header bytes are all present, so they are what some
-			// process wrote — an impossible length is bit rot, not a
-			// torn write.
-			return recs, fmt.Errorf("%w: %s offset %d: impossible length %d", ErrCorrupt, path, off, n)
-		}
-		if len(data)-off-headerSize < int(n) {
-			return recs, tornTail(path, last, int64(off), "incomplete payload")
-		}
-		payload := data[off+headerSize : off+headerSize+int(n)]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return recs, fmt.Errorf("%w: %s offset %d: crc mismatch", ErrCorrupt, path, off)
-		}
-		recs = append(recs, payload[:len(payload):len(payload)])
-		off += headerSize + int(n)
-	}
-	return recs, nil
+// Replay streams the records of a run of segments, oldest first, in one
+// read buffer and one payload buffer reused from record to record: it holds
+// one record, not the log, and a caller copies what it keeps. It must
+// finish before Checkpoint or Compact deletes its segments.
+type Replay struct {
+	dir  string
+	seqs []int64
+	r    *bufio.Reader
+	buf  []byte
+	err  error
 }
 
-// scanSegment streams the records of a sealed segment to fn in one reused
-// buffer until fn returns false. Any framing or CRC failure is corruption.
-func scanSegment(path string, fn func([]byte) bool) error {
+// All yields every record; a read failure ends it early, and Err reports it.
+func (rp *Replay) All() iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		more := true
+		next := func(p []byte) bool { more = yield(p); return more }
+		for _, seq := range rp.seqs {
+			if rp.err = rp.scan(segPath(rp.dir, seq), false, next); rp.err != nil || !more {
+				return
+			}
+		}
+	}
+}
+
+// Err returns the failure that ended the last All early, or nil.
+func (rp *Replay) Err() error { return rp.err }
+
+// scan streams the records of the segment at path to fn (nil only
+// verifies them) until fn returns false. An incomplete record at the end
+// of the file is a crash's torn write: if last, it is truncated away and
+// scan returns nil; otherwise it is corruption, as are a zero or
+// impossible length and a CRC mismatch.
+func (rp *Replay) scan(path string, last bool, fn func([]byte) bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<16)
+	rp.r.Reset(f)
 	var hdr [headerSize]byte
-	var buf []byte
-	for off := 0; ; off += headerSize + len(buf) {
-		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
+	for off := int64(0); ; off += int64(headerSize + len(rp.buf)) {
+		if _, err := io.ReadFull(rp.r, hdr[:]); err == io.EOF {
 			return nil
 		} else if err != nil {
-			return fmt.Errorf("%w: %s offset %d: %v", ErrCorrupt, path, off, err)
+			return tornTail(path, last, off, "incomplete header", err)
 		}
 		n := binary.LittleEndian.Uint32(hdr[:])
 		if n == 0 || n > maxRecordBytes {
+			// The header bytes are all present, so they are what some
+			// process wrote — an impossible length is bit rot, not a
+			// torn write.
 			return fmt.Errorf("%w: %s offset %d: impossible length %d", ErrCorrupt, path, off, n)
 		}
-		buf = slices.Grow(buf[:0], int(n))[:n]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return fmt.Errorf("%w: %s offset %d: %v", ErrCorrupt, path, off, err)
+		rp.buf = slices.Grow(rp.buf[:0], int(n))[:n]
+		if _, err := io.ReadFull(rp.r, rp.buf); err != nil {
+			return tornTail(path, last, off, "incomplete payload", err)
 		}
-		if crc32.Checksum(buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
+		if crc32.Checksum(rp.buf, castagnoli) != binary.LittleEndian.Uint32(hdr[4:]) {
 			return fmt.Errorf("%w: %s offset %d: crc mismatch", ErrCorrupt, path, off)
 		}
-		if !fn(buf) {
+		if fn != nil && !fn(rp.buf) {
 			return nil
 		}
 	}
 }
 
-// tornTail handles an incomplete record at offset off: in the last
-// segment it is the expected signature of a crash mid-append, so the
-// tail is truncated and recovery proceeds; anywhere else it is
-// corruption.
-func tornTail(path string, last bool, off int64, what string) error {
-	if !last {
+// tornTail handles a read of the record at offset off that failed with err:
+// an end of file in the last segment is a crash mid-append, so the tail is
+// truncated away; elsewhere it is corruption. Other errors pass through.
+func tornTail(path string, last bool, off int64, what string, err error) error {
+	switch {
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
+		return fmt.Errorf("wal: %s offset %d: %w", path, off, err)
+	case !last:
 		return fmt.Errorf("%w: %s offset %d: %s in non-final segment", ErrCorrupt, path, off, what)
 	}
 	if err := os.Truncate(path, off); err != nil {
@@ -373,14 +371,14 @@ func (l *Log) commit() {
 	close(b.done)
 }
 
-// Checkpoint atomically replaces the log's history with records: they
-// are written to a fresh segment, fsynced, and every older segment is
-// deleted. The server calls this after replay so the log holds exactly
-// the still-live state instead of the full mutation history. Crash
-// safety: the new segment is synced before anything is deleted, and a
-// crash between deletes only leaves extra history, which replay
-// handles (it is idempotent).
-func (l *Log) Checkpoint(records [][]byte) error {
+// Checkpoint atomically replaces the log's history with records, written
+// to a fresh segment as they are yielded, fsynced, and then every older
+// segment is deleted. The server calls this after replay so the log holds
+// exactly the still-live state instead of the full mutation history.
+// Crash safety: the new segment is synced before anything is deleted, and
+// a crash between deletes only leaves extra history, which replay handles
+// (it is idempotent).
+func (l *Log) Checkpoint(records iter.Seq[[]byte]) error {
 	l.syncSem <- struct{}{}
 	defer func() { <-l.syncSem }()
 
@@ -397,17 +395,17 @@ func (l *Log) Checkpoint(records [][]byte) error {
 			return err
 		}
 	}
-	return l.replaceLocked(records, true)
+	return l.replaceLocked(records, true, nil)
 }
 
 // Compact replaces a log of more than one segment with fold's output, in
 // one fresh segment, and deletes the rest; the next segment then starts
 // once SegmentBytes more have been appended. fold receives the records
-// oldest first, streamed from disk in one buffer reused from record to
-// record, so compaction holds the fold and one record, not the log. It
+// oldest first as a Replay streams them, and its output is written as it
+// is yielded, so compaction holds the fold and one record, not the log. It
 // must be a pure function of the records, and replaying its output must
 // give the state replaying its input gives, also after the input.
-func (l *Log) Compact(fold func(records iter.Seq[[]byte]) [][]byte) error {
+func (l *Log) Compact(fold func(records iter.Seq[[]byte]) iter.Seq[[]byte]) error {
 	l.syncSem <- struct{}{}
 	defer func() { <-l.syncSem }()
 	l.mu.Lock()
@@ -421,16 +419,11 @@ func (l *Log) Compact(fold func(records iter.Seq[[]byte]) [][]byte) error {
 	if err := l.rotateLocked(); err != nil {
 		return err
 	}
-	var err error
-	records := fold(func(yield func([]byte) bool) {
-		for seq := l.minSeq; seq < l.seq && err == nil; seq++ {
-			err = scanSegment(segPath(l.dir, seq), yield)
-		}
-	})
-	if err != nil {
-		return err
+	src := &Replay{dir: l.dir, r: bufio.NewReaderSize(nil, 1<<16)}
+	for seq := l.minSeq; seq < l.seq; seq++ {
+		src.seqs = append(src.seqs, seq)
 	}
-	if err := l.replaceLocked(records, false); err != nil {
+	if err := l.replaceLocked(fold(src.All()), false, src); err != nil {
 		return err
 	}
 	l.base = l.size
@@ -438,12 +431,13 @@ func (l *Log) Compact(fold func(records iter.Seq[[]byte]) [][]byte) error {
 }
 
 // replaceLocked writes records from the current, empty segment on —
-// rotating at SegmentBytes when split is set — fsyncs them, and deletes
-// every older segment. Callers hold syncSem and mu.
-func (l *Log) replaceLocked(records [][]byte, split bool) error {
+// rotating at SegmentBytes when split is set — fsyncs them, and, unless
+// reading src failed, deletes every older segment. Callers hold syncSem
+// and mu.
+func (l *Log) replaceLocked(records iter.Seq[[]byte], split bool, src *Replay) error {
 	start := l.seq
 	var hdr [headerSize]byte
-	for _, p := range records {
+	for p := range records {
 		if len(p) == 0 || len(p) > maxRecordBytes {
 			return fmt.Errorf("wal: checkpoint record size %d out of range", len(p))
 		}
@@ -466,6 +460,9 @@ func (l *Log) replaceLocked(records [][]byte, split bool) error {
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
+	}
+	if src != nil && src.err != nil {
+		return src.err
 	}
 
 	// History is now fully captured from start onward; drop everything

@@ -3,11 +3,13 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"iter"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -15,11 +17,24 @@ import (
 
 func openT(t *testing.T, dir string, segBytes int64) (*Log, [][]byte) {
 	t.Helper()
-	l, recs, err := Open(Options{Dir: dir, SegmentBytes: segBytes})
+	l, rp, err := Open(Options{Dir: dir, SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	return l, recs
+	return l, collect(t, rp)
+}
+
+// collect drains a replay, copying each record out of the reused buffer.
+func collect(t *testing.T, rp *Replay) [][]byte {
+	t.Helper()
+	var recs [][]byte
+	for p := range rp.All() {
+		recs = append(recs, bytes.Clone(p))
+	}
+	if err := rp.Err(); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return recs
 }
 
 func appendAll(t *testing.T, l *Log, recs ...string) {
@@ -298,7 +313,7 @@ func TestCheckpointCompaction(t *testing.T) {
 		t.Fatalf("expected multiple segments, got %d", before)
 	}
 
-	if err := l.Checkpoint([][]byte{[]byte("live-1"), []byte("live-2")}); err != nil {
+	if err := l.Checkpoint(slices.Values([][]byte{[]byte("live-1"), []byte("live-2")})); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if after := len(segments(t, dir)); after >= before {
@@ -342,7 +357,7 @@ func TestOnlineCompaction(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		appendAll(t, l, fmt.Sprintf("k%d=%03d", i%3, i))
 		if l.Stats().Segments > 1 {
-			if err := l.Compact(latest); err != nil {
+			if err := l.Compact(func(recs iter.Seq[[]byte]) iter.Seq[[]byte] { return slices.Values(latest(recs)) }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -424,5 +439,273 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 	if err := l.Checkpoint(nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Checkpoint after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// The framing is the on-disk format: a fixed sequence of appends gives
+// these bytes, and Checkpoint and Compact write the same frames for the
+// same records.
+func TestSegmentBytesUnchanged(t *testing.T) {
+	const golden = "05000000812fd978616c70686104000000b9cb43f4626574611d000000ba6502597b2274223a226a6f622b222c226964223a226a3030303030303031227d"
+	const gamma = "05000000443ad99667616d6d61"
+	dir := t.TempDir()
+	read := func(seq int64) string {
+		t.Helper()
+		b, err := os.ReadFile(segPath(dir, seq))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(b)
+	}
+	l, _ := openT(t, dir, 0)
+	appendAll(t, l, "alpha", "beta", `{"t":"job+","id":"j00000001"}`)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(1); got != golden {
+		t.Fatalf("appended segment = %s, want %s", got, golden)
+	}
+
+	l, recs := openT(t, dir, 0)
+	if err := l.Checkpoint(slices.Values(recs)); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "gamma")
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(2); got != golden+gamma {
+		t.Fatalf("checkpoint segment = %s, want %s", got, golden+gamma)
+	}
+
+	l, _ = openT(t, dir, 0) // segments 2 (history) and 3 (current)
+	defer l.Close()
+	if err := l.Compact(func(recs iter.Seq[[]byte]) iter.Seq[[]byte] { return recs }); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(4); got != golden+gamma {
+		t.Fatalf("compacted segment = %s, want %s", got, golden+gamma)
+	}
+}
+
+// writeSegments seals records into the log in dir as segments of at most
+// segBytes, the first segment numbered 1, and returns the size of each.
+func writeSegments(t *testing.T, dir string, segBytes int64, recs iter.Seq[[]byte]) []int64 {
+	t.Helper()
+	l, _ := openT(t, dir, segBytes)
+	if err := l.Checkpoint(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int64
+	for _, name := range segments(t, dir) {
+		info, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, info.Size())
+	}
+	return sizes
+}
+
+// numbered yields n distinct records of the form "rec-<i>".
+func numbered(n int) iter.Seq[[]byte] {
+	return func(yield func([]byte) bool) {
+		for i := 0; i < n; i++ {
+			if !yield([]byte(fmt.Sprintf("rec-%02d", i))) {
+				return
+			}
+		}
+	}
+}
+
+// Cutting the last record of the last segment at every byte offset is a
+// torn write: the tail is truncated away and every earlier record, in the
+// sealed segments too, replays. The same cut in a sealed segment is
+// corruption.
+func TestTornTailEveryOffset(t *testing.T) {
+	const n, frame = 12, headerSize + len("rec-00")
+	for cut := 1; cut < frame; cut++ {
+		for _, final := range []bool{true, false} {
+			dir := t.TempDir()
+			sizes := writeSegments(t, dir, 4*int64(frame), numbered(n))
+			if len(sizes) != 3 {
+				t.Fatalf("%d segments, want 3", len(sizes))
+			}
+			seg := int64(len(sizes)) // the final segment
+			if !final {
+				seg = 2
+			}
+			path := segPath(dir, seg)
+			torn := sizes[seg-1] - int64(frame-cut)
+			if err := os.Truncate(path, torn); err != nil {
+				t.Fatal(err)
+			}
+			l, rp, err := Open(Options{Dir: dir})
+			if !final {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("cut %d in a sealed segment: err = %v, want ErrCorrupt", cut, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("cut %d: Open: %v", cut, err)
+			}
+			var want []string
+			for i := 0; i < n-1; i++ {
+				want = append(want, fmt.Sprintf("rec-%02d", i))
+			}
+			wantRecords(t, collect(t, rp), want...)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := os.Stat(path); err != nil || info.Size() != torn-int64(cut) {
+				t.Fatalf("cut %d: torn tail not truncated: %v bytes (err %v), want %d", cut, info.Size(), err, torn-int64(cut))
+			}
+		}
+	}
+}
+
+// A flipped CRC byte or a zero length is corruption wherever it is, the
+// final record of the final segment included.
+func TestDamagedFrameRejected(t *testing.T) {
+	const frame = headerSize + len("rec-00")
+	for _, tc := range []struct {
+		name string
+		at   int // byte of the frame to damage
+		zero bool
+	}{
+		{"crc byte 0", 4, false},
+		{"crc byte 3", 7, false},
+		{"payload byte", headerSize, false},
+		{"zero length", 0, true},
+	} {
+		for _, seg := range []int64{1, 3} {
+			dir := t.TempDir()
+			sizes := writeSegments(t, dir, 4*int64(frame), numbered(12))
+			path := segPath(dir, seg)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := int(sizes[seg-1]) - frame // the segment's last frame
+			if tc.zero {
+				binary.LittleEndian.PutUint32(data[off:], 0)
+			} else {
+				data[off+tc.at] ^= 0xff
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s in segment %d: err = %v, want ErrCorrupt", tc.name, seg, err)
+			}
+		}
+	}
+}
+
+// Open and a full replay hold one record, not the log: over a 16 MiB log
+// they allocate far less than the log, so reading whole segments fails
+// this.
+func TestReplayStreams(t *testing.T) {
+	const recBytes, n = 4 << 10, 4200 // 16.4 MiB
+	dir := t.TempDir()
+	rec := bytes.Repeat([]byte{'x'}, recBytes)
+	writeSegments(t, dir, 0, func(yield func([]byte) bool) {
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(rec, uint32(i))
+			if !yield(rec) {
+				return
+			}
+		}
+	})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l, rp, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := 0
+	for p := range rp.All() {
+		if len(p) != recBytes || binary.LittleEndian.Uint32(p) != uint32(count) {
+			t.Fatalf("record %d is %d bytes starting %d", count, len(p), binary.LittleEndian.Uint32(p))
+		}
+		count++
+	}
+	runtime.ReadMemStats(&after)
+	if err := rp.Err(); err != nil || count != n {
+		t.Fatalf("replayed %d records (err %v), want %d", count, err, n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("Open and replay of a %d MiB log allocated %d bytes, want < 1 MiB", n*recBytes>>20, grew)
+	}
+}
+
+// A replay stopped early stops for good; a replay of deleted segments
+// reports the failure through Err.
+func TestReplayStopAndErr(t *testing.T) {
+	dir := t.TempDir()
+	writeSegments(t, dir, 0, numbered(5))
+	l, rp, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var got []string
+	for p := range rp.All() {
+		if got = append(got, string(p)); len(got) == 2 {
+			break
+		}
+	}
+	wantRecords(t, [][]byte{[]byte(got[0]), []byte(got[1])}, "rec-00", "rec-01")
+	if err := l.Checkpoint(numbered(0)); err != nil {
+		t.Fatal(err)
+	}
+	for range rp.All() {
+		t.Fatal("replayed a record of a deleted segment")
+	}
+	if err := rp.Err(); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("replay of deleted segments: err = %v, want a read error", err)
+	}
+}
+
+// A compaction that cannot read the history it folds deletes none of it:
+// the fold's output is written, but every old segment stays, so the next
+// Open sees the damage instead of a log that silently lost it.
+func TestCompactKeepsHistoryOnReadError(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, 64)
+	appendAll(t, l, "aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa", "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb", "cc")
+	if l.Stats().Segments < 2 {
+		t.Fatalf("expected rotation, got %d segments", l.Stats().Segments)
+	}
+	path := segPath(dir, 1)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[headerSize] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = l.Compact(func(recs iter.Seq[[]byte]) iter.Seq[[]byte] { return recs })
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Compact over a damaged segment: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("damaged history was deleted: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Options{Dir: dir}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("reopen: err = %v, want ErrCorrupt", err)
 	}
 }
