@@ -13,7 +13,7 @@ import (
 	"repro/internal/disjoint"
 	"repro/internal/interp"
 	"repro/internal/ir"
-	"repro/internal/pset"
+	"repro/internal/sched"
 	"repro/internal/types"
 )
 
@@ -64,7 +64,7 @@ func (e *Engine) Checkpoint(dst []byte, fingerprint string, output []byte) ([]by
 		return nil, fmt.Errorf("bamboort: Checkpoint before StartSession")
 	case e.sessErr != nil:
 		return nil, fmt.Errorf("bamboort: session failed: %w", e.sessErr)
-	case e.events.Len() > 0 || len(e.locked) > 0:
+	case e.loop.Pending() || len(e.loop.B.locked) > 0:
 		return nil, fmt.Errorf("bamboort: Checkpoint of a session that is not quiescent")
 	}
 	return e.encode(dst, fingerprint, output), nil
@@ -171,13 +171,10 @@ func (r *reach) values(vs []interp.Value, work *[]any) {
 func (e *Engine) reachable() *reach {
 	r := &reach{seen: map[any]bool{}}
 	var work []any
-	for _, c := range e.cores {
-		for _, ht := range c.tasks {
-			for k := range ht.ents {
-				for i := ht.st.Sets[ht.set0+int32(k)].List[0]; i != 0; i = ht.st.Next(i, pset.FIFO) {
-					work = append(work, ht.st.Ents[i].Obj)
-				}
-			}
+	s := &e.loop.Sets
+	for si := range s.Sets {
+		for i := s.Sets[si].List[0]; i != 0; i = s.Next(i, sched.FIFO) {
+			work = append(work, s.Ents[i].Obj)
 		}
 	}
 	for _, ts := range e.tags {
@@ -226,13 +223,13 @@ func (e *Engine) encode(dst []byte, fingerprint string, output []byte) []byte {
 	w.n(checkpointVersion)
 	w.str(fingerprint)
 	w.raw(output)
-	w.i(e.seq)
-	w.i(e.lastEnd)
-	w.i(e.nInv)
+	w.i(e.loop.Seq)
+	w.i(e.loop.LastEnd)
+	w.i(e.loop.NInv)
 	w.i(e.in.Heap.LastID())
 	w.ints(e.ran)
-	w.n(len(e.plan.rr))
-	for _, x := range e.plan.rr {
+	w.n(len(e.plan.lay.RR))
+	for _, x := range e.plan.lay.RR {
 		w.n(x)
 	}
 
@@ -298,22 +295,24 @@ func (e *Engine) encode(dst []byte, fingerprint string, output []byte) []byte {
 		}
 	}
 
-	w.n(len(e.cores))
-	for _, c := range e.cores {
-		w.i(c.freeAt)
-		w.n(len(c.tasks))
-		for _, ht := range c.tasks {
-			w.n(ht.tp.task.Index)
-			for k := range ht.ents {
-				ps := &ht.st.Sets[ht.set0+int32(k)]
+	s, lay := &e.loop.Sets, &e.plan.lay
+	w.n(len(e.loop.Cores))
+	for c, hosted := range lay.OnCore {
+		w.i(e.loop.Cores[c].FreeAt)
+		w.n(len(hosted))
+		for _, h := range hosted {
+			task := lay.Hosted[h].Task
+			w.n(int(task))
+			for k := range lay.Tasks[task].NParams {
+				ps := &s.Sets[s.Set(h, k)]
 				w.b = append(w.b, b2b(ps.Dirty))
 				var n int
-				for i := ps.List[0]; i != 0; i = ht.st.Next(i, pset.FIFO) {
+				for i := ps.List[0]; i != 0; i = s.Next(i, sched.FIFO) {
 					n++
 				}
 				w.n(n)
-				for i := ps.List[0]; i != 0; i = ht.st.Next(i, pset.FIFO) {
-					en := &ht.st.Ents[i]
+				for i := ps.List[0]; i != 0; i = s.Next(i, sched.FIFO) {
+					en := &s.Ents[i]
 					w.i(en.Obj.ID)
 					w.i(en.Seq)
 					w.i(en.At)
@@ -478,7 +477,7 @@ func (e *Engine) decode(fingerprint string, data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: taken for program %q, this session runs %q", ErrCheckpoint, fp, fingerprint)
 	}
 	out := bytes.Clone(r.bytes(r.count()))
-	e.seq, e.lastEnd, e.nInv = r.i(), r.i(), r.i()
+	e.loop.Seq, e.loop.LastEnd, e.loop.NInv = r.i(), r.i(), r.i()
 	e.in.Heap.ResumeIDs(r.i())
 	if r.n(len(e.ran)) != len(e.ran) {
 		r.fail("invocation counts for another task set")
@@ -486,11 +485,12 @@ func (e *Engine) decode(fingerprint string, data []byte) ([]byte, error) {
 	for i := range e.ran {
 		e.ran[i] = r.i()
 	}
-	if r.n(len(e.plan.rr)) != len(e.plan.rr) {
+	rr := e.plan.lay.RR
+	if r.n(len(rr)) != len(rr) {
 		r.fail("round-robin counters for another layout")
 	}
-	for i := range e.plan.rr {
-		e.plan.rr[i] = r.n(math.MaxInt32)
+	for i := range rr {
+		rr[i] = r.n(math.MaxInt32)
 	}
 
 	classes := make([]*types.Class, r.count())
@@ -579,31 +579,34 @@ func (e *Engine) decode(fingerprint string, data []byte) ([]byte, error) {
 		e.tags[tagTypes[j]] = ts
 	}
 
-	if r.n(len(e.cores)) != len(e.cores) {
+	s, lay := &e.loop.Sets, &e.plan.lay
+	if r.n(len(e.loop.Cores)) != len(e.loop.Cores) {
 		r.fail("sets for another layout")
 	}
-	for _, c := range e.cores {
-		c.freeAt = r.i()
-		if r.n(len(c.tasks)) != len(c.tasks) {
-			r.fail("core %d hosts other tasks", c.id)
+	for c, hosted := range lay.OnCore {
+		e.loop.Cores[c].FreeAt = r.i()
+		if r.n(len(hosted)) != len(hosted) {
+			r.fail("core %d hosts other tasks", c)
 		}
-		for _, ht := range c.tasks {
-			if r.n(math.MaxInt32) != ht.tp.task.Index {
-				r.fail("core %d hosts other tasks", c.id)
+		for _, ht := range hosted {
+			task := lay.Hosted[ht].Task
+			if r.n(math.MaxInt32) != int(task) {
+				r.fail("core %d hosts other tasks", c)
 			}
-			for k := range ht.ents {
+			for k := range lay.Tasks[task].NParams {
+				si := s.Set(ht, k)
 				dirty := r.byte()
 				for range r.count() {
 					o, seq, at := h.objs[r.i()], r.i(), r.i()
 					if r.err != nil {
 						return nil, r.err
 					}
-					if o == nil || !ht.add(k, o, seq, at) {
-						r.fail("bad entry in %s's set %d", ht.tp.task.Name, k)
+					if o == nil || !s.Add(si, o, seq, at) {
+						r.fail("bad entry in %s's set %d", lay.Tasks[task].Name, k)
 						return nil, r.err
 					}
 				}
-				ht.st.Sets[ht.set0+int32(k)].Dirty = dirty != 0
+				s.Sets[si].Dirty = dirty != 0
 			}
 		}
 	}

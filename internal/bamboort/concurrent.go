@@ -13,13 +13,14 @@ import (
 	"repro/internal/interp"
 	"repro/internal/ir"
 	"repro/internal/obsv"
+	"repro/internal/sched"
 )
 
 // delivery is one message on a core's inbox: an object for a parameter set,
 // or a poke (obj == nil) prompting a rescan after another core released a
 // lock the receiver had skipped on.
 type delivery struct {
-	ht    int32 // index of the hosted task on the receiving core
+	h     int32 // the receiving instantiation (sched.Layout.Hosted)
 	param int32
 	obj   *interp.Object
 }
@@ -34,8 +35,9 @@ type ccore struct {
 	// whoever next releases locks clears it and pokes the core (see take).
 	waiting atomic.Bool
 
-	*runq
-	arrSeq int64
+	sets    sched.Sets[*interp.Object, *interp.Tag, *objIndex]
+	untried []int32 // scan's candidates not yet tried
+	arrSeq  int64
 	// ran counts the invocations this core executed, by task index.
 	ran []int64
 }
@@ -57,9 +59,9 @@ func (t *ctracer) now() int64 { return time.Since(t.start).Nanoseconds() }
 // invocation's parameter locks are still held, so the producer map cannot
 // change under the dependence-edge lookups, and before the objects are
 // routed onward, so consumers always observe their producer's span.
-func (t *ctracer) record(core int, inv *invocation, exec *interp.Exec, start, end int64) {
+func (t *ctracer) record(core int, task string, inv *invocation, exec *interp.Exec, start, end int64) {
 	t.mu.Lock()
-	recordSpan(t.tr, t.producer, core, inv, exec, start, end)
+	recordSpan(t.tr, t.producer, core, task, inv, exec, start, end)
 	t.mu.Unlock()
 }
 
@@ -167,8 +169,11 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 		stop:  make(chan struct{}),
 	}
 	for i := range r.cores {
-		r.cores[i] = &ccore{id: i, inbox: make(chan delivery, 1<<16),
-			runq: newRunq(i, pl.hosted[i], newStore()), ran: make([]int64, len(pl.tasks))}
+		c := &ccore{id: i, inbox: make(chan delivery, 1<<16), ran: make([]int64, len(pl.fns))}
+		x := newObjIndex(nil)
+		c.sets.B = &x
+		c.sets.Init(&pl.lay, i)
+		r.cores[i] = c
 	}
 
 	r.wg.Add(n)
@@ -269,14 +274,22 @@ func (r *crun) send(dst int, d delivery) {
 // routes from it, and the credits it holds until its dispatch loop returns
 // cover the new entry, which that loop will run or drop.
 func (r *crun) route(obj *interp.Object, fromCore int) {
-	r.plan.route(obj, fromCore, func(tp *taskPlan, dst, param int) {
-		d := delivery{ht: tp.slot[dst], param: int32(param), obj: obj}
-		if dst == fromCore {
-			r.receive(r.cores[dst], d)
-			return
+	id := obj.Node()
+	if id < 0 {
+		return
+	}
+	for _, pr := range r.plan.dep.Nodes[id].Consumers {
+		h := r.plan.place(pr.Task.Index, fromCore, obj)
+		if h < 0 {
+			continue
 		}
-		r.send(dst, d)
-	})
+		d := delivery{h: h, param: int32(pr.Param), obj: obj}
+		if dst := int(r.plan.lay.Hosted[h].Core); dst == fromCore {
+			r.receive(r.cores[dst], d)
+		} else {
+			r.send(dst, d)
+		}
+	}
 }
 
 // worker is one core's scheduler loop: drain the inbox into the parameter
@@ -335,19 +348,30 @@ func (r *crun) take(c *ccore) *invocation {
 // scan claims from c's parameter sets the oldest ready candidate that
 // survives validation — all parameter locks acquired, guards re-checked,
 // objects consumed — and reports whether it passed one over for a held lock.
+// A candidate whose object another core moved out of the guard leaves that
+// object's sets dirty, so its task's next binding sweeps it out.
 func (r *crun) scan(c *ccore) (_ *invocation, skipped bool) {
-	c.ready(nil)
-	for ht := c.next(); ht != nil; ht = c.next() {
-		inv := ht.take()
+	if c.sets.Queued[c.id] == 0 {
+		return nil, false
+	}
+	c.untried = append(c.untried[:0], r.plan.lay.OnCore[c.id]...)
+	for {
+		h := c.sets.Pick(c.untried)
+		if h < 0 {
+			return nil, skipped
+		}
+		inv := take(r.plan.lay.Hosted[h].Task, c.sets.Ents, c.sets.Bound(h), c.sets.BoundTags(h))
 		ok, held := r.lockAndValidate(c, inv)
 		if ok {
-			ht.consume()
+			c.sets.Consume(h)
 			return inv, skipped
 		}
-		skipped = skipped || held
 		inv.release()
+		if held {
+			skipped = true
+			c.untried = slices.DeleteFunc(c.untried, func(x int32) bool { return x == h })
+		}
 	}
-	return nil, skipped
 }
 
 // lockAndValidate acquires the invocation's parameter locks in canonical
@@ -372,7 +396,8 @@ func (r *crun) lockAndValidate(c *ccore, inv *invocation) (ok, held bool) {
 		}
 	}
 	for i, o := range inv.objs {
-		if !inv.ht.tp.params[i].satisfies(o) {
+		if !r.plan.dep.Satisfies(o.Node(), r.plan.lay.Tasks[inv.task].Slot0+int32(i)) {
+			c.sets.Dirty(c.sets.B.byObj[o])
 			if r.mx != nil {
 				r.mx.GuardRechecks.Add(1)
 			}
@@ -411,7 +436,7 @@ func (r *crun) execute(c *ccore, inv *invocation) bool {
 	if r.trc != nil {
 		spanStart = r.trc.now()
 	}
-	exec, err := r.in.RunTask(inv.ht.tp.fn, inv.args)
+	exec, err := r.in.RunTask(r.plan.fns[inv.task], inv.args)
 	if err == nil {
 		// The new nodes are set before the locks are released.
 		err = r.plan.resolveAll(inv.objs, exec.NewObjects)
@@ -426,11 +451,11 @@ func (r *crun) execute(c *ccore, inv *invocation) bool {
 	if r.trc != nil {
 		// Record while the parameter locks are held and before routing,
 		// so dependence edges resolve.
-		r.trc.record(c.id, inv, exec, spanStart, r.trc.now())
+		r.trc.record(c.id, r.plan.lay.Tasks[inv.task].Name, inv, exec, spanStart, r.trc.now())
 	}
 	r.release(c, inv.locked)
 	r.nInv.Add(1)
-	c.ran[inv.ht.tp.task.Index]++
+	c.ran[inv.task]++
 	for _, o := range inv.objs {
 		r.route(o, c.id)
 	}
@@ -472,13 +497,13 @@ func (r *crun) receive(c *ccore, d delivery) {
 	if r.mx != nil {
 		r.mx.Deliveries.Add(1)
 	}
-	ht := c.tasks[d.ht]
-	if ht.tp.params[d.param].satisfies(d.obj) {
+	si := c.sets.Set(d.h, d.param)
+	if r.plan.dep.Satisfies(d.obj.Node(), c.sets.Sets[si].Slot) {
 		c.arrSeq++
 		var at int64
 		if r.trc != nil {
 			at = r.trc.now()
 		}
-		ht.add(int(d.param), d.obj, c.arrSeq, at)
+		c.sets.Add(si, d.obj, c.arrSeq, at)
 	}
 }

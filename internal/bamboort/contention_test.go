@@ -176,6 +176,30 @@ func TestReleaseWakesAnnouncedCore(t *testing.T) {
 	}
 }
 
+// TestStaleCandidateIsSwept: a queued job that another core moved out of
+// its guard — here the test, holding its lock — fails re-validation once;
+// the scan sweeps its entry out and the core goes back to sleep instead of
+// binding it again.
+func TestStaleCandidateIsSwept(t *testing.T) {
+	sess, mx, jobs := heldJobs(t, 0)
+	j := jobs[0]
+	j.SetFlag(j.Class.FlagIndex["ready"], false)
+	j.SetFlag(j.Class.FlagIndex["done"], true)
+	if err := sess.Resolve(j); err != nil {
+		t.Fatal(err)
+	}
+	sess.ReleaseAs(1, jobs)
+	if err := sess.Settle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := mx.GuardRechecks.Load(); got != 1 {
+		t.Errorf("%d failed re-validations, want 1", got)
+	}
+	if got := sess.Close().TasksRun["work"]; got != 1 {
+		t.Errorf("work ran %d times, want once (the startup job)", got)
+	}
+}
+
 // TestPokeDedup: one announcement buys one poke. Eight releases of other
 // locks race for the sleeping core's flag; whichever poke gets through makes
 // the core look, skip and announce again, so what holds, however many

@@ -1,7 +1,6 @@
 package bamboort
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"io"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obsv"
 	"repro/internal/profile"
+	"repro/internal/sched"
 	"repro/internal/types"
 )
 
@@ -25,8 +25,9 @@ type Options struct {
 	Out     io.Writer        // program output; nil discards
 	Profile *profile.Profile // when non-nil, records per-invocation stats
 	Trace   *Trace           // when non-nil, records invocation events
-	// Metrics, when non-nil, collects runtime counters (RunConcurrent
-	// only; the deterministic engine has no lock contention to count).
+	// Metrics, when non-nil, collects runtime counters: the interpreter's
+	// dispatch statistics on both engines, and on RunConcurrent its locks,
+	// contention, deliveries and pokes.
 	Metrics *obsv.Metrics
 	// MaxInvocations guards against non-terminating task systems; 0 means
 	// the default of 50 million.
@@ -59,78 +60,17 @@ type Result struct {
 	TasksRun    map[string]int64
 }
 
-// event kinds for the discrete-event queue.
-type eventKind int
-
-const (
-	evArrive eventKind = iota
-	evComplete
-	evAttempt
-)
-
-type event struct {
-	time int64
-	seq  int64
-	kind eventKind
-	core int
-
-	// evArrive
-	ht    *hostedTask
-	param int
-	obj   *interp.Object
-	// fifo is the arrival sequence used for oldest-ready dispatch; 0 means
-	// "assign at push time". Deliveries of objects whose state a task left
-	// unchanged preserve the original sequence.
-	fifo int64
-
-	// evComplete
-	inv   *invocation
-	exec  *interp.Exec
-	start int64
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// core is one simulated tile running the Bamboo per-core scheduler.
-type core struct {
-	id     int // logical index into the layout
-	phys   int // physical tile ID on the machine
-	freeAt int64
-	*runq
-}
-
-// Engine is the deterministic discrete-event execution engine.
+// Engine is the deterministic discrete-event execution engine: the
+// scheduling loop (internal/sched) with a body that runs each task.
 type Engine struct {
 	prog *ir.Program
 	opts Options
 
 	in      *interp.Interp
 	plan    *plan
-	cores   []*core
-	events  eventHeap
-	evFree  []*event // recycled event records (popped and fully handled)
-	seq     int64
-	locked  map[*interp.Object]bool // parameters of executing invocations
-	lastEnd int64
-	nInv    int64
-	ran     []int64 // invocations per task, by task index
+	loop    sched.Loop[*interp.Object, *interp.Tag, *objIndex]
+	running []running // per core: the invocation in flight
+	ran     []int64   // invocations per task, by task index
 	// producerOf maps each routed object's ID to the trace index of the
 	// invocation that created or last transitioned it (dependence edges).
 	// Maintained only when tracing.
@@ -142,6 +82,13 @@ type Engine struct {
 	// tags are a session's startup tag instances by type, which
 	// injections bind.
 	tags map[string][]*interp.Tag
+}
+
+// running is an executed invocation waiting for its completion time.
+type running struct {
+	inv   *invocation
+	exec  *interp.Exec
+	start int64
 }
 
 // NewEngine builds an engine over the compiled program and analyses.
@@ -163,15 +110,13 @@ func NewEngine(prog *ir.Program, dep *depend.Result, locks *disjoint.Result, opt
 	}
 	e := &Engine{
 		prog: prog, opts: opts, plan: pl,
-		in:     newInterp(prog, opts),
-		locked: map[*interp.Object]bool{},
-		ran:    make([]int64, len(pl.tasks)),
+		in:      newInterp(prog, opts),
+		running: make([]running, opts.Layout.NumCores),
+		ran:     make([]int64, len(pl.fns)),
 	}
-	st := newStore()
-	e.cores = make([]*core, opts.Layout.NumCores)
-	for i := range e.cores {
-		e.cores[i] = &core{id: i, phys: usable[i], runq: newRunq(i, pl.hosted[i], st)}
-	}
+	x := newObjIndex(map[*interp.Object]bool{})
+	e.loop.B = &x
+	e.loop.Init(&pl.lay, opts.Machine)
 	return e, nil
 }
 
@@ -200,36 +145,17 @@ func newInterp(prog *ir.Program, opts Options) *interp.Interp {
 
 // result summarizes the execution so far.
 func (e *Engine) result() *Result {
-	return &Result{TotalCycles: e.lastEnd, Invocations: e.nInv, TasksRun: tasksRun(e.plan, e.ran)}
+	return &Result{TotalCycles: e.loop.LastEnd, Invocations: e.loop.NInv, TasksRun: tasksRun(e.plan, e.ran)}
 }
 
 func tasksRun(pl *plan, ran []int64) map[string]int64 {
 	out := map[string]int64{}
 	for i, n := range ran {
 		if n > 0 {
-			out[pl.tasks[i%len(pl.tasks)].task.Name] += n
+			out[pl.lay.Tasks[i%len(pl.lay.Tasks)].Name] += n
 		}
 	}
 	return out
-}
-
-// push copies ev into a pooled record (popped events are recycled once
-// handled, so a steady-state run allocates no event objects) and queues it.
-func (e *Engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	if ev.kind == evArrive && ev.fifo == 0 {
-		ev.fifo = ev.seq
-	}
-	var p *event
-	if n := len(e.evFree); n > 0 {
-		p = e.evFree[n-1]
-		e.evFree = e.evFree[:n-1]
-	} else {
-		p = new(event)
-	}
-	*p = ev
-	heap.Push(&e.events, p)
 }
 
 // Run executes the program to quiescence and returns the result.
@@ -250,7 +176,8 @@ func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
 // the startup task. Shared by one-shot runs and sessions.
 func (e *Engine) begin() {
 	e.armTrace()
-	e.routeObject(startupObject(e.plan, e.in.Heap, e.opts.Args), -1, 0, 0, 0)
+	so := startupObject(e.plan, e.in.Heap, e.opts.Args)
+	e.loop.Route(so, so.Node(), -1, 0, 0)
 }
 
 // armTrace readies Options.Trace, if set, for this engine's spans.
@@ -281,29 +208,29 @@ func startupObject(pl *plan, heap *interp.Heap, args []string) *interp.Object {
 // fresh budget for every request batch instead of exhausting a cumulative
 // one.
 func (e *Engine) drain(ctx context.Context) error {
-	startInv := e.nInv
-	for handled := 0; e.events.Len() > 0; handled++ {
-		if handled&0x3f == 0 && ctx != nil {
+	l := &e.loop
+	limit := l.NInv + e.opts.MaxInvocations
+	for n := 0; l.Pending(); n++ {
+		if n&0x3f == 0 && ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("bamboort: run canceled: %w", err)
 			}
 		}
-		ev := heap.Pop(&e.events).(*event)
-		var err error
-		switch ev.kind {
-		case evArrive:
-			e.onArrive(ev)
-		case evAttempt:
-			err = e.onAttempt(ev)
-		case evComplete:
-			e.onComplete(ev)
+		switch ev := l.Pop(); ev.Kind {
+		case sched.Arrive:
+			l.Arrive(&ev, ev.Obj.Node())
+		case sched.Attempt:
+			if h := l.Attempt(&ev); h >= 0 {
+				cycles, err := e.start(ev.Core, h, ev.Time)
+				if err != nil {
+					return err
+				}
+				l.Started(&ev, h, cycles)
+			}
+		case sched.Complete:
+			l.Completed(&ev, e.complete(ev.Core, ev.Time))
 		}
-		if err != nil {
-			return err
-		}
-		*ev = event{}
-		e.evFree = append(e.evFree, ev)
-		if e.nInv-startInv > e.opts.MaxInvocations {
+		if l.NInv > limit {
 			return fmt.Errorf("bamboort: exceeded %d task invocations; task system may not terminate", e.opts.MaxInvocations)
 		}
 	}
@@ -321,68 +248,43 @@ func finishInterp(in *interp.Interp, m *obsv.Metrics) {
 	m.FusedInstrs.Add(st.FusedInstrs)
 }
 
-func (e *Engine) onArrive(ev *event) {
-	// Drop stale deliveries whose guard no longer holds.
-	if !ev.ht.tp.params[ev.param].satisfies(ev.obj) {
-		return
-	}
-	if ev.ht.add(ev.param, ev.obj, ev.fifo, ev.time) {
-		e.push(event{time: max(ev.time, e.cores[ev.core].freeAt), kind: evAttempt, core: ev.core})
-	}
-}
-
-// onAttempt starts the core's oldest ready invocation, if it is free and
-// has one: of each hosted task's first bindable invocation the one that
-// became ready first, so long tasks cannot starve short invocations that
-// were already waiting. Only that one is materialized.
-func (e *Engine) onAttempt(ev *event) error {
-	c := e.cores[ev.core]
-	if c.freeAt > ev.time {
-		return nil // busy; completion will reschedule
-	}
-	c.ready(e.locked)
-	ht := c.next()
-	if ht == nil {
-		return nil
-	}
-	inv := ht.take()
-	ht.consume()
-	// Lock all parameter objects (one lock per disjointness lock group).
+// start runs the invocation the loop picked, with its parameters locked
+// until it completes, and commits it: a task's effects are visible from its
+// dispatch on, and its time is charged to its core.
+func (e *Engine) start(core, h int32, t int64) (int64, error) {
+	s := &e.loop.Sets
+	inv := take(e.plan.lay.Hosted[h].Task, s.Ents, s.Bound(h), s.BoundTags(h))
+	s.Consume(h)
 	for _, obj := range inv.objs {
-		e.locked[obj] = true
+		s.B.locked[obj] = true
 	}
-	m := e.opts.Machine
-	overhead := m.DispatchCycles + m.LockCycles*int64(ht.tp.nGroups)
-
-	exec, err := e.in.RunTask(ht.tp.fn, inv.args)
+	exec, err := e.in.RunTask(e.plan.fns[inv.task], inv.args)
 	if err == nil {
 		err = e.plan.resolveAll(inv.objs, exec.NewObjects)
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	e.in.Commit(exec)
-	// Heterogeneous machines: the hosting tile's slowdown scales the
-	// invocation's execution time (Section 4.6).
-	c.freeAt = ev.time + m.ScaleCycles(c.phys, overhead+exec.Cycles)
-	e.push(event{time: c.freeAt, kind: evComplete, core: ev.core, inv: inv, exec: exec, start: ev.time})
-	return nil
+	e.running[core] = running{inv, exec, t}
+	return exec.Cycles, nil
 }
 
-func (e *Engine) onComplete(ev *event) {
-	inv, exec := ev.inv, ev.exec
-	c := e.cores[ev.core]
-	task := inv.ht.tp.task
-	e.nInv++
-	e.ran[task.Index]++
-	e.lastEnd = max(e.lastEnd, ev.time)
-	// Unlock parameters.
+// complete unlocks the invocation's parameters, records it, and routes its
+// transitioned parameters and new objects, returning the send cycles.
+// Parameters whose abstract state the task left unchanged logically never
+// left the parameter sets, so their deliveries keep the original arrival
+// sequence.
+func (e *Engine) complete(core int32, t int64) (send int64) {
+	r := e.running[core]
+	e.running[core] = running{}
+	inv, exec := r.inv, r.exec
+	e.ran[inv.task]++
 	for _, obj := range inv.objs {
-		delete(e.locked, obj)
+		delete(e.loop.B.locked, obj)
 	}
-	// Record profile and trace.
 	if p := e.opts.Profile; p != nil {
-		allocs := p.Allocated(p.Record(task.Index, exec.ExitID, exec.Cycles))
+		allocs := p.Allocated(p.Record(int(inv.task), exec.ExitID, exec.Cycles))
 		for _, o := range exec.NewObjects {
 			if n := o.Node(); n >= 0 {
 				allocs[n]++
@@ -390,45 +292,29 @@ func (e *Engine) onComplete(ev *event) {
 		}
 	}
 	if e.opts.Trace != nil {
-		recordSpan(e.opts.Trace, e.producerOf, ev.core, inv, exec, ev.start, ev.time)
+		recordSpan(e.opts.Trace, e.producerOf, int(core), e.plan.lay.Tasks[inv.task].Name, inv, exec, r.start, t)
 	}
-	// Route transitioned parameters and new objects. Sender-side enqueue
-	// costs extend the core's busy time. Parameters whose abstract state
-	// the task left unchanged logically never left the parameter sets, so
-	// their deliveries keep the original arrival sequence.
-	var sendCost int64
 	for i, obj := range inv.objs {
 		fifo := int64(0)
 		if inv.unchanged(i) {
 			fifo = inv.objSeqs[i]
 		}
-		sendCost += e.routeObject(obj, ev.core, ev.time, e.opts.Machine.EnqueueCycles, fifo)
+		send += e.loop.Route(obj, obj.Node(), core, t, fifo)
 	}
 	for _, obj := range exec.NewObjects {
-		if obj.Node() >= 0 {
-			sendCost += e.routeObject(obj, ev.core, ev.time, e.opts.Machine.EnqueueCycles, 0)
-		}
+		send += e.loop.Route(obj, obj.Node(), core, t, 0)
 	}
 	inv.release()
-	c.freeAt += sendCost
-	e.lastEnd = max(e.lastEnd, c.freeAt)
-	// Wake this core and any core with pending work (locked objects may
-	// have been released, enabling stalled invocations).
-	e.push(event{time: c.freeAt, kind: evAttempt, core: c.id})
-	for _, other := range e.cores {
-		if other != c && other.queued() > 0 {
-			e.push(event{time: max(ev.time, other.freeAt), kind: evAttempt, core: other.id})
-		}
-	}
+	return send
 }
 
 // recordSpan appends one completed invocation to tr. producer maps object
 // IDs to the span that created or last transitioned them; the lookups
 // precede this span's own updates, so a parameter's producer is whoever
 // transitioned it before the dispatch (-1 = the environment).
-func recordSpan(tr *obsv.Trace, producer map[int64]int, core int, inv *invocation, exec *interp.Exec, start, end int64) {
+func recordSpan(tr *obsv.Trace, producer map[int64]int, core int, task string, inv *invocation, exec *interp.Exec, start, end int64) {
 	idx := len(tr.Events)
-	sp := obsv.Span{Index: idx, Task: inv.ht.tp.task.Name, Core: core, Start: start, End: end, Exit: exec.ExitID}
+	sp := obsv.Span{Index: idx, Task: task, Core: core, Start: start, End: end, Exit: exec.ExitID}
 	for i, o := range inv.objs {
 		sp.Params = append(sp.Params, o.ID)
 		prod, ok := producer[o.ID]
@@ -444,21 +330,4 @@ func recordSpan(tr *obsv.Trace, producer map[int64]int, core int, inv *invocatio
 	for _, o := range exec.NewObjects {
 		producer[o.ID] = idx
 	}
-}
-
-// routeObject delivers obj to every task parameter its current state can
-// satisfy, per the layout's placement. It returns the sender-side cost and
-// schedules arrival events. fromCore == -1 injects at time t with no
-// message latency (startup). fifo != 0 preserves an earlier arrival
-// sequence for oldest-ready dispatch.
-func (e *Engine) routeObject(obj *interp.Object, fromCore int, t int64, enqueueCost int64, fifo int64) (cost int64) {
-	e.plan.route(obj, fromCore, func(tp *taskPlan, dst, param int) {
-		var latency int64
-		if fromCore >= 0 {
-			latency = e.opts.Machine.MsgCycles(e.cores[fromCore].phys, e.cores[dst].phys, ObjWords(obj))
-			cost += enqueueCost
-		}
-		e.push(event{time: t + latency, kind: evArrive, core: dst, ht: e.cores[dst].tasks[tp.slot[dst]], param: param, obj: obj, fifo: fifo})
-	})
-	return cost
 }

@@ -38,7 +38,7 @@ func TestMessageCostsMatter(t *testing.T) {
 }
 
 // TestUnplacedTaskStrandsWork: a layout that omits a task leaves its
-// objects stranded but the run still terminates.
+// objects stranded but the run still terminates, on either engine.
 func TestUnplacedTaskStrandsWork(t *testing.T) {
 	sys := compileKeyword(t)
 	lay := layout.New(2)
@@ -46,19 +46,21 @@ func TestUnplacedTaskStrandsWork(t *testing.T) {
 	lay.Place("processText", 1)
 	// mergeResult unplaced: Text objects pile up in submit, never merged.
 	m := machine.TilePro64().WithCores(2)
-	var out bytes.Buffer
-	res, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Args: nArg(4), Out: &out})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TasksRun["mergeResult"] != 0 {
-		t.Error("unplaced task ran")
-	}
-	if res.TasksRun["processText"] != 4 {
-		t.Errorf("processText ran %d times, want 4", res.TasksRun["processText"])
-	}
-	if out.Len() != 0 {
-		t.Errorf("merge output should be absent, got %q", out.String())
+	for _, engine := range []core.Engine{core.Deterministic, core.Concurrent} {
+		var out bytes.Buffer
+		res, err := sys.Exec(context.Background(), core.ExecConfig{Engine: engine, Machine: m, Layout: lay, Args: nArg(4), Out: &out})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TasksRun["mergeResult"] != 0 {
+			t.Error("unplaced task ran")
+		}
+		if res.TasksRun["processText"] != 4 {
+			t.Errorf("processText ran %d times, want 4", res.TasksRun["processText"])
+		}
+		if out.Len() != 0 {
+			t.Errorf("merge output should be absent, got %q", out.String())
+		}
 	}
 }
 
@@ -70,6 +72,17 @@ func TestLayoutTooLarge(t *testing.T) {
 	m := machine.TilePro64().WithCores(4)
 	if _, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Args: nArg(4)}); err == nil {
 		t.Fatal("expected error for layout larger than machine")
+	}
+	lay = layout.New(4)
+	lay.Assign["startup"] = []int{4}
+	for _, engine := range []core.Engine{core.Deterministic, core.Concurrent} {
+		_, err := sys.Exec(context.Background(), core.ExecConfig{Engine: engine, Machine: m, Layout: lay, Args: nArg(4)})
+		if err == nil || !strings.Contains(err.Error(), "startup on core 4 outside layout") {
+			t.Errorf("a core outside the layout: %v", err)
+		}
+	}
+	if _, err := bamboort.NewEngine(sys.Prog, sys.Dep, sys.Locks, bamboort.Options{Layout: lay}); err == nil {
+		t.Error("NewEngine accepted no machine")
 	}
 }
 

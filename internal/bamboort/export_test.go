@@ -9,9 +9,9 @@ import (
 // Test hooks onto the dispatch plan both engines share.
 
 func placeOn(pl *plan, task string, fromCore int, obj *interp.Object) int {
-	for _, tp := range pl.tasks {
-		if tp.task.Name == task {
-			return pl.place(tp, fromCore, obj)
+	for t, tk := range pl.lay.Tasks {
+		if tk.Name == task {
+			return int(pl.lay.Hosted[pl.place(t, fromCore, obj)].Core)
 		}
 	}
 	return -1
@@ -30,12 +30,19 @@ func (s *ConcurrentSession) Place(task string, fromCore int, obj *interp.Object)
 // Route resolves obj's deliveries without making them and returns how many
 // there are.
 func (e *Engine) Route(obj *interp.Object, fromCore int) (n int) {
-	e.plan.route(obj, fromCore, func(*taskPlan, int, int) { n++ })
+	for _, pr := range e.plan.dep.Nodes[obj.Node()].Consumers {
+		if e.plan.place(pr.Task.Index, fromCore, obj) >= 0 {
+			n++
+		}
+	}
 	return n
 }
 
 // Resolve sets obj's node from its state, as a commit does.
 func (e *Engine) Resolve(obj *interp.Object) error { return e.plan.resolve(obj) }
+
+// Resolve sets obj's node from its state on the concurrent runtime's plan.
+func (s *ConcurrentSession) Resolve(obj *interp.Object) error { return s.r.plan.resolve(obj) }
 
 // Heap returns the engine's heap, for building objects to route.
 func (e *Engine) Heap() *interp.Heap { return e.in.Heap }
@@ -72,7 +79,7 @@ func (s *ConcurrentSession) Settle(ctx context.Context) error { return s.settle(
 func (e *Engine) Deliver(batch []Inject) error {
 	objs, err := buildBatch(context.Background(), e.plan, e.in.Heap, e.tags, batch)
 	for _, o := range objs {
-		e.routeObject(o, -1, e.lastEnd, 0, 0)
+		e.loop.Route(o, o.Node(), -1, e.loop.LastEnd, 0)
 	}
 	return err
 }

@@ -3,7 +3,7 @@ package bamboort
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/depend"
@@ -12,6 +12,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/layout"
 	"repro/internal/machine"
+	"repro/internal/sched"
 	"repro/internal/types"
 )
 
@@ -19,16 +20,15 @@ import (
 // depends only on the program, the layout and the machine, resolved once so
 // that the per-object and per-invocation paths index instead of searching.
 // Both engines route and match through it; its only engine state is the
-// round-robin counters, and a row of those has one writer: the goroutine
-// that sends as that core (the feeder for the environment's row).
+// layout's round-robin counters, and a row of those has one writer: the
+// goroutine that sends as that core (the feeder for the environment's row).
 type plan struct {
 	dep     *depend.Result
 	classes map[*types.Class]*classNodes // the classes some task takes
-	tasks   []*taskPlan                  // by types.Task.Index
-	hosted  [][]*taskPlan                // per core, in task-name order
-	session bool                         // setSession(true) was called
-	check   bool                         // CheckNodes was set when the plan was built
-	rr      []int                        // [fromCore+1][task] round-robin counters
+	fns     []*ir.Func                   // by types.Task.Index
+	lay     sched.Layout
+	session bool // setSession(true) was called
+	check   bool // CheckNodes was set when the plan was built
 }
 
 // classNodes resolves the live states of one class to its ASTG nodes.
@@ -45,70 +45,15 @@ type classNodes struct {
 // object, or the run fails. The differential harnesses set it.
 var CheckNodes atomic.Bool
 
-// taskPlan is one task's share of the plan.
-type taskPlan struct {
-	fn      *ir.Func
-	task    *types.Task
-	tagType string  // type of the tag variable every parameter shares, or ""
-	hashed  bool    // placed by the hash of that tag (see machine.Place)
-	nGroups int     // disjointness lock groups
-	cores   []int   // hosting cores
-	ring    []int   // round-robin destination list (machine.Ring)
-	slot    []int32 // per hosting core: index into plan.hosted[core]
-	params  []paramPlan
-}
-
-// tagBind is one tag guard: its type and the index of its variable among
-// the task's hidden tag parameters (ir.Func.TagParams order).
-type tagBind struct {
-	typ string
-	v   int
-}
-
-// paramPlan is one parameter's guard.
-type paramPlan struct {
-	dep   *depend.Result
-	slot  int32 // its depend parameter slot
-	binds []tagBind
-	// index is the position in binds of the first guard whose variable an
-	// earlier parameter has already bound (the set is then indexed by that
-	// tag instance), or -1.
-	index int
-}
-
-// satisfies tests o's node against the parameter's guards.
-func (pp *paramPlan) satisfies(o *interp.Object) bool { return pp.dep.Satisfies(o.Node(), pp.slot) }
-
-func newParamPlan(fn *ir.Func, dep *depend.Result, p *types.TaskParam, bound map[string]bool) paramPlan {
-	pp := paramPlan{dep: dep, slot: dep.Slot0[fn.Task.Index] + int32(p.Index), index: -1}
-	for i, tg := range p.Tags {
-		pp.binds = append(pp.binds, tagBind{tg.TagType, slices.Index(fn.TagParams(), tg.Name)})
-		if pp.index < 0 && bound[tg.Name] {
-			pp.index = i
-		}
-	}
-	for _, tg := range p.Tags {
-		bound[tg.Name] = true
-	}
-	return pp
-}
-
 // newPlan resolves the plan for prog placed by l on m (nil: homogeneous
 // cores) and validates the layout. locks may be nil.
 func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.Machine, locks *disjoint.Result) (*plan, error) {
-	var phys []int
-	if m != nil {
-		phys = m.UsableCores()
-	}
-	fns := append([]*ir.Func(nil), prog.Tasks...)
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Task.Name < fns[j].Task.Name })
 	pl := &plan{
 		dep:     dep,
 		classes: map[*types.Class]*classNodes{},
-		tasks:   make([]*taskPlan, len(fns)),
-		hosted:  make([][]*taskPlan, l.NumCores),
+		fns:     make([]*ir.Func, len(prog.Tasks)),
+		lay:     sched.Layout{Program: sched.NewProgram(dep, locks)},
 		check:   CheckNodes.Load(),
-		rr:      make([]int, (l.NumCores+1)*len(fns)),
 	}
 	for _, g := range dep.Graphs {
 		pl.classes[g.Class] = &classNodes{nodes: map[[2]uint64]int32{}}
@@ -128,33 +73,27 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 		}
 		cn.nodes[[2]uint64{n.State.Flags, counts}] = int32(n.ID)
 	}
-	for _, fn := range fns {
+	for _, fn := range prog.Tasks {
 		task := fn.Task
-		tp := &taskPlan{fn: fn, task: task, cores: l.Cores(task.Name), slot: make([]int32, l.NumCores)}
-		pl.tasks[task.Index] = tp
-		if locks != nil {
-			tp.nGroups = len(locks.LockGroups[task.Name])
-		}
-		common, bound := CommonTagVar(task), map[string]bool{}
+		pl.fns[task.Index] = fn
+		common := CommonTagVar(task)
 		for _, p := range task.Params {
-			tp.params = append(tp.params, newParamPlan(fn, dep, p, bound))
 			for _, tg := range p.Tags {
-				if tg.Name == common && tp.tagType == "" {
-					tp.tagType = tg.TagType
+				if tk := &pl.lay.Tasks[task.Index]; tg.Name == common && tk.TagType == "" {
+					tk.TagType = tg.TagType
 				}
 			}
 		}
-		if len(tp.cores) > 1 && len(task.Params) > 1 && common == "" {
-			return nil, fmt.Errorf("bamboort: task %s has multiple parameters without a common tag and cannot be replicated onto %d cores", task.Name, len(tp.cores))
+		if n := len(l.Cores(task.Name)); n > 1 && len(task.Params) > 1 && common == "" {
+			return nil, fmt.Errorf("bamboort: task %s has multiple parameters without a common tag and cannot be replicated onto %d cores", task.Name, n)
 		}
-		for _, c := range tp.cores {
-			if c < 0 || c >= l.NumCores {
-				return nil, fmt.Errorf("bamboort: task %s assigned to core %d outside layout", task.Name, c)
-			}
-			tp.slot[c] = int32(len(pl.hosted[c]))
-			pl.hosted[c] = append(pl.hosted[c], tp)
-		}
-		tp.ring = m.Ring(nil, tp.cores, phys)
+	}
+	var usable []int
+	if m != nil {
+		usable = m.UsableCores()
+	}
+	if err := pl.lay.Resolve(l, m, usable); err != nil {
+		return nil, fmt.Errorf("bamboort: %w", err)
 	}
 	pl.setSession(false)
 	return pl, nil
@@ -166,25 +105,31 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 // session switches before anything is routed.
 func (pl *plan) setSession(on bool) {
 	pl.session = on
-	for _, tp := range pl.tasks {
-		tp.hashed = tp.tagType != "" && len(tp.cores) > 1 && (len(tp.params) > 1 || on)
+	for t := range pl.lay.Tasks {
+		tk := &pl.lay.Tasks[t]
+		pl.lay.Hashed[t] = tk.TagType != "" && len(pl.lay.Cores[t]) > 1 && (tk.NParams > 1 || on)
 	}
 }
 
-// place resolves the core that receives obj for tp when sent from fromCore
-// (-1: the environment): machine.Place, keyed by the task's tag on obj when
-// the task is hashed.
-func (pl *plan) place(tp *taskPlan, fromCore int, obj *interp.Object) int {
+// place returns the instantiation that receives obj for task when sent
+// from fromCore (-1: the environment), -1 when no core hosts the task:
+// machine.Place, keyed by the task's tag on obj when the task is hashed.
+func (pl *plan) place(task, fromCore int, obj *interp.Object) int32 {
 	group := -1
-	if tp.hashed {
-		for _, tg := range obj.Tags() {
-			if tg.Type == tp.tagType {
-				group = int(tg.ID)
-				break
-			}
+	if pl.lay.Hashed[task] {
+		group = tagGroup(obj, pl.lay.Tasks[task].TagType)
+	}
+	return pl.lay.Place(task, fromCore, group)
+}
+
+// tagGroup returns the ID of obj's first tag of type typ, -1 when it has none.
+func tagGroup(obj *interp.Object, typ string) int {
+	for _, tg := range obj.Tags() {
+		if tg.Type == typ {
+			return int(tg.ID)
 		}
 	}
-	return machine.Place(tp.cores, tp.ring, group, fromCore, &pl.rr[(fromCore+1)*len(pl.tasks)+tp.task.Index])
+	return -1
 }
 
 // nodeOf returns the ASTG node of an object of class cl with flags and
@@ -241,18 +186,103 @@ func (pl *plan) resolveAll(params, made []*interp.Object) error {
 	return nil
 }
 
-// route resolves every delivery obj's node calls for — one per task
-// parameter it satisfies, to the core place picks — and hands each to
-// deliver; an object of a class no task takes has none. It runs on every
-// engine's hot path and allocates nothing.
-func (pl *plan) route(obj *interp.Object, fromCore int, deliver func(tp *taskPlan, dst, param int)) {
-	id := obj.Node()
-	if id < 0 {
-		return
+// objIndex finds the entries and key chains of the live objects one
+// scheduler queues (sched.Objects): the whole deterministic engine, or one
+// core of the concurrent one. A join's indexed set files entries by tag
+// instance, a chain per (set, tag).
+type objIndex struct {
+	byObj map[*interp.Object]int32 // first entry holding the object
+	byTag map[chainKey]sched.List  // an indexed set's entries by tag instance
+	// locked holds the parameters of the deterministic engine's executing
+	// invocations; nil on the concurrent engine, which try-locks instead.
+	locked map[*interp.Object]bool
+}
+
+type chainKey struct {
+	set int32
+	tag *interp.Tag
+}
+
+func newObjIndex(locked map[*interp.Object]bool) objIndex {
+	return objIndex{byObj: map[*interp.Object]int32{}, byTag: map[chainKey]sched.List{}, locked: locked}
+}
+
+func (x *objIndex) Node(o *interp.Object) int32  { return o.Node() }
+func (x *objIndex) Locked(o *interp.Object) bool { return len(x.locked) > 0 && x.locked[o] }
+
+func (x *objIndex) Tags(o *interp.Object) []*interp.Tag    { return o.Tags() }
+func (x *objIndex) TagType(t *interp.Tag) string           { return t.Type }
+func (x *objIndex) Group(o *interp.Object, typ string) int { return tagGroup(o, typ) }
+
+func (x *objIndex) SwapHead(o *interp.Object, i int32) (old int32) {
+	old = x.byObj[o]
+	if i == 0 {
+		delete(x.byObj, o)
+	} else {
+		x.byObj[o] = i
 	}
-	for _, pr := range pl.dep.Nodes[id].Consumers {
-		if tp := pl.tasks[pr.Task.Index]; len(tp.cores) > 0 {
-			deliver(tp, pl.place(tp, fromCore, obj), pr.Param)
-		}
+	return old
+}
+
+func (x *objIndex) Chain(si int32, t *interp.Tag) sched.List { return x.byTag[chainKey{si, t}] }
+
+func (x *objIndex) SetChain(si int32, t *interp.Tag, l sched.List) {
+	if l[0] == 0 {
+		delete(x.byTag, chainKey{si, t})
+	} else {
+		x.byTag[chainKey{si, t}] = l
 	}
 }
+
+// invocation is a materialized task invocation, pooled: only the one a
+// scheduler runs is ever built.
+type invocation struct {
+	task int32
+	objs []*interp.Object
+	args []interp.Value // the interpreter's argument vector: objs, then tags
+	// objSeqs and objArrs are the objects' arrival sequences and timestamps:
+	// a parameter whose abstract state the task leaves unchanged is
+	// re-enqueued with its original sequence (it logically never left the
+	// sets); the timestamps are trace dependence edges.
+	objSeqs, objArrs []int64
+	// nodes are the parameters' nodes at dispatch: a parameter is unchanged
+	// when its node is.
+	nodes []int32
+	// locked is objs in canonical (ascending object ID) order, as the
+	// concurrent scheduler acquired the locks; release walks it in reverse.
+	locked []*interp.Object
+}
+
+var invPool = sync.Pool{New: func() any { return new(invocation) }}
+
+// take materializes a binding sched.Sets found — its entries, one per
+// parameter, and its tag variables' tags; the objects stay queued.
+func take(task int32, ents []sched.Entry[*interp.Object, *interp.Tag], bound []int32, tags []*interp.Tag) *invocation {
+	inv := invPool.Get().(*invocation)
+	inv.task = task
+	for _, i := range bound {
+		e := &ents[i]
+		inv.objs = append(inv.objs, e.Obj)
+		inv.args = append(inv.args, interp.ObjV(e.Obj))
+		inv.objSeqs = append(inv.objSeqs, e.Seq)
+		inv.objArrs = append(inv.objArrs, e.At)
+		inv.nodes = append(inv.nodes, e.Obj.Node())
+	}
+	for _, t := range tags {
+		inv.args = append(inv.args, interp.TagV(t))
+	}
+	return inv
+}
+
+// release returns the invocation to the pool, dropping its references.
+func (inv *invocation) release() {
+	clear(inv.objs)
+	clear(inv.args)
+	clear(inv.locked)
+	*inv = invocation{objs: inv.objs[:0], args: inv.args[:0], objSeqs: inv.objSeqs[:0],
+		objArrs: inv.objArrs[:0], nodes: inv.nodes[:0], locked: inv.locked[:0]}
+	invPool.Put(inv)
+}
+
+// unchanged reports whether parameter i's node is what it was at dispatch.
+func (inv *invocation) unchanged(i int) bool { return inv.objs[i].Node() == inv.nodes[i] }

@@ -2,7 +2,7 @@
 // the paper) on the simulated many-core machine.
 //
 // Each core runs a lightweight scheduler with one parameter set per task
-// parameter (paramset.go). Routing is compiler-resolved: a dispatch plan
+// parameter (internal/sched). Routing is compiler-resolved: a dispatch plan
 // (plan.go), built once from the dependence analysis and the layout, sends
 // objects directly to the cores hosting the tasks that can consume them
 // (round-robin over replicated instantiations, tag-hash routing when a
@@ -14,8 +14,9 @@
 // Three engines share this machinery:
 //
 //   - Engine (engine.go): a deterministic discrete-event engine in virtual
-//     cycles. It executes real task bodies through the interpreter and is
-//     the stand-in for running the generated binary on the TILEPro64. All
+//     cycles: the scheduling simulator's event loop (internal/sched) with
+//     a body that runs each task through the interpreter. It is the
+//     stand-in for running the generated binary on the TILEPro64. All
 //     experiment tables are measured on it.
 //   - the sequential baseline: Engine on a single core with all runtime
 //     overhead costs zeroed — the paper's hand-written C version.
@@ -24,8 +25,9 @@
 //     correct under real concurrency.
 //
 // All engines record execution traces in the unified observability model
-// of internal/obsv (Options.Trace); the concurrent engine additionally
-// collects runtime counters (Options.Metrics).
+// of internal/obsv (Options.Trace) and fold the interpreter's statistics
+// into Options.Metrics; the concurrent engine also counts its locks,
+// deliveries and pokes there.
 package bamboort
 
 import (
@@ -50,10 +52,6 @@ func stateOf(flags uint64, tags []*interp.Tag) depend.State {
 	}
 	return s
 }
-
-// ObjWords estimates the message payload size of an object in words: a
-// two-word header (class + flags/tags descriptor) plus one word per field.
-func ObjWords(o *interp.Object) int { return 2 + len(o.Fields) }
 
 // CommonTagVar returns the tag variable shared by every parameter of the
 // task (the condition under which the runtime can replicate a

@@ -197,7 +197,7 @@ func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, er
 		return nil, err
 	}
 	for _, o := range objs {
-		e.routeObject(o, -1, e.lastEnd, 0, 0)
+		e.loop.Route(o, o.Node(), -1, e.loop.LastEnd, 0)
 	}
 	if err := e.drain(ctx); err != nil {
 		e.sessErr = err

@@ -1,20 +1,19 @@
 package schedsim
 
 import (
-	"sort"
-
 	"repro/internal/depend"
 	"repro/internal/disjoint"
 	"repro/internal/ir"
 	"repro/internal/profile"
+	"repro/internal/sched"
 )
 
 // program is the simulator compiled against one program: what a simulated
-// event asks of the ASTG — who consumes this state, where does this exit
-// take it — answered once and indexed by task (types.Task.Index), parameter
-// slot (depend.Result.Slot0), exit slot and node (depend.Node.ID). Whether a
-// node satisfies a parameter and who consumes it are the engines' answers:
-// depend.Result.Satisfies and depend.Node.Consumers.
+// event asks of the ASTG — where does this exit take this state — answered
+// once and indexed by task (types.Task.Index), parameter slot
+// (depend.Result.Slot0), exit slot and node (depend.Node.ID). Whether a
+// node satisfies a parameter and who consumes it are the engines' answers,
+// asked by the engines' scheduler (internal/sched).
 //
 // An object only ever holds an ASTG node: it starts in one, it is only moved
 // while bound to a parameter it satisfies, and the analysis closed the graph
@@ -23,24 +22,18 @@ import (
 // "many" tags has a second edge, back to "many" (Edge.Alt); the simulator
 // follows the first.
 type program struct {
-	dep    *depend.Result
-	tasks  []taskInfo  // by types.Task.Index
-	order  []int32     // task indices in name order: the per-core hosting order
-	params []paramInfo // by parameter slot, taskInfo.param0 + parameter index
-	nodes  []nodeInfo  // by depend.Node.ID
-	exits  int32       // exit slots, taskInfo.exit0 + exit id (depend.Result.Exit0)
+	sched   *sched.Program
+	tasks   []taskInfo  // by types.Task.Index
+	params  []paramInfo // by parameter slot
+	hasTags []bool      // by depend.Node.ID
+	exits   int32       // exit slots, taskInfo.exit0 + exit id (depend.Result.Exit0)
 }
 
 type taskInfo struct {
-	name            string
-	nParams, nExits int32
-	param0, exit0   int32
-	lockGroups      int64
+	nExits, exit0 int32
 }
 
 type paramInfo struct {
-	needsTag bool // has tag guards: binds, or must match, the invocation's tag group
-	indexed  bool // an earlier parameter has already bound the group when this one is reached
 	// next[exit*n+node-base] is the node an object of the parameter's class
 	// (nodes base..base+n-1) moves to when bound here and the task takes exit;
 	// the node itself where the exit changes nothing or cannot be taken.
@@ -48,49 +41,47 @@ type paramInfo struct {
 	next    []int32
 }
 
-type nodeInfo struct {
-	hasTags bool
-	words   int // message payload: header plus one word per field
-}
-
+// compile resolves the program. Its scheduling view is the engines' but
+// for tags: an object carries one tag group, so every tag-guarded parameter
+// binds or must match the invocation's one group (the guard's type and
+// variable do not matter), and a later one looks its partner up by group.
 func compile(prog *ir.Program, dep *depend.Result, locks *disjoint.Result) *program {
+	sp := sched.NewProgram(dep, locks)
 	p := &program{
-		dep: dep, tasks: make([]taskInfo, len(prog.Tasks)), nodes: make([]nodeInfo, len(dep.Nodes)),
-		exits: dep.Exit0[len(prog.Tasks)],
+		sched: sp, tasks: make([]taskInfo, len(prog.Tasks)), params: make([]paramInfo, len(sp.Params)),
+		hasTags: make([]bool, len(dep.Nodes)), exits: dep.Exit0[len(prog.Tasks)],
 	}
-	fns := append([]*ir.Func(nil), prog.Tasks...)
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Task.Name < fns[j].Task.Name })
-	for _, fn := range fns {
+	for _, fn := range prog.Tasks {
 		t := fn.Task
-		p.order = append(p.order, int32(t.Index))
-		p.tasks[t.Index] = taskInfo{
-			name: t.Name, nParams: int32(len(t.Params)), nExits: int32(fn.NumExits),
-			param0: dep.Slot0[t.Index], exit0: dep.Exit0[t.Index], lockGroups: int64(len(locks.LockGroups[t.Name])),
-		}
-		tagged := false
-		for len(p.params) < int(dep.Slot0[t.Index])+len(t.Params) {
-			p.params = append(p.params, paramInfo{})
-		}
+		p.tasks[t.Index] = taskInfo{nExits: int32(fn.NumExits), exit0: dep.Exit0[t.Index]}
+		tk := &sp.Tasks[t.Index]
+		tk.NVars = 0
 		for k, tp := range t.Params {
+			pp := sched.Param{Index: -1}
+			if len(tp.Tags) > 0 {
+				pp.Binds = []sched.Bind{{}}
+				if tk.NVars > 0 {
+					pp.Index = 0
+				}
+				tk.NVars = 1
+			}
+			sp.Params[tk.Slot0+int32(k)] = pp
 			g := dep.Graphs[tp.Class.Name]
-			pi := paramInfo{needsTag: len(tp.Tags) > 0, base: int32(g.Base), n: int32(len(g.Nodes))}
-			pi.indexed = pi.needsTag && tagged
-			tagged = tagged || pi.needsTag
+			pi := paramInfo{base: int32(g.Base), n: int32(len(g.Nodes))}
 			pi.next = make([]int32, int32(fn.NumExits)*pi.n)
 			for i := range pi.next {
 				pi.next[i] = pi.base + int32(i)%pi.n
 			}
-			p.params[dep.Slot0[t.Index]+int32(k)] = pi
+			p.params[tk.Slot0+int32(k)] = pi
 		}
 	}
 	for id, n := range dep.Nodes {
-		nd := &p.nodes[id]
-		nd.hasTags, nd.words = len(n.State.Tags) > 0, 2+len(n.Class.Fields)
+		p.hasTags[id] = len(n.State.Tags) > 0
 		for _, e := range n.Out {
 			if e.Alt {
 				continue
 			}
-			pi := &p.params[p.tasks[e.Task.Index].param0+int32(e.Param)]
+			pi := &p.params[sp.Tasks[e.Task.Index].Slot0+int32(e.Param)]
 			pi.next[int32(e.Exit)*pi.n+int32(id)-pi.base] = int32(e.To.ID)
 		}
 	}
