@@ -348,8 +348,9 @@ func (r *crun) take(c *ccore) *invocation {
 // scan claims from c's parameter sets the oldest ready candidate that
 // survives validation — all parameter locks acquired, guards re-checked,
 // objects consumed — and reports whether it passed one over for a held lock.
-// A candidate whose object another core moved out of the guard leaves that
-// object's sets dirty, so its task's next binding sweeps it out.
+// A candidate whose object another core moved out of the guard, or whose
+// bound tag it swapped, leaves that object's sets dirty, so its task's next
+// binding sweeps it out or re-files it.
 func (r *crun) scan(c *ccore) (_ *invocation, skipped bool) {
 	if c.sets.Queued[c.id] == 0 {
 		return nil, false
@@ -375,10 +376,10 @@ func (r *crun) scan(c *ccore) (_ *invocation, skipped bool) {
 }
 
 // lockAndValidate acquires the invocation's parameter locks in canonical
-// (ascending object ID) order with try-locks and re-validates every guard
-// after locking (another core may have transitioned an object between
-// binding and acquisition). On failure it releases what it acquired and
-// reports whether a held lock was the reason.
+// (ascending object ID) order with try-locks and re-validates every guard,
+// flags and tags, after locking (another core may have transitioned an
+// object between binding and acquisition). On failure it releases what it
+// acquired and reports whether a held lock was the reason.
 func (r *crun) lockAndValidate(c *ccore, inv *invocation) (ok, held bool) {
 	inv.locked = append(inv.locked, inv.objs...) // distinct by construction
 	slices.SortFunc(inv.locked, func(a, b *interp.Object) int { return cmp.Compare(a.ID, b.ID) })
@@ -395,8 +396,10 @@ func (r *crun) lockAndValidate(c *ccore, inv *invocation) (ok, held bool) {
 			r.mx.LockAcquisitions.Add(1)
 		}
 	}
+	slot0, tags := r.plan.lay.Tasks[inv.task].Slot0, inv.args[len(inv.objs):]
 	for i, o := range inv.objs {
-		if !r.plan.dep.Satisfies(o.Node(), r.plan.lay.Tasks[inv.task].Slot0+int32(i)) {
+		slot := slot0 + int32(i)
+		if !r.plan.dep.Satisfies(o.Node(), slot) || !holdsTags(o, r.plan.lay.Params[slot].Binds, tags) {
 			c.sets.Dirty(c.sets.B.byObj[o])
 			if r.mx != nil {
 				r.mx.GuardRechecks.Add(1)
@@ -406,6 +409,17 @@ func (r *crun) lockAndValidate(c *ccore, inv *invocation) (ok, held bool) {
 		}
 	}
 	return true, false
+}
+
+// holdsTags reports whether o still holds the tag each of its guards
+// bound: another core may have swapped one without changing o's node.
+func holdsTags(o *interp.Object, binds []sched.Bind, tags []interp.Value) bool {
+	for _, b := range binds {
+		if !o.HasTag(tags[b.Var].Tag()) {
+			return false
+		}
+	}
+	return true
 }
 
 // release unlocks c's parameter locks in reverse-canonical order (locked is

@@ -200,6 +200,58 @@ func TestStaleCandidateIsSwept(t *testing.T) {
 	}
 }
 
+// TestSwappedTagIsNotBound: another core — here the test, holding the
+// Item's lock — swaps the tag a queued Item was delivered with for another
+// of the same type, which leaves its node as it was. The join must then
+// bind the Item by the tag it holds, for which no Part is queued (only
+// another Item, which the startup task tagged with it), not by the tag it
+// arrived with.
+func TestSwappedTagIsNotBound(t *testing.T) {
+	sys, err := core.CompileSource(`
+class Item { flag b; flag c; }
+class Part { flag x; flag y; }
+task startup(StartupObject s in initialstate) {
+	tag t1 = new tag(grp);
+	tag t2 = new tag(grp);
+	Part p = new Part(){ x := true, add t1 };
+	Item lone = new Item(){ b := true, add t2 };
+	taskexit(s: initialstate := false);
+}
+task join(Item it in b with grp t, Part p in x with grp t) {
+	taskexit(it: b := false, c := true; p: x := false, y := true);
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := layout.New(2)
+	l.Place("startup", 1)
+	l.Place("join", 0)
+	sess, err := bamboort.StartConcurrentSession(context.Background(), sys.Prog, sys.Dep, bamboort.Options{Layout: l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	items, err := sess.FeedHeld(context.Background(), []bamboort.Inject{{Class: "Item", Flag: "b", TagType: "grp", TagKey: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := items[0]
+	t1 := it.Tags()[0]
+	t2 := sess.StartupTags("grp")[1]
+	it.ClearTag(t1)
+	it.AddTag(t2)
+	if err := sess.Resolve(it); err != nil {
+		t.Fatal(err)
+	}
+	sess.ReleaseAs(1, items)
+	if err := sess.Settle(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Close().TasksRun["join"]; got != 0 {
+		t.Errorf("join ran %d times on an Item holding another tag than the Part's, want 0", got)
+	}
+}
+
 // TestPokeDedup: one announcement buys one poke. Eight releases of other
 // locks race for the sleeping core's flag; whichever poke gets through makes
 // the core look, skip and announce again, so what holds, however many

@@ -68,7 +68,7 @@ type Engine struct {
 
 	in      *interp.Interp
 	plan    *plan
-	loop    sched.Loop[*interp.Object, *interp.Tag, *objIndex]
+	loop    sched.Loop[*interp.Object, *interp.Tag, body]
 	running []running // per core: the invocation in flight
 	ran     []int64   // invocations per task, by task index
 	// producerOf maps each routed object's ID to the trace index of the
@@ -115,7 +115,7 @@ func NewEngine(prog *ir.Program, dep *depend.Result, locks *disjoint.Result, opt
 		ran:     make([]int64, len(pl.fns)),
 	}
 	x := newObjIndex(map[*interp.Object]bool{})
-	e.loop.B = &x
+	e.loop.B = body{&x, e}
 	e.loop.Init(&pl.lay, opts.Machine)
 	return e, nil
 }
@@ -203,39 +203,40 @@ func startupObject(pl *plan, heap *interp.Heap, args []string) *interp.Object {
 	return so
 }
 
-// drain runs queued events until quiescence (an empty event queue). The
+// drain runs queued events until quiescence (an empty event queue),
+// checking ctx before the first and then every 64 invocations. The
 // invocation budget applies per drain, so a long-lived session gets a
 // fresh budget for every request batch instead of exhausting a cumulative
 // one.
 func (e *Engine) drain(ctx context.Context) error {
-	l := &e.loop
-	limit := l.NInv + e.opts.MaxInvocations
-	for n := 0; l.Pending(); n++ {
-		if n&0x3f == 0 && ctx != nil {
+	budget := e.loop.NInv + e.opts.MaxInvocations
+	for {
+		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("bamboort: run canceled: %w", err)
 			}
 		}
-		switch ev := l.Pop(); ev.Kind {
-		case sched.Arrive:
-			l.Arrive(&ev, ev.Obj.Node())
-		case sched.Attempt:
-			if h := l.Attempt(&ev); h >= 0 {
-				cycles, err := e.start(ev.Core, h, ev.Time)
-				if err != nil {
-					return err
-				}
-				l.Started(&ev, h, cycles)
-			}
-		case sched.Complete:
-			l.Completed(&ev, e.complete(ev.Core, ev.Time))
+		over, err := e.loop.Drain(min(budget, e.loop.NInv+64))
+		if err != nil || !over {
+			return err
 		}
-		if l.NInv > limit {
+		if e.loop.NInv > budget {
 			return fmt.Errorf("bamboort: exceeded %d task invocations; task system may not terminate", e.opts.MaxInvocations)
 		}
 	}
-	return nil
 }
+
+// body is the deterministic engine's sched.Body: live objects keyed by
+// tag instance, and invocations that run the task. It is a struct, not a
+// pointer, so the loop is compiled for it alone and calls its methods
+// directly.
+type body struct {
+	*objIndex
+	e *Engine
+}
+
+func (b body) Start(core, h int32, t int64) (int64, error) { return b.e.start(core, h, t) }
+func (b body) Complete(core int32, t int64) int64          { return b.e.complete(core, t) }
 
 // finishInterp folds the interpreter's dispatch statistics into the run's
 // metrics.

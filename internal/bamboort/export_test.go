@@ -65,6 +65,10 @@ func (s *ConcurrentSession) FeedHeld(ctx context.Context, batch []Inject) ([]*in
 	return objs, s.settle(ctx)
 }
 
+// StartupTags returns a concurrent session's startup tag instances of
+// tagType.
+func (s *ConcurrentSession) StartupTags(tagType string) []*interp.Tag { return s.tags[tagType] }
+
 // ReleaseAs unlocks objs the way core's worker does when it finishes or
 // abandons an invocation; Settle then waits for the session to quiesce.
 func (s *ConcurrentSession) ReleaseAs(core int, objs []*interp.Object) {

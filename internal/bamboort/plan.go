@@ -95,20 +95,14 @@ func newPlan(prog *ir.Program, dep *depend.Result, l *layout.Layout, m *machine.
 	if err := pl.lay.Resolve(l, m, usable); err != nil {
 		return nil, fmt.Errorf("bamboort: %w", err)
 	}
-	pl.setSession(false)
 	return pl, nil
 }
 
-// setSession resolves which tasks are placed by tag hash: multi-parameter
-// joins always; in a session single-parameter tag-guarded stages too, so one
-// key's stream stays on one core (one-shot runs spread them round-robin). A
-// session switches before anything is routed.
+// setSession switches the plan to a session's placement (Layout.SetHashed)
+// before anything is routed.
 func (pl *plan) setSession(on bool) {
 	pl.session = on
-	for t := range pl.lay.Tasks {
-		tk := &pl.lay.Tasks[t]
-		pl.lay.Hashed[t] = tk.TagType != "" && len(pl.lay.Cores[t]) > 1 && (tk.NParams > 1 || on)
-	}
+	pl.lay.SetHashed(on)
 }
 
 // place returns the instantiation that receives obj for task when sent

@@ -2,20 +2,26 @@ package sched
 
 import "repro/internal/machine"
 
+// Body is what a Loop's body does besides holding its objects: it starts
+// and completes the invocations the loop picks. The engine runs the task;
+// the simulator draws an exit from the profile.
+type Body[O, K comparable] interface {
+	Objects[O, K]
+	// Start starts the invocation of instantiation h the loop bound on
+	// core at time t (Sets.Bound, BoundTags; the body consumes it) and
+	// returns its cycles.
+	Start(core, h int32, t int64) (cycles int64, err error)
+	// Complete ends core's invocation at time t, routes what it sent
+	// (Loop.Route) and returns the cycles the sends cost.
+	Complete(core int32, t int64) (send int64)
+}
+
 // Loop is the discrete-event scheduler: objects arrive at parameter sets,
 // a core attempts a dispatch when it may have work and is free, and an
 // invocation completes after its cycles. Events run in (time, seq) order;
 // every event, a dropped attempt included, takes the next seq when it is
 // scheduled.
-//
-// The drain loop is the body's — the engine's runs a task, the simulator's
-// draws an exit — and is the same few lines on both: Pop an event, then
-// Arrive; or Attempt and, when it picks an invocation, start it and report
-// its cycles to Started; or complete the invocation and report what it
-// sent to Completed. Each body calls its own task code directly: through
-// the type parameter those calls were indirect, which cost the simulator
-// 9 % (DESIGN.md §7).
-type Loop[O, K comparable, B Objects[O, K]] struct {
+type Loop[O, K comparable, B Body[O, K]] struct {
 	Sets[O, K, B]
 	M     *machine.Machine
 	Cores []Core
@@ -57,8 +63,31 @@ func (l *Loop[O, K, B]) Init(lay *Layout, m *machine.Machine) {
 // Pending reports whether any event is queued.
 func (l *Loop[O, K, B]) Pending() bool { return len(l.events) > 0 }
 
-// Pop removes and returns the next event; Pending must be true.
-func (l *Loop[O, K, B]) Pop() Event[O] { return l.events.pop() }
+// Drain runs the queued events until none is left, the body fails to
+// start an invocation, or more than limit invocations have completed
+// (over); the events after that stay queued.
+func (l *Loop[O, K, B]) Drain(limit int64) (over bool, err error) {
+	for len(l.events) > 0 {
+		switch ev := l.events.pop(); ev.Kind {
+		case evArrive:
+			l.arrive(&ev)
+		case evAttempt:
+			if h := l.attempt(&ev); h >= 0 {
+				cycles, err := l.B.Start(ev.Core, h, ev.Time)
+				if err != nil {
+					return false, err
+				}
+				l.started(&ev, h, cycles)
+			}
+		case evComplete:
+			l.completed(&ev, l.B.Complete(ev.Core, ev.Time))
+		}
+		if l.NInv > limit {
+			return true, nil
+		}
+	}
+	return false, nil
+}
 
 // Route sends obj, in node id, from core from (-1: the environment, with no
 // latency or cost) at time t to every parameter id satisfies, on the core
@@ -82,27 +111,26 @@ func (l *Loop[O, K, B]) Route(obj O, id int32, from int32, t, fifo int64) (cost 
 			latency = l.M.MsgCycles(l.L.Phys[from], l.L.Phys[l.L.Hosted[h].Core], l.L.words[id])
 			cost += l.M.EnqueueCycles
 		}
-		l.push(Event[O]{Time: t + latency, Kind: Arrive, set: l.Set(h, int32(pr.Param)), Obj: obj, fifo: fifo})
+		l.push(event[O]{Time: t + latency, Kind: evArrive, set: l.Set(h, int32(pr.Param)), Obj: obj, fifo: fifo})
 	}
 	return cost
 }
 
-// Arrive files the object of arrival ev, in node id, in its set — unless
-// it left the set's guard on the way or is queued there already — and
-// wakes the set's core.
-func (l *Loop[O, K, B]) Arrive(ev *Event[O], id int32) {
+// arrive files the object of arrival ev in its set — unless it left the
+// set's guard on the way or is queued there already — and wakes the set's
+// core.
+func (l *Loop[O, K, B]) arrive(ev *event[O]) {
 	set := &l.Sets.Sets[ev.set]
-	if l.L.Dep.Satisfies(id, set.Slot) && l.Add(ev.set, ev.Obj, ev.fifo, ev.Time) {
+	if l.L.Dep.Satisfies(l.B.Node(ev.Obj), set.Slot) && l.Add(ev.set, ev.Obj, ev.fifo, ev.Time) {
 		l.poke(set.Core, ev.Time)
 	}
 }
 
-// Attempt returns the instantiation whose invocation core ev.Core starts
+// attempt returns the instantiation whose invocation core ev.Core starts
 // at attempt ev — of its hosted tasks' first bindable invocations the one
 // that became ready first, its binding left for Sets.Bound, BoundTags and
-// Consume — or -1 when the core is busy or has none; then the body starts
-// it and reports to Started.
-func (l *Loop[O, K, B]) Attempt(ev *Event[O]) int32 {
+// Consume — or -1 when the core is busy or has none.
+func (l *Loop[O, K, B]) attempt(ev *event[O]) int32 {
 	h := int32(-1)
 	if l.Cores[ev.Core].FreeAt <= ev.Time && l.Queued[ev.Core] > 0 {
 		h = l.Pick(l.L.OnCore[ev.Core])
@@ -113,22 +141,22 @@ func (l *Loop[O, K, B]) Attempt(ev *Event[O]) int32 {
 	return h
 }
 
-// Started charges attempt ev's core the invocation of h that the body
+// started charges attempt ev's core the invocation of h that the body
 // started, cycles long before dispatch and lock overheads and the tile's
 // slowdown (Section 4.6), and schedules its completion.
-func (l *Loop[O, K, B]) Started(ev *Event[O], h int32, cycles int64) {
+func (l *Loop[O, K, B]) started(ev *event[O], h int32, cycles int64) {
 	c, m := &l.Cores[ev.Core], l.M
 	dur := m.ScaleCycles(l.L.Phys[ev.Core], m.DispatchCycles+m.LockCycles*l.L.Tasks[l.L.Hosted[h].Task].Locks+cycles)
 	c.FreeAt, c.Busy = ev.Time+dur, c.Busy+dur
-	l.push(Event[O]{Time: c.FreeAt, Kind: Complete, Core: ev.Core})
+	l.push(event[O]{Time: c.FreeAt, Kind: evComplete, Core: ev.Core})
 	l.nextPoke(ev.Core)
 }
 
-// Completed counts the invocation that completion ev ended, charges its
+// completed counts the invocation that completion ev ended, charges its
 // core the send cycles the body spent routing, and wakes the core and
 // every core with queued work: a completion may have released objects a
 // stalled invocation waits for.
-func (l *Loop[O, K, B]) Completed(ev *Event[O], send int64) {
+func (l *Loop[O, K, B]) completed(ev *event[O], send int64) {
 	c := &l.Cores[ev.Core]
 	l.NInv++
 	c.FreeAt += send
@@ -143,10 +171,10 @@ func (l *Loop[O, K, B]) Completed(ev *Event[O], send int64) {
 }
 
 // push schedules ev; an arrival that keeps no earlier sequence takes its own.
-func (l *Loop[O, K, B]) push(ev Event[O]) {
+func (l *Loop[O, K, B]) push(ev event[O]) {
 	ev.seq = l.Seq
 	l.Seq++
-	if ev.Kind == Arrive && ev.fifo == 0 {
+	if ev.Kind == evArrive && ev.fifo == 0 {
 		ev.fifo = ev.seq
 	}
 	l.events.push(ev)
@@ -155,7 +183,7 @@ func (l *Loop[O, K, B]) push(ev Event[O]) {
 // poke schedules a dispatch attempt on core ci at t, or when the core frees.
 func (l *Loop[O, K, B]) poke(ci int32, t int64) {
 	c := &l.Cores[ci]
-	ev := Event[O]{Time: max(t, c.FreeAt), seq: l.Seq, Kind: Attempt, Core: ci}
+	ev := event[O]{Time: max(t, c.FreeAt), seq: l.Seq, Kind: evAttempt, Core: ci}
 	l.Seq++
 	if c.pokes = append(c.pokes, poke{ev.Time, ev.seq}); len(c.pokes) == c.head+1 {
 		l.events.push(ev)
@@ -175,38 +203,38 @@ func (l *Loop[O, K, B]) nextPoke(ci int32) {
 		return
 	}
 	p := c.pokes[c.head]
-	l.events.push(Event[O]{Time: p.time, seq: p.seq, Kind: Attempt, Core: ci})
+	l.events.push(event[O]{Time: p.time, seq: p.seq, Kind: evAttempt, Core: ci})
 	if c.head >= 64 {
 		c.pokes, c.head = c.pokes[:copy(c.pokes, c.pokes[c.head:])], 0
 	}
 }
 
-// Event is one pending step, ordered by (Time, seq).
-type Event[O any] struct {
+// event is one pending step, ordered by (Time, seq).
+type event[O any] struct {
 	Time, seq int64
-	fifo      int64 // Arrive: the arrival sequence to keep (0: this event's seq)
-	Obj       O     // Arrive: the object
-	set       int32 // Arrive: the destination set
-	Core      int32 // Attempt, Complete
+	fifo      int64 // arrival: the arrival sequence to keep (0: this event's seq)
+	Obj       O     // arrival: the object
+	set       int32 // arrival: the destination set
+	Core      int32 // attempt, completion
 	Kind      uint8
 }
 
 // The kinds of events.
 const (
-	Arrive   uint8 = iota // an object reaches a parameter set
-	Attempt               // a core looks for an invocation to start
-	Complete              // a core's invocation ends
+	evArrive   uint8 = iota // an object reaches a parameter set
+	evAttempt               // a core looks for an invocation to start
+	evComplete              // a core's invocation ends
 )
 
 // heap is a binary min-heap of event values. (time, seq) is a total order,
 // so the pop order does not depend on the heap's shape.
-type heap[O any] []Event[O]
+type heap[O any] []event[O]
 
-func (a *Event[O]) before(b *Event[O]) bool {
+func (a *event[O]) before(b *event[O]) bool {
 	return a.Time < b.Time || (a.Time == b.Time && a.seq < b.seq)
 }
 
-func (h *heap[O]) push(ev Event[O]) {
+func (h *heap[O]) push(ev event[O]) {
 	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
@@ -219,11 +247,11 @@ func (h *heap[O]) push(ev Event[O]) {
 	s[i], *h = ev, s
 }
 
-func (h *heap[O]) pop() Event[O] {
+func (h *heap[O]) pop() event[O] {
 	s := *h
 	top, n := s[0], len(s)-1
 	ev := s[n]
-	s[n] = Event[O]{} // drop the reference
+	s[n].Obj = *new(O) // drop the reference
 	*h = s[:n]
 	i := 0
 	for {

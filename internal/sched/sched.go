@@ -9,11 +9,10 @@
 // round-robin ring, per (task, core) its hosted instantiation, per core
 // its hosted tasks). Sets holds parameter sets: add, sweep, find, bind and
 // consume. Loop is the discrete-event scheduler over them — arrivals,
-// dispatch attempts and completions ordered by (time, sequence) — whose
-// drain loop each body writes in a few lines around what a task does: the
-// engine runs it, the simulator draws an exit from the profile. The
-// concurrent engine keeps a Sets per core and routes through Layout
-// without the loop.
+// dispatch attempts and completions ordered by (time, sequence), drained
+// by Loop.Drain — and its Body does what a task does: the engine runs it,
+// the simulator draws an exit from the profile. The concurrent engine
+// keeps a Sets per core and routes through Layout without the loop.
 //
 // Objects and keys are the caller's types: live objects keyed by tag
 // instance in the engines, object indices keyed by tag group in the
@@ -111,7 +110,7 @@ type Layout struct {
 	*Program
 	Cores  [][]int // by task: hosting cores
 	Rings  [][]int // by task on several cores: machine.Ring
-	Hashed []bool  // by task: placed by the hash of its TagType tag; the caller's policy
+	Hashed []bool  // by task: placed by the hash of its tag (SetHashed)
 	Hosted []Host  // every instantiation, by task name, then core as listed
 	OnCore [][]int32
 	Phys   []int // by core: its machine tile
@@ -136,8 +135,8 @@ func sized[T any](s []T, n int) []T {
 }
 
 // Resolve places the program by lay on m (nil: homogeneous cores), whose
-// usable tiles the layout's cores index. A core listed twice for a task
-// hosts it once. Hashed is left false for every task.
+// usable tiles the layout's cores index, as a one-shot run
+// (SetHashed(false)). A core listed twice for a task hosts it once.
 func (l *Layout) Resolve(lay *layout.Layout, m *machine.Machine, usable []int) error {
 	n, nt := lay.NumCores, len(l.Tasks)
 	l.Cores, l.Rings, l.Hashed = sized(l.Cores, nt), sized(l.Rings, nt), sized(l.Hashed, nt)
@@ -172,7 +171,21 @@ func (l *Layout) Resolve(lay *layout.Layout, m *machine.Machine, usable []int) e
 			l.Rings[ti] = l.ringBuf[k:]
 		}
 	}
+	l.SetHashed(false)
 	return nil
+}
+
+// SetHashed resolves which tasks are placed by the hash of their tag, so
+// the objects of one tag meet on one core: a join replicated on several
+// cores always; in a session a replicated tag-guarded single-parameter
+// stage too, so one key's stream stays on one core (a one-shot run
+// spreads those round-robin). A replicated join has a TagType, or the
+// engines reject its layout; the simulator hashes by tag group.
+func (l *Layout) SetHashed(session bool) {
+	for t := range l.Tasks {
+		tk := &l.Tasks[t]
+		l.Hashed[t] = len(l.Cores[t]) > 1 && (tk.NParams > 1 || session && tk.TagType != "")
+	}
 }
 
 // Fit resolves lay on m's usable tiles, which must number at least its

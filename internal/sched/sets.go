@@ -1,7 +1,9 @@
 package sched
 
-// Objects is what the parameter sets ask of the objects they queue. Its
-// methods are the only indirect calls on the probe path.
+// Objects is what the parameter sets ask of the objects they queue. Go
+// compiles the scheduler once for every pointer type, calling the methods
+// of such an Objects indirectly; a struct type gets its own copy, whose
+// calls are direct and inlined.
 type Objects[O, K comparable] interface {
 	// Node returns o's ASTG node (depend.Node.ID), -1 for none.
 	Node(o O) int32
@@ -37,14 +39,17 @@ type Objects[O, K comparable] interface {
 // walks the whole list.
 //
 // Stale entries, whose object no longer satisfies the guard, are dropped
-// lazily, and exactly: an object's state changes only inside an
-// invocation that consumed one of its entries, so removing an entry marks
-// the sets of the object's other entries dirty, and a binding sweeps a set
-// it reaches dirty — drops its stale entries and re-files moved keys. A
-// clean set holds no stale entry, so a binding tests no guard. A body whose
-// objects change state after they are consumed, or where these sets cannot
-// see it (the concurrent engine's other cores), marks their sets dirty
-// (Dirty) when they do.
+// lazily, and exactly: an object's state changes only inside an invocation that
+// consumed one of its entries, so removing an entry marks the sets of the
+// object's other entries dirty, and a binding sweeps a set it reaches
+// dirty — drops its stale entries and re-files moved keys. A clean set
+// holds no stale entry, so a binding tests no guard. A body whose objects
+// change state after they are consumed marks their sets dirty (Dirty)
+// when they do. On the concurrent engine another core may change an
+// object these sets hold without either: a binding reads tags from the
+// objects, not the sets, and the engine re-checks the binding, guards and
+// tags, once it holds the objects' locks, marking a failed candidate's
+// sets dirty.
 // An object delivered where it is already queued keeps its place and
 // sequence and marks the set dirty.
 type Sets[O, K comparable, B Objects[O, K]] struct {
@@ -177,25 +182,14 @@ func (s *Sets[O, K, B]) Add(si int32, obj O, seq, at int64) bool {
 	if p := &s.L.Params[set.Slot]; p.Index >= 0 {
 		set.unkeyed++
 		s.link(i, s.key(p, obj))
-	} else if p.keyBind() >= 0 {
-		s.Ents[i].Key = s.key(p, obj)
 	}
 	return true
 }
 
-// keyBind is the guard whose tag an entry keeps as its key: the indexed
-// one, or a parameter's only guard; -1 for none.
-func (p *Param) keyBind() int {
-	if p.Index < 0 && len(p.Binds) == 1 {
-		return 0
-	}
-	return p.Index
-}
-
-// key returns obj's key for parameter p: its one tag of the type of p's
-// key guard, zero when it has none or several.
+// key returns obj's key for indexed parameter p: its one tag of the type
+// of p's indexed guard, zero when it has none or several.
 func (s *Sets[O, K, B]) key(p *Param, obj O) (key K) {
-	typ := p.Binds[p.keyBind()].Type
+	typ := p.Binds[p.Index].Type
 	for _, t := range s.B.Tags(obj) {
 		if s.B.TagType(t) == typ {
 			if key != *new(K) {
@@ -271,8 +265,8 @@ func (s *Sets[O, K, B]) Dirty(head int32) {
 }
 
 // sweep drops the set's stale entries and, when an object's tags moved it
-// to another key, re-keys the set's entries — in an indexed set re-files
-// them by their current keys in arrival order.
+// to another key in an indexed set, re-files the set's entries by their
+// current keys in arrival order.
 func (s *Sets[O, K, B]) sweep(si int32) {
 	ps := &s.Sets[si]
 	ps.Dirty = false
@@ -282,18 +276,12 @@ func (s *Sets[O, K, B]) sweep(si int32) {
 		next, obj := s.Next(i, FIFO), s.Ents[i].Obj
 		if !s.L.Dep.Satisfies(s.B.Node(obj), ps.Slot) {
 			s.remove(i)
-		} else if p.keyBind() >= 0 && s.key(p, obj) != s.Ents[i].Key {
+		} else if p.Index >= 0 && s.key(p, obj) != s.Ents[i].Key {
 			refile = true
 		}
 		i = next
 	}
 	if !refile {
-		return
-	}
-	if p.Index < 0 {
-		for i := ps.List[0]; i != 0; i = s.Next(i, FIFO) {
-			s.Ents[i].Key = s.key(p, s.Ents[i].Obj)
-		}
 		return
 	}
 	for i := ps.List[0]; i != 0; i = s.Next(i, FIFO) {
@@ -336,8 +324,7 @@ func (s *Sets[O, K, B]) bind(at hostAt, k int32) bool {
 	if k+1 < at.n && s.Sets[si+1].List[0] == 0 && !s.Sets[si+1].Dirty {
 		return false // no partner, and nothing to sweep on the way
 	}
-	slot := s.Sets[si].Slot
-	p := &s.L.Params[slot]
+	p := &s.L.Params[s.Sets[si].Slot]
 	i, which := s.Sets[si].List[0], FIFO
 	if p.Index >= 0 && s.Sets[si].unkeyed == 0 {
 		i, which = s.B.Chain(si, s.tags[at.tag+p.Binds[p.Index].Var])[0], Chain
@@ -351,8 +338,7 @@ func (s *Sets[O, K, B]) bind(at hostAt, k int32) bool {
 		// only one of them per invocation.
 		if s.Ents[i].Set == si && !s.B.Locked(obj) && !s.holds(at, k, obj) {
 			s.bound[si] = i
-			// A last parameter without tag guards binds at once.
-			if k+1 == at.n && len(p.Binds) == 0 || s.bindTags(at, k, 0, obj, s.Ents[i].Key) {
+			if s.bindTags(at, k, p.Binds, obj) {
 				return true
 			}
 		}
@@ -369,34 +355,19 @@ func (s *Sets[O, K, B]) holds(at hostAt, k int32, obj O) bool {
 	return false
 }
 
-// bindTags checks obj, queued with key, against parameter k's tag guards
-// from gi on under the current bindings, trying each candidate tag for an
-// unbound variable, then goes on to the next parameter. A lone guard's
-// candidate is the key, when obj has one.
-func (s *Sets[O, K, B]) bindTags(at hostAt, k int32, gi int, obj O, key K) bool {
-	binds := s.L.Params[s.Sets[at.set+k].Slot].Binds
-	if gi == len(binds) {
-		return s.bind(at, k+1)
+// bindTags checks obj's tags against binds, the rest of parameter k's tag
+// guards, under the current bindings, trying each candidate tag for an
+// unbound variable, then goes on to the next parameter.
+func (s *Sets[O, K, B]) bindTags(at hostAt, k int32, binds []Bind, obj O) bool {
+	if len(binds) == 0 {
+		return k+1 == at.n || s.bind(at, k+1)
 	}
-	b := binds[gi]
+	b := binds[0]
 	v := &s.tags[at.tag+b.Var]
-	if len(binds) == 1 && key != *new(K) {
-		switch *v {
-		case key:
-			return s.bind(at, k+1)
-		case *new(K):
-			*v = key
-			if s.bind(at, k+1) {
-				return true
-			}
-			*v = *new(K)
-		}
-		return false
-	}
 	if *v != *new(K) {
 		for _, t := range s.B.Tags(obj) {
 			if t == *v {
-				return s.bindTags(at, k, gi+1, obj, key)
+				return s.bindTags(at, k, binds[1:], obj)
 			}
 		}
 		return false
@@ -404,7 +375,7 @@ func (s *Sets[O, K, B]) bindTags(at hostAt, k int32, gi int, obj O, key K) bool 
 	for _, cand := range s.B.Tags(obj) {
 		if s.B.TagType(cand) == b.Type {
 			*v = cand
-			if s.bindTags(at, k, gi+1, obj, key) {
+			if s.bindTags(at, k, binds[1:], obj) {
 				return true
 			}
 			*v = *new(K)

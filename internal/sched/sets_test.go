@@ -208,7 +208,7 @@ func TestBindSweepsAndSkips(t *testing.T) {
 func TestHeapOrder(t *testing.T) {
 	var h heap[int32]
 	for i, tm := range []int64{5, 1, 5, 3, 0, 9, 1} {
-		h.push(Event[int32]{Time: tm, seq: int64(i)})
+		h.push(event[int32]{Time: tm, seq: int64(i)})
 	}
 	var got [][2]int64
 	for len(h) > 0 {

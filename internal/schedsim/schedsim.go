@@ -126,7 +126,7 @@ type simState struct {
 	opts Options
 
 	lay    sched.Layout
-	loop   sched.Loop[int32, int32, *simState]
+	loop   sched.Loop[int32, int32, body]
 	flight []flight     // by core
 	objs   []simObject  // by object index
 	groups []sched.List // per tag group: the entries of its objects in indexed sets
@@ -168,7 +168,7 @@ func (s *Simulator) Run(opts Options) (*Result, error) {
 	st, _ := s.scratch.Get().(*simState)
 	if st == nil {
 		st = &simState{p: s.p, objAt: map[[2]int32]int32{}, lay: sched.Layout{Program: s.p.sched}}
-		st.loop.B = st
+		st.loop.B = body{st}
 	}
 	st.t, st.opts = t, opts
 	res, err := st.run()
@@ -189,16 +189,11 @@ func sized[T any](s []T, n int) []T {
 	return s
 }
 
-// reset clears pooled scratch and resolves the layout. The simulator
-// models one-shot runs, where a multi-parameter join is hashed, so objects
-// of one tag group meet at one instantiation (machine.Place), and every
-// other task is spread round-robin.
+// reset clears pooled scratch and resolves the layout, placed as a
+// one-shot run (Layout.SetHashed).
 func (st *simState) reset() error {
 	if err := st.lay.Fit(st.opts.Layout, st.opts.Machine); err != nil {
 		return fmt.Errorf("schedsim: %w", err)
-	}
-	for t := range st.lay.Tasks {
-		st.lay.Hashed[t] = st.lay.Tasks[t].NParams > 1
 	}
 	st.loop.Init(&st.lay, st.opts.Machine)
 	p, n, nt := st.p, st.opts.Layout.NumCores, len(st.lay.Tasks)
@@ -237,7 +232,7 @@ func (st *simState) run() (*Result, error) {
 	// Inject the startup object.
 	st.objs = append(st.objs, simObject{node: int32(st.lay.Dep.Start.ID), producer: -1})
 	st.loop.Route(0, st.objs[0].node, -1, 0, 0)
-	over := st.drain()
+	over, _ := st.loop.Drain(st.opts.MaxInvocations)
 	nInv := st.loop.NInv
 	if tr != nil {
 		st.spanHint, st.depHint = int(nInv), st.nDeps
@@ -252,28 +247,6 @@ func (st *simState) run() (*Result, error) {
 		return &Result{Terminated: false, Utilization: util, Invocations: nInv}, nil
 	}
 	return &Result{Terminated: true, TotalCycles: st.loop.LastEnd, Invocations: nInv}, nil
-}
-
-// drain runs the simulation until no event is left, or reports that it
-// stopped after the invocation that exceeded the budget.
-func (st *simState) drain() (over bool) {
-	l := &st.loop
-	for l.Pending() {
-		if l.NInv > st.opts.MaxInvocations {
-			return true
-		}
-		switch ev := l.Pop(); ev.Kind {
-		case sched.Arrive:
-			l.Arrive(&ev, st.objs[ev.Obj].node)
-		case sched.Attempt:
-			if h := l.Attempt(&ev); h >= 0 {
-				l.Started(&ev, h, st.start(ev.Core, h, ev.Time))
-			}
-		case sched.Complete:
-			l.Completed(&ev, st.complete(ev.Core, ev.Time))
-		}
-	}
-	return l.NInv > st.opts.MaxInvocations
 }
 
 // start takes the binding the loop picked off its sets, chooses the exit
@@ -417,8 +390,15 @@ func (st *simState) complete(core int32, t int64) (send int64) {
 	return send
 }
 
-// The sched.Objects of the simulator: object indices, keyed by tag group.
-// A group's chain holds its objects' entries in every indexed set.
+// body is the simulator's sched.Body: its objects are object indices,
+// keyed by tag group (a group's chain holds its objects' entries in every
+// indexed set), and an invocation draws its exit from the profile. It is a
+// struct, not a pointer, so the loop is compiled for it alone and calls
+// its methods directly.
+type body struct{ *simState }
+
+func (b body) Start(core, h int32, t int64) (int64, error) { return b.start(core, h, t), nil }
+func (b body) Complete(core int32, t int64) int64          { return b.complete(core, t) }
 
 func (st *simState) Node(o int32) int32  { return st.objs[o].node }
 func (st *simState) Locked(o int32) bool { return st.objs[o].locked }

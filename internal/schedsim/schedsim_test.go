@@ -286,3 +286,29 @@ task spin(Spin sp in on) {
 		t.Errorf("utilization = %g, want in (0,1]", res.Utilization)
 	}
 }
+
+// TestRunRefusesBadOptions: a run without a machine, a layout or a
+// profile, or whose layout needs more cores than the machine has, fails
+// before it simulates anything.
+func TestRunRefusesBadOptions(t *testing.T) {
+	sys, err := core.CompileSource(keywordSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := sys.Profile(nArg(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := schedsim.New(sys.Prog, sys.Dep, sys.Locks)
+	for _, c := range []struct {
+		opts schedsim.Options
+		want string
+	}{
+		{schedsim.Options{Layout: quadLayout(), Prof: prof}, "Machine, Layout, and Prof are required"},
+		{schedsim.Options{Machine: machine.TilePro64().WithCores(2), Layout: quadLayout(), Prof: prof}, "layout needs 4 cores, machine has 2 usable"},
+	} {
+		if _, err := sim.Run(c.opts); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("err = %v, want one containing %q", err, c.want)
+		}
+	}
+}
