@@ -102,7 +102,7 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a drain may wait for in-flight jobs before canceling them")
 	maxSessions := flag.Int("max-sessions", 256, "bound on non-terminal (active+parked) sessions; a full table rejects creates with 429")
 	liveSessions := flag.Int("live-sessions", 8, "resident session engines; beyond this, idle deterministic sessions are parked as a checkpoint and restored on their next feed")
-	retainSessions := flag.Int("retain-sessions", 1024, "closed/failed sessions kept for status queries; oldest forgotten first")
+	retainSessions := flag.Int("retain-sessions", 8192, "finished jobs and closed/failed sessions kept for status queries, in one ring; oldest forgotten first")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory; empty disables durability")
 	nodeID := flag.String("node-id", "", "this node's cluster ID (no '-'); empty runs standalone")
 	peerList := flag.String("peers", "", "full ring as id=url,id=url,... (this node included); requires -node-id")

@@ -194,6 +194,9 @@ func (r *crun) injectStartup() {
 // accepted so far has completed; on an error the workers have stopped.
 func (r *crun) quiesce(ctx context.Context) error {
 	for {
+		// Read idle before the error: a worker records a failure before it
+		// gives back its credits, so an idle run shows every failure.
+		idle := r.inFlight.Load() == 0
 		if err := r.err(); err != nil {
 			r.shutdown()
 			return err
@@ -202,7 +205,7 @@ func (r *crun) quiesce(ctx context.Context) error {
 			r.shutdown()
 			return fmt.Errorf("bamboort: run canceled: %w", err)
 		}
-		if r.inFlight.Load() == 0 {
+		if idle {
 			return nil
 		}
 		// A token left over from an earlier wait costs one extra turn.

@@ -43,6 +43,10 @@ type Options struct {
 	// Heap, when non-nil, replaces the interpreter's fresh heap (e.g. one
 	// with object tracking enabled for final-state snapshots).
 	Heap *interp.Heap
+	// Unfed starts a session that is closed without a Feed (a one-shot
+	// run): it records no startup tags, which would hold every tag the
+	// run allocates until it ends, and Feed refuses it.
+	Unfed bool
 }
 
 // Trace records an engine's invocation history in the unified

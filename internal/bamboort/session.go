@@ -173,7 +173,9 @@ func (e *Engine) StartSession(ctx context.Context) error {
 		return fmt.Errorf("bamboort: session already started")
 	}
 	e.plan.setSession(true)
-	e.in.Heap.TrackTags()
+	if !e.opts.Unfed {
+		e.in.Heap.TrackTags()
+	}
 	e.begin()
 	e.sessErr = e.drain(ctx)
 	e.tags = e.in.Heap.StartupTags()
@@ -188,6 +190,9 @@ func (e *Engine) StartSession(ctx context.Context) error {
 func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, error) {
 	if !e.plan.session {
 		return nil, fmt.Errorf("bamboort: Feed before StartSession")
+	}
+	if e.opts.Unfed {
+		return nil, fmt.Errorf("bamboort: Feed on an unfed session")
 	}
 	if e.sessErr != nil {
 		return nil, fmt.Errorf("bamboort: session failed: %w", e.sessErr)
@@ -247,7 +252,9 @@ func StartConcurrentSession(ctx context.Context, prog *ir.Program, dep *depend.R
 	// objects the same way feeds will (and the same way a replayed boot
 	// does on the deterministic engine).
 	r.plan.setSession(true)
-	r.in.Heap.TrackTags()
+	if !opts.Unfed {
+		r.in.Heap.TrackTags()
+	}
 	r.injectStartup()
 	s := &ConcurrentSession{r: r}
 	if err := s.settle(ctx); err != nil {
@@ -275,6 +282,9 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	}
 	if s.err != nil {
 		return nil, s.err
+	}
+	if s.r.opts.Unfed {
+		return nil, fmt.Errorf("bamboort: Feed on an unfed session")
 	}
 	objs, err := buildBatch(ctx, s.r.plan, s.r.in.Heap, s.tags, batch)
 	if err != nil {

@@ -246,3 +246,45 @@ func TestSessionTagKeyBindsStartupTag(t *testing.T) {
 		})
 	}
 }
+
+// TestUnfedSessionKeepsNoTags: a session started Unfed (a one-shot run, as
+// the server runs a job) records no startup tags — for such a run they
+// would be every tag it allocates, held until it ends — and refuses a
+// feed. That a job still runs as a session closed at once does is
+// TestJobIsASessionClosedUnfed (internal/server).
+func TestUnfedSessionKeepsNoTags(t *testing.T) {
+	sys, err := core.CompileSource(mintSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	batch := []bamboort.Inject{{Class: "Request", Flag: "pending", TagType: "shard", TagKey: 0}}
+	for _, unfed := range []bool{false, true} {
+		opts := bamboort.Options{Machine: machine.TilePro64().WithCores(2), Layout: bamboort.SpreadLayout(sys.Prog, 2), Unfed: unfed}
+		e, err := bamboort.NewEngine(sys.Prog, sys.Dep, sys.Locks, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.StartSession(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cs, err := bamboort.StartConcurrentSession(ctx, sys.Prog, sys.Dep, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 4
+		if unfed {
+			want = 0
+		}
+		if det, conc := len(e.StartupTags("shard")), len(cs.StartupTags("shard")); det != want || conc != want {
+			t.Errorf("unfed %v: %d startup tags (det), %d (conc), want %d", unfed, det, conc, want)
+		}
+		_, errDet := e.Feed(ctx, batch)
+		_, errConc := cs.Feed(ctx, batch)
+		if (errDet != nil) != unfed || (errConc != nil) != unfed {
+			t.Errorf("unfed %v: feed errors %v (det), %v (conc)", unfed, errDet, errConc)
+		}
+		e.EndSession()
+		cs.Close()
+	}
+}

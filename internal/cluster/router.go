@@ -121,22 +121,12 @@ func (r *Router) handleCluster(w http.ResponseWriter, req *http.Request) {
 	_ = json.NewEncoder(w).Encode(r.Stats())
 }
 
-// fingerprint extracts the routing key from a submit/session body.
+// fingerprint extracts the routing key from a job or session-create
+// body: both carry the same six spec fields, so one decode serves both.
 // Errors return "" — the request is served locally so the local server
 // renders the proper 400 envelope.
-func fingerprint(body []byte, job bool) string {
-	if job {
-		var sr server.SubmitRequest
-		if json.Unmarshal(body, &sr) != nil {
-			return ""
-		}
-		fp, err := sr.Fingerprint()
-		if err != nil {
-			return ""
-		}
-		return fp
-	}
-	var sr server.SessionRequest
+func fingerprint(body []byte) string {
+	var sr server.SubmitRequest
 	if json.Unmarshal(body, &sr) != nil {
 		return ""
 	}
@@ -161,7 +151,7 @@ func (r *Router) routeSubmit(w http.ResponseWriter, req *http.Request, shedable 
 		r.writeUnavailable(w, "reading request body: "+err.Error())
 		return
 	}
-	fp := fingerprint(body, shedable)
+	fp := fingerprint(body)
 	if fp == "" {
 		r.serveLocal(w, req, body)
 		return

@@ -82,6 +82,11 @@ type ExecConfig struct {
 	// Heap, when non-nil, replaces the engine interpreter's heap (e.g. a
 	// heap with object tracking enabled for final-state snapshots).
 	Heap *interp.Heap
+	// Unfed makes StartSession start a session that will be closed without
+	// a Feed, a one-shot run: it keeps no startup tags for injections to
+	// bind (for such a run they would be every tag it allocates), and Feed
+	// refuses it. Exec ignores it.
+	Unfed bool
 }
 
 // options maps the unified config onto the runtime's option struct.
@@ -98,6 +103,7 @@ func (cfg ExecConfig) options() bamboort.Options {
 		MaxTaskCycles:  cfg.MaxTaskCycles,
 		NoFastDispatch: cfg.NoFastDispatch,
 		Heap:           cfg.Heap,
+		Unfed:          cfg.Unfed,
 	}
 }
 

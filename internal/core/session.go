@@ -17,6 +17,16 @@ import (
 // cycle-accurate and per-tag-group FIFO; the concurrent engine validates
 // the protocol under real parallelism but does not order deliveries).
 //
+// A session started and closed without a Feed is a one-shot run: the
+// server runs every job that way, started with ExecConfig.Unfed so that
+// it keeps none of the tags it allocates. It prints what Exec prints, in
+// the same cycles and invocations, except that a session places
+// tag-hashed tasks by tag hash (so that injected requests of one tag meet
+// on one core) where Exec spreads them: on a program with such tasks and
+// several cores the output is the same and the cycles may differ
+// (KVStore at 8 cores: 24 365 under Exec, 24 717 as a session closed
+// unfed).
+//
 // A Session is not safe for concurrent use; callers serialize Feeds.
 type Session struct {
 	eng  *bamboort.Engine

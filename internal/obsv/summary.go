@@ -2,38 +2,19 @@ package obsv
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"strings"
 )
 
-// histBuckets is the number of power-of-two latency buckets reported per
-// task: bucket k counts spans with duration in [2^k, 2^(k+1)).
-const histBuckets = 40
-
-// taskStats accumulates one task's latency distribution.
+// taskStats is one task's latency distribution: the power-of-two
+// Histogram the server's latencies use, plus the minimum it does not keep.
 type taskStats struct {
-	count   int64
-	total   int64
-	min     int64
-	max     int64
-	buckets [histBuckets]int64
-}
-
-func bucketOf(d int64) int {
-	if d <= 0 {
-		return 0
-	}
-	b := bits.Len64(uint64(d)) - 1
-	if b >= histBuckets {
-		b = histBuckets - 1
-	}
-	return b
+	hist Histogram
+	min  int64
 }
 
 // Summarize renders a human-readable report over the trace: per-core
-// utilization, per-task invocation counts with power-of-two latency
-// histograms, and (when the trace carries Metrics) the runtime counters
+// utilization, per-task invocation counts with latency quantiles, and (when the trace carries Metrics) the runtime counters
 // with the most lock-contended objects.
 func Summarize(t *Trace) string {
 	var b strings.Builder
@@ -61,22 +42,14 @@ func Summarize(t *Trace) string {
 	fmt.Fprintf(&b, "-- per-task latency (%s) --\n", unit)
 	stats := map[string]*taskStats{}
 	for i := range t.Events {
-		ev := &t.Events[i]
-		st := stats[ev.Task]
+		d := t.Events[i].Duration()
+		st := stats[t.Events[i].Task]
 		if st == nil {
-			st = &taskStats{min: ev.Duration()}
-			stats[ev.Task] = st
+			st = &taskStats{min: d}
+			stats[t.Events[i].Task] = st
 		}
-		d := ev.Duration()
-		st.count++
-		st.total += d
-		if d < st.min {
-			st.min = d
-		}
-		if d > st.max {
-			st.max = d
-		}
-		st.buckets[bucketOf(d)]++
+		st.min = min(st.min, d)
+		st.hist.Observe(d)
 	}
 	names := make([]string, 0, len(stats))
 	for n := range stats {
@@ -85,20 +58,11 @@ func Summarize(t *Trace) string {
 	sort.Strings(names)
 	for _, n := range names {
 		st := stats[n]
-		fmt.Fprintf(&b, "%-24s n=%-6d mean=%-10d min=%-10d max=%d\n",
-			n, st.count, st.total/st.count, st.min, st.max)
-		lo, hi := -1, -1
-		for k, c := range st.buckets {
-			if c > 0 {
-				if lo < 0 {
-					lo = k
-				}
-				hi = k
-			}
-		}
-		for k := lo; k <= hi; k++ {
-			fmt.Fprintf(&b, "  [2^%-2d,2^%-2d): %s %d\n", k, k+1, bar(st.buckets[k], st.count), st.buckets[k])
-		}
+		// The quantiles are interpolated inside power-of-two buckets; the
+		// minimum bounds them from below.
+		h := st.hist.Snapshot()
+		fmt.Fprintf(&b, "%-24s n=%-6d mean=%-10d min=%-10d max=%-10d p50=%-10d p95=%-10d p99=%d\n",
+			n, h.Count, h.Sum/h.Count, st.min, h.Max, max(h.P50, st.min), max(h.P95, st.min), max(h.P99, st.min))
 	}
 
 	if t.Metrics != nil {
@@ -119,14 +83,4 @@ func Summarize(t *Trace) string {
 		}
 	}
 	return b.String()
-}
-
-// bar renders a proportional 20-char histogram bar.
-func bar(count, total int64) string {
-	const width = 20
-	n := int(count * width / total)
-	if n == 0 && count > 0 {
-		n = 1
-	}
-	return strings.Repeat("#", n) + strings.Repeat(".", width-n)
 }

@@ -18,7 +18,9 @@ func OnePassFeedResponse(data []byte) bool {
 // ParkedSuffix reports how many logged batches a parked session's revive
 // replays after its checkpoint, and whether it has one.
 func (s *Server) ParkedSuffix(id string) (feeds int, ckpt bool) {
-	sn := s.session(id)
+	s.sessMu.Lock()
+	sn := s.sessions[id]
+	s.sessMu.Unlock()
 	sn.mu.Lock()
 	defer sn.mu.Unlock()
 	return len(sn.suffix), sn.ckpt != nil
@@ -27,3 +29,7 @@ func (s *Server) ParkedSuffix(id string) (feeds int, ckpt bool) {
 // CloseWAL closes the server's write-ahead log under its live sessions, so
 // the next append fails.
 func (s *Server) CloseWAL() error { return s.wal.Close() }
+
+// OpenSessions reports how many entries the session-path scans (parking,
+// /varz, drain) walk.
+func (s *Server) OpenSessions() int { return len(s.openSessions()) }

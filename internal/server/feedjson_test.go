@@ -180,7 +180,7 @@ func FuzzWALRecord(f *testing.F) {
 		{T: recSessFeed, ID: "s1", Seq: 1, Feed: &feed},
 		{T: recSessCkpt, ID: "s1", Seq: 2, Ckpt: []byte("BBCK\x01")},
 		{T: recSessDone, ID: "s1", Status: SessionClosed},
-		{T: recJobAccept, ID: "j1", Req: &SubmitRequest{Benchmark: "Series"}},
+		{T: recSessCreate, ID: "j1", Req: &SubmitRequest{Benchmark: "Series"}},
 	} {
 		p, err := json.Marshal(rec)
 		if err != nil {
@@ -212,7 +212,7 @@ func FuzzWALRecord(f *testing.F) {
 		if err := json.Unmarshal(payload, new(walRecordJSON)); err != nil && st.skipped != 1 {
 			t.Fatalf("%q: encoding/json rejects it (%v) but recovery skipped %d records", payload, err, st.skipped)
 		}
-		recoverState(checkpointRecords(st, 8192, 1024))
+		recoverState(checkpointRecords(st, 8192))
 	})
 }
 

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/benchmarks"
-	"repro/internal/bamboort"
 	"repro/internal/core"
 	"repro/internal/obsv"
 	"repro/internal/wal"
@@ -46,25 +45,22 @@ type Config struct {
 	MaxTimeout     time.Duration
 	// MaxSourceBytes bounds one submitted program (default 1 MiB).
 	MaxSourceBytes int64
-	// MaxOutputBytes bounds one job's buffered program output
+	// MaxOutputBytes bounds one job's or session's buffered program output
 	// (default 1 MiB).
 	MaxOutputBytes int
-	// RetainJobs bounds finished jobs kept for polling (default 8192);
-	// the oldest finished jobs are forgotten first.
-	RetainJobs int
 	// MaxSessions bounds non-terminal (active or parked) sessions
-	// (default 256); creates beyond it are rejected 429. Closed and
-	// failed sessions do not count: they are retired into a retention
-	// ring of RetainSessions entries (default 1024) kept for status
-	// queries, oldest forgotten first — mirroring RetainJobs.
-	// MaxLiveSessions bounds resident engines (default 8): beyond it,
-	// idle deterministic sessions are parked as a checkpoint and restored
-	// from it on their next feed.
+	// (default 256); creates beyond it are rejected 429. MaxLiveSessions
+	// bounds resident session engines (default 8): beyond it, idle
+	// deterministic sessions are parked as a checkpoint and restored from
+	// it on their next feed. Jobs count against neither.
 	MaxSessions     int
 	MaxLiveSessions int
-	RetainSessions  int
+	// RetainSessions bounds the finished jobs and terminal (closed or
+	// failed) sessions kept for status queries, in one retention ring
+	// (default 8192); the oldest are forgotten first.
+	RetainSessions int
 	// WALDir, when set, enables the write-ahead log: every accepted job
-	// and session mutation is fsynced there before it is acknowledged,
+	// and every session mutation is fsynced there before it is acknowledged,
 	// and Open replays non-terminal work on boot. Empty disables
 	// durability (the pre-WAL in-memory behavior). Servers with a WALDir
 	// must be built with Open, which can fail; New panics on a WAL error.
@@ -106,9 +102,6 @@ func (c *Config) applyDefaults() {
 	if c.MaxOutputBytes <= 0 {
 		c.MaxOutputBytes = 1 << 20
 	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 8192
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
 	}
@@ -116,7 +109,7 @@ func (c *Config) applyDefaults() {
 		c.MaxLiveSessions = 8
 	}
 	if c.RetainSessions <= 0 {
-		c.RetainSessions = 1024
+		c.RetainSessions = 8192
 	}
 }
 
@@ -134,15 +127,10 @@ type Server struct {
 	// closed, so Drain can close the channel without racing a send.
 	submitMu sync.RWMutex
 	closed   bool
-	queue    chan *Job
+	queue    chan *Session // jobs admitted and not yet run
 	wg       sync.WaitGroup
 
-	jobMu    sync.Mutex
-	jobs     map[string]*Job
-	doneRing []string // finished job IDs, oldest first
-	nextID   atomic.Int64
-
-	// counters for /varz
+	// job counters for /varz
 	submitted atomic.Int64
 	rejected  atomic.Int64
 	completed atomic.Int64
@@ -151,17 +139,20 @@ type Server struct {
 	running   atomic.Int64
 	draining  atomic.Bool
 
-	// sessions: sessMu guards the table and the retention ring; sessWg
-	// tracks in-flight session operations so Drain can wait for them like
-	// it waits for workers. sessRing holds terminal (closed/failed)
-	// session IDs oldest first; they stay queryable until RetainSessions
-	// newer retirements push them out of the table. Non-terminal count =
-	// len(sessions) - len(sessRing).
-	sessMu   sync.Mutex
-	sessions map[string]*Session
-	sessRing []string
-	nextSess atomic.Int64
-	sessWg   sync.WaitGroup
+	// The table holds jobs and sessions alike (a job is a session closed
+	// unfed). sessMu guards it, the retention ring and open; sessWg tracks
+	// in-flight session operations so Drain can wait for them like it
+	// waits for workers. sessRing holds finished job and terminal session
+	// IDs oldest first; they stay queryable until RetainSessions newer
+	// retirements push them out of the table. open holds the non-terminal
+	// sessions (no jobs): MaxSessions bounds it, and parking, /varz and
+	// drain scan it rather than the table.
+	sessMu            sync.Mutex
+	sessions          map[string]*Session
+	sessRing          []string
+	open              map[*Session]struct{}
+	nextJob, nextSess atomic.Int64
+	sessWg            sync.WaitGroup
 
 	sessCreated atomic.Int64
 	sessClosed  atomic.Int64
@@ -226,9 +217,9 @@ func Open(cfg Config) (*Server, error) {
 		start:    time.Now(),
 		baseCtx:  ctx,
 		baseStop: stop,
-		queue:    make(chan *Job, cfg.QueueDepth),
-		jobs:     map[string]*Job{},
+		queue:    make(chan *Session, cfg.QueueDepth),
 		sessions: map[string]*Session{},
+		open:     map[*Session]struct{}{},
 	}
 	var recovered *recoveredState
 	if cfg.WALDir != "" {
@@ -244,7 +235,7 @@ func Open(cfg Config) (*Server, error) {
 		// pure function of the recovered state, and replay idempotence
 		// makes a crash mid-checkpoint harmless.
 		if err = replay.Err(); err == nil {
-			err = l.Checkpoint(checkpointRecords(recovered, cfg.RetainJobs, cfg.RetainSessions))
+			err = l.Checkpoint(checkpointRecords(recovered, cfg.RetainSessions))
 		}
 		if err != nil {
 			stop()
@@ -262,18 +253,23 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// jobID / sessID render fresh IDs, prefixed with the node ID when the
-// server is cluster-aware so routers can route by ID alone.
-func (s *Server) jobID() string {
-	id := fmt.Sprintf("j%08d", s.nextID.Add(1))
-	if s.cfg.NodeID != "" {
-		return s.cfg.NodeID + "-" + id
+// idCounter is the counter job (true) or session IDs are drawn from.
+func (s *Server) idCounter(job bool) *atomic.Int64 {
+	if job {
+		return &s.nextJob
 	}
-	return id
+	return &s.nextSess
 }
 
-func (s *Server) sessID() string {
-	id := fmt.Sprintf("s%08d", s.nextSess.Add(1))
+// newID renders a fresh job ("j00000042") or session ("s00000042") ID,
+// prefixed with the node ID when the server is cluster-aware so routers
+// can route by ID alone.
+func (s *Server) newID(job bool) string {
+	kind := "s"
+	if job {
+		kind = "j"
+	}
+	id := fmt.Sprintf("%s%08d", kind, s.idCounter(job).Add(1))
 	if s.cfg.NodeID != "" {
 		return s.cfg.NodeID + "-" + id
 	}
@@ -315,14 +311,7 @@ func (s *Server) Handler() http.Handler {
 // Accepted work is never silently dropped: each job and each accepted
 // feed reaches a terminal outcome.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
-	s.submitMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
-	s.submitMu.Unlock()
-
+	s.stopAdmission()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -354,22 +343,31 @@ func (s *Server) Close() {
 	_ = s.Drain(drainCtx)
 }
 
-func (s *Server) cancelAll() {
-	s.jobMu.Lock()
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
+// stopAdmission turns new work away (503) and closes the queue, so the
+// workers exit once they have run what it holds.
+func (s *Server) stopAdmission() {
+	s.draining.Store(true)
+	s.submitMu.Lock()
+	if !s.closed {
+		s.closed = true
+		close(s.queue)
 	}
-	s.jobMu.Unlock()
-	for _, j := range jobs {
-		if j.markCanceled() {
-			s.canceled.Add(1)
-		}
-	}
+	s.submitMu.Unlock()
 }
 
-// Draining reports whether a drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) cancelAll() {
+	s.sessMu.Lock()
+	jobs := make([]*Session, 0, len(s.sessions))
+	for _, sn := range s.sessions {
+		if sn.sub != nil {
+			jobs = append(jobs, sn)
+		}
+	}
+	s.sessMu.Unlock()
+	for _, sn := range jobs {
+		s.cancelJob(sn)
+	}
+}
 
 // ---- admission ----
 
@@ -397,8 +395,8 @@ func (r *SessionRequest) spec() execSpec {
 // whose Key is its content address, plus the engine it runs on: exactly
 // one of source and benchmark (a benchmark supplies default args), a known
 // engine (default deterministic), cores and seed defaulting to 1.
-// Admission, session creation, WAL recovery and the Fingerprint methods
-// the cluster router hashes all go through it, so every front agrees on a
+// Admission, session creation, WAL recovery and the Fingerprint the
+// cluster router hashes all go through it, so every front agrees on a
 // program's owner.
 func (e execSpec) compileRequest() (CompileRequest, string, error) {
 	if (e.Source == "") == (e.Benchmark == "") {
@@ -433,32 +431,17 @@ func (e execSpec) compileRequest() (CompileRequest, string, error) {
 	}, e.Engine, nil
 }
 
-func (e execSpec) fingerprint() (string, error) {
-	creq, _, err := e.compileRequest()
+// Fingerprint returns the request's compile-cache content address
+// without compiling anything — the same key GetOrCompile will use. The
+// cluster router consistent-hashes on it, for jobs and session creates
+// alike, so a hot program's work lands on the node that already holds its
+// compiled cache entry.
+func (r *SubmitRequest) Fingerprint() (string, error) {
+	creq, _, err := r.spec().compileRequest()
 	if err != nil {
 		return "", err
 	}
 	return creq.Key(), nil
-}
-
-// Fingerprint returns the request's compile-cache content address
-// without compiling anything — the same key GetOrCompile will use. The
-// cluster router consistent-hashes on it, so a hot program's jobs land
-// on the node that already holds its compiled cache entry.
-func (r *SubmitRequest) Fingerprint() (string, error) { return r.spec().fingerprint() }
-
-// Fingerprint is the session analogue of SubmitRequest.Fingerprint:
-// sessions are routed to the node whose cache holds their program (and
-// stay there — session state is sticky).
-func (r *SessionRequest) Fingerprint() (string, error) { return r.spec().fingerprint() }
-
-// admissible is compileRequest plus this server's source-size bound.
-func (s *Server) admissible(e execSpec) (CompileRequest, string, error) {
-	creq, engine, err := e.compileRequest()
-	if err == nil && int64(len(creq.Source)) > s.cfg.MaxSourceBytes {
-		err = fmt.Errorf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
-	}
-	return creq, engine, err
 }
 
 // timeout is a request's deadline budget: its timeout_ms capped at
@@ -470,56 +453,29 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
 }
 
-// execConfig is what either engine needs to run a compiled program; the
-// caller adds its own output, trace and metrics sinks.
-func execConfig(c *Compiled, engine string, args []string) core.ExecConfig {
-	cfg := core.ExecConfig{
-		Engine:  core.Deterministic,
-		Machine: c.Prep.Machine,
-		Layout:  c.Prep.Layout,
-		Args:    args,
-	}
-	if engine == "concurrent" {
-		cfg.Engine = core.Concurrent
-	}
-	return cfg
-}
-
-// resolve validates a SubmitRequest and fills a Job's execution fields.
-func (s *Server) resolve(req *SubmitRequest) (*Job, error) {
-	creq, engine, err := s.admissible(req.spec())
+// resolveJob validates a SubmitRequest into an unregistered, queued job.
+func (s *Server) resolveJob(req *SubmitRequest) (*Session, error) {
+	sn, err := s.resolve(req.spec())
 	if err != nil {
 		return nil, err
 	}
-	j := &Job{
-		req:     *req,
-		engine:  engine,
-		creq:    creq,
-		key:     creq.Key(),
-		timeout: s.timeout(req.TimeoutMS),
-		status:  StatusQueued,
-		out:     limitWriter{max: s.cfg.MaxOutputBytes},
-		// Every job carries a metrics sink: both engines report interpreter
-		// dispatch statistics (superinstruction coverage), and the
-		// concurrent engine adds its scheduler and lock counters on top.
-		metrics: &obsv.Metrics{},
-	}
+	sn.sub, sn.status = req, StatusQueued
 	if req.Trace {
-		j.trace = &obsv.Trace{}
+		sn.trace = &obsv.Trace{}
 	}
-	return j, nil
+	return sn, nil
 }
 
 // admit enqueues the job, or reports the reason it cannot:
 // ErrDraining during shutdown, ErrSaturated when the queue is full.
-func (s *Server) admit(j *Job) error {
+func (s *Server) admit(sn *Session) error {
 	s.submitMu.RLock()
 	defer s.submitMu.RUnlock()
 	if s.closed || s.draining.Load() {
 		return errDraining
 	}
 	select {
-	case s.queue <- j:
+	case s.queue <- sn:
 		return nil
 	default:
 		return errSaturated
@@ -553,107 +509,64 @@ func (s *Server) retryAfter() int {
 	return sec
 }
 
-func (s *Server) register(j *Job) {
-	s.jobMu.Lock()
-	s.jobs[j.ID] = j
-	s.jobMu.Unlock()
-}
-
-// trimRing forgets the oldest IDs beyond keep, from ring and from table,
-// and returns the shortened ring: the one retention rule finished jobs and
-// terminal sessions share. Caller holds the table's lock.
-func trimRing[T any](ring []string, table map[string]T, keep int) []string {
-	for len(ring) > keep {
-		delete(table, ring[0])
-		ring = ring[1:]
-	}
-	return ring
-}
-
-// retire enforces finished-job retention: the oldest finished jobs are
-// forgotten first.
-func (s *Server) retire(j *Job) {
-	s.jobMu.Lock()
-	s.doneRing = trimRing(append(s.doneRing, j.ID), s.jobs, s.cfg.RetainJobs)
-	s.jobMu.Unlock()
-}
-
-func (s *Server) job(id string) *Job {
-	s.jobMu.Lock()
-	defer s.jobMu.Unlock()
-	return s.jobs[id]
-}
-
 // ---- execution ----
 
 func (s *Server) work() {
 	defer s.wg.Done()
-	for j := range s.queue {
-		s.execute(j)
+	for sn := range s.queue {
+		s.runJob(sn)
 	}
 }
 
-func (s *Server) execute(j *Job) {
-	if !j.begin() {
-		// canceled while queued; it is already terminal
-		s.logJobDone(j)
-		s.retire(j)
-		return
+// runJob runs a job as a session created and closed unfed: boot runs the
+// program to quiescence and endLocked closes it. The deadline is anchored
+// at admission, so time spent waiting in the queue counts against it: a
+// saturated server fails old work fast instead of running jobs nobody is
+// still waiting for.
+func (s *Server) runJob(sn *Session) {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	if sn.status != StatusQueued {
+		return // canceled while queued; it has already ended
 	}
+	ctx, cancel := context.WithDeadline(s.baseCtx, sn.admitted.Add(s.timeout(sn.sub.TimeoutMS)))
+	defer cancel()
+	sn.status, sn.started, sn.cancel = StatusRunning, time.Now(), cancel
 	s.running.Add(1)
-	defer s.running.Add(-1)
-
-	res, err := s.runJob(j)
-	j.finish(res, err)
-	s.logJobDone(j)
-
-	q, r, e2e := j.latencies()
+	err := ctx.Err()
+	if err == nil {
+		err = s.boot(ctx, sn)
+	}
+	s.running.Add(-1)
+	sn.finished = time.Now()
+	status, msg := StatusSucceeded, ""
+	if err != nil {
+		status, msg = StatusFailed, err.Error()
+	}
+	if sn.status == StatusCanceled {
+		status = StatusCanceled // cancellation wins over what the engine returned
+	}
+	s.endLocked(sn, status, msg)
+	q, r := sn.started.Sub(sn.admitted).Nanoseconds(), sn.finished.Sub(sn.started).Nanoseconds()
 	s.queueLat.Observe(q)
 	s.execLat.Observe(r)
-	s.e2eLat.Observe(e2e)
-	switch {
-	case err == nil && !j.terminalCanceled():
-		s.completed.Add(1)
-	case j.terminalCanceled():
-		// counted when canceled
-	default:
-		s.failed.Add(1)
-	}
-	if j.metrics != nil {
-		s.aggregate(j.metrics.Snapshot())
-	}
-	s.retire(j)
+	s.e2eLat.Observe(q + r)
 }
 
-func (j *Job) terminalCanceled() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status == StatusCanceled
-}
-
-// runJob compiles (or cache-hits) and executes one job under its
-// deadline. The deadline is anchored at admission, so time spent waiting
-// in the queue counts against it: a saturated server fails old work fast
-// instead of running jobs nobody is still waiting for.
-func (s *Server) runJob(j *Job) (*bamboort.Result, error) {
-	remaining := j.timeout - time.Since(j.submitted)
-	if remaining <= 0 {
-		return nil, context.DeadlineExceeded
+// cancelJob ends a queued job as canceled, or marks a running one
+// canceled and stops its run; a finished job stays as it is.
+func (s *Server) cancelJob(sn *Session) {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	switch sn.status {
+	case StatusQueued:
+		s.canceled.Add(1)
+		s.endLocked(sn, StatusCanceled, "")
+	case StatusRunning:
+		s.canceled.Add(1)
+		sn.status = StatusCanceled
+		sn.cancel()
 	}
-	ctx, cancel := context.WithTimeout(j.ctx, remaining)
-	defer cancel()
-
-	compiled, hit, err := s.cache.GetOrCompile(ctx, j.creq)
-	if err != nil {
-		return nil, err
-	}
-	j.mu.Lock()
-	j.cacheHit = hit
-	j.mu.Unlock()
-
-	cfg := execConfig(compiled, j.engine, j.creq.Prep.Args)
-	cfg.Out, cfg.Trace, cfg.Metrics = &j.out, j.trace, j.metrics
-	return compiled.Sys.Exec(ctx, cfg)
 }
 
 func (s *Server) aggregate(m obsv.MetricsSnapshot) {
@@ -728,39 +641,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}
-	j, err := s.resolve(&req)
+	sn, err := s.resolveJob(&req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, err.Error(), 0)
 		return
 	}
-	j.ID = s.jobID()
-	j.submitted = time.Now()
-	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
+	sn.ID, sn.admitted = s.newID(true), time.Now()
 	s.submitted.Add(1)
 
 	// Durability before acknowledgment: the job is logged before the
 	// client can learn it was accepted, so an accepted job survives any
 	// crash after this line.
-	if err := s.logJobAccept(j); err != nil {
-		j.cancel()
+	if err := s.logSessCreate(sn); err != nil {
 		writeErr(w, http.StatusInternalServerError, CodeInternal, "write-ahead log append failed: "+err.Error(), 0)
 		return
 	}
 
-	s.register(j)
-	if err := s.admit(j); err != nil {
-		s.jobMu.Lock()
-		delete(s.jobs, j.ID)
-		s.jobMu.Unlock()
-		j.cancel()
+	s.sessMu.Lock()
+	s.addLocked(sn)
+	s.sessMu.Unlock()
+	if err := s.admit(sn); err != nil {
+		s.drop(sn)
 		s.rejected.Add(1)
-		// The accept was logged but the job never ran; close it out in
-		// the log too so a restart does not resurrect a rejected job.
-		j.mu.Lock()
-		j.status = StatusCanceled
-		j.errMsg = "rejected at admission: " + err.Error()
-		j.mu.Unlock()
-		s.logJobDone(j)
+		// The create was logged but the job never ran; end it in the log
+		// too so a restart does not resurrect a rejected job.
+		sn.mu.Lock()
+		sn.status, sn.errMsg = StatusCanceled, "rejected at admission: "+err.Error()
+		s.logSessDone(sn)
+		sn.mu.Unlock()
 		status, code := http.StatusTooManyRequests, CodeSaturated
 		if err == errDraining {
 			status, code = http.StatusServiceUnavailable, CodeDraining
@@ -769,55 +677,51 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
-		ID:         j.ID,
+		ID:         sn.ID,
 		Status:     StatusQueued,
 		QueueDepth: len(s.queue),
-		CacheKey:   j.key,
+		CacheKey:   sn.key,
 	})
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
-		return
+	if sn := s.lookup(w, r, true); sn != nil {
+		writeJSON(w, http.StatusOK, sn.jobView())
 	}
-	writeJSON(w, http.StatusOK, j.view())
+}
+
+// jobEnded reports whether the job has ended, and answers 409 when not.
+func jobEnded(w http.ResponseWriter, sn *Session) bool {
+	sn.mu.Lock()
+	st := sn.status
+	sn.mu.Unlock()
+	if st == StatusSucceeded || st == StatusFailed || st == StatusCanceled {
+		return true
+	}
+	writeErr(w, http.StatusConflict, CodeConflict, "job has not finished", 0)
+	return false
 }
 
 func (s *Server) handleOutput(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
-		return
+	if sn := s.lookup(w, r, true); sn != nil && jobEnded(w, sn) {
+		out, _ := sn.out.snapshot() // an ended job's output no longer changes
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		_, _ = w.Write([]byte(out))
 	}
-	if !j.terminal() {
-		writeErr(w, http.StatusConflict, CodeConflict, "job has not finished", 0)
-		return
-	}
-	out, _ := j.out.snapshot()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_, _ = w.Write([]byte(out))
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
-		return
-	}
-	if j.trace == nil {
+	sn := s.lookup(w, r, true)
+	switch {
+	case sn == nil:
+	case sn.trace == nil:
 		writeErr(w, http.StatusNotFound, CodeNotFound, "job was not submitted with trace=true", 0)
-		return
-	}
-	if !j.terminal() {
-		writeErr(w, http.StatusConflict, CodeConflict, "job has not finished", 0)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := obsv.WriteChromeTrace(w, j.trace); err != nil {
-		// headers are gone; nothing better to do than log-by-response
-		_, _ = fmt.Fprintf(w, `{"error":%q}`, err.Error())
+	case jobEnded(w, sn):
+		w.Header().Set("Content-Type", "application/json")
+		if err := obsv.WriteChromeTrace(w, sn.trace); err != nil {
+			// headers are gone; nothing better to do than log-by-response
+			_, _ = fmt.Fprintf(w, `{"error":%q}`, err.Error())
+		}
 	}
 }
 
@@ -832,33 +736,28 @@ type jobMetricsView struct {
 }
 
 func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
+	sn := s.lookup(w, r, true)
+	if sn == nil {
 		return
 	}
-	v := j.view()
-	mv := jobMetricsView{
+	v := sn.jobView()
+	var counters obsv.MetricsSnapshot
+	sn.mu.Lock()
+	if sn.met != nil {
+		counters = sn.met.Snapshot()
+	}
+	sn.mu.Unlock()
+	writeJSON(w, http.StatusOK, jobMetricsView{
 		ID: v.ID, Status: v.Status, CacheHit: v.CacheHit,
-		QueueNS: v.QueueNS, RunNS: v.RunNS,
-	}
-	if j.metrics != nil {
-		snap := j.metrics.Snapshot()
-		mv.Counters = &snap
-	}
-	writeJSON(w, http.StatusOK, mv)
+		QueueNS: v.QueueNS, RunNS: v.RunNS, Counters: &counters,
+	})
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.job(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such job", 0)
-		return
+	if sn := s.lookup(w, r, true); sn != nil {
+		s.cancelJob(sn)
+		writeJSON(w, http.StatusOK, sn.jobView())
 	}
-	if j.markCanceled() {
-		s.canceled.Add(1)
-	}
-	writeJSON(w, http.StatusOK, j.view())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

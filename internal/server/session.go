@@ -15,24 +15,70 @@ import (
 	"repro/internal/obsv"
 )
 
-// This file is bambood's persistent-session layer: submit a program once,
-// keep it resident (heap/flag/tag state intact between requests), and feed
-// it request batches over POST /v1/sessions/{id}/feed. It is the serving
+// This file is bambood's session layer: submit a program once, keep it
+// resident (heap/flag/tag state intact between requests), and feed it
+// request batches over POST /v1/sessions/{id}/feed. It is the serving
 // counterpart of the paper's Memcached scenario — the environment writes
 // request objects straight into the live Bamboo heap instead of booting a
 // fresh program per request.
 //
-// Residency is bounded: at most Config.MaxLiveSessions engines stay
-// resident. Under pressure the least-recently-used deterministic session
-// is *parked* — its quiescent state is encoded as a checkpoint
+// A job (POST /v1/jobs) is the same run closed at once: a worker boots it
+// as a session, which runs the startup object's tasks to quiescence, and
+// closes it unfed. Jobs and sessions share one table, one terminal
+// transition (endLocked), one boot and one retention ring.
+//
+// Residency is bounded: at most Config.MaxLiveSessions session engines
+// stay resident. Under pressure the least-recently-used deterministic
+// session is *parked* — its quiescent state is encoded as a checkpoint
 // (bamboort.Engine.Checkpoint) and its engine torn down — and the next feed
 // revives it by restoring that checkpoint, plus, after a crash, replaying
 // the feeds the log holds after it. A session keeps no feed history.
 // Concurrent-engine sessions have no checkpoint and are pinned resident.
 
-// Session is one resident program plus its lifecycle bookkeeping. mu
-// serializes engine access (the engine itself is not safe for concurrent
-// Feed) and guards every mutable field except the pending feed queue.
+// limitWriter buffers program output up to a byte cap and drops (but
+// counts) the rest, so a runaway program cannot balloon server memory.
+type limitWriter struct {
+	mu        sync.Mutex
+	buf       []byte
+	max       int
+	truncated bool
+}
+
+func (w *limitWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	if room := w.max - len(w.buf); room > 0 {
+		if len(p) > room {
+			w.buf = append(w.buf, p[:room]...)
+			w.truncated = true
+		} else {
+			w.buf = append(w.buf, p...)
+		}
+	} else if len(p) > 0 {
+		w.truncated = true
+	}
+	w.mu.Unlock()
+	return len(p), nil
+}
+
+// snapshot returns the output so far; a nil writer (nothing booted yet)
+// has none.
+func (w *limitWriter) snapshot() (string, bool) {
+	if w == nil {
+		return "", false
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return string(w.buf), w.truncated
+}
+
+// Session is one run of a compiled program plus its lifecycle
+// bookkeeping: a fed session, or a job. mu serializes engine access (the
+// engine itself is not safe for concurrent Feed) and guards every mutable
+// field except the pending feed queue.
+//
+// A fed session moves active ⇄ parked → closed | failed. A job is a
+// session created and closed unfed: it moves queued → running →
+// succeeded | failed | canceled, and only its worker touches its engine.
 //
 // Feeds are pipelined: instead of each HTTP handler taking mu for its own
 // engine batch, handlers enqueue a feedWaiter on the pending queue (qmu)
@@ -47,11 +93,18 @@ type Session struct {
 	ID     string
 	key    string // content address of the compiled program
 	engine string
-	spec   SessionRequestSpec
 	creq   CompileRequest
-	// req is the creating request verbatim, for the WAL (create records
-	// and checkpoint re-encoding).
+	// req is a fed session's creating request verbatim, for the WAL
+	// (create records and checkpoint re-encoding); req.Request is its
+	// injection and reply contract.
 	req SessionRequest
+
+	// A job's request (nil for a fed session), its trace sink, and what
+	// times it: admission anchors its deadline. cancel stops its run.
+	sub                         *SubmitRequest
+	trace                       *obsv.Trace
+	cancel                      context.CancelFunc
+	admitted, started, finished time.Time
 
 	// qmu guards pending only; it nests inside mu (claim happens under mu)
 	// but handlers enqueue under qmu alone, so arrival never blocks on an
@@ -61,11 +114,12 @@ type Session struct {
 	pending []*feedWaiter
 	lead    chan struct{}
 
-	mu     sync.Mutex
-	status string
-	live   *core.Session // non-nil iff status == active
-	met    *obsv.Metrics // engine counters since the latest boot
-	out    *limitWriter  // program output, restored with each checkpoint
+	mu       sync.Mutex
+	status   string
+	live     *core.Session // the resident engine, if any
+	met      *obsv.Metrics // engine counters since the latest boot
+	out      *limitWriter  // program output, restored with each checkpoint
+	cacheHit bool          // the latest boot found its program compiled
 	// A parked session is ckpt, its checkpoint (nil when recovered before
 	// its first batch), plus suffix, the logged batches after it that
 	// revive replays.
@@ -128,19 +182,36 @@ const maxEngineBatch = 8192
 func (sn *Session) appendInjects(dst []bamboort.Inject, items []FeedItem) []bamboort.Inject {
 	for _, it := range items {
 		dst = append(dst, bamboort.Inject{
-			Class:   sn.spec.Class,
-			Flag:    sn.spec.Flag,
+			Class:   sn.req.Request.Class,
+			Flag:    sn.req.Request.Flag,
 			Args:    it.Args,
 			Fields:  it.Fields,
-			TagType: sn.spec.TagType,
+			TagType: sn.req.Request.TagType,
 			TagKey:  it.TagKey,
 		})
 	}
 	return dst
 }
 
+// resultLocked renders the result of a closed or finished run, nil
+// before one.
+func (sn *Session) resultLocked() *ResultView {
+	if sn.res == nil {
+		return nil
+	}
+	out, trunc := sn.out.snapshot()
+	return &ResultView{
+		TotalCycles:     sn.res.TotalCycles,
+		Invocations:     sn.res.Invocations,
+		TasksRun:        sn.res.TasksRun,
+		Output:          out,
+		OutputTruncated: trunc,
+	}
+}
+
 func (sn *Session) viewLocked() SessionView {
-	v := SessionView{
+	out, _ := sn.out.snapshot()
+	return SessionView{
 		ID:             sn.ID,
 		Status:         sn.status,
 		Engine:         sn.engine,
@@ -153,28 +224,53 @@ func (sn *Session) viewLocked() SessionView {
 		BatchWindow:    maxEngineBatch,
 		Replays:        sn.replays,
 		Error:          sn.errMsg,
+		Output:         out,
+		Result:         sn.resultLocked(),
 	}
-	var out string
-	var trunc bool
-	if sn.out != nil {
-		out, trunc = sn.out.snapshot()
+}
+
+func (sn *Session) jobView() JobView {
+	sn.mu.Lock()
+	defer sn.mu.Unlock()
+	v := JobView{
+		ID:       sn.ID,
+		Status:   sn.status,
+		Engine:   sn.engine,
+		Cores:    sn.creq.Prep.Cores,
+		CacheKey: sn.key,
+		CacheHit: sn.cacheHit,
+		Error:    sn.errMsg,
+		Result:   sn.resultLocked(),
 	}
-	v.Output = out
-	if sn.res != nil {
-		v.Result = &ResultView{
-			TotalCycles:     sn.res.TotalCycles,
-			Invocations:     sn.res.Invocations,
-			TasksRun:        sn.res.TasksRun,
-			Output:          out,
-			OutputTruncated: trunc,
+	if !sn.started.IsZero() {
+		v.QueueNS = sn.started.Sub(sn.admitted).Nanoseconds()
+		end := sn.finished
+		if end.IsZero() {
+			end = time.Now()
 		}
+		v.RunNS = end.Sub(sn.started).Nanoseconds()
+	} else if sn.status == StatusQueued {
+		v.QueueNS = time.Since(sn.admitted).Nanoseconds()
 	}
 	return v
 }
 
+// resolve validates a job's or a session's spec, within this server's
+// source-size bound, into an unregistered entry.
+func (s *Server) resolve(e execSpec) (*Session, error) {
+	creq, engine, err := e.compileRequest()
+	if err == nil && int64(len(creq.Source)) > s.cfg.MaxSourceBytes {
+		err = fmt.Errorf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Session{engine: engine, creq: creq, key: creq.Key()}, nil
+}
+
 // resolveSession validates a SessionRequest into an unregistered Session.
 func (s *Server) resolveSession(req *SessionRequest) (*Session, error) {
-	creq, engine, err := s.admissible(req.spec())
+	sn, err := s.resolve(req.spec())
 	if err != nil {
 		return nil, err
 	}
@@ -184,41 +280,60 @@ func (s *Server) resolveSession(req *SessionRequest) (*Session, error) {
 	if req.Request.DoneFlag == "" {
 		return nil, fmt.Errorf("request spec needs doneFlag")
 	}
-	sn := &Session{
-		req:    *req,
-		engine: engine,
-		spec:   req.Request,
-		creq:   creq,
-		key:    creq.Key(),
-		pinned: engine == "concurrent",
-		lead:   make(chan struct{}, 1),
-	}
+	sn.req, sn.pinned = *req, sn.engine == "concurrent"
+	sn.lead = make(chan struct{}, 1)
 	sn.lead <- struct{}{} // token starts available
 	return sn, nil
 }
 
-func (s *Server) session(id string) *Session {
+// lookup returns the job (job true) or the fed session the request path
+// names, or answers 404: a job's ID names no session, nor the reverse.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, job bool) *Session {
 	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	return s.sessions[id]
+	sn := s.sessions[r.PathValue("id")]
+	s.sessMu.Unlock()
+	if sn == nil || (sn.sub != nil) != job {
+		msg := "no such session"
+		if job {
+			msg = "no such job"
+		}
+		writeErr(w, http.StatusNotFound, CodeNotFound, msg, 0)
+		return nil
+	}
+	return sn
 }
 
-func (s *Server) dropSession(id string) {
+// addLocked puts sn in the table; a fed session is open, counting
+// against MaxSessions, until it retires or is dropped. Caller holds sessMu.
+func (s *Server) addLocked(sn *Session) {
+	s.sessions[sn.ID] = sn
+	if sn.sub == nil {
+		s.open[sn] = struct{}{}
+	}
+}
+
+// drop takes back an entry whose create or admission failed.
+func (s *Server) drop(sn *Session) {
 	s.sessMu.Lock()
-	delete(s.sessions, id)
+	delete(s.sessions, sn.ID)
+	delete(s.open, sn)
 	s.sessMu.Unlock()
 }
 
-// retireSession records that a session reached a terminal state (closed
-// or failed). Terminal sessions stop counting against MaxSessions and are
-// kept for status queries until RetainSessions newer retirements push
-// them out of the table, oldest first — the session analogue of job
-// retention. Must be called exactly once per terminal transition; callers
+// retire records that a job or session reached a terminal state. It stops
+// counting against MaxSessions and is kept for status queries until
+// RetainSessions newer retirements push it out of the table, oldest
+// first. Must be called exactly once per terminal transition; callers
 // hold sn.mu, and taking sessMu under sn.mu matches the create/revive
 // lock order (nothing blocks on sn.mu while holding sessMu).
-func (s *Server) retireSession(id string) {
+func (s *Server) retire(sn *Session) {
 	s.sessMu.Lock()
-	s.sessRing = trimRing(append(s.sessRing, id), s.sessions, s.cfg.RetainSessions)
+	delete(s.open, sn)
+	s.sessRing = append(s.sessRing, sn.ID)
+	for len(s.sessRing) > s.cfg.RetainSessions {
+		delete(s.sessions, s.sessRing[0])
+		s.sessRing = s.sessRing[1:]
+	}
 	s.sessMu.Unlock()
 }
 
@@ -236,46 +351,56 @@ func (s *Server) beginSessionOp() error {
 	return nil
 }
 
-// boot compiles (or cache-hits) the session's program and starts a
-// resident engine with a fresh output buffer: restored from the session's
-// checkpoint, or, without one, a fresh startup run to quiescence.
+// boot compiles (or cache-hits) the program and starts a resident engine
+// with a fresh output buffer and counter sink: restored from the
+// session's checkpoint, or, without one, a fresh startup run to
+// quiescence. Callers hold sn.mu. A job's engine is its worker's alone,
+// so boot lets go of sn.mu while a job compiles and runs: polls, cancel
+// and the metrics endpoint read the job meanwhile.
 func (s *Server) boot(ctx context.Context, sn *Session) error {
-	compiled, _, err := s.cache.GetOrCompile(ctx, sn.creq)
-	if err != nil {
-		return err
-	}
-	sn.out = &limitWriter{max: s.cfg.MaxOutputBytes}
 	// A fresh counter sink per boot: folded into the server aggregate at
 	// teardown, never double-counted across revivals.
-	sn.met = &obsv.Metrics{}
-	cfg := execConfig(compiled, sn.engine, sn.creq.Prep.Args)
-	cfg.Out, cfg.Metrics = sn.out, sn.met
+	out, met := &limitWriter{max: s.cfg.MaxOutputBytes}, &obsv.Metrics{}
+	sn.out, sn.met = out, met
+	if sn.sub != nil {
+		sn.mu.Unlock()
+	}
+	compiled, hit, err := s.cache.GetOrCompile(ctx, sn.creq)
 	var live *core.Session
-	if sn.ckpt != nil {
-		live, err = compiled.Sys.RestoreSession(cfg, sn.key, sn.ckpt)
-	} else {
-		live, err = compiled.Sys.StartSession(ctx, cfg)
+	if err == nil {
+		cfg := core.ExecConfig{Machine: compiled.Prep.Machine, Layout: compiled.Prep.Layout,
+			Args: sn.creq.Prep.Args, Out: out, Trace: sn.trace, Metrics: met, Unfed: sn.sub != nil}
+		if sn.engine == "concurrent" {
+			cfg.Engine = core.Concurrent
+		}
+		if sn.ckpt != nil {
+			live, err = compiled.Sys.RestoreSession(cfg, sn.key, sn.ckpt)
+		} else {
+			live, err = compiled.Sys.StartSession(ctx, cfg)
+		}
+	}
+	if sn.sub != nil {
+		sn.mu.Lock()
 	}
 	if err != nil {
+		// No engine to close: the counters of the failed run reach /varz here.
+		s.aggregate(met.Snapshot())
 		return err
 	}
-	sn.live = live
-	sn.reply = newReplyPlan(compiled.Sys.Info.Classes[sn.spec.Class], sn.spec)
+	sn.live, sn.cacheHit = live, hit
+	sn.reply = newReplyPlan(compiled.Sys.Info.Classes[sn.req.Request.Class], sn.req.Request)
 	return nil
 }
 
 // closeLiveLocked tears down the resident engine: it folds the boot's
 // counters into the server aggregate and returns the cumulative result.
 // Callers hold sn.mu. Every engine teardown goes through here so session
-// counters reach /varz no matter how the engine dies (close, park, failure,
-// drain).
+// and job counters reach /varz no matter how the engine dies (close,
+// park, failure, drain); a boot that fails folds its own.
 func (s *Server) closeLiveLocked(sn *Session) *bamboort.Result {
 	res := sn.live.Close()
 	sn.live = nil
-	if sn.met != nil {
-		s.aggregate(sn.met.Snapshot())
-		sn.met = nil
-	}
+	s.aggregate(sn.met.Snapshot())
 	return res
 }
 
@@ -299,36 +424,44 @@ func (s *Server) revive(ctx context.Context, sn *Session) error {
 	return nil
 }
 
-// endLocked is a session's one terminal transition, to closed or failed:
-// release the engine if one is resident, drop a parked checkpoint, count
-// and log the outcome, retire the ID. Callers hold sn.mu.
+// endLocked is the one terminal transition of a job or session: release
+// the engine if one is resident, drop a parked checkpoint, count and log
+// the outcome, retire the ID. Callers hold sn.mu.
 func (s *Server) endLocked(sn *Session, status, errMsg string) {
 	if sn.live != nil {
 		sn.res = s.closeLiveLocked(sn)
 	}
 	sn.status, sn.errMsg = status, errMsg
 	sn.ckpt, sn.suffix = nil, nil
-	if status == SessionFailed {
+	switch {
+	case sn.sub != nil && status == StatusSucceeded:
+		s.completed.Add(1)
+	case sn.sub != nil && status == StatusFailed:
+		s.failed.Add(1)
+	case sn.sub != nil:
+		// canceled: counted when canceled
+	case status == SessionFailed:
 		s.sessFailed.Add(1)
-	} else {
+	default:
 		s.sessClosed.Add(1)
 	}
 	s.logSessDone(sn)
-	s.retireSession(sn.ID)
+	s.retire(sn)
 }
 
 func (s *Server) failLocked(sn *Session, err error) { s.endLocked(sn, SessionFailed, err.Error()) }
 
-// allSessions snapshots the session table, so callers can take each
-// session's mutex without holding sessMu.
-func (s *Server) allSessions() []*Session {
+// openSessions snapshots the open (non-terminal) sessions, so callers can
+// take each one's mutex without holding sessMu. Jobs and retired entries
+// are not in it: what the retention ring holds never lengthens a scan.
+func (s *Server) openSessions() []*Session {
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
-	all := make([]*Session, 0, len(s.sessions))
-	for _, sn := range s.sessions {
-		all = append(all, sn)
+	open := make([]*Session, 0, len(s.open))
+	for sn := range s.open {
+		open = append(open, sn)
 	}
-	return all
+	return open
 }
 
 // parkForRoom evicts least-recently-used resident sessions until incoming
@@ -343,7 +476,7 @@ func (s *Server) parkForRoom(incoming *Session) {
 	}
 	live := 0
 	var cands []cand
-	for _, sn := range s.allSessions() {
+	for _, sn := range s.openSessions() {
 		if sn == incoming {
 			continue
 		}
@@ -388,7 +521,7 @@ func (s *Server) parkForRoom(incoming *Session) {
 
 // closeAllSessions finalizes every live or parked session (drain path).
 func (s *Server) closeAllSessions() {
-	for _, sn := range s.allSessions() {
+	for _, sn := range s.openSessions() {
 		sn.mu.Lock()
 		if sn.status == SessionActive || sn.status == SessionParked {
 			s.endLocked(sn, SessionClosed, "")
@@ -417,16 +550,16 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	defer s.sessWg.Done()
 
 	s.sessMu.Lock()
-	// Only non-terminal sessions count against the bound: closed and
-	// failed sessions sit in the retention ring awaiting eviction and
-	// must not wedge admission shut forever.
-	if len(s.sessions)-len(s.sessRing) >= s.cfg.MaxSessions {
+	// Only open sessions count against the bound: closed and failed
+	// sessions sit in the retention ring awaiting eviction and must not
+	// wedge admission shut forever.
+	if len(s.open) >= s.cfg.MaxSessions {
 		s.sessMu.Unlock()
 		writeErr(w, http.StatusTooManyRequests, CodeSaturated, "session table is full", int64(s.retryAfter())*1000)
 		return
 	}
-	sn.ID = s.sessID()
-	s.sessions[sn.ID] = sn
+	sn.ID = s.newID(false)
+	s.addLocked(sn)
 	s.sessMu.Unlock()
 
 	sn.mu.Lock()
@@ -437,7 +570,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.DefaultTimeout)
 	defer cancel()
 	if err := s.boot(ctx, sn); err != nil {
-		s.dropSession(sn.ID)
+		s.drop(sn)
 		status, code := http.StatusBadRequest, CodeInvalidArgument
 		if errors.Is(err, context.DeadlineExceeded) {
 			status, code = http.StatusGatewayTimeout, CodeDeadlineExceeded
@@ -449,7 +582,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// can learn the session exists.
 	if err := s.logSessCreate(sn); err != nil {
 		s.closeLiveLocked(sn)
-		s.dropSession(sn.ID)
+		s.drop(sn)
 		writeErr(w, http.StatusInternalServerError, CodeInternal, "write-ahead log append failed: "+err.Error(), 0)
 		return
 	}
@@ -460,9 +593,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionFeed(w http.ResponseWriter, r *http.Request) {
-	sn := s.session(r.PathValue("id"))
+	sn := s.lookup(w, r, false)
 	if sn == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such session", 0)
 		return
 	}
 	var req FeedRequest
@@ -706,9 +838,8 @@ func (s *Server) runWaitersLocked(sn *Session, ws []*feedWaiter) {
 }
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	sn := s.session(r.PathValue("id"))
+	sn := s.lookup(w, r, false)
 	if sn == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such session", 0)
 		return
 	}
 	sn.mu.Lock()
@@ -718,9 +849,8 @@ func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	sn := s.session(r.PathValue("id"))
+	sn := s.lookup(w, r, false)
 	if sn == nil {
-		writeErr(w, http.StatusNotFound, CodeNotFound, "no such session", 0)
 		return
 	}
 	sn.mu.Lock()
@@ -780,7 +910,7 @@ func (s *Server) sessionStats() SessionStats {
 		Requests:       s.sessReqs.Load(),
 		LatencyNS:      s.feedLat.Snapshot(),
 	}
-	for _, sn := range s.allSessions() {
+	for _, sn := range s.openSessions() {
 		if !sn.mu.TryLock() {
 			// mid-feed ⇒ active
 			st.Active++

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"iter"
@@ -16,15 +15,22 @@ import (
 // This file is bambood's durability layer over internal/wal. Every
 // accepted job and session mutation is appended to the log *before* it
 // is acknowledged to the client, so a kill -9 at any instant loses
-// nothing that was ever acknowledged:
+// nothing that was ever acknowledged. A job is a session closed unfed,
+// and it is logged as one:
 //
-//   - job accept (job+) and terminal state (job-);
-//   - session create (sess+), each engine batch with a per-session
-//     sequence number, and the terminal state (sess-). A batch's record
-//     holds its requests (feed) or, once the feed bytes logged since the
-//     session's last checkpoint reach that checkpoint's size, the
-//     post-batch checkpoint instead (ckpt): a session's log is then its
-//     latest state plus a suffix no longer than that state.
+//   - create (sess+), carrying a job's SubmitRequest or a session's
+//     SessionRequest, and the terminal state (sess-), carrying a run's
+//     cycles and invocations;
+//   - for a fed session, each engine batch with a per-session sequence
+//     number. A batch's record holds its requests (feed) or, once the
+//     feed bytes logged since the session's last checkpoint reach that
+//     checkpoint's size, the post-batch checkpoint instead (ckpt): a
+//     session's log is then its latest state plus a suffix no longer than
+//     that state.
+//
+// A job thus costs two appends. Logs written before jobs became sessions
+// name a job's records job+ and job-; recovery reads them as sess+ and
+// sess-, so such a log still boots.
 //
 // The log holds only what recovery reads: a job's start and a session's
 // park/revive change nothing a restart rebuilds (a started job replays as
@@ -36,10 +42,10 @@ import (
 // reborn already expired — and sessions without a terminal record are
 // restored as parked at their latest checkpoint, with the feeds logged
 // after it as the suffix revive replays. The terminal jobs and sessions
-// the retention rings hold are restored as queryable views (minus
+// the retention ring holds are restored as queryable views (minus
 // buffered output, which is not logged). Replay streams the log one
 // record at a time; the recovered state, minus terminal work past the
-// retention bounds, is then compacted into a fresh segment and older
+// retention bound, is then compacted into a fresh segment and older
 // segments are deleted; the same fold compacts the log online whenever a
 // segment fills.
 //
@@ -56,21 +62,21 @@ type walRecord struct {
 	T  string `json:"t"`
 	ID string `json:"id"`
 
-	// job+ : the accepted request, plus when it was accepted. AcceptedAt
-	// is informational — replay deliberately re-anchors the deadline at
-	// replay time instead of honoring it (DESIGN.md §15: admission-anchored
-	// deadlines would expire every replayed job on arrival).
-	Req        *SubmitRequest `json:"req,omitempty"`
-	AcceptedAt time.Time      `json:"acceptedAt,omitempty"`
+	// sess+ : the creating request, a job's (Req) or a fed session's
+	// (Sess), plus, for a job, when it was accepted. AcceptedAt is
+	// informational — replay deliberately re-anchors the deadline at
+	// replay time instead of honoring it (DESIGN.md §15:
+	// admission-anchored deadlines would expire every replayed job on
+	// arrival).
+	Req        *SubmitRequest  `json:"req,omitempty"`
+	Sess       *SessionRequest `json:"sess,omitempty"`
+	AcceptedAt time.Time       `json:"acceptedAt,omitempty"`
 
-	// job- / sess- : terminal state.
+	// sess- : terminal state.
 	Status      string `json:"status,omitempty"`
 	Error       string `json:"error,omitempty"`
 	Cycles      int64  `json:"cycles,omitempty"`
 	Invocations int64  `json:"invocations,omitempty"`
-
-	// sess+ : the creating request.
-	Sess *SessionRequest `json:"sess,omitempty"`
 
 	// feed : one engine batch exactly as it ran (coalesced boundaries
 	// preserved), at per-session sequence Seq. ckpt : the session's
@@ -82,8 +88,6 @@ type walRecord struct {
 
 // Record types.
 const (
-	recJobAccept  = "job+"
-	recJobDone    = "job-"
 	recSessCreate = "sess+"
 	recSessFeed   = "feed"
 	recSessCkpt   = "ckpt"
@@ -145,7 +149,7 @@ func (s *Server) walAppend(rec walRecord, p []byte) error {
 	// A filled segment folds the log to its live state, as recovery does.
 	if s.wal.Stats().Segments > 1 {
 		if err := s.wal.Compact(func(p iter.Seq[[]byte]) iter.Seq[[]byte] {
-			return checkpointRecords(recoverState(p), s.cfg.RetainJobs, s.cfg.RetainSessions)
+			return checkpointRecords(recoverState(p), s.cfg.RetainSessions)
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "bambood: wal compaction: %v\n", err)
 		}
@@ -153,26 +157,13 @@ func (s *Server) walAppend(rec walRecord, p []byte) error {
 	return nil
 }
 
-// logJobAccept must succeed before a submission is acknowledged.
-func (s *Server) logJobAccept(j *Job) error {
-	return s.walAppend(walRecord{T: recJobAccept, ID: j.ID, Req: &j.req, AcceptedAt: j.submitted}, nil)
-}
-
-// logJobDone is best-effort: if it is lost, the job replays and re-runs
-// on the next boot, which is wasteful but correct.
-func (s *Server) logJobDone(j *Job) {
-	j.mu.Lock()
-	rec := walRecord{T: recJobDone, ID: j.ID, Status: j.status, Error: j.errMsg}
-	if j.res != nil {
-		rec.Cycles = j.res.TotalCycles
-		rec.Invocations = j.res.Invocations
-	}
-	j.mu.Unlock()
-	_ = s.walAppend(rec, nil)
-}
-
+// logSessCreate must succeed before a job or session is acknowledged.
 func (s *Server) logSessCreate(sn *Session) error {
-	return s.walAppend(walRecord{T: recSessCreate, ID: sn.ID, Sess: &sn.req}, nil)
+	rec := walRecord{T: recSessCreate, ID: sn.ID, Req: sn.sub, AcceptedAt: sn.admitted}
+	if sn.sub == nil {
+		rec.Sess = &sn.req
+	}
+	return s.walAppend(rec, nil)
 }
 
 // logSessBatch logs one engine batch of ws and must succeed before its
@@ -208,22 +199,26 @@ func (s *Server) logSessBatch(sn *Session, ws []*feedWaiter) error {
 	return err
 }
 
+// logSessDone is best-effort: if a job's is lost, the job replays and
+// re-runs on the next boot, which is wasteful but correct. Callers hold
+// sn.mu.
 func (s *Server) logSessDone(sn *Session) {
-	_ = s.walAppend(walRecord{T: recSessDone, ID: sn.ID, Status: sn.status, Error: sn.errMsg}, nil)
+	rec := walRecord{T: recSessDone, ID: sn.ID, Status: sn.status, Error: sn.errMsg}
+	if sn.res != nil {
+		rec.Cycles, rec.Invocations = sn.res.TotalCycles, sn.res.Invocations
+	}
+	_ = s.walAppend(rec, nil)
 }
 
 // ---- recovery ----
 
-// recJob / recSess / recovered are the pure fold of a record stream:
+// recSessState and recoveredState are the pure fold of a record stream:
 // no Server involved, so idempotence (double replay is a no-op) is a
 // property testable on the data alone.
-type recJobState struct {
-	req  SubmitRequest
-	done *walRecord
-}
-
 type recSessState struct {
-	req  SessionRequest
+	// Exactly one of sub (a job) and req (a fed session) is set.
+	sub  *SubmitRequest
+	req  *SessionRequest
 	ckpt []byte // the latest checkpoint; nil before the first
 	// feeds are logged after ckpt; the rest is as on Session.
 	feeds                []FeedRequest
@@ -233,11 +228,9 @@ type recSessState struct {
 }
 
 type recoveredState struct {
-	jobs      map[string]*recJobState
-	jobOrder  []string
-	sessions  map[string]*recSessState
-	sessOrder []string
-	skipped   int64
+	sessions map[string]*recSessState
+	order    []string
+	skipped  int64
 }
 
 // recoverState folds raw WAL payloads into per-ID job/session state.
@@ -248,10 +241,7 @@ type recoveredState struct {
 // A payload may sit in a buffer the stream reuses for the next record:
 // decoding copies whatever the fold keeps.
 func recoverState(payloads iter.Seq[[]byte]) *recoveredState {
-	st := &recoveredState{
-		jobs:     map[string]*recJobState{},
-		sessions: map[string]*recSessState{},
-	}
+	st := &recoveredState{sessions: map[string]*recSessState{}}
 	for p := range payloads {
 		var rec walRecord
 		if err := json.Unmarshal(p, &rec); err != nil || rec.ID == "" {
@@ -259,31 +249,16 @@ func recoverState(payloads iter.Seq[[]byte]) *recoveredState {
 			continue
 		}
 		switch rec.T {
-		case recJobAccept:
-			if rec.Req == nil {
-				st.skipped++
-				continue
-			}
-			if _, ok := st.jobs[rec.ID]; ok {
-				continue // duplicate accept (double replay)
-			}
-			st.jobs[rec.ID] = &recJobState{req: *rec.Req}
-			st.jobOrder = append(st.jobOrder, rec.ID)
-		case recJobDone:
-			if rj := st.jobs[rec.ID]; rj != nil && rj.done == nil {
-				r := rec
-				rj.done = &r
-			}
-		case recSessCreate:
-			if rec.Sess == nil {
+		case recSessCreate, "job+": // job+ is an older log's job create
+			if (rec.Req == nil) == (rec.Sess == nil) {
 				st.skipped++
 				continue
 			}
 			if _, ok := st.sessions[rec.ID]; ok {
-				continue
+				continue // duplicate create (double replay)
 			}
-			st.sessions[rec.ID] = &recSessState{req: *rec.Sess}
-			st.sessOrder = append(st.sessOrder, rec.ID)
+			st.sessions[rec.ID] = &recSessState{sub: rec.Req, req: rec.Sess}
+			st.order = append(st.order, rec.ID)
 		case recSessFeed, recSessCkpt:
 			rs := st.sessions[rec.ID]
 			if rs == nil || (rec.Feed == nil) == (rec.Ckpt == nil) {
@@ -312,9 +287,10 @@ func recoverState(payloads iter.Seq[[]byte]) *recoveredState {
 			// Written by earlier versions (job start, session park and
 			// revive) and never read back: accepted silently so an old
 			// log boots without counting as damage.
-		case recSessDone:
+		case recSessDone, "job-": // job- is an older log's job end
 			if rs := st.sessions[rec.ID]; rs != nil && rs.done == nil {
 				r := rec
+				r.T = recSessDone
 				rs.done = &r
 			}
 		default:
@@ -325,12 +301,12 @@ func recoverState(payloads iter.Seq[[]byte]) *recoveredState {
 }
 
 // failUnrecoverable turns every live session that a restart cannot
-// restore — concurrent-engine sessions, which keep no checkpoint — into
-// the failed terminal it becomes. Only recovery calls it: online
+// restore — fed concurrent-engine sessions, which keep no checkpoint —
+// into the failed terminal it becomes; a job re-runs on either engine. Only recovery calls it: online
 // compaction keeps the running server's sessions live in the log.
 func (st *recoveredState) failUnrecoverable() {
 	for id, rs := range st.sessions {
-		if rs.done == nil && rs.req.Engine == "concurrent" {
+		if rs.done == nil && rs.req != nil && rs.req.Engine == "concurrent" {
 			rs.done = &walRecord{T: recSessDone, ID: id, Status: SessionFailed,
 				Error: "concurrent-engine session state is not replayable across a restart"}
 		}
@@ -339,11 +315,10 @@ func (st *recoveredState) failUnrecoverable() {
 
 // checkpointRecords re-encodes the recovered state as a compact record
 // stream, marshalling each record as it is yielded: live jobs keep their
-// accept, live sessions their create, latest checkpoint and the feeds after
-// it, retained terminal ones their accept/create + terminal; superseded
-// batches, torn history and terminal work past keepJobs and keepSess
-// disappear.
-func checkpointRecords(st *recoveredState, keepJobs, keepSess int) iter.Seq[[]byte] {
+// create, live sessions their create, latest checkpoint and the feeds
+// after it, retained terminal ones their create + terminal; superseded
+// batches, torn history and terminal work past keep disappear.
+func checkpointRecords(st *recoveredState, keep int) iter.Seq[[]byte] {
 	return func(yield func([]byte) bool) {
 		more := true
 		put := func(rec walRecord) {
@@ -354,18 +329,9 @@ func checkpointRecords(st *recoveredState, keepJobs, keepSess int) iter.Seq[[]by
 				more = yield(p)
 			}
 		}
-		for id := range st.keptJobs(keepJobs) {
-			rj := st.jobs[id]
-			req := rj.req
-			put(walRecord{T: recJobAccept, ID: id, Req: &req})
-			if rj.done != nil {
-				put(*rj.done)
-			}
-		}
-		for id := range st.keptSessions(keepSess) {
+		for id := range st.kept(keep) {
 			rs := st.sessions[id]
-			req := rs.req
-			put(walRecord{T: recSessCreate, ID: id, Sess: &req})
+			put(walRecord{T: recSessCreate, ID: id, Req: rs.sub, Sess: rs.req})
 			if rs.done != nil {
 				put(*rs.done)
 				continue
@@ -381,35 +347,28 @@ func checkpointRecords(st *recoveredState, keepJobs, keepSess int) iter.Seq[[]by
 	}
 }
 
-// keptJobs and keptSessions yield the jobs and sessions that recovery
-// restores and compaction keeps, oldest first (see retained).
-func (st *recoveredState) keptJobs(keep int) iter.Seq[string] {
-	return retained(st.jobOrder, func(id string) bool { return st.jobs[id].done != nil }, keep)
-}
-
-func (st *recoveredState) keptSessions(keep int) iter.Seq[string] {
-	return retained(st.sessOrder, func(id string) bool { return st.sessions[id].done != nil }, keep)
-}
-
-// retained yields the IDs of order that survive a restart, oldest first:
-// every live one; the newest keep terminal ones, which are the ones a
-// retention ring of keep holds after retiring them in this order; and the
-// highest ID, so the ID counter resumes past every ID the log ever held.
-func retained(order []string, terminal func(id string) bool, keep int) iter.Seq[string] {
+// kept yields the IDs that recovery restores and compaction keeps, oldest
+// first: every live one; the newest keep terminal ones, which are the ones
+// the retention ring holds after retiring them in this order; and the
+// highest job ID and session ID, so both ID counters resume past every ID
+// the log ever held.
+func (st *recoveredState) kept(keep int) iter.Seq[string] {
 	return func(yield func(string) bool) {
-		drop, top := -keep, ""
-		for _, id := range order {
-			if terminal(id) {
+		drop, top := -keep, map[bool]string{} // job → its highest ID
+		for _, id := range st.order {
+			rs := st.sessions[id]
+			if rs.done != nil {
 				drop++
 			}
-			if idSeq(id) > idSeq(top) {
-				top = id
+			if job := rs.sub != nil; idSeq(id) > idSeq(top[job]) {
+				top[job] = id
 			}
 		}
-		for _, id := range order {
-			if terminal(id) && drop > 0 {
+		for _, id := range st.order {
+			rs := st.sessions[id]
+			if rs.done != nil && drop > 0 {
 				drop--
-				if id != top {
+				if id != top[rs.sub != nil] {
 					continue
 				}
 			}
@@ -445,62 +404,38 @@ func idSeq(id string) int64 {
 func (s *Server) applyRecovered(st *recoveredState) {
 	s.walSkipped.Add(st.skipped)
 	now := time.Now()
-
-	var maxJob, maxSess int64
-	for id := range st.keptJobs(s.cfg.RetainJobs) {
-		if n := idSeq(id); n > maxJob {
-			maxJob = n
+	for id := range st.kept(s.cfg.RetainSessions) {
+		rs := st.sessions[id]
+		if c := s.idCounter(rs.sub != nil); idSeq(id) > c.Load() {
+			c.Store(idSeq(id))
 		}
-		rj := st.jobs[id]
-		j, err := s.resolve(&rj.req)
+		var sn *Session
+		var err error
+		if rs.sub != nil {
+			sn, err = s.resolveJob(rs.sub)
+		} else {
+			sn, err = s.resolveSession(rs.req)
+		}
 		if err != nil {
 			// e.g. a benchmark renamed between boots; nothing to run.
 			s.walSkipped.Add(1)
 			continue
 		}
-		j.ID = id
-		if rj.done != nil {
-			j.submitted, j.started, j.finished = now, now, now
-			j.status = rj.done.Status
-			j.errMsg = rj.done.Error
-			if j.status == StatusSucceeded {
-				j.res = &bamboort.Result{TotalCycles: rj.done.Cycles, Invocations: rj.done.Invocations}
-			}
-			s.register(j)
-			s.retire(j)
-			s.walRecoveredTerm.Add(1)
-			continue
-		}
-		// Re-anchor the deadline at replay time: the job gets its full
-		// requested timeout again. Anchoring at the original AcceptedAt
-		// would declare most replayed jobs dead on arrival, which defeats
-		// the log's entire purpose.
-		j.submitted = now
-		j.ctx, j.cancel = context.WithCancel(s.baseCtx)
-		s.register(j)
-		s.queue <- j
-		s.walReplayedJobs.Add(1)
-	}
-
-	for id := range st.keptSessions(s.cfg.RetainSessions) {
-		if n := idSeq(id); n > maxSess {
-			maxSess = n
-		}
-		rs := st.sessions[id]
-		sn, err := s.resolveSession(&rs.req)
-		if err != nil {
-			s.walSkipped.Add(1)
-			continue
-		}
-		sn.ID = id
-		sn.lastUsed = now
-		terminal := false
+		sn.ID, sn.lastUsed = id, now
 		switch {
 		case rs.done != nil:
-			sn.status = rs.done.Status
-			sn.errMsg = rs.done.Error
-			terminal = true
+			sn.status, sn.errMsg = rs.done.Status, rs.done.Error
+			if rs.done.Cycles != 0 || rs.done.Invocations != 0 {
+				sn.res = &bamboort.Result{TotalCycles: rs.done.Cycles, Invocations: rs.done.Invocations}
+			}
 			s.walRecoveredTerm.Add(1)
+		case rs.sub != nil:
+			// Re-anchor the deadline at replay time: the job gets its full
+			// requested timeout again. Anchoring at the original AcceptedAt
+			// would declare most replayed jobs dead on arrival, which
+			// defeats the log's entire purpose.
+			sn.admitted = now
+			s.walReplayedJobs.Add(1)
 		default:
 			// Restored as parked: the next feed revives the session from
 			// its checkpoint plus the logged suffix to the exact state the
@@ -512,18 +447,14 @@ func (s *Server) applyRecovered(st *recoveredState) {
 			s.walReplayedSess.Add(1)
 		}
 		s.sessMu.Lock()
-		s.sessions[id] = sn
+		s.addLocked(sn)
 		s.sessMu.Unlock()
-		if terminal {
-			s.retireSession(id)
+		switch {
+		case rs.done != nil:
+			s.retire(sn)
+		case rs.sub != nil:
+			s.queue <- sn
 		}
-	}
-
-	if maxJob > s.nextID.Load() {
-		s.nextID.Store(maxJob)
-	}
-	if maxSess > s.nextSess.Load() {
-		s.nextSess.Store(maxSess)
 	}
 }
 
@@ -536,13 +467,7 @@ func (s *Server) applyRecovered(st *recoveredState) {
 // it; only the log survives, which is the point.
 func (s *Server) Kill() {
 	s.killed.Store(true)
-	s.draining.Store(true)
-	s.submitMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
-	s.submitMu.Unlock()
+	s.stopAdmission()
 	s.baseStop()
 	s.wg.Wait()
 	s.sessWg.Wait()

@@ -30,7 +30,10 @@ func newWALService(t *testing.T, cfg server.Config) *testService {
 
 // Kill -9 mid-load: every job the server acknowledged must reach a
 // successful terminal state on the rebooted server — completed jobs as
-// recovered terminal views, unfinished ones replayed and re-run.
+// recovered terminal views, unfinished ones replayed and re-run. A job is
+// a session closed unfed, but only a fed concurrent-engine session is
+// unrecoverable: every third job runs on the concurrent engine and re-runs
+// like the rest.
 func TestWALKillRecoveryLosesNoAcceptedJobs(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{WALDir: dir, Workers: 2}
@@ -39,7 +42,11 @@ func TestWALKillRecoveryLosesNoAcceptedJobs(t *testing.T) {
 	const jobs = 12
 	ids := make([]string, 0, jobs)
 	for i := 0; i < jobs; i++ {
-		sub, err := s1.cl.SubmitJob(ctxT(), server.SubmitRequest{Source: testProgram(60 + i)})
+		req := server.SubmitRequest{Source: slowProgram(20_000 + i)}
+		if i%3 == 2 {
+			req.Engine = "concurrent"
+		}
+		sub, err := s1.cl.SubmitJob(ctxT(), req)
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -50,16 +57,24 @@ func TestWALKillRecoveryLosesNoAcceptedJobs(t *testing.T) {
 	s1.ts.Close()
 
 	s2 := newWALService(t, cfg)
-	for _, id := range ids {
+	reran := 0 // concurrent-engine jobs run again after the reboot
+	for i, id := range ids {
 		v := s2.await(t, id, 30*time.Second)
 		if v.Status != server.StatusSucceeded {
 			t.Fatalf("job %s after recovery = %+v", id, v)
 		}
+		if i%3 == 2 && v.Result.Output != "" { // a recovered terminal view has no output
+			reran++
+		}
+	}
+	if reran == 0 {
+		t.Fatal("no concurrent-engine job was still unfinished at the kill")
 	}
 	w := s2.srv.VarzSnapshot().WAL
 	if w == nil {
 		t.Fatal("varz has no wal section on a durable server")
 	}
+	t.Logf("replayed %d, terminal %d, concurrent re-ran %d", w.ReplayedJobs, w.RecoveredTerminal, reran)
 	if w.ReplayedJobs+w.RecoveredTerminal != jobs {
 		t.Fatalf("replayed %d + recovered-terminal %d != %d accepted", w.ReplayedJobs, w.RecoveredTerminal, jobs)
 	}
@@ -129,13 +144,13 @@ func TestWALCleanDrainKeepsTerminalViews(t *testing.T) {
 }
 
 // The log keeps only the terminal work the server can still show: with
-// RetainJobs 2 and RetainSessions 1, six finished jobs and three closed
-// sessions reboot as the two newest jobs and the newest session, the
+// one retention ring of RetainSessions 4, six finished jobs and then three
+// closed sessions reboot as the newest job and the three sessions, the
 // rewritten log holds only their records, and fresh IDs collide with none
 // the log ever held.
 func TestWALKeepsRetainedTerminalWorkOnly(t *testing.T) {
 	dir := t.TempDir()
-	cfg := server.Config{WALDir: dir, RetainJobs: 2, RetainSessions: 1}
+	cfg := server.Config{WALDir: dir, RetainSessions: 4}
 	s1 := newWALService(t, cfg)
 	var jobs, sessions []string
 	for i := 0; i < 6; i++ {
@@ -163,26 +178,25 @@ func TestWALKeepsRetainedTerminalWorkOnly(t *testing.T) {
 	s1.ts.Close()
 
 	s2 := newWALService(t, cfg)
-	if w := s2.srv.VarzSnapshot().WAL; w.RecoveredTerminal != 3 || w.ReplayedJobs != 0 || w.ReplayedSessions != 0 {
-		t.Fatalf("varz wal = %+v, want 3 recovered terminal (2 jobs, 1 session), nothing replayed", w)
+	if w := s2.srv.VarzSnapshot().WAL; w.RecoveredTerminal != 4 || w.ReplayedJobs != 0 || w.ReplayedSessions != 0 {
+		t.Fatalf("varz wal = %+v, want 4 recovered terminal (1 job, 3 sessions), nothing replayed", w)
 	}
 	count := map[string]int{}
 	for _, f := range walFrames(t, dir) {
 		count[f.typ]++
 	}
-	if want := map[string]int{"job+": 2, "job-": 2, "sess+": 1, "sess-": 1}; !reflect.DeepEqual(count, want) {
+	if want := map[string]int{"sess+": 4, "sess-": 4}; !reflect.DeepEqual(count, want) {
 		t.Fatalf("rewritten log holds %v, want %v", count, want)
 	}
 	for i, id := range jobs {
 		_, err := s2.cl.Job(ctxT(), id)
-		if kept := i >= len(jobs)-2; kept != (err == nil) || !kept && !client.IsCode(err, server.CodeNotFound) {
+		if kept := i == len(jobs)-1; kept != (err == nil) || !kept && !client.IsCode(err, server.CodeNotFound) {
 			t.Fatalf("job %s after reboot: err %v, want kept=%v", id, err, kept)
 		}
 	}
-	for i, id := range sessions {
-		_, err := s2.cl.Session(ctxT(), id)
-		if kept := i == len(sessions)-1; kept != (err == nil) || !kept && !client.IsCode(err, server.CodeNotFound) {
-			t.Fatalf("session %s after reboot: err %v, want kept=%v", id, err, kept)
+	for _, id := range sessions {
+		if _, err := s2.cl.Session(ctxT(), id); err != nil {
+			t.Fatalf("session %s after reboot: %v", id, err)
 		}
 	}
 

@@ -68,7 +68,7 @@ func seedWAL(t *testing.T, dir string, recs ...walRecord) {
 func TestReplayReanchorsDeadline(t *testing.T) {
 	dir := t.TempDir()
 	seedWAL(t, dir, walRecord{
-		T:  recJobAccept,
+		T:  recSessCreate,
 		ID: "j00000007",
 		Req: &SubmitRequest{
 			Source:    replaySource,
@@ -85,13 +85,15 @@ func TestReplayReanchorsDeadline(t *testing.T) {
 	}
 	defer s.Close()
 
-	j := s.job("j00000007")
+	s.sessMu.Lock()
+	j := s.sessions["j00000007"]
+	s.sessMu.Unlock()
 	if j == nil {
 		t.Fatal("replayed job not registered")
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		v := j.view()
+		v := j.jobView()
 		switch v.Status {
 		case StatusSucceeded:
 			return // re-anchored and ran to completion
@@ -99,19 +101,20 @@ func TestReplayReanchorsDeadline(t *testing.T) {
 			t.Fatalf("replayed job = %+v (deadline not re-anchored?)", v)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("replayed job never finished: %+v", j.view())
+			t.Fatalf("replayed job never finished: %+v", j.jobView())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // The ID counter must resume past every replayed ID, or fresh submits
-// would collide with recovered jobs.
+// would collide with recovered jobs; the job+ and job- of an older log
+// count as a job's create and end.
 func TestReplayBumpsIDCounters(t *testing.T) {
 	dir := t.TempDir()
 	seedWAL(t, dir,
-		walRecord{T: recJobAccept, ID: "j00000041", Req: &SubmitRequest{Source: replaySource}},
-		walRecord{T: recJobDone, ID: "j00000041", Status: StatusSucceeded},
+		walRecord{T: "job+", ID: "j00000041", Req: &SubmitRequest{Source: replaySource}},
+		walRecord{T: "job-", ID: "j00000041", Status: StatusSucceeded},
 	)
 
 	s, err := Open(Config{WALDir: dir})
@@ -119,7 +122,7 @@ func TestReplayBumpsIDCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.jobID(); got != "j00000042" {
+	if got := s.newID(true); got != "j00000042" {
 		t.Fatalf("first post-recovery job ID = %s, want j00000042", got)
 	}
 }
@@ -131,10 +134,10 @@ func TestReplayBumpsIDCounters(t *testing.T) {
 func TestRecoverStateIdempotent(t *testing.T) {
 	feedOf := func(k int64) *FeedRequest { return &FeedRequest{Requests: []FeedItem{{TagKey: k}}} }
 	recs := []walRecord{
-		{T: recJobAccept, ID: "j00000001", Req: &SubmitRequest{Source: "a"}},
-		{T: "job!", ID: "j00000001"}, // written before the log stopped recording job starts
-		{T: recJobDone, ID: "j00000001", Status: StatusSucceeded, Cycles: 7, Invocations: 3},
-		{T: recJobAccept, ID: "j00000002", Req: &SubmitRequest{Source: "b"}},
+		{T: "job+", ID: "j00000001", Req: &SubmitRequest{Source: "a"}}, // an older log's job records
+		{T: "job!", ID: "j00000001"},                                   // written before the log stopped recording job starts
+		{T: "job-", ID: "j00000001", Status: StatusSucceeded, Cycles: 7, Invocations: 3},
+		{T: recSessCreate, ID: "j00000002", Req: &SubmitRequest{Source: "b"}},
 		{T: "job!", ID: "j00000002"},
 		{T: recSessCreate, ID: "s00000001", Sess: &SessionRequest{Source: "c"}},
 		{T: recSessFeed, ID: "s00000001", Seq: 0, Feed: feedOf(1)},
@@ -160,8 +163,11 @@ func TestRecoverStateIdempotent(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("double replay diverged:\nonce:  %+v\ntwice: %+v", a, b)
 	}
-	if len(a.jobs) != 2 || len(a.sessions) != 3 {
-		t.Fatalf("recovered %d jobs / %d sessions, want 2/3", len(a.jobs), len(a.sessions))
+	if len(a.sessions) != 5 || a.sessions["j00000001"].sub == nil || a.sessions["j00000002"].sub == nil {
+		t.Fatalf("recovered %+v, want 2 jobs and 3 sessions", a.sessions)
+	}
+	if j1 := a.sessions["j00000001"]; j1.done == nil || j1.done.T != recSessDone || j1.done.Cycles != 7 {
+		t.Fatalf("j00000001 = %+v, want ended by its job- as by a sess-", j1)
 	}
 	// The record types older logs carry are accepted, not damage; a type
 	// nobody ever wrote still counts.
@@ -192,7 +198,7 @@ func TestRecoverStateIdempotent(t *testing.T) {
 	// A compaction folds to the same state, replayed alone, after the
 	// history (a crash before the old segments were deleted) or after a
 	// suffix of it (a crash midway through deleting them).
-	compact := slices.Collect(checkpointRecords(a, 8192, 1024))
+	compact := slices.Collect(checkpointRecords(a, 8192))
 	for name, log := range map[string][][]byte{
 		"compaction":                compact,
 		"history, then compaction":  append(append([][]byte(nil), once...), compact...),
@@ -200,11 +206,11 @@ func TestRecoverStateIdempotent(t *testing.T) {
 	} {
 		c := recoverState(slices.Values(log))
 		c.skipped = 0 // a suffix cut from its creates skips what it cannot place
-		for _, id := range []string{"s00000001", "s00000002", "s00000003"} {
+		for _, id := range []string{"j00000001", "j00000002", "s00000001", "s00000002", "s00000003"} {
 			got, want := *c.sessions[id], *a.sessions[id]
 			if want.done != nil { // a terminal session keeps its create and end
-				got = recSessState{req: got.req, done: got.done}
-				want = recSessState{req: want.req, done: want.done}
+				got = recSessState{sub: got.sub, req: got.req, done: got.done}
+				want = recSessState{sub: want.sub, req: want.req, done: want.done}
 			}
 			got.ckptBytes, got.sinceCkpt, want.ckptBytes, want.sinceCkpt = 0, 0, 0, 0
 			if !reflect.DeepEqual(got, want) {
@@ -215,43 +221,42 @@ func TestRecoverStateIdempotent(t *testing.T) {
 }
 
 // Compaction keeps every live job and session, the newest keep terminal
-// ones in log order — which applyRecovered retires oldest first — and the
-// highest ID even when it is older: j00000004 was logged before
-// j00000003, as two concurrent submissions can be.
+// ones of either kind in log order — which applyRecovered retires oldest
+// first into one ring — and the highest job ID even when it is older:
+// j00000004 was logged before j00000003, as two concurrent submissions
+// can be.
 func TestCheckpointRecordsRetention(t *testing.T) {
 	var log [][]byte
 	for _, rec := range []walRecord{
-		{T: recJobAccept, ID: "j00000001", Req: &SubmitRequest{Source: "a"}},
-		{T: recJobAccept, ID: "j00000002", Req: &SubmitRequest{Source: "b"}},
-		{T: recJobAccept, ID: "j00000004", Req: &SubmitRequest{Source: "d"}},
-		{T: recJobAccept, ID: "j00000003", Req: &SubmitRequest{Source: "c"}},
-		{T: recJobDone, ID: "j00000001", Status: StatusSucceeded},
-		{T: recJobDone, ID: "j00000004", Status: StatusSucceeded},
-		{T: recJobDone, ID: "j00000003", Status: StatusFailed},
+		{T: recSessCreate, ID: "j00000001", Req: &SubmitRequest{Source: "a"}},
+		{T: recSessCreate, ID: "j00000002", Req: &SubmitRequest{Source: "b"}},
+		{T: recSessCreate, ID: "j00000004", Req: &SubmitRequest{Source: "d"}},
+		{T: recSessCreate, ID: "j00000003", Req: &SubmitRequest{Source: "c"}},
+		{T: recSessDone, ID: "j00000001", Status: StatusSucceeded},
+		{T: recSessDone, ID: "j00000004", Status: StatusSucceeded},
+		{T: recSessDone, ID: "j00000003", Status: StatusFailed},
 		{T: recSessCreate, ID: "s00000001", Sess: &SessionRequest{Source: "e"}},
 		{T: recSessCreate, ID: "s00000002", Sess: &SessionRequest{Source: "f"}},
 		{T: recSessCreate, ID: "s00000003", Sess: &SessionRequest{Source: "g"}},
 		{T: recSessDone, ID: "s00000001", Status: SessionClosed},
-		{T: recSessDone, ID: "s00000003", Status: SessionClosed},
+		{T: recSessDone, ID: "s00000003", Status: SessionFailed},
 	} {
 		log = append(log, mustMarshal(t, rec))
 	}
 	st := recoverState(slices.Values(log))
-	for range checkpointRecords(st, 1, 1) {
+	for range checkpointRecords(st, 1) {
 		break // a writer that stops early is not yielded to again
 	}
-	got := recoverState(checkpointRecords(st, 1, 1))
-	if want := []string{"j00000002", "j00000004", "j00000003"}; !slices.Equal(got.jobOrder, want) {
-		t.Fatalf("kept jobs %v, want %v", got.jobOrder, want)
+	got := recoverState(checkpointRecords(st, 1))
+	if want := []string{"j00000002", "j00000004", "s00000002", "s00000003"}; !slices.Equal(got.order, want) {
+		t.Fatalf("kept %v, want %v", got.order, want)
 	}
-	if want := []string{"s00000002", "s00000003"}; !slices.Equal(got.sessOrder, want) {
-		t.Fatalf("kept sessions %v, want %v", got.sessOrder, want)
+	if j4, s3 := got.sessions["j00000004"], got.sessions["s00000003"]; j4.done == nil || j4.done.Status != StatusSucceeded ||
+		s3.done == nil || s3.done.Status != SessionFailed || got.sessions["j00000002"].done != nil || got.sessions["s00000002"].done != nil {
+		t.Fatalf("kept work lost its state: %+v", got.sessions)
 	}
-	if rj := got.jobs["j00000003"]; rj.done == nil || rj.done.Status != StatusFailed || got.jobs["j00000002"].done != nil {
-		t.Fatalf("kept jobs lost their state: %+v", got.jobs)
-	}
-	if all := recoverState(checkpointRecords(st, 3, 2)); !reflect.DeepEqual(all.jobOrder, st.jobOrder) || !reflect.DeepEqual(all.sessOrder, st.sessOrder) {
-		t.Fatalf("with room for all, kept %v %v, want %v %v", all.jobOrder, all.sessOrder, st.jobOrder, st.sessOrder)
+	if all := recoverState(checkpointRecords(st, 5)); !reflect.DeepEqual(all.order, st.order) {
+		t.Fatalf("with room for all, kept %v, want %v", all.order, st.order)
 	}
 }
 
@@ -272,7 +277,7 @@ func TestRecoverStateCopiesWhatItKeeps(t *testing.T) {
 		walRecord{T: recSessCkpt, ID: "s00000001", Seq: 0, Ckpt: ckpt},
 		walRecord{T: recSessFeed, ID: "s00000001", Seq: 1, Feed: &feeds[0]},
 		walRecord{T: recSessFeed, ID: "s00000001", Seq: 2, Feed: &feeds[1]},
-		walRecord{T: recJobAccept, ID: "j00000001", Req: &SubmitRequest{Source: big}},
+		walRecord{T: recSessCreate, ID: "j00000001", Req: &SubmitRequest{Source: big}},
 	)
 	l, replay, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
@@ -287,7 +292,7 @@ func TestRecoverStateCopiesWhatItKeeps(t *testing.T) {
 	if !bytes.Equal(rs.ckpt, ckpt) || !reflect.DeepEqual(rs.feeds, feeds) || rs.req.Source != "kv" || rs.next != 3 {
 		t.Fatalf("recovered session = ckpt %q, feeds %+v, source %q, next %d; want what was appended", rs.ckpt, rs.feeds, rs.req.Source, rs.next)
 	}
-	if st.jobs["j00000001"].req.Source != big {
+	if st.sessions["j00000001"].sub.Source != big {
 		t.Fatal("recovered job source differs from what was appended")
 	}
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Coverage ratchet for the runtime, the analyses it routes by, the profile
 # and the CSTG it annotates, the scheduler (its event loop and parameter
-# sets), the observability package and the write-ahead log: fails when statement coverage drops below the
+# sets), the observability package, the write-ahead log, the serving layer
+# and the cluster router: fails when statement coverage drops below the
 # per-package minimum. The minimums sit a few points under the measured coverage at the
 # time they were set; when new tests push coverage up, raise the minimum to
 # just below the new number so it can only move forward.
@@ -14,12 +15,14 @@ cd "$(dirname "$0")/.."
 # package -> minimum statement coverage (%)
 ratchet=(
     "internal/bamboort 96.0"
+    "internal/cluster 88.0"
     "internal/cstg 99.0"
     "internal/depend 91.0"
     "internal/obsv 95.0"
     "internal/profile 99.0"
     "internal/sched 98.0"
     "internal/schedsim 97.0"
+    "internal/server 91.5"
     "internal/wal 86.0"
 )
 
