@@ -24,10 +24,14 @@
 // a batch is dispatched, and batch results merge back in submission
 // order. Best, History, and Evaluations are therefore bit-identical for
 // any worker count, a property the determinism regression test pins down.
+// Evaluations record no trace: a candidate is simulated again with one,
+// and analyzed, on the workers when it is first kept. The simulator is
+// deterministic, so that is the schedule its evaluation ran.
 package anneal
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -84,6 +88,9 @@ type Outcome struct {
 	BestCycles  int64
 	Evaluations int
 	Iterations  int
+	// Traced counts the candidates simulated again with a trace for
+	// critical path analysis: each kept candidate, once.
+	Traced int
 	// History records the best estimate after each iteration.
 	History []int64
 }
@@ -91,7 +98,10 @@ type Outcome struct {
 type candidate struct {
 	lay    *layout.Layout
 	cycles int64
-	trace  *schedsim.Trace
+	// a is the critical path of the candidate's simulated trace and groups
+	// its competing groups, computed once when the candidate is first kept.
+	a      *critpath.Analysis
+	groups [][]int
 }
 
 // Optimize runs directed simulated annealing and returns the best layout.
@@ -174,6 +184,11 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 		if len(kept) == 0 {
 			kept = []*candidate{best}
 		}
+		traced, err := eval.analyze(kept)
+		if err != nil {
+			return nil, err
+		}
+		out.Traced += traced
 		// Generate the critical-path-directed neighbor batch on the
 		// coordinator (all Rng draws happen here, in the same order the
 		// serial search made them), then fan the unseen layouts out.
@@ -218,7 +233,7 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 	return out, nil
 }
 
-// evalResult is one batch slot: exactly one of cand/err is set.
+// evalResult is one batch slot; cand is meaningful only when err is nil.
 type evalResult struct {
 	cand *candidate
 	err  error
@@ -235,10 +250,11 @@ func newEvaluator(sim *schedsim.Simulator, opts Options) *evaluator {
 	return &evaluator{sim: sim, opts: opts, workers: pool.Workers(opts.Workers)}
 }
 
-// one runs a single simulator evaluation. schedsim.Simulator.Run is safe
-// for concurrent use, so workers share the one simulator instance.
-func (e *evaluator) one(lay *layout.Layout) evalResult {
-	tr := &schedsim.Trace{}
+// simulate runs the simulator on lay, recording the schedule into tr when
+// tr is non-nil, and returns the layout's estimate.
+// schedsim.Simulator.Run is safe for concurrent use, so workers share the
+// one simulator instance.
+func (e *evaluator) simulate(lay *layout.Layout, tr *schedsim.Trace) (int64, error) {
 	res, err := e.sim.Run(schedsim.Options{
 		Machine:         e.opts.Machine,
 		Layout:          lay,
@@ -247,42 +263,70 @@ func (e *evaluator) one(lay *layout.Layout) evalResult {
 		Trace:           tr,
 	})
 	if err != nil {
-		return evalResult{err: err}
+		return 0, err
 	}
-	cycles := res.TotalCycles
 	if !res.Terminated {
 		// Rank non-terminating estimates by inverse utilization.
-		cycles = int64(float64(1<<40) * (1.0 - res.Utilization))
+		return int64(float64(1<<40) * (1.0 - res.Utilization)), nil
 	}
-	return evalResult{cand: &candidate{lay: lay, cycles: cycles, trace: tr}}
+	return res.TotalCycles, nil
 }
 
-// batch evaluates lays concurrently and returns results in submission
-// order (index i holds lays[i]'s outcome regardless of which worker ran
-// it or when it finished). Once the search's context is done the workers
-// start no further evaluation and the batch fails with its error.
-func (e *evaluator) batch(lays []*layout.Layout) ([]evalResult, error) {
-	results := make([]evalResult, len(lays))
+// each runs fn(i) for every i < n on the workers. Once the search's
+// context is done the workers start no further call, and each returns the
+// context's error.
+func (e *evaluator) each(n int, fn func(i int)) error {
 	ctx := e.opts.Ctx
-	pool.For(len(lays), e.workers, func(i int) {
+	pool.For(n, e.workers, func(i int) {
 		if ctx == nil || ctx.Err() == nil {
-			results[i] = e.one(lays[i])
+			fn(i)
 		}
 	})
 	if ctx != nil && ctx.Err() != nil {
-		return nil, fmt.Errorf("anneal: search canceled: %w", ctx.Err())
+		return fmt.Errorf("anneal: search canceled: %w", ctx.Err())
 	}
-	return results, nil
+	return nil
+}
+
+// batch evaluates lays untraced and returns results in submission order
+// (index i holds lays[i]'s outcome regardless of which worker ran it or
+// when it finished).
+func (e *evaluator) batch(lays []*layout.Layout) ([]evalResult, error) {
+	results := make([]evalResult, len(lays))
+	err := e.each(len(lays), func(i int) {
+		cycles, err := e.simulate(lays[i], nil)
+		results[i] = evalResult{&candidate{lay: lays[i], cycles: cycles}, err}
+	})
+	return results, err
+}
+
+// analyze gives every kept candidate that has none its critical path
+// analysis: each is simulated again with a trace and the trace analyzed.
+// It returns how many candidates it traced.
+func (e *evaluator) analyze(kept []*candidate) (int, error) {
+	var todo []*candidate
+	for _, c := range kept {
+		if c.a == nil {
+			todo = append(todo, c)
+		}
+	}
+	errs := make([]error, len(todo))
+	if err := e.each(len(todo), func(i int) {
+		c, tr := todo[i], &schedsim.Trace{}
+		if _, errs[i] = e.simulate(c.lay, tr); errs[i] == nil {
+			c.a = critpath.Analyze(tr)
+			c.groups = c.a.CompetingGroups()
+		}
+	}); err != nil {
+		return 0, err
+	}
+	return len(todo), errors.Join(errs...)
 }
 
 // neighbors generates candidate layouts addressing the critical path of
 // one evaluated candidate (Section 4.5.2).
 func neighbors(c *candidate, syn *synth.Synthesis, opts Options) []*layout.Layout {
-	a := critpath.Analyze(c.trace)
-	if len(a.Critical) == 0 {
-		return nil
-	}
-	groups := a.CompetingGroups()
+	a, groups := c.a, c.groups
 	if len(groups) == 0 {
 		return nil
 	}
@@ -302,7 +346,7 @@ func neighbors(c *candidate, syn *synth.Synthesis, opts Options) []*layout.Layou
 	// producer of the next critical event and its consumer), eliminating
 	// the transfer and letting their invocations chain on one core.
 	for k := 0; k+1 < len(a.Critical) && len(out) < opts.NeighborsPerLayout; k++ {
-		cur, next := c.trace.Events[a.Critical[k]], c.trace.Events[a.Critical[k+1]]
+		cur, next := a.Trace.Events[a.Critical[k]], a.Trace.Events[a.Critical[k+1]]
 		if cur.Core != next.Core && cur.Task != next.Task {
 			emit(moveGroup(c.lay, syn, next.Task, next.Core, cur.Core))
 		}
@@ -311,7 +355,7 @@ func neighbors(c *candidate, syn *synth.Synthesis, opts Options) []*layout.Layou
 		if len(out) >= opts.NeighborsPerLayout {
 			break
 		}
-		ev := c.trace.Events[evIdx]
+		ev := a.Trace.Events[evIdx]
 		if a.Delay[evIdx] <= 0 {
 			continue
 		}
@@ -321,7 +365,7 @@ func neighbors(c *candidate, syn *synth.Synthesis, opts Options) []*layout.Layou
 		// a core of its own and overlaps the simulations).
 		emit(dedicateCore(c.lay, syn, ev.Task, ev.Core))
 		// Spare cores idle while this invocation waited?
-		spare := critpath.IdleCores(c.trace, c.lay.NumCores, a.Resolved[evIdx], ev.Start)
+		spare := critpath.IdleCores(a.Trace, c.lay.NumCores, a.Resolved[evIdx], ev.Start)
 		if len(spare) > 0 {
 			for _, sc := range spare {
 				if len(out) >= opts.NeighborsPerLayout {

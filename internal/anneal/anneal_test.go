@@ -2,8 +2,10 @@ package anneal_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/anneal"
@@ -161,5 +163,45 @@ func TestSynthesizeFacade(t *testing.T) {
 	// The synthesized layout should replicate processText.
 	if len(res.Layout.Cores("processText")) < 2 {
 		t.Errorf("synthesized layout does not replicate processText: %s", res.Layout)
+	}
+}
+
+// doneAfter is a context whose Err turns to Canceled on its n-th call.
+type doneAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *doneAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestOptimizeCanceled: a search whose context is done returns its error,
+// whether it is done before the first evaluation, or after the seeds were
+// evaluated and while the kept ones are being traced.
+func TestOptimizeCanceled(t *testing.T) {
+	sys, err := core.CompileSource(keywordSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := sys.Profile(nArg(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn := synth.Build(sys.CSTG(prof), 4)
+	// Four seeds take one check each and one more for the batch.
+	for _, checks := range []int64{0, 6} {
+		ctx := &doneAfter{Context: context.Background()}
+		ctx.n.Store(checks)
+		_, err := anneal.Optimize(sys.Simulator(), syn, anneal.Options{
+			Ctx: ctx, Machine: machine.TilePro64().WithCores(4), Prof: prof, NumCores: 4,
+			Rng: rand.New(rand.NewSource(1)), Seeds: 4, Workers: 1,
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("canceled after %d checks: err = %v, want context.Canceled", checks, err)
+		}
 	}
 }

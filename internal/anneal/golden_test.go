@@ -80,3 +80,33 @@ func TestGoldenOutcomes(t *testing.T) {
 		}
 	}
 }
+
+// TestSearchTracesOnlyKept: a search simulates every candidate untraced and
+// traces each kept one once, for its critical path. The counts are exact
+// for a fixed seed.
+func TestSearchTracesOnlyKept(t *testing.T) {
+	b, err := benchmarks.Get("KMeans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.CompileSource(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, _, err := sys.Profile(b.Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cores = 8
+	outcome, err := anneal.Optimize(sys.Simulator(), synth.Build(sys.CSTG(prof), cores), anneal.Options{
+		Machine: machine.TilePro64().WithCores(cores), Prof: prof, NumCores: cores,
+		Rng: rand.New(rand.NewSource(1)), PerObjectCounts: b.Hints,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d evaluations, %d traced", outcome.Evaluations, outcome.Traced)
+	if outcome.Evaluations != 216 || outcome.Traced != 66 {
+		t.Errorf("%d evaluations and %d traced simulations, want 216 and 66", outcome.Evaluations, outcome.Traced)
+	}
+}

@@ -15,140 +15,121 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/obsv"
 )
 
-// Analysis is the result of analyzing one trace.
+// Analysis is the result of analyzing one trace. Its per-event slices
+// are indexed like Trace.Events.
 type Analysis struct {
 	Trace *obsv.Trace
 	// Critical lists the indices (into Trace.Events) of invocations on the
 	// critical path, in execution order.
 	Critical []int
 	// OnPath reports critical-path membership by event index.
-	OnPath map[int]bool
-	// Resolved maps each event index to the time its data dependences were
-	// resolved (max over parameter arrivals).
-	Resolved map[int]int64
-	// Delay maps each event index to Start - Resolved: how long the
-	// invocation waited for computational resources after its data was
-	// ready.
-	Delay map[int]int64
+	OnPath []bool
+	// Resolved holds each event's data-dependence resolution time (max
+	// over parameter arrivals).
+	Resolved []int64
+	// Delay holds each event's Start - Resolved: how long the invocation
+	// waited for computational resources after its data was ready.
+	Delay []int64
 	// Key marks critical-path events that produce data consumed by the
 	// next critical-path event (the "key task instances" of Section 4.5.2).
-	Key map[int]bool
+	Key []bool
 	// TotalWeight is the critical path length in cycles.
 	TotalWeight int64
 }
 
 // Analyze computes the critical path of a trace (simulated or measured).
+// Its allocations are a fixed number of slices, whatever the trace length.
 func Analyze(tr *obsv.Trace) *Analysis {
+	n := len(tr.Events)
 	a := &Analysis{
 		Trace:    tr,
-		OnPath:   map[int]bool{},
-		Resolved: map[int]int64{},
-		Delay:    map[int]int64{},
-		Key:      map[int]bool{},
+		OnPath:   make([]bool, n),
+		Resolved: make([]int64, n),
+		Delay:    make([]int64, n),
+		Key:      make([]bool, n),
 	}
-	n := len(tr.Events)
 	if n == 0 {
 		return a
 	}
 	// Data-dependence resolution times.
-	for _, ev := range tr.Events {
+	for i := range tr.Events {
+		ev := &tr.Events[i]
 		var r int64
 		for _, d := range ev.Deps {
-			if d.Arrival > r {
-				r = d.Arrival
-			}
+			r = max(r, d.Arrival)
 		}
-		a.Resolved[ev.Index] = r
-		a.Delay[ev.Index] = ev.Start - r
+		a.Resolved[i], a.Delay[i] = r, ev.Start-r
 	}
 
-	// Longest path over the event DAG. dist[i] = weight of the heaviest
-	// path ending at the END of event i; pred[i] = previous event on it.
-	type edge struct {
-		from   int
-		weight int64 // cost between from.End and to.Start
-	}
-	preds := make([][]edge, n)
-	// Resource edges: consecutive events on the same core where the later
-	// one started exactly when the earlier finished and had been waiting.
-	byCore := map[int][]int{}
-	for _, ev := range tr.Events {
-		byCore[ev.Core] = append(byCore[ev.Core], ev.Index)
-	}
-	for _, evs := range byCore {
-		sort.Slice(evs, func(i, j int) bool { return tr.Events[evs[i]].Start < tr.Events[evs[j]].Start })
-		for k := 1; k < len(evs); k++ {
-			prev, cur := tr.Events[evs[k-1]], tr.Events[evs[k]]
-			if cur.Start >= prev.End && a.Resolved[cur.Index] < cur.Start {
-				// The invocation waited on the core, not (only) on data.
-				preds[cur.Index] = append(preds[cur.Index], edge{from: prev.Index, weight: cur.Start - prev.End})
-			}
-		}
-	}
-	// Data edges.
-	for _, ev := range tr.Events {
-		for _, d := range ev.Deps {
-			if d.Producer >= 0 {
-				w := d.Arrival - tr.Events[d.Producer].End // transfer time
-				if w < 0 {
-					w = 0
-				}
-				preds[ev.Index] = append(preds[ev.Index], edge{from: d.Producer, weight: w})
-			}
-		}
-	}
-	dist := make([]int64, n)
-	pred := make([]int, n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
 	// Events are produced in completion order; starts respect producers, so
 	// processing by start time is a valid topological order (producers end
 	// before consumers start; resource predecessors start earlier too).
-	sort.Slice(order, func(i, j int) bool {
-		ei, ej := tr.Events[order[i]], tr.Events[order[j]]
-		if ei.Start != ej.Start {
-			return ei.Start < ej.Start
-		}
-		return ei.Index < ej.Index
-	})
-	for i := range pred {
-		pred[i] = -1
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	var bestEnd, bestIdx int64 = -1, 0
-	for _, idx := range order {
-		ev := tr.Events[idx]
-		dur := ev.End - ev.Start
-		best := int64(0)
-		bestPred := -1
-		for _, e := range preds[idx] {
-			if v := dist[e.from] + e.weight; v > best {
-				best, bestPred = v, e.from
+	slices.SortFunc(order, func(i, j int32) int {
+		return cmp.Or(cmp.Compare(tr.Events[i].Start, tr.Events[j].Start), cmp.Compare(i, j))
+	})
+	// Longest path over the event DAG, in that order. dist[i] = weight of
+	// the heaviest path ending at the END of event i; pred[i] = previous
+	// event on it. An event's predecessors are its resource predecessor —
+	// the event before it on its core, when it started exactly as that one
+	// finished and had been waiting — then its producers (data edges,
+	// weighted by transfer time), in dependence order; the first heaviest
+	// wins. last[c] is the event before the current one on core c.
+	dist := make([]int64, n)
+	pred := make([]int32, n)
+	last := make([]int32, tr.CoreCount())
+	for c := range last {
+		last[c] = -1
+	}
+	bestEnd, bestIdx := int64(-1), int32(0)
+	for _, i := range order {
+		ev := &tr.Events[i]
+		best, bestPred := int64(0), int32(-1)
+		if p := last[ev.Core]; p >= 0 {
+			prev := &tr.Events[p]
+			if ev.Start >= prev.End && a.Resolved[i] < ev.Start {
+				// The invocation waited on the core, not (only) on data.
+				if v := dist[p] + ev.Start - prev.End; v > best {
+					best, bestPred = v, p
+				}
 			}
 		}
-		dist[idx] = best + dur
-		pred[idx] = bestPred
-		if dist[idx] > bestEnd {
-			bestEnd, bestIdx = dist[idx], int64(idx)
+		last[ev.Core] = i
+		for _, d := range ev.Deps {
+			if d.Producer >= 0 {
+				w := max(d.Arrival-tr.Events[d.Producer].End, 0) // transfer time
+				if v := dist[d.Producer] + w; v > best {
+					best, bestPred = v, int32(d.Producer)
+				}
+			}
+		}
+		dist[i] = best + ev.End - ev.Start
+		pred[i] = bestPred
+		if dist[i] > bestEnd {
+			bestEnd, bestIdx = dist[i], i
 		}
 	}
 	a.TotalWeight = bestEnd
-	// Walk the path back.
-	for i := int(bestIdx); i >= 0; i = pred[i] {
-		a.Critical = append(a.Critical, i)
-		a.OnPath[i] = true
+	// Walk the path back, filling Critical from its end.
+	k := 0
+	for i := bestIdx; i >= 0; i = pred[i] {
+		k++
 	}
-	// Reverse into execution order.
-	for i, j := 0, len(a.Critical)-1; i < j; i, j = i+1, j-1 {
-		a.Critical[i], a.Critical[j] = a.Critical[j], a.Critical[i]
+	a.Critical = make([]int, k)
+	for i := bestIdx; i >= 0; i = pred[i] {
+		k--
+		a.Critical[k], a.OnPath[i] = int(i), true
 	}
 	// Key task instances: critical events whose data feeds the next
 	// critical event.
@@ -165,22 +146,19 @@ func Analyze(tr *obsv.Trace) *Analysis {
 }
 
 // CompetingGroups sorts critical-path events by data resolution time and
-// groups those resolved at the same time: they compete for computational
-// resources (Section 4.5.2).
+// groups those resolved at the same time, in path order: they compete for
+// computational resources (Section 4.5.2).
 func (a *Analysis) CompetingGroups() [][]int {
-	byTime := map[int64][]int{}
-	for _, idx := range a.Critical {
-		t := a.Resolved[idx]
-		byTime[t] = append(byTime[t], idx)
-	}
-	times := make([]int64, 0, len(byTime))
-	for t := range byTime {
-		times = append(times, t)
-	}
-	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	out := make([][]int, 0, len(times))
-	for _, t := range times {
-		out = append(out, byTime[t])
+	byTime := slices.Clone(a.Critical)
+	slices.SortStableFunc(byTime, func(i, j int) int { return cmp.Compare(a.Resolved[i], a.Resolved[j]) })
+	var out [][]int
+	for lo := 0; lo < len(byTime); {
+		hi := lo + 1
+		for hi < len(byTime) && a.Resolved[byTime[hi]] == a.Resolved[byTime[lo]] {
+			hi++
+		}
+		out = append(out, byTime[lo:hi:hi])
+		lo = hi
 	}
 	return out
 }

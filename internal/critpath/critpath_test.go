@@ -138,3 +138,13 @@ func TestParallelBranchesCriticalPath(t *testing.T) {
 		t.Error("endpoints missing from critical path")
 	}
 }
+
+// TestHandTracesMatchReference holds the dense analysis to the map-based
+// reference on the hand-built traces above.
+func TestHandTracesMatchReference(t *testing.T) {
+	for _, tr := range []*schedsim.Trace{chainTrace(), {}} {
+		if err := CheckReference(tr); err != nil {
+			t.Error(err)
+		}
+	}
+}

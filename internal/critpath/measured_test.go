@@ -54,7 +54,8 @@ func measuredTraces(t *testing.T, name string) []*obsv.Trace {
 //   - the critical path itself is temporally ordered and each step is a
 //     genuine predecessor (same-core successor or data consumer);
 //   - IdleCores never reports a core that is fully busy over the window,
-//     and every unreported core really is saturated.
+//     and every unreported core really is saturated;
+//   - Analyze agrees with the map-based reference it replaced.
 func TestAnalyzeMeasuredProperties(t *testing.T) {
 	for _, name := range []string{"Keyword", "ImagePipe", "Tracking"} {
 		name := name
@@ -63,6 +64,9 @@ func TestAnalyzeMeasuredProperties(t *testing.T) {
 			for _, tr := range measuredTraces(t, name) {
 				if err := tr.Validate(); err != nil {
 					t.Fatalf("%s trace: %v", tr.Source, err)
+				}
+				if err := critpath.CheckReference(tr); err != nil {
+					t.Errorf("%s: %v", tr.Source, err)
 				}
 				a := critpath.Analyze(tr)
 				mk := tr.Makespan()

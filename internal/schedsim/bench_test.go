@@ -55,7 +55,8 @@ func (c simCase) run(tb testing.TB, traced bool) int64 {
 }
 
 // BenchmarkSimRun is the cost of one layout evaluation: the annealer runs
-// the traced form once per candidate.
+// the untraced form once per candidate and the traced form once per kept
+// candidate.
 func BenchmarkSimRun(b *testing.B) {
 	for _, bench := range benchmarks.All() {
 		c := newSimCase(b, bench.Name, nil)

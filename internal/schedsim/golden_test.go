@@ -69,12 +69,22 @@ func hashRun(res *schedsim.Result, tr *schedsim.Trace) string {
 	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
+// simHash hashes a traced run of opts. The run is made untraced first: a
+// trace must not change the Result, for the annealer evaluates layouts
+// untraced and traces only those it keeps.
 func simHash(t *testing.T, sim *schedsim.Simulator, opts schedsim.Options) string {
 	t.Helper()
+	plain, err := sim.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts.Trace = &schedsim.Trace{}
 	res, err := sim.Run(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if *res != *plain {
+		t.Fatalf("traced run %+v, untraced %+v", *res, *plain)
 	}
 	return hashRun(res, opts.Trace)
 }

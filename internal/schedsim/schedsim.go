@@ -100,7 +100,7 @@ type flight struct {
 	start      int64
 	objs       []int32
 	seqs       []int64 // the objects' arrival sequences
-	deps       []Dep
+	deps       []Dep   // the objects' dependence records (traced runs only)
 }
 
 // Simulator estimates layout performance from profile data. One Simulator
@@ -259,7 +259,9 @@ func (st *simState) start(core, h int32, t int64) int64 {
 		e := &st.loop.Ents[i]
 		o := &st.objs[e.Obj]
 		c.objs, c.seqs = append(c.objs, e.Obj), append(c.seqs, e.Seq)
-		c.deps = append(c.deps, Dep{Obj: int64(e.Obj) + 1, Arrival: e.At, Producer: int(o.producer)})
+		if st.opts.Trace != nil {
+			c.deps = append(c.deps, Dep{Obj: int64(e.Obj) + 1, Arrival: e.At, Producer: int(o.producer)})
+		}
 		o.locked = true
 	}
 	st.loop.Consume(h)

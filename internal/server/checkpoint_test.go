@@ -299,6 +299,40 @@ func serve(t *testing.T, srv *server.Server) *testService {
 	return &testService{srv: srv, ts: ts, cl: client.New(ts.URL)}
 }
 
+// TestWALRecordsOmitZeroAcceptedAt: only a job's create record carries
+// acceptedAt; a session's create, its feeds and its checkpoints, which
+// have no admission time, log none.
+func TestWALRecordsOmitZeroAcceptedAt(t *testing.T) {
+	dir := t.TempDir()
+	s := newWALService(t, server.Config{WALDir: dir})
+	sv := kvSession(t, s, "", 1)
+	for i := 0; i < 4; i++ {
+		feed(t, s, sv.ID, put(100+i, i))
+	}
+	if _, err := s.cl.SubmitJob(ctxT(), server.SubmitRequest{Benchmark: "Series"}); err != nil {
+		t.Fatal(err)
+	}
+	s.srv.Kill()
+	s.ts.Close()
+
+	seen := map[string]int{}
+	for _, f := range walFrames(t, dir) {
+		b, err := os.ReadFile(f.seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := string(b[f.off+8 : f.end])
+		has := strings.Contains(p, "acceptedAt")
+		if job := f.typ == "sess+" && strings.Contains(p, `"req":`); has != job {
+			t.Errorf("%s record carries acceptedAt = %v, want %v: %s", f.typ, has, job, p)
+		}
+		seen[f.typ]++
+	}
+	if seen["sess+"] != 2 || seen["feed"]+seen["ckpt"] != 4 || seen["feed"] == 0 {
+		t.Fatalf("records by type = %v, want 2 creates and 4 batches, some of them feeds", seen)
+	}
+}
+
 func mkdir(t *testing.T, dir string) string {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -70,7 +70,7 @@ type walRecord struct {
 	// arrival).
 	Req        *SubmitRequest  `json:"req,omitempty"`
 	Sess       *SessionRequest `json:"sess,omitempty"`
-	AcceptedAt time.Time       `json:"acceptedAt,omitempty"`
+	AcceptedAt time.Time       `json:"acceptedAt,omitzero"`
 
 	// sess- : terminal state.
 	Status      string `json:"status,omitempty"`
