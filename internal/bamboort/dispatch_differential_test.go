@@ -185,10 +185,12 @@ func TestDispatchDifferentialOptimized(t *testing.T) {
 // TestFusedInstrCounts pins, per program, how many instructions the
 // flattened form has and how many of them the superinstruction pass fused
 // (a dropped fall-through jump counts as fused). The figures were recorded
-// while a static pair-frequency ranking chose which shapes to fuse, capped
-// at 64 of the 84 the dispatcher has arms for. No program here, in the
-// bbfuzz corpus or among 2,000 generated ones used more than 37 shapes, so
-// the cap never bound; fusable's fixed set fuses exactly the same pairs.
+// while a static pair-frequency ranking chose which of 84 pair shapes to
+// fuse, capped at 64. No program here, in the bbfuzz corpus or among 2,000
+// generated ones used more than 37 shapes, so the cap never bound.
+// fusable's fixed set fuses exactly the same pairs, and still does now
+// that it lists 71: the 13 shapes it dropped fed only superinstructions
+// no embedded program emits (TestEverySuperinstructionIsEmitted).
 func TestFusedInstrCounts(t *testing.T) {
 	want := map[string][2]int64{
 		"Tracking":   {510, 276},

@@ -32,8 +32,6 @@ type Options struct {
 	// MaxInvocations guards against non-terminating task systems; 0 means
 	// the default of 50 million.
 	MaxInvocations int64
-	// MaxTaskCycles bounds a single task invocation; 0 = 10 billion.
-	MaxTaskCycles int64
 	// NoFastDispatch routes execution through the interpreter's reference
 	// tree walker instead of the flattened fast path. Results are
 	// identical either way (the dispatch differential tests enforce it);
@@ -128,16 +126,17 @@ func (o *Options) setDefaults() {
 	if o.MaxInvocations == 0 {
 		o.MaxInvocations = 50_000_000
 	}
-	if o.MaxTaskCycles == 0 {
-		o.MaxTaskCycles = 10_000_000_000
-	}
 }
+
+// maxTaskCycles bounds one task invocation: a task body that runs past it
+// fails its run or session.
+const maxTaskCycles = 10_000_000_000
 
 // newInterp builds the interpreter both engines run task bodies on.
 func newInterp(prog *ir.Program, opts Options) *interp.Interp {
 	in := interp.New(prog)
 	in.Out = opts.Out
-	in.MaxCycles = opts.MaxTaskCycles
+	in.MaxCycles = maxTaskCycles
 	if opts.NoFastDispatch {
 		in.DisableFastDispatch()
 	}

@@ -73,8 +73,6 @@ type ExecConfig struct {
 	// MaxInvocations guards against non-terminating task systems
 	// (0 = 50 million).
 	MaxInvocations int64
-	// MaxTaskCycles bounds one task invocation (0 = 10 billion).
-	MaxTaskCycles int64
 	// NoFastDispatch executes task bodies through the interpreter's
 	// reference tree walker instead of the flattened fast path (identical
 	// results; used by differential tests and wall-clock measurement).
@@ -100,7 +98,6 @@ func (cfg ExecConfig) options() bamboort.Options {
 		Trace:          cfg.Trace,
 		Metrics:        cfg.Metrics,
 		MaxInvocations: cfg.MaxInvocations,
-		MaxTaskCycles:  cfg.MaxTaskCycles,
 		NoFastDispatch: cfg.NoFastDispatch,
 		Heap:           cfg.Heap,
 		Unfed:          cfg.Unfed,

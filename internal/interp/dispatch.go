@@ -294,25 +294,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			regs[ins.dst].setFloat(y)
 			regs[ins.jmp2].setFloat(y)
 
-		case fMathBinary:
-			var y float64
-			if ins.bi == bMathAtan2 {
-				y = math.Atan2(regs[ins.a].Float(), regs[ins.b].Float())
-			} else {
-				y = math.Pow(regs[ins.a].Float(), regs[ins.b].Float())
-			}
-			regs[ins.dst].setFloat(y)
-
-		case fMathBinaryMv:
-			var y float64
-			if ins.bi == bMathAtan2 {
-				y = math.Atan2(regs[ins.a].Float(), regs[ins.b].Float())
-			} else {
-				y = math.Pow(regs[ins.a].Float(), regs[ins.b].Float())
-			}
-			regs[ins.dst].setFloat(y)
-			regs[ins.jmp2].setFloat(y)
-
 		case fCallBuiltin:
 			ex.Cycles = cycles
 			ret, err := in.builtinFast(ff, ins, regs, ex)
@@ -393,44 +374,8 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				pc = ins.jmp2
 			}
 			continue
-		case fLeIBr:
-			x := regs[ins.a].Int() <= regs[ins.b].Int()
-			regs[ins.c].setBool(x)
-			if x {
-				pc = ins.jmp
-			} else {
-				pc = ins.jmp2
-			}
-			continue
-		case fLeFBr:
-			x := regs[ins.a].Float() <= regs[ins.b].Float()
-			regs[ins.c].setBool(x)
-			if x {
-				pc = ins.jmp
-			} else {
-				pc = ins.jmp2
-			}
-			continue
-		case fGtIBr:
-			x := regs[ins.a].Int() > regs[ins.b].Int()
-			regs[ins.c].setBool(x)
-			if x {
-				pc = ins.jmp
-			} else {
-				pc = ins.jmp2
-			}
-			continue
 		case fGtFBr:
 			x := regs[ins.a].Float() > regs[ins.b].Float()
-			regs[ins.c].setBool(x)
-			if x {
-				pc = ins.jmp
-			} else {
-				pc = ins.jmp2
-			}
-			continue
-		case fGeIBr:
-			x := regs[ins.a].Int() >= regs[ins.b].Int()
 			regs[ins.c].setBool(x)
 			if x {
 				pc = ins.jmp
@@ -459,14 +404,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			regs[ins.jmp2].setFloat(ins.f)
 		case fAddMvI:
 			x := regs[ins.a].Int() + regs[ins.b].Int()
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
-		case fSubMvI:
-			x := regs[ins.a].Int() - regs[ins.b].Int()
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
-		case fMulMvI:
-			x := regs[ins.a].Int() * regs[ins.b].Int()
 			regs[ins.dst].setInt(x)
 			regs[ins.jmp2].setInt(x)
 		case fAddMvF:
@@ -501,25 +438,12 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fMulImmI:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() * ins.i)
-		case fMulImmMvI:
-			regs[ins.c].setInt(ins.i)
-			x := regs[ins.a].Int() * ins.i
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
-		case fShlImm:
-			regs[ins.c].setInt(ins.i)
-			regs[ins.dst].setInt(regs[ins.a].Int() << uint(ins.i))
 		case fShrImm:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() >> uint(ins.i))
 		case fAddImmF:
 			regs[ins.c].setFloat(ins.f)
 			regs[ins.dst].setFloat(regs[ins.a].Float() + ins.f)
-		case fAddImmMvF:
-			regs[ins.c].setFloat(ins.f)
-			x := regs[ins.a].Float() + ins.f
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
 		case fSubImmF:
 			regs[ins.c].setFloat(ins.f)
 			regs[ins.dst].setFloat(regs[ins.a].Float() - ins.f)
@@ -542,11 +466,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fDivImmI:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() / ins.i)
-		case fDivImmMvI:
-			regs[ins.c].setInt(ins.i)
-			x := regs[ins.a].Int() / ins.i
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
 		case fRemImm:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() % ins.i)
@@ -563,29 +482,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			x := regs[ins.a].Float() / ins.f
 			regs[ins.dst].setFloat(x)
 			regs[ins.jmp2].setFloat(x)
-
-		case fDivMvI:
-			d := regs[ins.b].Int()
-			if d == 0 {
-				ex.Cycles = cycles
-				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer division by zero")
-			}
-			x := regs[ins.a].Int() / d
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
-		case fDivMvF:
-			x := regs[ins.a].Float() / regs[ins.b].Float()
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
-		case fRemMv:
-			d := regs[ins.b].Int()
-			if d == 0 {
-				ex.Cycles = cycles
-				return Value{}, in.errf(ff.fn, ins.aux.pos, "integer modulo by zero")
-			}
-			x := regs[ins.a].Int() % d
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
 
 		case fMulSubI, fMulSubMvI:
 			x := regs[ins.a].Int() * regs[ins.b].Int()
@@ -606,9 +502,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fEqImm:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setBool(valueEq(regs[ins.a], regs[ins.c]))
-		case fNeImm:
-			regs[ins.c].setInt(ins.i)
-			regs[ins.dst].setBool(!valueEq(regs[ins.a], regs[ins.c]))
 		case fLtImm:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setBool(regs[ins.a].Int() < ins.i)
@@ -627,16 +520,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fEqImmBr:
 			regs[ins.c].setInt(ins.i)
 			x := valueEq(regs[ins.a], regs[ins.c])
-			regs[ins.b].setBool(x)
-			if x {
-				pc = ins.jmp
-			} else {
-				pc = ins.jmp2
-			}
-			continue
-		case fNeImmBr:
-			regs[ins.c].setInt(ins.i)
-			x := !valueEq(regs[ins.a], regs[ins.c])
 			regs[ins.b].setBool(x)
 			if x {
 				pc = ins.jmp
@@ -687,18 +570,13 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 
 		// i2f+mul/div: the converted value (c) is written through; bi
 		// keeps the original operand order for bit-identical floats.
-		case fI2FMulF, fI2FMulMvF:
+		case fI2FMulF:
 			xf := float64(regs[ins.a].Int())
 			regs[ins.c].setFloat(xf)
-			var x float64
 			if ins.bi == fvLoadLeft {
-				x = xf * regs[ins.b].Float()
+				regs[ins.dst].setFloat(xf * regs[ins.b].Float())
 			} else {
-				x = regs[ins.b].Float() * xf
-			}
-			regs[ins.dst].setFloat(x)
-			if ins.op == fI2FMulMvF {
-				regs[ins.jmp2].setFloat(x)
+				regs[ins.dst].setFloat(regs[ins.b].Float() * xf)
 			}
 		case fI2FDivF, fI2FDivMvF:
 			xf := float64(regs[ins.a].Int())
@@ -714,14 +592,10 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				regs[ins.jmp2].setFloat(x)
 			}
 
-		case fMulAddI, fMulAddMvI:
+		case fMulAddI:
 			x := regs[ins.a].Int() * regs[ins.b].Int()
 			regs[ins.c].setInt(x)
-			y := regs[ins.c].Int() + regs[ins.jmp].Int()
-			regs[ins.dst].setInt(y)
-			if ins.op == fMulAddMvI {
-				regs[ins.jmp2].setInt(y)
-			}
+			regs[ins.dst].setInt(regs[ins.c].Int() + regs[ins.jmp].Int())
 		case fMulAddF, fMulAddMvF:
 			x := regs[ins.a].Float() * regs[ins.b].Float()
 			regs[ins.c].setFloat(x)
@@ -789,7 +663,7 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				regs[ins.jmp2] = regs[ins.dst]
 			}
 
-		case fGetAddI, fGetSubI, fGetMulI, fGetAddF, fGetSubF, fGetMulF:
+		case fGetAddI, fGetMulI, fGetAddF:
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
@@ -802,17 +676,9 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			switch ins.op {
 			case fGetAddI:
 				regs[ins.dst].setInt(regs[ins.c].Int() + regs[ins.b].Int())
-			case fGetSubI:
-				var x int64
-				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Int() - regs[ins.b].Int()
-				} else {
-					x = regs[ins.b].Int() - regs[ins.c].Int()
-				}
-				regs[ins.dst].setInt(x)
 			case fGetMulI:
 				regs[ins.dst].setInt(regs[ins.c].Int() * regs[ins.b].Int())
-			case fGetAddF:
+			default:
 				var x float64
 				if ins.bi == fvLoadLeft {
 					x = regs[ins.c].Float() + regs[ins.b].Float()
@@ -820,26 +686,9 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 					x = regs[ins.b].Float() + regs[ins.c].Float()
 				}
 				regs[ins.dst].setFloat(x)
-			case fGetSubF:
-				var x float64
-				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Float() - regs[ins.b].Float()
-				} else {
-					x = regs[ins.b].Float() - regs[ins.c].Float()
-				}
-				regs[ins.dst].setFloat(x)
-			case fGetMulF:
-				var x float64
-				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Float() * regs[ins.b].Float()
-				} else {
-					x = regs[ins.b].Float() * regs[ins.c].Float()
-				}
-				regs[ins.dst].setFloat(x)
 			}
 
-		case fGetLtI2, fGetLeI2, fGetGtI2, fGetGeI2,
-			fGetLtIBr, fGetLeIBr, fGetGtIBr, fGetGeIBr:
+		case fGetLtI2, fGetGeI2, fGetLtIBr, fGetGeIBr:
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
@@ -852,20 +701,12 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			} else {
 				l, r = regs[ins.b].Int(), regs[ins.c].Int()
 			}
-			var x bool
-			switch ins.op {
-			case fGetLtI2, fGetLtIBr:
+			x := l >= r
+			if ins.op == fGetLtI2 || ins.op == fGetLtIBr {
 				x = l < r
-			case fGetLeI2, fGetLeIBr:
-				x = l <= r
-			case fGetGtI2, fGetGtIBr:
-				x = l > r
-			default:
-				x = l >= r
 			}
 			regs[ins.dst].setBool(x)
-			switch ins.op {
-			case fGetLtIBr, fGetLeIBr, fGetGtIBr, fGetGeIBr:
+			if ins.op == fGetLtIBr || ins.op == fGetGeIBr {
 				if x {
 					pc = ins.jmp
 				} else {
@@ -874,16 +715,11 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				continue
 			}
 
-		case fAddImmISt, fSubImmISt, fMulImmISt:
+		case fAddImmISt, fSubImmISt:
 			regs[ins.c].setInt(ins.i)
-			var x int64
-			switch ins.op {
-			case fAddImmISt:
-				x = regs[ins.a].Int() + ins.i
-			case fSubImmISt:
+			x := regs[ins.a].Int() + ins.i
+			if ins.op == fSubImmISt {
 				x = regs[ins.a].Int() - ins.i
-			default:
-				x = regs[ins.a].Int() * ins.i
 			}
 			regs[ins.dst].setInt(x)
 			obj := regs[ins.jmp].Obj()
@@ -894,16 +730,8 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			obj.Fields[ins.jmp2].setInt(x)
 
-		case fAddISt, fSubISt, fMulISt:
-			var x int64
-			switch ins.op {
-			case fAddISt:
-				x = regs[ins.a].Int() + regs[ins.b].Int()
-			case fSubISt:
-				x = regs[ins.a].Int() - regs[ins.b].Int()
-			default:
-				x = regs[ins.a].Int() * regs[ins.b].Int()
-			}
+		case fAddISt:
+			x := regs[ins.a].Int() + regs[ins.b].Int()
 			regs[ins.dst].setInt(x)
 			obj := regs[ins.jmp].Obj()
 			ax2 := ins.aux.aux2
@@ -913,26 +741,14 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			obj.Fields[ins.jmp2].setInt(x)
 
-		case fGetAddISt, fGetSubISt, fGetMulISt:
+		case fGetAddISt:
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
 				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
 			}
 			regs[ins.c] = recv.Fields[ins.idx]
-			var x int64
-			switch ins.op {
-			case fGetAddISt:
-				x = regs[ins.c].Int() + regs[ins.b].Int()
-			case fGetSubISt:
-				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Int() - regs[ins.b].Int()
-				} else {
-					x = regs[ins.b].Int() - regs[ins.c].Int()
-				}
-			default:
-				x = regs[ins.c].Int() * regs[ins.b].Int()
-			}
+			x := regs[ins.c].Int() + regs[ins.b].Int()
 			regs[ins.dst].setInt(x)
 			obj := regs[ins.jmp].Obj()
 			ax2 := ins.aux.aux2
@@ -942,8 +758,7 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			obj.Fields[ins.jmp2].setInt(x)
 
-		case fArrAddI, fArrSubI, fArrMulI, fArrAddF, fArrSubF, fArrMulF,
-			fArrAddMvI, fArrSubMvI, fArrMulMvI, fArrAddMvF, fArrSubMvF, fArrMulMvF:
+		case fArrAddI, fArrMulI, fArrAddF, fArrSubF, fArrMulF, fArrAddMvF, fArrSubMvF:
 			arr := regs[ins.a].Arr()
 			if arr == nil {
 				ex.Cycles = cycles
@@ -958,29 +773,10 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			// Variant byte as on getfield+arith: original operand order.
 			// The Mv variants additionally copy the result into jmp2.
 			switch ins.op {
-			case fArrAddI, fArrAddMvI:
-				x := regs[ins.c].Int() + regs[ins.jmp].Int()
-				regs[ins.dst].setInt(x)
-				if ins.op == fArrAddMvI {
-					regs[ins.jmp2].setInt(x)
-				}
-			case fArrSubI, fArrSubMvI:
-				var x int64
-				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Int() - regs[ins.jmp].Int()
-				} else {
-					x = regs[ins.jmp].Int() - regs[ins.c].Int()
-				}
-				regs[ins.dst].setInt(x)
-				if ins.op == fArrSubMvI {
-					regs[ins.jmp2].setInt(x)
-				}
-			case fArrMulI, fArrMulMvI:
-				x := regs[ins.c].Int() * regs[ins.jmp].Int()
-				regs[ins.dst].setInt(x)
-				if ins.op == fArrMulMvI {
-					regs[ins.jmp2].setInt(x)
-				}
+			case fArrAddI:
+				regs[ins.dst].setInt(regs[ins.c].Int() + regs[ins.jmp].Int())
+			case fArrMulI:
+				regs[ins.dst].setInt(regs[ins.c].Int() * regs[ins.jmp].Int())
 			case fArrAddF, fArrAddMvF:
 				var x float64
 				if ins.bi == fvLoadLeft {
@@ -1003,16 +799,11 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				if ins.op == fArrSubMvF {
 					regs[ins.jmp2].setFloat(x)
 				}
-			case fArrMulF, fArrMulMvF:
-				var x float64
+			default:
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Float() * regs[ins.jmp].Float()
+					regs[ins.dst].setFloat(regs[ins.c].Float() * regs[ins.jmp].Float())
 				} else {
-					x = regs[ins.jmp].Float() * regs[ins.c].Float()
-				}
-				regs[ins.dst].setFloat(x)
-				if ins.op == fArrMulMvF {
-					regs[ins.jmp2].setFloat(x)
+					regs[ins.dst].setFloat(regs[ins.jmp].Float() * regs[ins.c].Float())
 				}
 			}
 

@@ -110,7 +110,10 @@ const (
 	// check. Every fused arm executes its two halves in exact sequential
 	// order, including the write of the first half's destination register
 	// (write-through), so the register file after a fused arm is
-	// byte-identical to unfused execution.
+	// byte-identical to unfused execution. An arm stays only while one of
+	// the embedded programs emits it, with or without -O, or while tryFuse
+	// builds it on the way to an absorbed form that one does
+	// (TestEverySuperinstructionIsEmitted).
 
 	// compare+branch: a,b = operands, c = compare dst (written through),
 	// jmp/jmp2 = branch targets. Only fused when the branch condition is
@@ -119,21 +122,15 @@ const (
 	fNeBr
 	fLtIBr
 	fLtFBr
-	fLeIBr
-	fLeFBr
-	fGtIBr
 	fGtFBr
-	fGeIBr
 	fGeFBr
 
 	// const+arith: i (or f) = immediate, c = const dst (written through),
 	// a = left operand, dst = result. Only fused when the immediate is the
-	// arithmetic's right operand (shift amounts included: shl/shr by a
-	// constant are the loop-counter idiom).
+	// arithmetic's right operand (a shift right by a constant included).
 	fAddImmI
 	fSubImmI
 	fMulImmI
-	fShlImm
 	fShrImm
 	fAddImmF
 	fSubImmF
@@ -146,17 +143,13 @@ const (
 	// arms evaluate in the original operand order, so float results stay
 	// bit-identical).
 	fGetAddI
-	fGetSubI
 	fGetMulI
 	fGetAddF
-	fGetSubF
-	fGetMulF
 
 	// arrget+arith: a = array, b = index, c = loaded dst (written
 	// through), jmp = the other operand (data, not a branch target), dst =
 	// result. bi is the operand-side variant as for getfield+arith.
 	fArrAddI
-	fArrSubI
 	fArrMulI
 	fArrAddF
 	fArrSubF
@@ -191,8 +184,6 @@ const (
 	fConstMvI
 	fConstMvF
 	fAddMvI
-	fSubMvI
-	fMulMvI
 	fAddMvF
 	fSubMvF
 	fMulMvF
@@ -201,17 +192,10 @@ const (
 	fGetGetMv
 	fAddImmMvI
 	fSubImmMvI
-	fMulImmMvI
-	fAddImmMvF
 	fSubImmMvF
 	fMulImmMvF
-	fArrAddMvI
-	fArrSubMvI
-	fArrMulMvI
 	fArrAddMvF
 	fArrSubMvF
-	fArrMulMvF
-	fMulAddMvI
 	fMulAddMvF
 	fMulSubMvF
 
@@ -222,7 +206,6 @@ const (
 	fDivImmI
 	fDivImmF
 	fRemImm
-	fDivImmMvI
 	fDivImmMvF
 	fRemImmMv
 
@@ -236,7 +219,6 @@ const (
 	// i = immediate, c = const dst (written through), a = left operand,
 	// dst = result. Guard-style comparisons against literals.
 	fEqImm
-	fNeImm
 	fLtImm
 	fLeImm
 	fGtImm
@@ -246,7 +228,6 @@ const (
 	// branch absorbed. b = the compare's dst (written through; c is the
 	// const's), jmp/jmp2 = branch targets.
 	fEqImmBr
-	fNeImmBr
 	fLtImmBr
 	fLeImmBr
 	fGtImmBr
@@ -258,7 +239,6 @@ const (
 	// spot; this folds the conversion into the consuming arithmetic.
 	fI2FMulF
 	fI2FDivF
-	fI2FMulMvF
 	fI2FDivMvF
 
 	// getfield+compare (int), optionally with the branch absorbed: a =
@@ -267,12 +247,8 @@ const (
 	// forms too), jmp/jmp2 = branch targets (+Br only), bi = variant.
 	// The loop-guard idiom "it < this.maxIter".
 	fGetLtI2
-	fGetLeI2
-	fGetGtI2
 	fGetGeI2
 	fGetLtIBr
-	fGetLeIBr
-	fGetGtIBr
 	fGetGeIBr
 
 	// arith+setfield: the arithmetic result is stored straight into an
@@ -282,36 +258,22 @@ const (
 	// Integer producers only, so the heap store writes Kind + I.
 	fAddImmISt
 	fSubImmISt
-	fMulImmISt
 	fAddISt
-	fSubISt
-	fMulISt
 	fGetAddISt
-	fGetSubISt
-	fGetMulISt
 
-	// div/rem with a trailing move absorbed (base layout plus jmp2 = the
-	// move's destination). A division error aborts before the move,
-	// exactly as the unfused pair would.
-	fDivMvI
-	fDivMvF
-	fRemMv
-
-	// Inlined pure float math builtins: a (and b on the binary form) =
-	// argument registers, dst = result, bi selects the function. The
-	// walker charges MathBuiltin inside the builtin dispatcher (which is
-	// why instrCost(OpCallBuiltin) is zero); here the same charge bakes
-	// into cost so the loop-head budget check covers it, and the arm
-	// skips the whole call path — Exec flush, name dispatch, Value
-	// return. These builtins cannot fault and only emit when the
-	// result register exists, so trivial task bodies may contain them.
+	// Inlined pure unary float math builtins: a = argument register, dst =
+	// result, bi selects the function. The walker charges MathBuiltin
+	// inside the builtin dispatcher (which is why instrCost(OpCallBuiltin)
+	// is zero); here the same charge bakes into cost so the loop-head
+	// budget check covers it, and the arm skips the whole call path — Exec
+	// flush, name dispatch, Value return. These builtins cannot fault and
+	// only emit when the result register exists, so trivial task bodies
+	// may contain them.
 	fMathUnary
-	fMathBinary
 
 	// ... with the trailing move absorbed (jmp2 = the move's
 	// destination), completing lowering's "tmp = Math.f(x); local = tmp".
 	fMathUnaryMv
-	fMathBinaryMv
 )
 
 // builtinID is an interned builtin name.
@@ -512,8 +474,10 @@ func fusable(a, b pairSrc) bool {
 		// A result moved into a local: either spelling of the move, since
 		// lowering's flag on it mirrors the moved type.
 		switch a.op {
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv:
+		case ir.OpAdd, ir.OpSub:
 			return true
+		case ir.OpMul, ir.OpDiv:
+			return a.float
 		case ir.OpConstInt, ir.OpConstFloat, ir.OpGetField, ir.OpArrGet, ir.OpRem, ir.OpCallBuiltin:
 			return !a.float
 		}
@@ -529,8 +493,8 @@ func fusable(a, b pairSrc) bool {
 	switch a.op {
 	case ir.OpConstInt:
 		switch b.op {
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShl, ir.OpShr, ir.OpDiv, ir.OpRem,
-			ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
+		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShr, ir.OpDiv, ir.OpRem,
+			ir.OpCmpEq, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
 			return !b.float
 		}
 	case ir.OpConstFloat:
@@ -542,14 +506,14 @@ func fusable(a, b pairSrc) bool {
 		return b.float && (b.op == ir.OpMul || b.op == ir.OpDiv)
 	case ir.OpGetField:
 		switch b.op {
-		case ir.OpAdd, ir.OpSub, ir.OpMul:
+		case ir.OpAdd:
 			return true
-		case ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe, ir.OpSetField, ir.OpGetField:
+		case ir.OpMul, ir.OpCmpLt, ir.OpCmpGe, ir.OpSetField, ir.OpGetField:
 			return !b.float
 		}
 	case ir.OpArrGet:
-		return b.op == ir.OpAdd || b.op == ir.OpSub || b.op == ir.OpMul
-	case ir.OpAdd, ir.OpSub, ir.OpMul:
+		return b.op == ir.OpAdd || b.op == ir.OpMul || (b.op == ir.OpSub && b.float)
+	case ir.OpAdd, ir.OpSub:
 		// Integer arithmetic feeding a field store ("this.f = this.f + x").
 		return b.op == ir.OpSetField && !b.float
 	}
@@ -791,9 +755,6 @@ func (fl *flattener) flattenInstr(instr *ir.Instr, starts []int32, aux *fauxInst
 				bMathAtan, bMathSqrt, bMathExp, bMathLog, bMathFloor, bMathCeil:
 				out.op = fMathUnary
 				out.cost = fl.cost.MathBuiltin
-			case bMathAtan2, bMathPow:
-				out.op = fMathBinary
-				out.cost = fl.cost.MathBuiltin
 			}
 		}
 	case ir.OpJump:
@@ -894,7 +855,7 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 					fusable(last, pairSrc{op: ir.OpBranch}) {
 					ins.op = br
 					switch br {
-					case fGetLtIBr, fGetLeIBr, fGetGtIBr, fGetGeIBr:
+					case fGetLtIBr, fGetGeIBr:
 						// dst keeps the compare temp; b is the operand.
 					default:
 						ins.b = ins.dst // compare dst: written through by the arm
@@ -934,10 +895,9 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 		switch code[i].op {
 		case fJump:
 			code[i].jmp = sc.newPC[code[i].jmp]
-		case fBranch, fEqBr, fNeBr, fLtIBr, fLtFBr, fLeIBr, fLeFBr,
-			fGtIBr, fGtFBr, fGeIBr, fGeFBr,
-			fEqImmBr, fNeImmBr, fLtImmBr, fLeImmBr, fGtImmBr, fGeImmBr,
-			fGetLtIBr, fGetLeIBr, fGetGtIBr, fGetGeIBr:
+		case fBranch, fEqBr, fNeBr, fLtIBr, fLtFBr, fGtFBr, fGeFBr,
+			fEqImmBr, fLtImmBr, fLeImmBr, fGtImmBr, fGeImmBr,
+			fGetLtIBr, fGetGeIBr:
 			code[i].jmp = sc.newPC[code[i].jmp]
 			code[i].jmp2 = sc.newPC[code[i].jmp2]
 		}
@@ -967,31 +927,26 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 var cmpBrFused = map[fop]fop{
 	fCmpEq: fEqBr, fCmpNe: fNeBr,
 	fLtI: fLtIBr, fLtF: fLtFBr,
-	fLeI: fLeIBr, fLeF: fLeFBr,
-	fGtI: fGtIBr, fGtF: fGtFBr,
-	fGeI: fGeIBr, fGeF: fGeFBr,
+	fGtF: fGtFBr, fGeF: fGeFBr,
 }
 
 var immCmpFused = map[fop]fop{
-	fCmpEq: fEqImm, fCmpNe: fNeImm,
-	fLtI: fLtImm, fLeI: fLeImm,
+	fCmpEq: fEqImm, fLtI: fLtImm, fLeI: fLeImm,
 	fGtI: fGtImm, fGeI: fGeImm,
 }
 
 var immCmpBrFused = map[fop]fop{
-	fEqImm: fEqImmBr, fNeImm: fNeImmBr,
+	fEqImm: fEqImmBr,
 	fLtImm: fLtImmBr, fLeImm: fLeImmBr,
 	fGtImm: fGtImmBr, fGeImm: fGeImmBr,
-	fGetLtI2: fGetLtIBr, fGetLeI2: fGetLeIBr,
-	fGetGtI2: fGetGtIBr, fGetGeI2: fGetGeIBr,
+	fGetLtI2: fGetLtIBr, fGetGeI2: fGetGeIBr,
 }
 
-// getCmpFused maps the integer order compares to their getfield-fused
-// forms (equality is excluded: its operands need not be numeric, and the
-// fused arms compare the scalar words as integers).
+// getCmpFused maps integer order compares to their getfield-fused forms
+// (equality is excluded: its operands need not be numeric, and the fused
+// arms compare the scalar words as integers).
 var getCmpFused = map[fop]fop{
-	fLtI: fGetLtI2, fLeI: fGetLeI2,
-	fGtI: fGetGtI2, fGeI: fGetGeI2,
+	fLtI: fGetLtI2, fGeI: fGetGeI2,
 }
 
 // storeFused maps integer arithmetic ops (plain, immediate, and
@@ -999,9 +954,8 @@ var getCmpFused = map[fop]fop{
 // result. Float producers are excluded to keep the arm count down — the
 // benchmarks' float stores overwhelmingly target arrays, not fields.
 var storeFused = map[fop]fop{
-	fAddImmI: fAddImmISt, fSubImmI: fSubImmISt, fMulImmI: fMulImmISt,
-	fAddI: fAddISt, fSubI: fSubISt, fMulI: fMulISt,
-	fGetAddI: fGetAddISt, fGetSubI: fGetSubISt, fGetMulI: fGetMulISt,
+	fAddImmI: fAddImmISt, fSubImmI: fSubImmISt,
+	fAddI: fAddISt, fGetAddI: fGetAddISt,
 }
 
 // fvLoadLeft/fvLoadRight select which arithmetic operand a fused load (or
@@ -1014,8 +968,7 @@ const (
 
 var immFusedI = map[fop]fop{
 	fAddI: fAddImmI, fSubI: fSubImmI, fMulI: fMulImmI,
-	fShl: fShlImm, fShr: fShrImm,
-	fDivI: fDivImmI, fRem: fRemImm,
+	fShr: fShrImm, fDivI: fDivImmI, fRem: fRemImm,
 }
 
 var immFusedF = map[fop]fop{
@@ -1024,12 +977,11 @@ var immFusedF = map[fop]fop{
 }
 
 var getFused = map[fop]fop{
-	fAddI: fGetAddI, fSubI: fGetSubI, fMulI: fGetMulI,
-	fAddF: fGetAddF, fSubF: fGetSubF, fMulF: fGetMulF,
+	fAddI: fGetAddI, fMulI: fGetMulI, fAddF: fGetAddF,
 }
 
 var arrFused = map[fop]fop{
-	fAddI: fArrAddI, fSubI: fArrSubI, fMulI: fArrMulI,
+	fAddI: fArrAddI, fMulI: fArrMulI,
 	fAddF: fArrAddF, fSubF: fArrSubF, fMulF: fArrMulF,
 }
 
@@ -1038,19 +990,14 @@ var arrFused = map[fop]fop{
 // absorb.
 var moveFused = map[fop]fop{
 	fConstInt: fConstMvI, fConstFloat: fConstMvF,
-	fAddI: fAddMvI, fSubI: fSubMvI, fMulI: fMulMvI,
-	fAddF: fAddMvF, fSubF: fSubMvF, fMulF: fMulMvF,
+	fAddI: fAddMvI, fAddF: fAddMvF, fSubF: fSubMvF, fMulF: fMulMvF,
 	fGetField: fGetMv, fArrGet: fArrGetMv, fGetGet: fGetGetMv,
-	fAddImmI: fAddImmMvI, fSubImmI: fSubImmMvI, fMulImmI: fMulImmMvI,
-	fAddImmF: fAddImmMvF, fSubImmF: fSubImmMvF, fMulImmF: fMulImmMvF,
-	fArrAddI: fArrAddMvI, fArrSubI: fArrSubMvI, fArrMulI: fArrMulMvI,
-	fArrAddF: fArrAddMvF, fArrSubF: fArrSubMvF, fArrMulF: fArrMulMvF,
-	fMulAddI: fMulAddMvI, fMulAddF: fMulAddMvF, fMulSubF: fMulSubMvF,
-	fDivImmI: fDivImmMvI, fDivImmF: fDivImmMvF, fRemImm: fRemImmMv,
-	fDivI: fDivMvI, fDivF: fDivMvF, fRem: fRemMv,
-	fMulSubI: fMulSubMvI,
-	fI2FMulF: fI2FMulMvF, fI2FDivF: fI2FDivMvF,
-	fMathUnary: fMathUnaryMv, fMathBinary: fMathBinaryMv,
+	fAddImmI: fAddImmMvI, fSubImmI: fSubImmMvI,
+	fSubImmF: fSubImmMvF, fMulImmF: fMulImmMvF,
+	fArrAddF: fArrAddMvF, fArrSubF: fArrSubMvF,
+	fMulAddF: fMulAddMvF, fMulSubF: fMulSubMvF, fMulSubI: fMulSubMvI,
+	fDivImmF: fDivImmMvF, fRemImm: fRemImmMv, fI2FDivF: fI2FDivMvF,
+	fMathUnary: fMathUnaryMv,
 }
 
 // tryFuse attempts to merge instruction a with its successor b. The shape
