@@ -61,26 +61,23 @@ type Options struct {
 	Rng *rand.Rand
 	// MaxIterations bounds the outer loop (default 30).
 	MaxIterations int
-	// KeepBestProb / KeepPoorProb control pruning (defaults 0.95 / 0.15).
-	KeepBestProb float64
-	KeepPoorProb float64
-	// ContinueProb is the probability of continuing after a non-improving
-	// iteration (default 0.8).
-	ContinueProb float64
 	// PerObjectCounts forwards the scheduling simulator's developer hints.
 	PerObjectCounts map[string]bool
-	// MaxPopulation bounds the number of live candidates per iteration
-	// (default 24).
-	MaxPopulation int
-	// NeighborsPerLayout bounds generated neighbors per survivor
-	// (default 8).
-	NeighborsPerLayout int
 	// Workers bounds the goroutines evaluating candidate layouts
 	// concurrently (<= 0 selects runtime.GOMAXPROCS(0)). The outcome is
 	// identical for every worker count: all randomness stays on the
 	// coordinator and batch results merge in submission order.
 	Workers int
 }
+
+// The search's fixed parameters.
+const (
+	keepBestProb       = 0.95 // pruning keeps a candidate at the best estimate with this probability
+	keepPoorProb       = 0.15 // and any other candidate with this one
+	continueProb       = 0.8  // the search goes on after an iteration that did not improve with this probability
+	maxPopulation      = 24   // live candidates per iteration
+	neighborsPerLayout = 8    // neighbors generated per survivor
+)
 
 // Outcome reports the search result.
 type Outcome struct {
@@ -114,21 +111,6 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 	}
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 30
-	}
-	if opts.KeepBestProb == 0 {
-		opts.KeepBestProb = 0.95
-	}
-	if opts.KeepPoorProb == 0 {
-		opts.KeepPoorProb = 0.15
-	}
-	if opts.ContinueProb == 0 {
-		opts.ContinueProb = 0.8
-	}
-	if opts.MaxPopulation == 0 {
-		opts.MaxPopulation = 24
-	}
-	if opts.NeighborsPerLayout == 0 {
-		opts.NeighborsPerLayout = 8
 	}
 
 	out := &Outcome{}
@@ -170,14 +152,14 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 		sort.Slice(pop, func(i, j int) bool { return pop[i].cycles < pop[j].cycles })
 		var kept []*candidate
 		for rank, c := range pop {
-			p := opts.KeepBestProb
+			p := keepBestProb
 			if rank >= len(pop)/2 {
-				p = opts.KeepPoorProb
+				p = keepPoorProb
 			}
 			if c == best || opts.Rng.Float64() < p {
 				kept = append(kept, c)
 			}
-			if len(kept) >= opts.MaxPopulation {
+			if len(kept) >= maxPopulation {
 				break
 			}
 		}
@@ -224,7 +206,7 @@ func Optimize(sim *schedsim.Simulator, syn *synth.Synthesis, opts Options) (*Out
 		}
 		pop = next
 		out.History = append(out.History, best.cycles)
-		if !improved && opts.Rng.Float64() > opts.ContinueProb {
+		if !improved && opts.Rng.Float64() > continueProb {
 			break
 		}
 	}
@@ -345,14 +327,14 @@ func neighbors(c *candidate, syn *synth.Synthesis, opts Options) []*layout.Layou
 	// Data locality move: co-locate consecutive critical-path tasks (the
 	// producer of the next critical event and its consumer), eliminating
 	// the transfer and letting their invocations chain on one core.
-	for k := 0; k+1 < len(a.Critical) && len(out) < opts.NeighborsPerLayout; k++ {
+	for k := 0; k+1 < len(a.Critical) && len(out) < neighborsPerLayout; k++ {
 		cur, next := a.Trace.Events[a.Critical[k]], a.Trace.Events[a.Critical[k+1]]
 		if cur.Core != next.Core && cur.Task != next.Task {
 			emit(moveGroup(c.lay, syn, next.Task, next.Core, cur.Core))
 		}
 	}
 	for _, evIdx := range grp {
-		if len(out) >= opts.NeighborsPerLayout {
+		if len(out) >= neighborsPerLayout {
 			break
 		}
 		ev := a.Trace.Events[evIdx]
@@ -368,7 +350,7 @@ func neighbors(c *candidate, syn *synth.Synthesis, opts Options) []*layout.Layou
 		spare := critpath.IdleCores(a.Trace, c.lay.NumCores, a.Resolved[evIdx], ev.Start)
 		if len(spare) > 0 {
 			for _, sc := range spare {
-				if len(out) >= opts.NeighborsPerLayout {
+				if len(out) >= neighborsPerLayout {
 					break
 				}
 				emit(moveGroup(c.lay, syn, ev.Task, ev.Core, sc))

@@ -61,7 +61,7 @@ const (
 func (e *Engine) Checkpoint(dst []byte, fingerprint string, output []byte) ([]byte, error) {
 	switch {
 	case !e.plan.session:
-		return nil, fmt.Errorf("bamboort: Checkpoint before StartSession")
+		return nil, fmt.Errorf("bamboort: Checkpoint of a run not started fed")
 	case e.sessErr != nil:
 		return nil, fmt.Errorf("bamboort: session failed: %w", e.sessErr)
 	case e.loop.Pending() || len(e.loop.B.locked) > 0:

@@ -437,10 +437,10 @@ func TestCheckpointRefusals(t *testing.T) {
 		return e
 	}
 	e := engine()
-	if _, err := e.Checkpoint(nil, "hold", nil); err == nil || !strings.Contains(err.Error(), "before StartSession") {
-		t.Errorf("before StartSession: err = %v", err)
+	if _, err := e.Checkpoint(nil, "hold", nil); err == nil || !strings.Contains(err.Error(), "not started fed") {
+		t.Errorf("before Start: err = %v", err)
 	}
-	if err := e.StartSession(context.Background()); err != nil {
+	if err := e.Start(context.Background(), true); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Deliver([]bamboort.Inject{{Class: "Box", Flag: "held", TagType: "pair"}}); err != nil {
@@ -452,7 +452,7 @@ func TestCheckpointRefusals(t *testing.T) {
 	e = engine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := e.StartSession(ctx); err == nil {
+	if err := e.Start(ctx, true); err == nil {
 		t.Fatal("a session started under a cancelled context")
 	}
 	if _, err := e.Checkpoint(nil, "hold", nil); err == nil || !strings.Contains(err.Error(), "session failed") {

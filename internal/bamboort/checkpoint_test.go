@@ -90,7 +90,7 @@ func TestCheckpointRestoreEqualsLive(t *testing.T) {
 		if !bytes.Equal(ca, cb) {
 			t.Errorf("cores=%d: final states differ (%d vs %d checkpoint bytes)", cores, len(ca), len(cb))
 		}
-		ra, rb := live.Close(), rev.Close()
+		ra, rb := closeRun(t, live), closeRun(t, rev)
 		if !reflect.DeepEqual(ra, rb) || liveOut.String() != revOut.String() {
 			t.Errorf("cores=%d: results diverge: live %+v, restored %+v", cores, ra, rb)
 		}

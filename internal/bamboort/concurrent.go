@@ -90,54 +90,6 @@ type crun struct {
 	runErr error
 }
 
-// RunConcurrent executes the program with real parallelism: one goroutine
-// per layout core, channels as the on-chip network, and per-object mutexes
-// implementing the runtime's parameter locks. It is not cycle accurate —
-// it validates that the runtime protocol (guarded dispatch, lock-or-skip,
-// tag routing) is correct under true concurrency. Programs whose observable
-// output is order-independent produce the same output as the deterministic
-// engine; a task's output is written whole, at commit.
-//
-// Scheduling is the paper's owner dispatch and nothing else: a core runs
-// only what the layout placed on it — of its hosted tasks' first bindable
-// invocations, the one that became ready first — after acquiring all
-// parameter locks in canonical (ascending object ID) order with try-locks
-// and re-validating the guards. An object routed to another core wakes it; a
-// core that skipped on a held lock asks the holder for a poke (see take).
-// Deliveries are ordered per sender: a core's inbox is FIFO, and an object a
-// core routes to itself is filed at once, in its execution order (see route).
-//
-// Failure: tasks never roll back. A task that fails — a RuntimeError, the
-// cycle budget, or a panic the interpreter recovers into ErrTaskPanic —
-// fails the run with that error, as on the deterministic engine. The
-// context cancels the run between invocations.
-//
-// Observability: opts.Trace records one wall-clock span (nanoseconds since
-// run start) per invocation with parameter object IDs and dependence edges
-// — the measured counterpart of schedsim's predicted schedule — and
-// opts.Metrics counts locks, contention, guard rechecks, deliveries, pokes
-// and inbox depths.
-// Both default to nil and every site is gated on a nil check, so
-// observability costs nothing when off.
-func RunConcurrent(ctx context.Context, prog *ir.Program, dep *depend.Result, opts Options) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	r, err := newCrun(prog, dep, opts)
-	if err != nil {
-		return nil, err
-	}
-	r.injectStartup()
-	if err := r.quiesce(ctx); err != nil {
-		return nil, err
-	}
-	r.shutdown()
-	if err := r.err(); err != nil {
-		return nil, err
-	}
-	return r.result(), nil
-}
-
 // newCrun builds the shared run state, validates the layout, and starts
 // the worker goroutines (idle until work arrives). Callers inject the
 // startup object and drive the run to quiescence.

@@ -27,8 +27,8 @@ func TestConcurrentMatchesDeterministic(t *testing.T) {
 		}
 		l.Place("processText", cores...)
 		var out bytes.Buffer
-		res, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-			Layout: l, Args: nArg(16), Out: &out,
+		res, err := sys.Exec(context.Background(), bamboort.Options{
+			Engine: bamboort.Concurrent, Layout: l, Args: nArg(16), Out: &out,
 		})
 		if err != nil {
 			t.Fatalf("%d cores: %v", nc, err)
@@ -66,8 +66,8 @@ func TestConcurrentImagePipe(t *testing.T) {
 	l.Place("compress", 1, 2, 3)
 	l.Place("finishsave", 0, 1, 2, 3) // tag-hash routed join
 	var out bytes.Buffer
-	res, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: l, Args: args, Out: &out,
+	res, err := sys.Exec(context.Background(), bamboort.Options{
+		Engine: bamboort.Concurrent, Layout: l, Args: args, Out: &out,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +117,8 @@ task collect(Tally t in open, Job j in done) {
 	l.Place("step2", 2, 3)
 	l.Place("collect", 0)
 	var out bytes.Buffer
-	if _, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: l, Args: nArg(20), Out: &out,
+	if _, err := sys.Exec(context.Background(), bamboort.Options{
+		Engine: bamboort.Concurrent, Layout: l, Args: nArg(20), Out: &out,
 	}); err != nil {
 		t.Fatal(err)
 	}

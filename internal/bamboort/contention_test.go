@@ -83,8 +83,8 @@ func runContended(t *testing.T, mx *obsv.Metrics) {
 	var out bytes.Buffer
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	res, err := bamboort.RunConcurrent(ctx, sys.Prog, sys.Dep, bamboort.Options{
-		Layout: l, Out: &out, Metrics: mx,
+	res, err := sys.Exec(ctx, bamboort.Options{
+		Engine: bamboort.Concurrent, Layout: l, Out: &out, Metrics: mx,
 	})
 	if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("a core slept on work it could run: %v", err)
@@ -137,7 +137,7 @@ task work(Job j in ready) { taskexit(j: ready := false, done := true); }`)
 	l.Place("startup", 1)
 	l.Place("work", 0)
 	mx := &obsv.Metrics{}
-	sess, err := bamboort.StartConcurrentSession(context.Background(), sys.Prog, sys.Dep, bamboort.Options{Layout: l, Metrics: mx})
+	sess, err := bamboort.StartConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{Layout: l, Metrics: mx}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestStaleCandidateIsSwept(t *testing.T) {
 	if got := mx.GuardRechecks.Load(); got != 1 {
 		t.Errorf("%d failed re-validations, want 1", got)
 	}
-	if got := sess.Close().TasksRun["work"]; got != 1 {
+	if got := closeRun(t, sess).TasksRun["work"]; got != 1 {
 		t.Errorf("work ran %d times, want once (the startup job)", got)
 	}
 }
@@ -226,7 +226,7 @@ task join(Item it in b with grp t, Part p in x with grp t) {
 	l := layout.New(2)
 	l.Place("startup", 1)
 	l.Place("join", 0)
-	sess, err := bamboort.StartConcurrentSession(context.Background(), sys.Prog, sys.Dep, bamboort.Options{Layout: l})
+	sess, err := bamboort.StartConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{Layout: l}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ task join(Item it in b with grp t, Part p in x with grp t) {
 	if err := sess.Settle(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Close().TasksRun["join"]; got != 0 {
+	if got := closeRun(t, sess).TasksRun["join"]; got != 0 {
 		t.Errorf("join ran %d times on an Item holding another tag than the Part's, want 0", got)
 	}
 }

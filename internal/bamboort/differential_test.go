@@ -98,8 +98,8 @@ func TestDifferentialSweep(t *testing.T) {
 				tr := &obsv.Trace{}
 				mx := &obsv.Metrics{}
 				var out bytes.Buffer
-				res, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-					Layout: lay, Args: b.Args, Out: &out, Trace: tr, Metrics: mx,
+				res, err := sys.Exec(context.Background(), bamboort.Options{
+					Engine: bamboort.Concurrent, Layout: lay, Args: b.Args, Out: &out, Trace: tr, Metrics: mx,
 				})
 				if err != nil {
 					t.Fatalf("%d cores: %v", nc, err)

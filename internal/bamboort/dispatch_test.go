@@ -144,10 +144,10 @@ func TestPlacementSameOnBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := det.StartSession(ctx); err != nil {
+	if err := det.Start(ctx, true); err != nil {
 		t.Fatal(err)
 	}
-	conc, err := bamboort.StartConcurrentSession(ctx, sys.Prog, sys.Dep, opts)
+	conc, err := bamboort.StartConcurrent(ctx, sys.Prog, sys.Dep, opts, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func routeFixture(tb testing.TB) (*bamboort.Engine, *interp.Object) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := e.StartSession(context.Background()); err != nil {
+	if err := e.Start(context.Background(), true); err != nil {
 		tb.Fatal(err)
 	}
 	cl := sys.Prog.Info.Classes["Request"]

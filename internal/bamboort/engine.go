@@ -17,17 +17,44 @@ import (
 	"repro/internal/types"
 )
 
+// EngineKind selects the engine a run executes on.
+type EngineKind int
+
+const (
+	// Deterministic is the discrete-event engine in virtual cycles
+	// (Engine): the stand-in for the generated binary on the simulated
+	// machine, used by every experiment table. It requires Options.Machine.
+	Deterministic EngineKind = iota
+	// Concurrent is the true parallel runtime (ConcurrentSession): one
+	// goroutine per layout core, wall-clock spans, owner dispatch.
+	Concurrent
+)
+
+// String names the engine.
+func (k EngineKind) String() string {
+	switch k {
+	case Deterministic:
+		return "deterministic"
+	case Concurrent:
+		return "concurrent"
+	}
+	return fmt.Sprintf("EngineKind(%d)", int(k))
+}
+
 // Options configures an execution.
 type Options struct {
+	Engine EngineKind // default Deterministic
+	// Machine models the hardware; the concurrent engine runs on the host
+	// and uses it only to weight heterogeneous cores.
 	Machine *machine.Machine
 	Layout  *layout.Layout
 	Args    []string         // StartupObject.args
 	Out     io.Writer        // program output; nil discards
-	Profile *profile.Profile // when non-nil, records per-invocation stats
+	Profile *profile.Profile // when non-nil, records per-invocation stats (deterministic only)
 	Trace   *Trace           // when non-nil, records invocation events
 	// Metrics, when non-nil, collects runtime counters: the interpreter's
-	// dispatch statistics on both engines, and on RunConcurrent its locks,
-	// contention, deliveries and pokes.
+	// dispatch statistics on both engines, and on the concurrent engine its
+	// locks, contention, deliveries and pokes.
 	Metrics *obsv.Metrics
 	// MaxInvocations guards against non-terminating task systems; 0 means
 	// the default of 50 million.
@@ -41,10 +68,6 @@ type Options struct {
 	// Heap, when non-nil, replaces the interpreter's fresh heap (e.g. one
 	// with object tracking enabled for final-state snapshots).
 	Heap *interp.Heap
-	// Unfed starts a session that is closed without a Feed (a one-shot
-	// run): it records no startup tags, which would hold every tag the
-	// run allocates until it ends, and Feed refuses it.
-	Unfed bool
 }
 
 // Trace records an engine's invocation history in the unified
@@ -159,28 +182,6 @@ func tasksRun(pl *plan, ran []int64) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// Run executes the program to quiescence and returns the result.
-func (e *Engine) Run() (*Result, error) { return e.RunContext(context.Background()) }
-
-// RunContext executes the program to quiescence, checking the context
-// between event batches so long deterministic runs are cancellable.
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
-	e.begin()
-	if err := e.drain(ctx); err != nil {
-		return nil, err
-	}
-	finishInterp(e.in, e.opts.Metrics)
-	return e.result(), nil
-}
-
-// begin arms tracing and injects the startup object at the core hosting
-// the startup task. Shared by one-shot runs and sessions.
-func (e *Engine) begin() {
-	e.armTrace()
-	so := startupObject(e.plan, e.in.Heap, e.opts.Args)
-	e.loop.Route(so, so.Node(), -1, 0, 0)
 }
 
 // armTrace readies Options.Trace, if set, for this engine's spans.

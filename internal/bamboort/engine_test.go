@@ -70,6 +70,22 @@ task mergeResult(Results rp in !finished, Text tp in submit) {
 // from the argument's length, keeping the language surface small).
 func nArg(n int) []string { return []string{strings.Repeat("x", n)} }
 
+// closer is a session on either engine.
+type closer interface {
+	Close() (*bamboort.Result, error)
+}
+
+// closeRun closes sn and returns its cumulative result, failing tb if the
+// run failed.
+func closeRun(tb testing.TB, sn closer) *bamboort.Result {
+	tb.Helper()
+	res, err := sn.Close()
+	if err != nil {
+		tb.Fatalf("close: %v", err)
+	}
+	return res
+}
+
 func compileKeyword(t *testing.T) *core.System {
 	t.Helper()
 	sys, err := core.CompileSource(keywordSrc)
@@ -363,7 +379,7 @@ task spin(Spin sp in on) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Run(); err == nil || !strings.Contains(err.Error(), "invocations") {
+	if err := eng.Start(context.Background(), false); err == nil || !strings.Contains(err.Error(), "invocations") {
 		t.Errorf("err = %v, want invocation-limit error", err)
 	}
 }

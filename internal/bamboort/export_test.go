@@ -44,6 +44,10 @@ func (e *Engine) Resolve(obj *interp.Object) error { return e.plan.resolve(obj) 
 // Resolve sets obj's node from its state on the concurrent runtime's plan.
 func (s *ConcurrentSession) Resolve(obj *interp.Object) error { return s.r.plan.resolve(obj) }
 
+// Visited returns the parameter-set entries the engine's dispatch has
+// walked (sched.Sets.Visited).
+func (e *Engine) Visited() int64 { return e.loop.Sets.Visited }
+
 // Heap returns the engine's heap, for building objects to route.
 func (e *Engine) Heap() *interp.Heap { return e.in.Heap }
 

@@ -275,8 +275,8 @@ task collect(Tally t in open, Job j in done) {
 	for trial := 0; trial < 5; trial++ {
 		mx := &obsv.Metrics{}
 		var out bytes.Buffer
-		if _, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-			Layout: l, Args: nArg(40), Out: &out, Metrics: mx,
+		if _, err := sys.Exec(context.Background(), bamboort.Options{
+			Engine: bamboort.Concurrent, Layout: l, Args: nArg(40), Out: &out, Metrics: mx,
 		}); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -11,20 +11,25 @@
 // unavailable it abandons the invocation and tries another — tasks never
 // abort and never roll back.
 //
-// Three engines share this machinery:
+// Two engines share this machinery:
 //
 //   - Engine (engine.go): a deterministic discrete-event engine in virtual
 //     cycles: the scheduling simulator's event loop (internal/sched) with
 //     a body that runs each task through the interpreter. It is the
 //     stand-in for running the generated binary on the TILEPro64. All
-//     experiment tables are measured on it.
-//   - the sequential baseline: Engine on a single core with all runtime
-//     overhead costs zeroed — the paper's hand-written C version.
-//   - RunConcurrent (concurrent.go): true parallel execution with one
+//     experiment tables are measured on it; on a single core with all
+//     runtime overhead costs zeroed it is the sequential baseline, the
+//     paper's hand-written C version.
+//   - ConcurrentSession (concurrent.go): true parallel execution with one
 //     goroutine per core, used to validate that the runtime protocol is
 //     correct under real concurrency.
 //
-// All engines record execution traces in the unified observability model
+// Each engine has one way in (session.go): Engine.Start or
+// StartConcurrent runs the startup phase to quiescence, Feed injects
+// request batches into a run started fed, and Close ends the run. A
+// one-shot run is a start without feeds, then Close.
+//
+// Both engines record execution traces in the unified observability model
 // of internal/obsv (Options.Trace) and fold the interpreter's statistics
 // into Options.Metrics; the concurrent engine also counts its locks,
 // deliveries and pokes there.
@@ -89,7 +94,7 @@ func CommonTagVar(task *types.Task) string {
 // parameters share a tag variable, which the runtime routes by tag hash)
 // is placed on all n cores; every other task gets a single core assigned
 // round-robin in sorted task order. The result is always a valid layout
-// for both the deterministic engine and RunConcurrent.
+// for both engines.
 func SpreadLayout(prog *ir.Program, n int) *layout.Layout {
 	names := make([]string, 0, len(prog.Tasks))
 	for _, fn := range prog.Tasks {

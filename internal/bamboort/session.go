@@ -163,36 +163,37 @@ func (p *injectPlan) build(heap *interp.Heap, inj *Inject) *interp.Object {
 	return o
 }
 
-// StartSession boots the deterministic engine as a persistent session: the
-// startup phase runs to quiescence with tag tracking on, its tags become
-// the ones injected objects bind, and the engine stays resident — heap,
-// flags, tags, and virtual clock intact — for subsequent Feed calls.
-// An engine runs either one RunContext or one session, never both.
-func (e *Engine) StartSession(ctx context.Context) error {
-	if e.plan.session {
-		return fmt.Errorf("bamboort: session already started")
-	}
-	e.plan.setSession(true)
-	if !e.opts.Unfed {
+// Start runs the program's startup phase to quiescence. A run started fed
+// stays resident — heap, flags, tags and virtual clock intact — for Feed:
+// it places a replicated tag-guarded stage by the hash of its tag, so one
+// key's requests meet on one core, and the tags its startup phase created
+// become the ones injections bind. A run started unfed is a one-shot run:
+// it spreads such stages round-robin, keeps no startup tags (for such a
+// run they would be every tag it allocates), and refuses Feed. Either way
+// Close ends the run.
+func (e *Engine) Start(ctx context.Context, fed bool) error {
+	if fed {
+		e.plan.setSession(true)
 		e.in.Heap.TrackTags()
 	}
-	e.begin()
+	e.armTrace()
+	so := startupObject(e.plan, e.in.Heap, e.opts.Args)
+	e.loop.Route(so, so.Node(), -1, 0, 0)
 	e.sessErr = e.drain(ctx)
 	e.tags = e.in.Heap.StartupTags()
 	return e.sessErr
 }
 
-// Feed injects one request batch into the live session and runs the task
+// Feed injects one request batch into a run started fed and runs the task
 // graph to quiescence. It returns the injected objects so the caller can
-// read replies out of their fields and flags. A drain error — including a
-// blown context deadline, since a half-executed batch cannot be rolled
-// back — poisons the session: every later Feed fails with the same error.
+// read replies out of their fields and flags. A malformed injection or a
+// context done before routing leaves the session serviceable; any other
+// error — including a deadline blown mid-batch, since a half-executed
+// batch cannot be rolled back — fails it, and every later Feed returns
+// that error.
 func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, error) {
 	if !e.plan.session {
-		return nil, fmt.Errorf("bamboort: Feed before StartSession")
-	}
-	if e.opts.Unfed {
-		return nil, fmt.Errorf("bamboort: Feed on an unfed session")
+		return nil, fmt.Errorf("bamboort: Feed on a run not started fed")
 	}
 	if e.sessErr != nil {
 		return nil, fmt.Errorf("bamboort: session failed: %w", e.sessErr)
@@ -211,36 +212,40 @@ func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, er
 	return objs, nil
 }
 
-// EndSession finalizes the session and returns the cumulative result
-// (virtual cycles across all batches, total invocations). The engine must
-// not be used afterwards.
-func (e *Engine) EndSession() *Result {
+// Close returns the cumulative result (virtual cycles across all
+// batches, total invocations) and the error that failed the run, if any.
+// The engine must not be used afterwards.
+func (e *Engine) Close() (*Result, error) {
 	finishInterp(e.in, e.opts.Metrics)
-	return e.result()
+	return e.result(), e.sessErr
 }
 
-// ConcurrentSession is a persistent session on the concurrent runtime:
-// workers stay up between batches and quiescence (no undelivered messages,
-// no held credits) marks a batch complete. Feeds must be serialized by the
-// caller. The requests of one batch that carry the same tag are served in
-// the order the batch lists them, at every tag-guarded stage, as on the
-// deterministic engine: Feed is their one sender, session placement hashes
-// the tag to one core per stage, a core files each sender's deliveries in
-// the order they were sent (its inbox is FIFO, and what it routes to itself
-// it files at once, in its execution order), and a core dispatches a task's
-// oldest arrival first and nobody else dispatches for it.
-// The guarantee is per sender: objects of one tag that reach a stage from
-// different cores (behind a stage spread round-robin) are ordered by the
-// cores' timing (DESIGN.md §13).
+// ConcurrentSession is a run on the concurrent runtime: one goroutine per
+// layout core, channels as the on-chip network, per-object try-locks as
+// the parameter locks (concurrent.go). It is not cycle accurate; it checks
+// the runtime protocol (guarded dispatch, lock-or-skip, tag routing) under
+// real concurrency. Workers stay up between batches, and quiescence (no
+// undelivered messages, no held credits) marks a batch complete. Feeds
+// must be serialized by the caller. The requests of one batch that carry the same
+// tag are served in the order the batch lists them, at every tag-guarded
+// stage, as on the deterministic engine: Feed is their one sender, session
+// placement hashes the tag to one core per stage, a core files each
+// sender's deliveries in the order they were sent (its inbox is FIFO, and
+// what it routes to itself it files at once, in its execution order), and
+// a core dispatches a task's oldest arrival first and nobody else
+// dispatches for it. The guarantee is per sender: objects of one tag that
+// reach a stage from different cores (behind a stage spread round-robin)
+// are ordered by the cores' timing (DESIGN.md §13).
 type ConcurrentSession struct {
 	r    *crun
 	err  error
 	tags map[string][]*interp.Tag // startup tags by type, as Engine.tags
 }
 
-// StartConcurrentSession builds the concurrent runtime, runs the startup
-// phase to quiescence, and leaves the workers idling for Feed.
-func StartConcurrentSession(ctx context.Context, prog *ir.Program, dep *depend.Result, opts Options) (*ConcurrentSession, error) {
+// StartConcurrent builds the concurrent runtime and runs the startup phase
+// to quiescence, fed or unfed as Engine.Start does; the workers then idle
+// until Feed or Close.
+func StartConcurrent(ctx context.Context, prog *ir.Program, dep *depend.Result, opts Options, fed bool) (*ConcurrentSession, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -248,11 +253,11 @@ func StartConcurrentSession(ctx context.Context, prog *ir.Program, dep *depend.R
 	if err != nil {
 		return nil, err
 	}
-	// Flip to session routing before startup so the boot phase places
-	// objects the same way feeds will (and the same way a replayed boot
-	// does on the deterministic engine).
-	r.plan.setSession(true)
-	if !opts.Unfed {
+	// A fed run flips to session placement before startup, so the boot
+	// phase places objects the same way feeds will (and the same way a
+	// replayed boot does on the deterministic engine).
+	if fed {
+		r.plan.setSession(true)
 		r.in.Heap.TrackTags()
 	}
 	r.injectStartup()
@@ -274,8 +279,8 @@ func (s *ConcurrentSession) settle(ctx context.Context) error {
 	return nil
 }
 
-// Feed injects one request batch and waits for quiescence. See
-// Engine.Feed for the reply-reading contract and error semantics.
+// Feed injects one request batch into a run started fed and waits for
+// quiescence, as Engine.Feed does.
 func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -283,8 +288,8 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	if s.err != nil {
 		return nil, s.err
 	}
-	if s.r.opts.Unfed {
-		return nil, fmt.Errorf("bamboort: Feed on an unfed session")
+	if !s.r.plan.session {
+		return nil, fmt.Errorf("bamboort: Feed on a run not started fed")
 	}
 	objs, err := buildBatch(ctx, s.r.plan, s.r.in.Heap, s.tags, batch)
 	if err != nil {
@@ -299,8 +304,14 @@ func (s *ConcurrentSession) Feed(ctx context.Context, batch []Inject) ([]*interp
 	return objs, nil
 }
 
-// Close stops the workers and returns the cumulative result.
-func (s *ConcurrentSession) Close() *Result {
+// Close stops the workers and returns the cumulative result, with the
+// error that failed the run, if any. It reads the run's error after the
+// workers have stopped, so a task that fails just as the run goes idle
+// still fails it.
+func (s *ConcurrentSession) Close() (*Result, error) {
 	s.r.shutdown()
-	return s.r.result()
+	if s.err == nil {
+		s.err = s.r.err()
+	}
+	return s.r.result(), s.err
 }

@@ -247,10 +247,10 @@ func TestSessionTagKeyBindsStartupTag(t *testing.T) {
 	}
 }
 
-// TestUnfedSessionKeepsNoTags: a session started Unfed (a one-shot run, as
-// the server runs a job) records no startup tags — for such a run they
-// would be every tag it allocates, held until it ends — and refuses a
-// feed. That a job still runs as a session closed at once does is
+// TestUnfedSessionKeepsNoTags: a run started unfed (a one-shot run, as
+// Exec and so every server job runs) records no startup tags — for such a
+// run they would be every tag it allocates, held until it ends — and
+// refuses a feed. That a job runs as Exec does is
 // TestJobIsASessionClosedUnfed (internal/server).
 func TestUnfedSessionKeepsNoTags(t *testing.T) {
 	sys, err := core.CompileSource(mintSrc)
@@ -260,15 +260,15 @@ func TestUnfedSessionKeepsNoTags(t *testing.T) {
 	ctx := context.Background()
 	batch := []bamboort.Inject{{Class: "Request", Flag: "pending", TagType: "shard", TagKey: 0}}
 	for _, unfed := range []bool{false, true} {
-		opts := bamboort.Options{Machine: machine.TilePro64().WithCores(2), Layout: bamboort.SpreadLayout(sys.Prog, 2), Unfed: unfed}
+		opts := bamboort.Options{Machine: machine.TilePro64().WithCores(2), Layout: bamboort.SpreadLayout(sys.Prog, 2)}
 		e, err := bamboort.NewEngine(sys.Prog, sys.Dep, sys.Locks, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.StartSession(ctx); err != nil {
+		if err := e.Start(ctx, !unfed); err != nil {
 			t.Fatal(err)
 		}
-		cs, err := bamboort.StartConcurrentSession(ctx, sys.Prog, sys.Dep, opts)
+		cs, err := bamboort.StartConcurrent(ctx, sys.Prog, sys.Dep, opts, !unfed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestUnfedSessionKeepsNoTags(t *testing.T) {
 		if (errDet != nil) != unfed || (errConc != nil) != unfed {
 			t.Errorf("unfed %v: feed errors %v (det), %v (conc)", unfed, errDet, errConc)
 		}
-		e.EndSession()
+		e.Close()
 		cs.Close()
 	}
 }

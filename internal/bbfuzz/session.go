@@ -131,7 +131,10 @@ func runSessionFeeds(sys *core.System, engine core.Engine, nc int, batches [][]b
 			return nil, fmt.Errorf("final checkpoint: %w", err)
 		}
 	}
-	res := sn.Close()
+	res, err := sn.Close()
+	if err != nil {
+		return nil, fmt.Errorf("close: %w", err)
+	}
 	run.inv, run.cycles = res.Invocations, res.TotalCycles
 	if !revive {
 		run.snap = heapSnapshot(heap)

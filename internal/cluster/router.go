@@ -25,14 +25,13 @@ type Options struct {
 	// the whole ring, the local node included.
 	NodeID string
 	Peers  map[string]string
-	// VNodes per node on the hash ring (defaultVNodes when 0).
-	VNodes int
 	// Membership tunes the health prober.
 	Membership MemberOptions
-	// ProxyTimeout bounds one forwarded request (default 60s; feeds and
-	// job submits both finish far inside this or were shed anyway).
-	ProxyTimeout time.Duration
 }
+
+// proxyTimeout bounds one forwarded request: feeds and job submits both
+// finish far inside it or were shed anyway.
+const proxyTimeout = 60 * time.Second
 
 // Router fronts a local bambood server with cluster routing:
 //
@@ -70,15 +69,12 @@ func NewRouter(local http.Handler, opts Options) *Router {
 	for id := range opts.Peers {
 		nodes = append(nodes, id)
 	}
-	if opts.ProxyTimeout <= 0 {
-		opts.ProxyTimeout = 60 * time.Second
-	}
 	r := &Router{
 		self:    opts.NodeID,
 		local:   local,
-		ring:    NewRing(nodes, opts.VNodes),
+		ring:    NewRing(nodes, defaultVNodes),
 		members: NewMembership(opts.NodeID, opts.Peers, opts.Membership),
-		client:  &http.Client{Timeout: opts.ProxyTimeout},
+		client:  &http.Client{Timeout: proxyTimeout},
 	}
 	r.members.Start()
 

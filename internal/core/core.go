@@ -148,9 +148,6 @@ type SynthesizeConfig struct {
 	Prof    *profile.Profile
 	// Seed drives the whole search deterministically.
 	Seed int64
-	// Seeds, MaxIterations: forwarded to the annealer (0 = defaults).
-	Seeds         int
-	MaxIterations int
 	// Workers bounds the goroutines evaluating candidate layouts
 	// concurrently (<= 0 selects GOMAXPROCS). The search result is
 	// identical for every worker count.
@@ -190,8 +187,6 @@ func (s *System) SynthesizeContext(ctx context.Context, cfg SynthesizeConfig) (*
 		Machine:         cfg.Machine,
 		Prof:            cfg.Prof,
 		NumCores:        numCores,
-		Seeds:           cfg.Seeds,
-		MaxIterations:   cfg.MaxIterations,
 		Rng:             rng,
 		Workers:         cfg.Workers,
 		PerObjectCounts: cfg.PerObjectCounts,

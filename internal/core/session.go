@@ -12,49 +12,31 @@ import (
 // startup phase has run to quiescence and its heap/flag/tag state stays
 // live between request batches. Feed injects parameter objects into the
 // task graph and runs it to quiescence per batch (run-to-quiescence
-// instead of run-to-exit); Close finalizes the run. Sessions work on both
-// engines, with the same caveats as Exec (the deterministic engine is
-// cycle-accurate and per-tag-group FIFO; the concurrent engine validates
-// the protocol under real parallelism but does not order deliveries).
+// instead of run-to-exit); Close finalizes the run and returns its
+// cumulative result and the error that failed it, if any. Both are the
+// engine's own (bamboort.Engine.Feed and Close, or ConcurrentSession's).
+// Sessions work on both engines, and on both the requests of one tag that
+// one Feed injects reach each tag-guarded stage in the order the batch
+// lists them (DESIGN.md §13); only a deterministic session takes a
+// checkpoint.
 //
-// A session started and closed without a Feed is a one-shot run: the
-// server runs every job that way, started with ExecConfig.Unfed so that
-// it keeps none of the tags it allocates. It prints what Exec prints, in
-// the same cycles and invocations, except that a session places
-// tag-hashed tasks by tag hash (so that injected requests of one tag meet
-// on one core) where Exec spreads them: on a program with such tasks and
-// several cores the output is the same and the cycles may differ
-// (KVStore at 8 cores: 24 365 under Exec, 24 717 as a session closed
-// unfed).
+// A session places a replicated tag-guarded stage by the hash of its tag,
+// so that injected requests of one tag meet on one core, where Exec
+// spreads it round-robin: closed without a Feed, a session prints what
+// Exec prints, but on a program with such stages and several cores its
+// cycles may differ (KVStore at 8 cores: 24 717 against Exec's 24 365).
 //
 // A Session is not safe for concurrent use; callers serialize Feeds.
-type Session struct {
-	eng  *bamboort.Engine
-	conc *bamboort.ConcurrentSession
-}
+type Session struct{ run }
 
 // StartSession compiles nothing — it boots a session over the already
 // compiled system using the same configuration surface as Exec.
 func (s *System) StartSession(ctx context.Context, cfg ExecConfig) (*Session, error) {
-	opts := cfg.options()
-	switch cfg.Engine {
-	case Deterministic:
-		eng, err := bamboort.NewEngine(s.Prog, s.Dep, s.Locks, opts)
-		if err != nil {
-			return nil, err
-		}
-		if err := eng.StartSession(ctx); err != nil {
-			return nil, err
-		}
-		return &Session{eng: eng}, nil
-	case Concurrent:
-		cs, err := bamboort.StartConcurrentSession(ctx, s.Prog, s.Dep, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &Session{conc: cs}, nil
+	r, err := s.start(ctx, cfg, true)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown engine %v", cfg.Engine)
+	return &Session{r}, nil
 }
 
 // RestoreSession boots a deterministic session from a checkpoint that
@@ -66,40 +48,22 @@ func (s *System) RestoreSession(cfg ExecConfig, fingerprint string, ckpt []byte)
 	if cfg.Engine != Deterministic {
 		return nil, fmt.Errorf("core: only deterministic sessions restore from a checkpoint")
 	}
-	eng, err := bamboort.RestoreSession(s.Prog, s.Dep, s.Locks, cfg.options(), fingerprint, ckpt)
+	eng, err := bamboort.RestoreSession(s.Prog, s.Dep, s.Locks, cfg, fingerprint, ckpt)
 	if err != nil {
 		return nil, err
 	}
-	return &Session{eng: eng}, nil
+	return &Session{eng}, nil
 }
 
 // Checkpoint encodes the quiescent session (bamboort.Engine.Checkpoint):
 // fingerprint names the compiled program and layout, and output is the
 // program output so far. Concurrent-engine sessions have no checkpoint.
 func (sn *Session) Checkpoint(fingerprint string, output []byte) ([]byte, error) {
-	if sn.eng == nil {
+	eng, ok := sn.run.(*bamboort.Engine)
+	if !ok {
 		return nil, fmt.Errorf("core: concurrent-engine sessions have no checkpoint")
 	}
-	return sn.eng.Checkpoint(nil, fingerprint, output)
-}
-
-// Feed injects one request batch into the live task graph, runs to
-// quiescence, and returns the injected objects (read replies from their
-// fields and flags, e.g. via RenderReply). Errors poison the session
-// except malformed injections, which are rejected before routing.
-func (sn *Session) Feed(ctx context.Context, batch []bamboort.Inject) ([]*interp.Object, error) {
-	if sn.eng != nil {
-		return sn.eng.Feed(ctx, batch)
-	}
-	return sn.conc.Feed(ctx, batch)
-}
-
-// Close finalizes the session and returns the cumulative result.
-func (sn *Session) Close() *bamboort.Result {
-	if sn.eng != nil {
-		return sn.eng.EndSession()
-	}
-	return sn.conc.Close()
+	return eng.Checkpoint(nil, fingerprint, output)
 }
 
 // Reply is the environment-visible outcome of one injected request after

@@ -38,6 +38,16 @@ func startKV(t *testing.T, engine core.Engine, cores int) *core.Session {
 	return sess
 }
 
+// closeKV closes sess and returns its cumulative result.
+func closeKV(t *testing.T, sess *core.Session) *bamboort.Result {
+	t.Helper()
+	res, err := sess.Close()
+	if err != nil {
+		t.Fatalf("close session: %v", err)
+	}
+	return res
+}
+
 // kvReq builds the injection for one KV request. TagKey is the key itself:
 // resolveInject hashes it over the 8 shard tags, so a key always lands on
 // the same shard.
@@ -112,7 +122,7 @@ func TestSessionKVStore(t *testing.T) {
 		wantField(t, r, "version", strconv.Itoa(i+1))
 	}
 
-	res := sess.Close()
+	res := closeKV(t, sess)
 	if res.Invocations == 0 || res.TotalCycles == 0 {
 		t.Fatalf("session result not cumulative: %+v", res)
 	}
@@ -229,7 +239,7 @@ func TestSessionDeterministicReplay(t *testing.T) {
 				all = append(all, core.RenderReply(o, "replied", []string{"reply", "version", "found"}))
 			}
 		}
-		return all, sess.Close()
+		return all, closeKV(t, sess)
 	}
 	a, ra := run()
 	b, rb := run()
@@ -261,7 +271,7 @@ func TestSessionDeterministicReplay(t *testing.T) {
 func TestSessionSimulatedScaling(t *testing.T) {
 	const rounds, keys, keyBase = 8, 384, 1000
 	cyclesPerRequest := func(cores int) float64 {
-		boot := startKV(t, core.Deterministic, cores).Close().TotalCycles
+		boot := closeKV(t, startKV(t, core.Deterministic, cores)).TotalCycles
 		sess := startKV(t, core.Deterministic, cores)
 		puts, last := map[int]int{}, map[int]int{}
 		for r := 0; r < rounds; r++ {
@@ -290,7 +300,7 @@ func TestSessionSimulatedScaling(t *testing.T) {
 				wantField(t, rep, "version", strconv.Itoa(puts[key]))
 			}
 		}
-		feed := sess.Close().TotalCycles - boot
+		feed := closeKV(t, sess).TotalCycles - boot
 		if feed <= 0 {
 			t.Fatalf("%d cores: %d feed cycles over %d requests", cores, feed, rounds*keys)
 		}

@@ -36,8 +36,8 @@ func measuredTraces(t *testing.T, name string) []*obsv.Trace {
 		t.Fatal(err)
 	}
 	conc := &obsv.Trace{}
-	if _, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{
-		Layout: lay, Args: b.Args, Out: io.Discard, Trace: conc,
+	if _, err := sys.Exec(context.Background(), core.ExecConfig{
+		Engine: core.Concurrent, Layout: lay, Args: b.Args, Out: io.Discard, Trace: conc,
 	}); err != nil {
 		t.Fatal(err)
 	}

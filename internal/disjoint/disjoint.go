@@ -49,18 +49,6 @@ type Result struct {
 	LockGroups map[string][][]int
 }
 
-// SharedLockGroup returns the lock group containing parameter p of the task.
-func (r *Result) SharedLockGroup(task string, p int) []int {
-	for _, g := range r.LockGroups[task] {
-		for _, q := range g {
-			if q == p {
-				return g
-			}
-		}
-	}
-	return []int{p}
-}
-
 // Analyze runs the disjointness analysis over the program.
 func Analyze(prog *ir.Program) *Result {
 	res := &Result{

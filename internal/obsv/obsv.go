@@ -2,7 +2,7 @@
 // reproduction: a single execution-trace model shared by the deterministic
 // discrete-event engine (bamboort.Engine), the scheduling simulator
 // (schedsim), and the instrumented concurrent runtime
-// (bamboort.RunConcurrent), plus the runtime counters the concurrent
+// (bamboort.ConcurrentSession), plus the runtime counters the concurrent
 // engine collects.
 //
 // The three producers differ only in their clock: the engine and the

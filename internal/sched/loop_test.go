@@ -44,11 +44,7 @@ func run(t *testing.T, sys *core.System, args []string, m *machine.Machine, l *l
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, eerr := bamboort.NewEngine(sys.Prog, sys.Dep, sys.Locks, bamboort.Options{Machine: m, Layout: l, Args: args, MaxInvocations: maxInv})
-	var er *bamboort.Result
-	if eerr == nil {
-		er, eerr = e.Run()
-	}
+	er, eerr := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: l, Args: args, MaxInvocations: maxInv})
 	sr, serr := sys.Simulator().Run(schedsim.Options{Machine: m, Layout: l, Prof: prof, MaxInvocations: maxInv})
 	return er, eerr, sr, serr
 }
@@ -117,8 +113,8 @@ func TestCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.RunContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunContext = %v, want context.Canceled", err)
+	if err := e.Start(ctx, false); !errors.Is(err, context.Canceled) {
+		t.Errorf("Start = %v, want context.Canceled", err)
 	}
 }
 
@@ -141,8 +137,8 @@ task open(Box b in full) {
 		t.Fatal(err)
 	}
 	var rerr *interp.RuntimeError
-	if _, err := e.Run(); !errors.As(err, &rerr) {
-		t.Errorf("Run = %v, want the task's RuntimeError", err)
+	if err := e.Start(context.Background(), false); !errors.As(err, &rerr) {
+		t.Errorf("Start = %v, want the task's RuntimeError", err)
 	}
 }
 
@@ -220,7 +216,7 @@ func TestTangle(t *testing.T) {
 		if joins := er.TasksRun["left"] + er.TasksRun["right"]; joins > 7 || er.TasksRun["both"]*2+joins > 13 {
 			t.Errorf("%d cores: left and right ran %d times, both %d: more Pals or Items than there are", n, joins, er.TasksRun["both"])
 		}
-		cr, err := bamboort.RunConcurrent(context.Background(), sys.Prog, sys.Dep, bamboort.Options{Machine: m, Layout: l})
+		cr, err := sys.Exec(context.Background(), core.ExecConfig{Engine: core.Concurrent, Machine: m, Layout: l})
 		if err != nil || cr.TasksRun["mark"] != 13 {
 			t.Errorf("%d cores, concurrent: %v, mark ran %d times", n, err, cr.TasksRun["mark"])
 		}
@@ -228,7 +224,7 @@ func TestTangle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.StartSession(context.Background()); err != nil {
+		if err := e.Start(context.Background(), true); err != nil {
 			t.Fatal(err)
 		}
 		ck, err := e.Checkpoint(nil, "tangle", nil)

@@ -65,6 +65,9 @@ type Sets[O, K comparable, B Objects[O, K]] struct {
 	// variable of each instantiation, the tag it bound.
 	bound []int32
 	tags  []K
+	// Visited counts the entries binding and sweeping have walked: the
+	// dispatch work, measured in steps rather than host time.
+	Visited int64
 }
 
 // List heads a doubly linked list of entries: its first and last, 0 when
@@ -273,6 +276,7 @@ func (s *Sets[O, K, B]) sweep(si int32) {
 	p := &s.L.Params[ps.Slot]
 	refile := false
 	for i := ps.List[0]; i != 0; {
+		s.Visited++
 		next, obj := s.Next(i, FIFO), s.Ents[i].Obj
 		if !s.L.Dep.Satisfies(s.B.Node(obj), ps.Slot) {
 			s.remove(i)
@@ -333,6 +337,7 @@ func (s *Sets[O, K, B]) bind(at hostAt, k int32) bool {
 	// other sets' entries too. Later sets' sweeps may move those, so the
 	// next entry is read after the recursion.
 	for ; i != 0; i = s.Next(i, which) {
+		s.Visited++
 		obj := s.Ents[i].Obj
 		// An object may satisfy several parameters of the task but binds
 		// only one of them per invocation.

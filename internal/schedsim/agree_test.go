@@ -1,9 +1,9 @@
 package schedsim_test
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/bamboort"
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/machine"
@@ -97,11 +97,7 @@ func runBoth(t *testing.T, src string, n int) (eng, sim *obsv.Trace, engCycles, 
 	}
 	m := machine.TilePro64().WithCores(n)
 	eng, sim = &obsv.Trace{}, &obsv.Trace{}
-	e, err := bamboort.NewEngine(sys.Prog, sys.Dep, sys.Locks, bamboort.Options{Machine: m, Layout: lay, Trace: eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, err := e.Run()
+	er, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Trace: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

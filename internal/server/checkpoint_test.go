@@ -152,7 +152,7 @@ func TestSessionDurablePastOldBound(t *testing.T) {
 	}
 	const segBytes = 256 << 10
 	dir := t.TempDir()
-	cfg := server.Config{WALDir: dir, WALSegmentBytes: segBytes}
+	cfg := server.WithWALSegmentBytes(server.Config{WALDir: dir}, segBytes)
 	s := newWALService(t, cfg)
 	sv := kvSession(t, s, "", 2)
 	const keys, perFeed = 256, 100

@@ -33,3 +33,10 @@ func (s *Server) CloseWAL() error { return s.wal.Close() }
 // OpenSessions reports how many entries the session-path scans (parking,
 // /varz, drain) walk.
 func (s *Server) OpenSessions() int { return len(s.openSessions()) }
+
+// WithWALSegmentBytes returns cfg with the write-ahead log rotating its
+// segments at n bytes.
+func WithWALSegmentBytes(cfg Config, n int64) Config {
+	cfg.walSegmentBytes = n
+	return cfg
+}

@@ -65,13 +65,12 @@ type Config struct {
 	// durability (the pre-WAL in-memory behavior). Servers with a WALDir
 	// must be built with Open, which can fail; New panics on a WAL error.
 	WALDir string
-	// WALSegmentBytes overrides the log's segment rotation threshold
-	// (default wal.DefaultSegmentBytes).
-	WALSegmentBytes int64
 	// NodeID, when set, prefixes job and session IDs ("n1-j00000042") so
 	// a cluster router can route by-ID requests straight to the owning
 	// node. Must not contain "-". Empty leaves IDs unprefixed.
 	NodeID string
+
+	walSegmentBytes int64 // a test's segment rotation threshold; 0 is wal's default
 }
 
 func (c *Config) applyDefaults() {
@@ -223,7 +222,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	var recovered *recoveredState
 	if cfg.WALDir != "" {
-		l, replay, err := wal.Open(wal.Options{Dir: cfg.WALDir, SegmentBytes: cfg.WALSegmentBytes})
+		l, replay, err := wal.Open(wal.Options{Dir: cfg.WALDir, SegmentBytes: cfg.walSegmentBytes})
 		if err != nil {
 			stop()
 			return nil, err
@@ -519,10 +518,10 @@ func (s *Server) work() {
 }
 
 // runJob runs a job as a session created and closed unfed: boot runs the
-// program to quiescence and endLocked closes it. The deadline is anchored
-// at admission, so time spent waiting in the queue counts against it: a
-// saturated server fails old work fast instead of running jobs nobody is
-// still waiting for.
+// program to completion and endLocked records the outcome. The deadline
+// is anchored at admission, so time spent waiting in the queue counts
+// against it: a saturated server fails old work fast instead of running
+// jobs nobody is still waiting for.
 func (s *Server) runJob(sn *Session) {
 	sn.mu.Lock()
 	defer sn.mu.Unlock()

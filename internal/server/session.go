@@ -22,10 +22,11 @@ import (
 // request objects straight into the live Bamboo heap instead of booting a
 // fresh program per request.
 //
-// A job (POST /v1/jobs) is the same run closed at once: a worker boots it
-// as a session, which runs the startup object's tasks to quiescence, and
-// closes it unfed. Jobs and sessions share one table, one terminal
-// transition (endLocked), one boot and one retention ring.
+// A job (POST /v1/jobs) is the same run closed unfed: a worker's boot runs
+// it through core.System.Exec, which starts the startup object's tasks,
+// runs them to quiescence and closes the run. Jobs and sessions share one
+// table, one terminal transition (endLocked), one boot and one retention
+// ring.
 //
 // Residency is bounded: at most Config.MaxLiveSessions session engines
 // stay resident. Under pressure the least-recently-used deterministic
@@ -351,12 +352,14 @@ func (s *Server) beginSessionOp() error {
 	return nil
 }
 
-// boot compiles (or cache-hits) the program and starts a resident engine
-// with a fresh output buffer and counter sink: restored from the
-// session's checkpoint, or, without one, a fresh startup run to
-// quiescence. Callers hold sn.mu. A job's engine is its worker's alone,
-// so boot lets go of sn.mu while a job compiles and runs: polls, cancel
-// and the metrics endpoint read the job meanwhile.
+// boot compiles (or cache-hits) the program and runs it with a fresh
+// output buffer and counter sink. A session gets a resident engine:
+// restored from its checkpoint, or, without one, a fresh startup run to
+// quiescence. A job runs to completion through core.System.Exec, a
+// session closed unfed, and keeps only its result. Callers hold sn.mu. A
+// job's run is its worker's alone, so boot lets go of sn.mu while a job
+// compiles and runs: polls, cancel and the metrics endpoint read the job
+// meanwhile.
 func (s *Server) boot(ctx context.Context, sn *Session) error {
 	// A fresh counter sink per boot: folded into the server aggregate at
 	// teardown, never double-counted across revivals.
@@ -367,24 +370,32 @@ func (s *Server) boot(ctx context.Context, sn *Session) error {
 	}
 	compiled, hit, err := s.cache.GetOrCompile(ctx, sn.creq)
 	var live *core.Session
+	var res *bamboort.Result
 	if err == nil {
 		cfg := core.ExecConfig{Machine: compiled.Prep.Machine, Layout: compiled.Prep.Layout,
-			Args: sn.creq.Prep.Args, Out: out, Trace: sn.trace, Metrics: met, Unfed: sn.sub != nil}
+			Args: sn.creq.Prep.Args, Out: out, Trace: sn.trace, Metrics: met}
 		if sn.engine == "concurrent" {
 			cfg.Engine = core.Concurrent
 		}
-		if sn.ckpt != nil {
+		switch {
+		case sn.sub != nil:
+			res, err = compiled.Sys.Exec(ctx, cfg)
+		case sn.ckpt != nil:
 			live, err = compiled.Sys.RestoreSession(cfg, sn.key, sn.ckpt)
-		} else {
+		default:
 			live, err = compiled.Sys.StartSession(ctx, cfg)
 		}
 	}
 	if sn.sub != nil {
 		sn.mu.Lock()
+		sn.res = res
+	}
+	if live == nil {
+		// No engine stays resident (a job, or a boot that failed): the
+		// run's counters reach /varz here.
+		s.aggregate(met.Snapshot())
 	}
 	if err != nil {
-		// No engine to close: the counters of the failed run reach /varz here.
-		s.aggregate(met.Snapshot())
 		return err
 	}
 	sn.live, sn.cacheHit = live, hit
@@ -395,10 +406,10 @@ func (s *Server) boot(ctx context.Context, sn *Session) error {
 // closeLiveLocked tears down the resident engine: it folds the boot's
 // counters into the server aggregate and returns the cumulative result.
 // Callers hold sn.mu. Every engine teardown goes through here so session
-// and job counters reach /varz no matter how the engine dies (close,
-// park, failure, drain); a boot that fails folds its own.
+// counters reach /varz no matter how the engine dies (close, park,
+// failure, drain); a job and a boot that fails fold their own.
 func (s *Server) closeLiveLocked(sn *Session) *bamboort.Result {
-	res := sn.live.Close()
+	res, _ := sn.live.Close() // a task failure already failed the Feed that ran it
 	sn.live = nil
 	s.aggregate(sn.met.Snapshot())
 	return res
