@@ -11,6 +11,7 @@
 package repro_test
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ var prepared []*expt.Prepared
 func TestMain(m *testing.M) {
 	flag.Parse()
 	if f := flag.Lookup("test.bench"); f != nil && f.Value.String() != "" {
-		p, err := expt.PrepareAll(1, 0, false)
+		p, err := expt.PrepareAll(1, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchmark preparation failed:", err)
 			os.Exit(1)
@@ -49,7 +50,7 @@ func getPrepared(b *testing.B) []*expt.Prepared {
 	b.Helper()
 	if prepared == nil {
 		// Fallback for callers outside TestMain's -bench gate.
-		p, err := expt.PrepareAll(1, 0, false)
+		p, err := expt.PrepareAll(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func BenchmarkSynthesis(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.Synthesize(core.SynthesizeConfig{
+				if _, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{
 					Machine: m, Prof: prof, Seed: int64(i + 1), PerObjectCounts: bench.Hints,
 				}); err != nil {
 					b.Fatal(err)
@@ -181,7 +182,7 @@ func BenchmarkDSASearch(b *testing.B) {
 			b.ReportAllocs()
 			totalEvals := 0
 			for i := 0; i < b.N; i++ {
-				res, err := p.Sys.Synthesize(core.SynthesizeConfig{
+				res, err := p.Sys.Synthesize(context.Background(), core.SynthesizeConfig{
 					Machine: p.Machine, Prof: p.Prof, Seed: 1, PerObjectCounts: p.Bench.Hints,
 				})
 				if err != nil {
@@ -232,41 +233,6 @@ func BenchmarkSequentialExecution(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(cycles), "virtualCycles")
-		})
-	}
-}
-
-// BenchmarkOptimizerAblation measures the IR optimizer's effect on the
-// sequential baselines: virtual cycles with and without the scalar
-// optimizations (an ablation of a design choice DESIGN.md calls out — the
-// evaluation tables run unoptimized IR to match the paper's baseline).
-func BenchmarkOptimizerAblation(b *testing.B) {
-	for _, bench := range benchmarks.InPaper() {
-		bench := bench
-		b.Run(bench.Name, func(b *testing.B) {
-			plain, err := core.CompileSource(bench.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt, err := core.CompileSource(bench.Source)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt.OptimizeIR()
-			b.ReportAllocs()
-			var plainCycles, optCycles int64
-			for i := 0; i < b.N; i++ {
-				rp, err := plain.RunSequential(bench.Args, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ro, err := opt.RunSequential(bench.Args, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				plainCycles, optCycles = rp.TotalCycles, ro.TotalCycles
-			}
-			b.ReportMetric(float64(plainCycles-optCycles)/float64(plainCycles)*100, "cyclesSaved%")
 		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/machine"
+	"repro/internal/opt"
 )
 
 // TestAllBenchmarksCompileAndRun compiles every benchmark and runs it
@@ -174,16 +175,16 @@ func TestOptimizerPreservesBenchmarkResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := core.CompileSource(b.Source)
+			osys, err := core.CompileSource(b.Source)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats := opt.OptimizeIR()
+			stats := opt.Optimize(osys.Prog)
 			if stats.Folded == 0 && stats.DeadRemoved == 0 && stats.CopiesDropped == 0 {
 				t.Logf("optimizer found nothing in %s", b.Name)
 			}
 			var optOut bytes.Buffer
-			optRes, err := opt.RunSequential(b.Args, &optOut)
+			optRes, err := osys.RunSequential(b.Args, &optOut)
 			if err != nil {
 				t.Fatal(err)
 			}

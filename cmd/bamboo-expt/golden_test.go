@@ -30,7 +30,7 @@ func TestExperimentsGolden(t *testing.T) {
 		t.Skip("runs every experiment (about 15 s)")
 	}
 	var out bytes.Buffer
-	if err := run(&out, io.Discard, "all", 1, 40, 16, 6000, 0, false); err != nil {
+	if err := run(&out, io.Discard, "all", 1, 40, 16, 6000, 0); err != nil {
 		t.Fatal(err)
 	}
 	if *update {

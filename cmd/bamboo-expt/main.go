@@ -29,10 +29,9 @@ func main() {
 	fig10Cores := flag.Int("fig10-cores", 16, "cores for the fig10 study")
 	maxExhaustive := flag.Int("max-exhaustive", 6000, "cap on enumerated layouts for fig10")
 	workers := flag.Int("workers", 0, "worker goroutines for preparation and the fig10 study (0 = all CPUs); results are identical for any value")
-	optimize := flag.Bool("O", false, "optimize the IR before profiling and execution; virtual-cycle counts diverge from the paper-calibrated baseline")
 	flag.Parse()
 
-	if err := run(os.Stdout, os.Stderr, *exp, *seed, *dsaRuns, *fig10Cores, *maxExhaustive, *workers, *optimize); err != nil {
+	if err := run(os.Stdout, os.Stderr, *exp, *seed, *dsaRuns, *fig10Cores, *maxExhaustive, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, "bamboo-expt:", err)
 		os.Exit(1)
 	}
@@ -40,14 +39,14 @@ func main() {
 
 // run prints the selected experiments' tables to out and progress notes to
 // progress.
-func run(out, progress io.Writer, exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int, optimize bool) error {
+func run(out, progress io.Writer, exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int) error {
 	cores := machine.TilePro64().NumUsable()
 	needPrep := exp == "all" || exp == "fig7" || exp == "fig9" || exp == "fig11" || exp == "dsatime"
 	var prepared []*expt.Prepared
 	if needPrep {
 		fmt.Fprintf(progress, "preparing benchmarks (compile, profile, synthesize for %d cores)...\n", cores)
 		var err error
-		prepared, err = expt.PrepareAll(seed, workers, optimize)
+		prepared, err = expt.PrepareAll(seed, workers)
 		if err != nil {
 			return err
 		}

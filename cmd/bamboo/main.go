@@ -5,11 +5,11 @@
 //
 // Usage:
 //
-//	bamboo run        -file prog.bb [-args a,b,c] [-cores N] [-seed S] [-O]
+//	bamboo run        -file prog.bb [-args a,b,c] [-cores N] [-seed S]
 //	                  [-trace] [-trace-out t.json] [-concurrent] [-metrics-out m.json]
 //	                  (Ctrl-C cancels and still flushes outputs)
-//	bamboo profile    -file prog.bb [-args a,b,c] [-o profile.json] [-O]
-//	bamboo synthesize -file prog.bb [-args a,b,c] [-cores N] [-seed S] [-O]
+//	bamboo profile    -file prog.bb [-args a,b,c] [-o profile.json]
+//	bamboo synthesize -file prog.bb [-args a,b,c] [-cores N] [-seed S]
 //	bamboo analyze    -file prog.bb            (ASTGs, lock groups, IR)
 //	bamboo viz        -file prog.bb -kind cstg|taskflow|trace|layout [...]
 //	bamboo fmt        -file prog.bb [-w]          (canonical formatter)
@@ -116,10 +116,10 @@ func splitArgs(s string) []string {
 	return strings.Split(s, ",")
 }
 
-// prepare compiles, optionally optimizes, profiles, and (for multicore
-// runs) synthesizes, via the cacheable compile/execute split in core.
-func prepare(ctx context.Context, src string, args []string, cores int, seed int64, workers int, optimize bool) (*core.System, *layout.Layout, *machine.Machine, error) {
-	sys, err := core.Compile(src, core.CompileOptions{Optimize: optimize})
+// prepare compiles, profiles, and (for multicore runs) synthesizes, via
+// the cacheable compile/execute split in core.
+func prepare(ctx context.Context, src string, args []string, cores int, seed int64, workers int) (*core.System, *layout.Layout, *machine.Machine, error) {
+	sys, err := core.CompileSource(src)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -137,14 +137,6 @@ func workersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0, "synthesis worker goroutines (0 = all CPUs); result is seed-deterministic for any value")
 }
 
-// optFlag registers the shared -O knob: run the IR optimizer before
-// execution. Off by default so virtual-cycle counts stay calibrated to the
-// paper's unoptimized baseline; with -O the shrunken counts model a
-// smarter compiler backend.
-func optFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("O", false, "optimize the IR before running (constant folding, copy propagation, DCE, block straightening); changes virtual-cycle counts")
-}
-
 func cmdRun(argv []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	file := fs.String("file", "", "Bamboo source file")
@@ -159,7 +151,6 @@ func cmdRun(argv []string) error {
 	metricsOut := fs.String("metrics-out", "", "write runtime counters JSON to this file (implies -concurrent)")
 	interpStats := fs.Bool("interpstats", false, "print interpreter dispatch statistics (superinstruction coverage) to stderr")
 	workers := workersFlag(fs)
-	optimize := optFlag(fs)
 	fs.Parse(argv)
 	src, defaults, err := loadSource(*file, *name)
 	if err != nil {
@@ -245,9 +236,6 @@ func cmdRun(argv []string) error {
 		if err != nil {
 			return err
 		}
-		if *optimize {
-			sys.OptimizeIR()
-		}
 		res, err := sys.Exec(ctx, core.ExecConfig{
 			Engine: core.Deterministic, Machine: machine.Sequential(),
 			Layout: layout.Single(sys.TaskNames()),
@@ -259,7 +247,7 @@ func cmdRun(argv []string) error {
 		fmt.Printf("-- sequential: %d cycles, %d invocations\n", res.TotalCycles, res.Invocations)
 		return flush(nil)
 	}
-	sys, lay, m, err := prepare(ctx, src, args, *cores, *seed, *workers, *optimize)
+	sys, lay, m, err := prepare(ctx, src, args, *cores, *seed, *workers)
 	if err != nil {
 		return err
 	}
@@ -292,7 +280,6 @@ func cmdProfile(argv []string) error {
 	name := fs.String("name", "", "embedded benchmark name")
 	argStr := fs.String("args", "", "comma-separated StartupObject args")
 	out := fs.String("o", "", "write profile JSON to this file (default stdout)")
-	optimize := optFlag(fs)
 	fs.Parse(argv)
 	src, defaults, err := loadSource(*file, *name)
 	if err != nil {
@@ -305,9 +292,6 @@ func cmdProfile(argv []string) error {
 	sys, err := core.CompileSource(src)
 	if err != nil {
 		return err
-	}
-	if *optimize {
-		sys.OptimizeIR()
 	}
 	prof, res, err := sys.Profile(args)
 	if err != nil {
@@ -334,7 +318,6 @@ func cmdSynthesize(argv []string) error {
 	cores := fs.Int("cores", 62, "number of cores")
 	seed := fs.Int64("seed", 1, "synthesis search seed")
 	workers := workersFlag(fs)
-	optimize := optFlag(fs)
 	fs.Parse(argv)
 	src, defaults, err := loadSource(*file, *name)
 	if err != nil {
@@ -348,15 +331,12 @@ func cmdSynthesize(argv []string) error {
 	if err != nil {
 		return err
 	}
-	if *optimize {
-		sys.OptimizeIR()
-	}
 	m := machine.TilePro64().WithCores(*cores)
 	prof, _, err := sys.Profile(args)
 	if err != nil {
 		return err
 	}
-	res, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: *seed, Workers: *workers})
+	res, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: *seed, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -448,7 +428,7 @@ func cmdViz(argv []string) error {
 		}
 		fmt.Print(sys.CSTG(prof).TaskFlowGraph().DOT())
 	case "layout": // Figure 4
-		_, lay, _, err := prepare(context.Background(), src, args, *cores, *seed, *workers, false)
+		_, lay, _, err := prepare(context.Background(), src, args, *cores, *seed, *workers)
 		if err != nil {
 			return err
 		}
@@ -459,7 +439,7 @@ func cmdViz(argv []string) error {
 			return err
 		}
 		m := machine.TilePro64().WithCores(*cores)
-		res, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: *seed, Workers: *workers})
+		res, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: *seed, Workers: *workers})
 		if err != nil {
 			return err
 		}
@@ -482,7 +462,6 @@ func cmdBench(argv []string) error {
 	cores := fs.Int("cores", 62, "number of cores")
 	seed := fs.Int64("seed", 1, "synthesis seed")
 	workers := workersFlag(fs)
-	optimize := optFlag(fs)
 	fs.Parse(argv)
 	if *name == "" {
 		return fmt.Errorf("-name is required")
@@ -495,9 +474,6 @@ func cmdBench(argv []string) error {
 	if err != nil {
 		return err
 	}
-	if *optimize {
-		sys.OptimizeIR()
-	}
 	seq, err := sys.RunSequential(b.Args, nil)
 	if err != nil {
 		return err
@@ -507,7 +483,7 @@ func cmdBench(argv []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: *seed, Workers: *workers, PerObjectCounts: b.Hints})
+	res, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: *seed, Workers: *workers, PerObjectCounts: b.Hints})
 	if err != nil {
 		return err
 	}
@@ -558,10 +534,9 @@ func cmdList() error {
 }
 
 // cmdFuzz runs the generative differential fuzzer: n seeded random Bamboo
-// programs, each cross-checked between the tree walker, the flattened VM
-// (with and without -O), the concurrent runtime, and the scheduling
-// simulator. Divergences are shrunk to minimal reproducers; the command
-// exits nonzero if any survive.
+// programs, each cross-checked between the tree walker, the flattened VM,
+// the concurrent runtime, and the scheduling simulator. Divergences are
+// shrunk to minimal reproducers; the command exits nonzero if any survive.
 func cmdFuzz(argv []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ExitOnError)
 	n := fs.Int("n", 1000, "number of generated programs to check")

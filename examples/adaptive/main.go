@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	deployed, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: profSmall, Seed: 9})
+	deployed, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: profSmall, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("deployed layout (from small-input profile): %d cycles on field workload\n", stale)
 
 	// Re-optimize from the field profile and swap the layout in.
-	reopt, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: fieldProf, Seed: 9})
+	reopt, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: fieldProf, Seed: 9})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,11 +36,11 @@ func main() {
 	hetero := machine.Heterogeneous(8, 8, 2.0) // 8 fast + 8 at half speed
 	homog := machine.TilePro64().WithCores(16)
 
-	synHet, err := sys.Synthesize(core.SynthesizeConfig{Machine: hetero, Prof: prof, Seed: 4})
+	synHet, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: hetero, Prof: prof, Seed: 4})
 	if err != nil {
 		log.Fatal(err)
 	}
-	synHom, err := sys.Synthesize(core.SynthesizeConfig{Machine: homog, Prof: prof, Seed: 4})
+	synHom, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: homog, Prof: prof, Seed: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

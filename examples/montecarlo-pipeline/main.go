@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	synth, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 7})
+	synth, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func main() {
 		log.Fatal(err)
 	}
 	m := machine.TilePro64().WithCores(8)
-	synth, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 42})
+	synth, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

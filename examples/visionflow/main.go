@@ -46,7 +46,7 @@ func main() {
 	fmt.Print(sys.CSTG(prof).TaskFlowGraph().DOT())
 
 	m := machine.TilePro64().WithCores(16)
-	synth, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 5})
+	synth, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}

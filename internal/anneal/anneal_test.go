@@ -153,7 +153,7 @@ func TestSynthesizeFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.TilePro64().WithCores(4)
-	res, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 5})
+	res, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

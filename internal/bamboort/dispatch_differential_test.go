@@ -14,6 +14,7 @@ import (
 	"repro/internal/interp"
 	"repro/internal/machine"
 	"repro/internal/obsv"
+	"repro/internal/opt"
 )
 
 // objState is the observable final state of one heap object: identity,
@@ -140,10 +141,11 @@ func TestDispatchDifferential(t *testing.T) {
 }
 
 // TestDispatchDifferentialOptimized runs the same sweep against a program
-// compiled with the IR optimizer. The optimizer only removes taken control
-// transfers and folds pure scalar computation, so the result values, the
-// printed output, and the final heap state must be unchanged; only the
-// virtual cycle totals may drop (never rise).
+// put through the IR optimizer (opt.Optimize; no run path calls it, the
+// benchmark times it). The optimizer only removes taken control transfers
+// and folds pure scalar computation, so the result values, the printed
+// output, and the final heap state must be unchanged; only the virtual
+// cycle totals may drop (never rise).
 func TestDispatchDifferentialOptimized(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full differential sweep is not short")
@@ -160,23 +162,23 @@ func TestDispatchDifferentialOptimized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			osys.OptimizeIR()
+			opt.Optimize(osys.Prog)
 			for _, nc := range []int{1, 2, 4, 8} {
 				refOut, refRes, refSnap := runDet(t, sys, b, nc, true)
 				optOut, optRes, optSnap := runDet(t, osys, b, nc, false)
 				if optOut != refOut {
-					t.Errorf("%d cores: -O output diverged from unoptimized\nopt:   %q\nplain: %q",
+					t.Errorf("%d cores: optimized output diverged from unoptimized\nopt:   %q\nplain: %q",
 						nc, optOut, refOut)
 				}
 				if optRes.TotalCycles > refRes.TotalCycles {
-					t.Errorf("%d cores: -O took %d cycles, more than unoptimized %d",
+					t.Errorf("%d cores: optimized run took %d cycles, more than unoptimized %d",
 						nc, optRes.TotalCycles, refRes.TotalCycles)
 				}
 				if optRes.Invocations != refRes.Invocations {
-					t.Errorf("%d cores: -O ran %d invocations, unoptimized %d",
+					t.Errorf("%d cores: optimized run ran %d invocations, unoptimized %d",
 						nc, optRes.Invocations, refRes.Invocations)
 				}
-				sameSnapshot(t, "-O", optSnap, refSnap)
+				sameSnapshot(t, "optimized", optSnap, refSnap)
 			}
 		})
 	}

@@ -131,7 +131,7 @@ task work(W w in ready with grp t) {
 // fan-out lands on the same cores simulated as executed on either engine,
 // also when the stage is tag-guarded (which the simulator used to hash).
 func TestPlacementSameOnBothEngines(t *testing.T) {
-	sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
+	sys, err := core.CompileSource(examples.KVStoreSource())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestPlacementSameOnBothEngines(t *testing.T) {
 		return cores
 	}
 	for name, src := range map[string]string{"fan-out": fanSrc, "tag-guarded fan-out": tagFanSrc} {
-		fan, err := core.Compile(src, core.CompileOptions{})
+		fan, err := core.CompileSource(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestPlacementSameOnBothEngines(t *testing.T) {
 // routeFixture is a deterministic KVStore session and a request object in
 // the state feeds inject, for exercising routing on its own.
 func routeFixture(tb testing.TB) (*bamboort.Engine, *interp.Object) {
-	sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
+	sys, err := core.CompileSource(examples.KVStoreSource())
 	if err != nil {
 		tb.Fatal(err)
 	}

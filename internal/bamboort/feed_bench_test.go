@@ -24,7 +24,7 @@ func kvSession(tb testing.TB, engine core.Engine, cores int, cfg core.ExecConfig
 // kvSystem compiles KVStore.
 func kvSystem(tb testing.TB) *core.System {
 	tb.Helper()
-	sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
+	sys, err := core.CompileSource(examples.KVStoreSource())
 	if err != nil {
 		tb.Fatal(err)
 	}

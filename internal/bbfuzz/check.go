@@ -60,8 +60,7 @@ func (c CheckConfig) maxInv() int64 {
 // Divergence describes one failed cross-check. It implements error.
 type Divergence struct {
 	// Kind names the failing comparison: "compile", "run", "vm-output",
-	// "vm-cycles", "vm-invocations", "vm-heap", "opt-output",
-	// "opt-cycles", "opt-invocations", "opt-heap", "det-output",
+	// "vm-cycles", "vm-invocations", "vm-heap", "det-output",
 	// "det-invocations", "concurrent-output", "concurrent-invocations",
 	// "schedsim-hang", "schedsim-invocations", and the session-feed mode's
 	// "session-run", "session-output", "session-invocations",
@@ -122,9 +121,9 @@ func diffSnapshot(got, want []objState) string {
 
 // diffSnapshotUnordered compares two heap snapshots as multisets of
 // (class, flags, tags), ignoring allocation identity. Two runs under
-// different schedules (-O at multicore) allocate the same objects in a
-// different order, so ids don't line up even when the final task-visible
-// state is identical.
+// different schedules (split feed batches, the concurrent engine) allocate
+// the same objects in a different order, so ids don't line up even when
+// the final task-visible state is identical.
 func diffSnapshotUnordered(got, want []objState) string {
 	if len(got) != len(want) {
 		return fmt.Sprintf("allocated %d objects, reference allocated %d", len(got), len(want))
@@ -237,11 +236,6 @@ func CheckSource(src string, cfg CheckConfig) *Divergence {
 	if err != nil {
 		return fail("compile", 0, "%v", err)
 	}
-	osys, err := core.CompileSource(src)
-	if err != nil {
-		return fail("compile", 0, "%v", err)
-	}
-	osys.OptimizeIR()
 
 	maxInv := cfg.maxInv()
 
@@ -283,42 +277,6 @@ func CheckSource(src string, cfg CheckConfig) *Divergence {
 		}
 		if d := diffSnapshot(fast.snap, ref.snap); d != "" {
 			return fail("vm-heap", nc, "%s", d)
-		}
-		// -O vs unoptimized walker: same results, cycles never rise.
-		opt, err := runDet(osys, nc, false, maxInv)
-		if err != nil {
-			return fail("run", nc, "-O fast dispatch: %v", err)
-		}
-		if nc == 1 {
-			// Single core: one serial schedule, output is byte-identical
-			// and shaving task cycles can only finish sooner.
-			if opt.out != ref.out {
-				return fail("opt-output", nc, "-O output diverged\nopt:   %q\nplain: %q", opt.out, ref.out)
-			}
-			if opt.res.TotalCycles > ref.res.TotalCycles {
-				return fail("opt-cycles", nc, "-O took %d cycles, more than unoptimized %d", opt.res.TotalCycles, ref.res.TotalCycles)
-			}
-		} else if d := diffOutput(sortedOutput(opt.out), sortedOutput(ref.out)); d != "" {
-			// Multicore: -O changes per-task cycle counts, so the
-			// deterministic schedule shifts — independent pipelines may
-			// legally retire in a different order and double reductions
-			// may fold in a different order. Compare printed lines as a
-			// multiset with float tolerance, like the other
-			// cross-schedule checks.
-			return fail("opt-output", nc, "-O: %s", d)
-		}
-		if opt.res.Invocations != ref.res.Invocations {
-			return fail("opt-invocations", nc, "-O ran %d invocations, unoptimized %d", opt.res.Invocations, ref.res.Invocations)
-		}
-		if nc == 1 {
-			if d := diffSnapshot(opt.snap, ref.snap); d != "" {
-				return fail("opt-heap", nc, "-O heap: %s", d)
-			}
-		} else if d := diffSnapshotUnordered(opt.snap, ref.snap); d != "" {
-			// Multicore -O runs a shifted schedule, so allocation order
-			// (object identity) legally differs; only the final state
-			// multiset must match.
-			return fail("opt-heap", nc, "-O heap: %s", d)
 		}
 		// Deterministic engine at nc cores vs the sequential baseline:
 		// the same task system must run (invocations), and the printed

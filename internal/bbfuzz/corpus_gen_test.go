@@ -35,17 +35,17 @@ func TestRegenCorpus(t *testing.T) {
 	}
 	// Shrunk reproducers for divergences found during bring-up.
 	write("tagjoin_schedsim.bb", tagJoinRepro().Source())
-	// Seed 64: -O shifted the multicore deterministic schedule, retiring
-	// independent pipelines in a different order (checker now compares
-	// multicore -O output as a multiset).
+	// Seed 64: the IR optimizer shifted the multicore deterministic
+	// schedule, retiring independent pipelines in a different order. The
+	// optimizer substrate is gone; the program stays as a schedule case.
 	write("opt_reorder_4core.bb", GenerateSeed(64).Source())
 	// Seed 197: different schedule folds a double reduction in a
 	// different order, differing in the last ulp (checker now compares
 	// cross-schedule doubles with relative tolerance).
 	write("opt_double_fold_4core.bb", GenerateSeed(197).Source())
-	// Seed 350: multicore -O allocates the same objects in a different
-	// order, so object identity differs while the (class, flags, tags)
-	// multiset matches (checker now ignores allocation order at 2+ cores).
+	// Seed 350: the optimized multicore run allocated the same objects in
+	// a different order, so object identity differed while the (class,
+	// flags, tags) multiset matched.
 	write("opt_alloc_order_4core.bb", GenerateSeed(350).Source())
 	// Seed 1564: a double accumulator that nearly cancels — the 4-core
 	// concurrent fold leaves an error on the scale of the intermediate

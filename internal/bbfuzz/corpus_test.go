@@ -7,7 +7,7 @@ import (
 )
 
 // TestCorpusReplay runs every committed corpus program through the full
-// differential check: walker vs VM vs -O on the deterministic engine at
+// differential check: walker vs VM on the deterministic engine at
 // 1/2/4/8 cores, the concurrent runtime, and the schedsim prediction. Each
 // member is either a shrunk reproducer for a fixed divergence or a
 // grammar-coverage seed; all must stay green.

@@ -11,8 +11,8 @@
 // execution substrates is always a pipeline bug, never a racy program.
 //
 // Check runs one program through the full pipeline — parser → typechecker
-// → reference tree walker vs flattened VM (with and without the -O IR
-// optimizer) on the deterministic engine at 1/2/4/8 cores, the concurrent
+// → reference tree walker vs flattened VM on the deterministic engine at
+// 1/2/4/8 cores, the concurrent
 // runtime at the same core counts, and the scheduling simulator's
 // prediction — and cross-checks program output, virtual cycle totals,
 // invocation counts, and final heap flag/tag state. Shrink minimizes a

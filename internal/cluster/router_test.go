@@ -359,6 +359,50 @@ func TestDeadOwnerFailsOverJobsButNotByID(t *testing.T) {
 	}
 }
 
+// An owner that refuses connections before the prober has noticed: the
+// probe interval is an hour, so the peer still reads alive and the router
+// tries it. The proxy error fails the submit over to the next ring node.
+// Unlike TestDeadOwnerFailsOverJobsButNotByID, this path does not depend
+// on which of the prober and the submit reaches the dead node first.
+func TestUnprobedDeadOwnerFailsOverOnProxyError(t *testing.T) {
+	srv := server.New(server.Config{NodeID: "live"})
+	defer srv.Close()
+	router := cluster.NewRouter(srv.Handler(), cluster.Options{
+		NodeID:     "live",
+		Peers:      map[string]string{"live": "http://unused", "down": "http://127.0.0.1:1"},
+		Membership: cluster.MemberOptions{Interval: time.Hour},
+	})
+	defer router.Stop()
+	ts := httptest.NewServer(router)
+	defer ts.Close()
+
+	cl := client.New(ts.URL)
+	ring := cluster.NewRing([]string{"live", "down"}, 0)
+	for i := 0; ; i++ {
+		req := server.SubmitRequest{Source: testProgram(900 + i)}
+		if fp, _ := req.Fingerprint(); ring.Owner(fp) != "down" {
+			continue
+		}
+		sub, err := cl.SubmitJob(ctxT(), req)
+		if err != nil {
+			t.Fatalf("submit owned by an unreachable node: %v", err)
+		}
+		if got := nodePrefix(sub.ID); got != "live" {
+			t.Fatalf("job ran on %q, want live", got)
+		}
+		break
+	}
+	st := router.Stats()
+	if st.ProxyErrors != 1 || st.Failovers != 1 {
+		t.Errorf("proxy errors %d, failovers %d; want 1 and 1", st.ProxyErrors, st.Failovers)
+	}
+	for _, p := range st.Peers {
+		if p.ID == "down" && p.State != cluster.StateAlive {
+			t.Errorf("down reads %s after one failed proxy, want alive (suspect after 2)", p.State)
+		}
+	}
+}
+
 // The hop header caps forwarding at one hop: a request that already
 // crossed the wire is served locally even if the ring disagrees.
 func TestHopHeaderServedLocally(t *testing.T) {

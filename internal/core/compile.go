@@ -11,41 +11,25 @@ import (
 	"repro/internal/machine"
 )
 
-// CompileOptions are the flags that change what CompileSource produces and
-// therefore participate in the content address of a compiled program.
-type CompileOptions struct {
-	// Optimize runs the internal/opt IR pipeline after lowering.
-	Optimize bool
-}
+// CompileOptions is empty: a program compiles one way. It stays only
+// because the benchmark harness calls Compile with it; ROADMAP item 12
+// removes it.
+type CompileOptions struct{}
 
-// Compile is the cacheable front half of the compile/execute split: parse,
-// check, lower, analyze, and (optionally) optimize. The returned System is
-// immutable after this point — the execution engines only read Prog, Dep,
-// and Locks — so one compiled System may be shared by any number of
-// concurrent Exec calls.
-func Compile(src string, opts CompileOptions) (*System, error) {
-	sys, err := CompileSource(src)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Optimize {
-		sys.OptimizeIR()
-	}
-	return sys, nil
-}
+// Compile is CompileSource under the name the benchmark harness calls;
+// ROADMAP item 12 removes it.
+func Compile(src string, _ CompileOptions) (*System, error) { return CompileSource(src) }
 
 // Fingerprint returns the content address of a compilation: the hex
-// SHA-256 of the source text and every option that changes the compiled
-// artifact. Equal fingerprints mean byte-identical execution behavior, so
-// the fingerprint is a safe cache key for compiled programs.
-func Fingerprint(src string, opts CompileOptions) string {
+// SHA-256 of the length-prefixed source text and one zero byte. The byte
+// once carried the optimizer flag; it stays so that every cache key, and
+// with it every ring owner, is unchanged. Equal fingerprints mean
+// byte-identical execution behavior, so the fingerprint is a safe cache
+// key for compiled programs.
+func Fingerprint(src string) string {
 	h := sha256.New()
 	writeLenPrefixed(h, []byte(src))
-	flags := byte(0)
-	if opts.Optimize {
-		flags |= 1
-	}
-	h.Write([]byte{flags})
+	h.Write([]byte{0})
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -53,9 +37,9 @@ func Fingerprint(src string, opts CompileOptions) string {
 // parameters (core count, synthesis seed, profiling args), addressing a
 // fully prepared program: compiled IR plus a synthesized layout. Two equal
 // PrepareFingerprints execute identically on the deterministic engine.
-func PrepareFingerprint(src string, opts CompileOptions, cfg PrepareConfig) string {
+func PrepareFingerprint(src string, cfg PrepareConfig) string {
 	h := sha256.New()
-	h.Write([]byte(Fingerprint(src, opts)))
+	h.Write([]byte(Fingerprint(src)))
 	var buf [16]byte
 	binary.LittleEndian.PutUint64(buf[:8], uint64(cfg.Cores))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(cfg.Seed))
@@ -115,7 +99,7 @@ func (s *System) Prepare(ctx context.Context, cfg PrepareConfig) (*Prepared, err
 	if err != nil {
 		return nil, fmt.Errorf("core: profile for synthesis: %w", err)
 	}
-	res, err := s.SynthesizeContext(ctx, SynthesizeConfig{
+	res, err := s.Synthesize(ctx, SynthesizeConfig{
 		Machine: m, Prof: prof, Seed: cfg.Seed, Workers: cfg.Workers,
 		PerObjectCounts: cfg.Hints,
 	})

@@ -26,7 +26,6 @@ import (
 	"repro/internal/ir"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/opt"
 	"repro/internal/parser"
 	"repro/internal/profile"
 	"repro/internal/schedsim"
@@ -124,14 +123,6 @@ func (s *System) profile(ctx context.Context, args []string) (*profile.Profile, 
 // tooling).
 func (s *System) Interp() *interp.Interp { return interp.New(s.Prog) }
 
-// OptimizeIR runs the IR optimizer pipeline (constant folding, copy
-// propagation, branch folding, block straightening, dead code elimination)
-// over the compiled program in place. The evaluation harness runs
-// unoptimized IR by default so its cost model matches the paper's baseline;
-// call this — or pass -O to the drivers — to measure the optimizer's
-// effect (BenchmarkOptimizerAblation) or to speed up large runs.
-func (s *System) OptimizeIR() opt.Stats { return opt.Optimize(s.Prog) }
-
 // CSTG builds the profile-annotated combined state transition graph.
 func (s *System) CSTG(prof *profile.Profile) *cstg.Graph {
 	return cstg.Build(s.Prog, s.Dep, prof)
@@ -164,20 +155,12 @@ type SynthesisResult struct {
 	Synthesis   *synth.Synthesis
 }
 
-// Synthesize runs the full implementation synthesis pipeline of Section 4
-// with a background context.
-//
-// Deprecated: use SynthesizeContext so long searches are cancellable.
-func (s *System) Synthesize(cfg SynthesizeConfig) (*SynthesisResult, error) {
-	return s.SynthesizeContext(context.Background(), cfg)
-}
-
-// SynthesizeContext runs the full implementation synthesis pipeline of
+// Synthesize runs the full implementation synthesis pipeline of
 // Section 4: CSTG construction, core grouping with the parallelization
 // rules, random candidate generation, and directed simulated annealing
 // driven by the scheduling simulator and critical path analysis. The
 // context cancels the search: no candidate evaluation starts once it is done.
-func (s *System) SynthesizeContext(ctx context.Context, cfg SynthesizeConfig) (*SynthesisResult, error) {
+func (s *System) Synthesize(ctx context.Context, cfg SynthesizeConfig) (*SynthesisResult, error) {
 	numCores := cfg.Machine.NumUsable()
 	graph := cstg.Build(s.Prog, s.Dep, cfg.Prof)
 	syn := synth.Build(graph, numCores)

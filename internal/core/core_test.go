@@ -53,7 +53,7 @@ task u(C c in a) { taskexit(c: a := false); }`)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = sys.SynthesizeContext(ctx, core.SynthesizeConfig{
+	_, err = sys.Synthesize(ctx, core.SynthesizeConfig{
 		Machine: machine.TilePro64().WithCores(4), Prof: prof, Seed: 1,
 	})
 	if !errors.Is(err, context.Canceled) {

@@ -18,7 +18,7 @@ var kvArgs = []string{"8", "64", "64"}
 
 func startKV(t *testing.T, engine core.Engine, cores int) *core.Session {
 	t.Helper()
-	sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
+	sys, err := core.CompileSource(examples.KVStoreSource())
 	if err != nil {
 		t.Fatalf("compile kvstore: %v", err)
 	}

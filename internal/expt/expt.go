@@ -44,17 +44,10 @@ type Prepared struct {
 // Prepare compiles, profiles, and synthesizes one benchmark for the target
 // machine. The seed drives the synthesis search deterministically; workers
 // bounds the synthesis search's evaluation goroutines (<= 0 = GOMAXPROCS).
-// With optimize set, the IR optimizer runs before profiling, so the whole
-// pipeline (baseline, profile, synthesis, execution) sees the optimized
-// cycle counts — modeling a smarter compiler backend instead of the
-// paper-calibrated unoptimized one.
-func Prepare(b *benchmarks.Benchmark, m *machine.Machine, seed int64, workers int, optimize bool) (*Prepared, error) {
+func Prepare(b *benchmarks.Benchmark, m *machine.Machine, seed int64, workers int) (*Prepared, error) {
 	sys, err := core.CompileSource(b.Source)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	if optimize {
-		sys.OptimizeIR()
 	}
 	seq, err := sys.RunSequential(b.Args, nil)
 	if err != nil {
@@ -65,7 +58,7 @@ func Prepare(b *benchmarks.Benchmark, m *machine.Machine, seed int64, workers in
 		return nil, fmt.Errorf("%s profile: %w", b.Name, err)
 	}
 	start := time.Now()
-	synth, err := sys.SynthesizeContext(context.Background(), core.SynthesizeConfig{
+	synth, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{
 		Machine: m, Prof: prof, Seed: seed, Workers: workers, PerObjectCounts: b.Hints,
 	})
 	if err != nil {
@@ -82,7 +75,7 @@ func Prepare(b *benchmarks.Benchmark, m *machine.Machine, seed int64, workers in
 // bounded worker pool (workers <= 0 = GOMAXPROCS); results come back in
 // benchmark order and each per-benchmark pipeline stays deterministic, so
 // the outcome is identical to serial preparation.
-func PrepareAll(seed int64, workers int, optimize bool) ([]*Prepared, error) {
+func PrepareAll(seed int64, workers int) ([]*Prepared, error) {
 	m := machine.TilePro64()
 	benches := benchmarks.InPaper()
 	out := make([]*Prepared, len(benches))
@@ -92,7 +85,7 @@ func PrepareAll(seed int64, workers int, optimize bool) ([]*Prepared, error) {
 	// goroutines are multiplexed over GOMAXPROCS threads, so the nesting
 	// improves utilization near the tail without oversubscribing the CPU.
 	pool.For(len(benches), workers, func(i int) {
-		out[i], errs[i] = Prepare(benches[i], m, seed, workers, optimize)
+		out[i], errs[i] = Prepare(benches[i], m, seed, workers)
 	})
 	for _, err := range errs {
 		if err != nil {

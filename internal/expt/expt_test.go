@@ -19,7 +19,7 @@ var (
 func sharedPrepared(t *testing.T) []*Prepared {
 	t.Helper()
 	preparedOnce.Do(func() {
-		preparedCache, preparedErr = PrepareAll(1, 0, false)
+		preparedCache, preparedErr = PrepareAll(1, 0)
 	})
 	if preparedErr != nil {
 		t.Fatal(preparedErr)
@@ -170,7 +170,7 @@ func TestPrepareSingleBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := machine.TilePro64().WithCores(8)
-	p, err := Prepare(b, m, 3, 0, false)
+	p, err := Prepare(b, m, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

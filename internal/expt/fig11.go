@@ -43,7 +43,7 @@ func Fig11(prepared []*Prepared, seed int64) ([]Fig11Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		synthD, err := p.Sys.SynthesizeContext(context.Background(), core.SynthesizeConfig{
+		synthD, err := p.Sys.Synthesize(context.Background(), core.SynthesizeConfig{
 			Machine: p.Machine, Prof: profD, Seed: seed, PerObjectCounts: p.Bench.Hints,
 		})
 		if err != nil {

@@ -39,11 +39,11 @@ func TestHeterogeneousMachine(t *testing.T) {
 		t.Fatalf("hetero usable = %d", hetero.NumUsable())
 	}
 
-	synHomog, err := sys.Synthesize(core.SynthesizeConfig{Machine: homog, Prof: prof, Seed: 4})
+	synHomog, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: homog, Prof: prof, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	synHet, err := sys.Synthesize(core.SynthesizeConfig{Machine: hetero, Prof: prof, Seed: 4})
+	synHet, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: hetero, Prof: prof, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestRingTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	synth, err := sys.Synthesize(core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 2})
+	synth, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -455,11 +455,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fMulImmF:
 			regs[ins.c].setFloat(ins.f)
 			regs[ins.dst].setFloat(regs[ins.a].Float() * ins.f)
-		case fMulImmMvF:
-			regs[ins.c].setFloat(ins.f)
-			x := regs[ins.a].Float() * ins.f
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
 
 		// const+div/rem: the immediate is nonzero by construction (fusion
 		// skips zero), so these arms cannot raise division-by-zero.

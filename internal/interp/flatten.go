@@ -111,9 +111,8 @@ const (
 	// order, including the write of the first half's destination register
 	// (write-through), so the register file after a fused arm is
 	// byte-identical to unfused execution. An arm stays only while one of
-	// the embedded programs emits it, with or without -O, or while tryFuse
-	// builds it on the way to an absorbed form that one does
-	// (TestEverySuperinstructionIsEmitted).
+	// the embedded programs emits it, or while tryFuse builds it on the way
+	// to an absorbed form that one does (TestEverySuperinstructionIsEmitted).
 
 	// compare+branch: a,b = operands, c = compare dst (written through),
 	// jmp/jmp2 = branch targets. Only fused when the branch condition is
@@ -193,7 +192,6 @@ const (
 	fAddImmMvI
 	fSubImmMvI
 	fSubImmMvF
-	fMulImmMvF
 	fArrAddMvF
 	fArrSubMvF
 	fMulAddMvF
@@ -993,7 +991,7 @@ var moveFused = map[fop]fop{
 	fAddI: fAddMvI, fAddF: fAddMvF, fSubF: fSubMvF, fMulF: fMulMvF,
 	fGetField: fGetMv, fArrGet: fArrGetMv, fGetGet: fGetGetMv,
 	fAddImmI: fAddImmMvI, fSubImmI: fSubImmMvI,
-	fSubImmF: fSubImmMvF, fMulImmF: fMulImmMvF,
+	fSubImmF: fSubImmMvF,
 	fArrAddF: fArrAddMvF, fArrSubF: fArrSubMvF,
 	fMulAddF: fMulAddMvF, fMulSubF: fMulSubMvF, fMulSubI: fMulSubMvI,
 	fDivImmF: fDivImmMvF, fRemImm: fRemImmMv, fI2FDivF: fI2FDivMvF,

@@ -45,19 +45,17 @@ func opNames(t *testing.T) []string {
 
 // TestEverySuperinstructionIsEmitted holds the VM to the superinstructions
 // a workload dispatches: every fused opcode (those declared after fTrap)
-// must appear in the flattened code of one of the embedded programs, with
-// or without -O, or be a listed intermediate.
+// must appear in the flattened code of one of the embedded programs or be
+// a listed intermediate.
 func TestEverySuperinstructionIsEmitted(t *testing.T) {
 	emitted := map[int]bool{}
 	for _, b := range benchmarks.All() {
-		for _, optimize := range []bool{false, true} {
-			sys, err := core.Compile(b.Source, core.CompileOptions{Optimize: optimize})
-			if err != nil {
-				t.Fatalf("%s: %v", b.Name, err)
-			}
-			for _, op := range interp.FlatOps(sys.Interp()) {
-				emitted[op] = true
-			}
+		sys, err := core.CompileSource(b.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		for _, op := range interp.FlatOps(sys.Interp()) {
+			emitted[op] = true
 		}
 	}
 	names := opNames(t)

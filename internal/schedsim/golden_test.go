@@ -140,7 +140,7 @@ func TestGoldenTraces(t *testing.T) {
 			if n > 1 {
 				key := fmt.Sprintf("%s/%d", b.Name, n)
 				if *update {
-					res, err := sys.SynthesizeContext(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 1})
+					res, err := sys.Synthesize(context.Background(), core.SynthesizeConfig{Machine: m, Prof: prof, Seed: 1})
 					if err != nil {
 						t.Fatal(err)
 					}

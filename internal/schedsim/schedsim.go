@@ -151,6 +151,26 @@ type simState struct {
 // Run simulates the layout and returns the estimate. It is safe to call
 // concurrently from multiple goroutines on one Simulator.
 func (s *Simulator) Run(opts Options) (*Result, error) {
+	st, _ := s.scratch.Get().(*simState)
+	if st == nil {
+		st = s.newState()
+	}
+	res, err := s.runOn(st, opts)
+	// Pooled scratch must not pin the caller's Trace, Layout or Machine.
+	st.t, st.opts, st.depSlab, st.loop.M = nil, Options{}, nil, nil
+	clear(st.lay.Cores)
+	s.scratch.Put(st)
+	return res, err
+}
+
+func (s *Simulator) newState() *simState {
+	st := &simState{p: s.p, objAt: map[[2]int32]int32{}, lay: sched.Layout{Program: s.p.sched}}
+	st.loop.B = body{st}
+	return st
+}
+
+// runOn simulates the layout on the scratch st.
+func (s *Simulator) runOn(st *simState, opts Options) (*Result, error) {
 	if opts.Machine == nil || opts.Layout == nil || opts.Prof == nil {
 		return nil, fmt.Errorf("schedsim: Machine, Layout, and Prof are required")
 	}
@@ -165,18 +185,8 @@ func (s *Simulator) Run(opts Options) (*Result, error) {
 		t = s.p.newTables(opts.Prof)
 		s.tabs.Store(t)
 	}
-	st, _ := s.scratch.Get().(*simState)
-	if st == nil {
-		st = &simState{p: s.p, objAt: map[[2]int32]int32{}, lay: sched.Layout{Program: s.p.sched}}
-		st.loop.B = body{st}
-	}
 	st.t, st.opts = t, opts
-	res, err := st.run()
-	// Pooled scratch must not pin the caller's Trace, Layout or Machine.
-	st.t, st.opts, st.depSlab, st.loop.M = nil, Options{}, nil, nil
-	clear(st.lay.Cores)
-	s.scratch.Put(st)
-	return res, err
+	return st.run()
 }
 
 // sized returns s with length n and every element zero, reusing its capacity.

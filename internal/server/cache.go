@@ -9,8 +9,8 @@ import (
 	"repro/internal/core"
 )
 
-// Compiled is one cached artifact: a fully compiled, analyzed, optionally
-// optimized program plus its synthesized placement. Both halves are
+// Compiled is one cached artifact: a fully compiled and analyzed program
+// plus its synthesized placement. Both halves are
 // read-only at execution time, so a single Compiled may back any number
 // of concurrent Exec calls.
 type Compiled struct {
@@ -25,13 +25,12 @@ type Compiled struct {
 // CompileRequest identifies one cacheable compilation+preparation.
 type CompileRequest struct {
 	Source string
-	Opts   core.CompileOptions
 	Prep   core.PrepareConfig
 }
 
 // Key returns the request's content address.
 func (r CompileRequest) Key() string {
-	return core.PrepareFingerprint(r.Source, r.Opts, r.Prep)
+	return core.PrepareFingerprint(r.Source, r.Prep)
 }
 
 // ProgramCache is a content-addressed LRU cache of compiled programs with
@@ -121,11 +120,11 @@ func (c *ProgramCache) GetOrCompile(ctx context.Context, req CompileRequest) (*C
 	return f.res, false, f.err
 }
 
-// compile runs the front half of the pipeline: parse/check/lower/analyze,
-// optional IR optimization, and layout preparation (profile + synthesis
+// compile runs the front half of the pipeline: parse/check/lower/analyze
+// and layout preparation (profile + synthesis
 // for multicore targets).
 func (c *ProgramCache) compile(ctx context.Context, key string, req CompileRequest) (*Compiled, error) {
-	sys, err := core.Compile(req.Source, req.Opts)
+	sys, err := core.CompileSource(req.Source)
 	if err != nil {
 		return nil, err
 	}

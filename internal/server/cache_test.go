@@ -56,7 +56,6 @@ func TestCacheKeySensitivity(t *testing.T) {
 	}
 	variants := []server.CompileRequest{
 		req(11), // different source
-		{Source: testProgram(10), Opts: core.CompileOptions{Optimize: true}, Prep: base.Prep},
 		{Source: testProgram(10), Prep: core.PrepareConfig{Cores: 2, Seed: 1}},
 		{Source: testProgram(10), Prep: core.PrepareConfig{Cores: 1, Seed: 2}},
 		{Source: testProgram(10), Prep: core.PrepareConfig{Cores: 1, Seed: 1, Args: []string{"x"}}},
@@ -65,6 +64,26 @@ func TestCacheKeySensitivity(t *testing.T) {
 		if v.Key() == base.Key() {
 			t.Errorf("variant %d collides with the base key", i)
 		}
+	}
+}
+
+// TestCacheKeysArePinned holds two fixed requests' content addresses to
+// the hex values computed when the compile fingerprint still hashed an
+// optimizer flag byte. The byte is now always zero; a key that moved
+// would miss every warm cache entry and reassign every cluster ring owner.
+func TestCacheKeysArePinned(t *testing.T) {
+	creq := server.CompileRequest{Source: testProgram(10),
+		Prep: core.PrepareConfig{Cores: 2, Seed: 3, Args: []string{"a", "b"}}}
+	if got, want := creq.Key(), "76a664ad79aa29ec0a6fc79c22038c977c77042ec9b54961f19d0bf0069a77aa"; got != want {
+		t.Errorf("CompileRequest.Key() = %s, want %s", got, want)
+	}
+	sub := server.SubmitRequest{Benchmark: "Keyword", Cores: 4, Seed: 7}
+	fp, err := sub.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "d1ba10239bdd107d1476ebdaa7f753226eb29cad52f95ef5da2bd26303d9a293"; fp != want {
+		t.Errorf("SubmitRequest.Fingerprint() = %s, want %s", fp, want)
 	}
 }
 
@@ -189,7 +208,7 @@ func TestCacheConcurrent(t *testing.T) {
 // program output.
 func runDirect(t *testing.T, src string) string {
 	t.Helper()
-	sys, err := core.Compile(src, core.CompileOptions{})
+	sys, err := core.CompileSource(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +298,7 @@ func TestCachedExecutionDifferential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// Reference: compile from scratch, no cache involved.
-			refSys, err := core.Compile(tc.req.Source, tc.req.Opts)
+			refSys, err := core.CompileSource(tc.req.Source)
 			if err != nil {
 				t.Fatal(err)
 			}

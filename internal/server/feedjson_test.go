@@ -249,7 +249,7 @@ func checkRendering(t *testing.T, cl *types.Class, spec SessionRequestSpec, objs
 func TestReplyRenderingMatchesEncodingJSON(t *testing.T) {
 	t.Run("kvstore", func(t *testing.T) {
 		ctx := context.Background()
-		sys, err := core.Compile(examples.KVStoreSource(), core.CompileOptions{})
+		sys, err := core.CompileSource(examples.KVStoreSource())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,6 +20,13 @@ import (
 	"repro/internal/wal"
 )
 
+// maxSourceBytes bounds one submitted program; maxOutputBytes bounds one
+// job's or session's buffered program output.
+const (
+	maxSourceBytes = 1 << 20
+	maxOutputBytes = 1 << 20
+)
+
 // ShutdownSignals are the signals that trigger a graceful drain. The
 // bamboo CLI's run command listens on the same set, so Ctrl-C and a
 // service manager's SIGTERM take the identical shutdown path in both
@@ -43,11 +50,6 @@ type Config struct {
 	// admission to completion.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// MaxSourceBytes bounds one submitted program (default 1 MiB).
-	MaxSourceBytes int64
-	// MaxOutputBytes bounds one job's or session's buffered program output
-	// (default 1 MiB).
-	MaxOutputBytes int
 	// MaxSessions bounds non-terminal (active or parked) sessions
 	// (default 256); creates beyond it are rejected 429. MaxLiveSessions
 	// bounds resident session engines (default 8): beyond it, idle
@@ -94,12 +96,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 10 * time.Minute
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
-	}
-	if c.MaxOutputBytes <= 0 {
-		c.MaxOutputBytes = 1 << 20
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
@@ -636,7 +632,7 @@ func writeErr(w http.ResponseWriter, status int, code, msg string, retryMS int64
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := decodeBody(w, r, s.cfg.MaxSourceBytes+4096, &req); err != nil {
+	if err := decodeBody(w, r, maxSourceBytes+4096, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}

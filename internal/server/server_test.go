@@ -172,6 +172,21 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSourceSizeBound holds both ways to submit a program, a job and a
+// session create, to the 1 MiB source bound.
+func TestSourceSizeBound(t *testing.T) {
+	s := newTestService(t, server.Config{})
+	src := testProgram(1) + strings.Repeat(" ", 1<<20)
+	if _, err := s.cl.SubmitJob(ctxT(), server.SubmitRequest{Source: src}); !client.IsCode(err, server.CodeInvalidArgument) ||
+		!strings.Contains(err.Error(), "source exceeds") {
+		t.Errorf("oversized job: err = %v, want %s source exceeds", err, server.CodeInvalidArgument)
+	}
+	_, err := s.cl.CreateSession(ctxT(), server.SessionRequest{Source: src})
+	if !client.IsCode(err, server.CodeInvalidArgument) || !strings.Contains(err.Error(), "source exceeds") {
+		t.Errorf("oversized session: err = %v, want %s source exceeds", err, server.CodeInvalidArgument)
+	}
+}
+
 // postRaw sends body verbatim and returns the status and, on a failure,
 // the error envelope.
 func postRaw(t *testing.T, url, body string) (int, server.APIError) {

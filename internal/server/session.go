@@ -36,18 +36,17 @@ import (
 // the feeds the log holds after it. A session keeps no feed history.
 // Concurrent-engine sessions have no checkpoint and are pinned resident.
 
-// limitWriter buffers program output up to a byte cap and drops (but
+// limitWriter buffers program output up to maxOutputBytes and drops (but
 // counts) the rest, so a runaway program cannot balloon server memory.
 type limitWriter struct {
 	mu        sync.Mutex
 	buf       []byte
-	max       int
 	truncated bool
 }
 
 func (w *limitWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
-	if room := w.max - len(w.buf); room > 0 {
+	if room := maxOutputBytes - len(w.buf); room > 0 {
 		if len(p) > room {
 			w.buf = append(w.buf, p[:room]...)
 			w.truncated = true
@@ -256,12 +255,12 @@ func (sn *Session) jobView() JobView {
 	return v
 }
 
-// resolve validates a job's or a session's spec, within this server's
+// resolve validates a job's or a session's spec, within the
 // source-size bound, into an unregistered entry.
 func (s *Server) resolve(e execSpec) (*Session, error) {
 	creq, engine, err := e.compileRequest()
-	if err == nil && int64(len(creq.Source)) > s.cfg.MaxSourceBytes {
-		err = fmt.Errorf("source exceeds %d bytes", s.cfg.MaxSourceBytes)
+	if err == nil && len(creq.Source) > maxSourceBytes {
+		err = fmt.Errorf("source exceeds %d bytes", maxSourceBytes)
 	}
 	if err != nil {
 		return nil, err
@@ -363,7 +362,7 @@ func (s *Server) beginSessionOp() error {
 func (s *Server) boot(ctx context.Context, sn *Session) error {
 	// A fresh counter sink per boot: folded into the server aggregate at
 	// teardown, never double-counted across revivals.
-	out, met := &limitWriter{max: s.cfg.MaxOutputBytes}, &obsv.Metrics{}
+	out, met := &limitWriter{}, &obsv.Metrics{}
 	sn.out, sn.met = out, met
 	if sn.sub != nil {
 		sn.mu.Unlock()
@@ -545,7 +544,7 @@ func (s *Server) closeAllSessions() {
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req SessionRequest
-	if err := decodeBody(w, r, s.cfg.MaxSourceBytes+4096, &req); err != nil {
+	if err := decodeBody(w, r, maxSourceBytes+4096, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, CodeInvalidArgument, "bad request body: "+err.Error(), 0)
 		return
 	}

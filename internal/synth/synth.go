@@ -231,18 +231,15 @@ type EnumOptions struct {
 	SkipProb float64
 	// Rng drives the random skipping; required when SkipProb > 0.
 	Rng *rand.Rand
-	// MaxTotalInstances bounds the sum of group instances (defaults to
-	// NumCores + number of groups, which keeps exhaustive spaces finite).
-	MaxTotalInstances int
 }
 
 // Candidates enumerates non-isomorphic candidate layouts: replica count
 // choices for each group crossed with canonical (symmetry-broken)
-// assignments of group instances to cores.
+// assignments of group instances to cores. The group instances sum to at
+// most NumCores plus the number of groups, which keeps exhaustive spaces
+// finite.
 func (s *Synthesis) Candidates(opts EnumOptions) []*layout.Layout {
-	if opts.MaxTotalInstances == 0 {
-		opts.MaxTotalInstances = opts.NumCores + len(s.Groups)
-	}
+	maxTotal := opts.NumCores + len(s.Groups)
 	var out []*layout.Layout
 	seen := map[string]bool{}
 	counts := make([]int, len(s.Groups))
@@ -324,7 +321,7 @@ func (s *Synthesis) Candidates(opts EnumOptions) []*layout.Layout {
 		if maxR > opts.NumCores {
 			maxR = opts.NumCores
 		}
-		for r := 1; r <= maxR && total+r <= opts.MaxTotalInstances; r++ {
+		for r := 1; r <= maxR && total+r <= maxTotal; r++ {
 			counts[gi] = r
 			chooseCounts(gi+1, total+r)
 		}
