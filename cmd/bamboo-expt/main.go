@@ -8,8 +8,10 @@
 //	bamboo-expt -exp fig10 [...]     DSA efficiency study (16 cores)
 //	bamboo-expt -exp fig11           generality on doubled inputs
 //	bamboo-expt -exp dsatime         DSA synthesis wall-clock times
-//	bamboo-expt -exp fidelity        schedsim prediction vs measured concurrent run
-//	bamboo-expt -exp all             everything except fidelity (wall-clock sensitive)
+//	bamboo-expt -exp all             all of the above
+//
+// The simulator's prediction against a measured concurrent run is
+// `bamboo fidelity`.
 package main
 
 import (
@@ -23,30 +25,36 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "fig7 | fig9 | fig10 | fig11 | dsatime | fidelity | all")
-	seed := flag.Int64("seed", 1, "seed for all stochastic searches")
-	dsaRuns := flag.Int("dsa-runs", 60, "DSA starting points for fig10 (paper: 1000)")
-	fig10Cores := flag.Int("fig10-cores", 16, "cores for the fig10 study")
-	maxExhaustive := flag.Int("max-exhaustive", 6000, "cap on enumerated layouts for fig10")
-	workers := flag.Int("workers", 0, "worker goroutines for preparation and the fig10 study (0 = all CPUs); results are identical for any value")
-	flag.Parse()
-
-	if err := run(os.Stdout, os.Stderr, *exp, *seed, *dsaRuns, *fig10Cores, *maxExhaustive, *workers); err != nil {
+	if err := run(os.Stdout, os.Stderr, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "bamboo-expt:", err)
 		os.Exit(1)
 	}
 }
 
-// run prints the selected experiments' tables to out and progress notes to
-// progress.
-func run(out, progress io.Writer, exp string, seed int64, dsaRuns, fig10Cores, maxExhaustive, workers int) error {
+// run parses args, prints the selected experiments' tables to out and
+// progress notes to progress.
+func run(out, progress io.Writer, args []string) error {
+	fs := flag.NewFlagSet("bamboo-expt", flag.ExitOnError)
+	expFlag := fs.String("exp", "all", "fig7 | fig9 | fig10 | fig11 | dsatime | all")
+	seedFlag := fs.Int64("seed", 1, "seed for all stochastic searches")
+	dsaRuns := fs.Int("dsa-runs", 60, "DSA starting points for fig10 (paper: 1000)")
+	fig10Cores := fs.Int("fig10-cores", 16, "cores for the fig10 study")
+	maxExhaustive := fs.Int("max-exhaustive", 6000, "cap on enumerated layouts for fig10")
+	workers := fs.Int("workers", 0, "worker goroutines for preparation and the fig10 study (0 = all CPUs); results are identical for any value")
+	fs.Parse(args)
+	exp, seed := *expFlag, *seedFlag
+	switch exp {
+	case "all", "fig7", "fig9", "fig10", "fig11", "dsatime":
+	default:
+		return fmt.Errorf("unknown experiment %q", exp)
+	}
 	cores := machine.TilePro64().NumUsable()
-	needPrep := exp == "all" || exp == "fig7" || exp == "fig9" || exp == "fig11" || exp == "dsatime"
+	needPrep := exp != "fig10"
 	var prepared []*expt.Prepared
 	if needPrep {
 		fmt.Fprintf(progress, "preparing benchmarks (compile, profile, synthesize for %d cores)...\n", cores)
 		var err error
-		prepared, err = expt.PrepareAll(seed, workers)
+		prepared, err = expt.PrepareAll(seed, *workers)
 		if err != nil {
 			return err
 		}
@@ -66,10 +74,10 @@ func run(out, progress io.Writer, exp string, seed int64, dsaRuns, fig10Cores, m
 		fmt.Fprintln(out, expt.FormatFig9(rows, cores))
 	}
 	if exp == "all" || exp == "fig10" {
-		fmt.Fprintf(progress, "running fig10 study (%d cores, %d DSA runs per benchmark)...\n", fig10Cores, dsaRuns)
+		fmt.Fprintf(progress, "running fig10 study (%d cores, %d DSA runs per benchmark)...\n", *fig10Cores, *dsaRuns)
 		results, err := expt.Fig10(expt.Fig10Options{
-			Cores: fig10Cores, DSARuns: dsaRuns, MaxExhaustive: maxExhaustive,
-			Seed: seed, SkipTracking: true, Workers: workers,
+			Cores: *fig10Cores, DSARuns: *dsaRuns, MaxExhaustive: *maxExhaustive,
+			Seed: seed, SkipTracking: true, Workers: *workers,
 		})
 		if err != nil {
 			return err
@@ -82,13 +90,6 @@ func run(out, progress io.Writer, exp string, seed int64, dsaRuns, fig10Cores, m
 			return err
 		}
 		fmt.Fprintln(out, expt.FormatFig11(rows, cores))
-	}
-	if exp == "fidelity" {
-		rows, err := expt.FidelityAll(4)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, expt.FormatFidelity(rows))
 	}
 	if exp == "all" || exp == "dsatime" {
 		fmt.Fprintln(out, "DSA synthesis time (Section 5.1 reports 1.3 min for Tracking, 10 s for KMeans, <0.2 s for the rest):")

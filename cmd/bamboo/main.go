@@ -46,47 +46,35 @@ import (
 	"repro/internal/synth"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, rest := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "run":
-		err = cmdRun(rest)
-	case "profile":
-		err = cmdProfile(rest)
-	case "synthesize":
-		err = cmdSynthesize(rest)
-	case "analyze":
-		err = cmdAnalyze(rest)
-	case "viz":
-		err = cmdViz(rest)
-	case "bench":
-		err = cmdBench(rest)
-	case "fmt":
-		err = cmdFmt(rest)
-	case "list":
-		err = cmdList()
-	case "fidelity":
-		err = cmdFidelity(rest)
-	case "fuzz":
-		err = cmdFuzz(rest)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bamboo:", err)
-		os.Exit(1)
-	}
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(argv []string) error{
+	"run":        cmdRun,
+	"profile":    cmdProfile,
+	"synthesize": cmdSynthesize,
+	"analyze":    cmdAnalyze,
+	"viz":        cmdViz,
+	"bench":      cmdBench,
+	"fmt":        cmdFmt,
+	"list":       cmdList,
+	"fidelity":   cmdFidelity,
+	"fuzz":       cmdFuzz,
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: bamboo <run|profile|synthesize|analyze|viz|bench|fidelity|fuzz|list> [flags]
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run dispatches args to a subcommand and returns the exit status: 2 for
+// a missing or unknown subcommand, 1 for a failed one.
+func run(args []string) int {
+	if len(args) == 0 || commands[args[0]] == nil {
+		fmt.Fprintln(os.Stderr, `usage: bamboo <run|profile|synthesize|analyze|viz|fmt|bench|fidelity|fuzz|list> [flags]
 run 'bamboo <command> -h' for command flags`)
+		return 2
+	}
+	if err := commands[args[0]](args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "bamboo:", err)
+		return 1
+	}
+	return 0
 }
 
 // loadSource reads a program from -file or resolves -name to an embedded
@@ -526,7 +514,7 @@ func cmdFmt(argv []string) error {
 	return nil
 }
 
-func cmdList() error {
+func cmdList([]string) error {
 	for _, b := range benchmarks.All() {
 		fmt.Printf("%-12s %s (args: %s)\n", b.Name, b.Description, strings.Join(b.Args, ","))
 	}

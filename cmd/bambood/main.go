@@ -85,30 +85,45 @@ func parsePeers(s string) (map[string]string, error) {
 }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "bambood:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("exec-workers", 0, "execution worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 256, "admission queue depth; a full queue rejects with 429")
-	cacheEntries := flag.Int("cache-entries", 128, "compiled-program cache entry bound")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "compiled-program cache source-byte bound")
-	defTimeout := flag.Duration("default-timeout", time.Minute, "per-job deadline when the request sets none")
-	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "largest per-job deadline a request may ask for")
-	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a drain may wait for in-flight jobs before canceling them")
-	maxSessions := flag.Int("max-sessions", 256, "bound on non-terminal (active+parked) sessions; a full table rejects creates with 429")
-	liveSessions := flag.Int("live-sessions", 8, "resident session engines; beyond this, idle deterministic sessions are parked as a checkpoint and restored on their next feed")
-	retainSessions := flag.Int("retain-sessions", 8192, "finished jobs and closed/failed sessions kept for status queries, in one ring; oldest forgotten first")
-	walDir := flag.String("wal-dir", "", "write-ahead log directory; empty disables durability")
-	nodeID := flag.String("node-id", "", "this node's cluster ID (no '-'); empty runs standalone")
-	peerList := flag.String("peers", "", "full ring as id=url,id=url,... (this node included); requires -node-id")
-	heartbeat := flag.Duration("heartbeat-interval", 500*time.Millisecond, "cluster peer probe interval")
-	flag.Parse()
+// run parses args, serves until SIGINT or SIGTERM, and drains.
+func run(args []string) error {
+	fs := flag.NewFlagSet("bambood", flag.ExitOnError)
+	addr := fs.String("addr", ":8080", "listen address")
+	workers := fs.Int("exec-workers", 0, "execution worker pool size (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 256, "admission queue depth; a full queue rejects with 429")
+	cacheEntries := fs.Int("cache-entries", 128, "compiled-program cache entry bound")
+	cacheBytes := fs.Int64("cache-bytes", 64<<20, "compiled-program cache source-byte bound")
+	defTimeout := fs.Duration("default-timeout", time.Minute, "per-job deadline when the request sets none")
+	maxTimeout := fs.Duration("max-timeout", 10*time.Minute, "largest per-job deadline a request may ask for")
+	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "how long a drain may wait for in-flight jobs before canceling them")
+	maxSessions := fs.Int("max-sessions", 256, "bound on non-terminal (active+parked) sessions; a full table rejects creates with 429")
+	liveSessions := fs.Int("live-sessions", 8, "resident session engines; beyond this, idle deterministic sessions are parked as a checkpoint and restored on their next feed")
+	retainSessions := fs.Int("retain-sessions", 8192, "finished jobs and closed/failed sessions kept for status queries, in one ring; oldest forgotten first")
+	walDir := fs.String("wal-dir", "", "write-ahead log directory; empty disables durability")
+	nodeID := fs.String("node-id", "", "this node's cluster ID (no '-'); empty runs standalone")
+	peerList := fs.String("peers", "", "full ring as id=url,id=url,... (this node included); requires -node-id")
+	heartbeat := fs.Duration("heartbeat-interval", 500*time.Millisecond, "cluster peer probe interval")
+	fs.Parse(args)
 
+	var peers map[string]string
+	if *peerList != "" {
+		if *nodeID == "" {
+			return errors.New("-peers requires -node-id")
+		}
+		var err error
+		if peers, err = parsePeers(*peerList); err != nil {
+			return err
+		}
+		if _, ok := peers[*nodeID]; !ok {
+			return fmt.Errorf("-peers must include this node (%s)", *nodeID)
+		}
+	}
 	srv, err := server.Open(server.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
@@ -127,19 +142,8 @@ func run() error {
 	}
 
 	handler := http.Handler(srv.Handler())
-	var router *cluster.Router
-	if *peerList != "" {
-		if *nodeID == "" {
-			return errors.New("-peers requires -node-id")
-		}
-		peers, err := parsePeers(*peerList)
-		if err != nil {
-			return err
-		}
-		if _, ok := peers[*nodeID]; !ok {
-			return fmt.Errorf("-peers must include this node (%s)", *nodeID)
-		}
-		router = cluster.NewRouter(handler, cluster.Options{
+	if peers != nil {
+		router := cluster.NewRouter(handler, cluster.Options{
 			NodeID:     *nodeID,
 			Peers:      peers,
 			Membership: cluster.MemberOptions{Interval: *heartbeat},

@@ -162,3 +162,25 @@ func TestGuardPrinting(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundTripNestedBlock: a bare block inside a body prints as its own
+// braces and parses back to the same tree.
+func TestRoundTripNestedBlock(t *testing.T) {
+	src := `class C {
+	int f(int x) {
+		{
+			int y = x + 1;
+			x = y;
+		}
+		return x;
+	}
+}
+`
+	printed := ast.Print(normalized(t, src))
+	if !strings.Contains(printed, "\t\t{\n\t\t\tint y = x + 1;") {
+		t.Errorf("nested block not printed as a block:\n%s", printed)
+	}
+	if !reflect.DeepEqual(normalized(t, src), normalized(t, printed)) {
+		t.Errorf("round trip changed the AST; printed form:\n%s", printed)
+	}
+}

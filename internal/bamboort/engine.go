@@ -107,6 +107,9 @@ type Engine struct {
 	// tags are a session's startup tag instances by type, which
 	// injections bind.
 	tags map[string][]*interp.Tag
+	// ctx is the running drain's context, which start checks before
+	// every invocation.
+	ctx context.Context
 }
 
 // running is an executed invocation waiting for its completion time.
@@ -208,26 +211,24 @@ func startupObject(pl *plan, heap *interp.Heap, args []string) *interp.Object {
 }
 
 // drain runs queued events until quiescence (an empty event queue),
-// checking ctx before the first and then every 64 invocations. The
-// invocation budget applies per drain, so a long-lived session gets a
+// checking ctx first and then before every invocation it starts (start).
+// The invocation budget applies per drain, so a long-lived session gets a
 // fresh budget for every request batch instead of exhausting a cumulative
 // one.
 func (e *Engine) drain(ctx context.Context) error {
-	budget := e.loop.NInv + e.opts.MaxInvocations
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("bamboort: run canceled: %w", err)
-			}
-		}
-		over, err := e.loop.Drain(min(budget, e.loop.NInv+64))
-		if err != nil || !over {
-			return err
-		}
-		if e.loop.NInv > budget {
-			return fmt.Errorf("bamboort: exceeded %d task invocations; task system may not terminate", e.opts.MaxInvocations)
-		}
+	if ctx == nil {
+		ctx = context.Background()
 	}
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("bamboort: run canceled: %w", err)
+	}
+	e.ctx = ctx
+	over, err := e.loop.Drain(e.loop.NInv + e.opts.MaxInvocations)
+	e.ctx = nil
+	if over {
+		return fmt.Errorf("bamboort: exceeded %d task invocations; task system may not terminate", e.opts.MaxInvocations)
+	}
+	return err
 }
 
 // body is the deterministic engine's sched.Body: live objects keyed by
@@ -257,6 +258,11 @@ func finishInterp(in *interp.Interp, m *obsv.Metrics) {
 // until it completes, and commits it: a task's effects are visible from its
 // dispatch on, and its time is charged to its core.
 func (e *Engine) start(core, h int32, t int64) (int64, error) {
+	select {
+	case <-e.ctx.Done():
+		return 0, fmt.Errorf("bamboort: run canceled: %w", e.ctx.Err())
+	default:
+	}
 	s := &e.loop.Sets
 	inv := take(e.plan.lay.Hosted[h].Task, s.Ents, s.Bound(h), s.BoundTags(h))
 	s.Consume(h)

@@ -82,3 +82,19 @@ func TestGrammarCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestDivergenceError: a divergence reads as its kind, its core count
+// when it has one, and its detail.
+func TestDivergenceError(t *testing.T) {
+	for _, c := range []struct {
+		d    Divergence
+		want string
+	}{
+		{Divergence{Kind: "det-output", Cores: 4, Detail: "line 3"}, "bbfuzz: det-output at 4 cores: line 3"},
+		{Divergence{Kind: "compile", Detail: "parse"}, "bbfuzz: compile: parse"},
+	} {
+		if got := c.d.Error(); got != c.want {
+			t.Errorf("Error() = %q, want %q", got, c.want)
+		}
+	}
+}

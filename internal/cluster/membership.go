@@ -24,26 +24,29 @@ const (
 type MemberOptions struct {
 	// Interval between probe rounds (default 500ms).
 	Interval time.Duration
-	// SuspectAfter / DeadAfter are consecutive-miss thresholds
-	// (defaults 2 and 4).
-	SuspectAfter int
-	DeadAfter    int
-	// ProbeTimeout bounds one healthz round-trip (default Interval).
-	ProbeTimeout time.Duration
+
+	// A test's miss thresholds and probe timeout (WithProbe); zero takes
+	// suspectAfter, deadAfter and Interval.
+	suspectAfter, deadAfter int
+	probeTimeout            time.Duration
 }
+
+// A peer is suspect after suspectAfter consecutive misses and dead after
+// deadAfter.
+const (
+	suspectAfter = 2
+	deadAfter    = 4
+)
 
 func (o MemberOptions) withDefaults() MemberOptions {
 	if o.Interval <= 0 {
 		o.Interval = 500 * time.Millisecond
 	}
-	if o.SuspectAfter <= 0 {
-		o.SuspectAfter = 2
+	if o.suspectAfter <= 0 {
+		o.suspectAfter, o.deadAfter = suspectAfter, deadAfter
 	}
-	if o.DeadAfter <= o.SuspectAfter {
-		o.DeadAfter = o.SuspectAfter + 2
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = o.Interval
+	if o.probeTimeout <= 0 {
+		o.probeTimeout = o.Interval
 	}
 	return o
 }
@@ -56,9 +59,9 @@ type peerState struct {
 
 func (p *peerState) state(o MemberOptions) string {
 	switch {
-	case p.misses >= o.DeadAfter:
+	case p.misses >= o.deadAfter:
 		return StateDead
-	case p.misses >= o.SuspectAfter:
+	case p.misses >= o.suspectAfter:
 		return StateSuspect
 	default:
 		return StateAlive
@@ -88,7 +91,7 @@ func NewMembership(self string, peers map[string]string, opts MemberOptions) *Me
 	m := &Membership{
 		self:   self,
 		opts:   opts,
-		client: &http.Client{Timeout: opts.ProbeTimeout},
+		client: &http.Client{Timeout: opts.probeTimeout},
 		peers:  make(map[string]*peerState, len(peers)),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -144,7 +147,7 @@ func (m *Membership) probeAll() {
 }
 
 func (m *Membership) probe(url string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), m.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), m.opts.probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/healthz", nil)
 	if err != nil {

@@ -105,6 +105,3 @@ func (r *Ring) Walk(key string) []string {
 	}
 	return order
 }
-
-// Nodes returns the ring's node IDs in sorted order.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }

@@ -64,7 +64,7 @@ func TestEmptyRing(t *testing.T) {
 }
 
 func TestMembershipStateTransitions(t *testing.T) {
-	m := NewMembership("n1", map[string]string{"n1": "u1", "n2": "u2"}, MemberOptions{SuspectAfter: 2, DeadAfter: 4})
+	m := NewMembership("n1", map[string]string{"n1": "u1", "n2": "u2"}, MemberOptions{})
 	if !m.Routable("n2") {
 		t.Fatal("fresh peer not routable")
 	}

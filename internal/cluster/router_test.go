@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -91,7 +92,7 @@ func (nd *testNode) start(t *testing.T) {
 		// A generous probe timeout: nodes busy running jobs on a small
 		// test machine must not read as dead (a node that is down refuses
 		// the connection at once either way).
-		Membership: cluster.MemberOptions{Interval: 100 * time.Millisecond, ProbeTimeout: time.Second},
+		Membership: cluster.WithProbe(cluster.MemberOptions{Interval: 100 * time.Millisecond}, 0, 0, time.Second),
 	})
 	nd.ts.Config.Handler = nd.router
 	nd.ts.Start()
@@ -303,7 +304,7 @@ func TestDeadOwnerFailsOverJobsButNotByID(t *testing.T) {
 	router = cluster.NewRouter(srv.Handler(), cluster.Options{
 		NodeID:     "live",
 		Peers:      map[string]string{"live": ts.URL, "down": downURL},
-		Membership: cluster.MemberOptions{Interval: 50 * time.Millisecond, SuspectAfter: 1, DeadAfter: 2},
+		Membership: cluster.WithProbe(cluster.MemberOptions{Interval: 50 * time.Millisecond}, 1, 2, 0),
 	})
 	defer router.Stop()
 
@@ -508,5 +509,59 @@ func TestFailoverLosesNoAcceptedJob(t *testing.T) {
 		if err != nil || v.Status != server.StatusSucceeded {
 			t.Errorf("LOST job %s: %+v err=%v", id, v, err)
 		}
+	}
+}
+
+// TestClusterViewAndUnroutableSubmit reads the router's own route,
+// GET /v1/cluster; submits a body with no program fingerprint, which the
+// router cannot place, so the local node answers with its 400 envelope;
+// and asks an unreachable peer for a job by ID.
+func TestClusterViewAndUnroutableSubmit(t *testing.T) {
+	srv := server.New(server.Config{NodeID: "n1"})
+	defer srv.Close()
+	router := cluster.NewRouter(srv.Handler(), cluster.Options{
+		NodeID:     "n1",
+		Peers:      map[string]string{"n1": "http://127.0.0.1:1", "n2": "http://127.0.0.1:1"},
+		Membership: cluster.MemberOptions{Interval: time.Hour},
+	})
+	defer router.Stop()
+
+	rec := httptest.NewRecorder()
+	router.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/cluster", nil))
+	var view server.ClusterStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil {
+		t.Fatalf("/v1/cluster: %v: %s", err, rec.Body)
+	}
+	if rec.Code != http.StatusOK || view.NodeID != "n1" || len(view.Peers) != 2 || !view.Peers[0].Self {
+		t.Fatalf("/v1/cluster = %d %+v", rec.Code, view)
+	}
+
+	rec = httptest.NewRecorder()
+	router.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"benchmark":`)))
+	var env server.APIError
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("submit: %v: %s", err, rec.Body)
+	}
+	if rec.Code != http.StatusBadRequest || env.Code != server.CodeInvalidArgument {
+		t.Fatalf("unparsable submit = %d %+v, want 400 %s", rec.Code, env, server.CodeInvalidArgument)
+	}
+	if st := router.Stats(); st.Proxied != 0 || st.Failovers != 0 {
+		t.Fatalf("an unroutable submit was routed: %+v", st)
+	}
+
+	// A by-ID request for n2, which membership has not yet found down:
+	// the proxy attempt fails in transit and the caller gets the
+	// unavailable envelope.
+	rec = httptest.NewRecorder()
+	router.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/jobs/n2-j00000001", nil))
+	env = server.APIError{}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("by-ID: %v: %s", err, rec.Body)
+	}
+	if rec.Code != http.StatusBadGateway || env.Code != server.CodeUnavailable {
+		t.Fatalf("by-ID to an unreachable owner = %d %+v", rec.Code, env)
+	}
+	if st := router.Stats(); st.ProxyErrors != 1 {
+		t.Fatalf("proxy errors = %d, want 1", st.ProxyErrors)
 	}
 }

@@ -138,3 +138,20 @@ task t(StartupObject s in initialstate) { taskexit(s: initialstate := false); }`
 		t.Error("expected error for missing machine/layout")
 	}
 }
+
+// TestExecUnknownEngine: an engine outside the two is refused by name.
+func TestExecUnknownEngine(t *testing.T) {
+	sys, err := core.CompileSource(`task boot(StartupObject s in initialstate) { taskexit(s: initialstate := false); }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sys.Exec(context.Background(), core.ExecConfig{Engine: 7})
+	if err == nil || err.Error() != "core: unknown engine EngineKind(7)" {
+		t.Fatalf("Exec on engine 7: %v", err)
+	}
+	for k, want := range map[core.Engine]string{core.Deterministic: "deterministic", core.Concurrent: "concurrent"} {
+		if k.String() != want {
+			t.Errorf("%d.String() = %q, want %q", int(k), k.String(), want)
+		}
+	}
+}

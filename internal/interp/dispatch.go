@@ -869,13 +869,13 @@ func (in *Interp) builtinFast(ff *flatFunc, ins *finstr, regs []Value, ex *Exec)
 		return FloatV(math.Ceil(arg(0).Float())), nil
 	case bMathAbsF:
 		ex.Cycles += in.Cost.FloatAdd
-		return FloatV(math.Abs(toF(arg(0)))), nil
+		return FloatV(math.Abs(arg(0).Float())), nil
 	case bMathMinF:
 		ex.Cycles += in.Cost.FloatAdd
-		return FloatV(math.Min(toF(arg(0)), toF(arg(1)))), nil
+		return FloatV(math.Min(arg(0).Float(), arg(1).Float())), nil
 	case bMathMaxF:
 		ex.Cycles += in.Cost.FloatAdd
-		return FloatV(math.Max(toF(arg(0)), toF(arg(1)))), nil
+		return FloatV(math.Max(arg(0).Float(), arg(1).Float())), nil
 	case bMathAbsI:
 		ex.Cycles += in.Cost.IntALU
 		v := arg(0).Int()

@@ -20,8 +20,8 @@ import (
 // inheritance and the checker rejects a missing field or method, so a
 // receiver's runtime class is its static class.
 //
-// On top of that base form, adjacent pairs of the shapes fusable lists
-// (compare+branch, load+arith, load+store, const+arith, ...) fuse into
+// On top of that base form, adjacent pairs of the shapes the fusion tables
+// list (compare+branch, load+arith, load+store, const+arith, ...) fuse into
 // single dispatch arms. Fused arms write through the intermediate register,
 // so register state stays byte-identical to unfused execution and no
 // liveness analysis is needed.
@@ -420,16 +420,8 @@ func (in *Interp) prepare() {
 type flatScratch struct {
 	starts     []int32
 	terminated []bool
-	srcOps     []pairSrc
 	inbound    []int32 // jump/branch edges landing on each pc
 	newPC      []int32
-}
-
-// pairSrc records the IR-level identity of one flattened instruction, which
-// is what fusable tests. Trap padding gets op -1.
-type pairSrc struct {
-	op    ir.Op
-	float bool
 }
 
 func buildFlatProgram(prog *ir.Program, cost *CostModel, version int64) *flatProgram {
@@ -454,69 +446,6 @@ func buildFlatProgram(prog *ir.Program, cost *CostModel, version int64) *flatPro
 
 // flatScratchPool recycles flattening scratch across compiles.
 var flatScratchPool = sync.Pool{New: func() any { return &flatScratch{} }}
-
-// fusable reports whether the dispatcher has a fused arm for the adjacent
-// IR pair (a, b); the operands must still wire up (tryFuse, fuseCode).
-// Float is part of the shape: the int and double variants of an op
-// flatten to different opcodes.
-func fusable(a, b pairSrc) bool {
-	switch b.op {
-	case ir.OpBranch:
-		// compare+branch, either compare variant.
-		switch a.op {
-		case ir.OpCmpEq, ir.OpCmpNe, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
-			return !b.float
-		}
-		return false
-	case ir.OpMove:
-		// A result moved into a local: either spelling of the move, since
-		// lowering's flag on it mirrors the moved type.
-		switch a.op {
-		case ir.OpAdd, ir.OpSub:
-			return true
-		case ir.OpMul, ir.OpDiv:
-			return a.float
-		case ir.OpConstInt, ir.OpConstFloat, ir.OpGetField, ir.OpArrGet, ir.OpRem, ir.OpCallBuiltin:
-			return !a.float
-		}
-		return false
-	}
-	if a.op == ir.OpMul && (b.op == ir.OpAdd || b.op == ir.OpSub) {
-		// mul+arith chains: index math and accumulating products.
-		return a.float == b.float
-	}
-	if a.float {
-		return false
-	}
-	switch a.op {
-	case ir.OpConstInt:
-		switch b.op {
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShr, ir.OpDiv, ir.OpRem,
-			ir.OpCmpEq, ir.OpCmpLt, ir.OpCmpLe, ir.OpCmpGt, ir.OpCmpGe:
-			return !b.float
-		}
-	case ir.OpConstFloat:
-		switch b.op {
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv:
-			return b.float
-		}
-	case ir.OpI2F:
-		return b.float && (b.op == ir.OpMul || b.op == ir.OpDiv)
-	case ir.OpGetField:
-		switch b.op {
-		case ir.OpAdd:
-			return true
-		case ir.OpMul, ir.OpCmpLt, ir.OpCmpGe, ir.OpSetField, ir.OpGetField:
-			return !b.float
-		}
-	case ir.OpArrGet:
-		return b.op == ir.OpAdd || b.op == ir.OpMul || (b.op == ir.OpSub && b.float)
-	case ir.OpAdd, ir.OpSub:
-		// Integer arithmetic feeding a field store ("this.f = this.f + x").
-		return b.op == ir.OpSetField && !b.float
-	}
-	return false
-}
 
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
@@ -560,7 +489,6 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 	code := make([]finstr, 0, n)
 	auxs := make([]fauxInstr, n)
 	argsBuf := make([]int32, 0, nArgs)
-	sc.srcOps = grow(sc.srcOps, n)
 	fl := &flattener{prog: prog, cost: cost, fp: ff.fp, argsBuf: argsBuf}
 	for bi, b := range fn.Blocks {
 		for ii := range b.Instrs {
@@ -568,12 +496,10 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 			k := len(code)
 			ins := fl.flattenInstr(instr, sc.starts, &auxs[k])
 			ins.aux = &auxs[k]
-			sc.srcOps[k] = pairSrc{op: instr.Op, float: instr.Float}
 			code = append(code, ins)
 		}
 		if !sc.terminated[bi] {
 			k := len(code)
-			sc.srcOps[k] = pairSrc{op: -1}
 			code = append(code, finstr{op: fTrap, idx: int32(b.ID), aux: &auxs[k]})
 		}
 	}
@@ -781,7 +707,7 @@ func (fl *flattener) flattenInstr(instr *ir.Instr, starts []int32, aux *fauxInst
 }
 
 // fuseCode runs the superinstruction pass over a flattened body: adjacent
-// pairs whose shape is fusable and whose operands wire up collapse into one
+// pairs with a fused arm whose operands wire up collapse into one
 // instruction, then the surviving control
 // transfers are remapped to the compacted program counters. The second
 // instruction of a pair must not be a jump target (jump targets are block
@@ -808,7 +734,6 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 	for i := 0; i < len(code); i++ {
 		sc.newPC[i] = int32(n)
 		ins := code[i]
-		last := sc.srcOps[i]
 		// A jump to the very next instruction whose target has no other
 		// predecessor is pure fall-through: drop the jump and carry its
 		// cost into the target instruction, which charges exactly what
@@ -820,10 +745,9 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 		}
 		width := 1
 		if i+1 < len(code) && sc.inbound[i+1] == 0 {
-			if f, ok := tryFuse(&ins, &code[i+1], last, sc.srcOps[i+1]); ok {
+			if f, ok := tryFuse(&ins, &code[i+1]); ok {
 				sc.newPC[i+1] = int32(n)
 				ins = f
-				last = sc.srcOps[i+1]
 				width = 2
 				fused++
 			}
@@ -839,8 +763,7 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 		if j := i + width; j < len(code) && sc.inbound[j] == 0 && ins.dst >= 0 {
 			switch {
 			case code[j].op == fMove && code[j].a == ins.dst:
-				if mv, ok := moveFused[ins.op]; ok &&
-					fusable(last, sc.srcOps[j]) {
+				if mv, ok := moveFused[ins.op]; ok {
 					ins.op = mv
 					ins.jmp2 = code[j].dst
 					ins.cost += code[j].cost
@@ -849,8 +772,7 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 					fused++
 				}
 			case code[j].op == fBranch && code[j].a == ins.dst:
-				if br, ok := immCmpBrFused[ins.op]; ok &&
-					fusable(last, pairSrc{op: ir.OpBranch}) {
+				if br, ok := immCmpBrFused[ins.op]; ok {
 					ins.op = br
 					switch br {
 					case fGetLtIBr, fGetGeIBr:
@@ -867,8 +789,7 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 					fused++
 				}
 			case code[j].op == fSetField && code[j].b == ins.dst:
-				if st, ok := storeFused[ins.op]; ok &&
-					fusable(last, pairSrc{op: ir.OpSetField}) {
+				if st, ok := storeFused[ins.op]; ok {
 					ins.op = st
 					ins.jmp = code[j].a    // object register
 					ins.jmp2 = code[j].idx // store slot
@@ -998,16 +919,13 @@ var moveFused = map[fop]fop{
 	fMathUnary: fMathUnaryMv,
 }
 
-// tryFuse attempts to merge instruction a with its successor b. The shape
-// must be fusable and the operands must wire up (the conditions under
-// each arm); the fused instruction charges cost a+b in a single budget
+// tryFuse attempts to merge instruction a with its successor b. The pair
+// must have a fused arm in the tables above and the operands must wire up
+// (the conditions under each arm); the fused instruction charges cost a+b in a single budget
 // check. Only non-faulting arithmetic (add/sub/mul) participates, so every
 // error a fused arm can raise belongs to its first half (or to the write
 // half of fGetSet, reached via aux2).
-func tryFuse(a, b *finstr, sa, sb pairSrc) (finstr, bool) {
-	if !fusable(sa, sb) {
-		return finstr{}, false
-	}
+func tryFuse(a, b *finstr) (finstr, bool) {
 	cost := a.cost + b.cost
 	switch {
 	case b.op == fBranch && a.dst == b.a:

@@ -570,13 +570,13 @@ func (in *Interp) builtin(fn *ir.Func, instr *ir.Instr, regs []Value, ex *Exec) 
 		return FloatV(math.Ceil(arg(0).Float())), nil
 	case "Math.absF":
 		ex.Cycles += in.Cost.FloatAdd
-		return FloatV(math.Abs(toF(arg(0)))), nil
+		return FloatV(math.Abs(arg(0).Float())), nil
 	case "Math.minF":
 		ex.Cycles += in.Cost.FloatAdd
-		return FloatV(math.Min(toF(arg(0)), toF(arg(1)))), nil
+		return FloatV(math.Min(arg(0).Float(), arg(1).Float())), nil
 	case "Math.maxF":
 		ex.Cycles += in.Cost.FloatAdd
-		return FloatV(math.Max(toF(arg(0)), toF(arg(1)))), nil
+		return FloatV(math.Max(arg(0).Float(), arg(1).Float())), nil
 	case "Math.absI":
 		ex.Cycles += in.Cost.IntALU
 		v := arg(0).Int()
@@ -641,13 +641,6 @@ func (in *Interp) builtin(fn *ir.Func, instr *ir.Instr, regs []Value, ex *Exec) 
 		return IntV(h), nil
 	}
 	return Value{}, in.errf(fn, instr.Pos, "unknown builtin %s", instr.Builtin)
-}
-
-func toF(v *Value) float64 {
-	if v.Kind == KInt {
-		return float64(v.Int())
-	}
-	return v.Float()
 }
 
 func (in *Interp) print(s string, ex *Exec) {

@@ -192,8 +192,10 @@ func TestStrings(t *testing.T) {
 		String mid(String s) { return s.substring(1, 3); }
 		int find(String s) { return s.indexOf("lo"); }
 	}`
-	if v, _ := callMethod(t, src, "C", "label", IntV(3), FloatV(1.5)); v.Str() != "n=3 d=1.5" {
-		t.Errorf("label = %q", v.Str())
+	// The int and double conversions and the concatenation, on both paths.
+	if f, w := runPaths(t, src, "C", "label", IntV(3), FloatV(1.5)); f.v.Str() != "n=3 d=1.5" ||
+		w.v.Str() != f.v.Str() || w.cycles != f.cycles || f.err != nil || w.err != nil {
+		t.Errorf("label = %q (%d cycles, %v), walker %q (%d cycles, %v)", f.v.Str(), f.cycles, f.err, w.v.Str(), w.cycles, w.err)
 	}
 	if v, _ := callMethod(t, src, "C", "vowels", StrV("education")); v.Int() != 5 {
 		t.Errorf("vowels = %d, want 5", v.Int())
@@ -244,23 +246,58 @@ func TestSystemOutput(t *testing.T) {
 	}
 }
 
+// TestRuntimeErrors reaches every error a task body can raise, on both
+// dispatch paths: besides the plain instructions, the read half and the
+// write half of each load, store and array superinstruction, with the
+// receiver or array null or the index out of range. The walker must fail
+// the same way (bothPaths).
 func TestRuntimeErrors(t *testing.T) {
-	cases := []struct{ name, src, method, want string }{
-		{"div zero", `class C { int f() { int z = 0; return 1 / z; } }`, "f", "division by zero"},
-		{"mod zero", `class C { int f() { int z = 0; return 1 % z; } }`, "f", "modulo by zero"},
-		{"null field", `class C { C next; int f() { C x = null; return x.f(); } }`, "f", "null dereference"},
-		{"bounds", `class C { int f() { int[] a = new int[3]; return a[5]; } }`, "f", "out of bounds"},
-		{"neg bounds", `class C { int f() { int[] a = new int[3]; return a[0-1]; } }`, "f", "out of bounds"},
-		{"neg len", `class C { int f() { int[] a = new int[0-2]; return 0; } }`, "f", "negative array length"},
-		{"null arr", `class C { int f() { int[] a = null; return a[0]; } }`, "f", "null array"},
-		{"charAt", `class C { int f() { String s = "ab"; return s.charAt(9); } }`, "f", "out of bounds"},
+	const (
+		readNull  = "null dereference reading field"
+		writeNull = "null dereference writing field"
+		nullArr   = "null array dereference"
+		bounds    = "out of bounds"
+	)
+	cases := []struct{ name, src, want string }{
+		{"div zero", `class C { int f() { int z = 0; return 1 / z; } }`, "division by zero"},
+		{"mod zero", `class C { int f() { int z = 0; return 1 % z; } }`, "modulo by zero"},
+		{"null field", `class C { C next; int f() { C x = null; return x.f(); } }`, "null dereference"},
+		{"bounds", `class C { int f() { int[] a = new int[3]; return a[5]; } }`, bounds},
+		{"neg bounds", `class C { int f() { int[] a = new int[3]; return a[0-1]; } }`, bounds},
+		{"neg len", `class C { int f() { int[] a = new int[0-2]; return 0; } }`, "negative array length"},
+		{"null arr", `class C { int f() { int[] a = null; return a[0]; } }`, nullArr},
+		{"charAt", `class C { int f() { String s = "ab"; return s.charAt(9); } }`, bounds},
+		{"get", inC("int f() { C x = null; return x.n; }"), readNull},
+		{"get mv", inC("int f() { C x = null; int v; v = x.n; return v; }"), readNull},
+		{"get get first", inC("int f() { C x = null; return x.next.n; }"), readNull},
+		{"get get second", inC("int f() { return next.n; }"), readNull},
+		{"get get mv", inC("int f() { C x = null; int v; v = x.next.n; return v; }"), readNull},
+		{"get add", inC("int f() { C x = null; int y = 1; return x.n + y; }"), readNull},
+		{"get mul", inC("int f() { C x = null; int y = 1; return x.n * y; }"), readNull},
+		{"get add double", inC("double f() { C x = null; double w = 1.0; return x.d + w; }"), readNull},
+		{"get lt", inC("boolean f() { C x = null; int y = 1; return x.n < y; }"), readNull},
+		{"get ge branch", inC("int f() { C x = null; int y = 1; if (x.n >= y) { return 1; } return 0; }"), readNull},
+		{"set", inC("int f() { C x = null; x.n = 1; return 0; }"), writeNull},
+		{"add imm store", inC("int f() { C x = null; int y = 1; x.n = y + 1; return 0; }"), writeNull},
+		{"sub imm store", inC("int f() { C x = null; int y = 1; x.n = y - 1; return 0; }"), writeNull},
+		{"add store", inC("int f() { C x = null; int y = 1; x.n = y + y; return 0; }"), writeNull},
+		{"get add store read", inC("int f() { C x = null; int y = 1; x.n = x.n + y; return 0; }"), readNull},
+		{"get add store write", inC("int f() { C x = null; int y = 1; x.n = n + y; return 0; }"), writeNull},
+		{"get set read", inC("int f() { C w = null; n = w.n; return 0; }"), readNull},
+		{"get set write", inC("int f() { C x = null; x.n = n; return 0; }"), writeNull},
+		{"arr get mv", inC("int f() { int[] a = new int[2]; int v; v = a[5]; return v; }"), bounds},
+		{"arr get mv null", inC("int f() { int[] a = null; int v; v = a[0]; return v; }"), nullArr},
+		{"arr set", inC("int f() { int[] a = new int[2]; a[5] = 1; return 0; }"), bounds},
+		{"arr set null", inC("int f() { int[] a = null; a[0] = 1; return 0; }"), nullArr},
+		{"arr len null", inC("int f() { int[] a = null; return a.length; }"), nullArr},
+		{"arr add", inC("int f() { int[] a = new int[2]; int y = 1; return a[2] + y; }"), bounds},
+		{"arr mul null", inC("int f() { int[] a = null; int y = 1; return a[0] * y; }"), nullArr},
+		{"arr sub double", inC("double f() { double[] a = new double[2]; double w = 1.0; return a[0 - 1] - w; }"), bounds},
+		{"arr add mv null", inC("double f() { double[] a = null; double w = 1.0; double v; v = a[0] + w; return v; }"), nullArr},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			irp := compile(t, c.src)
-			in := New(irp)
-			obj := in.Heap.NewObject(irp.Info.Classes["C"])
-			_, _, err := in.CallMethod(irp.Funcs[ir.MethodKey("C", "f")], []Value{ObjV(obj)})
+			_, err := bothPaths(t, c.src)
 			if err == nil {
 				t.Fatal("expected runtime error")
 			}

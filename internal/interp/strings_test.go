@@ -18,32 +18,43 @@ const stringOpsSrc = `class S {
 	int at(String s, int i) { return s.charAt(i); }
 }`
 
+// pathRun is what one call returned on one dispatch path.
+type pathRun struct {
+	v      Value
+	cycles int64
+	err    error
+}
+
+// runPaths compiles src and calls class.method with args on a fresh
+// instance, once on the flattened fast path and once on the tree walker.
+func runPaths(t *testing.T, src, class, method string, args ...Value) (fast, walker pathRun) {
+	t.Helper()
+	irp := compile(t, src)
+	fn := irp.Funcs[ir.MethodKey(class, method)]
+	if fn == nil {
+		t.Fatalf("no method %s.%s", class, method)
+	}
+	run := func(noFast bool) pathRun {
+		in := New(irp)
+		in.MaxCycles = 1_000_000
+		if noFast {
+			in.DisableFastDispatch()
+		}
+		obj := in.Heap.NewObject(irp.Info.Classes[class])
+		v, ex, err := in.CallMethod(fn, append([]Value{ObjV(obj)}, args...))
+		return pathRun{v, ex.Cycles, err}
+	}
+	return run(false), run(true)
+}
+
 // callString invokes S.<method> on both dispatch paths — the flattened
 // fast path and the reference tree walker — and requires identical values,
 // cycle charges, and errors before returning the fast path's result.
 func callString(t *testing.T, method string, args ...Value) (Value, error) {
 	t.Helper()
-	irp := compile(t, stringOpsSrc)
-	fn := irp.Funcs[ir.MethodKey("S", method)]
-	if fn == nil {
-		t.Fatalf("no method S.%s", method)
-	}
-	run := func(walker bool) (Value, int64, error) {
-		in := New(irp)
-		in.MaxCycles = 1_000_000
-		if walker {
-			in.DisableFastDispatch()
-		}
-		obj := in.Heap.NewObject(irp.Info.Classes["S"])
-		v, ex, err := in.CallMethod(fn, append([]Value{ObjV(obj)}, args...))
-		var cycles int64
-		if ex != nil {
-			cycles = ex.Cycles
-		}
-		return v, cycles, err
-	}
-	fv, fc, ferr := run(false)
-	wv, wc, werr := run(true)
+	f, w := runPaths(t, stringOpsSrc, "S", method, args...)
+	fv, fc, ferr := f.v, f.cycles, f.err
+	wv, wc, werr := w.v, w.cycles, w.err
 	if fv != wv {
 		t.Errorf("S.%s: fast dispatch = %v, walker = %v", method, fv, wv)
 	}

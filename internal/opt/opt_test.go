@@ -250,3 +250,23 @@ class C {
 		t.Errorf("second optimize pass still changed code: %+v", second)
 	}
 }
+
+// TestStraighteningEmptyArms: an if whose arms are empty branches on a
+// value it cannot fold into blocks that only jump on. Threading sends both
+// sides of the branch to the join, and the branch, now to one target,
+// becomes a jump.
+func TestStraighteningEmptyArms(t *testing.T) {
+	irp, stats := lowerOpt(t, `
+class C {
+	int f(int x) {
+		if (x > 0) { } else { }
+		return x;
+	}
+}`)
+	if stats.JumpsThreaded == 0 || stats.BranchesFixed == 0 {
+		t.Fatalf("empty arms not straightened: %+v", stats)
+	}
+	if text := irp.Funcs[ir.MethodKey("C", "f")].String(); strings.Contains(text, "branch") {
+		t.Errorf("branch to one target left in place:\n%s", text)
+	}
+}

@@ -140,6 +140,23 @@ func TestSessionFeedFailsWhenWALAppendFails(t *testing.T) {
 	}
 }
 
+// TestSessionCreateFailsWhenWALAppendFails: a session whose create the log
+// could not hold does not exist. The create gets 500 internal.
+func TestSessionCreateFailsWhenWALAppendFails(t *testing.T) {
+	s := newWALService(t, server.Config{WALDir: t.TempDir()})
+	if err := s.srv.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := s.cl.CreateSession(ctxT(), server.SessionRequest{
+		Benchmark: "KVStore",
+		Request: server.SessionRequestSpec{Class: "Request", Flag: "pending", TagType: "shard",
+			DoneFlag: "replied", ReplyFields: []string{"reply"}},
+	})
+	if !client.IsCode(err, server.CodeInternal) || !strings.Contains(err.Error(), "write-ahead log append failed") {
+		t.Fatalf("create after the log closed: err = %v, want %s (write-ahead log append failed)", err, server.CodeInternal)
+	}
+}
+
 // TestSessionDurablePastOldBound: one durable session fed 100,000 puts —
 // past the 65,536-request replay bound durability used to end at — then
 // killed, restarted and read back: every acknowledged put is there. The

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -365,6 +366,25 @@ func TestJobDeadline(t *testing.T) {
 	}
 	if !strings.Contains(v.Error, "deadline") && !strings.Contains(v.Error, "canceled") {
 		t.Errorf("error = %q, want a deadline/cancellation error", v.Error)
+	}
+}
+
+// TestDrainDeadlineCancelsWork: a drain whose context ends before the
+// accepted work does cancels that work and reports the context's error.
+func TestDrainDeadlineCancelsWork(t *testing.T) {
+	s := newTestService(t, server.Config{Workers: 1})
+	sub, err := s.cl.SubmitJob(ctxT(), server.SubmitRequest{Source: slowProgram(200_000_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitForStatus(t, s, sub.ID, server.StatusRunning, 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := s.srv.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if v := s.await(t, sub.ID, 20*time.Second); v.Status == server.StatusSucceeded {
+		t.Fatalf("job = %+v, want it canceled by the drain", v)
 	}
 }
 

@@ -389,6 +389,12 @@ func TestSessionCreateValidation(t *testing.T) {
 			Benchmark: "KVStore", Engine: "interp",
 			Request: server.SessionRequestSpec{Class: "R", Flag: "p", DoneFlag: "d"},
 		}},
+		{"startup fails", server.SessionRequest{
+			Source: `class R { flag p; flag d; R() { } }
+task boot(StartupObject s in initialstate) { int z = 0; System.printInt(1 / z); taskexit(s: initialstate := false); }
+task serve(R r in p) { taskexit(r: p := false, d := true); }`,
+			Request: server.SessionRequestSpec{Class: "R", Flag: "p", DoneFlag: "d"},
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the pure core of interpdelta — parsing, pairing, delta
-// math, floor checking, and the floor ratchet — kept free of flag and
+// math and floor checking — kept free of flag and
 // filesystem handling so main_test.go can drive it against fixtures.
 
 // parseRaw parses `go test -bench -benchmem` output lines:
@@ -107,22 +107,4 @@ func checkFloors(cur map[string]pair, floors map[string]float64) []string {
 		}
 	}
 	return bad
-}
-
-// ratchetFloors proposes an updated floors map from a measured run: each
-// floored benchmark's floor may rise to margin × its measured ratio, but
-// NEVER falls — a slow run can't loosen the ratchet, only a committed
-// edit can. Benchmarks without a measured pair keep their floor. The
-// input map is not modified.
-func ratchetFloors(floors map[string]float64, cur map[string]pair, margin float64) map[string]float64 {
-	out := make(map[string]float64, len(floors))
-	for n, f := range floors {
-		out[n] = f
-		if p, ok := cur[n]; ok {
-			if raised := p.Ratio * margin; raised > f {
-				out[n] = raised
-			}
-		}
-	}
-	return out
 }

@@ -14,25 +14,21 @@
 // With -floors (a JSON object of benchmark name → minimum ratio), the
 // tool exits nonzero if any pair's ratio is below its floor or a floored
 // benchmark is missing from the input — the CI ratchet that keeps the
-// fast path from quietly regressing toward the walker.
-//
-// With -ratchet (requires -floors), the tool instead rewrites the floors
-// file, raising each floor to -ratchet-margin × the measured ratio when
-// that is higher than the committed value. Floors never go down: a noisy
-// slow run proposes no change, and only a deliberate edit can loosen the
-// ratchet.
+// fast path from quietly regressing toward the walker. Floors are raised
+// by editing the file.
 //
 // Usage:
 //
 //	go run ./scripts/interpdelta -bench BENCH_interp.json \
 //	    [-baseline old.json -out BENCH_interp_delta.json] \
-//	    [-floors scripts/interp_floors.json [-ratchet]]
+//	    [-floors scripts/interp_floors.json]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -56,58 +52,68 @@ type pair struct {
 	RatioDelta    *float64 `json:"ratio_delta,omitempty"`
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "interpdelta: "+format+"\n", args...)
-	os.Exit(1)
-}
-
-func loadJSON(path string) map[string]entry {
+// loadJSON decodes the JSON file at path into v.
+func loadJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	var m map[string]entry
-	if err := json.Unmarshal(data, &m); err != nil {
-		fatalf("%s: %v", path, err)
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
 	}
-	return m
+	return nil
 }
 
-func loadRaw(path string) map[string]entry {
+func loadRaw(path string) (map[string]entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	defer f.Close()
 	m, err := parseRaw(f)
 	if err != nil {
-		fatalf("%s: %v", path, err)
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	return m
+	return m, nil
 }
 
 func main() {
-	benchPath := flag.String("bench", "", "BENCH_interp.json to read")
-	rawPath := flag.String("raw", "", "raw `go test -bench` output to read instead of -bench")
-	basePath := flag.String("baseline", "", "committed BENCH_interp.json to diff against")
-	outPath := flag.String("out", "", "where to write the delta JSON (default stdout when -baseline is set)")
-	floorsPath := flag.String("floors", "", "JSON of benchmark name -> minimum fast/walker ratio to enforce")
-	ratchet := flag.Bool("ratchet", false, "rewrite -floors, raising (never lowering) each floor toward the measured ratio")
-	margin := flag.Float64("ratchet-margin", 0.8, "fraction of the measured ratio a ratcheted floor rises to")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "interpdelta:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args, writes the delta document (when
+// -baseline is set without -out) to stdout and its report to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("interpdelta", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	benchPath := fs.String("bench", "", "BENCH_interp.json to read")
+	rawPath := fs.String("raw", "", "raw `go test -bench` output to read instead of -bench")
+	basePath := fs.String("baseline", "", "committed BENCH_interp.json to diff against")
+	outPath := fs.String("out", "", "where to write the delta JSON (default stdout when -baseline is set)")
+	floorsPath := fs.String("floors", "", "JSON of benchmark name -> minimum fast/walker ratio to enforce")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var bench map[string]entry
+	var err error
 	switch {
 	case *rawPath != "":
-		bench = loadRaw(*rawPath)
+		bench, err = loadRaw(*rawPath)
 	case *benchPath != "":
-		bench = loadJSON(*benchPath)
+		err = loadJSON(*benchPath, &bench)
 	default:
-		fatalf("need -bench or -raw")
+		err = fmt.Errorf("need -bench or -raw")
+	}
+	if err != nil {
+		return err
 	}
 	cur := ratios(bench)
 	if len(cur) == 0 {
-		fatalf("no fast/walker pairs in input")
+		return fmt.Errorf("no fast/walker pairs in input")
 	}
 
 	names := make([]string, 0, len(cur))
@@ -117,62 +123,44 @@ func main() {
 	sort.Strings(names)
 
 	if *basePath != "" {
-		applyBaseline(cur, ratios(loadJSON(*basePath)))
+		var base map[string]entry
+		if err := loadJSON(*basePath, &base); err != nil {
+			return err
+		}
+		applyBaseline(cur, ratios(base))
 		doc, err := json.MarshalIndent(cur, "", "  ")
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		doc = append(doc, '\n')
-		if *outPath != "" {
-			if err := os.WriteFile(*outPath, doc, 0o644); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Fprintf(os.Stderr, "interpdelta: wrote %s\n", *outPath)
+		if *outPath == "" {
+			stdout.Write(doc)
+		} else if err := os.WriteFile(*outPath, doc, 0o644); err != nil {
+			return err
 		} else {
-			os.Stdout.Write(doc)
+			fmt.Fprintf(stderr, "interpdelta: wrote %s\n", *outPath)
 		}
 	}
 
 	for _, n := range names {
 		p := cur[n]
-		fmt.Fprintf(os.Stderr, "interpdelta: %-50s fast %12.1f ns/op  walker %12.1f ns/op  ratio %5.2fx\n",
+		fmt.Fprintf(stderr, "interpdelta: %-50s fast %12.1f ns/op  walker %12.1f ns/op  ratio %5.2fx\n",
 			n, p.FastNs, p.WalkerNs, p.Ratio)
 	}
 
 	if *floorsPath != "" {
 		var floors map[string]float64
-		data, err := os.ReadFile(*floorsPath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := json.Unmarshal(data, &floors); err != nil {
-			fatalf("%s: %v", *floorsPath, err)
-		}
-		if *ratchet {
-			raised := ratchetFloors(floors, cur, *margin)
-			doc, err := json.MarshalIndent(raised, "", "  ")
-			if err != nil {
-				fatalf("%v", err)
-			}
-			if err := os.WriteFile(*floorsPath, append(doc, '\n'), 0o644); err != nil {
-				fatalf("%v", err)
-			}
-			changed := 0
-			for n := range floors {
-				if raised[n] != floors[n] {
-					changed++
-				}
-			}
-			fmt.Fprintf(os.Stderr, "interpdelta: ratcheted %s (%d of %d floors raised)\n", *floorsPath, changed, len(floors))
-			return
+		if err := loadJSON(*floorsPath, &floors); err != nil {
+			return err
 		}
 		bad := checkFloors(cur, floors)
 		for _, msg := range bad {
-			fmt.Fprintf(os.Stderr, "interpdelta: FLOOR FAIL %s\n", msg)
+			fmt.Fprintf(stderr, "interpdelta: FLOOR FAIL %s\n", msg)
 		}
 		if len(bad) > 0 {
-			fatalf("%d benchmark(s) below their committed fast/walker floor", len(bad))
+			return fmt.Errorf("%d benchmark(s) below their committed fast/walker floor", len(bad))
 		}
-		fmt.Fprintf(os.Stderr, "interpdelta: all %d floored benchmarks at or above their committed ratios\n", len(floors))
+		fmt.Fprintf(stderr, "interpdelta: all %d floored benchmarks at or above their committed ratios\n", len(floors))
 	}
+	return nil
 }

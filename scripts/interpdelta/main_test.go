@@ -1,7 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -122,50 +127,102 @@ func TestCheckFloorsTrips(t *testing.T) {
 	}
 }
 
-func TestRatchetFloorsRaises(t *testing.T) {
-	cur := parseFixture(t) // Fractal ≈ 4.0, Tracking = 2.0
-	floors := map[string]float64{
-		"BenchmarkInterpDispatch/Fractal":  2.0,
-		"BenchmarkInterpDispatch/Tracking": 1.5,
+// writeFile writes content to name under dir and returns its path.
+func writeFile(t *testing.T, dir, name, content string) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	out := ratchetFloors(floors, cur, 0.8)
-	fr := cur["BenchmarkInterpDispatch/Fractal"].Ratio
-	if want := fr * 0.8; math.Abs(out["BenchmarkInterpDispatch/Fractal"]-want) > 1e-9 {
-		t.Fatalf("Fractal floor = %v, want %v", out["BenchmarkInterpDispatch/Fractal"], want)
+	return p
+}
+
+// TestRunFloors is CI's invocation: raw benchmark output checked against
+// a floors file, once holding and once tripped.
+func TestRunFloors(t *testing.T) {
+	dir := t.TempDir()
+	raw := writeFile(t, dir, "raw.txt", rawFixture)
+	hold := writeFile(t, dir, "hold.json", `{"BenchmarkInterpDispatch/Fractal": 3.0}`)
+	trip := writeFile(t, dir, "trip.json", `{"BenchmarkInterpDispatch/Tracking": 2.5}`)
+	var stderr bytes.Buffer
+	if err := run([]string{"-raw", raw, "-floors", hold}, io.Discard, &stderr); err != nil {
+		t.Fatalf("floors that hold: %v\n%s", err, &stderr)
 	}
-	if want := 2.0 * 0.8; math.Abs(out["BenchmarkInterpDispatch/Tracking"]-want) > 1e-9 {
-		t.Fatalf("Tracking floor = %v, want %v", out["BenchmarkInterpDispatch/Tracking"], want)
+	if !strings.Contains(stderr.String(), "all 1 floored benchmarks at or above") {
+		t.Fatalf("report = %q", &stderr)
+	}
+	stderr.Reset()
+	err := run([]string{"-raw", raw, "-floors", trip}, io.Discard, &stderr)
+	if err == nil || !strings.Contains(stderr.String(), "FLOOR FAIL BenchmarkInterpDispatch/Tracking") {
+		t.Fatalf("tripped floor: err %v, report %q", err, &stderr)
 	}
 }
 
-// TestRatchetFloorsNeverLowers is the core ratchet property: no measured
-// run — however slow — can loosen a committed floor.
-func TestRatchetFloorsNeverLowers(t *testing.T) {
-	cur := parseFixture(t)
-	floors := map[string]float64{
-		"BenchmarkInterpDispatch/Fractal":  3.9, // 0.8 × measured ≈ 3.2 would be lower
-		"BenchmarkInterpDispatch/Tracking": 5.0, // far above measured 2.0
-		"BenchmarkInterpDispatch/Missing":  1.7, // no measurement at all
+// TestRunBaseline is scripts/bench.sh's invocation: a BENCH_interp.json
+// diffed against a baseline into a delta file, then against floors; and
+// the same delta written to stdout when -out is not set.
+func TestRunBaseline(t *testing.T) {
+	dir := t.TempDir()
+	bench := writeFile(t, dir, "bench.json", `{
+		"BenchmarkInterpDispatch/Fractal/fast": {"ns/op": 1000, "allocs/op": 3},
+		"BenchmarkInterpDispatch/Fractal/walker": {"ns/op": 4000}}`)
+	base := writeFile(t, dir, "base.json", `{
+		"BenchmarkInterpDispatch/Fractal/fast": {"ns/op": 1000},
+		"BenchmarkInterpDispatch/Fractal/walker": {"ns/op": 3000}}`)
+	out := filepath.Join(dir, "delta.json")
+	if err := run([]string{"-bench", bench, "-baseline", base, "-out", out}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
 	}
-	out := ratchetFloors(floors, cur, 0.8)
-	for n, f := range floors {
-		if out[n] < f {
-			t.Errorf("%s: floor lowered %v -> %v", n, f, out[n])
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if err := run([]string{"-bench", bench, "-baseline", base}, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stdout.Bytes(), data) {
+		t.Fatalf("stdout delta %q differs from -out delta %q", &stdout, data)
+	}
+	var delta map[string]pair
+	if err := json.Unmarshal(data, &delta); err != nil {
+		t.Fatal(err)
+	}
+	p := delta["BenchmarkInterpDispatch/Fractal"]
+	if p.Ratio != 4 || p.BaselineRatio == nil || *p.BaselineRatio != 3 || *p.RatioDelta != 1 || p.FastAllocs != 3 {
+		t.Fatalf("delta = %+v", p)
+	}
+	floors := writeFile(t, dir, "floors.json", `{"BenchmarkInterpDispatch/Fractal": 3.5}`)
+	if err := run([]string{"-bench", bench, "-floors", floors}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunErrors covers every way the command refuses its input.
+func TestRunErrors(t *testing.T) {
+	dir := t.TempDir()
+	raw := writeFile(t, dir, "raw.txt", rawFixture)
+	bad := writeFile(t, dir, "bad.json", `{`)
+	orphan := writeFile(t, dir, "orphan.txt", "BenchmarkX/fast-8 1 10 ns/op\n")
+	empty := writeFile(t, dir, "empty.json", `{}`)
+	missing := filepath.Join(dir, "missing")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "need -bench or -raw"},
+		{[]string{"-nosuchflag"}, "flag provided but not defined"},
+		{[]string{"-raw", missing}, "no such file"},
+		{[]string{"-bench", missing}, "no such file"},
+		{[]string{"-bench", bad}, "bad.json"},
+		{[]string{"-raw", orphan}, "no fast/walker pairs"},
+		{[]string{"-raw", raw, "-baseline", bad}, "bad.json"},
+		{[]string{"-raw", raw, "-floors", missing}, "no such file"},
+		{[]string{"-raw", raw, "-baseline", empty, "-out", dir}, "is a directory"},
+	} {
+		err := run(tc.args, io.Discard, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("run %q: error %v, want one containing %q", tc.args, err, tc.want)
 		}
-	}
-	if out["BenchmarkInterpDispatch/Tracking"] != 5.0 {
-		t.Errorf("Tracking floor moved to %v, want kept at 5.0", out["BenchmarkInterpDispatch/Tracking"])
-	}
-	if out["BenchmarkInterpDispatch/Missing"] != 1.7 {
-		t.Errorf("unmeasured floor moved to %v, want kept at 1.7", out["BenchmarkInterpDispatch/Missing"])
-	}
-}
-
-func TestRatchetFloorsDoesNotMutateInput(t *testing.T) {
-	cur := parseFixture(t)
-	floors := map[string]float64{"BenchmarkInterpDispatch/Fractal": 1.0}
-	ratchetFloors(floors, cur, 0.8)
-	if floors["BenchmarkInterpDispatch/Fractal"] != 1.0 {
-		t.Fatal("ratchetFloors mutated its input map")
 	}
 }

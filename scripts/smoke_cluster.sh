@@ -29,7 +29,12 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$bin" ./cmd/bambood
+# With GOCOVERDIR set (scripts/coverage.sh sets it), the daemon is a
+# covered build of the serving packages that writes its counters there each
+# time it exits cleanly. (Counting the interpreter's statements too slows
+# its hot loop past the jobs' deadlines.)
+go build ${GOCOVERDIR:+-cover -coverpkg=./cmd/bambood,./internal/server/...,./internal/cluster,./internal/wal} \
+    -o "$bin" ./cmd/bambood
 
 start_node() { # id port -> pid on stdout
     local id="$1" port="$2"

@@ -50,7 +50,12 @@ create_kv() {
         sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1
 }
 
-go build -o "$bin" ./cmd/bambood
+# With GOCOVERDIR set (scripts/coverage.sh sets it), the daemon is a
+# covered build of the serving packages that writes its counters there each
+# time it exits cleanly. (Counting the interpreter's statements too slows
+# its hot loop past the jobs' deadlines.)
+go build ${GOCOVERDIR:+-cover -coverpkg=./cmd/bambood,./internal/server/...,./internal/cluster,./internal/wal} \
+    -o "$bin" ./cmd/bambood
 start
 
 # Submit a benchmark job.
