@@ -49,6 +49,16 @@ type testNode struct {
 	ts     *httptest.Server
 }
 
+// openServer opens a bambood node with no log directory.
+func openServer(t *testing.T, cfg server.Config) *server.Server {
+	t.Helper()
+	srv, err := server.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // newTestRing boots n bambood nodes, each fronted by a Router that
 // knows every peer's URL: the listeners exist (unstarted) before any
 // router does, which is where the URL map comes from. A cfg.WALDir is
@@ -245,7 +255,7 @@ func TestJobShedsOffSaturatedOwner(t *testing.T) {
 	}))
 	defer sat.Close()
 
-	srv := server.New(server.Config{NodeID: "real"})
+	srv := openServer(t, server.Config{NodeID: "real"})
 	defer srv.Close()
 	var router *cluster.Router
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -294,7 +304,7 @@ func TestJobShedsOffSaturatedOwner(t *testing.T) {
 func TestDeadOwnerFailsOverJobsButNotByID(t *testing.T) {
 	// An owner that is down from the start: a URL nothing listens on.
 	downURL := "http://127.0.0.1:1" // reserved port: connection refused
-	srv := server.New(server.Config{NodeID: "live"})
+	srv := openServer(t, server.Config{NodeID: "live"})
 	defer srv.Close()
 	var router *cluster.Router
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -366,7 +376,7 @@ func TestDeadOwnerFailsOverJobsButNotByID(t *testing.T) {
 // Unlike TestDeadOwnerFailsOverJobsButNotByID, this path does not depend
 // on which of the prober and the submit reaches the dead node first.
 func TestUnprobedDeadOwnerFailsOverOnProxyError(t *testing.T) {
-	srv := server.New(server.Config{NodeID: "live"})
+	srv := openServer(t, server.Config{NodeID: "live"})
 	defer srv.Close()
 	router := cluster.NewRouter(srv.Handler(), cluster.Options{
 		NodeID:     "live",
@@ -407,7 +417,7 @@ func TestUnprobedDeadOwnerFailsOverOnProxyError(t *testing.T) {
 // The hop header caps forwarding at one hop: a request that already
 // crossed the wire is served locally even if the ring disagrees.
 func TestHopHeaderServedLocally(t *testing.T) {
-	srv := server.New(server.Config{NodeID: "solo"})
+	srv := openServer(t, server.Config{NodeID: "solo"})
 	defer srv.Close()
 	router := cluster.NewRouter(srv.Handler(), cluster.Options{
 		NodeID: "solo",
@@ -517,7 +527,7 @@ func TestFailoverLosesNoAcceptedJob(t *testing.T) {
 // router cannot place, so the local node answers with its 400 envelope;
 // and asks an unreachable peer for a job by ID.
 func TestClusterViewAndUnroutableSubmit(t *testing.T) {
-	srv := server.New(server.Config{NodeID: "n1"})
+	srv := openServer(t, server.Config{NodeID: "n1"})
 	defer srv.Close()
 	router := cluster.NewRouter(srv.Handler(), cluster.Options{
 		NodeID:     "n1",

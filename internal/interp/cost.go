@@ -30,21 +30,6 @@ type CostModel struct {
 	TagOp        int64 // tag allocate/bind/clear
 	TaskExitBase int64
 	Branch       int64
-	// BoundsCheck is the extra cost charged per array access when bounds
-	// checking is enabled. The paper's Section 5.5 notes Bamboo optionally
-	// supports array bounds checks for non-performance-critical
-	// applications and that the evaluation ran with them off; the
-	// interpreter always validates indices for safety, but only charges
-	// this cost when the option is on.
-	BoundsCheck int64
-}
-
-// WithBoundsChecks returns a copy of the model charging for array bounds
-// checks (the paper's optional mode).
-func (c *CostModel) WithBoundsChecks() *CostModel {
-	out := *c
-	out.BoundsCheck = 2
-	return &out
 }
 
 // DefaultCost returns the cost model used by all experiments.
@@ -107,10 +92,8 @@ func (c *CostModel) instrCost(in *ir.Instr) int64 {
 		return c.IntALU
 	case ir.OpI2F, ir.OpF2I:
 		return c.Conv
-	case ir.OpGetField, ir.OpSetField:
+	case ir.OpGetField, ir.OpSetField, ir.OpArrGet, ir.OpArrSet:
 		return c.Mem
-	case ir.OpArrGet, ir.OpArrSet:
-		return c.Mem + c.BoundsCheck
 	case ir.OpArrLen:
 		return c.ArrLen
 	case ir.OpNewObj, ir.OpNewArr:

@@ -6,39 +6,6 @@ import (
 	"repro/internal/ir"
 )
 
-func TestBoundsCheckCost(t *testing.T) {
-	src := `class C {
-		int sum(int n) {
-			int[] a = new int[n];
-			int i;
-			for (i = 0; i < n; i++) { a[i] = i; }
-			int s = 0;
-			for (i = 0; i < n; i++) { s += a[i]; }
-			return s;
-		}
-	}`
-	irp := compile(t, src)
-	run := func(cost *CostModel) int64 {
-		in := New(irp)
-		in.Cost = cost
-		obj := in.Heap.NewObject(irp.Info.Classes["C"])
-		_, ex, err := in.CallMethod(irp.Funcs[ir.MethodKey("C", "sum")], []Value{ObjV(obj), IntV(100)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ex.Cycles
-	}
-	plain := run(DefaultCost())
-	checked := run(DefaultCost().WithBoundsChecks())
-	if checked <= plain {
-		t.Errorf("bounds-checked run (%d) should cost more than unchecked (%d)", checked, plain)
-	}
-	// 200 array accesses at 2 extra cycles each.
-	if diff := checked - plain; diff != 400 {
-		t.Errorf("bounds check overhead = %d cycles, want 400", diff)
-	}
-}
-
 func TestAllMathBuiltins(t *testing.T) {
 	src := `class C {
 		double run(double x) {
@@ -104,9 +71,6 @@ func TestDefaultCostShape(t *testing.T) {
 	}
 	if c.FloatDiv <= c.FloatMul {
 		t.Error("float divide should cost more than multiply")
-	}
-	if c.BoundsCheck != 0 {
-		t.Error("bounds checks must default off (the paper's evaluation setting)")
 	}
 	if c.MathBuiltin <= c.FloatMul {
 		t.Error("libm routines should dominate single float ops")

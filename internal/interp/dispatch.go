@@ -264,36 +264,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			regs[ins.dst].setFloat(y)
 
-		case fMathUnaryMv:
-			x := regs[ins.a].Float()
-			var y float64
-			switch ins.bi {
-			case bMathSin:
-				y = math.Sin(x)
-			case bMathCos:
-				y = math.Cos(x)
-			case bMathTan:
-				y = math.Tan(x)
-			case bMathAsin:
-				y = math.Asin(x)
-			case bMathAcos:
-				y = math.Acos(x)
-			case bMathAtan:
-				y = math.Atan(x)
-			case bMathSqrt:
-				y = math.Sqrt(x)
-			case bMathExp:
-				y = math.Exp(x)
-			case bMathLog:
-				y = math.Log(x)
-			case bMathFloor:
-				y = math.Floor(x)
-			default:
-				y = math.Ceil(x)
-			}
-			regs[ins.dst].setFloat(y)
-			regs[ins.jmp2].setFloat(y)
-
 		case fCallBuiltin:
 			ex.Cycles = cycles
 			ret, err := in.builtinFast(ff, ins, regs, ex)
@@ -336,7 +306,12 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		// --- Superinstructions. Each arm executes its two halves in exact
 		// sequential order: the first half's destination (register c) is
 		// written before the second half reads any register, so aliased
-		// operands behave identically to unfused execution.
+		// operands behave identically to unfused execution. Every arm with
+		// a result, plain or fused, reads all its operands before it writes
+		// dst: flattening may retarget dst at a local the arm also reads
+		// (i = i + 1). The +St arms write dst before they read the object
+		// register, and may: an arm absorbs one trailing consumer, so a
+		// +St arm's dst is never retargeted.
 
 		case fEqBr:
 			x := valueEq(regs[ins.a], regs[ins.b])
@@ -374,15 +349,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				pc = ins.jmp2
 			}
 			continue
-		case fGtFBr:
-			x := regs[ins.a].Float() > regs[ins.b].Float()
-			regs[ins.c].setBool(x)
-			if x {
-				pc = ins.jmp
-			} else {
-				pc = ins.jmp2
-			}
-			continue
 		case fGeFBr:
 			x := regs[ins.a].Float() >= regs[ins.b].Float()
 			regs[ins.c].setBool(x)
@@ -393,48 +359,12 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			continue
 
-		// Move-absorbing variants: the base op, then the pair's trailing
-		// "local = move result" copies the whole register (like fMove) into
-		// jmp2.
-		case fConstMvI:
-			regs[ins.dst].setInt(ins.i)
-			regs[ins.jmp2].setInt(ins.i)
-		case fConstMvF:
-			regs[ins.dst].setFloat(ins.f)
-			regs[ins.jmp2].setFloat(ins.f)
-		case fAddMvI:
-			x := regs[ins.a].Int() + regs[ins.b].Int()
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
-		case fAddMvF:
-			x := regs[ins.a].Float() + regs[ins.b].Float()
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
-		case fSubMvF:
-			x := regs[ins.a].Float() - regs[ins.b].Float()
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
-		case fMulMvF:
-			x := regs[ins.a].Float() * regs[ins.b].Float()
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
-
 		case fAddImmI:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() + ins.i)
-		case fAddImmMvI:
-			regs[ins.c].setInt(ins.i)
-			x := regs[ins.a].Int() + ins.i
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
 		case fSubImmI:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() - ins.i)
-		case fSubImmMvI:
-			regs[ins.c].setInt(ins.i)
-			x := regs[ins.a].Int() - ins.i
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
 		case fMulImmI:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() * ins.i)
@@ -447,11 +377,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fSubImmF:
 			regs[ins.c].setFloat(ins.f)
 			regs[ins.dst].setFloat(regs[ins.a].Float() - ins.f)
-		case fSubImmMvF:
-			regs[ins.c].setFloat(ins.f)
-			x := regs[ins.a].Float() - ins.f
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
 		case fMulImmF:
 			regs[ins.c].setFloat(ins.f)
 			regs[ins.dst].setFloat(regs[ins.a].Float() * ins.f)
@@ -464,32 +389,17 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 		case fRemImm:
 			regs[ins.c].setInt(ins.i)
 			regs[ins.dst].setInt(regs[ins.a].Int() % ins.i)
-		case fRemImmMv:
-			regs[ins.c].setInt(ins.i)
-			x := regs[ins.a].Int() % ins.i
-			regs[ins.dst].setInt(x)
-			regs[ins.jmp2].setInt(x)
 		case fDivImmF:
 			regs[ins.c].setFloat(ins.f)
 			regs[ins.dst].setFloat(regs[ins.a].Float() / ins.f)
-		case fDivImmMvF:
-			regs[ins.c].setFloat(ins.f)
-			x := regs[ins.a].Float() / ins.f
-			regs[ins.dst].setFloat(x)
-			regs[ins.jmp2].setFloat(x)
 
-		case fMulSubI, fMulSubMvI:
+		case fMulSubI:
 			x := regs[ins.a].Int() * regs[ins.b].Int()
 			regs[ins.c].setInt(x)
-			var y int64
 			if ins.bi == fvLoadLeft {
-				y = regs[ins.c].Int() - regs[ins.jmp].Int()
+				regs[ins.dst].setInt(regs[ins.c].Int() - regs[ins.jmp].Int())
 			} else {
-				y = regs[ins.jmp].Int() - regs[ins.c].Int()
-			}
-			regs[ins.dst].setInt(y)
-			if ins.op == fMulSubMvI {
-				regs[ins.jmp2].setInt(y)
+				regs[ins.dst].setInt(regs[ins.jmp].Int() - regs[ins.c].Int())
 			}
 
 		// const+compare: the immediate is the compare's right operand by
@@ -573,74 +483,37 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			} else {
 				regs[ins.dst].setFloat(regs[ins.b].Float() * xf)
 			}
-		case fI2FDivF, fI2FDivMvF:
+		case fI2FDivF:
 			xf := float64(regs[ins.a].Int())
 			regs[ins.c].setFloat(xf)
-			var x float64
 			if ins.bi == fvLoadLeft {
-				x = xf / regs[ins.b].Float()
+				regs[ins.dst].setFloat(xf / regs[ins.b].Float())
 			} else {
-				x = regs[ins.b].Float() / xf
-			}
-			regs[ins.dst].setFloat(x)
-			if ins.op == fI2FDivMvF {
-				regs[ins.jmp2].setFloat(x)
+				regs[ins.dst].setFloat(regs[ins.b].Float() / xf)
 			}
 
 		case fMulAddI:
 			x := regs[ins.a].Int() * regs[ins.b].Int()
 			regs[ins.c].setInt(x)
 			regs[ins.dst].setInt(regs[ins.c].Int() + regs[ins.jmp].Int())
-		case fMulAddF, fMulAddMvF:
+		case fMulAddF:
 			x := regs[ins.a].Float() * regs[ins.b].Float()
 			regs[ins.c].setFloat(x)
-			var y float64
 			if ins.bi == fvLoadLeft {
-				y = regs[ins.c].Float() + regs[ins.jmp].Float()
+				regs[ins.dst].setFloat(regs[ins.c].Float() + regs[ins.jmp].Float())
 			} else {
-				y = regs[ins.jmp].Float() + regs[ins.c].Float()
+				regs[ins.dst].setFloat(regs[ins.jmp].Float() + regs[ins.c].Float())
 			}
-			regs[ins.dst].setFloat(y)
-			if ins.op == fMulAddMvF {
-				regs[ins.jmp2].setFloat(y)
-			}
-		case fMulSubF, fMulSubMvF:
+		case fMulSubF:
 			x := regs[ins.a].Float() * regs[ins.b].Float()
 			regs[ins.c].setFloat(x)
-			var y float64
 			if ins.bi == fvLoadLeft {
-				y = regs[ins.c].Float() - regs[ins.jmp].Float()
+				regs[ins.dst].setFloat(regs[ins.c].Float() - regs[ins.jmp].Float())
 			} else {
-				y = regs[ins.jmp].Float() - regs[ins.c].Float()
-			}
-			regs[ins.dst].setFloat(y)
-			if ins.op == fMulSubMvF {
-				regs[ins.jmp2].setFloat(y)
+				regs[ins.dst].setFloat(regs[ins.jmp].Float() - regs[ins.c].Float())
 			}
 
-		case fGetMv:
-			recv := regs[ins.a].Obj()
-			if recv == nil {
-				ex.Cycles = cycles
-				return Value{}, in.errf(ff.fn, ins.aux.pos, "null dereference reading field %s", ins.aux.s)
-			}
-			regs[ins.dst] = recv.Fields[ins.idx]
-			regs[ins.jmp2] = regs[ins.dst]
-		case fArrGetMv:
-			arr := regs[ins.a].Arr()
-			if arr == nil {
-				ex.Cycles = cycles
-				return Value{}, in.errf(ff.fn, ins.aux.pos, "null array dereference")
-			}
-			idx := regs[ins.b].Int()
-			if idx < 0 || idx >= int64(len(arr.Elems)) {
-				ex.Cycles = cycles
-				return Value{}, in.errf(ff.fn, ins.aux.pos, "array index %d out of bounds [0,%d)", idx, len(arr.Elems))
-			}
-			regs[ins.dst] = arr.Elems[idx]
-			regs[ins.jmp2] = regs[ins.dst]
-
-		case fGetGet, fGetGetMv:
+		case fGetGet:
 			recv := regs[ins.a].Obj()
 			if recv == nil {
 				ex.Cycles = cycles
@@ -654,9 +527,6 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 				return Value{}, in.errf(ff.fn, ax2.pos, "null dereference reading field %s", ax2.s)
 			}
 			regs[ins.dst] = mid.Fields[ins.jmp]
-			if ins.op == fGetGetMv {
-				regs[ins.jmp2] = regs[ins.dst]
-			}
 
 		case fGetAddI, fGetMulI, fGetAddF:
 			recv := regs[ins.a].Obj()
@@ -753,7 +623,7 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			obj.Fields[ins.jmp2].setInt(x)
 
-		case fArrAddI, fArrMulI, fArrAddF, fArrSubF, fArrMulF, fArrAddMvF, fArrSubMvF:
+		case fArrMulI, fArrAddF, fArrSubF, fArrMulF:
 			arr := regs[ins.a].Arr()
 			if arr == nil {
 				ex.Cycles = cycles
@@ -766,33 +636,20 @@ func (in *Interp) execFlat(ff *flatFunc, regs []Value, ex *Exec) (Value, error) 
 			}
 			regs[ins.c] = arr.Elems[idx]
 			// Variant byte as on getfield+arith: original operand order.
-			// The Mv variants additionally copy the result into jmp2.
 			switch ins.op {
-			case fArrAddI:
-				regs[ins.dst].setInt(regs[ins.c].Int() + regs[ins.jmp].Int())
 			case fArrMulI:
 				regs[ins.dst].setInt(regs[ins.c].Int() * regs[ins.jmp].Int())
-			case fArrAddF, fArrAddMvF:
-				var x float64
+			case fArrAddF:
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Float() + regs[ins.jmp].Float()
+					regs[ins.dst].setFloat(regs[ins.c].Float() + regs[ins.jmp].Float())
 				} else {
-					x = regs[ins.jmp].Float() + regs[ins.c].Float()
+					regs[ins.dst].setFloat(regs[ins.jmp].Float() + regs[ins.c].Float())
 				}
-				regs[ins.dst].setFloat(x)
-				if ins.op == fArrAddMvF {
-					regs[ins.jmp2].setFloat(x)
-				}
-			case fArrSubF, fArrSubMvF:
-				var x float64
+			case fArrSubF:
 				if ins.bi == fvLoadLeft {
-					x = regs[ins.c].Float() - regs[ins.jmp].Float()
+					regs[ins.dst].setFloat(regs[ins.c].Float() - regs[ins.jmp].Float())
 				} else {
-					x = regs[ins.jmp].Float() - regs[ins.c].Float()
-				}
-				regs[ins.dst].setFloat(x)
-				if ins.op == fArrSubMvF {
-					regs[ins.jmp2].setFloat(x)
+					regs[ins.dst].setFloat(regs[ins.jmp].Float() - regs[ins.c].Float())
 				}
 			default:
 				if ins.bi == fvLoadLeft {

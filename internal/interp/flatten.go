@@ -23,8 +23,11 @@ import (
 // On top of that base form, adjacent pairs of the shapes the fusion tables
 // list (compare+branch, load+arith, load+store, const+arith, ...) fuse into
 // single dispatch arms. Fused arms write through the intermediate register,
-// so register state stays byte-identical to unfused execution and no
-// liveness analysis is needed.
+// so register state stays byte-identical to unfused execution. The one
+// exception needs no liveness analysis either, only a count of each
+// register's readers: a producer whose result's only reader is the move
+// after it writes the move's destination itself, and the temp is never
+// written.
 //
 // The flat form lives on ir.Program (FlatCache), revalidated against the IR
 // version and cost model, so every engine built over one compiled program —
@@ -112,7 +115,9 @@ const (
 	// (write-through), so the register file after a fused arm is
 	// byte-identical to unfused execution. An arm stays only while one of
 	// the embedded programs emits it, or while tryFuse builds it on the way
-	// to an absorbed form that one does (TestEverySuperinstructionIsEmitted).
+	// to an absorbed form that one does (TestEverySuperinstructionIsEmitted),
+	// and while it replaces at least 0.1 % of some measured program's
+	// dispatches (DESIGN.md §10).
 
 	// compare+branch: a,b = operands, c = compare dst (written through),
 	// jmp/jmp2 = branch targets. Only fused when the branch condition is
@@ -121,7 +126,6 @@ const (
 	fNeBr
 	fLtIBr
 	fLtFBr
-	fGtFBr
 	fGeFBr
 
 	// const+arith: i (or f) = immediate, c = const dst (written through),
@@ -148,7 +152,6 @@ const (
 	// arrget+arith: a = array, b = index, c = loaded dst (written
 	// through), jmp = the other operand (data, not a branch target), dst =
 	// result. bi is the operand-side variant as for getfield+arith.
-	fArrAddI
 	fArrMulI
 	fArrAddF
 	fArrSubF
@@ -174,29 +177,6 @@ const (
 	// obj.field.field chain every shared-structure benchmark walks.
 	fGetGet
 
-	// Move-absorbing variants. Lowering materializes every assignment to
-	// a local as "tmp = <op>; local = move tmp"; each +Mv opcode is its
-	// base op plus that trailing move, with the move's destination in the
-	// otherwise-unused jmp2 slot. The base result register is still
-	// written first (write-through), then copied — byte-identical to
-	// executing the pair.
-	fConstMvI
-	fConstMvF
-	fAddMvI
-	fAddMvF
-	fSubMvF
-	fMulMvF
-	fGetMv
-	fArrGetMv
-	fGetGetMv
-	fAddImmMvI
-	fSubImmMvI
-	fSubImmMvF
-	fArrAddMvF
-	fArrSubMvF
-	fMulAddMvF
-	fMulSubMvF
-
 	// const+div/rem: layout as const+arith (i/f = immediate, c = const
 	// dst written through, a = numerator, dst = result). Only fused when
 	// the immediate is nonzero, so the fused integer arms can never
@@ -204,14 +184,11 @@ const (
 	fDivImmI
 	fDivImmF
 	fRemImm
-	fDivImmMvF
-	fRemImmMv
 
 	// mul+sub (int): layout as fMulAddI (a,b = multiply operands, c =
 	// multiply dst written through, jmp = the other operand, bi =
 	// variant). The index idiom "i - k*stride".
 	fMulSubI
-	fMulSubMvI
 
 	// const+compare, integer immediate as the compare's right operand:
 	// i = immediate, c = const dst (written through), a = left operand,
@@ -237,7 +214,6 @@ const (
 	// spot; this folds the conversion into the consuming arithmetic.
 	fI2FMulF
 	fI2FDivF
-	fI2FDivMvF
 
 	// getfield+compare (int), optionally with the branch absorbed: a =
 	// object, idx = field slot, c = loaded dst (written through), b = the
@@ -268,10 +244,6 @@ const (
 	// only emit when the result register exists, so trivial task bodies
 	// may contain them.
 	fMathUnary
-
-	// ... with the trailing move absorbed (jmp2 = the move's
-	// destination), completing lowering's "tmp = Math.f(x); local = tmp".
-	fMathUnaryMv
 )
 
 // builtinID is an interned builtin name.
@@ -422,6 +394,7 @@ type flatScratch struct {
 	terminated []bool
 	inbound    []int32 // jump/branch edges landing on each pc
 	newPC      []int32
+	reads      []int32 // IR operands naming each register of the frame
 }
 
 func buildFlatProgram(prog *ir.Program, cost *CostModel, version int64) *flatProgram {
@@ -463,6 +436,8 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 	// below stay valid.
 	sc.starts = grow(sc.starts, len(fn.Blocks))
 	sc.terminated = grow(sc.terminated, len(fn.Blocks))
+	sc.reads = grow(sc.reads, fn.NumRegs)
+	clear(sc.reads)
 	n, nArgs := 0, 0
 	for i, b := range fn.Blocks {
 		sc.starts[i] = int32(n)
@@ -478,12 +453,14 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 			n++
 		}
 		for ii := range b.Instrs {
-			switch instr := &b.Instrs[ii]; instr.Op {
+			instr := &b.Instrs[ii]
+			switch instr.Op {
 			case ir.OpCall, ir.OpCallBuiltin:
 				nArgs += len(instr.Args)
 			case ir.OpNewObj:
 				nArgs += len(instr.TagRegs)
 			}
+			sc.countReads(instr)
 		}
 	}
 	code := make([]finstr, 0, n)
@@ -500,7 +477,7 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 		}
 		if !sc.terminated[bi] {
 			k := len(code)
-			code = append(code, finstr{op: fTrap, idx: int32(b.ID), aux: &auxs[k]})
+			code = append(code, finstr{op: fTrap, dst: -1, idx: int32(b.ID), aux: &auxs[k]})
 		}
 	}
 	code, fused := fuseCode(code, sc)
@@ -513,6 +490,33 @@ func flattenFunc(prog *ir.Program, cost *CostModel, fn *ir.Func, ff *flatFunc, s
 	ff.fp.fusedInstrs += int64(fused)
 	ff.code = code
 	ff.trivial = fn.NumRegs <= trivialRegs && allTrivial(code)
+}
+
+// countReads adds instr's register operands to sc.reads: its arguments,
+// the tags a new object binds, and at a taskexit the parameters and tags
+// the exit reads. A register outside the frame is skipped; executing the
+// instruction reports it.
+func (sc *flatScratch) countReads(instr *ir.Instr) {
+	read := func(r int) {
+		if r >= 0 && r < len(sc.reads) {
+			sc.reads[r]++
+		}
+	}
+	for _, r := range instr.Args {
+		read(int(r))
+	}
+	for _, r := range instr.TagRegs {
+		read(int(r))
+	}
+	if instr.Exit != nil {
+		for _, fa := range instr.Exit.FlagOps {
+			read(fa.Param)
+		}
+		for _, ta := range instr.Exit.TagOps {
+			read(ta.Param)
+			read(int(ta.TagReg))
+		}
+	}
 }
 
 // allTrivial reports whether every instruction is safe for the stack-
@@ -752,25 +756,23 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 				fused++
 			}
 		}
-		// Absorb a trailing consumer of the result: a move (any op with a
-		// +Mv sibling copies its destination into one more register on
-		// the way out, turning lowering's "tmp = <op>; local = move tmp"
-		// into one arm), a branch (a const+compare shape absorbs the
-		// branch on its result, completing the three-instruction guard
-		// "c = const; t = cmp x, c; branch t"), or a field store (an
-		// integer arith op with a +St sibling writes its result straight
-		// into the object field, covering "t = <op>; this.f = t").
+		// Absorb a trailing consumer of the result: a move that is the
+		// result's only reader (the producer writes the move's destination
+		// itself, turning lowering's "tmp = <op>; local = move tmp" into
+		// one arm; tmp is then never written, and nothing reads it), a
+		// branch (a const+compare shape absorbs the branch on its result,
+		// completing the three-instruction guard "c = const; t = cmp x, c;
+		// branch t"), or a field store (an integer arith op with a +St
+		// sibling writes its result straight into the object field,
+		// covering "t = <op>; this.f = t").
 		if j := i + width; j < len(code) && sc.inbound[j] == 0 && ins.dst >= 0 {
 			switch {
-			case code[j].op == fMove && code[j].a == ins.dst:
-				if mv, ok := moveFused[ins.op]; ok {
-					ins.op = mv
-					ins.jmp2 = code[j].dst
-					ins.cost += code[j].cost
-					sc.newPC[j] = int32(n)
-					width++
-					fused++
-				}
+			case code[j].op == fMove && code[j].a == ins.dst && sc.reads[ins.dst] == 1:
+				ins.dst = code[j].dst
+				ins.cost += code[j].cost
+				sc.newPC[j] = int32(n)
+				width++
+				fused++
 			case code[j].op == fBranch && code[j].a == ins.dst:
 				if br, ok := immCmpBrFused[ins.op]; ok {
 					ins.op = br
@@ -814,7 +816,7 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 		switch code[i].op {
 		case fJump:
 			code[i].jmp = sc.newPC[code[i].jmp]
-		case fBranch, fEqBr, fNeBr, fLtIBr, fLtFBr, fGtFBr, fGeFBr,
+		case fBranch, fEqBr, fNeBr, fLtIBr, fLtFBr, fGeFBr,
 			fEqImmBr, fLtImmBr, fLeImmBr, fGtImmBr, fGeImmBr,
 			fGetLtIBr, fGetGeIBr:
 			code[i].jmp = sc.newPC[code[i].jmp]
@@ -846,7 +848,7 @@ func fuseCode(code []finstr, sc *flatScratch) ([]finstr, int) {
 var cmpBrFused = map[fop]fop{
 	fCmpEq: fEqBr, fCmpNe: fNeBr,
 	fLtI: fLtIBr, fLtF: fLtFBr,
-	fGtF: fGtFBr, fGeF: fGeFBr,
+	fGeF: fGeFBr,
 }
 
 var immCmpFused = map[fop]fop{
@@ -900,23 +902,8 @@ var getFused = map[fop]fop{
 }
 
 var arrFused = map[fop]fop{
-	fAddI: fArrAddI, fMulI: fArrMulI,
+	fMulI: fArrMulI,
 	fAddF: fArrAddF, fSubF: fArrSubF, fMulF: fArrMulF,
-}
-
-// moveFused maps each op that can absorb a trailing move of its result to
-// its +Mv sibling. Ops outside this map (branches, stores, calls) never
-// absorb.
-var moveFused = map[fop]fop{
-	fConstInt: fConstMvI, fConstFloat: fConstMvF,
-	fAddI: fAddMvI, fAddF: fAddMvF, fSubF: fSubMvF, fMulF: fMulMvF,
-	fGetField: fGetMv, fArrGet: fArrGetMv, fGetGet: fGetGetMv,
-	fAddImmI: fAddImmMvI, fSubImmI: fSubImmMvI,
-	fSubImmF: fSubImmMvF,
-	fArrAddF: fArrAddMvF, fArrSubF: fArrSubMvF,
-	fMulAddF: fMulAddMvF, fMulSubF: fMulSubMvF, fMulSubI: fMulSubMvI,
-	fDivImmF: fDivImmMvF, fRemImm: fRemImmMv, fI2FDivF: fI2FDivMvF,
-	fMathUnary: fMathUnaryMv,
 }
 
 // tryFuse attempts to merge instruction a with its successor b. The pair
@@ -930,7 +917,7 @@ func tryFuse(a, b *finstr) (finstr, bool) {
 	switch {
 	case b.op == fBranch && a.dst == b.a:
 		if f, ok := cmpBrFused[a.op]; ok {
-			return finstr{op: f, a: a.a, b: a.b, c: a.dst,
+			return finstr{op: f, a: a.a, b: a.b, c: a.dst, dst: -1,
 				jmp: b.jmp, jmp2: b.jmp2, cost: cost, aux: a.aux}, true
 		}
 	case a.op == fConstInt && a.dst == b.b:

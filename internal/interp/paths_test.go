@@ -3,6 +3,8 @@ package interp
 import (
 	"math"
 	"testing"
+
+	"repro/internal/ir"
 )
 
 // inC wraps method in the class C the two-path tests call f on.
@@ -35,8 +37,8 @@ func bothPaths(t *testing.T, src string) (Value, error) {
 }
 
 // TestBuiltinsMatchWalker calls every Math builtin on both paths, plain
-// and with the result moved into a local (the +Mv arm), and checks the
-// sum against Go's math package.
+// and with the result moved into a local (a retargeted arm), and checks
+// the sum against Go's math package.
 func TestBuiltinsMatchWalker(t *testing.T) {
 	v, err := bothPaths(t, inC(`double f() {
 		double x = 0.5;
@@ -116,5 +118,64 @@ func TestDeepRecursionMatchesWalker(t *testing.T) {
 	}
 	if v.Int() != 3010 {
 		t.Errorf("f = %d, want 3010", v.Int())
+	}
+}
+
+// TestRetargetedResultAliasesOperand: a trailing "local = move tmp" is
+// absorbed by retargeting its producer at the local, and here every such
+// local is one of the producer's own operands, so each arm must read all
+// its operands before it writes its result. The fast path must agree with
+// the walker and keep no move in the flattened body.
+func TestRetargetedResultAliasesOperand(t *testing.T) {
+	src := `class C {
+	int a;
+	C() { }
+	int add3(int p, int q, int r) { return p + q + r; }
+	double f() {
+		int s = 0;
+		double g = 1.0;
+		int a = 2;
+		int[] arr = new int[4];
+		arr[0] = 2; arr[1] = 3; arr[2] = 1; arr[3] = 0;
+		int x = 0;
+		double d = 65536.0;
+		this.a = 5;
+		int i = 0;
+		while (i < 10) {
+			i = i + 1;
+			s = s + i * 3 - (i >> 1);
+			g = g * 1.000001 + 0.5;
+			s = add3(s, i, 1);
+			a = this.a + a;
+			x = arr[x];
+			d = Math.sqrt(d);
+		}
+		return s + g + a + x + d;
+	}
+}`
+	v, err := bothPaths(t, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, g, a, x, d := int64(0), 1.0, int64(2), 0, 65536.0
+	arr := []int{2, 3, 1, 0}
+	for i := int64(1); i <= 10; i++ {
+		s = s + i*3 - i>>1
+		g = g*1.000001 + 0.5
+		s = s + i + 1
+		a = 5 + a
+		x = arr[x]
+		d = math.Sqrt(d)
+	}
+	if want := float64(s) + g + float64(a) + float64(x) + d; v.Float() != want {
+		t.Errorf("f = %v, want %v", v.Float(), want)
+	}
+	irp := compile(t, src)
+	in := New(irp)
+	in.prepare()
+	for _, ins := range in.fp.flat[irp.Funcs[ir.MethodKey("C", "f")]].code {
+		if ins.op == fMove {
+			t.Errorf("flattened C.f keeps a move: %+v", ins)
+		}
 	}
 }

@@ -12,11 +12,10 @@ import (
 )
 
 // intermediates are the superinstructions no embedded program emits
-// that stay anyway: tryFuse builds each on the way to an absorbed form
-// (+Mv or +Br) that a program does emit.
+// that stay anyway: tryFuse builds each on the way to a +Br form that a
+// program does emit.
 var intermediates = map[string]bool{
-	"fMulSubI": true,
-	"fLtImm":   true, "fLeImm": true, "fGtImm": true, "fGeImm": true,
+	"fLtImm": true, "fLeImm": true, "fGtImm": true, "fGeImm": true,
 	"fGetLtI2": true, "fGetGeI2": true,
 }
 

@@ -345,7 +345,10 @@ func TestSessionFeedAllocs(t *testing.T) {
 // shape directly, the difference per request is what decode, coalescer
 // hand-off and reply rendering cost.
 func BenchmarkSessionFeed(b *testing.B) {
-	s := server.New(server.Config{})
+	s, err := server.Open(server.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Cleanup(s.Close)
 	h := s.Handler()
 	for _, engine := range []struct{ name, engine string }{{"det", "deterministic"}, {"conc", "concurrent"}} {

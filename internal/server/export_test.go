@@ -40,3 +40,23 @@ func WithWALSegmentBytes(cfg Config, n int64) Config {
 	cfg.walSegmentBytes = n
 	return cfg
 }
+
+// LockSession holds session id's lock, as a running engine batch does,
+// until the returned unlock is called.
+func (s *Server) LockSession(id string) (unlock func()) {
+	s.sessMu.Lock()
+	sn := s.sessions[id]
+	s.sessMu.Unlock()
+	sn.mu.Lock()
+	return sn.mu.Unlock
+}
+
+// PendingFeeds reports how many feeds wait on session id's queue.
+func (s *Server) PendingFeeds(id string) int {
+	s.sessMu.Lock()
+	sn := s.sessions[id]
+	s.sessMu.Unlock()
+	sn.qmu.Lock()
+	defer sn.qmu.Unlock()
+	return len(sn.pending)
+}

@@ -185,17 +185,6 @@ type Server struct {
 	clusterFn atomic.Pointer[func() ClusterStats]
 }
 
-// New builds the service and starts its worker pool. It panics if
-// cfg.WALDir is set and the log cannot be opened — callers that enable
-// durability should use Open and handle the error.
-func New(cfg Config) *Server {
-	s, err := Open(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("server.New: %v", err))
-	}
-	return s
-}
-
 // Open builds the service, and — when cfg.WALDir is set — opens the
 // write-ahead log, replays it (re-queuing non-terminal jobs with
 // re-anchored deadlines and restoring non-terminal sessions as parked),

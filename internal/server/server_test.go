@@ -26,7 +26,10 @@ type testService struct {
 
 func newTestService(t *testing.T, cfg server.Config) *testService {
 	t.Helper()
-	s := server.New(cfg)
+	s, err := server.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()

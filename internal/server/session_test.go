@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -118,6 +121,53 @@ func TestSessionLifecycle(t *testing.T) {
 	_, err = s.cl.Feed(ctxT(), sv.ID, server.FeedRequest{Requests: []server.FeedItem{get(5)}})
 	if !client.IsCode(err, server.CodeFailedPrecondition) {
 		t.Errorf("feed after close: err = %v, want %s", err, server.CodeFailedPrecondition)
+	}
+}
+
+// TestSessionFeedExpiresWhileQueued: a feed whose deadline passes while
+// it waits behind a batch that holds the session is answered 504
+// deadline_exceeded when it is claimed, before any of it runs, and the
+// session stays live.
+func TestSessionFeedExpiresWhileQueued(t *testing.T) {
+	s := newTestService(t, server.Config{})
+	sv := kvSession(t, s, "", 1)
+	body, err := json.Marshal(server.FeedRequest{Requests: []server.FeedItem{put(5, 4242)}, TimeoutMS: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unlock := s.srv.LockSession(sv.ID)
+	type answer struct {
+		status int
+		body   string
+		err    error
+	}
+	done := make(chan answer, 1)
+	go func() {
+		resp, err := http.Post(s.ts.URL+"/v1/sessions/"+sv.ID+"/feed", "application/json", bytes.NewReader(body))
+		if err != nil {
+			done <- answer{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		done <- answer{resp.StatusCode, string(b), err}
+	}()
+	for s.srv.PendingFeeds(sv.ID) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(40 * time.Millisecond)
+	unlock()
+	a := <-done
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	if a.status != http.StatusGatewayTimeout || !strings.Contains(a.body, server.CodeDeadlineExceeded) ||
+		!strings.Contains(a.body, "no work ran") {
+		t.Fatalf("expired feed = %d %s, want 504 %s, no work ran", a.status, a.body, server.CodeDeadlineExceeded)
+	}
+	// The put never ran: key 5 still holds its warm value.
+	if f := feed(t, s, sv.ID, get(5)).Replies[0].Fields; f["reply"] != "162" || f["version"] != "1" {
+		t.Errorf("get after the expired put = %+v, want the warm 162 at version 1", f)
 	}
 }
 

@@ -32,7 +32,10 @@ func (w *teeWriter) Write(p []byte) (int, error) {
 // one on its one-pass path: the fallback to encoding/json is for traffic
 // nobody we know of sends.
 func TestFeedTrafficTakesOnePassPath(t *testing.T) {
-	srv := server.New(server.Config{MaxLiveSessions: 1})
+	srv, err := server.Open(server.Config{MaxLiveSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := srv.Handler()
 	var mu sync.Mutex
 	var reqs, resps [][]byte

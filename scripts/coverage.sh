@@ -84,7 +84,6 @@ internal/core/compile.go	^Compile$	called by bench/ (ROADMAP item 12)
 internal/server/client/client.go	^NewWithHTTPClient$	called by bench/ (ROADMAP item 12)
 internal/interp/flatten.go	^flattenInstr$	an IR op the interpreter does not know flattens to a trap; lowering emits none
 internal/server/server.go	^Open$	the log fails to compact what it recovered at boot: an I/O error
-internal/server/session.go	^claimLocked$	a feed's deadline passes while it waits behind another batch: a race no test can order
 internal/server/session.go	^handleSessionClose$	a close lands between a create's admission and its boot: a race no test can order
 EOF
 )"

@@ -61,9 +61,14 @@ program() { # n extra
     echo "class Work { flag run; int n; int total; Work(int n) { this.n = n; } } task boot(StartupObject s in initialstate) { Work w = new Work($(($1 + $2))){ run := true }; taskexit(s: initialstate := false); } task crunch(Work w in run) { int i; for (i = 0; i < w.n; i++) { w.total += i * i; } taskexit(w: run := false); }"
 }
 
+# Every job asks for bambood's largest deadline (-max-timeout, ten
+# minutes): a deadline counts queue time, and the slow burst queues twelve
+# long jobs, so the one-minute default would fail jobs on a slow runner
+# and the zero-loss check would count them lost. The ring owner is a hash
+# of the source alone, so the deadline moves no job.
 submit() { # port n extra -> job id on stdout
     local body resp id
-    body="{\"source\":\"$(program "$2" "$3")\"}"
+    body="{\"source\":\"$(program "$2" "$3")\",\"timeout_ms\":600000}"
     resp="$(curl -fsS -X POST "http://127.0.0.1:$1/v1/jobs" \
         -H 'Content-Type: application/json' -d "$body")"
     id="$(echo "$resp" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p')"
