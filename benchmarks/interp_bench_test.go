@@ -50,12 +50,13 @@ func BenchmarkInterpSequential(b *testing.B) {
 
 // BenchmarkInterpTaskExitEngine measures the per-invocation cost of a
 // trivial taskexit through the whole engine stack (guard evaluation,
-// dispatch, exit application), with and without span tracing, on both
-// interpreter paths. One iteration runs a task that reschedules itself
-// 1000 times, so ns/op ≈ 1000 × the engine's trivial-exit cost. The
-// trace variants show what turning obsv span recording on adds per
-// invocation; the interp-level BenchmarkInterpTaskExit isolates the
-// interpreter's share of the same path.
+// dispatch, exit application), with no recorder and with an *obsv.Trace
+// as Options.Recorder, on both interpreter paths. One iteration runs a
+// task that reschedules itself 1000 times, so ns/op ≈ 1000 × the engine's
+// trivial-exit cost. The trace variants show what the recorder seam plus
+// span recording add per invocation; the interp-level
+// BenchmarkInterpTaskExit isolates the interpreter's share of the same
+// path.
 func BenchmarkInterpTaskExitEngine(b *testing.B) {
 	const src = `
 	class T {
@@ -97,7 +98,7 @@ func BenchmarkInterpTaskExitEngine(b *testing.B) {
 						NoFastDispatch: mode.walker,
 					}
 					if tr.trace {
-						cfg.Trace = &obsv.Trace{}
+						cfg.Recorder = &obsv.Trace{}
 					}
 					if _, err := sys.Exec(context.Background(), cfg); err != nil {
 						b.Fatal(err)

@@ -157,13 +157,20 @@ func cmdRun(argv []string) error {
 	// interrupt.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), server.ShutdownSignals...)
 	defer stopSignals()
-	var tr *obsv.Trace
-	if *showTrace || *traceOut != "" {
-		tr = &obsv.Trace{}
-	}
 	var mx *obsv.Metrics
 	if *conc || *interpStats {
 		mx = &obsv.Metrics{}
+	}
+	// rec stays a nil interface without a trace: a nil *obsv.Trace in it
+	// would not be.
+	var tr *obsv.Trace
+	var rec bamboort.Recorder
+	if *showTrace || *traceOut != "" {
+		tr = &obsv.Trace{}
+		if *conc {
+			tr.Metrics = mx // Summarize reports the concurrent engine's counters
+		}
+		rec = tr
 	}
 	emit := func() error {
 		if tr != nil {
@@ -219,46 +226,34 @@ func cmdRun(argv []string) error {
 		return emitErr
 	}
 
+	cfg := core.ExecConfig{Args: args, Out: os.Stdout, Recorder: rec, Metrics: mx}
+	var sys *core.System
 	if *seq {
-		sys, err := core.CompileSource(src)
-		if err != nil {
-			return err
+		if sys, err = core.CompileSource(src); err == nil {
+			cfg.Machine, cfg.Layout = machine.Sequential(), layout.Single(sys.TaskNames())
 		}
-		res, err := sys.Exec(ctx, core.ExecConfig{
-			Engine: core.Deterministic, Machine: machine.Sequential(),
-			Layout: layout.Single(sys.TaskNames()),
-			Args:   args, Out: os.Stdout, Trace: tr, Metrics: mx,
-		})
-		if err != nil {
-			return flush(err)
+	} else {
+		sys, cfg.Layout, cfg.Machine, err = prepare(ctx, src, args, *cores, *seed, *workers)
+		if *conc {
+			cfg.Engine, cfg.Machine = core.Concurrent, nil
 		}
-		fmt.Printf("-- sequential: %d cycles, %d invocations\n", res.TotalCycles, res.Invocations)
-		return flush(nil)
 	}
-	sys, lay, m, err := prepare(ctx, src, args, *cores, *seed, *workers)
 	if err != nil {
 		return err
 	}
-	if *conc {
-		res, err := sys.Exec(ctx, core.ExecConfig{
-			Engine: core.Concurrent,
-			Layout: lay, Args: args, Out: os.Stdout, Trace: tr, Metrics: mx,
-		})
-		if err != nil {
-			return flush(err)
-		}
-		fmt.Printf("-- concurrent, %d cores: %d invocations, %d contention skips\n",
-			lay.NumCores, res.Invocations, mx.ContentionSkips.Load())
-		return flush(nil)
-	}
-	res, err := sys.Exec(ctx, core.ExecConfig{
-		Engine: core.Deterministic, Machine: m, Layout: lay,
-		Args: args, Out: os.Stdout, Trace: tr, Metrics: mx,
-	})
+	res, err := sys.Exec(ctx, cfg)
 	if err != nil {
 		return flush(err)
 	}
-	fmt.Printf("-- %d cores: %d cycles, %d invocations\n", lay.NumCores, res.TotalCycles, res.Invocations)
+	switch {
+	case *seq:
+		fmt.Printf("-- sequential: %d cycles, %d invocations\n", res.TotalCycles, res.Invocations)
+	case *conc:
+		fmt.Printf("-- concurrent, %d cores: %d invocations, %d contention skips\n",
+			cfg.Layout.NumCores, res.Invocations, mx.ContentionSkips.Load())
+	default:
+		fmt.Printf("-- %d cores: %d cycles, %d invocations\n", cfg.Layout.NumCores, res.TotalCycles, res.Invocations)
+	}
 	return flush(nil)
 }
 
@@ -475,10 +470,9 @@ func cmdBench(argv []string) error {
 	if err != nil {
 		return err
 	}
-	tr := &bamboort.Trace{}
 	many, err := sys.Exec(context.Background(), core.ExecConfig{
 		Engine: core.Deterministic, Machine: m, Layout: res.Layout,
-		Args: b.Args, Out: os.Stdout, Trace: tr,
+		Args: b.Args, Out: os.Stdout,
 	})
 	if err != nil {
 		return err

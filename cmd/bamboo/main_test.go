@@ -150,7 +150,7 @@ func TestAnalyze(t *testing.T) {
 
 // TestRun runs Keyword every way run can: the sequential baseline, the
 // deterministic engine with a trace written and summarized, and the
-// concurrent engine with its counters written.
+// concurrent engine with its counters written and summarized.
 func TestRun(t *testing.T) {
 	dir := t.TempDir()
 	contains(t, "run -seq", ok(t, "run", "-name", "Keyword", "-seq"), "-- sequential: ", " cycles, ")
@@ -176,6 +176,23 @@ func TestRun(t *testing.T) {
 	} else if err := json.Unmarshal(data, &m); err != nil || m["deliveries"] == nil {
 		t.Fatalf("metrics-out: %v, %v", m, err)
 	}
+
+	// -trace on the concurrent engine reports its counters with the spans.
+	f, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = f
+	code, _ := bamboo(t, "run", "-name", "Keyword", "-cores", "2", "-concurrent", "-trace")
+	os.Stderr = stderr
+	f.Close()
+	summary, err := os.ReadFile(f.Name())
+	if code != 0 || err != nil {
+		t.Fatalf("run -concurrent -trace: exit %d, %v", code, err)
+	}
+	contains(t, "run -concurrent -trace (stderr)", string(summary),
+		"execution trace (concurrent)", "-- runtime counters --", "lock acquisitions=")
 	if code, _ := bamboo(t, "run", "-name", "Keyword", "-seq", "-trace-out", dir); code != 1 {
 		t.Errorf("trace-out to a directory: exit %d, want 1", code)
 	}

@@ -72,7 +72,7 @@ func main() {
 func runWithProfile(sys *core.System, m *machine.Machine, synth *core.SynthesisResult, args []string) (*profile.Profile, int64, error) {
 	prof := profile.New(sys.Dep)
 	res, err := sys.Exec(context.Background(), core.ExecConfig{
-		Engine: core.Deterministic, Machine: m, Layout: synth.Layout, Args: args, Profile: prof,
+		Engine: core.Deterministic, Machine: m, Layout: synth.Layout, Args: args, Recorder: prof,
 	})
 	if err != nil {
 		return nil, 0, err

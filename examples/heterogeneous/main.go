@@ -13,9 +13,9 @@ import (
 	"log"
 
 	"repro/benchmarks"
-	"repro/internal/bamboort"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obsv"
 	"repro/internal/schedsim"
 )
 
@@ -45,9 +45,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tr := &bamboort.Trace{}
+	tr := &obsv.Trace{}
 	het, err := sys.Exec(context.Background(), core.ExecConfig{
-		Engine: core.Deterministic, Machine: hetero, Layout: synHet.Layout, Args: b.Args, Trace: tr,
+		Engine: core.Deterministic, Machine: hetero, Layout: synHet.Layout, Args: b.Args, Recorder: tr,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -13,9 +13,9 @@ import (
 	"log"
 
 	"repro/benchmarks"
-	"repro/internal/bamboort"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obsv"
 )
 
 func main() {
@@ -40,9 +40,9 @@ func main() {
 	fmt.Printf("  aggregate on cores %v; simulate replicated on %d cores\n",
 		synth.Layout.Cores("aggregate"), len(synth.Layout.Cores("simulate")))
 
-	tr := &bamboort.Trace{}
+	tr := &obsv.Trace{}
 	res, err := sys.Exec(context.Background(), core.ExecConfig{
-		Engine: core.Deterministic, Machine: m, Layout: synth.Layout, Args: b.Args, Trace: tr,
+		Engine: core.Deterministic, Machine: m, Layout: synth.Layout, Args: b.Args, Recorder: tr,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -12,9 +12,9 @@ import (
 	"log"
 
 	"repro/benchmarks"
-	"repro/internal/bamboort"
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/obsv"
 )
 
 // phaseOf maps Tracking tasks to the paper's three phases.
@@ -50,9 +50,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr := &bamboort.Trace{}
+	tr := &obsv.Trace{}
 	res, err := sys.Exec(context.Background(), core.ExecConfig{
-		Engine: core.Deterministic, Machine: m, Layout: synth.Layout, Args: b.Args, Trace: tr,
+		Engine: core.Deterministic, Machine: m, Layout: synth.Layout, Args: b.Args, Recorder: tr,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/depend"
 	"repro/internal/ir"
 	"repro/internal/layout"
+	"repro/internal/obsv"
 	"repro/internal/parser"
 	"repro/internal/profile"
 	"repro/internal/synth"
@@ -56,17 +57,20 @@ func buildMovesSynth(t *testing.T) *synth.Synthesis {
 		t.Fatal(err)
 	}
 	prof := profile.New(dep)
-	task := func(name string) int { return irProg.Info.TaskByName[name].Index }
-	allocs := prof.Allocated(prof.Record(task("startup"), 0, 2000))
+	record := func(name string, exit int, cycles int64) {
+		prof.Record(obsv.Invocation{Task: irProg.Info.TaskByName[name].Index, Exit: exit, Cycles: cycles})
+	}
+	record("startup", 0, 2000)
+	allocs := prof.Allocated(int(dep.Exit0[irProg.Info.TaskByName["startup"].Index]))
 	allocs[dep.Graphs["Work"].Nodes["f1"].ID] = 8
 	allocs[dep.Graphs["Sink"].Nodes["f1"].ID] = 1
 	for i := 0; i < 8; i++ {
-		prof.Record(task("step"), 0, 500)
+		record("step", 0, 500)
 	}
 	for i := 0; i < 7; i++ {
-		prof.Record(task("collect"), 1, 300)
+		record("collect", 1, 300)
 	}
-	prof.Record(task("collect"), 0, 300)
+	record("collect", 0, 300)
 	return synth.Build(cstg.Build(irProg, dep, prof), 4)
 }
 

@@ -79,7 +79,6 @@ func RestoreSession(prog *ir.Program, dep *depend.Result, locks *disjoint.Result
 		return nil, err
 	}
 	e.plan.setSession(true)
-	e.armTrace()
 	out, err := e.decode(fingerprint, data)
 	if err != nil {
 		return nil, err

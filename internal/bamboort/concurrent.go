@@ -42,29 +42,6 @@ type ccore struct {
 	ran []int64
 }
 
-// ctracer records wall-clock spans for a concurrent run, appended in
-// completion order under one mutex that also guards the object ->
-// producer-span map (one append per invocation; nil when tracing is off).
-type ctracer struct {
-	mu       sync.Mutex
-	start    time.Time
-	tr       *obsv.Trace
-	producer map[int64]int // object ID -> span index that produced it
-}
-
-// now returns nanoseconds since the run started (the trace clock).
-func (t *ctracer) now() int64 { return time.Since(t.start).Nanoseconds() }
-
-// record appends one completed invocation. It must be called while the
-// invocation's parameter locks are still held, so the producer map cannot
-// change under the dependence-edge lookups, and before the objects are
-// routed onward, so consumers always observe their producer's span.
-func (t *ctracer) record(core int, task string, inv *invocation, exec *interp.Exec, start, end int64) {
-	t.mu.Lock()
-	recordSpan(t.tr, t.producer, core, task, inv, exec, start, end)
-	t.mu.Unlock()
-}
-
 // crun is the shared state of one concurrent execution.
 type crun struct {
 	prog *ir.Program
@@ -74,7 +51,10 @@ type crun struct {
 
 	cores []*ccore
 	mx    *obsv.Metrics
-	trc   *ctracer
+	// t0 starts the clock of a recorded run, and recMu serializes its
+	// Recorder calls.
+	t0    time.Time
+	recMu sync.Mutex
 
 	// inFlight counts undelivered messages plus credits held by workers
 	// that are draining or executing; quiescence is inFlight == 0. The
@@ -102,21 +82,15 @@ func newCrun(prog *ir.Program, dep *depend.Result, opts Options) (*crun, error) 
 	if err != nil {
 		return nil, err
 	}
-
-	var trc *ctracer
-	if opts.Trace != nil {
-		opts.Trace.Source = "concurrent"
-		opts.Trace.TimeUnit = obsv.UnitNanos
-		opts.Trace.NumCores = opts.Layout.NumCores
-		opts.Trace.Metrics = opts.Metrics
-		trc = &ctracer{start: time.Now(), tr: opts.Trace, producer: map[int64]int{}}
+	if err := opts.begin("concurrent", obsv.UnitNanos, dep); err != nil {
+		return nil, err
 	}
 	n := opts.Layout.NumCores
 	r := &crun{
 		prog: prog, opts: opts, in: newInterp(prog, opts), plan: pl,
 		cores: make([]*ccore, n),
 		mx:    opts.Metrics,
-		trc:   trc,
+		t0:    time.Now(),
 		wake:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
@@ -167,6 +141,9 @@ func (r *crun) quiesce(ctx context.Context) error {
 		}
 	}
 }
+
+// now returns nanoseconds since the run started (a recorded run's clock).
+func (r *crun) now() int64 { return time.Since(r.t0).Nanoseconds() }
 
 // notify wakes the coordinator.
 func (r *crun) notify() {
@@ -401,9 +378,9 @@ func (r *crun) release(c *ccore, locked []*interp.Object) {
 // caller's dispatch loop should stop: the task failed, which fails the run,
 // or the run exceeded its invocation budget.
 func (r *crun) execute(c *ccore, inv *invocation) bool {
-	var spanStart int64
-	if r.trc != nil {
-		spanStart = r.trc.now()
+	var start int64
+	if r.opts.Recorder != nil {
+		start = r.now()
 	}
 	exec, err := r.in.RunTask(r.plan.fns[inv.task], inv.args)
 	if err == nil {
@@ -417,10 +394,13 @@ func (r *crun) execute(c *ccore, inv *invocation) bool {
 		return false
 	}
 	r.in.Commit(exec)
-	if r.trc != nil {
+	if r.opts.Recorder != nil {
 		// Record while the parameter locks are held and before routing,
 		// so dependence edges resolve.
-		r.trc.record(c.id, r.plan.lay.Tasks[inv.task].Name, inv, exec, spanStart, r.trc.now())
+		end := r.now()
+		r.recMu.Lock()
+		record(r.opts.Recorder, r.plan, c.id, inv, exec, start, end)
+		r.recMu.Unlock()
 	}
 	r.release(c, inv.locked)
 	r.nInv.Add(1)
@@ -470,8 +450,8 @@ func (r *crun) receive(c *ccore, d delivery) {
 	if r.plan.dep.Satisfies(d.obj.Node(), c.sets.Sets[si].Slot) {
 		c.arrSeq++
 		var at int64
-		if r.trc != nil {
-			at = r.trc.now()
+		if r.opts.Recorder != nil {
+			at = r.now()
 		}
 		c.sets.Add(si, d.obj, c.arrSeq, at)
 	}

@@ -3,12 +3,15 @@ package bamboort_test
 import (
 	"bytes"
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/benchmarks"
 	"repro/internal/bamboort"
 	"repro/internal/core"
 	"repro/internal/layout"
+	"repro/internal/profile"
 )
 
 func TestConcurrentMatchesDeterministic(t *testing.T) {
@@ -124,5 +127,30 @@ task collect(Tally t in open, Job j in done) {
 	}
 	if out.String() != seq.String() {
 		t.Errorf("concurrent output %q != sequential %q", out.String(), seq.String())
+	}
+}
+
+// TestConcurrentRefusesProfile: a profile is a Markov model of the
+// deterministic engine's completion order, which on the concurrent engine
+// depends on timing, so the concurrent engine refuses it before running
+// anything.
+func TestConcurrentRefusesProfile(t *testing.T) {
+	b, err := benchmarks.Get("Tracking")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := core.CompileSource(b.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := profile.New(sys.Dep)
+	res, err := sys.Exec(context.Background(), core.ExecConfig{
+		Engine: core.Concurrent, Layout: bamboort.SpreadLayout(sys.Prog, 2), Args: b.Args, Recorder: p,
+	})
+	if err == nil || !strings.Contains(err.Error(), "no deterministic completion order") {
+		t.Fatalf("Exec = %+v, %v; want the profile refused", res, err)
+	}
+	if slices.ContainsFunc(p.Inv, func(n int64) bool { return n > 0 }) {
+		t.Errorf("the refused profile recorded invocations: %v", p.Inv)
 	}
 }

@@ -99,7 +99,7 @@ func TestDifferentialSweep(t *testing.T) {
 				mx := &obsv.Metrics{}
 				var out bytes.Buffer
 				res, err := sys.Exec(context.Background(), bamboort.Options{
-					Engine: bamboort.Concurrent, Layout: lay, Args: b.Args, Out: &out, Trace: tr, Metrics: mx,
+					Engine: bamboort.Concurrent, Layout: lay, Args: b.Args, Out: &out, Recorder: tr, Metrics: mx,
 				})
 				if err != nil {
 					t.Fatalf("%d cores: %v", nc, err)

@@ -73,9 +73,9 @@ func TestStaleThenRevalidatedArrivalOrder(t *testing.T) {
 	l.Place("slow", 0)
 	l.Place("flip", 1)
 	l.Place("back", 1)
-	tr := &bamboort.Trace{}
+	tr := &obsv.Trace{}
 	if _, err := sys.Exec(context.Background(), core.ExecConfig{
-		Machine: machine.TilePro64().WithCores(2), Layout: l, Args: []string{"x"}, Trace: tr,
+		Machine: machine.TilePro64().WithCores(2), Layout: l, Args: []string{"x"}, Recorder: tr,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -216,10 +216,10 @@ func TestPlacementSameOnBothEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		executed, concurrent, simulated := &obsv.Trace{}, &obsv.Trace{}, &obsv.Trace{}
-		if _, err := fan.Exec(ctx, core.ExecConfig{Machine: opts.Machine, Layout: lay, Trace: executed}); err != nil {
+		if _, err := fan.Exec(ctx, core.ExecConfig{Machine: opts.Machine, Layout: lay, Recorder: executed}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fan.Exec(ctx, core.ExecConfig{Engine: core.Concurrent, Machine: opts.Machine, Layout: lay, Trace: concurrent}); err != nil {
+		if _, err := fan.Exec(ctx, core.ExecConfig{Engine: core.Concurrent, Machine: opts.Machine, Layout: lay, Recorder: concurrent}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fan.Simulator().Run(schedsim.Options{Machine: opts.Machine, Layout: lay, Prof: prof, Trace: simulated}); err != nil {

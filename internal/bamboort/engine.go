@@ -12,7 +12,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/machine"
 	"repro/internal/obsv"
-	"repro/internal/profile"
 	"repro/internal/sched"
 	"repro/internal/types"
 )
@@ -48,10 +47,13 @@ type Options struct {
 	// and uses it only to weight heterogeneous cores.
 	Machine *machine.Machine
 	Layout  *layout.Layout
-	Args    []string         // StartupObject.args
-	Out     io.Writer        // program output; nil discards
-	Profile *profile.Profile // when non-nil, records per-invocation stats (deterministic only)
-	Trace   *Trace           // when non-nil, records invocation events
+	Args    []string  // StartupObject.args
+	Out     io.Writer // program output; nil discards
+	// Recorder, when non-nil, observes every completed invocation
+	// (*obsv.Trace, *profile.Profile). Its Header's Unit is the engine's
+	// clock, UnitCycles or UnitNanos, and Begin may refuse the run: the
+	// profile refuses UnitNanos.
+	Recorder Recorder
 	// Metrics, when non-nil, collects runtime counters: the interpreter's
 	// dispatch statistics on both engines, and on the concurrent engine its
 	// locks, contention, deliveries and pokes.
@@ -70,13 +72,17 @@ type Options struct {
 	Heap *interp.Heap
 }
 
-// Trace records an engine's invocation history in the unified
-// observability model (internal/obsv), so engine traces, simulator traces,
-// and concurrent-runtime traces share one set of consumers.
-type Trace = obsv.Trace
-
-// TraceEvent is one completed task invocation.
-type TraceEvent = obsv.Span
+// Recorder watches a run: Begin once, then Record once per completed
+// invocation, in completion order, while the invocation's parameters are
+// still locked and before its objects are routed on. The concurrent engine
+// makes the calls one at a time.
+type Recorder interface {
+	// Begin readies the recorder for the run h describes, or refuses it.
+	Begin(h obsv.Header) error
+	// Record observes one invocation. Its slices belong to the engine,
+	// which reuses them once Record returns.
+	Record(inv obsv.Invocation)
+}
 
 // Result summarizes an execution.
 type Result struct {
@@ -96,10 +102,6 @@ type Engine struct {
 	loop    sched.Loop[*interp.Object, *interp.Tag, body]
 	running []running // per core: the invocation in flight
 	ran     []int64   // invocations per task, by task index
-	// producerOf maps each routed object's ID to the trace index of the
-	// invocation that created or last transitioned it (dependence edges).
-	// Maintained only when tracing.
-	producerOf map[int64]int
 
 	// sessErr poisons a session (session.go; plan.session marks one
 	// started) after a drain error.
@@ -124,9 +126,6 @@ func NewEngine(prog *ir.Program, dep *depend.Result, locks *disjoint.Result, opt
 	if opts.Machine == nil || opts.Layout == nil {
 		return nil, fmt.Errorf("bamboort: Machine and Layout are required")
 	}
-	if opts.Profile != nil && opts.Profile.Dep != dep {
-		return nil, fmt.Errorf("bamboort: the profile numbers another dependence analysis")
-	}
 	opts.setDefaults()
 	usable := opts.Machine.UsableCores()
 	if opts.Layout.NumCores > len(usable) {
@@ -134,6 +133,9 @@ func NewEngine(prog *ir.Program, dep *depend.Result, locks *disjoint.Result, opt
 	}
 	pl, err := newPlan(prog, dep, opts.Layout, opts.Machine, locks)
 	if err != nil {
+		return nil, err
+	}
+	if err := opts.begin("engine", obsv.UnitCycles, dep); err != nil {
 		return nil, err
 	}
 	e := &Engine{
@@ -152,6 +154,14 @@ func (o *Options) setDefaults() {
 	if o.MaxInvocations == 0 {
 		o.MaxInvocations = 50_000_000
 	}
+}
+
+// begin opens the recorder, if any, on a run of source in unit.
+func (o *Options) begin(source string, unit obsv.Unit, dep *depend.Result) error {
+	if o.Recorder == nil {
+		return nil
+	}
+	return o.Recorder.Begin(obsv.Header{Source: source, Unit: unit, NumCores: o.Layout.NumCores, Dep: dep})
 }
 
 // maxTaskCycles bounds one task invocation: a task body that runs past it
@@ -185,16 +195,6 @@ func tasksRun(pl *plan, ran []int64) map[string]int64 {
 		}
 	}
 	return out
-}
-
-// armTrace readies Options.Trace, if set, for this engine's spans.
-func (e *Engine) armTrace() {
-	if e.opts.Trace != nil {
-		e.opts.Trace.Source = "engine"
-		e.opts.Trace.TimeUnit = obsv.UnitCycles
-		e.opts.Trace.NumCores = e.opts.Layout.NumCores
-		e.producerOf = map[int64]int{}
-	}
 }
 
 // startupObject allocates the object whose arrival starts the program, in
@@ -294,16 +294,8 @@ func (e *Engine) complete(core int32, t int64) (send int64) {
 	for _, obj := range inv.objs {
 		delete(e.loop.B.locked, obj)
 	}
-	if p := e.opts.Profile; p != nil {
-		allocs := p.Allocated(p.Record(int(inv.task), exec.ExitID, exec.Cycles))
-		for _, o := range exec.NewObjects {
-			if n := o.Node(); n >= 0 {
-				allocs[n]++
-			}
-		}
-	}
-	if e.opts.Trace != nil {
-		recordSpan(e.opts.Trace, e.producerOf, int(core), e.plan.lay.Tasks[inv.task].Name, inv, exec, r.start, t)
+	if e.opts.Recorder != nil {
+		record(e.opts.Recorder, e.plan, int(core), inv, exec, r.start, t)
 	}
 	for i, obj := range inv.objs {
 		fifo := int64(0)
@@ -319,26 +311,10 @@ func (e *Engine) complete(core int32, t int64) (send int64) {
 	return send
 }
 
-// recordSpan appends one completed invocation to tr. producer maps object
-// IDs to the span that created or last transitioned them; the lookups
-// precede this span's own updates, so a parameter's producer is whoever
-// transitioned it before the dispatch (-1 = the environment).
-func recordSpan(tr *obsv.Trace, producer map[int64]int, core int, task string, inv *invocation, exec *interp.Exec, start, end int64) {
-	idx := len(tr.Events)
-	sp := obsv.Span{Index: idx, Task: task, Core: core, Start: start, End: end, Exit: exec.ExitID}
-	for i, o := range inv.objs {
-		sp.Params = append(sp.Params, o.ID)
-		prod, ok := producer[o.ID]
-		if !ok {
-			prod = -1
-		}
-		sp.Deps = append(sp.Deps, obsv.Dep{Obj: o.ID, Arrival: inv.objArrs[i], Producer: prod})
-	}
-	tr.Events = append(tr.Events, sp)
-	for _, o := range inv.objs {
-		producer[o.ID] = idx
-	}
-	for _, o := range exec.NewObjects {
-		producer[o.ID] = idx
-	}
+// record reports a completed invocation to rec.
+func record(rec Recorder, pl *plan, core int, inv *invocation, exec *interp.Exec, start, end int64) {
+	rec.Record(obsv.Invocation{
+		Task: int(inv.task), Name: pl.lay.Tasks[inv.task].Name, Exit: exec.ExitID, Core: core,
+		Start: start, End: end, Cycles: exec.Cycles, Params: inv.objs, Arrivals: inv.objArrs, New: exec.NewObjects,
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/machine"
+	"repro/internal/obsv"
 	"repro/internal/profile"
 )
 
@@ -98,7 +99,7 @@ func TestMulticoreProfileMatchesSingleCore(t *testing.T) {
 	}
 	multi := profile.New(sys.Dep)
 	m := machine.TilePro64().WithCores(4)
-	if _, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Profile: multi}); err != nil {
+	if _, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Recorder: multi}); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(single.Inv, multi.Inv) {
@@ -117,7 +118,7 @@ func TestMulticoreProfileMatchesSingleCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Profile: profile.New(other.Dep)})
+	_, err = sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(12), Recorder: profile.New(other.Dep)})
 	if err == nil || !strings.Contains(err.Error(), "another dependence analysis") {
 		t.Errorf("a profile of another analysis: err = %v", err)
 	}
@@ -153,10 +154,10 @@ task quick(Quick q in go) {
 	}
 	// Everything on one core: quick objects enqueue before slow (startup
 	// allocates them first), so all quicks must complete before slow runs.
-	tr := &bamboort.Trace{}
+	tr := &obsv.Trace{}
 	m := machine.SingleCoreBamboo()
 	_, err = sys.Exec(context.Background(), core.ExecConfig{
-		Machine: m, Layout: layout.Single(sys.TaskNames()), Trace: tr,
+		Machine: m, Layout: layout.Single(sys.TaskNames()), Recorder: tr,
 	})
 	if err != nil {
 		t.Fatal(err)

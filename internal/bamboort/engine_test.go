@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/machine"
+	"repro/internal/obsv"
 )
 
 // keywordSrc is the Section 2 keyword-counting example: startup partitions
@@ -218,9 +219,9 @@ func TestProfileRecording(t *testing.T) {
 
 func TestTraceRecording(t *testing.T) {
 	sys := compileKeyword(t)
-	tr := &bamboort.Trace{}
+	tr := &obsv.Trace{}
 	m := machine.TilePro64().WithCores(4)
-	_, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(8), Trace: tr})
+	_, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: quadLayout(), Args: nArg(8), Recorder: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

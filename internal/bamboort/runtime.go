@@ -29,9 +29,13 @@
 // request batches into a run started fed, and Close ends the run. A
 // one-shot run is a start without feeds, then Close.
 //
-// Both engines record execution traces in the unified observability model
-// of internal/obsv (Options.Trace) and fold the interpreter's statistics
-// into Options.Metrics; the concurrent engine also counts its locks,
+// Both engines report every completed invocation to Options.Recorder:
+// *obsv.Trace records spans in the unified trace model, and
+// *profile.Profile, on the deterministic engine only, the statistics that
+// bootstrap synthesis. The Header the engine opens a recorder with names
+// its clock, obsv.UnitCycles or obsv.UnitNanos, and the profile refuses a
+// run in nanoseconds. Both engines fold the interpreter's statistics into
+// Options.Metrics; the concurrent engine also counts its locks,
 // deliveries and pokes there.
 package bamboort
 

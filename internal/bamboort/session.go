@@ -176,7 +176,6 @@ func (e *Engine) Start(ctx context.Context, fed bool) error {
 		e.plan.setSession(true)
 		e.in.Heap.TrackTags()
 	}
-	e.armTrace()
 	so := startupObject(e.plan, e.in.Heap, e.opts.Args)
 	e.loop.Route(so, so.Node(), -1, 0, 0)
 	e.sessErr = e.drain(ctx)

@@ -107,11 +107,11 @@ func (s *System) Profile(args []string) (*profile.Profile, *bamboort.Result, err
 func (s *System) profile(ctx context.Context, args []string) (*profile.Profile, *bamboort.Result, error) {
 	prof := profile.New(s.Dep)
 	res, err := s.Exec(ctx, ExecConfig{
-		Engine:  Deterministic,
-		Machine: machine.SingleCoreBamboo(),
-		Layout:  layout.Single(s.TaskNames()),
-		Args:    args,
-		Profile: prof,
+		Engine:   Deterministic,
+		Machine:  machine.SingleCoreBamboo(),
+		Layout:   layout.Single(s.TaskNames()),
+		Args:     args,
+		Recorder: prof,
 	})
 	if err != nil {
 		return nil, nil, err

@@ -31,13 +31,13 @@ func measuredTraces(t *testing.T, name string) []*obsv.Trace {
 	eng := &obsv.Trace{}
 	if _, err := sys.Exec(context.Background(), core.ExecConfig{
 		Machine: machine.TilePro64().WithCores(4), Layout: lay,
-		Args: b.Args, Out: io.Discard, Trace: eng,
+		Args: b.Args, Out: io.Discard, Recorder: eng,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	conc := &obsv.Trace{}
 	if _, err := sys.Exec(context.Background(), core.ExecConfig{
-		Engine: core.Concurrent, Layout: lay, Args: b.Args, Out: io.Discard, Trace: conc,
+		Engine: core.Concurrent, Layout: lay, Args: b.Args, Out: io.Discard, Recorder: conc,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func Fidelity(b *benchmarks.Benchmark, lay *layout.Layout, cores int, args []str
 	// and timer granularity dominate the measured shares.
 	measRes, err := sys.Exec(context.Background(), core.ExecConfig{
 		Engine: core.Concurrent,
-		Layout: lay, Args: args, Trace: meas,
+		Layout: lay, Args: args, Recorder: meas,
 		NoFastDispatch: true,
 	})
 	if err != nil {

@@ -7,41 +7,97 @@
 //
 // The three producers differ only in their clock: the engine and the
 // simulator emit virtual cycles, the concurrent runtime emits wall-clock
-// nanoseconds. Everything downstream — the Chrome trace-event exporter,
-// the text summary report, the critical path analysis (internal/critpath),
-// and the simulation-fidelity comparison (internal/expt) — consumes the
-// one Trace type defined here, so predicted and measured schedules can be
-// compared span for span.
+// nanoseconds. Both engines report a run to a bamboort.Recorder as a
+// Header and one Invocation per task invocation; Trace and profile.Profile
+// are the recorders. Everything downstream — the Chrome
+// trace-event exporter, the text summary report, the critical path
+// analysis (internal/critpath), and the simulation-fidelity comparison
+// (internal/expt) — consumes the one Trace type defined here, so
+// predicted and measured schedules can be compared span for span.
 package obsv
 
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/depend"
+	"repro/internal/interp"
 )
 
-// Clock units for Trace.TimeUnit.
+// Unit is the clock of a trace or of a recorded run.
+type Unit string
+
+// The two clocks.
 const (
-	UnitCycles = "cycles" // virtual cycles (engine, schedsim)
-	UnitNanos  = "ns"     // wall-clock nanoseconds (concurrent runtime)
+	UnitCycles Unit = "cycles" // virtual cycles (engine, schedsim)
+	UnitNanos  Unit = "ns"     // wall-clock nanoseconds (concurrent runtime)
 )
+
+// Header describes a run an engine reports to a bamboort.Recorder.
+type Header struct {
+	Source   string // "engine" or "concurrent"
+	Unit     Unit   // the clock of Invocation.Start, End and Arrivals
+	NumCores int
+	Dep      *depend.Result // numbers Invocation.Task and Exit, and Object.Node
+}
+
+// Invocation is one completed task invocation as an engine reports it.
+type Invocation struct {
+	Task       int // types.Task.Index
+	Name       string
+	Exit, Core int
+	Start, End int64
+	Cycles     int64            // the interpreter's cycles for the task body
+	Params     []*interp.Object // the parameter objects, in parameter order
+	Arrivals   []int64          // when each parameter arrived at the core
+	New        []*interp.Object // the objects the task allocated
+}
 
 // Trace is a unified execution trace: one Span per completed task
 // invocation, in completion order.
 type Trace struct {
 	// Source identifies the producer: "engine", "schedsim", or
 	// "concurrent".
-	Source string
-	// TimeUnit is UnitCycles or UnitNanos.
-	TimeUnit string
+	Source   string
+	TimeUnit Unit
 	// NumCores is the number of cores in the layout the trace ran on
 	// (0 when the producer predates the field; use CoreCount).
 	NumCores int
 	// Events lists the spans in completion order. Span.Index is each
 	// span's position in this slice.
 	Events []Span
-	// Metrics holds the runtime counters collected alongside the trace
-	// (concurrent runtime only; nil otherwise).
+	// Metrics holds the runtime counters collected alongside the trace,
+	// for Summarize to report (nil: none). A recorder does not set it.
 	Metrics *Metrics
+
+	// producer maps each recorded object's ID to 1 + the span that created
+	// or last transitioned it (0, the environment, when none did).
+	producer map[int64]int
+}
+
+// Begin implements bamboort.Recorder: it takes the run's header.
+func (t *Trace) Begin(h Header) error {
+	t.Source, t.TimeUnit, t.NumCores = h.Source, h.Unit, h.NumCores
+	t.producer = map[int64]int{}
+	return nil
+}
+
+// Record implements bamboort.Recorder: it appends inv as a span whose
+// dependence edges name the span that last recorded each parameter (-1:
+// none).
+func (t *Trace) Record(inv Invocation) {
+	sp := Span{Index: len(t.Events), Task: inv.Name, Core: inv.Core, Start: inv.Start, End: inv.End, Exit: inv.Exit}
+	for i, o := range inv.Params {
+		sp.Params = append(sp.Params, o.ID)
+		sp.Deps = append(sp.Deps, Dep{Obj: o.ID, Arrival: inv.Arrivals[i], Producer: t.producer[o.ID] - 1})
+	}
+	t.Events = append(t.Events, sp)
+	for _, o := range inv.Params {
+		t.producer[o.ID] = len(t.Events)
+	}
+	for _, o := range inv.New {
+		t.producer[o.ID] = len(t.Events)
+	}
 }
 
 // Span is one completed task invocation.

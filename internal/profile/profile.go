@@ -7,7 +7,9 @@
 // consumes — per (task, exit): mean execution cycles, exit probability, and
 // mean allocation counts per abstract state — in dense arrays over the
 // dependence analysis's numbering: exit slots (depend.Result.Exit0) and ASTG
-// nodes (depend.Node.ID). Names appear only where Marshal renders the
+// nodes (depend.Node.ID). A Profile is a bamboort.Recorder: the deterministic
+// engine records into it, and it refuses a wall-clock run, whose completion
+// order depends on timing. Names appear only where Marshal renders the
 // profile as JSON. A profile is reusable across inputs: the Figure 11
 // generality study runs layouts synthesized from one input's profile on
 // another.
@@ -15,8 +17,10 @@ package profile
 
 import (
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/depend"
+	"repro/internal/obsv"
 )
 
 // ExitStats aggregates the invocations of one task that took one exit.
@@ -73,21 +77,38 @@ func New(dep *depend.Result) *Profile {
 	}
 }
 
-// Record adds one invocation of task (types.Task.Index) that took exit after
-// cycles, and returns the exit slot its allocations count under.
-func (p *Profile) Record(task, exit int, cycles int64) int {
-	s := int(p.Dep.Exit0[task]) + exit
-	p.Inv[task]++
+// Begin implements bamboort.Recorder: it accepts a run in virtual cycles
+// over the analysis that numbers the profile.
+func (p *Profile) Begin(h obsv.Header) error {
+	if h.Dep != p.Dep {
+		return fmt.Errorf("profile: the profile numbers another dependence analysis")
+	}
+	if h.Unit != obsv.UnitCycles {
+		return fmt.Errorf("profile: a %s run in %s has no deterministic completion order to profile", h.Source, h.Unit)
+	}
+	return nil
+}
+
+// Record implements bamboort.Recorder: it counts the invocation under its
+// exit slot, with its cycles and the nodes of the objects it allocated.
+func (p *Profile) Record(inv obsv.Invocation) {
+	s := int(p.Dep.Exit0[inv.Task]) + inv.Exit
+	p.Inv[inv.Task]++
 	es := &p.Exits[s]
 	es.Count++
-	es.TotalCycles += cycles
-	es.GapSum += p.Inv[task] - es.LastInv
-	es.LastInv = p.Inv[task]
-	return s
+	es.TotalCycles += inv.Cycles
+	es.GapSum += p.Inv[inv.Task] - es.LastInv
+	es.LastInv = p.Inv[inv.Task]
+	allocs := p.Allocated(s)
+	for _, o := range inv.New {
+		if n := o.Node(); n >= 0 {
+			allocs[n]++
+		}
+	}
 }
 
 // Allocated returns, by node id, how many objects the invocations that took
-// exit slot s allocated in each node; a recorder adds to it.
+// exit slot s allocated in each node.
 func (p *Profile) Allocated(s int) []int64 {
 	n := len(p.Dep.Nodes)
 	return p.allocs[s*n : (s+1)*n]

@@ -10,6 +10,7 @@ import (
 
 	"repro/benchmarks"
 	"repro/internal/core"
+	"repro/internal/obsv"
 	"repro/internal/profile"
 )
 
@@ -44,6 +45,13 @@ func newProfile(t testing.TB) (*profile.Profile, func(string) int) {
 	return profile.New(sys.Dep), func(name string) int { return sys.Prog.Info.TaskByName[name].Index }
 }
 
+// count records one invocation that allocated nothing and returns its exit
+// slot.
+func count(p *profile.Profile, task, exit int, cycles int64) int {
+	p.Record(obsv.Invocation{Task: task, Exit: exit, Cycles: cycles})
+	return int(p.Dep.Exit0[task]) + exit
+}
+
 func TestRecordAndStats(t *testing.T) {
 	p, task := newProfile(t)
 	merge := task("merge")
@@ -53,7 +61,7 @@ func TestRecordAndStats(t *testing.T) {
 		if i%4 == 0 {
 			exit = 0
 		}
-		p.Record(merge, exit, int64(100+i))
+		count(p, merge, exit, int64(100+i))
 	}
 	if got := p.ExitProb(merge, 0); got != 0.25 {
 		t.Errorf("exit0 prob = %g, want 0.25", got)
@@ -78,7 +86,7 @@ func TestAllocStats(t *testing.T) {
 	p, task := newProfile(t)
 	text, results := p.Dep.Graphs["Text"].Nodes["f1"].ID, p.Dep.Graphs["Results"].Nodes["f0"].ID
 	for _, n := range []int64{8, 6} {
-		allocs := p.Allocated(p.Record(task("startup"), 0, 1000))
+		allocs := p.Allocated(count(p, task("startup"), 0, 1000))
 		allocs[text] += n
 		allocs[results]++
 	}
@@ -97,8 +105,8 @@ func TestAllocStats(t *testing.T) {
 
 func TestFallbackMeans(t *testing.T) {
 	p, task := newProfile(t)
-	p.Record(task("t"), 0, 100)
-	p.Record(task("t"), 0, 300)
+	count(p, task("t"), 0, 100)
+	count(p, task("t"), 0, 300)
 	// Exit 1 never observed: falls back to the task-wide mean.
 	if got := p.MeanCycles(task("t"), 1); got != 200 {
 		t.Errorf("fallback mean = %g, want 200", got)
@@ -140,9 +148,9 @@ func decode(t *testing.T, data []byte) marshaled {
 
 func TestMarshalRoundTrip(t *testing.T) {
 	p, task := newProfile(t)
-	p.Allocated(p.Record(task("t"), 0, 500))[p.Dep.Graphs["Text"].Nodes["f1"].ID] = 3
-	p.Record(task("t"), 1, 700)
-	p.Record(task("merge"), 0, 20)
+	p.Allocated(count(p, task("t"), 0, 500))[p.Dep.Graphs["Text"].Nodes["f1"].ID] = 3
+	count(p, task("t"), 1, 700)
+	count(p, task("merge"), 0, 20)
 	data, err := p.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +229,7 @@ func TestQuickProbsSumToOne(t *testing.T) {
 		}
 		p := profile.New(p0.Dep)
 		for _, e := range exits {
-			p.Record(task("t"), int(e%5), 10)
+			count(p, task("t"), int(e%5), 10)
 		}
 		var sum float64
 		for e := 0; e < 6; e++ {
@@ -244,7 +252,7 @@ func TestQuickGapBounds(t *testing.T) {
 		}
 		p := profile.New(p0.Dep)
 		for _, e := range exits {
-			p.Record(task("t"), int(e%3), 1)
+			count(p, task("t"), int(e%3), 1)
 		}
 		total := float64(p.Inv[task("t")])
 		for e := 0; e < 3; e++ {

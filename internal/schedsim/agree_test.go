@@ -97,7 +97,7 @@ func runBoth(t *testing.T, src string, n int) (eng, sim *obsv.Trace, engCycles, 
 	}
 	m := machine.TilePro64().WithCores(n)
 	eng, sim = &obsv.Trace{}, &obsv.Trace{}
-	er, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Trace: eng})
+	er, err := sys.Exec(context.Background(), core.ExecConfig{Machine: m, Layout: lay, Recorder: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

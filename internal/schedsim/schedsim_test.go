@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/layout"
 	"repro/internal/machine"
+	"repro/internal/obsv"
 	"repro/internal/profile"
 	"repro/internal/schedsim"
 )
@@ -255,9 +256,10 @@ task spin(Spin sp in on) {
 	// takes exit 0, keeping the flag set.
 	prof := profile.New(sys.Dep)
 	task := func(name string) int { return sys.Prog.Info.TaskByName[name].Index }
-	prof.Allocated(prof.Record(task("startup"), 0, 500))[sys.Dep.Graphs["Spin"].Nodes["f1"].ID] = 1
+	prof.Record(obsv.Invocation{Task: task("startup"), Cycles: 500})
+	prof.Allocated(int(sys.Dep.Exit0[task("startup")]))[sys.Dep.Graphs["Spin"].Nodes["f1"].ID] = 1
 	for i := 0; i < 10; i++ {
-		prof.Record(task("spin"), 0, 200)
+		prof.Record(obsv.Invocation{Task: task("spin"), Cycles: 200})
 	}
 	sim := schedsim.New(sys.Prog, sys.Dep, sys.Locks)
 	opts := schedsim.Options{

@@ -34,7 +34,7 @@ const (
 var ShutdownSignals = []os.Signal{os.Interrupt, syscall.SIGTERM}
 
 // Config sizes the service. The zero value is usable: every field has a
-// production-minded default applied by New.
+// production-minded default applied by Open.
 type Config struct {
 	// Workers is the execution pool size (default: GOMAXPROCS, min 2).
 	Workers int
@@ -64,8 +64,8 @@ type Config struct {
 	// WALDir, when set, enables the write-ahead log: every accepted job
 	// and every session mutation is fsynced there before it is acknowledged,
 	// and Open replays non-terminal work on boot. Empty disables
-	// durability (the pre-WAL in-memory behavior). Servers with a WALDir
-	// must be built with Open, which can fail; New panics on a WAL error.
+	// durability (the pre-WAL in-memory behavior). Open fails when the
+	// log cannot be opened or replayed.
 	WALDir string
 	// NodeID, when set, prefixes job and session IDs ("n1-j00000042") so
 	// a cluster router can route by-ID requests straight to the owning

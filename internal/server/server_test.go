@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -100,46 +101,58 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestBenchmarkJobWithTraceAndMetrics runs a job on each engine, traced and
+// not. An untraced job attaches no recorder, so its run must not call into
+// a nil trace, and /trace has nothing to serve.
 func TestBenchmarkJobWithTraceAndMetrics(t *testing.T) {
 	s := newTestService(t, server.Config{})
-	sub, err := s.cl.SubmitJob(ctxT(), server.SubmitRequest{
-		Benchmark: "Series", Args: []string{"2", "2", "8"},
-		Engine: "concurrent", Cores: 2, Trace: true,
-	})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	v := s.await(t, sub.ID, 30*time.Second)
-	if v.Status != server.StatusSucceeded {
-		t.Fatalf("job = %+v", v)
-	}
-	raw, err := s.cl.JobTrace(ctxT(), sub.ID)
-	if err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Error("trace has no events")
-	}
-	mraw, err := s.cl.JobMetrics(ctxT(), sub.ID)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	var m struct {
-		CacheHit bool           `json:"cache_hit"`
-		RunNS    int64          `json:"run_ns"`
-		Counters map[string]any `json:"counters"`
-	}
-	if err := json.Unmarshal(mraw, &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.RunNS <= 0 || m.Counters == nil {
-		t.Errorf("metrics = %+v, want run_ns > 0 and concurrent counters", m)
+	for _, engine := range []string{"deterministic", "concurrent"} {
+		for _, traced := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/trace=%v", engine, traced), func(t *testing.T) {
+				sub, err := s.cl.SubmitJob(ctxT(), server.SubmitRequest{
+					Benchmark: "Series", Args: []string{"2", "2", "8"},
+					Engine: engine, Cores: 2, Trace: traced,
+				})
+				if err != nil {
+					t.Fatalf("submit: %v", err)
+				}
+				v := s.await(t, sub.ID, 30*time.Second)
+				if v.Status != server.StatusSucceeded {
+					t.Fatalf("job = %+v", v)
+				}
+				raw, err := s.cl.JobTrace(ctxT(), sub.ID)
+				if !traced {
+					if !client.IsCode(err, server.CodeNotFound) {
+						t.Errorf("untraced job's trace: err = %v, want code %s", err, server.CodeNotFound)
+					}
+				} else if err != nil {
+					t.Errorf("trace: %v", err)
+				} else {
+					var doc struct {
+						TraceEvents []map[string]any `json:"traceEvents"`
+					}
+					if err := json.Unmarshal(raw, &doc); err != nil {
+						t.Errorf("trace is not valid JSON: %v", err)
+					} else if len(doc.TraceEvents) == 0 {
+						t.Error("trace has no events")
+					}
+				}
+				mraw, err := s.cl.JobMetrics(ctxT(), sub.ID)
+				if err != nil {
+					t.Fatalf("metrics: %v", err)
+				}
+				var m struct {
+					RunNS    int64          `json:"run_ns"`
+					Counters map[string]any `json:"counters"`
+				}
+				if err := json.Unmarshal(mraw, &m); err != nil {
+					t.Fatal(err)
+				}
+				if m.RunNS <= 0 || m.Counters == nil {
+					t.Errorf("metrics = %+v, want run_ns > 0 and engine counters", m)
+				}
+			})
+		}
 	}
 }
 

@@ -372,7 +372,10 @@ func (s *Server) boot(ctx context.Context, sn *Session) error {
 	var res *bamboort.Result
 	if err == nil {
 		cfg := core.ExecConfig{Machine: compiled.Prep.Machine, Layout: compiled.Prep.Layout,
-			Args: sn.creq.Prep.Args, Out: out, Trace: sn.trace, Metrics: met}
+			Args: sn.creq.Prep.Args, Out: out, Metrics: met}
+		if sn.trace != nil { // a nil *obsv.Trace is a non-nil Recorder
+			cfg.Recorder = sn.trace
+		}
 		if sn.engine == "concurrent" {
 			cfg.Engine = core.Concurrent
 		}

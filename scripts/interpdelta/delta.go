@@ -13,11 +13,12 @@ import (
 // math and floor checking — kept free of flag and
 // filesystem handling so main_test.go can drive it against fixtures.
 
-// parseRaw parses `go test -bench -benchmem` output lines:
+// parseRaw parses `go test -bench -benchmem` output lines, keeping every
+// sample of a benchmark in the order listed (one per round):
 //
 //	BenchmarkName/sub-8  10  123456 ns/op  789 B/op  12 allocs/op
-func parseRaw(r io.Reader) (map[string]entry, error) {
-	m := map[string]entry{}
+func parseRaw(r io.Reader) (map[string][]entry, error) {
+	m := map[string][]entry{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -45,32 +46,42 @@ func parseRaw(r io.Reader) (map[string]entry, error) {
 				e.AllocsOp = v
 			}
 		}
-		m[name] = e
+		m[name] = append(m[name], e)
 	}
 	return m, sc.Err()
 }
 
-// ratios pairs every "<name>/fast" with "<name>/walker" and returns the
-// speedup per base name.
-func ratios(m map[string]entry) map[string]pair {
+// ratios pairs every "<name>/fast" with "<name>/walker" round by round,
+// the i-th sample of one with the i-th of the other, and returns per base
+// name the median round by speedup (of an even count, the upper middle).
+// A fast benchmark with no walker twin has no pair; twins with different
+// sample counts are an error, as their rounds do not pair.
+func ratios(m map[string][]entry) (map[string]pair, error) {
 	out := map[string]pair{}
 	for name, fast := range m {
 		base, ok := strings.CutSuffix(name, "/fast")
 		if !ok {
 			continue
 		}
-		walker, ok := m[base+"/walker"]
-		if !ok || fast.NsOp <= 0 {
+		walker := m[base+"/walker"]
+		if len(walker) > 0 && len(walker) != len(fast) {
+			return nil, fmt.Errorf("%s: %d fast rounds but %d walker rounds", base, len(fast), len(walker))
+		}
+		var rounds []pair
+		for i := range walker { // none for an orphan fast
+			if f, w := fast[i], walker[i]; f.NsOp > 0 {
+				rounds = append(rounds, pair{FastNs: f.NsOp, WalkerNs: w.NsOp, Ratio: w.NsOp / f.NsOp, FastAllocs: f.AllocsOp})
+			}
+		}
+		if len(rounds) == 0 {
 			continue
 		}
-		out[base] = pair{
-			FastNs:     fast.NsOp,
-			WalkerNs:   walker.NsOp,
-			Ratio:      walker.NsOp / fast.NsOp,
-			FastAllocs: fast.AllocsOp,
-		}
+		sort.SliceStable(rounds, func(i, j int) bool { return rounds[i].Ratio < rounds[j].Ratio })
+		p := rounds[len(rounds)/2]
+		p.Rounds = len(rounds)
+		out[base] = p
 	}
-	return out
+	return out, nil
 }
 
 // applyBaseline annotates cur with each pair's baseline ratio and the
@@ -87,10 +98,15 @@ func applyBaseline(cur, old map[string]pair) {
 }
 
 // checkFloors returns one failure message per floored benchmark whose
-// measured ratio is below its committed floor or that is missing from the
-// input entirely. An empty slice means the ratchet holds.
+// measured ratio is below its committed floor, that is missing from the
+// input entirely, or that has fewer rounds than the most any pair has (a
+// pass that stopped short). An empty slice means the ratchet holds.
 func checkFloors(cur map[string]pair, floors map[string]float64) []string {
 	var bad []string
+	most := 0
+	for _, p := range cur {
+		most = max(most, p.Rounds)
+	}
 	names := make([]string, 0, len(floors))
 	for n := range floors {
 		names = append(names, n)
@@ -101,6 +117,9 @@ func checkFloors(cur map[string]pair, floors map[string]float64) []string {
 		if !ok {
 			bad = append(bad, fmt.Sprintf("%s: benchmark missing from input", n))
 			continue
+		}
+		if p.Rounds < most {
+			bad = append(bad, fmt.Sprintf("%s: median of %d rounds, but other pairs have %d", n, p.Rounds, most))
 		}
 		if p.Ratio < floors[n] {
 			bad = append(bad, fmt.Sprintf("%s: ratio %.2fx below committed floor %.2fx", n, p.Ratio, floors[n]))

@@ -5,7 +5,13 @@
 // Input is either a BENCH_interp.json produced by scripts/bench.sh
 // (-bench) or raw `go test -bench` output (-raw). Every benchmark name
 // ending in "/fast" is paired with its "/walker" twin; the pair's ratio
-// (walker ns/op ÷ fast ns/op) is the dispatch speedup.
+// (walker ns/op ÷ fast ns/op) is the dispatch speedup. Raw output may hold
+// several rounds of each, as from running the benchmarks N times into one
+// file: they are paired round by round, and the pair is the round with the
+// median ratio, so one noisy round neither fails nor passes a floor. Twins
+// whose round counts differ, and a floored pair with fewer rounds than the
+// others, fail. (With -count N, go test runs a benchmark's N fast rounds
+// before its N walker rounds, so a burst of load lands on one side only.)
 //
 // With -baseline (a previously committed BENCH_interp.json), the tool
 // writes a BENCH_interp_delta.json (-out) recording old and new ratios
@@ -48,6 +54,7 @@ type pair struct {
 	WalkerNs      float64  `json:"walker_ns_op"`
 	Ratio         float64  `json:"ratio"`
 	FastAllocs    float64  `json:"fast_allocs_op"`
+	Rounds        int      `json:"rounds"`
 	BaselineRatio *float64 `json:"baseline_ratio,omitempty"`
 	RatioDelta    *float64 `json:"ratio_delta,omitempty"`
 }
@@ -64,7 +71,7 @@ func loadJSON(path string, v any) error {
 	return nil
 }
 
-func loadRaw(path string) (map[string]entry, error) {
+func loadRaw(path string) (map[string][]entry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -75,6 +82,17 @@ func loadRaw(path string) (map[string]entry, error) {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 	return m, nil
+}
+
+// loadSnapshot reads a BENCH_interp.json: one sample per benchmark.
+func loadSnapshot(path string) (map[string][]entry, error) {
+	var snap map[string]entry
+	err := loadJSON(path, &snap)
+	m := map[string][]entry{}
+	for name, e := range snap {
+		m[name] = []entry{e}
+	}
+	return m, err
 }
 
 func main() {
@@ -98,20 +116,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var bench map[string]entry
+	var bench map[string][]entry
 	var err error
 	switch {
 	case *rawPath != "":
 		bench, err = loadRaw(*rawPath)
 	case *benchPath != "":
-		err = loadJSON(*benchPath, &bench)
+		bench, err = loadSnapshot(*benchPath)
 	default:
 		err = fmt.Errorf("need -bench or -raw")
 	}
 	if err != nil {
 		return err
 	}
-	cur := ratios(bench)
+	cur, err := ratios(bench)
+	if err != nil {
+		return err
+	}
 	if len(cur) == 0 {
 		return fmt.Errorf("no fast/walker pairs in input")
 	}
@@ -123,11 +144,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	sort.Strings(names)
 
 	if *basePath != "" {
-		var base map[string]entry
-		if err := loadJSON(*basePath, &base); err != nil {
+		base, err := loadSnapshot(*basePath)
+		if err != nil {
 			return err
 		}
-		applyBaseline(cur, ratios(base))
+		old, _ := ratios(base) // a snapshot's one sample per name never pairs unevenly
+		applyBaseline(cur, old)
 		doc, err := json.MarshalIndent(cur, "", "  ")
 		if err != nil {
 			return err
@@ -144,8 +166,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	for _, n := range names {
 		p := cur[n]
-		fmt.Fprintf(stderr, "interpdelta: %-50s fast %12.1f ns/op  walker %12.1f ns/op  ratio %5.2fx\n",
-			n, p.FastNs, p.WalkerNs, p.Ratio)
+		fmt.Fprintf(stderr, "interpdelta: %-50s fast %12.1f ns/op  walker %12.1f ns/op  ratio %5.2fx (median of %d)\n",
+			n, p.FastNs, p.WalkerNs, p.Ratio, p.Rounds)
 	}
 
 	if *floorsPath != "" {

@@ -29,7 +29,16 @@ func parseFixture(t *testing.T) map[string]pair {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ratios(m)
+	return mustRatios(t, m)
+}
+
+func mustRatios(t *testing.T, m map[string][]entry) map[string]pair {
+	t.Helper()
+	cur, err := ratios(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cur
 }
 
 func TestParseRaw(t *testing.T) {
@@ -37,11 +46,11 @@ func TestParseRaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := m["BenchmarkInterpDispatch/Fractal/fast"]
-	if !ok {
+	es, ok := m["BenchmarkInterpDispatch/Fractal/fast"]
+	if !ok || len(es) != 1 {
 		t.Fatalf("fast entry missing (GOMAXPROCS suffix not stripped?); have %v", m)
 	}
-	if e.NsOp != 901234 || e.BOp != 2048 || e.AllocsOp != 12 {
+	if e := es[0]; e.NsOp != 901234 || e.BOp != 2048 || e.AllocsOp != 12 {
 		t.Fatalf("fast entry = %+v", e)
 	}
 	if len(m) != 5 {
@@ -70,12 +79,69 @@ func TestRatios(t *testing.T) {
 }
 
 func TestRatiosSkipsZeroFast(t *testing.T) {
-	m := map[string]entry{
-		"B/fast":   {NsOp: 0},
-		"B/walker": {NsOp: 100},
+	m := map[string][]entry{
+		"B/fast":   {{NsOp: 0}},
+		"B/walker": {{NsOp: 100}},
 	}
-	if got := ratios(m); len(got) != 0 {
+	if got := mustRatios(t, m); len(got) != 0 {
 		t.Fatalf("zero fast ns/op produced a pair: %v", got)
+	}
+}
+
+// roundsFixture holds five rounds of Tracking's twins, all its fast rounds
+// before its walker rounds as `go test -count 5` prints them (five passes
+// interleave them instead; parseRaw keeps each side's order either way).
+// The per-round ratios are 2.0, 2.0, 2.4, 2.2 and 1.6 (median 2.0, of round
+// 2 once sorted stably); the last round alone gives 1.6, and the ratio of
+// the median ns/op 2.16.
+const roundsFixture = `
+BenchmarkInterpSequential/Tracking/fast-2     100   1000 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/fast-2     100   1100 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/fast-2     100    900 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/fast-2     100   1000 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/fast-2     100   1000 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/walker-2   100   2000 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/walker-2   100   2200 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/walker-2   100   2160 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/walker-2   100   2200 ns/op   0 B/op   0 allocs/op
+BenchmarkInterpSequential/Tracking/walker-2   100   1600 ns/op   0 B/op   0 allocs/op
+`
+
+// TestRatiosPairsRounds: every round is kept and paired with its twin's,
+// and the floor reads the median round's ratio, not the last round's and
+// not the ratio of the medians.
+func TestRatiosPairsRounds(t *testing.T) {
+	m, err := parseRaw(strings.NewReader(roundsFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(m["BenchmarkInterpSequential/Tracking/walker"]); n != 5 {
+		t.Fatalf("kept %d walker rounds, want 5", n)
+	}
+	cur := mustRatios(t, m)
+	p := cur["BenchmarkInterpSequential/Tracking"]
+	if p.Rounds != 5 || math.Abs(p.Ratio-2.0) > 1e-9 || p.FastNs != 1100 || p.WalkerNs != 2200 {
+		t.Fatalf("pair = %+v, want 5 rounds, round 2's ratio 2.0 of 1100 and 2200 ns/op", p)
+	}
+	if bad := checkFloors(cur, map[string]float64{"BenchmarkInterpSequential/Tracking": 1.9}); len(bad) != 0 {
+		t.Errorf("one slow round failed the floor: %v", bad)
+	}
+	if bad := checkFloors(cur, map[string]float64{"BenchmarkInterpSequential/Tracking": 2.1}); len(bad) != 1 {
+		t.Errorf("a median under the floor passed it: %v", bad)
+	}
+
+	// A pass that stopped short leaves a pair with fewer rounds than the
+	// others: its median is not of five, and the floor fails it.
+	m["BenchmarkInterpSequential/Short/fast"] = m["BenchmarkInterpSequential/Tracking/fast"][:4]
+	m["BenchmarkInterpSequential/Short/walker"] = m["BenchmarkInterpSequential/Tracking/walker"][:4]
+	bad := checkFloors(mustRatios(t, m), map[string]float64{"BenchmarkInterpSequential/Tracking": 1.9, "BenchmarkInterpSequential/Short": 1.9})
+	if len(bad) != 1 || !strings.Contains(bad[0], "Short: median of 4 rounds") {
+		t.Errorf("a short pair passed its floor: %v", bad)
+	}
+	// Twins with different round counts do not pair.
+	m["BenchmarkInterpSequential/Short/walker"] = m["BenchmarkInterpSequential/Tracking/walker"]
+	if _, err := ratios(m); err == nil || !strings.Contains(err.Error(), "4 fast rounds but 5 walker rounds") {
+		t.Errorf("uneven twins: err = %v", err)
 	}
 }
 
@@ -204,6 +270,7 @@ func TestRunErrors(t *testing.T) {
 	raw := writeFile(t, dir, "raw.txt", rawFixture)
 	bad := writeFile(t, dir, "bad.json", `{`)
 	orphan := writeFile(t, dir, "orphan.txt", "BenchmarkX/fast-8 1 10 ns/op\n")
+	uneven := writeFile(t, dir, "uneven.txt", "BenchmarkX/fast-8 1 10 ns/op\nBenchmarkX/fast-8 1 10 ns/op\nBenchmarkX/walker-8 1 20 ns/op\n")
 	empty := writeFile(t, dir, "empty.json", `{}`)
 	missing := filepath.Join(dir, "missing")
 	for _, tc := range []struct {
@@ -216,6 +283,7 @@ func TestRunErrors(t *testing.T) {
 		{[]string{"-bench", missing}, "no such file"},
 		{[]string{"-bench", bad}, "bad.json"},
 		{[]string{"-raw", orphan}, "no fast/walker pairs"},
+		{[]string{"-raw", uneven}, "BenchmarkX: 2 fast rounds but 1 walker rounds"},
 		{[]string{"-raw", raw, "-baseline", bad}, "bad.json"},
 		{[]string{"-raw", raw, "-floors", missing}, "no such file"},
 		{[]string{"-raw", raw, "-baseline", empty, "-out", dir}, "is a directory"},
