@@ -48,17 +48,9 @@ func BenchmarkInterpSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpTaskExitEngine measures the per-invocation cost of a
-// trivial taskexit through the whole engine stack (guard evaluation,
-// dispatch, exit application), with no recorder and with an *obsv.Trace
-// as Options.Recorder, on both interpreter paths. One iteration runs a
-// task that reschedules itself 1000 times, so ns/op ≈ 1000 × the engine's
-// trivial-exit cost. The trace variants show what the recorder seam plus
-// span recording add per invocation; the interp-level
-// BenchmarkInterpTaskExit isolates the interpreter's share of the same
-// path.
-func BenchmarkInterpTaskExitEngine(b *testing.B) {
-	const src = `
+// taskExitSrc is a task that reschedules itself 1000 times through a
+// trivial taskexit.
+const taskExitSrc = `
 	class T {
 		flag ready;
 		int n;
@@ -75,7 +67,33 @@ func BenchmarkInterpTaskExitEngine(b *testing.B) {
 		}
 		taskexit(t: ready := false);
 	}`
-	sys, err := core.CompileSource(src)
+
+// runTaskExit runs taskExitSrc once on the sequential machine.
+func runTaskExit(tb testing.TB, sys *core.System, traced, walker bool) {
+	cfg := core.ExecConfig{
+		Engine:         core.Deterministic,
+		Machine:        machine.Sequential(),
+		Layout:         layout.Single(sys.TaskNames()),
+		NoFastDispatch: walker,
+	}
+	if traced {
+		cfg.Recorder = &obsv.Trace{}
+	}
+	if _, err := sys.Exec(context.Background(), cfg); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkInterpTaskExitEngine measures the per-invocation cost of a
+// trivial taskexit through the whole engine stack (guard evaluation,
+// dispatch, exit application), with no recorder and with an *obsv.Trace
+// as Options.Recorder, on both interpreter paths. One iteration runs
+// taskExitSrc, so ns/op ≈ 1000 × the engine's trivial-exit cost. The
+// trace variants show what the recorder seam plus span recording add per
+// invocation; the interp-level BenchmarkInterpTaskExit isolates the
+// interpreter's share of the same path.
+func BenchmarkInterpTaskExitEngine(b *testing.B) {
+	sys, err := core.CompileSource(taskExitSrc)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -91,20 +109,31 @@ func BenchmarkInterpTaskExitEngine(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cfg := core.ExecConfig{
-						Engine:         core.Deterministic,
-						Machine:        machine.Sequential(),
-						Layout:         layout.Single(sys.TaskNames()),
-						NoFastDispatch: mode.walker,
-					}
-					if tr.trace {
-						cfg.Recorder = &obsv.Trace{}
-					}
-					if _, err := sys.Exec(context.Background(), cfg); err != nil {
-						b.Fatal(err)
-					}
+					runTaskExit(b, sys, tr.trace, mode.walker)
 				}
 			})
 		}
 	}
+}
+
+// TestTraceAllocs pins what a trace costs: taskExitSrc's 1000 invocations
+// on the fast path may allocate at most 64 more times traced than
+// untraced, so spans and their dependence edges come in a few chunks per
+// run, not an allocation or two per span.
+func TestTraceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CI's -short run is the -race run, where sync.Pool drops scratch at random")
+	}
+	sys, err := core.CompileSource(taskExitSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(traced bool) float64 {
+		return testing.AllocsPerRun(10, func() { runTaskExit(t, sys, traced, false) })
+	}
+	plain, traced := allocs(false), allocs(true)
+	if traced > plain+64 {
+		t.Errorf("traced run: %.0f allocations, untraced %.0f: want at most 64 more", traced, plain)
+	}
+	t.Logf("allocations per run: untraced %.0f, traced %.0f", plain, traced)
 }

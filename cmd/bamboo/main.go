@@ -137,7 +137,7 @@ func cmdRun(argv []string) error {
 	showTrace := fs.Bool("trace", false, "print an execution trace summary to stderr")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON (loads in Perfetto) to this file")
 	metricsOut := fs.String("metrics-out", "", "write runtime counters JSON to this file (implies -concurrent)")
-	interpStats := fs.Bool("interpstats", false, "print interpreter dispatch statistics (superinstruction coverage) to stderr")
+	interpStats := fs.Bool("interpstats", false, "print the flattened program's superinstruction coverage to stderr")
 	workers := workersFlag(fs)
 	fs.Parse(argv)
 	src, defaults, err := loadSource(*file, *name)
@@ -158,7 +158,7 @@ func cmdRun(argv []string) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), server.ShutdownSignals...)
 	defer stopSignals()
 	var mx *obsv.Metrics
-	if *conc || *interpStats {
+	if *conc {
 		mx = &obsv.Metrics{}
 	}
 	// rec stays a nil interface without a trace: a nil *obsv.Trace in it
@@ -167,11 +167,9 @@ func cmdRun(argv []string) error {
 	var rec bamboort.Recorder
 	if *showTrace || *traceOut != "" {
 		tr = &obsv.Trace{}
-		if *conc {
-			tr.Metrics = mx // Summarize reports the concurrent engine's counters
-		}
 		rec = tr
 	}
+	var sys *core.System
 	emit := func() error {
 		if tr != nil {
 			if *traceOut != "" {
@@ -190,16 +188,19 @@ func cmdRun(argv []string) error {
 			}
 			if *showTrace {
 				fmt.Fprint(os.Stderr, obsv.Summarize(tr))
+				if mx != nil {
+					fmt.Fprint(os.Stderr, obsv.SummarizeMetrics(mx))
+				}
 			}
 		}
-		if *interpStats && mx != nil {
-			snap := mx.Snapshot()
+		if *interpStats {
+			flat, fused := sys.Interp().Flattened()
 			cov := 0.0
-			if snap.FlatInstrs > 0 {
-				cov = 100 * float64(snap.FusedInstrs) / float64(snap.FlatInstrs)
+			if flat > 0 {
+				cov = 100 * float64(fused) / float64(flat)
 			}
 			fmt.Fprintf(os.Stderr, "-- interp: %d fused of %d flat instrs (%.1f%% superinstruction coverage)\n",
-				snap.FusedInstrs, snap.FlatInstrs, cov)
+				fused, flat, cov)
 		}
 		if mx != nil && *metricsOut != "" {
 			data, err := json.MarshalIndent(mx.Snapshot(), "", "  ")
@@ -227,7 +228,6 @@ func cmdRun(argv []string) error {
 	}
 
 	cfg := core.ExecConfig{Args: args, Out: os.Stdout, Recorder: rec, Metrics: mx}
-	var sys *core.System
 	if *seq {
 		if sys, err = core.CompileSource(src); err == nil {
 			cfg.Machine, cfg.Layout = machine.Sequential(), layout.Single(sys.TaskNames())

@@ -153,10 +153,8 @@ func (r *crun) notify() {
 	}
 }
 
-// result folds the interpreter's statistics into the run's metrics and
-// sums the per-core invocation counts.
+// result sums the per-core invocation counts.
 func (r *crun) result() *Result {
-	finishInterp(r.in, r.mx)
 	var ran []int64
 	for _, c := range r.cores {
 		ran = append(ran, c.ran...)

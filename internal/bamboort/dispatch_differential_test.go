@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/machine"
-	"repro/internal/obsv"
 	"repro/internal/opt"
 )
 
@@ -210,16 +209,8 @@ func TestFusedInstrCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &obsv.Metrics{}
-		if _, err := sys.Exec(context.Background(), core.ExecConfig{
-			Machine: machine.TilePro64().WithCores(1),
-			Layout:  bamboort.SpreadLayout(sys.Prog, 1),
-			Args:    b.Args,
-			Metrics: m,
-		}); err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		if got := [2]int64{m.FlatInstrs.Load(), m.FusedInstrs.Load()}; got != want[b.Name] {
+		flat, fused := sys.Interp().Flattened()
+		if got := [2]int64{flat, fused}; got != want[b.Name] {
 			t.Errorf("%s: (flat, fused) instrs = %v, want %v", b.Name, got, want[b.Name])
 		}
 	}

@@ -81,7 +81,11 @@ func TestStaleThenRevalidatedArrivalOrder(t *testing.T) {
 	}
 	var got []string
 	for _, ev := range tr.Events {
-		got = append(got, fmt.Sprintf("%s%v@%d", ev.Task, ev.Params, ev.Start))
+		var objs []int64
+		for _, d := range ev.Deps {
+			objs = append(objs, d.Obj)
+		}
+		got = append(got, fmt.Sprintf("%s%v@%d", ev.Task, objs, ev.Start))
 	}
 	want := []string{
 		"startup[1]@0", "flip[4]@317", "flip[5]@392", "back[4]@467", "back[5]@542",

@@ -54,9 +54,10 @@ type Options struct {
 	// clock, UnitCycles or UnitNanos, and Begin may refuse the run: the
 	// profile refuses UnitNanos.
 	Recorder Recorder
-	// Metrics, when non-nil, collects runtime counters: the interpreter's
-	// dispatch statistics on both engines, and on the concurrent engine its
-	// locks, contention, deliveries and pokes.
+	// Metrics, when non-nil, collects the concurrent engine's run counters:
+	// locks, contention, deliveries, pokes and inbox depths, events outside
+	// an invocation's completion that Recorder does not see. The
+	// deterministic engine has none and leaves it untouched.
 	Metrics *obsv.Metrics
 	// MaxInvocations guards against non-terminating task systems; 0 means
 	// the default of 50 million.
@@ -242,17 +243,6 @@ type body struct {
 
 func (b body) Start(core, h int32, t int64) (int64, error) { return b.e.start(core, h, t) }
 func (b body) Complete(core int32, t int64) int64          { return b.e.complete(core, t) }
-
-// finishInterp folds the interpreter's dispatch statistics into the run's
-// metrics.
-func finishInterp(in *interp.Interp, m *obsv.Metrics) {
-	if m == nil {
-		return
-	}
-	st := in.Stats()
-	m.FlatInstrs.Add(st.FlatInstrs)
-	m.FusedInstrs.Add(st.FusedInstrs)
-}
 
 // start runs the invocation the loop picked, with its parameters locked
 // until it completes, and commits it: a task's effects are visible from its

@@ -34,9 +34,8 @@
 // *profile.Profile, on the deterministic engine only, the statistics that
 // bootstrap synthesis. The Header the engine opens a recorder with names
 // its clock, obsv.UnitCycles or obsv.UnitNanos, and the profile refuses a
-// run in nanoseconds. Both engines fold the interpreter's statistics into
-// Options.Metrics; the concurrent engine also counts its locks,
-// deliveries and pokes there.
+// run in nanoseconds. The concurrent engine also counts its locks,
+// deliveries and pokes in Options.Metrics.
 package bamboort
 
 import (

@@ -215,7 +215,6 @@ func (e *Engine) Feed(ctx context.Context, batch []Inject) ([]*interp.Object, er
 // batches, total invocations) and the error that failed the run, if any.
 // The engine must not be used afterwards.
 func (e *Engine) Close() (*Result, error) {
-	finishInterp(e.in, e.opts.Metrics)
 	return e.result(), e.sessErr
 }
 

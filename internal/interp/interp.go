@@ -151,22 +151,11 @@ func (in *Interp) buildNameTables() {
 	in.mtab = mtab
 }
 
-// DispatchStats summarizes the fast path for observability: how much of
-// the flattened program the superinstruction pass covered.
-type DispatchStats struct {
-	FlatInstrs  int64
-	FusedInstrs int64
-}
-
-// Stats reports the dispatch statistics. Call after executions complete
-// (engines read it once a run has quiesced).
-func (in *Interp) Stats() DispatchStats {
-	var s DispatchStats
-	if fp := in.fp; fp != nil {
-		s.FlatInstrs = fp.flatInstrs
-		s.FusedInstrs = fp.fusedInstrs
-	}
-	return s
+// Flattened reports the size of the program's flattened form: its
+// instructions, and how many of them are superinstructions.
+func (in *Interp) Flattened() (flat, fused int64) {
+	in.fpOnce.Do(in.prepare)
+	return in.fp.flatInstrs, in.fp.fusedInstrs
 }
 
 // RunTask executes a task with the given parameter values: first the object

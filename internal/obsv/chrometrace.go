@@ -66,8 +66,12 @@ func WriteChromeTrace(w io.Writer, t *Trace) error {
 			dur = 1
 		}
 		args := map[string]any{"exit": ev.Exit, "index": ev.Index}
-		if len(ev.Params) > 0 {
-			args["params"] = ev.Params
+		if len(ev.Deps) > 0 {
+			objs := make([]int64, len(ev.Deps))
+			for k, d := range ev.Deps {
+				objs[k] = d.Obj
+			}
+			args["params"] = objs
 		}
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: ev.Task, Cat: "task", Ph: "X",

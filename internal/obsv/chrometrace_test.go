@@ -20,13 +20,13 @@ func nanoFixture() *Trace {
 		NumCores: 2,
 		Events: []Span{
 			{Index: 0, Task: "startup", Core: 0, Start: 0, End: 800, Exit: 0,
-				Params: []int64{1}, Deps: []Dep{{Obj: 1, Arrival: 0, Producer: -1}}},
+				Deps: []Dep{{Obj: 1, Arrival: 0, Producer: -1}}},
 			{Index: 1, Task: "work", Core: 1, Start: 2_000, End: 9_500, Exit: 1,
-				Params: []int64{2, 3}, Deps: []Dep{
+				Deps: []Dep{
 					{Obj: 2, Arrival: 900, Producer: 0},
 					{Obj: 3, Arrival: 0, Producer: -1}}},
 			{Index: 2, Task: "work", Core: 0, Start: 10_000, End: 26_000, Exit: 0,
-				Params: []int64{2}, Deps: []Dep{{Obj: 2, Arrival: 9_600, Producer: 1}}},
+				Deps: []Dep{{Obj: 2, Arrival: 9_600, Producer: 1}}},
 		},
 	}
 }

@@ -53,29 +53,24 @@ func latBucketOf(v int64) int {
 // Quantile estimates the p-quantile (p in [0,1]) of the observed values.
 // It returns 0 for an empty histogram.
 func (h *Histogram) Quantile(p float64) int64 {
-	var counts [latBuckets]int64
-	var total int64
+	counts, total := h.load()
+	return quantileFrom(counts[:], total, h.max.Load(), p)
+}
+
+// load copies the bucket counts and their total.
+func (h *Histogram) load() (counts [latBuckets]int64, total int64) {
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
 		total += counts[i]
 	}
-	return quantileFrom(counts[:], total, h.max.Load(), p)
+	return counts, total
 }
 
-func quantileFrom(counts []int64, total, max int64, p float64) int64 {
+func quantileFrom(counts []int64, total, top int64, p float64) int64 {
 	if total == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := int64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := max(int64(math.Ceil(min(max(p, 0), 1)*float64(total))), 1)
 	var seen int64
 	for i, c := range counts {
 		if c == 0 {
@@ -83,8 +78,8 @@ func quantileFrom(counts []int64, total, max int64, p float64) int64 {
 		}
 		if seen+c >= rank {
 			lo, hi := bucketBounds(i)
-			if hi > max && max >= lo {
-				hi = max // the top occupied bucket is cut off at the max
+			if hi > top && top >= lo {
+				hi = top // the top occupied bucket is cut off at the max
 			}
 			// Interpolate the rank's position inside this bucket. The
 			// float product can round up past the bucket width at the
@@ -98,7 +93,7 @@ func quantileFrom(counts []int64, total, max int64, p float64) int64 {
 		}
 		seen += c
 	}
-	return max
+	return top
 }
 
 // bucketBounds returns the [lo, hi) value range of bucket i.
@@ -126,20 +121,15 @@ type HistogramSnapshot struct {
 
 // Snapshot copies the counters and computes the standard quantiles.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	var counts [latBuckets]int64
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	max := h.max.Load()
+	counts, total := h.load()
+	top := h.max.Load()
 	s := HistogramSnapshot{
 		Count: total,
 		Sum:   h.sum.Load(),
-		Max:   max,
-		P50:   quantileFrom(counts[:], total, max, 0.50),
-		P95:   quantileFrom(counts[:], total, max, 0.95),
-		P99:   quantileFrom(counts[:], total, max, 0.99),
+		Max:   top,
+		P50:   quantileFrom(counts[:], total, top, 0.50),
+		P95:   quantileFrom(counts[:], total, top, 0.95),
+		P99:   quantileFrom(counts[:], total, top, 0.99),
 	}
 	if total > 0 {
 		s.Mean = float64(s.Sum) / float64(total)

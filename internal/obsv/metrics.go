@@ -7,13 +7,13 @@ import (
 	"sync/atomic"
 )
 
-// Metrics collects the concurrent runtime's counters. All counters are
-// atomic so the engine's hot paths never serialize on them; the per-object
-// contention map is guarded by a mutex but is touched only on lock
-// contention, which is exactly the rare event it measures. A nil *Metrics
-// disables collection entirely (the engine guards every record with a nil
-// check), so the instrumented paths cost nothing when observability is
-// off.
+// Metrics collects the concurrent runtime's run counters: events outside
+// an invocation's completion, which the recorder seam does not see. All
+// counters are atomic so the hot paths never serialize on them; the
+// per-object contention map is mutex-guarded but touched only on lock
+// contention, the rare event it measures. A nil *Metrics disables
+// collection (the engine guards every record with a nil check), so the
+// instrumented paths cost nothing when observability is off.
 type Metrics struct {
 	// LockAcquisitions counts successful parameter-lock acquisitions.
 	LockAcquisitions atomic.Int64
@@ -35,11 +35,6 @@ type Metrics struct {
 	InboxSamples  atomic.Int64
 	InboxDepthSum atomic.Int64
 	InboxDepthMax atomic.Int64
-
-	// Interpreter dispatch statistics, folded in once per run by the
-	// engines: superinstruction coverage of the flattened program.
-	FlatInstrs  atomic.Int64
-	FusedInstrs atomic.Int64
 
 	mu       sync.Mutex
 	objSkips map[int64]int64 // object ID -> contention skips
@@ -119,8 +114,6 @@ type MetricsSnapshot struct {
 	// interp.ic_hit_ratio.
 	ICHits       int64           `json:"ic_hits"`
 	ICMisses     int64           `json:"ic_misses"`
-	FlatInstrs   int64           `json:"flat_instrs"`
-	FusedInstrs  int64           `json:"fused_instrs"`
 	TopContended []ObjContention `json:"top_contended,omitempty"`
 }
 
@@ -136,8 +129,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		InboxSamples:     m.InboxSamples.Load(),
 		InboxDepthSum:    m.InboxDepthSum.Load(),
 		InboxDepthMax:    m.InboxDepthMax.Load(),
-		FlatInstrs:       m.FlatInstrs.Load(),
-		FusedInstrs:      m.FusedInstrs.Load(),
 		TopContended:     m.TopContended(10),
 	}
 }

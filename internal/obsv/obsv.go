@@ -1,15 +1,16 @@
 // Package obsv is the unified observability layer for the Bamboo
-// reproduction: a single execution-trace model shared by the deterministic
+// reproduction: one execution-trace model shared by the deterministic
 // discrete-event engine (bamboort.Engine), the scheduling simulator
 // (schedsim), and the instrumented concurrent runtime
-// (bamboort.ConcurrentSession), plus the runtime counters the concurrent
-// engine collects.
+// (bamboort.ConcurrentSession), plus the run counters the concurrent
+// engine collects (Metrics).
 //
 // The three producers differ only in their clock: the engine and the
 // simulator emit virtual cycles, the concurrent runtime emits wall-clock
 // nanoseconds. Both engines report a run to a bamboort.Recorder as a
 // Header and one Invocation per task invocation; Trace and profile.Profile
-// are the recorders. Everything downstream — the Chrome
+// are the recorders. Trace.Add builds every span in one shape, its Deps
+// naming each parameter once. Everything downstream — the Chrome
 // trace-event exporter, the text summary report, the critical path
 // analysis (internal/critpath), and the simulation-fidelity comparison
 // (internal/expt) — consumes the one Trace type defined here, so
@@ -18,6 +19,7 @@ package obsv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/depend"
@@ -66,10 +68,9 @@ type Trace struct {
 	// Events lists the spans in completion order. Span.Index is each
 	// span's position in this slice.
 	Events []Span
-	// Metrics holds the runtime counters collected alongside the trace,
-	// for Summarize to report (nil: none). A recorder does not set it.
-	Metrics *Metrics
 
+	// slab is the chunk Add cuts spans' Deps from.
+	slab []Dep
 	// producer maps each recorded object's ID to 1 + the span that created
 	// or last transitioned it (0, the environment, when none did).
 	producer map[int64]int
@@ -86,17 +87,36 @@ func (t *Trace) Begin(h Header) error {
 // dependence edges name the span that last recorded each parameter (-1:
 // none).
 func (t *Trace) Record(inv Invocation) {
-	sp := Span{Index: len(t.Events), Task: inv.Name, Core: inv.Core, Start: inv.Start, End: inv.End, Exit: inv.Exit}
+	deps := t.Add(Span{Task: inv.Name, Core: inv.Core, Start: inv.Start, End: inv.End, Exit: inv.Exit}, len(inv.Params))
 	for i, o := range inv.Params {
-		sp.Params = append(sp.Params, o.ID)
-		sp.Deps = append(sp.Deps, Dep{Obj: o.ID, Arrival: inv.Arrivals[i], Producer: t.producer[o.ID] - 1})
+		deps[i] = Dep{Obj: o.ID, Arrival: inv.Arrivals[i], Producer: t.producer[o.ID] - 1}
 	}
-	t.Events = append(t.Events, sp)
 	for _, o := range inv.Params {
 		t.producer[o.ID] = len(t.Events)
 	}
 	for _, o := range inv.New {
 		t.producer[o.ID] = len(t.Events)
+	}
+}
+
+// Add appends sp as the next span, numbered by its position, and returns
+// its n dependence edges, cut from the trace's slab, for the caller to fill.
+func (t *Trace) Add(sp Span, n int) []Dep {
+	if len(t.slab)+n > cap(t.slab) {
+		t.slab = make([]Dep, 0, max(2*cap(t.slab), n, 64))
+	}
+	k := len(t.slab)
+	t.slab = t.slab[:k+n]
+	sp.Index, sp.Deps = len(t.Events), t.slab[k:k+n:k+n]
+	t.Events = append(t.Events, sp)
+	return sp.Deps
+}
+
+// Grow reserves room for spans more spans with deps dependence edges in all.
+func (t *Trace) Grow(spans, deps int) {
+	t.Events = slices.Grow(t.Events, spans)
+	if cap(t.slab)-len(t.slab) < deps {
+		t.slab = make([]Dep, 0, deps)
 	}
 }
 
@@ -110,10 +130,10 @@ type Span struct {
 	End   int64
 	// Exit is the taskexit index the invocation took.
 	Exit int
-	// Params are the object IDs bound to the task's parameters.
+	// Params is set by bench/ only; nothing in this module reads it.
 	Params []int64
-	// Deps records, per parameter, when the object arrived at the core
-	// and which span produced it (-1 for the environment).
+	// Deps records, per parameter, the object bound to it, when it arrived
+	// at the core and which span produced it (-1 for the environment).
 	Deps []Dep
 }
 
@@ -131,9 +151,7 @@ func (s *Span) Duration() int64 { return s.End - s.Start }
 func (t *Trace) CoreCount() int {
 	n := t.NumCores
 	for i := range t.Events {
-		if c := t.Events[i].Core + 1; c > n {
-			n = c
-		}
+		n = max(n, t.Events[i].Core+1)
 	}
 	return n
 }
@@ -142,9 +160,7 @@ func (t *Trace) CoreCount() int {
 func (t *Trace) Makespan() int64 {
 	var end int64
 	for i := range t.Events {
-		if t.Events[i].End > end {
-			end = t.Events[i].End
-		}
+		end = max(end, t.Events[i].End)
 	}
 	return end
 }
@@ -160,18 +176,7 @@ func (t *Trace) BusyPerCore() []int64 {
 }
 
 // Utilization returns each core's busy fraction of the makespan.
-func (t *Trace) Utilization() []float64 {
-	mk := t.Makespan()
-	busy := t.BusyPerCore()
-	out := make([]float64, len(busy))
-	if mk == 0 {
-		return out
-	}
-	for i, b := range busy {
-		out[i] = float64(b) / float64(mk)
-	}
-	return out
-}
+func (t *Trace) Utilization() []float64 { return fractions(t.BusyPerCore(), t.Makespan()) }
 
 // UtilizationShares returns each core's share of the total busy time
 // (sums to 1 for a non-empty trace). Shares are unit-free, so a predicted
@@ -182,12 +187,16 @@ func (t *Trace) UtilizationShares() []float64 {
 	for _, b := range busy {
 		total += b
 	}
-	out := make([]float64, len(busy))
-	if total == 0 {
-		return out
-	}
-	for i, b := range busy {
-		out[i] = float64(b) / float64(total)
+	return fractions(busy, total)
+}
+
+// fractions returns each part over whole (all 0 when whole is 0).
+func fractions(parts []int64, whole int64) []float64 {
+	out := make([]float64, len(parts))
+	for i, p := range parts {
+		if whole != 0 {
+			out[i] = float64(p) / float64(whole)
+		}
 	}
 	return out
 }

@@ -15,11 +15,11 @@ func fixture() *Trace {
 		NumCores: 2,
 		Events: []Span{
 			{Index: 0, Task: "startup", Core: 0, Start: 0, End: 10, Exit: 0,
-				Params: []int64{1}, Deps: []Dep{{Obj: 1, Arrival: 0, Producer: -1}}},
+				Deps: []Dep{{Obj: 1, Arrival: 0, Producer: -1}}},
 			{Index: 1, Task: "work", Core: 1, Start: 5, End: 25, Exit: 0,
-				Params: []int64{2}, Deps: []Dep{{Obj: 2, Arrival: 4, Producer: -1}}},
+				Deps: []Dep{{Obj: 2, Arrival: 4, Producer: -1}}},
 			{Index: 2, Task: "work", Core: 0, Start: 12, End: 30, Exit: 1,
-				Params: []int64{3}, Deps: []Dep{{Obj: 3, Arrival: 11, Producer: 0}}},
+				Deps: []Dep{{Obj: 3, Arrival: 11, Producer: 0}}},
 		},
 	}
 }
@@ -148,13 +148,7 @@ func TestTopContendedTieBreak(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	tr := fixture()
-	m := &Metrics{}
-	m.LockAcquisitions.Add(3)
-	m.RecordContention(1)
-	m.SampleInbox(4)
-	tr.Metrics = m
-	s := Summarize(tr)
+	s := Summarize(fixture())
 	for _, want := range []string{
 		"execution trace (engine)",
 		"spans=3 makespan=30 cycles cores=2",
@@ -163,13 +157,35 @@ func TestSummarize(t *testing.T) {
 		"startup",
 		"work",
 		"n=2",
-		"lock acquisitions=3 contention skips=1",
-		"inbox depth: samples=1 mean=4.00 max=4",
-		"top contended objects:",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
+	}
+	if strings.Contains(s, "runtime counters") {
+		t.Errorf("a trace's summary reports counters:\n%s", s)
+	}
+}
+
+func TestSummarizeMetrics(t *testing.T) {
+	m := &Metrics{}
+	m.LockAcquisitions.Add(3)
+	m.RecordContention(1)
+	m.SampleInbox(4)
+	s := SummarizeMetrics(m)
+	for _, want := range []string{
+		"-- runtime counters --",
+		"lock acquisitions=3 contention skips=1",
+		"inbox depth: samples=1 mean=4.00 max=4",
+		"top contended objects:",
+		"object 1 ",
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("counter summary missing %q:\n%s", want, s)
+		}
+	}
+	if s := SummarizeMetrics(&Metrics{}); strings.Contains(s, "inbox depth") || strings.Contains(s, "top contended") {
+		t.Errorf("an idle run's counter summary reports inboxes or contention:\n%s", s)
 	}
 }
 
@@ -177,5 +193,36 @@ func TestSummarizeEmptyTrace(t *testing.T) {
 	s := Summarize(&Trace{Source: "engine"})
 	if !strings.Contains(s, "spans=0") {
 		t.Errorf("empty-trace summary = %q", s)
+	}
+}
+
+// TestAddCutsEdgesFromChunks: Add numbers spans by position and hands out
+// edges that later chunks never overwrite, and after Grow a run of the
+// reserved size allocates nothing more.
+func TestAddCutsEdgesFromChunks(t *testing.T) {
+	tr := &Trace{}
+	for i := 0; i < 200; i++ {
+		deps := tr.Add(Span{Task: "t", Core: i % 3}, 1+i%2)
+		for k := range deps {
+			deps[k] = Dep{Obj: int64(10*i + k), Producer: i - 1}
+		}
+	}
+	for i, ev := range tr.Events {
+		if ev.Index != i || len(ev.Deps) != 1+i%2 || ev.Deps[0].Obj != int64(10*i) || ev.Deps[len(ev.Deps)-1].Producer != i-1 {
+			t.Fatalf("span %d = %+v", i, ev)
+		}
+	}
+	grown := &Trace{}
+	run := func(spans int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			grown.Events, grown.slab = nil, nil
+			grown.Grow(100, 300)
+			for i := 0; i < spans; i++ {
+				grown.Add(Span{}, 3)
+			}
+		})
+	}
+	if reserved, filled := run(0), run(100); filled != reserved {
+		t.Errorf("Grow(100, 300): %.0f allocations, then 100 spans of 3 edges: %.0f", reserved, filled)
 	}
 }

@@ -13,9 +13,9 @@ type taskStats struct {
 	min  int64
 }
 
-// Summarize renders a human-readable report over the trace: per-core
-// utilization, per-task invocation counts with latency quantiles, and (when the trace carries Metrics) the runtime counters
-// with the most lock-contended objects.
+// Summarize renders a human-readable report over the trace's spans:
+// per-core utilization and per-task invocation counts with latency
+// quantiles.
 func Summarize(t *Trace) string {
 	var b strings.Builder
 	unit := t.TimeUnit
@@ -65,21 +65,26 @@ func Summarize(t *Trace) string {
 			n, h.Count, h.Sum/h.Count, st.min, h.Max, max(h.P50, st.min), max(h.P95, st.min), max(h.P99, st.min))
 	}
 
-	if t.Metrics != nil {
-		s := t.Metrics.Snapshot()
-		fmt.Fprintf(&b, "-- runtime counters --\n")
-		fmt.Fprintf(&b, "lock acquisitions=%d contention skips=%d guard rechecks=%d\n",
-			s.LockAcquisitions, s.ContentionSkips, s.GuardRechecks)
-		fmt.Fprintf(&b, "deliveries=%d pokes=%d\n", s.Deliveries, s.Pokes)
-		if s.InboxSamples > 0 {
-			fmt.Fprintf(&b, "inbox depth: samples=%d mean=%.2f max=%d\n",
-				s.InboxSamples, float64(s.InboxDepthSum)/float64(s.InboxSamples), s.InboxDepthMax)
-		}
-		if len(s.TopContended) > 0 {
-			fmt.Fprintf(&b, "top contended objects:\n")
-			for _, oc := range s.TopContended {
-				fmt.Fprintf(&b, "  object %-8d skips=%d\n", oc.Obj, oc.Skips)
-			}
+	return b.String()
+}
+
+// SummarizeMetrics renders the runtime counters a concurrent run collected,
+// with the most lock-contended objects.
+func SummarizeMetrics(m *Metrics) string {
+	var b strings.Builder
+	s := m.Snapshot()
+	fmt.Fprintf(&b, "-- runtime counters --\n")
+	fmt.Fprintf(&b, "lock acquisitions=%d contention skips=%d guard rechecks=%d\n",
+		s.LockAcquisitions, s.ContentionSkips, s.GuardRechecks)
+	fmt.Fprintf(&b, "deliveries=%d pokes=%d\n", s.Deliveries, s.Pokes)
+	if s.InboxSamples > 0 {
+		fmt.Fprintf(&b, "inbox depth: samples=%d mean=%.2f max=%d\n",
+			s.InboxSamples, float64(s.InboxDepthSum)/float64(s.InboxSamples), s.InboxDepthMax)
+	}
+	if len(s.TopContended) > 0 {
+		fmt.Fprintf(&b, "top contended objects:\n")
+		for _, oc := range s.TopContended {
+			fmt.Fprintf(&b, "  object %-8d skips=%d\n", oc.Obj, oc.Skips)
 		}
 	}
 	return b.String()

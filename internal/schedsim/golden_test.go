@@ -60,8 +60,9 @@ func hashRun(res *schedsim.Result, tr *schedsim.Trace) string {
 	put(int64(len(tr.Events)))
 	for _, ev := range tr.Events {
 		h.Write([]byte(ev.Task))
-		put(int64(ev.Index), int64(ev.Core), ev.Start, ev.End, int64(ev.Exit), int64(len(ev.Params)), int64(len(ev.Deps)))
-		put(ev.Params...)
+		// The zero keeps the recorded hashes' layout, which has a slot for
+		// a parameter list; Deps name the parameters.
+		put(int64(ev.Index), int64(ev.Core), ev.Start, ev.End, int64(ev.Exit), 0, int64(len(ev.Deps)))
 		for _, d := range ev.Deps {
 			put(d.Obj, d.Arrival, int64(d.Producer))
 		}

@@ -141,10 +141,8 @@ type simState struct {
 	allocAcc  []float64 // fractional allocation accumulators, by profTables.allocs position
 	unchanged []bool
 
-	// depSlab is the chunk the trace's Deps are cut from; the hints size a
-	// trace's storage by the last traced run's.
-	depSlab           []Dep
-	nDeps             int
+	// The hints size a trace's spans and dependence edges by the last
+	// traced run's.
 	spanHint, depHint int
 }
 
@@ -157,7 +155,7 @@ func (s *Simulator) Run(opts Options) (*Result, error) {
 	}
 	res, err := s.runOn(st, opts)
 	// Pooled scratch must not pin the caller's Trace, Layout or Machine.
-	st.t, st.opts, st.depSlab, st.loop.M = nil, Options{}, nil, nil
+	st.t, st.opts, st.loop.M = nil, Options{}, nil
 	clear(st.lay.Cores)
 	s.scratch.Put(st)
 	return res, err
@@ -207,7 +205,6 @@ func (st *simState) reset() error {
 	}
 	st.loop.Init(&st.lay, st.opts.Machine)
 	p, n, nt := st.p, st.opts.Layout.NumCores, len(st.lay.Tasks)
-	st.nDeps = 0
 	st.objs, st.objCnt = st.objs[:0], st.objCnt[:0]
 	st.groups = append(st.groups[:0], sched.List{})
 	clear(st.objAt)
@@ -235,9 +232,7 @@ func (st *simState) run() (*Result, error) {
 	tr := st.opts.Trace
 	if tr != nil {
 		tr.Source, tr.TimeUnit, tr.NumCores = "schedsim", obsv.UnitCycles, st.opts.Layout.NumCores
-		if tr.Events == nil {
-			tr.Events = make([]Event, 0, st.spanHint)
-		}
+		tr.Grow(st.spanHint, st.depHint)
 	}
 	// Inject the startup object.
 	st.objs = append(st.objs, simObject{node: int32(st.lay.Dep.Start.ID), producer: -1})
@@ -245,7 +240,10 @@ func (st *simState) run() (*Result, error) {
 	over, _ := st.loop.Drain(st.opts.MaxInvocations)
 	nInv := st.loop.NInv
 	if tr != nil {
-		st.spanHint, st.depHint = int(nInv), st.nDeps
+		st.spanHint, st.depHint = int(nInv), 0
+		for i := range tr.Events {
+			st.depHint += len(tr.Events[i].Deps)
+		}
 	}
 	if over {
 		// Report utilization instead of completion time.
@@ -334,17 +332,6 @@ func (st *simState) newGroup() int32 {
 	return int32(len(st.groups) - 1)
 }
 
-// keep copies an invocation's dependence records into the trace's slab.
-func (st *simState) keep(deps []Dep) []Dep {
-	n := len(st.depSlab)
-	if n+len(deps) > cap(st.depSlab) {
-		st.depSlab, n = make([]Dep, 0, max(st.depHint, 2*cap(st.depSlab), 64)), 0
-	}
-	st.depSlab = append(st.depSlab, deps...)
-	st.nDeps += len(deps)
-	return st.depSlab[n:len(st.depSlab):len(st.depSlab)]
-}
-
 // complete moves the parameter objects along the chosen exit's edges,
 // materializes the profiled allocations with deterministic accumulators,
 // and routes both, returning the send cycles.
@@ -353,10 +340,7 @@ func (st *simState) complete(core int32, t int64) (send int64) {
 	task := &st.p.tasks[c.task]
 	span := int32(st.loop.NInv)
 	if tr := st.opts.Trace; tr != nil {
-		tr.Events = append(tr.Events, Event{
-			Index: int(span), Task: st.lay.Tasks[c.task].Name, Core: int(core),
-			Start: c.start, End: t, Exit: int(c.exit), Deps: st.keep(c.deps),
-		})
+		copy(tr.Add(Event{Task: st.lay.Tasks[c.task].Name, Core: int(core), Start: c.start, End: t, Exit: int(c.exit)}, len(c.deps)), c.deps)
 	}
 	// Remember which parameters the exit left unchanged.
 	st.unchanged = sized(st.unchanged, len(c.objs))

@@ -60,3 +60,17 @@ func (s *Server) PendingFeeds(id string) int {
 	defer sn.qmu.Unlock()
 	return len(sn.pending)
 }
+
+// HoldCreates stops every later session create between its admission and
+// its boot: the create sends its session's ID on admitted and waits until
+// release is called.
+func (s *Server) HoldCreates() (admitted <-chan string, release func()) {
+	ids, gate := make(chan string, 1), make(chan struct{})
+	s.sessMu.Lock()
+	s.admitted = func(id string) {
+		ids <- id
+		<-gate
+	}
+	s.sessMu.Unlock()
+	return ids, func() { close(gate) }
+}

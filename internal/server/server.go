@@ -148,6 +148,9 @@ type Server struct {
 	open              map[*Session]struct{}
 	nextJob, nextSess atomic.Int64
 	sessWg            sync.WaitGroup
+	// admitted, a test hook read under sessMu, runs between a session
+	// create's admission and its boot (nil: none).
+	admitted func(id string)
 
 	sessCreated atomic.Int64
 	sessClosed  atomic.Int64
@@ -567,8 +570,6 @@ func (s *Server) aggregate(m obsv.MetricsSnapshot) {
 	if m.InboxDepthMax > a.InboxDepthMax {
 		a.InboxDepthMax = m.InboxDepthMax
 	}
-	a.FlatInstrs += m.FlatInstrs
-	a.FusedInstrs += m.FusedInstrs
 }
 
 // ---- handlers ----
@@ -764,11 +765,8 @@ type Varz struct {
 	Sessions  SessionStats     `json:"sessions"`
 	Cache     CacheStats       `json:"cache"`
 	LatencyNS LatencyStats     `json:"latency_ns"`
-	// Runtime sums the runtime counters over every finished job:
-	// interpreter dispatch statistics (superinstruction coverage) from
-	// both engines, plus the
-	// concurrent engine's scheduler/lock counters (contention skips,
-	// deliveries, pokes, ...).
+	// Runtime sums the concurrent engine's run counters (contention
+	// skips, deliveries, pokes, ...) over every finished job.
 	Runtime obsv.MetricsSnapshot `json:"runtime_counters"`
 	// WAL reports the durability layer (nil when no WALDir is set).
 	WAL *WALView `json:"wal,omitempty"`

@@ -573,7 +573,11 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sn.ID = s.newID(false)
 	s.addLocked(sn)
+	admitted := s.admitted
 	s.sessMu.Unlock()
+	if admitted != nil {
+		admitted(sn.ID)
+	}
 
 	sn.mu.Lock()
 	defer sn.mu.Unlock()

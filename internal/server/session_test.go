@@ -29,7 +29,19 @@ func kvSession(t *testing.T, s *testService, engine string, cores int) server.Se
 // warm keys, slots per shard.
 func kvSessionArgs(t *testing.T, s *testService, engine string, cores int, args ...string) server.SessionView {
 	t.Helper()
-	sv, err := s.cl.CreateSession(ctxT(), server.SessionRequest{
+	sv, err := s.cl.CreateSession(ctxT(), kvRequest(engine, cores, args...))
+	if err != nil {
+		t.Fatalf("create session: %v", err)
+	}
+	if sv.Status != server.SessionActive || sv.ID == "" {
+		t.Fatalf("session view = %+v", sv)
+	}
+	return sv
+}
+
+// kvRequest asks for a KVStore session with the given startup arguments.
+func kvRequest(engine string, cores int, args ...string) server.SessionRequest {
+	return server.SessionRequest{
 		Benchmark: "KVStore",
 		Args:      args,
 		Engine:    engine,
@@ -41,14 +53,7 @@ func kvSessionArgs(t *testing.T, s *testService, engine string, cores int, args 
 			DoneFlag:    "replied",
 			ReplyFields: []string{"reply", "version", "found"},
 		},
-	})
-	if err != nil {
-		t.Fatalf("create session: %v", err)
 	}
-	if sv.Status != server.SessionActive || sv.ID == "" {
-		t.Fatalf("session view = %+v", sv)
-	}
-	return sv
 }
 
 func put(key, val int) server.FeedItem {
@@ -121,6 +126,44 @@ func TestSessionLifecycle(t *testing.T) {
 	_, err = s.cl.Feed(ctxT(), sv.ID, server.FeedRequest{Requests: []server.FeedItem{get(5)}})
 	if !client.IsCode(err, server.CodeFailedPrecondition) {
 		t.Errorf("feed after close: err = %v, want %s", err, server.CodeFailedPrecondition)
+	}
+}
+
+// TestSessionCloseBeforeBoot: a close that lands between a create's
+// admission and its boot is refused 409 failed_precondition, "session is
+// not ready", and changes nothing: the create still owns the session,
+// boots it and reports it active, and a close after that closes it.
+func TestSessionCloseBeforeBoot(t *testing.T) {
+	s := newTestService(t, server.Config{})
+	admitted, release := s.srv.HoldCreates()
+	type created struct {
+		sv  server.SessionView
+		err error
+	}
+	done := make(chan created, 1)
+	go func() {
+		sv, err := s.cl.CreateSession(ctxT(), kvRequest("", 1, "8", "64", "64"))
+		done <- created{sv, err}
+	}()
+	id := <-admitted
+	_, err := s.cl.CloseSession(ctxT(), id)
+	if !client.IsCode(err, server.CodeFailedPrecondition) || !strings.Contains(err.Error(), "session is not ready") {
+		t.Errorf("close before boot: err = %v, want %s, session is not ready", err, server.CodeFailedPrecondition)
+	}
+	release()
+	c := <-done
+	if c.err != nil {
+		t.Fatalf("create held past a close: %v", c.err)
+	}
+	if c.sv.ID != id || c.sv.Status != server.SessionActive {
+		t.Fatalf("created view = %+v, want session %s active", c.sv, id)
+	}
+	if f := feed(t, s, id, get(5)).Replies[0].Fields; f["reply"] != "162" {
+		t.Errorf("get after the refused close = %+v, want the warm 162", f)
+	}
+	closed, err := s.cl.CloseSession(ctxT(), id)
+	if err != nil || closed.Status != server.SessionClosed {
+		t.Fatalf("close after boot: %+v, %v", closed, err)
 	}
 }
 
